@@ -64,15 +64,6 @@ class AomotoComplex:
         return lhs == self.algebra.euler()
 
 
-def aomoto_complex(algebra, alpha):
-    return AomotoComplex(algebra, alpha)
-
-
-def cohomology_dims(cx):
-    """Per-degree cohomology dimensions of an AomotoComplex."""
-    return cx.cohomology_dims()
-
-
 @dataclass(frozen=True)
 class ResonanceReport:
     degree: int

@@ -68,9 +68,6 @@ class Arrangement:
             return 0
         return rank(self.linear_parts())
 
-    def is_essential(self):
-        return self.rank() == self.ambient
-
     def common_point(self, subset):
         """A point on every listed hyperplane, or None if the intersection
         is empty."""

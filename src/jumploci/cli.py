@@ -137,8 +137,8 @@ def _cmd_resonance_sample(args):
     arr, digest = _load_arrangement(args.arrangement)
     algebra = os_algebra(arr)
     subspace = _subspace_rows(args.subspace) if args.subspace else None
-    rep = generic_dims_sample(algebra, subspace=subspace,
-                              trials=args.trials or 40,
+    trials = 40 if args.trials is None else args.trials
+    rep = generic_dims_sample(algebra, subspace=subspace, trials=trials,
                               prime=args.prime, seed=args.seed)
     return jsonable(rep), {"arrangement": digest}
 
@@ -152,7 +152,7 @@ def _cmd_log_resonance(args):
 
 def _cmd_elliptic(args):
     kwargs = {}
-    if args.trials:
+    if args.trials is not None:
         kwargs = {"scroll_samples": args.trials, "f1_samples": args.trials,
                   "lr_samples": args.trials,
                   "e2_samples": max(1, args.trials // 8)}
@@ -219,6 +219,17 @@ def _cmd_verify_paper(args):
 
 # --------------------------------------------------------------------- wiring
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="jumploci",
@@ -234,7 +245,7 @@ def build_parser():
                        help="seed for all randomized sampling (default 0)")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                        help="prime for finite-field sampling")
-        p.add_argument("--trials", type=int, default=None,
+        p.add_argument("--trials", type=_positive_int, default=None,
                        help="sample count override where applicable")
         p.add_argument("--json-out", metavar="PATH", default=None,
                        help="also write the report to this file")

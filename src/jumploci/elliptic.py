@@ -214,20 +214,14 @@ class E2Report:
     consistent: bool
 
 
-def _row_space(rows, ncols):
-    if not rows:
-        return []
-    _, _, reduced = rref(rows, QI)
-    return [r for r in reduced if any(r)]
-
-
-def _intersection_dim(basis_a, basis_b):
-    if not basis_a or not basis_b:
-        return 0
-    ra = len(basis_a)
-    rb = len(basis_b)
-    rank_union, _, _ = rref(list(basis_a) + list(basis_b), QI)
-    return ra + rb - rank_union
+def _filtered_dim(rank_v, coord_rows, inside):
+    """dim(V intersect F) for the span V of some vectors, given its rank and
+    its coordinate rows (row k holds coordinate k of every spanning vector),
+    and F the coordinate subspace on the positions `inside`: rank V minus
+    the rank of V restricted to the other positions."""
+    outside = [row for k, row in enumerate(coord_rows) if k not in inside]
+    r, _, _ = rref(outside, QI)
+    return rank_v - r
 
 
 def e2_page(model, x, y):
@@ -235,8 +229,11 @@ def e2_page(model, x, y):
     (A*, alpha wedge) at a nonzero alpha = (x, ix) in F^1.
 
     The induced filtration on H_m is (K_m intersect F^p) / (I_m intersect
-    F^p) with K the cocycles and I the coboundaries; the graded dims of one
-    H_m always sum to dim H_m, and that consistency is rechecked.
+    F^p) with K the cocycles and I the coboundaries.  F^p is the coordinate
+    subspace on the basis positions `hodge_positions(p, m)`, so for V = K or
+    I, dim(V intersect F^p) is rank V minus the rank of V restricted to the
+    other positions.  The graded dims of one H_m always sum to dim H_m, and
+    that consistency is rechecked against the unfiltered cohomology.
     """
     x, y = model._pair(x, y)
     if not any(x) and not any(y):
@@ -251,19 +248,16 @@ def e2_page(model, x, y):
     h = cx.cohomology_dims()[:3]
     entries = {}
     for m in range(3):
-        rk, kernel = rank_and_kernel(cx.matrices[m])
-        cocycles = _row_space(kernel, deep.algebra.dim(m))
-        if m == 0:
-            bounds = []
-        else:
-            prev = cx.matrices[m - 1]
-            bounds = _row_space([list(prev.col(j)) for j in range(prev.ncols)],
-                                deep.algebra.dim(m))
+        _, kernel = rank_and_kernel(cx.matrices[m])
+        cocycles = list(zip(*kernel))
+        # the coboundaries are spanned by the columns of d_{m-1}
+        bounds = cx.matrices[m - 1].entries if m else ()
+        rank_bounds = cx.ranks()[m - 1] if m else 0
         fdims = []
         for p in range(m + 2):
-            fp = deep.algebra.hodge_subspace(p, m)
-            fdims.append(_intersection_dim(cocycles, fp)
-                         - _intersection_dim(bounds, fp))
+            inside = set(deep.algebra.hodge_positions(p, m))
+            fdims.append(_filtered_dim(len(kernel), cocycles, inside)
+                         - _filtered_dim(rank_bounds, bounds, inside))
         for p in range(m + 1):
             entries[(p, m - p)] = fdims[p] - fdims[p + 1]
     consistent = all(

@@ -5,8 +5,11 @@ bitmask to coefficient.  Quotient algebras store, per degree, the monomial
 basis, a canonical quotient basis (the lexicographically smallest monomials
 completing an echelon basis of the ideal), and the projection of every
 monomial onto that basis.  Generators may carry Hodge types (p, q), in which
-case monomials are bigraded and the filtration subspaces F^p are spanned by
-monomial classes.
+case monomials are bigraded.  Ideal generators must then be pure, so the
+ideal's reduced echelon form splits into blocks by type and every monomial
+projects onto basis monomials of its own type.  The Hodge filtration F^p is
+therefore a coordinate subspace: the span of the basis monomials whose
+first index is at least p.
 """
 
 from __future__ import annotations
@@ -281,32 +284,29 @@ class GradedAlgebra:
             raise PreconditionError("algebra carries no Hodge types")
         return _mono_type(mask, self.hodge_types)
 
-    def hodge_monomials(self, p, d):
-        """Degree-d monomials whose first Hodge index sums to at least p."""
-        return [m for m in self.monomials[d]
-                if _mono_type(m, self.hodge_types)[0] >= p]
+    def hodge_positions(self, p, d):
+        """Positions of the degree-d basis monomials whose first Hodge index
+        sums to at least p."""
+        return [j for j, m in enumerate(self.basis[d])
+                if self.monomial_hodge_type(m)[0] >= p]
 
     def hodge_subspace(self, p, d):
         """Echelon basis (coordinate rows) of F^p A^d = span of the classes
-        of monomials with first-index sum >= p."""
+        of monomials with first-index sum >= p.
+
+        The ideal generators are pure (`build_quotient_algebra` rejects
+        mixed ones), so every monomial projects onto basis monomials of its
+        own type and F^p A^d is spanned by the unit rows at
+        `hodge_positions(p, d)`.
+        """
         if self.hodge_types is None:
             raise PreconditionError("algebra carries no Hodge types")
         if d < 0 or d > self.top:
             return []
-        rows = []
-        for m in self.hodge_monomials(p, d):
-            coords = self.project(Multivector(self.ngens, [(m, 1)]), d)
-            if any(coords):
-                rows.append(coords)
-        if not rows:
-            return []
-        _, _, out = rref(rows, self.field)
-        return out
-
-
-def hodge_filtration_subspace(algebra, p, d):
-    """Basis of the Hodge filtration subspace F^p in degree d."""
-    return algebra.hodge_subspace(p, d)
+        zero, one = self.field.zero(), self.field.one()
+        n = self.dim(d)
+        return [tuple(one if k == j else zero for k in range(n))
+                for j in self.hodge_positions(p, d)]
 
 
 def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):

@@ -51,7 +51,8 @@ def _expect(obj, key, types, where):
     if key not in obj:
         raise ParseError(f"missing key {key!r}", where)
     v = obj[key]
-    if not isinstance(v, types):
+    # JSON true/false must not pass for an integer (bool subclasses int)
+    if isinstance(v, bool) or not isinstance(v, types):
         raise ParseError(f"key {key!r} has wrong type {type(v).__name__}",
                          where)
     return v
@@ -84,6 +85,8 @@ def parse_laurent_system(obj, where="system"):
     elif isinstance(obj, dict):
         polys_node = _expect(obj, "polys", list, where)
         rank = obj.get("rank")
+        if rank is not None:
+            rank = _expect(obj, "rank", int, where)
     else:
         raise ParseError("expected an object or a list of polynomials", where)
     polys = []
@@ -160,14 +163,6 @@ def parse_input(path):
 
 def rational_str(x):
     return str(Fraction(x))
-
-
-def scalar_jsonable(x):
-    if isinstance(x, GaussianRational):
-        return {"re": rational_str(x.re), "im": rational_str(x.im)}
-    if isinstance(x, (int, Fraction)):
-        return rational_str(x)
-    return str(x)
 
 
 def serialize(value):

@@ -261,9 +261,6 @@ class GaussianRationalField:
     def one(self):
         return GaussianRational(1)
 
-    def i(self):
-        return GaussianRational(0, 1)
-
     def coerce(self, x):
         g = _as_gaussian(x)
         if g is None:

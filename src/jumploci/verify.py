@@ -21,7 +21,7 @@ from .arrangement import (Arrangement, os_algebra, poincare_and_euler,
                           points_arrangement, restrict_line_arrangement)
 from .elliptic import (elliptic_model, e2_page, scroll_membership,
                        tangent_pair_basis)
-from .errors import DegeneracyError
+from .errors import DegeneracyError, PreconditionError
 from .foxcalc import Character, Presentation, twisted_h1
 from .master import (critical_points_bivariate, critical_points_univariate,
                      local_koszul_univariate, log_zero_divisor_p1)
@@ -247,6 +247,11 @@ def _h1(model, x, y):
 
 def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
                          lr_samples=100, e2_samples=25):
+    counts = {"scroll_samples": scroll_samples, "f1_samples": f1_samples,
+              "lr_samples": lr_samples, "e2_samples": e2_samples}
+    for name, count in counts.items():
+        if count < 1:
+            raise PreconditionError(f"{name} must be at least 1, got {count}")
     model = elliptic_model(n, top=2)
     rng = _rng(f"elliptic-{n}", seed)
     details = {"n": n}

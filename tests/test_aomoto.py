@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from jumploci.aomoto import (
-    AomotoComplex, aomoto_complex, cohomology_dims, generic_dims_sample,
-    isotropic_check, log_resonance_membership, resonance_membership)
+    AomotoComplex, generic_dims_sample, isotropic_check,
+    log_resonance_membership, resonance_membership)
 from jumploci.arrangement import Arrangement, os_algebra, points_arrangement
 from jumploci.elliptic import elliptic_model, tangent_pair_basis
 from jumploci.errors import PreconditionError
@@ -31,30 +31,30 @@ def six_planes():
 
 def test_zero_class_gives_zero_matrices():
     A = three_points()
-    cx = aomoto_complex(A, [0, 0, 0])
+    cx = AomotoComplex(A, [0, 0, 0])
     assert all(m.is_zero() for m in cx.matrices)
-    assert cohomology_dims(cx) == (1, 3)
+    assert cx.cohomology_dims() == (1, 3)
 
 
 def test_three_point_cohomology():
     A = three_points()
-    assert cohomology_dims(aomoto_complex(A, [1, 1, 1])) == (0, 2)
+    assert AomotoComplex(A, [1, 1, 1]).cohomology_dims() == (0, 2)
 
 
 def test_concurrent_triple_point_resonance():
     # weights summing to zero at the triple point: h^1 jumps to 1, and with
     # chi = 0 the top degree matches it
     A = concurrent3()
-    cx = aomoto_complex(A, [1, 1, -2])
-    assert cohomology_dims(cx) == (0, 1, 1)
+    cx = AomotoComplex(A, [1, 1, -2])
+    assert cx.cohomology_dims() == (0, 1, 1)
     assert cx.matrices[1].mul(cx.matrices[0]).is_zero()
     assert cx.euler_matches()
-    assert cohomology_dims(aomoto_complex(A, [1, 1, 1])) == (0, 0, 0)
+    assert AomotoComplex(A, [1, 1, 1]).cohomology_dims() == (0, 0, 0)
 
 
 def test_wrong_alpha_length():
     with pytest.raises(PreconditionError, match="coordinates"):
-        aomoto_complex(three_points(), [1, 1])
+        AomotoComplex(three_points(), [1, 1])
 
 
 def test_jump_component_membership():
@@ -171,18 +171,18 @@ def test_euler_is_alpha_independent():
     A = concurrent3()
     seen = set()
     for alpha in ([1, 1, -2], [1, 1, 1], [0, 0, 0], [5, -3, 2]):
-        h = cohomology_dims(aomoto_complex(A, alpha))
+        h = AomotoComplex(A, alpha).cohomology_dims()
         seen.add(sum((-1) ** d * x for d, x in enumerate(h)))
     assert seen == {A.euler()}
 
 
 def test_scaling_invariance():
     A = six_planes()
-    base = cohomology_dims(aomoto_complex(
-        A, [Fraction(c) for c in [1, 0, 0, 0, -1, 0]]))
+    base = AomotoComplex(
+        A, [Fraction(c) for c in [1, 0, 0, 0, -1, 0]]).cohomology_dims()
     for c in (2, -1, Fraction(7, 3)):
         scaled = [Fraction(x) * c for x in [1, 0, 0, 0, -1, 0]]
-        assert cohomology_dims(aomoto_complex(A, scaled)) == base
+        assert AomotoComplex(A, scaled).cohomology_dims() == base
 
 
 def test_composition_zero_across_fields():

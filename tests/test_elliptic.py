@@ -8,7 +8,9 @@ from jumploci.elliptic import (
     e2_page, elliptic_model, hodge_decompose, scroll_membership,
     tangent_pair_basis)
 from jumploci.errors import PreconditionError
-from jumploci.scalars import GaussianRational, Matrix, rank
+from jumploci.exterior import Multivector
+from jumploci.scalars import (QI, GaussianRational, Matrix, rank,
+                              rank_and_kernel)
 
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0)
@@ -153,6 +155,46 @@ def test_e2_page_values():
     for deg in range(3):
         assert sum(rep.entries[(p, deg - p)] for p in range(deg + 1)) \
             == rep.h[deg]
+
+
+def _e2_by_intersection(n, x):
+    """E_2 entries and h from the definitions: F^p as the span of the
+    projected monomials of first index >= p, and dim(V intersect F^p) as
+    dim V + dim F^p - dim(V + F^p)."""
+    deep = elliptic_model(n, top=3)
+    A = deep.algebra
+    cx = AomotoComplex(A, deep.class_coords(x, [I * c for c in x]))
+
+    def dim(rows):
+        return rank(rows, QI) if rows else 0
+
+    entries = {}
+    for m in range(3):
+        _, cocycles = rank_and_kernel(cx.matrices[m])
+        prev = cx.matrices[m - 1] if m else Matrix([], field=QI)
+        bounds = [prev.col(j) for j in range(prev.ncols)]
+        fdims = []
+        for p in range(m + 2):
+            fp = [A.project(Multivector(A.ngens, [(mono, 1)]), m)
+                  for mono in A.monomials[m]
+                  if A.monomial_hodge_type(mono)[0] >= p]
+            fdims.append(sum(
+                sign * (dim(v) + dim(fp) - dim(list(v) + fp))
+                for sign, v in ((1, cocycles), (-1, bounds))))
+        for p in range(m + 1):
+            entries[(p, m - p)] = fdims[p] - fdims[p + 1]
+    return entries, cx.cohomology_dims()[:3]
+
+
+@pytest.mark.parametrize("x", [
+    (1, -1, 0), (1, 2, 0), (2, -1, -1),
+    (1, 2, -3, 0), (1, 1, 1, 1),
+])
+def test_e2_page_matches_subspace_intersection(x):
+    x = gi(*x)
+    rep = e2_page(elliptic_model(len(x)), x, [I * c for c in x])
+    assert (rep.entries, rep.h) == _e2_by_intersection(len(x), x)
+    assert rep.consistent
 
 
 def test_e2_page_rejects_bad_alpha():

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.elliptic import elliptic_model
 from jumploci.errors import PreconditionError
 from jumploci.exterior import (
-    GradedAlgebra, Multivector, build_quotient_algebra,
-    hodge_filtration_subspace, wedge)
+    GradedAlgebra, Multivector, build_quotient_algebra, wedge)
+from jumploci.scalars import rref
+from jumploci.verify import SIXPLANES_FORMS
 
 
 def gen(i, ngens=4):
@@ -69,15 +71,15 @@ def test_projection_recovers_quotient_basis():
 
 def test_hodge_filtration_dims():
     m = elliptic_model(3)
-    assert len(hodge_filtration_subspace(m.algebra, 0, 1)) == 6
-    assert len(hodge_filtration_subspace(m.algebra, 1, 1)) == 3
-    assert len(hodge_filtration_subspace(m.algebra, 2, 2)) == 3
+    assert len(m.algebra.hodge_subspace(0, 1)) == 6
+    assert len(m.algebra.hodge_subspace(1, 1)) == 3
+    assert len(m.algebra.hodge_subspace(2, 2)) == 3
 
 
 def test_filtration_is_nested():
     m = elliptic_model(3)
     for d in (1, 2):
-        dims = [len(hodge_filtration_subspace(m.algebra, p, d))
+        dims = [len(m.algebra.hodge_subspace(p, d))
                 for p in range(d + 2)]
         assert dims == sorted(dims, reverse=True)
         assert dims[-1] == 0  # F^{d+1} of a weight-d piece is empty
@@ -87,8 +89,8 @@ def test_filtration_multiplies():
     # F^1 wedge F^1 lands in F^2
     m = elliptic_model(3)
     A = m.algebra
-    f1 = hodge_filtration_subspace(A, 1, 1)
-    f2 = hodge_filtration_subspace(A, 2, 2)
+    f1 = A.hodge_subspace(1, 1)
+    f2 = A.hodge_subspace(2, 2)
     from jumploci.scalars import Matrix, rank
     base = rank(Matrix(f2, field=A.field)) if f2 else 0
     for u in f1:
@@ -97,6 +99,44 @@ def test_filtration_multiplies():
             if not any(prod):
                 continue
             assert rank(Matrix(list(f2) + [prod], field=A.field)) == base
+
+
+def _hodge_subspace_by_definition(A, p, d):
+    """F^p A^d from its definition: the reduced row space of the projections
+    of all monomials whose first Hodge index is at least p."""
+    rows = [A.project(Multivector(A.ngens, [(m, 1)]), d)
+            for m in A.monomials[d] if A.monomial_hodge_type(m)[0] >= p]
+    rows = [r for r in rows if any(r)]
+    return rref(rows, A.field)[2] if rows else []
+
+
+def _check_coordinate_filtration(A):
+    for d in range(A.top + 1):
+        # pure ideal generators: every monomial projects onto its own type
+        for m, proj in zip(A.monomials[d], A.proj[d]):
+            assert {A.monomial_hodge_type(A.basis[d][j]) for j, _ in proj} \
+                <= {A.monomial_hodge_type(m)}
+        for p in range(d + 2):
+            assert A.hodge_subspace(p, d) == _hodge_subspace_by_definition(
+                A, p, d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_elliptic_hodge_subspace_is_the_coordinate_filtration(n):
+    _check_coordinate_filtration(elliptic_model(n, top=3).algebra)
+
+
+def test_os_hodge_subspace_is_the_coordinate_filtration():
+    _check_coordinate_filtration(
+        os_algebra(Arrangement(4, SIXPLANES_FORMS, central=True)))
+
+
+def test_mixed_hodge_type_generator_is_rejected():
+    # the coordinate filtration rests on pure generators
+    mixed = Multivector(4, [(0b0011, 1), (0b0101, 1)])
+    with pytest.raises(PreconditionError, match="mixes Hodge types"):
+        build_quotient_algebra(4, [mixed], 2,
+                               hodge_types=[(1, 0), (0, 1), (1, 0), (0, 1)])
 
 
 def test_missing_hodge_types_error():

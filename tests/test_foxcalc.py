@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci.aomoto import aomoto_complex, cohomology_dims
+from jumploci.aomoto import AomotoComplex
 from jumploci.arrangement import os_algebra, points_arrangement
 from jumploci.errors import PreconditionError
 from jumploci.foxcalc import (
@@ -128,5 +128,5 @@ def test_agreement_with_aomoto_on_punctured_line():
     free = Presentation(d)
     chi = Character(free, [2, 1, 1, 1])
     algebra = os_algebra(points_arrangement(list(range(d))))
-    h = cohomology_dims(aomoto_complex(algebra, [1, -1, 0, 0]))
+    h = AomotoComplex(algebra, [1, -1, 0, 0]).cohomology_dims()
     assert twisted_h1(free, chi) == h[1] == d - 1

@@ -19,6 +19,7 @@ from jumploci.io import (
     load_json, parse_arrangement, parse_input, parse_laurent_system,
     parse_presentation, parse_rational, parse_scalar, serialize)
 from jumploci.scalars import GaussianRational
+from jumploci.verify import check_elliptic_suite
 
 FIXTURES = resources.files("jumploci").joinpath("fixtures")
 
@@ -113,6 +114,17 @@ def test_presentation_rejects_bool_letters():
     obj = {"generators": 2, "relators": [[1, True]]}
     with pytest.raises(ParseError, match="signed integers"):
         parse_presentation(obj)
+
+
+@pytest.mark.parametrize("parse, obj", [
+    (parse_arrangement, {"ambient": True, "forms": [["1"]]}),
+    (parse_laurent_system, {"rank": True, "polys": []}),
+    (parse_laurent_system, {"rank": "2", "polys": []}),
+    (parse_presentation, {"generators": False, "relators": []}),
+])
+def test_integer_keys_reject_booleans_and_strings(parse, obj):
+    with pytest.raises(ParseError, match="wrong type (bool|str)"):
+        parse(obj)
 
 
 # ----------------------------------------------------------------- file layer
@@ -333,6 +345,11 @@ def test_exit_code_2_on_parse_errors(tmp_path):
                         "--alpha", "1,1"], 2)
     assert err["kind"] == "parse"
     assert f"{bad}.forms[1][0]" in err["error"]
+    boolean = tmp_path / "bool_ambient.json"
+    boolean.write_text(json.dumps({"ambient": True, "forms": [["1", "0"]]}))
+    err = stderr_error(["os-algebra", "--arrangement", str(boolean)], 2)
+    assert err["kind"] == "parse"
+    assert "key 'ambient' has wrong type bool" in err["error"]
 
 
 def test_exit_code_2_on_precondition_errors(tmp_path):
@@ -345,6 +362,25 @@ def test_exit_code_2_on_precondition_errors(tmp_path):
     err = stderr_error(["master", "--points", "0,1,0",
                         "--weights", "1,1,1"], 2)
     assert "distinct" in err["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["elliptic", "--n", "3", "--trials", "-1"],
+    ["resonance-sample", "--arrangement", "concurrent3", "--trials", "0"],
+])
+def test_sample_counts_below_one_exit_2(argv):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "argument --trials: must be at least 1" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_elliptic_suite_refuses_vacuous_sample_counts():
+    for count in (0, -1):
+        with pytest.raises(PreconditionError, match="f1_samples"):
+            check_elliptic_suite(3, f1_samples=count)
 
 
 def test_exit_code_3_on_degenerate_weights():
