@@ -41,12 +41,20 @@ class AomotoComplex:
                 raise AssertionError(
                     f"differential squares to a nonzero map in degree {d}")
         self._ranks = None
+        self._kernels = None
 
     def ranks(self):
         if self._ranks is None:
-            self._ranks = tuple(
-                rank_and_kernel(m)[0] for m in self.matrices)
+            reduced = [rank_and_kernel(m) for m in self.matrices]
+            self._ranks = tuple(r for r, _ in reduced)
+            self._kernels = tuple(k for _, k in reduced)
         return self._ranks
+
+    def kernels(self):
+        """Canonical kernel bases of the differentials (the cocycles), kept
+        from the reduction that computed `ranks`."""
+        self.ranks()
+        return self._kernels
 
     def cohomology_dims(self):
         """h^d = dim ker(d_d) - rank(d_{d-1}) for each degree through top."""

@@ -110,13 +110,18 @@ def matroid_circuits(arr):
 
 
 def _empty_intersection_minimal(arr):
-    """Minimal hyperplane sets with empty common intersection (affine only)."""
+    """Minimal hyperplane sets with empty common intersection (affine only).
+
+    A minimal inconsistent system of affine equations on C^n has linear
+    parts of rank one less than its size, so at most n + 1 equations; larger
+    subsets are never enumerated.
+    """
     if arr.central:
         return []
     d = arr.size
     out = []
     found = set()
-    for size in range(2, d + 1):
+    for size in range(2, min(d, arr.ambient + 1) + 1):
         for subset in combinations(range(d), size):
             if any(s <= set(subset) for s in found):
                 continue
@@ -135,18 +140,20 @@ def circuit_boundary(ngens, circuit):
     return Multivector(ngens, terms)
 
 
-def os_algebra(arr, top=None):
+def os_algebra(arr, top=None, circuits=None):
     """The Orlik-Solomon algebra of an arrangement, built through degree
     `top` (default: the full rank).  Generator j is the class of dlog f_j,
-    with Hodge type (1,1)."""
-    r = arr.rank()
+    with Hodge type (1,1).  `circuits` is `matroid_circuits(arr)`, passed by
+    a caller that has already enumerated them."""
     if top is None:
-        top = r
+        top = arr.rank()
     if top < 0:
         raise PreconditionError("top degree must be nonnegative")
+    if circuits is None:
+        circuits = matroid_circuits(arr)
     d = arr.size
     gens = []
-    for c in matroid_circuits(arr):
+    for c in circuits:
         if arr.central or arr.common_point(c) is not None:
             gens.append(circuit_boundary(d, c))
     for s in _empty_intersection_minimal(arr):

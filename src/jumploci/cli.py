@@ -22,7 +22,7 @@ from importlib import resources
 from . import __version__
 from .aomoto import (generic_dims_sample, log_resonance_membership,
                      resonance_membership)
-from .arrangement import matroid_circuits, os_algebra, poincare_and_euler
+from .arrangement import matroid_circuits, os_algebra
 from .elliptic import e2_page, elliptic_model
 from .errors import DegeneracyError, ParseError, PreconditionError
 from .foxcalc import Character, twisted_cohomology
@@ -112,16 +112,16 @@ def _subspace_rows(text):
 
 def _cmd_os_algebra(args):
     arr, digest = _load_arrangement(args.arrangement)
-    if args.top is None or args.top >= arr.rank():
-        coeffs, chi = poincare_and_euler(arr)
-        result = {"dims": coeffs, "euler": chi}
-    else:
-        result = {"dims": os_algebra(arr, args.top).dims(), "euler": None}
-    result.update({
-        "size": arr.size, "rank": arr.rank(), "central": arr.central,
-        "circuits": matroid_circuits(arr),
+    rank = arr.rank()
+    full = args.top is None or args.top >= rank
+    circuits = matroid_circuits(arr)
+    algebra = os_algebra(arr, rank if full else args.top, circuits=circuits)
+    result = {
+        "dims": algebra.dims(), "euler": algebra.euler() if full else None,
+        "size": arr.size, "rank": rank, "central": arr.central,
+        "circuits": circuits,
         "canonical_input": serialize(arr),
-    })
+    }
     return result, {"arrangement": digest}
 
 

@@ -3,14 +3,16 @@
 Everything here is exact: no floats, no tolerances.  Matrices are immutable;
 rank and kernel computations are deterministic (first-nonzero pivoting), and
 kernel bases come out in reduced echelon form so two runs of the same input
-produce identical output.
+produce identical output.  All elimination runs through one loop on residues
+mod p (`_rref_mod`); results over QQ and QQ(i) are lifted from it and
+certified exactly (`_rref_lifted`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import PreconditionError
 
@@ -244,6 +246,8 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, x):
+        if type(x) is Fraction:
+            return x  # immutable: no copy needed
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise FieldMismatchError(f"cannot coerce {x!r} into QQ")
@@ -434,30 +438,45 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
 
-def _rref_generic(rows, field):
-    """In-place reduced row echelon form; returns pivot column list."""
+# ------------------------------------------------------- elimination core
+
+def _rref_mod(rows, p):
+    """Gauss-Jordan elimination mod p, in place, on rows of residues in
+    [0, p).  Returns the pivot columns; rows[:len(pivots)] then hold the
+    reduced row echelon form.  The pivot in each column is the first nonzero
+    candidate.  This is the one elimination loop of the package."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
         for i in range(r, nrows):
             if rows[i][c]:
-                pivot = i
                 break
-        if pivot is None:
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if pv != field.one():
-            inv = field.one() / pv
-            rows[r] = [x * inv for x in rows[r]]
+        pr = rows[i]
+        rows[i] = rows[r]
+        rows[r] = pr
+        v = pr[c]
+        if v != 1:
+            inv = pow(v, -1, p)
+            pr[c:] = [x * inv % p for x in pr[c:]]
+        tail = pr[c:]
+        # entries left of c vanish in the pivot row, so only the tail moves;
+        # a sparse pivot row is applied entry by entry
+        support = [(c + j, b) for j, b in enumerate(tail) if b]
+        sparse = 3 * len(support) < len(tail)
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
+            ri = rows[i]
+            f = ri[c]
+            if not f or i == r:
+                continue
+            if sparse:
+                for j, b in support:
+                    ri[j] = (ri[j] - f * b) % p
+            else:
+                ri[c:] = [(a - f * b) % p for a, b in zip(ri[c:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -465,75 +484,204 @@ def _rref_generic(rows, field):
     return pivots
 
 
-def _bareiss_echelon(rows):
-    """Fraction-free forward elimination on integer rows.
-
-    Returns (pivot column list, echelon integer rows).  Division-free except
-    for the exact Bareiss division, so intermediate entries stay integral and
-    bounded by minors.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prc = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            # the Bareiss division is exact: entries are minors of the input
-            rows[i] = [0] * (c + 1) + [
-                (prc * ri[j] - ric * rr[j]) // prev
-                for j in range(c + 1, ncols)
-            ]
-        pivots.append(c)
-        prev = prc
-        r += 1
-        if r == nrows:
-            break
-    return pivots, rows[:r]
+def _lift_primes():
+    """The fixed list of lifting primes: every prime p = 1 mod 4 between
+    2**30 and 2**31, descending from DEFAULT_PRIME (known prime, so the
+    common single-prime case runs no primality test)."""
+    yield DEFAULT_PRIME
+    for q in range(DEFAULT_PRIME - 4, 2**30, -4):
+        if _is_prime(q):
+            yield q
+    raise AssertionError("lifting primes exhausted")
 
 
-def _rref_rational(rows):
-    """RREF over Q via Bareiss forward pass on cleared denominators."""
-    int_rows = []
+def _crt(x, m, y, q):
+    """The residue mod m*q that is x mod m and y mod q."""
+    return x + m * ((y - x) * pow(m, -1, q) % q)
+
+
+def _ratrecon(u, m, bound):
+    """(a, b) with a = b*u mod m, |a| <= bound and 0 < b <= bound, found by
+    the half extended Euclidean algorithm (Wang 1981), or None.  With
+    2*bound**2 < m such a fraction is unique when it exists."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound:
+        return None
+    return r1, t1
+
+
+def _clear(rows, gaussian):
+    """Each row times the lcm of its denominators, as integer parts: [A] over
+    QQ, [Re A, Im A] over QQ(i)."""
+    parts = [[], []] if gaussian else [[]]
     for row in rows:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        int_rows.append([int(x * mult) for x in row])
-    pivots, ech = _bareiss_echelon(int_rows)
-    ncols = len(rows[0]) if rows else 0
-    # exact back substitution to reduced form
-    out = [[Fraction(x) for x in row] for row in ech]
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        pv = out[k][c]
-        out[k] = [x / pv for x in out[k]]
-        for i in range(k):
-            f = out[i][c]
-            if f:
-                rk = out[k]
-                out[i] = [a - f * b for a, b in zip(out[i], rk)]
-    return pivots, out
+        if gaussian:
+            halves = ([x.re.as_integer_ratio() for x in row],
+                      [x.im.as_integer_ratio() for x in row])
+        else:
+            halves = ([x.as_integer_ratio() for x in row],)
+        den = lcm(*(d for half in halves for _, d in half))
+        for part, half in zip(parts, halves):
+            part.append([n * (den // d) for n, d in half] if den != 1
+                        else [n for n, _ in half])
+    return parts
+
+
+def _images(parts, p, s):
+    """The images of the cleared rows in F_p: A mod p over QQ, and over
+    QQ(i) the two images Re A + s Im A and Re A - s Im A, s*s = -1 mod p."""
+    if len(parts) == 1:
+        return [[[x % p for x in row] for row in parts[0]]]
+    re_rows, im_rows = parts
+    return [[[(a + t * b) % p for a, b in zip(ra, rb)]
+             for ra, rb in zip(re_rows, im_rows)] for t in (s, p - s)]
+
+
+def _image_parts(echelons, p, s):
+    """Residues mod p of the parts of the RREF entries from the RREFs of the
+    images: the entries over QQ; re = (R+ + R-)/2 and im = (R+ - R-)/(2s)
+    over QQ(i)."""
+    if len(echelons) == 1:
+        return echelons
+    plus, minus = echelons
+    half = (p + 1) // 2
+    inv2s = pow(2 * s, -1, p)
+    return [[[(x + y) * half % p for x, y in zip(ra, rb)]
+             for ra, rb in zip(plus, minus)],
+            [[(x - y) * inv2s % p for x, y in zip(ra, rb)]
+             for ra, rb in zip(plus, minus)]]
+
+
+def _reconstruct(parts, m, free):
+    """Rational reconstruction of every free-column entry of every part.
+    Returns per RREF row (denominator, integer numerators per part on the
+    free columns), or None when some entry has no small enough fraction."""
+    bound = isqrt(m // 2)
+    out = []
+    for k in range(len(parts[0])):
+        fracs = []
+        for part in parts:
+            row = part[k]
+            fr = []
+            for f in free:
+                u = row[f]
+                if u <= bound:
+                    fr.append((u, 1))
+                    continue
+                ab = _ratrecon(u, m, bound)
+                if ab is None:
+                    return None
+                fr.append(ab)
+            fracs.append(fr)
+        den = lcm(*(b for fr in fracs for _, b in fr))
+        out.append((den, [[a * (den // b) for a, b in fr] for fr in fracs]))
+    return out
+
+
+def _certified(parts, pivots, free, candidate):
+    """Exact upper bound on the rank: does every cleared input row equal
+    sum_k row[p_k] * R_k in integers (Gaussian integers over QQ(i))?  Only
+    the free columns need checking: on the pivot columns R_k is 1 at p_k
+    and 0 elsewhere, so both sides agree there by construction."""
+    big = lcm(*(den for den, _ in candidate))
+    scaled = [[[big // den * w for w in nums] for nums in numss]
+              for den, numss in candidate]
+    if len(parts) == 1:
+        for a in parts[0]:
+            acc = [big * a[f] for f in free]
+            for k, pk in enumerate(pivots):
+                c = a[pk]
+                if c:
+                    acc = [x - c * w for x, w in zip(acc, scaled[k][0])]
+            if any(acc):
+                return False
+        return True
+    for a, b in zip(*parts):
+        acc_re = [big * a[f] for f in free]
+        acc_im = [big * b[f] for f in free]
+        for k, pk in enumerate(pivots):
+            x, y = a[pk], b[pk]
+            if x or y:
+                u, v = scaled[k]
+                acc_re = [z - x * s + y * t for z, s, t in zip(acc_re, u, v)]
+                acc_im = [z - x * t - y * s for z, s, t in zip(acc_im, u, v)]
+        if any(acc_re) or any(acc_im):
+            return False
+    return True
+
+
+def _rref_lifted(parts, ncols):
+    """Certified RREF over QQ (one integer part) or QQ(i) (real and
+    imaginary parts) through images mod the lifting primes.
+
+    For each prime the image RREFs give the pivots and residues of the RREF
+    entries.  The mod-p rank is a lower bound for the true rank, so an image
+    whose rank is lower, or whose pivots are lexicographically later, than
+    another image's comes from an unlucky prime and is dropped; the
+    residues of the kept images are combined by CRT and every entry is
+    lifted by rational reconstruction.  The candidate is returned only when
+    `_certified` proves its span contains every input row; with the rank
+    lower bound that makes it the RREF itself.  Otherwise the next prime is
+    added.
+
+    The loop terminates: a prime is unlucky only if it divides one fixed
+    nonzero pivot minor delta of the cleared matrix (over QQ(i): its norm),
+    and every lifting prime exceeds 2**30, so at most log2|delta|/30 primes
+    are unlucky.  Every RREF entry is a ratio of minors (Cramer), bounded by
+    the Hadamard bound H, the product of the row norms; once the product of
+    the kept primes exceeds 2*H**4 every reconstruction is the true entry
+    (over QQ(i) the parts have numerators and denominators below H**2) and
+    the check passes.
+    """
+    best = None
+    for p in _lift_primes():
+        s = GF(p).sqrt_minus_one() if len(parts) == 2 else None
+        echelons = []
+        keys = set()
+        for image in _images(parts, p, s):
+            piv = _rref_mod(image, p)
+            keys.add((-len(piv), tuple(piv)))
+            echelons.append(image[:len(piv)])
+        key = min(keys)
+        if best is None or key < best:
+            best, acc, m = key, None, 1
+        if len(keys) > 1 or key != best:
+            continue
+        pivots = best[1]
+        residues = _image_parts(echelons, p, s)
+        if acc is None:
+            acc = residues
+        else:
+            acc = [[[_crt(x, m, y, p) for x, y in zip(ra, rb)]
+                    for ra, rb in zip(pa, pb)]
+                   for pa, pb in zip(acc, residues)]
+        m *= p
+        pivot_set = set(pivots)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        candidate = _reconstruct(acc, m, free)
+        if candidate is not None and _certified(parts, pivots, free,
+                                                candidate):
+            return pivots, free, candidate
 
 
 def rref(rows, field=None):
     """Reduced row echelon form of a list of rows (or a Matrix).
 
     Returns (rank, pivot columns, rref rows).  Deterministic: the pivot in
-    each column is the first nonzero candidate.
+    each column is the first nonzero candidate.  Over F_p the elimination
+    runs on residues; over QQ and QQ(i) the result is lifted from prime
+    images and certified exactly (`_rref_lifted`), so it is the unique RREF
+    over the true field.
     """
     if isinstance(rows, Matrix):
         field = rows.field
-        rows = [list(r) for r in rows.entries]
+        rows = rows.entries
     else:
         rows = [list(r) for r in rows]
         if field is None:
@@ -541,14 +689,33 @@ def rref(rows, field=None):
                 (x for r in rows for x in r if not isinstance(x, int)),
                 Fraction(0)))
         rows = [[field.coerce(x) for x in r] for r in rows]
-    if not rows:
+    if not rows or not rows[0]:
         return 0, (), []
-    if field is QQ:
-        pivots, out = _rref_rational(rows)
-    else:
-        pivots = _rref_generic(rows, field)
-        out = rows[:len(pivots)]
-    return len(pivots), tuple(pivots), [tuple(r) for r in out]
+    ncols = len(rows[0])
+    if field is not QQ and field is not QI:
+        p = field.p
+        residues = [[x.value for x in r] for r in rows]
+        pivots = _rref_mod(residues, p)
+        out = [tuple(PrimeFieldElement(p, x) for x in r)
+               for r in residues[:len(pivots)]]
+        return len(pivots), tuple(pivots), out
+    pivots, free, candidate = _rref_lifted(_clear(rows, field is QI), ncols)
+    zero, one = field.zero(), field.one()
+    out = []
+    for k, (den, nums) in enumerate(candidate):
+        row = [zero] * ncols
+        row[pivots[k]] = one
+        if field is QQ:
+            for f, a in zip(free, nums[0]):
+                if a:
+                    row[f] = Fraction(a, den)
+        else:
+            for f, a, b in zip(free, nums[0], nums[1]):
+                if a or b:
+                    row[f] = GaussianRational(Fraction(a, den),
+                                              Fraction(b, den))
+        out.append(tuple(row))
+    return len(pivots), tuple(pivots), out
 
 
 def rank(rows, field=None):

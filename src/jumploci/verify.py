@@ -252,6 +252,10 @@ def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
     for name, count in counts.items():
         if count < 1:
             raise PreconditionError(f"{name} must be at least 1, got {count}")
+    if scroll_samples < 3:
+        raise PreconditionError(
+            f"scroll_samples must be at least 3, one per stratum (rank1, "
+            f"general, near-miss), got {scroll_samples}")
     model = elliptic_model(n, top=2)
     rng = _rng(f"elliptic-{n}", seed)
     details = {"n": n}

@@ -11,7 +11,7 @@ from jumploci.arrangement import Arrangement, os_algebra, points_arrangement
 from jumploci.elliptic import elliptic_model, tangent_pair_basis
 from jumploci.errors import PreconditionError
 from jumploci.exterior import build_quotient_algebra
-from jumploci.scalars import GaussianRational
+from jumploci.scalars import GaussianRational, rank_and_kernel
 from jumploci.verify import SIXPLANES_FORMS
 
 I = GaussianRational(0, 1)
@@ -50,6 +50,17 @@ def test_concurrent_triple_point_resonance():
     assert cx.matrices[1].mul(cx.matrices[0]).is_zero()
     assert cx.euler_matches()
     assert AomotoComplex(A, [1, 1, 1]).cohomology_dims() == (0, 0, 0)
+
+
+def test_kernels_are_kept_from_the_rank_computation():
+    # e2_page reads the cocycles from here instead of reducing the
+    # differentials a second time
+    cx = AomotoComplex(six_planes(), [1, 1, 1, -1, 0, 2])
+    ranks = cx.ranks()
+    kernels = cx.kernels()
+    for m, r, kernel in zip(cx.matrices, ranks, kernels):
+        assert (r, kernel) == rank_and_kernel(m)
+        assert len(kernel) == m.ncols - r
 
 
 def test_wrong_alpha_length():

@@ -9,10 +9,12 @@ P(t) = sum over subsets S with nonempty intersection of (-1)^{|S|} (-t)^{rank S}
 from fractions import Fraction
 from itertools import combinations
 
+import random
+
 import pytest
 
 from jumploci.arrangement import (
-    Arrangement, decone, matroid_circuits, os_algebra, points_arrangement,
+    Arrangement, _empty_intersection_minimal, decone, matroid_circuits, os_algebra, points_arrangement,
     poincare_and_euler, restrict_line_arrangement)
 from jumploci.errors import PreconditionError
 from jumploci.verify import LINE_LIBRARY, SIXPLANES_FORMS, line_library
@@ -29,6 +31,51 @@ def whitney_poincare(arr):
             r = rank(Matrix([arr.forms[j][1:] for j in subset])) if subset else 0
             coeffs[r] += (-1) ** (size - r)
     return tuple(coeffs)
+
+
+def minimal_empty_oracle(arr):
+    """Every hyperplane set with empty intersection all of whose one-smaller
+    subsets meet, found among all 2^d subsets."""
+    out = []
+    for size in range(2, arr.size + 1):
+        for s in combinations(range(arr.size), size):
+            if arr.common_point(s) is None and all(
+                    arr.common_point(t) is not None
+                    for t in combinations(s, size - 1)):
+                out.append(s)
+    return sorted(out)
+
+
+def seeded_affine(seed, ambient, size):
+    """An affine arrangement with parallel families: a few pairwise
+    non-proportional directions, each repeated with several constant terms,
+    then shuffled."""
+    rng = random.Random(seed)
+    directions = []
+    forms = []
+    while len(forms) < size:
+        direction = [Fraction(rng.randint(-2, 2)) for _ in range(ambient)]
+        if not any(direction):
+            continue
+        lead = next(c for c in direction if c)
+        direction = [c / lead for c in direction]
+        if direction in directions:
+            continue
+        directions.append(direction)
+        for c in rng.sample(range(-3, 4), rng.randint(1, 3)):
+            forms.append([Fraction(c)] + direction)
+    forms = forms[:size]
+    rng.shuffle(forms)
+    return Arrangement(ambient, forms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ambient,size", [(2, 8), (3, 8)])
+def test_empty_intersections_match_full_enumeration(seed, ambient, size):
+    arr = seeded_affine(seed, ambient, size)
+    found = _empty_intersection_minimal(arr)
+    assert found == minimal_empty_oracle(arr)
+    assert found  # parallel families always give empty pairs
 
 
 def test_circuit_examples():

@@ -383,6 +383,15 @@ def test_elliptic_suite_refuses_vacuous_sample_counts():
             check_elliptic_suite(3, f1_samples=count)
 
 
+@pytest.mark.parametrize("trials", ["1", "2"])
+def test_elliptic_scroll_samples_below_three_exit_2(trials):
+    # fewer than three scroll samples would leave the rank-1 and general
+    # strata untested
+    err = stderr_error(["elliptic", "--n", "3", "--trials", trials], 2)
+    assert err["kind"] == "precondition"
+    assert err["error"].startswith("scroll_samples must be at least 3")
+
+
 def test_exit_code_3_on_degenerate_weights():
     # concurrent lines with weights summing to zero at the common point:
     # the critical set is positive-dimensional

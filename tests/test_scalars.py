@@ -10,6 +10,7 @@ from jumploci.scalars import (
     DEFAULT_PRIME, GF, BadPrimeError, FieldMismatchError, GaussianRational,
     Matrix, PrimeFieldElement, QI, QQ, rank, rank_and_kernel, rref,
     solve_linear)
+from rref_oracle import oracle_rref
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
@@ -162,14 +163,107 @@ def test_rational_rank_bounds_modular_rank(rows):
 @given(matrices)
 @settings(max_examples=50, deadline=None)
 def test_bareiss_agrees_with_generic_elimination(rows):
-    # the same matrix run through both pivoting paths: QQ rows take the
-    # fraction-free route, QQ(i) rows with zero imaginary part the generic one
+    # the same matrix lifted as rationals (one image per prime) and as
+    # Gaussian rationals with zero imaginary part (two images per prime)
     r_q, piv_q, rows_q = rref(rows, QQ)
     gauss = [[GaussianRational(x) for x in row] for row in rows]
     r_g, piv_g, rows_g = rref(gauss, QI)
     assert (r_q, piv_q) == (r_g, piv_g)
     for rq, rg in zip(rows_q, rows_g):
         assert all(GaussianRational(a) == b for a, b in zip(rq, rg))
+
+
+# -- differential test against the reference elimination ---------------------
+#
+# `rref_oracle` keeps the field-arithmetic routines that `rref` replaced;
+# the certified mod-p core must agree with them entry for entry, type
+# included.
+
+def assert_same_rref(rows, field):
+    new = rref(rows, field)
+    old = oracle_rref(rows, field)
+    assert new[:2] == old[:2]
+    assert len(new[2]) == len(old[2])
+    for a, b in zip(new[2], old[2]):
+        assert a == b
+        assert [type(x) for x in a] == [type(x) for x in b]
+
+
+def with_dependent_rows(draw, rows):
+    """Append integer combinations of the drawn rows, so that rank drops
+    and the reconstruction meets nontrivial RREF entries."""
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                               max_size=len(rows)))
+        combo = [sum((c * r[j] for c, r in zip(coeffs, rows)), 0 * x)
+                 for j, x in enumerate(rows[0])]
+        rows = rows + [combo]
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def dependent_matrices(draw, entries):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    return with_dependent_rows(draw, rows)
+
+
+small_q = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+large_q = st.fractions(min_value=-10**15, max_value=10**15,
+                       max_denominator=10**9)
+sparse_q = st.one_of(st.just(Fraction(0)), small_q)
+
+
+@given(dependent_matrices(st.one_of(sparse_q, large_q)))
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_oracle_over_rationals(rows):
+    assert_same_rref(rows, QQ)
+
+
+@given(dependent_matrices(st.builds(GaussianRational, sparse_q, sparse_q)),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_oracle_over_gaussian_rationals(rows, widen):
+    if widen:  # large real and imaginary parts force CRT over several primes
+        rows = [[x * GaussianRational(10**9 + 7, -(10**8 + 3)) / 11
+                 for x in row] for row in rows]
+    assert_same_rref(rows, QI)
+
+
+@given(st.sampled_from([3, 5, 7, 13, 2147483647, DEFAULT_PRIME]),
+       dependent_matrices(st.integers(-10**12, 10**12)))
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_oracle_over_prime_fields(p, rows):
+    F = GF(p)
+    assert_same_rref([[F.coerce(x) for x in row] for row in rows], F)
+
+
+def test_rref_entry_above_the_first_prime_bound_needs_crt():
+    # 10**6/7 has a numerator above sqrt(p/2) for every lifting prime, so
+    # no single image reconstructs it
+    rows = [[7, 10**6]]
+    assert rref(rows)[2] == [(Fraction(1), Fraction(10**6, 7))]
+    assert_same_rref(rows, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=str)
+def test_rref_drops_the_image_of_an_unlucky_prime(field):
+    # the determinant DEFAULT_PRIME vanishes mod the first lifting prime
+    # (over QQ(i) under both square roots of -1)
+    rows = [[field.coerce(x) for x in row]
+            for row in [[1, 1], [1, 1 + DEFAULT_PRIME]]]
+    assert rref(rows, field)[:2] == (2, (0, 1))
+    assert_same_rref(rows, field)
+
+
+def test_rref_drops_a_prime_unlucky_under_one_root_of_minus_one():
+    # the determinant i - s vanishes under i -> s but not under i -> -s
+    s = GF(DEFAULT_PRIME).sqrt_minus_one()
+    one = GaussianRational(1)
+    rows = [[one, one], [one, GaussianRational(1 - s, 1)]]
+    assert rref(rows, QI)[:2] == (2, (0, 1))
+    assert_same_rref(rows, QI)
 
 
 def test_matrix_multiplication_and_shape_errors():
