@@ -31,7 +31,7 @@ from .io import (load_json, parse_arrangement, parse_input, parse_presentation,
 from .master import (critical_points_bivariate, critical_points_univariate,
                      local_koszul_univariate, log_zero_divisor_p1,
                      residues_line_arrangement)
-from .scalars import DEFAULT_PRIME, GaussianRational, PrimeFieldElement
+from .scalars import DEFAULT_PRIME, GaussianRational
 from .torus import ExpPolynomial, etc_membership
 from .verify import check_elliptic_suite, run_all
 
@@ -47,8 +47,6 @@ def jsonable(x):
         return str(x)
     if isinstance(x, GaussianRational):
         return {"re": str(x.re), "im": str(x.im)}
-    if isinstance(x, PrimeFieldElement):
-        return {"residue": x.value, "prime": x.p}
     if isinstance(x, ExpPolynomial):
         return [{"frequency": str(mu), "coeff": str(c)} for mu, c in x.terms]
     if is_dataclass(x):

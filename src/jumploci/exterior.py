@@ -211,11 +211,12 @@ class GradedAlgebra:
         out = self.zero_coords(d)
         index = self.mono_index[d]
         proj = self.proj[d]
+        coerce = self.field.coerce
         for mask, c in mv.terms.items():
-            c = self.field.coerce(c)
+            c = coerce(c)
             for j, pc in proj[index[mask]]:
                 out[j] = out[j] + c * pc
-        return out
+        return [coerce(x) for x in out]
 
     def lift(self, coords, d):
         """The canonical representative: sum of quotient-basis monomials."""
@@ -251,7 +252,7 @@ class GradedAlgebra:
                 sign = _merge_sign(bit, m)
                 col = [zero] * tgt_dim
                 for j, pc in proj[index[bit | m]]:
-                    col[j] = pc if sign == 1 else -pc
+                    col[j] = pc if sign == 1 else self.field.coerce(-pc)
                 cols.append(col)
             self._gen_mult[key] = cols
         return self._gen_mult[key]
@@ -286,7 +287,11 @@ class GradedAlgebra:
 
     def hodge_positions(self, p, d):
         """Positions of the degree-d basis monomials whose first Hodge index
-        sums to at least p."""
+        sums to at least p (none outside the built degrees)."""
+        if self.hodge_types is None:
+            raise PreconditionError("algebra carries no Hodge types")
+        if d < 0 or d > self.top:
+            return []
         return [j for j, m in enumerate(self.basis[d])
                 if self.monomial_hodge_type(m)[0] >= p]
 
@@ -299,10 +304,6 @@ class GradedAlgebra:
         own type and F^p A^d is spanned by the unit rows at
         `hodge_positions(p, d)`.
         """
-        if self.hodge_types is None:
-            raise PreconditionError("algebra carries no Hodge types")
-        if d < 0 or d > self.top:
-            return []
         zero, one = self.field.zero(), self.field.one()
         n = self.dim(d)
         return [tuple(one if k == j else zero for k in range(n))
@@ -380,7 +381,8 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
             if k in pivot_set:
                 row = rrows[pivot_row[k]]
                 cols.append(tuple(
-                    (keep_pos[j], -row[j]) for j in keep if row[j]))
+                    (keep_pos[j], field.coerce(-row[j]))
+                    for j in keep if row[j]))
             else:
                 cols.append(((keep_pos[k], field.one()),))
         monomials.append(monos)

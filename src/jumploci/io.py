@@ -5,7 +5,8 @@ Formats:
   rational        "3/4", "-2", or a JSON integer
   gaussian        {"re": rational, "im": rational}
   arrangement     {"ambient": n, "central": bool, "forms": [[rational]]}
-                  central forms have length n, affine n+1 (constant first)
+                  central forms have length n, affine n+1 (constant first);
+                  without "central" the forms decide
   laurent system  {"rank": r, "polys": [[{"monomial": [int], "coeff": rational}]]}
   presentation    {"generators": g, "relators": [[signed int]]}
 """
@@ -62,7 +63,11 @@ def parse_arrangement(obj, where="arrangement"):
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
     ambient = _expect(obj, "ambient", int, where)
-    central = obj.get("central", None)
+    central = obj.get("central")
+    if "central" in obj and not isinstance(central, bool):
+        raise ParseError(
+            f"expected true or false, got {type(central).__name__}",
+            f"{where}.central")
     forms_node = _expect(obj, "forms", list, where)
     if central is None:
         widths = {ambient, ambient + 1}

@@ -3,9 +3,10 @@
 Everything here is exact: no floats, no tolerances.  Matrices are immutable;
 rank and kernel computations are deterministic (first-nonzero pivoting), and
 kernel bases come out in reduced echelon form so two runs of the same input
-produce identical output.  All elimination runs through one loop on residues
-mod p (`_rref_mod`); results over QQ and QQ(i) are lifted from it and
-certified exactly (`_rref_lifted`).
+produce identical output.  Elements of F_p are plain ints in [0, p); the
+field object `GF(p)` is the one place that knows the modulus.  All
+elimination runs through one loop on residues mod p (`_rref_mod`); results
+over QQ and QQ(i) are lifted from it and certified exactly (`_rref_lifted`).
 """
 
 from __future__ import annotations
@@ -148,91 +149,6 @@ def _as_gaussian(x):
     return None
 
 
-class PrimeFieldElement:
-    """Element of F_p, stored as the canonical residue 0 <= value < p."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p, value):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", value % p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeFieldElement is immutable")
-
-    def _check(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise FieldMismatchError(
-                    f"cannot mix F_{self.p} and F_{other.p} elements")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(self.p, other)
-        return None
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PrimeFieldElement(self.p, -self.value)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return PrimeFieldElement(
-            self.p, self.value * pow(other.value, self.p - 2, self.p))
-
-    def __rtruediv__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __repr__(self):
-        return f"PrimeFieldElement({self.p}, {self.value})"
-
-
 DEFAULT_PRIME = 2147483629  # largest prime below 2**31 that is 1 mod 4
 
 
@@ -283,26 +199,20 @@ class PrimeField:
         self.name = f"GF({p})"
 
     def zero(self):
-        return PrimeFieldElement(self.p, 0)
+        return 0
 
     def one(self):
-        return PrimeFieldElement(self.p, 1)
+        return 1
 
     def coerce(self, x):
-        if isinstance(x, PrimeFieldElement):
-            if x.p != self.p:
-                raise FieldMismatchError(
-                    f"cannot coerce F_{x.p} element into F_{self.p}")
-            return x
+        """The residue of x in [0, p)."""
         if isinstance(x, int):
-            return PrimeFieldElement(self.p, x)
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise BadPrimeError(
                     f"denominator of {x} vanishes mod {self.p}")
-            return PrimeFieldElement(
-                self.p,
-                x.numerator * pow(x.denominator, self.p - 2, self.p))
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise FieldMismatchError(f"cannot coerce {x!r} into F_{self.p}")
 
     def sqrt_minus_one(self):
@@ -335,8 +245,6 @@ def field_of(value):
         return QQ
     if isinstance(value, GaussianRational):
         return QI
-    if isinstance(value, PrimeFieldElement):
-        return GF(value.p)
     raise FieldMismatchError(f"{value!r} is not a supported field element")
 
 
@@ -354,7 +262,8 @@ class Matrix:
 
     Entries may be given as ints (coerced into the field).  Mixing elements of
     genuinely different fields raises FieldMismatchError; plain rationals embed
-    into QQ(i) when Gaussian entries are present.
+    into QQ(i) when Gaussian entries are present.  Elements of F_p are ints,
+    so a matrix over F_p needs its field given.
     """
 
     __slots__ = ("field", "nrows", "ncols", "entries")
@@ -427,7 +336,7 @@ class Matrix:
                 for j in range(other.ncols):
                     b = rk[j]
                     if b:
-                        out[j] = out[j] + f.coerce(a) * f.coerce(b)
+                        out[j] = out[j] + a * b
             rows.append(out)
         return Matrix(rows, field=f, ncols=other.ncols)
 
@@ -693,12 +602,10 @@ def rref(rows, field=None):
         return 0, (), []
     ncols = len(rows[0])
     if field is not QQ and field is not QI:
-        p = field.p
-        residues = [[x.value for x in r] for r in rows]
-        pivots = _rref_mod(residues, p)
-        out = [tuple(PrimeFieldElement(p, x) for x in r)
-               for r in residues[:len(pivots)]]
-        return len(pivots), tuple(pivots), out
+        residues = [list(r) for r in rows]
+        pivots = _rref_mod(residues, field.p)
+        return len(pivots), tuple(pivots), [tuple(r) for r in
+                                            residues[:len(pivots)]]
     pivots, free, candidate = _rref_lifted(_clear(rows, field is QI), ncols)
     zero, one = field.zero(), field.one()
     out = []
@@ -740,10 +647,10 @@ def rank_and_kernel(matrix):
     for f in free:
         v = [zero] * ncols
         v[f] = one
-        for i, p in enumerate(pivots):
+        for i, pc in enumerate(pivots):
             coeff = rows[i][f]
             if coeff:
-                v[p] = -coeff
+                v[pc] = field.coerce(-coeff)
         kernel.append(tuple(v))
     return r, kernel
 

@@ -25,7 +25,7 @@ from .errors import DegeneracyError, PreconditionError
 from .foxcalc import Character, Presentation, twisted_h1
 from .master import (critical_points_bivariate, critical_points_univariate,
                      local_koszul_univariate, log_zero_divisor_p1)
-from .scalars import DEFAULT_PRIME, GF, QI, GaussianRational, rank, rref
+from .scalars import DEFAULT_PRIME, QI, GaussianRational, rank, rref
 from .torus import (LaurentSystem, etc_membership, evaluate_terms,
                     tangent_cone_hypersurface)
 
@@ -40,6 +40,13 @@ class CheckResult:
 
 def _rng(tag, seed):
     return random.Random(f"jumploci:{tag}:{seed}")
+
+
+def _require_counts(**counts):
+    """Refuse sample counts below 1: a check that ran nothing cannot pass."""
+    for name, count in counts.items():
+        if count < 1:
+            raise PreconditionError(f"{name} must be at least 1, got {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +185,7 @@ _NORMALS_E2 = [[0, 1, 1, 1, 0, 1], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
 
 
 def check_jump_components(seed=0, prime=DEFAULT_PRIME, outside_samples=100):
+    _require_counts(outside_samples=outside_samples)
     arr = Arrangement(4, SIXPLANES_FORMS)
     algebra = os_algebra(arr, top=3)
     for basis, normals in ((COMPONENT_E1, _NORMALS_E1),
@@ -196,7 +204,6 @@ def check_jump_components(seed=0, prime=DEFAULT_PRIME, outside_samples=100):
     h2_e1, h2_e2, h2_gen = rep1.dims[2], rep2.dims[2], repg.dims[2]
 
     reduced, _ = reduce_algebra_mod(algebra, prime)
-    fp = GF(prime)
     rng = _rng("jump-outside", seed)
     mismatches = 0
     done = 0
@@ -210,8 +217,7 @@ def check_jump_components(seed=0, prime=DEFAULT_PRIME, outside_samples=100):
                     for row in _NORMALS_E2)
         if in_e1 or in_e2:
             continue
-        dims = AomotoComplex(reduced,
-                             [fp.coerce(v) for v in vec]).cohomology_dims()
+        dims = AomotoComplex(reduced, vec).cohomology_dims()
         if dims[2] != h2_gen:
             mismatches += 1
         done += 1
@@ -247,11 +253,8 @@ def _h1(model, x, y):
 
 def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
                          lr_samples=100, e2_samples=25):
-    counts = {"scroll_samples": scroll_samples, "f1_samples": f1_samples,
-              "lr_samples": lr_samples, "e2_samples": e2_samples}
-    for name, count in counts.items():
-        if count < 1:
-            raise PreconditionError(f"{name} must be at least 1, got {count}")
+    _require_counts(scroll_samples=scroll_samples, f1_samples=f1_samples,
+                    lr_samples=lr_samples, e2_samples=e2_samples)
     if scroll_samples < 3:
         raise PreconditionError(
             f"scroll_samples must be at least 3, one per stratum (rank1, "
@@ -384,6 +387,7 @@ def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
 
 
 def check_elliptic_all(seed=0, ns=(3, 4, 5)):
+    _require_counts(n_values=len(ns))
     subs = [check_elliptic_suite(n, seed=seed) for n in ns]
     return CheckResult(
         "3", "elliptic configuration suite, n in {3, 4, 5}",
@@ -412,6 +416,7 @@ BIVARIATE_CASES = [
 
 
 def check_hopf_counts(seed=0, univariate_runs=20):
+    _require_counts(univariate_runs=univariate_runs)
     rng = _rng("hopf", seed)
     uni_failures = []
     for _ in range(univariate_runs):
@@ -472,6 +477,7 @@ KOSZUL_CRAFTED = [
 
 
 def check_local_koszul(seed=0, random_runs=20):
+    _require_counts(random_runs=random_runs)
     rng = _rng("koszul", seed)
     configs = [_random_univariate_config(rng) for _ in range(random_runs)]
     configs += KOSZUL_CRAFTED
@@ -521,6 +527,7 @@ def _rand_rational(rng):
 
 
 def check_etc_suite(seed=0, samples=50):
+    _require_counts(samples=samples)
     rng = _rng("etc", seed)
     failures = []
     for system, normals, kernel in SUBTORUS_CASES:
@@ -583,6 +590,7 @@ def check_etc_suite(seed=0, samples=50):
 #    line, both d - 1.
 
 def check_cross_oracle(seed=0, characters=20, alphas=20, ds=(2, 3, 4, 5, 6)):
+    _require_counts(characters=characters, alphas=alphas, d_values=len(ds))
     rng = _rng("cross", seed)
     failures = []
     for d in ds:
@@ -630,6 +638,7 @@ def _structural_fixtures():
 
 
 def check_structural_invariants(seed=0, trials=100):
+    _require_counts(trials=trials)
     rng = _rng("structural", seed)
     fixtures = _structural_fixtures()
     failures = []

@@ -2,10 +2,11 @@
 
 These are the exact field-arithmetic routines the package used before its
 certified mod-p core: Gauss-Jordan elimination on field elements
-(`_rref_generic`, for QQ(i) and F_p) and a fraction-free Bareiss forward
-pass with exact back substitution (`_bareiss_echelon`, `_rref_rational`,
-for QQ).  They share no code with the core, and `oracle_rref` returns what
-`rref` must return, entry for entry.
+(`_rref_generic`, for QQ(i)) and a fraction-free Bareiss forward pass with
+exact back substitution (`_bareiss_echelon`, `_rref_rational`, for QQ),
+plus a textbook Gauss-Jordan on residues (`_rref_residues`, for F_p, whose
+elements are ints in [0, p)).  They share no code with the core, and
+`oracle_rref` returns what `rref` must return, entry for entry.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from jumploci.scalars import QQ, Matrix, field_of
+from jumploci.scalars import QI, QQ, Matrix, field_of
 
 
 def _rref_generic(rows, field):
@@ -44,6 +45,29 @@ def _rref_generic(rows, field):
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _rref_residues(rows, p):
+    """In-place reduced row echelon form over F_p, inverses by Fermat's
+    little theorem; returns pivot column list."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
     return pivots
 
 
@@ -123,7 +147,10 @@ def oracle_rref(rows, field=None):
         return 0, (), []
     if field is QQ:
         pivots, out = _rref_rational(rows)
-    else:
+    elif field is QI:
         pivots = _rref_generic(rows, field)
+        out = rows[:len(pivots)]
+    else:
+        pivots = _rref_residues(rows, field.p)
         out = rows[:len(pivots)]
     return len(pivots), tuple(pivots), [tuple(r) for r in out]

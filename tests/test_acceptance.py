@@ -7,7 +7,11 @@ broken, not a style issue; see jumploci.verify for what each check covers.
 
 import pytest
 
-from jumploci.verify import run_all
+from jumploci.errors import PreconditionError
+from jumploci.verify import (
+    check_cross_oracle, check_elliptic_all, check_elliptic_suite,
+    check_etc_suite, check_hopf_counts, check_jump_components,
+    check_local_koszul, check_structural_invariants, run_all)
 
 CRITERIA = [
     ("1", "OS deletion-restriction + NBC/point-count oracles"),
@@ -41,3 +45,23 @@ def test_criterion(results, idx, capsys):
 
 def test_all_passed(results):
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("check, kwargs", [
+    (check_jump_components, {"outside_samples": 0}),
+    (check_jump_components, {"outside_samples": -3}),
+    (check_elliptic_suite, {"n": 3, "lr_samples": 0}),
+    (check_elliptic_all, {"ns": ()}),
+    (check_hopf_counts, {"univariate_runs": 0}),
+    (check_local_koszul, {"random_runs": 0}),
+    (check_etc_suite, {"samples": 0}),
+    (check_cross_oracle, {"characters": 0}),
+    (check_cross_oracle, {"alphas": 0}),
+    (check_cross_oracle, {"ds": ()}),
+    (check_structural_invariants, {"trials": 0}),
+    (check_structural_invariants, {"trials": -1}),
+], ids=lambda v: getattr(v, "__name__", None) or repr(v))
+def test_checks_refuse_to_run_without_samples(check, kwargs):
+    # a check that ran nothing would otherwise pass vacuously
+    with pytest.raises(PreconditionError, match="must be at least 1"):
+        check(**kwargs)

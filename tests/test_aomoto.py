@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+import random
+
 from jumploci.aomoto import (
-    AomotoComplex, generic_dims_sample, isotropic_check,
+    AomotoComplex, LogResonanceReport, generic_dims_sample, isotropic_check,
     log_resonance_membership, resonance_membership)
 from jumploci.arrangement import Arrangement, os_algebra, points_arrangement
 from jumploci.elliptic import elliptic_model, tangent_pair_basis
 from jumploci.errors import PreconditionError
 from jumploci.exterior import build_quotient_algebra
-from jumploci.scalars import GaussianRational, rank_and_kernel
+from jumploci.scalars import (
+    GaussianRational, Matrix, rank_and_kernel, solve_linear)
 from jumploci.verify import SIXPLANES_FORMS
 
 I = GaussianRational(0, 1)
@@ -176,6 +179,70 @@ def test_log_resonance_outside_filtration():
     alpha = m.class_coords([1, 0], [0, 0])  # a_1 mixes (1,0) and (0,1)
     with pytest.raises(PreconditionError, match="F\\^1"):
         log_resonance_membership(m.algebra, alpha)
+
+
+def _log_resonance_by_solving(algebra, alpha):
+    """Log resonance through the rows of hodge_subspace(1, 1): F^1
+    membership by solving against them, the restricted differential as the
+    product with their transpose.  None for a class outside F^1."""
+    field = algebra.field
+    alpha = [field.coerce(a) for a in alpha]
+    f1 = algebra.hodge_subspace(1, 1)
+    if not any(alpha):
+        return LogResonanceReport(False, None, True, len(f1))
+    if not f1:
+        return None
+    basis = Matrix(f1, field=field).transpose()
+    if solve_linear(basis, alpha) is None:
+        return None
+    r, _ = rank_and_kernel(algebra.class_mult_matrix(alpha, 1).mul(basis))
+    h1 = len(f1) - r - 1
+    return LogResonanceReport(h1 >= 1, h1, False, len(f1))
+
+
+def _os_classes(algebra, rng):
+    n = algebra.dim(1)
+    return [[0] * n, [1] * n, [1] + [0] * (n - 1), [1, -1] + [0] * (n - 2)] + [
+        [rng.randint(-3, 3) for _ in range(n)] for _ in range(6)]
+
+
+def _elliptic_classes(model, rng):
+    n = model.n
+    out = [([0] * n, [0] * n)]
+    for _ in range(4):
+        c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        out.append((c, [I * v for v in c]))        # in F^1
+        out.append((c, [-I * v for v in c]))       # type (0, 1)
+        out.append((c, [Fraction(0)] * n))         # mixed
+    c = [Fraction(1), Fraction(-1)] + [Fraction(0)] * (n - 2)
+    out.append((c, [I * v for v in c]))
+    return [model.class_coords(x, y) for x, y in out]
+
+
+@pytest.mark.parametrize("name", [
+    "three_points", "concurrent3", "generic3", "six_planes",
+    "elliptic3", "elliptic4"])
+def test_log_resonance_matches_the_subspace_route(name):
+    rng = random.Random(f"log-resonance:{name}")
+    if name.startswith("elliptic"):
+        model = elliptic_model(int(name[-1]))
+        algebra, classes = model.algebra, _elliptic_classes(model, rng)
+    else:
+        algebra = {"three_points": three_points, "concurrent3": concurrent3,
+                   "six_planes": six_planes,
+                   "generic3": lambda: os_algebra(Arrangement(
+                       2, [[0, 1, 0], [0, 0, 1], [-1, 1, 1]]))}[name]()
+        classes = _os_classes(algebra, rng)
+    outside = 0
+    for alpha in classes:
+        want = _log_resonance_by_solving(algebra, alpha)
+        if want is None:
+            outside += 1
+            with pytest.raises(PreconditionError, match="F\\^1"):
+                log_resonance_membership(algebra, alpha)
+        else:
+            assert log_resonance_membership(algebra, alpha) == want
+    assert outside == (8 if name.startswith("elliptic") else 0)
 
 
 def test_euler_is_alpha_independent():

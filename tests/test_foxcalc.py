@@ -9,7 +9,7 @@ from jumploci.arrangement import os_algebra, points_arrangement
 from jumploci.errors import PreconditionError
 from jumploci.foxcalc import (
     Character, Presentation, fox_jacobian, twisted_cohomology, twisted_h1)
-from jumploci.scalars import GaussianRational, PrimeFieldElement
+from jumploci.scalars import GaussianRational
 
 TORUS = Presentation(2, [[1, 2, -1, -2]])
 
@@ -85,8 +85,6 @@ def test_gaussian_and_prime_field_characters():
     free2 = Presentation(2)
     i = GaussianRational(0, 1)
     assert twisted_h1(free2, Character(free2, [i, GaussianRational(2)])) == 1
-    values = [PrimeFieldElement(7, 3), PrimeFieldElement(7, 1)]
-    assert twisted_h1(free2, Character(free2, values)) == 1
 
 
 def test_fundamental_identity():

@@ -12,6 +12,7 @@ import re
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumploci import __version__, cli
 from jumploci.errors import ParseError, PreconditionError
@@ -79,6 +80,24 @@ def test_arrangement_width_error_spells_out_the_expected_length():
     obj = {"ambient": 2, "central": True, "forms": [["1", "0", "0"]]}
     with pytest.raises(ParseError, match="list of 2 rationals"):
         parse_arrangement(obj)
+
+
+@pytest.mark.parametrize("central", [1, 0, "yes", "true", None, [True]])
+def test_arrangement_central_flag_must_be_a_boolean(central):
+    obj = {"ambient": 2, "central": central, "forms": [["1", "0"]]}
+    with pytest.raises(ParseError) as exc:
+        parse_arrangement(obj)
+    assert exc.value.location == "arrangement.central"
+    assert "expected true or false" in str(exc.value)
+
+
+def test_arrangement_central_flag_true_false_or_absent():
+    central = {"ambient": 2, "forms": [["1", "0"], ["0", "1"]]}
+    affine = {"ambient": 2, "forms": [["1", "1", "0"], ["0", "0", "1"]]}
+    assert parse_arrangement(central).central
+    assert parse_arrangement(dict(central, central=True)).central
+    assert not parse_arrangement(affine).central
+    assert not parse_arrangement(dict(affine, central=False)).central
 
 
 def test_arrangement_missing_key():
@@ -194,6 +213,74 @@ def test_central_arrangements_serialize_without_constant_terms():
 def test_serialization_normalizes_leading_coefficients():
     out = serialize(parse_arrangement({"ambient": 2, "forms": [["2", "4"]]}))
     assert out["forms"] == [["1", "2"]]
+
+
+# Hypothesis fuzzing of the three parsers: arbitrary JSON with the keys the
+# parsers read, and near-valid inputs of each shape.  Only rejected-input
+# errors may escape, and whatever parses serializes canonically.
+
+_KEYS = ["ambient", "central", "forms", "rank", "polys", "monomial", "coeff",
+         "generators", "relators", "re", "im"]
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-4, 6),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.sampled_from(["1", "-2", "3/4", "0", "1/0", "x", "", "2.5"]))
+_json = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.sampled_from(_KEYS), kids,
+                                           max_size=4)),
+    max_leaves=16)
+_coeff = st.one_of(st.integers(-5, 5), _json_leaves)
+_small = st.one_of(st.integers(-2, 4), _json_leaves)
+
+
+@st.composite
+def _arrangements(draw):
+    obj = {"ambient": draw(st.one_of(st.integers(1, 3), _small))}
+    if draw(st.booleans()):
+        obj["central"] = draw(st.one_of(st.booleans(), _json_leaves))
+    ambient = obj["ambient"]
+    width = ambient if type(ambient) is int and ambient > 0 else 2
+    width += draw(st.integers(0, 1))
+    row = st.one_of(
+        st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+        st.lists(_coeff, max_size=4))
+    obj["forms"] = draw(st.lists(row, max_size=4))
+    return obj
+
+_terms = st.fixed_dictionaries(
+    {"monomial": st.lists(st.integers(-3, 3), max_size=3), "coeff": _coeff})
+_polys = st.lists(st.lists(_terms, max_size=3), max_size=3)
+_systems = st.one_of(
+    _polys,
+    st.fixed_dictionaries({"polys": _polys}, optional={"rank": _small}))
+_presentations = st.fixed_dictionaries(
+    {"generators": _small},
+    optional={"relators": st.lists(st.lists(st.integers(-4, 4), max_size=5),
+                                   max_size=3)})
+
+
+_PARSERS = [parse_arrangement, parse_laurent_system, parse_presentation]
+
+
+@given(st.one_of(
+    st.tuples(st.sampled_from(_PARSERS), _json),
+    st.tuples(st.sampled_from(_PARSERS),
+              st.one_of(_arrangements(), _systems, _presentations)),
+    st.tuples(st.just(parse_arrangement), _arrangements()),
+    st.tuples(st.just(parse_laurent_system), _systems),
+    st.tuples(st.just(parse_presentation), _presentations)))
+@settings(max_examples=400, deadline=None)
+def test_parsers_reject_bad_input_only_with_input_errors(case):
+    parse, obj = case
+    try:
+        value = parse(obj)
+    except PreconditionError:  # ParseError included
+        return
+    first = serialize(value)
+    assert serialize(_reparse(first)) == first
+    json.dumps(first)
 
 
 def test_laurent_serialization_sorts_terms():

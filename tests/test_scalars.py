@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumploci.errors import PreconditionError
+from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.scalars import (
     DEFAULT_PRIME, GF, BadPrimeError, FieldMismatchError, GaussianRational,
-    Matrix, PrimeFieldElement, QI, QQ, rank, rank_and_kernel, rref,
-    solve_linear)
+    Matrix, QI, QQ, rank, rank_and_kernel, rref, solve_linear)
 from rref_oracle import oracle_rref
 
 rationals = st.fractions(
@@ -38,8 +38,6 @@ def test_gaussian_mixes_with_rationals():
 def test_division_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1, 1) / GaussianRational(0, 0)
-    with pytest.raises(ZeroDivisionError):
-        1 / PrimeFieldElement(7, 0)
 
 
 @given(rationals, rationals, rationals, rationals, rationals, rationals)
@@ -55,14 +53,15 @@ def test_gaussian_field_laws(ar, ai, br, bi, cr, ci):
     assert a - a == GaussianRational(0)
 
 
-# -- Prime fields ------------------------------------------------------------
+# -- Prime fields: elements are plain residues in [0, p) ----------------------
 
 def test_prime_field_basics():
     F7 = GF(7)
     x = F7.coerce(Fraction(1, 3))
-    assert x * F7.coerce(3) == F7.one()
-    assert F7.coerce(10) == F7.coerce(3)
-    assert -F7.coerce(2) == F7.coerce(5)
+    assert x == 5 and x * F7.coerce(3) % 7 == F7.one() == 1
+    assert F7.coerce(10) == F7.coerce(3) == 3
+    assert F7.coerce(-2) == 5
+    assert F7.zero() == 0
 
 
 def test_composite_modulus_rejected():
@@ -76,28 +75,57 @@ def test_composite_modulus_rejected():
 
 def test_field_mixing_rejected():
     with pytest.raises(FieldMismatchError):
-        PrimeFieldElement(7, 1) + PrimeFieldElement(11, 1)
-    with pytest.raises(TypeError):
-        PrimeFieldElement(7, 1) * GaussianRational(1, 1)
-    with pytest.raises(FieldMismatchError):
         GF(7).coerce(GaussianRational(1, 1))
 
 
 def test_sqrt_minus_one_in_default_prime():
     Fp = GF(DEFAULT_PRIME)
     i = Fp.sqrt_minus_one()
-    assert i * i == Fp.coerce(-1)
+    assert 0 < i < DEFAULT_PRIME
+    assert i * i % DEFAULT_PRIME == Fp.coerce(-1)
 
 
-@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+@given(st.integers(-50, 50), st.integers(-50, 50))
 @settings(max_examples=40, deadline=None)
-def test_prime_field_laws(a, b, c):
+def test_prime_field_laws(a, b):
+    # coercion is the ring map from the integers (and the rationals whose
+    # denominators p does not divide) onto the residues
     F7 = GF(7)
-    x, y, z = F7.coerce(a), F7.coerce(b), F7.coerce(c)
-    assert (x + y) * z == x * z + y * z
-    assert x * y == y * x
+    x, y = F7.coerce(a), F7.coerce(b)
+    assert F7.coerce(a + b) == (x + y) % 7
+    assert F7.coerce(a * b) == x * y % 7
     if y:
-        assert (x / y) * y == x
+        assert F7.coerce(Fraction(a, b)) * y % 7 == x
+
+
+def _is_residue(x, p):
+    return type(x) is int and 0 <= x < p
+
+
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME])
+def test_prime_field_values_are_residues(p):
+    F = GF(p)
+    assert all(_is_residue(x, p) for x in (
+        F.zero(), F.one(), F.coerce(-1), F.coerce(p + 3),
+        F.coerce(Fraction(-2, 3))))
+    m = Matrix([[1, -2, 3], [2, -4, 1]], field=F)
+    assert all(_is_residue(x, p) for row in m.entries for x in row)
+    _, _, rows = rref(m)
+    r, kernel = rank_and_kernel(m)
+    x = solve_linear(m, [-1, 5])
+    product = m.mul(Matrix([[-1], [1], [-3]], field=F))
+    assert r == 2 and len(kernel) == 1 and x is not None
+    for vectors in (rows, kernel, [x], product.entries):
+        assert all(_is_residue(v, p) for vec in vectors for v in vec)
+    # three concurrent lines: the ideal is generated by e01 - e02 + e12
+    ideal = Multivector(3, [(0b011, 1), (0b101, -1), (0b110, 1)])
+    A = build_quotient_algebra(3, [ideal], 2, field=F)
+    alpha = [F.coerce(c) for c in (1, -1, Fraction(2, 3))]
+    d1 = A.class_mult_matrix(alpha, 1)
+    assert d1.nrows and all(
+        _is_residue(v, p) for row in d1.entries for v in row)
+    coords = A.project(Multivector(3, [(0b101, 1), (0b110, -4)]))
+    assert any(coords) and all(_is_residue(v, p) for v in coords)
 
 
 # -- RREF, rank, kernels -----------------------------------------------------
