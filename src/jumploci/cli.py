@@ -27,7 +27,7 @@ from .elliptic import e2_page, elliptic_model
 from .errors import DegeneracyError, ParseError, PreconditionError
 from .foxcalc import Character, twisted_cohomology
 from .io import (load_json, parse_arrangement, parse_input, parse_presentation,
-                 serialize)
+                 rational_from_text, serialize)
 from .master import (critical_points_bivariate, critical_points_univariate,
                      local_koszul_univariate, log_zero_divisor_p1,
                      residues_line_arrangement)
@@ -92,14 +92,8 @@ def _load_typed(path):
 
 
 def parse_rational_csv(text, what):
-    out = []
-    for k, tok in enumerate(text.split(",")):
-        try:
-            out.append(Fraction(tok.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {tok.strip()!r}: {exc}",
-                             f"{what}[{k}]") from None
-    return out
+    return [rational_from_text(tok.strip(), f"{what}[{k}]")
+            for k, tok in enumerate(text.split(","))]
 
 
 def _subspace_rows(text):

@@ -14,6 +14,7 @@ Formats:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .arrangement import Arrangement
@@ -23,16 +24,36 @@ from .scalars import GaussianRational
 from .torus import LaurentSystem
 
 
+# Fraction builds 10**e exactly for a decimal exponent e, so the exponent is
+# bounded by Python's default int-string digit limit.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
+def rational_from_text(text, where):
+    """Fraction(text), as a ParseError at `where` when the text is not a
+    rational or its decimal exponent exceeds _MAX_EXPONENT in magnitude."""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or \
+                int(digits or "0") > _MAX_EXPONENT:
+            raise ParseError(
+                f"bad rational {text!r}: decimal exponent exceeds "
+                f"{_MAX_EXPONENT} in magnitude", where)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text!r}: {exc}", where) from None
+
+
 def parse_rational(node, where):
     if isinstance(node, bool):
         raise ParseError(f"expected a rational, got {node!r}", where)
     if isinstance(node, int):
         return Fraction(node)
     if isinstance(node, str):
-        try:
-            return Fraction(node)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {node!r}: {exc}", where) from None
+        return rational_from_text(node, where)
     raise ParseError(f"expected a rational, got {node!r}", where)
 
 
@@ -63,6 +84,9 @@ def parse_arrangement(obj, where="arrangement"):
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
     ambient = _expect(obj, "ambient", int, where)
+    if ambient < 1:
+        raise ParseError(f"ambient dimension must be at least 1, got {ambient}",
+                         f"{where}.ambient")
     central = obj.get("central")
     if "central" in obj and not isinstance(central, bool):
         raise ParseError(
@@ -146,6 +170,9 @@ def load_json(path):
         raise ParseError(
             f"malformed JSON: {exc.msg}",
             f"{path}:{exc.lineno}:{exc.colno}") from None
+    except ValueError as exc:
+        # an integer literal longer than Python's int-string digit limit
+        raise ParseError(f"malformed JSON: {exc}", str(path)) from None
 
 
 def parse_input(path):

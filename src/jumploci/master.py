@@ -14,6 +14,12 @@ divided out.  Genericity of the weights is certified, never assumed: the
 count must be reproduced by a second shear and by a perturbed weight
 vector, and the genuine eliminant must be square-free; otherwise a
 DegeneracyError is raised instead of a wrong count.
+
+Every polynomial is built over the integers, as a coefficient list or a
+sympy Poly over ZZ, never as a sympy expression.  Denominators are cleared
+first, which scales a numerator, or both components of the form, by one
+nonzero constant and so moves no zero.  The order at a rational point a/b
+is counted by exact division by b z - a in ZZ[z].
 """
 
 from __future__ import annotations
@@ -21,14 +27,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import sympy as sp
+from sympy import QQ, ZZ
 
 from .arrangement import Arrangement, poincare_and_euler
 from .errors import DegeneracyError, PreconditionError
 from .scalars import Matrix, rank_and_kernel
 
-_X, _Y, _W = sp.symbols("jl_x jl_y jl_w")
+_X, _Y = sp.symbols("jl_x jl_y")
 
 
 def _frac(r):
@@ -46,6 +54,11 @@ def _rational_weights(lam, d):
             raise PreconditionError(f"weight {j} must be rational, got {l!r}")
         out.append(Fraction(l))
     return out
+
+
+def _cleared_weights(lam):
+    den = lcm(*(l.denominator for l in lam))
+    return [int(l * den) for l in lam]
 
 
 @dataclass(frozen=True)
@@ -69,37 +82,94 @@ class DivisorReport:
     notes: tuple = ()
 
 
-def numerator_polynomial(points, lam):
-    """N(z) = sum_j lambda_j prod_{k != j} (z - c_k), exact over Q."""
+# -- univariate polynomials as coefficient lists, highest degree first ------
+
+def _weighted_products(weights, factors):
+    """sum_j weights_j prod_{k != j} (a_k z + b_k) for factors (a_k, b_k),
+    with leading zeros dropped."""
+    total = [0] * len(factors)
+    for j, w in enumerate(weights):
+        term = [w]
+        for k, (a, b) in enumerate(factors):
+            if k != j:
+                term = [a * c + b * p for c, p in zip(term + [0], [0] + term)]
+        total = [s + c for s, c in zip(total, term)]
+    while total and not total[0]:
+        total.pop(0)
+    return total
+
+
+def _punctures(points, lam):
     points = [Fraction(c) for c in points]
     if len(set(points)) != len(points):
         raise PreconditionError("puncture points must be distinct")
     lam = _rational_weights(lam, len(points))
     if not any(lam):
         raise PreconditionError("all-zero weight vector: the form vanishes")
-    expr = sp.Integer(0)
-    for j, l in enumerate(lam):
-        term = sp.Rational(l)
-        for k, c in enumerate(points):
-            if k != j:
-                term *= _X - sp.Rational(c)
-        expr += term
-    return sp.Poly(expr, _X, domain="QQ")
+    return points, lam
 
 
-def _ord_at(poly, root):
-    lin = sp.Poly(_X - sp.Rational(root), _X, domain="QQ")
-    n = 0
-    while poly.degree() >= 1:
-        q, r = poly.div(lin)
-        if not r.is_zero:
-            break
-        poly, n = q, n + 1
-    return n
+def numerator_polynomial(points, lam):
+    """N(z) = sum_j lambda_j prod_{k != j} (z - c_k), exact over Q."""
+    points, lam = _punctures(points, lam)
+    return sp.Poly(_weighted_products(lam, [(1, -c) for c in points]), _X,
+                   domain=QQ)
+
+
+def _cleared_numerator(points, lam, at_infinity=False):
+    """An integer multiple of N(z), or with at_infinity of
+    N~(w) = sum_j lambda_j prod_{k != j} (1 - c_k w).  With c_k = a_k / b_k
+    and L the common denominator of the weights, it is L b_1 ... b_d times
+    the polynomial: sum_j L lambda_j b_j prod_{k != j} (b_k z - a_k), resp.
+    (b_k - a_k w)."""
+    weights = [w * c.denominator
+               for w, c in zip(_cleared_weights(lam), points)]
+    if at_infinity:
+        factors = [(-c.numerator, c.denominator) for c in points]
+    else:
+        factors = [(c.denominator, -c.numerator) for c in points]
+    return _weighted_products(weights, factors)
+
+
+def _divide_out(coeffs, root):
+    """(m, q) with coeffs = (b z - a)^m q over ZZ and q(a/b) != 0, for
+    root = a/b in lowest terms.  Each step is a synthetic division by
+    b z - a, which is exact in ZZ[z] whenever a/b is a root (Gauss's lemma);
+    its last remainder is the Horner value b^n q(a/b).  Constants and the
+    zero polynomial have order 0."""
+    a, b = root.numerator, root.denominator
+    m = 0
+    while len(coeffs) > 1:
+        quot, acc = [], 0
+        for c in coeffs[:-1]:
+            acc, r = divmod(c + a * acc, b)
+            if r:
+                return m, coeffs
+            quot.append(acc)
+        if coeffs[-1] + a * acc:
+            return m, coeffs
+        coeffs, m = quot, m + 1
+    return m, coeffs
+
+
+def _zz_poly(coeffs):
+    return sp.Poly(coeffs, _X, domain=ZZ)
+
+
+def _root_intervals(f):
+    """`f.intervals(all=True)` for a square-free integer Poly f.  Sympy
+    isolates the real part of all=True with the same
+    `dup_isolate_real_roots_sqf` call that sqf=True makes, so when the real
+    roots are all f.degree() roots the complex search is skipped and the
+    answer is the same."""
+    real = f.intervals(sqf=True)
+    if len(real) == f.degree():
+        return [(iv, 1) for iv in real], []
+    return f.intervals(all=True)
 
 
 def _zeros_of_poly(poly, kind):
-    """Zero entries for all roots of a nonzero univariate rational Poly,
+    """Zero entries for all roots of a nonzero univariate integer Poly,
     exact for rational roots, isolating data otherwise."""
     out = []
     _, factors = poly.factor_list()
@@ -109,7 +179,7 @@ def _zeros_of_poly(poly, kind):
             a, b = coeffs
             out.append(Zero(kind, mult, value=Fraction(-b, a)))
             continue
-        real, complexes = f.intervals(all=True)
+        real, complexes = _root_intervals(f)
         for (lo, hi), _m in real:
             out.append(Zero(kind, mult, interval=(_frac(lo), _frac(hi)),
                             minpoly=tuple(coeffs)))
@@ -130,14 +200,12 @@ def critical_points_univariate(points, lam):
     |chi(M)| = d - 1; weights with boundary zeros (e.g. sum lambda = 0)
     make it False and the balance moves to log_zero_divisor_p1.
     """
-    n = numerator_polynomial(points, lam)
-    points = [Fraction(c) for c in points]
-    interior = n
+    points, lam = _punctures(points, lam)
+    interior = _cleared_numerator(points, lam)
     for c in points:
-        for _ in range(_ord_at(n, c)):
-            interior, _r = interior.div(
-                sp.Poly(_X - sp.Rational(c), _X, domain="QQ"))
-    zeros = _zeros_of_poly(interior, "interior") if interior.degree() > 0 else []
+        _m, interior = _divide_out(interior, c)
+    zeros = (_zeros_of_poly(_zz_poly(interior), "interior")
+             if len(interior) > 1 else [])
     total = sum(z.multiplicity for z in zeros)
     chi = 1 - len(points)
     return DivisorReport(tuple(zeros), total, chi, total == abs(chi))
@@ -145,18 +213,11 @@ def critical_points_univariate(points, lam):
 
 def _infinity_valuation(points, lam):
     """Order of alpha at infinity against dw/w: the trailing valuation of
-    N~(w) = sum_j lambda_j prod_{k != j} (1 - c_k w)."""
-    expr = sp.Integer(0)
-    for j, l in enumerate(lam):
-        term = sp.Rational(l)
-        for k, c in enumerate(points):
-            if k != j:
-                term *= 1 - sp.Rational(c) * _W
-        expr += term
-    tilde = sp.Poly(expr, _W, domain="QQ")
-    if tilde.is_zero:
+    N~(w), returned with the coefficients of a multiple of N~."""
+    tilde = _cleared_numerator(points, lam, at_infinity=True)
+    if not tilde:
         raise PreconditionError("form is identically zero")
-    return min(sum(m) for m in tilde.as_dict()), tilde
+    return min(i for i, c in enumerate(reversed(tilde)) if c), tilde
 
 
 def log_zero_divisor_p1(points, lam):
@@ -167,23 +228,18 @@ def log_zero_divisor_p1(points, lam):
     The total is |D| - 2 = d - 1 for every nonzero weight vector; the
     infinity entry notes when the residue there (-sum lambda) vanishes.
     """
-    n = numerator_polynomial(points, lam)
-    points = [Fraction(c) for c in points]
-    lam = _rational_weights(lam, len(points))
+    points, lam = _punctures(points, lam)
     zeros = []
-    interior = n
+    interior = _cleared_numerator(points, lam)
     for c in points:
-        m = _ord_at(n, c)
+        m, interior = _divide_out(interior, c)
         if m:
             zeros.append(Zero("puncture", m, value=c))
-            for _ in range(m):
-                interior, _r = interior.div(
-                    sp.Poly(_X - sp.Rational(c), _X, domain="QQ"))
     vinf, _tilde = _infinity_valuation(points, lam)
     if vinf:
         zeros.append(Zero("infinity", vinf))
-    if interior.degree() > 0:
-        zeros.extend(_zeros_of_poly(interior, "interior"))
+    if len(interior) > 1:
+        zeros.extend(_zeros_of_poly(_zz_poly(interior), "interior"))
     total = sum(z.multiplicity for z in zeros)
     d = len(points)
     if total != d - 1:
@@ -211,53 +267,73 @@ def local_koszul_univariate(points, lam):
     alpha.  H^0 = 0 iff a is a nonzero germ; dim H^1 = dim O/(a) = ord(a),
     recomputed here by exact division rather than read off the divisor."""
     report = log_zero_divisor_p1(points, lam)
-    n = numerator_polynomial(points, lam)
+    points, lam = _punctures(points, lam)
+    n = _cleared_numerator(points, lam)
     out = []
     for z in report.zeros:
         if z.kind == "infinity":
-            _v, tilde = _infinity_valuation(
-                [Fraction(c) for c in points], _rational_weights(lam, len(points)))
+            _v, tilde = _infinity_valuation(points, lam)
             h1 = 0
-            while not tilde.is_zero and min(sum(m) for m in tilde.as_dict()) > 0:
-                tilde = sp.Poly(tilde.as_expr() / _W, _W, domain="QQ")
+            while tilde and not tilde[-1]:
+                tilde = tilde[:-1]  # N~ = w * (the shifted coefficients)
                 h1 += 1
         elif z.value is not None:
-            h1 = _ord_at(n, z.value)
+            h1, _rest = _divide_out(n, z.value)
         else:
             # conjugate orbit: the minimal polynomial is square-free, so the
             # order at each of its roots is the exponent of the factor in N
-            f = sp.Poly(list(z.minpoly), _X, domain="QQ")
-            if not sp.gcd(f, f.diff(_X)).is_one:
+            f = _zz_poly(list(z.minpoly))
+            if sp.gcd(f, f.diff(_X)).degree() > 0:
                 raise AssertionError("irreducible factor not square-free")
             h1 = 0
-            rem = n
+            rem = _zz_poly(n)
             while True:
                 q, r = rem.div(f)
                 if not r.is_zero:
                     break
                 rem, h1 = q, h1 + 1
-        if n.is_zero:
+        if not n:
             raise AssertionError("zero multiplier germ")
         out.append(LocalKoszul(z, 0, h1))
     return tuple(out)
 
 
-def _master_components(arr, lam):
-    """Cleared numerators (P, Q) of the two components of alpha_lambda for a
-    line arrangement: P = sum_j lambda_j (df_j/dx) prod_{k != j} f_k."""
-    fs = []
+# -- bivariate: the sheared pair over ZZ -------------------------------------
+
+def _cleared_forms(arr):
+    """Integer multiples (c0, c1, c2) of the affine forms.  Rescaling f_j
+    leaves d log f_j, and so the form alpha, unchanged."""
+    out = []
     for f in arr.forms:
-        c0, c1, c2 = (sp.Rational(c) for c in f)
-        fs.append(c0 + c1 * _X + c2 * _Y)
-    p = q = sp.Integer(0)
-    for j, f in enumerate(arr.forms):
-        others = sp.Integer(1)
-        for k, g in enumerate(fs):
-            if k != j:
-                others *= g
-        p += sp.Rational(lam[j]) * sp.Rational(f[1]) * others
-        q += sp.Rational(lam[j]) * sp.Rational(f[2]) * others
-    return sp.expand(p), sp.expand(q), fs
+        den = lcm(*(c.denominator for c in f))
+        out.append(tuple(int(c * den) for c in f))
+    return out
+
+
+def _sheared_pair(forms, weights, t):
+    """P(x + t y, y) and Q(x + t y, y) as Polys over ZZ in (y, x), where
+    P = sum_j w_j c1_j prod_{k != j} f_k and Q likewise with c2_j.  The
+    sheared forms are f_k(x + t y, y) = c0 + c1 x + (c2 + t c1) y; the
+    weights w_j c1_j, w_j c2_j stay those of the unsheared derivatives."""
+    sheared = [(c0, c1, c2 + t * c1) for c0, c1, c2 in forms]
+    p, q = {}, {}
+    for j, w in enumerate(weights):
+        prod = {(0, 0): 1}  # terms {(deg_y, deg_x): coefficient}
+        for k, (c0, c1, c2) in enumerate(sheared):
+            if k == j:
+                continue
+            nxt = {}
+            for (i, e), c in prod.items():
+                for key, v in (((i, e), c * c0), ((i, e + 1), c * c1),
+                               ((i + 1, e), c * c2)):
+                    nxt[key] = nxt.get(key, 0) + v
+            prod = nxt
+        wp, wq = w * forms[j][1], w * forms[j][2]
+        for key, c in prod.items():
+            p[key] = p.get(key, 0) + wp * c
+            q[key] = q.get(key, 0) + wq * c
+    return tuple(sp.Poly.from_dict({k: c for k, c in h.items() if c},
+                                   _Y, _X, domain=ZZ) for h in (p, q))
 
 
 def _multiple_points(arr):
@@ -274,29 +350,28 @@ def _multiple_points(arr):
 _SHEARS = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8]
 
 
-def _eliminant(p, q, spurious, t):
+def _eliminant(forms, weights, spurious, t):
     """Genuine eliminant at shear x -> x + t y, or None if this shear is
-    unusable (non-constant leading y-coefficients).  Returns (G, resultant)."""
-    pt = sp.expand(p.subs({_X: _X + t * _Y}))
-    qt = sp.expand(q.subs({_X: _X + t * _Y}))
+    unusable (non-constant leading y-coefficients).  Returns (G, P_t, Q_t),
+    G an integer multiple of the resultant with the multiple points'
+    sheared x-coordinates divided out."""
+    pt, qt = _sheared_pair(forms, weights, t)
     for h in (pt, qt):
-        lc = sp.Poly(h, _Y).LC()
-        if sp.Poly(lc, _X).degree() > 0:
+        top = h.degree(_Y)
+        if any(m[1] for m, _c in h.terms() if m[0] == top):
             return None
-    res = sp.Poly(sp.resultant(pt, qt, _Y), _X, domain="QQ")
+    res = sp.resultant(pt, qt)
     if res.is_zero:
         raise DegeneracyError(
             "resultant vanishes identically: the critical set is not isolated "
             "for these weights")
-    g = res
+    g = [int(c) for c in res.all_coeffs()]
     for (px, py) in spurious:
-        x0 = Fraction(px) - t * Fraction(py)
-        for _ in range(_ord_at(g, x0)):
-            g, _r = g.div(sp.Poly(_X - sp.Rational(x0), _X, domain="QQ"))
-    return g, res, pt, qt
+        _m, g = _divide_out(g, Fraction(px) - t * Fraction(py))
+    return _zz_poly(g), pt, qt
 
 
-def _certified_count(p, q, spurious):
+def _certified_count(forms, weights, spurious):
     """Scan the whole shear sequence and certify the critical count.
 
     Dividing out a multiple point's valuation can also swallow a genuine
@@ -307,12 +382,13 @@ def _certified_count(p, q, spurious):
     """
     usable = []
     for t in _SHEARS:
-        got = _eliminant(p, q, spurious, t)
+        got = _eliminant(forms, weights, spurious, t)
         if got is None:
             continue
-        g, _res, pt, qt = got
+        g, pt, qt = got
         deg = max(g.degree(), 0)
-        if deg > 0 and not sp.gcd(g, g.diff(_X)).is_one:
+        # square-free over Q: gcd(G, G') is a constant
+        if deg > 0 and sp.gcd(g, g.diff(_X)).degree() > 0:
             continue
         usable.append((deg, t, g, pt, qt))
     if not usable:
@@ -348,10 +424,11 @@ def critical_points_bivariate(arr, lam, seed=0):
                 f"weight lambda_{j} = 0 drops hyperplane {j} from the form; "
                 "the puncture structure no longer matches the arrangement")
     _dims, chi = poincare_and_euler(arr)
-    p, q, fs = _master_components(arr, lam)
+    forms = _cleared_forms(arr)
     spurious = _multiple_points(arr)
 
-    count, t1, g1, pt1, qt1 = _certified_count(p, q, spurious)
+    count, t1, g1, pt1, qt1 = _certified_count(
+        forms, _cleared_weights(lam), spurious)
     rng = random.Random(seed)
     stable = False
     for _ in range(3):
@@ -359,8 +436,8 @@ def critical_points_bivariate(arr, lam, seed=0):
         if not all(bumped):
             continue
         try:
-            p2, q2, _ = _master_components(arr, bumped)
-            bumped_count = _certified_count(p2, q2, spurious)[0]
+            bumped_count = _certified_count(
+                forms, _cleared_weights(bumped), spurious)[0]
         except DegeneracyError:
             continue
         if bumped_count != count:
@@ -380,8 +457,8 @@ def critical_points_bivariate(arr, lam, seed=0):
             if f.degree() == 1:
                 a, b = (int(c) for c in f.all_coeffs())
                 x0 = Fraction(-b, a)
-                py = sp.gcd(sp.Poly(pt1.subs({_X: sp.Rational(x0)}), _Y),
-                            sp.Poly(qt1.subs({_X: sp.Rational(x0)}), _Y))
+                at = QQ(x0.numerator, x0.denominator)
+                py = sp.gcd(pt1.eval(_X, at), qt1.eval(_X, at))
                 if py.degree() != 1:
                     raise DegeneracyError(
                         f"back-substitution at x = {x0} is not a single "
@@ -389,16 +466,13 @@ def critical_points_bivariate(arr, lam, seed=0):
                 ca, cb = (_frac(c) for c in py.all_coeffs())
                 y0 = -cb / ca
                 pt = (x0 + t1 * y0, y0)
-                for fl in fs:
-                    if sp.Rational(fl.subs({_X: sp.Rational(pt[0]),
-                                            _Y: sp.Rational(pt[1])})) == 0:
-                        raise AssertionError(
-                            "recovered critical point lies on the arrangement")
+                if any(c0 + c1 * pt[0] + c2 * pt[1] == 0
+                       for c0, c1, c2 in arr.forms):
+                    raise AssertionError(
+                        "recovered critical point lies on the arrangement")
                 zeros.append(Zero("interior", mult, value=pt))
             else:
-                zeros.extend(
-                    z for z in _zeros_of_poly(sp.Poly(f, _X, domain="QQ"),
-                                              "interior"))
+                zeros.extend(_zeros_of_poly(f, "interior"))
     notes = (f"count {count} certified by two shears (reported from shear "
              f"{t1}) and by a perturbed weight vector",)
     return DivisorReport(tuple(zeros), count, chi, count == abs(chi),

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import re
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -28,7 +29,6 @@ FIXTURES = resources.files("jumploci").joinpath("fixtures")
 # ------------------------------------------------------------------ rationals
 
 def test_rational_accepts_ints_and_fraction_strings():
-    from fractions import Fraction
     assert parse_rational(7, "x") == 7
     assert parse_rational("3/4", "x") == Fraction(3, 4)
     assert parse_rational("-2", "x") == -2
@@ -45,6 +45,27 @@ def test_rational_zero_denominator_names_the_field():
         parse_rational("1/0", "forms[1][0]")
     assert "forms[1][0]" in str(exc.value)
     assert "bad rational '1/0'" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e4300", 10 ** 4300), ("-2.5E-4300", Fraction(-25, 10 ** 4301)),
+    ("3e0_004", 30000), ("0.75", Fraction(3, 4))],
+    ids=["1e4300", "-2.5E-4300", "3e0_004", "0.75"])
+def test_rational_decimal_exponents_up_to_4300(text, value):
+    # ids: a 4301-digit value has no str under the default digit limit
+    assert parse_rational(text, "x") == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e4301", "1E-4301", "1e100000000", "1e1_000_000",
+    "2.5e+" + "9" * 5000],
+    ids=["1e4301", "1E-4301", "1e100000000", "1e1_000_000", "5000-digit"])
+def test_rational_decimal_exponent_beyond_4300_is_refused(text):
+    # Fraction would build 10**e exactly: no time or size bound
+    with pytest.raises(ParseError) as exc:
+        parse_rational(text, "forms[0][1]")
+    assert exc.value.location == "forms[0][1]"
+    assert "decimal exponent exceeds 4300 in magnitude" in str(exc.value)
 
 
 def test_scalar_gaussian_object():
@@ -100,6 +121,16 @@ def test_arrangement_central_flag_true_false_or_absent():
     assert not parse_arrangement(dict(affine, central=False)).central
 
 
+@pytest.mark.parametrize("ambient", [0, -3])
+def test_arrangement_ambient_below_one_is_refused(ambient):
+    obj = {"ambient": ambient, "forms": [["1"]]}
+    with pytest.raises(ParseError) as exc:
+        parse_arrangement(obj)
+    assert exc.value.location == "arrangement.ambient"
+    assert f"ambient dimension must be at least 1, got {ambient}" in \
+        str(exc.value)
+
+
 def test_arrangement_missing_key():
     with pytest.raises(ParseError, match="missing key 'forms'"):
         parse_arrangement({"ambient": 2})
@@ -151,6 +182,15 @@ def test_integer_keys_reject_booleans_and_strings(parse, obj):
 def test_load_json_missing_file():
     with pytest.raises(ParseError, match="file not found"):
         load_json("/nonexistent/nope.json")
+
+
+def test_load_json_integer_beyond_the_digit_limit(tmp_path):
+    p = tmp_path / "long.json"
+    p.write_text('{"ambient": 2, "forms": [[' + "1" * 5000 + ', 0]]}')
+    with pytest.raises(ParseError) as exc:
+        load_json(str(p))
+    assert exc.value.location == str(p)
+    assert "malformed JSON" in str(exc.value)
 
 
 def test_load_json_syntax_error_reports_line_and_column(tmp_path):
@@ -437,6 +477,22 @@ def test_exit_code_2_on_parse_errors(tmp_path):
     err = stderr_error(["os-algebra", "--arrangement", str(boolean)], 2)
     assert err["kind"] == "parse"
     assert "key 'ambient' has wrong type bool" in err["error"]
+
+
+def test_huge_decimal_exponent_exits_2_in_json_and_weights(tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(
+        {"ambient": 2, "forms": [["0", "1", "0"], ["1e100000000", "0", "1"],
+                                 ["0", "1", "1"]]}))
+    err = stderr_error(["master", "--arrangement", str(huge),
+                        "--weights", "1,1,1"], 2)
+    assert err["kind"] == "parse"
+    assert err["error"].startswith(f"{huge}.forms[1][0]: bad rational")
+    assert "decimal exponent exceeds 4300" in err["error"]
+    err = stderr_error(["master", "--points", "0,1",
+                        "--weights", "1,1e100000000"], 2)
+    assert err["kind"] == "parse"
+    assert err["error"].startswith("weights[1]: bad rational '1e100000000'")
 
 
 def test_exit_code_2_on_precondition_errors(tmp_path):

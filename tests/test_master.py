@@ -3,20 +3,25 @@ cohomology, and boundary residues.
 
 The bivariate counts are cross-checked against a Groebner-basis staircase
 count of the saturated critical ideal (an elimination route fully
-independent of the resultant solver).
+independent of the resultant solver), and whole reports against the
+symbolic-expression route kept in `master_oracle`.
 """
 
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from jumploci.arrangement import Arrangement
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.master import (
-    critical_points_bivariate, critical_points_univariate,
+    _root_intervals, critical_points_bivariate, critical_points_univariate,
     local_koszul_univariate, log_zero_divisor_p1, numerator_polynomial,
     residues_line_arrangement)
+from master_oracle import (
+    oracle_critical_points_bivariate, oracle_critical_points_univariate,
+    oracle_local_koszul_univariate, oracle_log_zero_divisor_p1)
 
 FLAGSHIP = Arrangement(2, [[0, 1, 0], [0, 0, 1], [-1, 1, 1]])
 FOURLINES = Arrangement(2, [[0, 1, 0], [0, 0, 1], [0, 1, -1], [-1, 1, 1]])
@@ -206,6 +211,142 @@ def test_non_essential_arrangement_refused():
     with pytest.raises(PreconditionError):
         critical_points_bivariate(
             Arrangement(2, [[0, 1, 0], [-1, 1, 0]]), [1, 1])
+
+
+# -- against the symbolic-expression route -----------------------------------
+
+def outcome(fn, *args, **kwargs):
+    """The report, or the type and message of the input error raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (DegeneracyError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def punctured_lines(draw):
+    """Distinct rational punctures with mixed-sign rational weights; a zero
+    weight puts a zero at its puncture, and half the cases have
+    sum lambda = 0, which puts one at infinity."""
+    d = draw(st.integers(1, 6))
+    points = draw(st.lists(small_rationals, min_size=d, max_size=d,
+                           unique=True))
+    lam = draw(st.lists(st.one_of(st.just(Fraction(0)), small_rationals),
+                        min_size=d, max_size=d))
+    if d > 1 and draw(st.booleans()):
+        lam[-1] = -sum(lam[:-1])
+    return points, lam
+
+
+UNIVARIATE_ROUTES = [
+    (critical_points_univariate, oracle_critical_points_univariate),
+    (log_zero_divisor_p1, oracle_log_zero_divisor_p1),
+    (local_koszul_univariate, oracle_local_koszul_univariate),
+]
+
+
+@given(punctured_lines())
+@settings(max_examples=100, deadline=None)
+def test_univariate_reports_match_the_expression_route(case):
+    points, lam = case
+    for fn, oracle in UNIVARIATE_ROUTES:
+        assert outcome(fn, points, lam) == outcome(oracle, points, lam)
+
+
+@pytest.mark.parametrize("points, lam", [
+    ([0, 1, 2], [24, -27, 6]),                          # double interior zero
+    ([0, Fraction(1, 3), -2, 5], [1, -3, Fraction(2, 7), 2]),
+    ([0, 1, 2, 3], [1, -1, 1, -1]),                     # sum 0
+    ([0, 1, 2], [1, 0, -1]),                            # zero at a puncture
+    ([1, 2, 3, 4, 5], [1, 1, -5, 1, 1]),
+])
+def test_univariate_hand_cases_match_the_expression_route(points, lam):
+    for fn, oracle in UNIVARIATE_ROUTES:
+        assert outcome(fn, points, lam) == outcome(oracle, points, lam)
+
+
+line_coefficients = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-7, 7),
+                                  st.integers(1, 5)))
+nonzero_weights = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                            st.integers(1, 3))
+
+
+@st.composite
+def weighted_line_arrangements(draw):
+    d = draw(st.integers(3, 5))
+    forms = draw(st.lists(st.tuples(line_coefficients, line_coefficients,
+                                    line_coefficients),
+                          min_size=d, max_size=d))
+    try:
+        arr = Arrangement(2, [list(f) for f in forms])
+    except PreconditionError:  # a zero linear part or a repeated line
+        assume(False)
+    assume(arr.rank() == 2)
+    lam = draw(st.lists(nonzero_weights, min_size=d, max_size=d))
+    return arr, lam
+
+
+@given(weighted_line_arrangements(), st.integers(0, 3))
+@settings(max_examples=6, deadline=None)
+def test_bivariate_reports_match_the_expression_route(case, seed):
+    arr, lam = case
+    assert outcome(critical_points_bivariate, arr, lam, seed=seed) == \
+        outcome(oracle_critical_points_bivariate, arr, lam, seed=seed)
+
+
+TRIPLE_POINT = Arrangement(2, [[0, 1, 0], [0, 0, 1], [0, 1, 1], [-1, 1, 2]])
+
+
+@pytest.mark.parametrize("arr, lam", [
+    (FOURLINES, [1, 2, 3, 5]),
+    # three lines through the origin: its valuation is divided out
+    (TRIPLE_POINT, [1, 2, 2, 3]),
+    (TRIPLE_POINT, [Fraction(1, 2), -3, Fraction(5, 3), 2]),
+    (Arrangement(2, [[0, 1, 0], [0, 0, 1], [-1, 1, 1],
+                     [Fraction(1, 2), Fraction(-1, 3), 1],
+                     [2, 1, Fraction(5, 3)]]),
+     [1, Fraction(2, 3), -3, 5, Fraction(7, 2)]),
+    # weights summing to zero at the common point of concurrent lines
+    (Arrangement(2, [[1, 0], [0, 1], [1, 1]]), [1, 1, -2]),
+])
+def test_bivariate_hand_cases_match_the_expression_route(arr, lam):
+    got = outcome(critical_points_bivariate, arr, lam)
+    assert got == outcome(oracle_critical_points_bivariate, arr, lam)
+    if arr.size == 3:
+        assert got == (DegeneracyError,
+                       "resultant vanishes identically: the critical set is "
+                       "not isolated for these weights")
+
+
+# -- real-root shortcut ------------------------------------------------------
+
+@pytest.mark.parametrize("coeffs", [
+    [3, -6, 2],            # all roots real
+    [1, 0, -3, 1],         # three real roots
+    [1, 0, -5, 0, 5],      # four real roots
+    [1, 0, 0, -2],         # one real root, two non-real
+    [1, -1, -1, 1, -1],    # two real roots, two non-real
+    [1, 0, 1],             # no real roots
+    [1, 0, 0, 0, 1],       # no real roots
+])
+def test_real_root_shortcut_is_all_intervals(coeffs):
+    f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
+    assert f.is_irreducible
+    assert _root_intervals(f) == f.intervals(all=True)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=3, max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_real_root_shortcut_on_irreducible_factors(coeffs):
+    f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
+    assume(f.degree() >= 2)
+    for g, _m in f.factor_list()[1]:
+        if g.degree() >= 2:
+            assert _root_intervals(g) == g.intervals(all=True)
 
 
 # -- residues ----------------------------------------------------------------
