@@ -134,9 +134,10 @@ def _cleared_numerator(points, lam, at_infinity=False):
 def _divide_out(coeffs, root):
     """(m, q) with coeffs = (b z - a)^m q over ZZ and q(a/b) != 0, for
     root = a/b in lowest terms.  Each step is a synthetic division by
-    b z - a, which is exact in ZZ[z] whenever a/b is a root (Gauss's lemma);
-    its last remainder is the Horner value b^n q(a/b).  Constants and the
-    zero polynomial have order 0."""
+    b z - a, which stays in ZZ[z] whenever a/b is a root (Gauss's lemma), so
+    an inexact quotient digit already means a/b is not a root; otherwise the
+    last remainder is the Horner value at a/b.  Constants and the zero
+    polynomial have order 0."""
     a, b = root.numerator, root.denominator
     m = 0
     while len(coeffs) > 1:
