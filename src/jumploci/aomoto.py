@@ -12,21 +12,39 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PreconditionError
 from .exterior import Multivector, build_quotient_algebra
-# solve_linear is imported for the benchmark's tracer, which wraps
-# aomoto.solve_linear
+# rank_and_kernel and solve_linear are imported for the benchmark's tracer,
+# which wraps aomoto.rank_and_kernel and aomoto.solve_linear
 from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
-                      GaussianRational, Matrix, rank_and_kernel, solve_linear)
+                      GaussianRational, _clear, _kernel_basis, _rref_parts,
+                      rank_and_kernel, solve_linear)
+
+
+def _integral(field, alpha):
+    """Integer coordinates of a nonzero multiple of alpha, cleared with one
+    lcm: ints over QQ, (re, im) pairs over QQ(i), the residues over F_p.
+    A nonzero multiple of a differential has the same rank, kernel and
+    RREF."""
+    if field is QQ:
+        return _clear([alpha], False)[0][0]
+    if field is QI:
+        re, im = _clear([alpha], True)
+        return list(zip(re[0], im[0]))
+    return alpha
 
 
 class AomotoComplex:
     """The complex A^0 -> A^1 -> ... -> A^top with differential alpha wedge.
 
-    `matrices[d]` maps degree-d coordinates to degree-(d+1) coordinates; the
-    top matrix is the zero map out of A^top.  Composition of consecutive
-    differentials is checked to vanish at construction.
+    Each differential is assembled from the algebra's integer structure
+    constants as the cleared parts of a nonzero multiple of itself
+    (`parts[d]` maps degree-d coordinates to degree-(d+1) coordinates; the
+    top one is the zero map out of A^top), and ranked by the certified
+    elimination core.  That every such complex squares to zero is checked
+    once per algebra (`GradedAlgebra.check_anticommutation`).
     """
 
     def __init__(self, algebra, alpha):
@@ -34,29 +52,76 @@ class AomotoComplex:
         if len(alpha) != algebra.dim(1):
             raise PreconditionError(
                 f"alpha needs {algebra.dim(1)} coordinates, got {len(alpha)}")
+        algebra.check_anticommutation()
         self.algebra = algebra
         self.alpha = tuple(alpha)
-        self.matrices = [algebra.class_mult_matrix(alpha, d)
-                         for d in range(algebra.top + 1)]
-        for d in range(algebra.top - 1):
-            if not self.matrices[d + 1].mul(self.matrices[d]).is_zero():
-                raise AssertionError(
-                    f"differential squares to a nonzero map in degree {d}")
-        self._ranks = None
+        integral = _integral(algebra.field, alpha)
+        self.parts = [algebra.class_mult_parts(integral, d)
+                      for d in range(algebra.top + 1)]
+        self._echelons = None
         self._kernels = None
 
+    @cached_property
+    def matrices(self):
+        """The differentials as Matrix objects over the algebra's field."""
+        return [self.algebra.class_mult_matrix(self.alpha, d)
+                for d in range(self.algebra.top + 1)]
+
     def ranks(self):
-        if self._ranks is None:
-            reduced = [rank_and_kernel(m) for m in self.matrices]
-            self._ranks = tuple(r for r, _ in reduced)
-            self._kernels = tuple(k for _, k in reduced)
-        return self._ranks
+        if self._echelons is None:
+            field = self.algebra.field
+            self._echelons = [
+                _rref_parts(parts, self.algebra.dim(d), field)
+                for d, parts in enumerate(self.parts)]
+        return tuple(len(pivots) for pivots, _, _ in self._echelons)
 
     def kernels(self):
-        """Canonical kernel bases of the differentials (the cocycles), kept
-        from the reduction that computed `ranks`."""
-        self.ranks()
+        """Canonical kernel bases of the differentials (the cocycles), read
+        off the reductions that computed `ranks`."""
+        if self._kernels is None:
+            self.ranks()
+            field = self.algebra.field
+            self._kernels = tuple(
+                _kernel_basis(field, self.algebra.dim(d), *echelon)
+                for d, echelon in enumerate(self._echelons))
         return self._kernels
+
+    def restricted_rank(self, d, rows=None, cols=None):
+        """Rank of the differential out of degree d restricted to the target
+        coordinates `rows` and the source coordinates `cols` (all of them
+        when None)."""
+        parts = self.parts[d]
+        if rows is not None:
+            parts = [[part[k] for k in rows] for part in parts]
+        ncols = self.algebra.dim(d)
+        if cols is not None:
+            parts = [[[row[j] for j in cols] for row in part]
+                     for part in parts]
+            ncols = len(cols)
+        return len(_rref_parts(parts, ncols, self.algebra.field)[0])
+
+    def cocycle_rank(self, d, coords):
+        """Rank of the cocycles of degree d restricted to the coordinates
+        `coords`: of the rows `coords` of the `kernels()[d]` basis, read off
+        the integer RREF.  A free coordinate is a unit row there and a pivot
+        coordinate minus its RREF row on the free columns; the sign and the
+        row's denominator change no rank."""
+        self.ranks()
+        pivots, free, echelon = self._echelons[d]
+        position = {f: t for t, f in enumerate(free)}
+        pivot_rows = dict(zip(pivots, echelon))
+        parts = [[] for _ in self.parts[d]]
+        for k in coords:
+            if k in position:
+                unit = [0] * len(free)
+                unit[position[k]] = 1
+                parts[0].append(unit)
+                for part in parts[1:]:
+                    part.append([0] * len(free))
+            else:
+                for part, nums in zip(parts, pivot_rows[k][1]):
+                    part.append(nums)
+        return len(_rref_parts(parts, len(free), self.algebra.field)[0])
 
     def cohomology_dims(self):
         """h^d = dim ker(d_d) - rank(d_{d-1}) for each degree through top."""
@@ -112,7 +177,9 @@ def reduce_algebra_mod(algebra, prime):
 
     For Gaussian coefficients, i is sent to a square root of -1 mod p
     (requires p = 1 mod 4).  Raises BadPrimeError when a denominator dies
-    mod p or the quotient dimensions collapse (unlucky prime).
+    mod p or the quotient basis is not the rational one in some degree
+    (unlucky prime): the dimensions collapse, or they agree but the pivots
+    move, and coordinates over F_p would name other monomials.
     """
     fp = GF(prime)
     if algebra.field is QQ:
@@ -131,10 +198,12 @@ def reduce_algebra_mod(algebra, prime):
     reduced = build_quotient_algebra(
         algebra.ngens, gens, algebra.top, field=fp,
         hodge_types=algebra.hodge_types)
-    if reduced.dims() != algebra.dims():
-        raise BadPrimeError(
-            f"quotient dimensions collapse mod {prime}: "
-            f"{reduced.dims()} vs {algebra.dims()}")
+    for d, (got, want) in enumerate(zip(reduced.basis, algebra.basis)):
+        if got != want:
+            raise BadPrimeError(
+                f"quotient basis in degree {d} moves mod {prime} ({len(got)} "
+                f"vs {len(want)} monomials): coordinates over F_{prime} "
+                "would not name the rational basis")
     return reduced, i_res
 
 
@@ -157,9 +226,14 @@ def generic_dims_sample(algebra, subspace=None, trials=40,
     """
     if trials < 1:
         raise PreconditionError("at least one trial required")
+    n1 = algebra.dim(1)
+    for k, row in enumerate(subspace or ()):
+        if len(row) != n1:
+            raise PreconditionError(
+                f"subspace row {k} has {len(row)} entries; A^1 has "
+                f"dimension {n1}")
     reduced, i_res = reduce_algebra_mod(algebra, prime)
     fp = GF(prime)
-    n1 = algebra.dim(1)
     if subspace is None:
         rows = [[fp.one() if i == j else fp.zero() for i in range(n1)]
                 for j in range(n1)]
@@ -242,9 +316,6 @@ def log_resonance_membership(algebra, alpha):
         raise PreconditionError(
             "class lies outside filtration level F^1 in degree 1; "
             "logarithmic membership undefined")
-    full = algebra.class_mult_matrix(alpha, 1)
-    restricted = Matrix([[row[j] for j in f1] for row in full.entries],
-                        field=algebra.field, ncols=len(f1))
-    r, _ = rank_and_kernel(restricted)
+    r = AomotoComplex(algebra, alpha).restricted_rank(1, cols=f1)
     h1 = len(f1) - r - 1
     return LogResonanceReport(h1 >= 1, h1, False, len(f1))

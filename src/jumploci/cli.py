@@ -40,7 +40,22 @@ _IU = GaussianRational(0, 1)
 
 def jsonable(x):
     """Exact JSON form of report values: rationals as strings, dataclasses
-    as objects, tuple keys flattened to comma-joined strings."""
+    as objects, tuple keys flattened to comma-joined strings.
+
+    Rationals are rendered in full.  Python refuses to print an integer of
+    more than 4300 digits by default; the inputs are bounded already (see
+    `io.parse_rational`), so that limit is lifted here, and only here."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
+        return _jsonable(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _jsonable(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _jsonable(x):
     if isinstance(x, bool) or x is None or isinstance(x, (int, str, float)):
         return x
     if isinstance(x, Fraction):
@@ -50,14 +65,14 @@ def jsonable(x):
     if isinstance(x, ExpPolynomial):
         return [{"frequency": str(mu), "coeff": str(c)} for mu, c in x.terms]
     if is_dataclass(x):
-        return {f.name: jsonable(getattr(x, f.name)) for f in fields(x)}
+        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
         return {
             (",".join(str(k) for k in key) if isinstance(key, tuple)
-             else str(key)): jsonable(v)
+             else str(key)): _jsonable(v)
             for key, v in x.items()}
     if isinstance(x, (list, tuple, set, frozenset)):
-        return [jsonable(v) for v in x]
+        return [_jsonable(v) for v in x]
     return str(x)
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .aomoto import AomotoComplex
 from .errors import PreconditionError
 from .exterior import Multivector, build_quotient_algebra, wedge
-# rank_and_kernel is imported for the benchmark's tracer, which wraps
-# elliptic.rank_and_kernel
+# rank_and_kernel and rref are imported for the benchmark's tracer, which
+# wraps elliptic.rank_and_kernel and elliptic.rref
 from .scalars import QI, GaussianRational, Matrix, rank_and_kernel, rref, solve_linear  # noqa: F401
 
 _I = GaussianRational(0, 1)
@@ -216,16 +216,6 @@ class E2Report:
     consistent: bool
 
 
-def _filtered_dim(rank_v, coord_rows, inside):
-    """dim(V intersect F) for the span V of some vectors, given its rank and
-    its coordinate rows (row k holds coordinate k of every spanning vector),
-    and F the coordinate subspace on the positions `inside`: rank V minus
-    the rank of V restricted to the other positions."""
-    outside = [row for k, row in enumerate(coord_rows) if k not in inside]
-    r, _, _ = rref(outside, QI)
-    return rank_v - r
-
-
 def e2_page(model, x, y):
     """Dims of the E2 terms Gr_F^p H_{p+q} for p + q <= 2 of the complex
     (A*, alpha wedge) at a nonzero alpha = (x, ix) in F^1.
@@ -248,18 +238,19 @@ def e2_page(model, x, y):
     coords = deep.class_coords(x, y)
     cx = AomotoComplex(deep.algebra, coords)
     h = cx.cohomology_dims()[:3]
+    ranks = cx.ranks()
     entries = {}
     for m in range(3):
-        kernel = cx.kernels()[m]
-        cocycles = list(zip(*kernel))
-        # the coboundaries are spanned by the columns of d_{m-1}
-        bounds = cx.matrices[m - 1].entries if m else ()
-        rank_bounds = cx.ranks()[m - 1] if m else 0
+        dim_m = deep.algebra.dim(m)
         fdims = []
         for p in range(m + 2):
             inside = set(deep.algebra.hodge_positions(p, m))
-            fdims.append(_filtered_dim(len(kernel), cocycles, inside)
-                         - _filtered_dim(rank_bounds, bounds, inside))
+            outside = [k for k in range(dim_m) if k not in inside]
+            cocycles = dim_m - ranks[m] - cx.cocycle_rank(m, outside)
+            # the coboundaries are spanned by the columns of d_{m-1}
+            bounds = (ranks[m - 1] - cx.restricted_rank(m - 1, rows=outside)
+                      if m else 0)
+            fdims.append(cocycles - bounds)
         for p in range(m + 1):
             entries[(p, m - p)] = fdims[p] - fdims[p + 1]
     consistent = all(

@@ -14,10 +14,13 @@ first index is at least p.
 
 from __future__ import annotations
 
-from itertools import combinations
+import operator
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
+from math import lcm
 
 from .errors import PreconditionError
-from .scalars import QQ, Matrix, rref
+from .scalars import QI, QQ, GaussianRational, Matrix, rref
 
 
 def _mask(indices):
@@ -172,6 +175,10 @@ class GradedAlgebra:
     holds the monomial list (lex order), the quotient basis (non-pivot
     monomials of the ideal's reduced echelon form), and projections of all
     monomials.  All data is exact over `field`.
+
+    Multiplication by the generators is kept as integer structure constants
+    (`structure_constants`), built from the projections on first use; the
+    Aomoto differentials are assembled from them (`class_mult_parts`).
     """
 
     def __init__(self, ngens, field, top, ideal_gens, hodge_types,
@@ -186,7 +193,8 @@ class GradedAlgebra:
             {m: k for k, m in enumerate(ms)} for ms in monomials]
         self.basis = basis
         self.proj = proj
-        self._gen_mult = {}
+        self._structure = {}
+        self._anticommutes = False
 
     def dim(self, d):
         if d < 0 or d > self.top:
@@ -234,51 +242,151 @@ class GradedAlgebra:
             return self.zero_coords(deg)
         return self.project(w, deg)
 
-    def generator_matrix(self, i, d):
-        """Matrix of (e_i wedge .): A^d -> A^{d+1} in quotient coordinates,
-        stored as columns."""
-        key = (i, d)
-        if key not in self._gen_mult:
+    def structure_constants(self, d):
+        """Multiplication by each generator out of degree d in integers:
+        (den, cols) with cols[i][j] the sparse column ((row, entry), ...) of
+        den * (e_i wedge .): A^d -> A^{d+1} at the j-th basis monomial.
+
+        `den` is the lcm of the denominators of the projections into
+        A^{d+1}; entries are ints over QQ, (re, im) int pairs over QQ(i) and
+        residues over F_p (den = 1).  Built on first use and kept.
+        """
+        if d not in self._structure:
+            self._structure[d] = self._integer_structure(d)
+        return self._structure[d]
+
+    def _integer_structure(self, d):
+        field = self.field
+        target = self.proj[d + 1]
+        if field is QQ:
+            den = lcm(*(c.denominator for col in target for _, c in col))
+            cleared = [tuple((j, c.numerator * (den // c.denominator))
+                             for j, c in col) for col in target]
+            neg = operator.neg
+        elif field is QI:
+            den = lcm(*(x.denominator for col in target for _, c in col
+                        for x in (c.re, c.im)))
+            cleared = [tuple((j, (c.re.numerator * (den // c.re.denominator),
+                                  c.im.numerator * (den // c.im.denominator)))
+                             for j, c in col) for col in target]
+
+            def neg(e):
+                return -e[0], -e[1]
+        else:
+            den, cleared = 1, target
+
+            def neg(e):
+                return -e % field.p
+        index = self.mono_index[d + 1]
+        cols = []
+        for i in range(self.ngens):
             bit = 1 << i
-            cols = []
-            tgt_dim = self.dim(d + 1)
-            index = self.mono_index[d + 1]
-            proj = self.proj[d + 1]
-            zero = self.field.zero()
+            gen = []
             for m in self.basis[d]:
                 if m & bit:
-                    cols.append([zero] * tgt_dim)
+                    gen.append(())
                     continue
-                sign = _merge_sign(bit, m)
-                col = [zero] * tgt_dim
-                for j, pc in proj[index[bit | m]]:
-                    col[j] = pc if sign == 1 else self.field.coerce(-pc)
-                cols.append(col)
-            self._gen_mult[key] = cols
-        return self._gen_mult[key]
+                col = cleared[index[bit | m]]
+                if _merge_sign(bit, m) < 0:
+                    col = tuple((j, neg(e)) for j, e in col)
+                gen.append(col)
+            cols.append(gen)
+        return den, cols
+
+    def check_anticommutation(self):
+        """Certify (alpha wedge .)^2 = 0 for every alpha in A^1, once per
+        algebra: with E_i = (e_i wedge .), check E_i E_j + E_j E_i = 0 for
+        all i <= j out of every degree, on the integer structure constants
+        (mod p over F_p).  (alpha wedge .)^2 is the sum of a_i a_j times
+        these maps, so the Aomoto complex of every alpha is a complex.
+        Raises AssertionError naming the pair and degree that fail."""
+        if self._anticommutes:
+            return
+        gaussian = self.field is QI
+        p = None if self.field is QQ or gaussian else self.field.p
+        pairs = list(combinations_with_replacement(range(self.ngens), 2))
+        for d in range(self.top - 1):
+            _, first = self.structure_constants(d)
+            _, second = self.structure_constants(d + 1)
+            for j, (i, k) in product(range(self.dim(d)), pairs):
+                acc = {}
+                for a, b in {(i, k), (k, i)}:
+                    for r, c in first[a][j]:
+                        for s, e in second[b][r]:
+                            if gaussian:
+                                x, y = acc.get(s, (0, 0))
+                                acc[s] = (x + c[0] * e[0] - c[1] * e[1],
+                                          y + c[0] * e[1] + c[1] * e[0])
+                            else:
+                                acc[s] = acc.get(s, 0) + c * e
+                if any(any(x) if gaussian else x % p if p else x
+                       for x in acc.values()):
+                    raise AssertionError(
+                        f"e_{i} and e_{k} do not anticommute out of degree "
+                        f"{d}: the Aomoto differentials would not square "
+                        "to zero")
+        self._anticommutes = True
+
+    def class_mult_parts(self, alpha, d):
+        """The matrix of (alpha wedge .): A^d -> A^{d+1} as the cleared
+        parts that `scalars._rref_parts` takes, for alpha given by integer
+        coordinates (ints over QQ, (re, im) int pairs over QQ(i), residues
+        over F_p).  Rows are target coordinates; the parts are den_d times
+        the matrix, which changes no rank, kernel or RREF."""
+        nparts = 2 if self.field is QI else 1
+        nsrc, ntgt = self.dim(d), self.dim(d + 1)
+        parts = [[[0] * nsrc for _ in range(ntgt)] for _ in range(nparts)]
+        if d >= self.top:
+            return parts
+        _, cols = self.structure_constants(d)
+        if nparts == 2:
+            re, im = parts
+            for (ar, ai), gen in zip(alpha, cols):
+                if not (ar or ai):
+                    continue
+                for j, col in enumerate(gen):
+                    for r, (cr, ci) in col:
+                        re[r][j] += ar * cr - ai * ci
+                        im[r][j] += ar * ci + ai * cr
+            return parts
+        rows = parts[0]
+        for a, gen in zip(alpha, cols):
+            if not a:
+                continue
+            for j, col in enumerate(gen):
+                for r, c in col:
+                    rows[r][j] += a * c
+        if self.field is not QQ:
+            p = self.field.p
+            parts[0] = [[x % p for x in row] for row in rows]
+        return parts
 
     def class_mult_matrix(self, alpha, d):
         """Matrix of (alpha wedge .): A^d -> A^{d+1}, alpha in A^1 coords.
 
-        Returns a Matrix acting on coordinate columns (rows = target dim).
+        Returns a Matrix acting on coordinate columns (rows = target dim),
+        with entries in the field, derived from `structure_constants`.
         """
+        field = self.field
         if d >= self.top:
-            return Matrix([], field=self.field, ncols=self.dim(d))
+            return Matrix([], field=field, ncols=self.dim(d))
+        den, cols = self.structure_constants(d)
         nsrc, ntgt = self.dim(d), self.dim(d + 1)
-        zero = self.field.zero()
+        zero = field.zero()
         rows = [[zero] * nsrc for _ in range(ntgt)]
-        for i, a in enumerate(alpha):
-            a = self.field.coerce(a)
+        for a, gen in zip(alpha, cols):
+            a = field.coerce(a)
             if not a:
                 continue
-            cols = self.generator_matrix(i, d)
-            for j in range(nsrc):
-                col = cols[j]
-                for r in range(ntgt):
-                    c = col[r]
-                    if c:
-                        rows[r][j] = rows[r][j] + a * c
-        return Matrix(rows, field=self.field, ncols=nsrc)
+            for j, col in enumerate(gen):
+                for r, c in col:
+                    if field is QI:
+                        c = GaussianRational(*c)
+                    rows[r][j] = rows[r][j] + a * c
+        if den != 1:
+            inv = field.coerce(Fraction(1, den))
+            rows = [[x * inv for x in row] for row in rows]
+        return Matrix(rows, field=field, ncols=nsrc)
 
     def monomial_hodge_type(self, mask):
         if self.hodge_types is None:

@@ -579,6 +579,51 @@ def _rref_lifted(parts, ncols):
             return pivots, free, candidate
 
 
+def _rref_parts(parts, ncols, field):
+    """The stage of `rref` after `_clear`: the RREF of a matrix given as
+    cleared integer parts ([A] over QQ, [Re A, Im A] over QQ(i)) or as
+    residue rows over F_p ([A]; the rows are not modified).
+
+    A nonzero scale of any row changes no RREF, so every cleared form of a
+    matrix gives the RREF of the matrix itself.  Returns the pivot columns,
+    the free columns, and per RREF row (den, numerators per part on the
+    free columns): row k is 1 at pivots[k] and nums[j] / den at free[j].
+    """
+    if not parts[0] or not ncols:
+        return (), list(range(ncols)), []
+    if field is QQ or field is QI:
+        return _rref_lifted(parts, ncols)
+    rows = [list(r) for r in parts[0]]
+    pivots = tuple(_rref_mod(rows, field.p))
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    return pivots, free, [(1, [[row[f] for f in free]])
+                          for row in rows[:len(pivots)]]
+
+
+def _kernel_basis(field, ncols, pivots, free, echelon):
+    """The canonical kernel basis from an RREF in the form `_rref_parts`
+    returns: one vector per free column in ascending order, 1 there and
+    minus the RREF entries of that column on the pivots.  Equal, entry for
+    entry, to the basis `rank_and_kernel` derives from `rref`."""
+    zero, one = field.zero(), field.one()
+    kernel = []
+    for j, f in enumerate(free):
+        v = [zero] * ncols
+        v[f] = one
+        for pc, (den, nums) in zip(pivots, echelon):
+            a = nums[0][j]
+            if field is QI:
+                b = nums[1][j]
+                if a or b:
+                    v[pc] = GaussianRational(Fraction(-a, den),
+                                             Fraction(-b, den))
+            elif a:
+                v[pc] = Fraction(-a, den) if field is QQ else -a % field.p
+        kernel.append(tuple(v))
+    return kernel
+
+
 def rref(rows, field=None):
     """Reduced row echelon form of a list of rows (or a Matrix).
 
@@ -606,10 +651,11 @@ def rref(rows, field=None):
         pivots = _rref_mod(residues, field.p)
         return len(pivots), tuple(pivots), [tuple(r) for r in
                                             residues[:len(pivots)]]
-    pivots, free, candidate = _rref_lifted(_clear(rows, field is QI), ncols)
+    pivots, free, echelon = _rref_parts(_clear(rows, field is QI), ncols,
+                                        field)
     zero, one = field.zero(), field.one()
     out = []
-    for k, (den, nums) in enumerate(candidate):
+    for k, (den, nums) in enumerate(echelon):
         row = [zero] * ncols
         row[pivots[k]] = one
         if field is QQ:

@@ -12,9 +12,9 @@ from jumploci.aomoto import (
 from jumploci.arrangement import Arrangement, os_algebra, points_arrangement
 from jumploci.elliptic import elliptic_model, tangent_pair_basis
 from jumploci.errors import PreconditionError
-from jumploci.exterior import build_quotient_algebra
+from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.scalars import (
-    GaussianRational, Matrix, rank_and_kernel, solve_linear)
+    BadPrimeError, GaussianRational, Matrix, rank_and_kernel, solve_linear)
 from jumploci.verify import SIXPLANES_FORMS
 
 I = GaussianRational(0, 1)
@@ -56,8 +56,8 @@ def test_concurrent_triple_point_resonance():
 
 
 def test_kernels_are_kept_from_the_rank_computation():
-    # e2_page reads the cocycles from here instead of reducing the
-    # differentials a second time
+    # the kernels are read off the integer reductions behind `ranks`, and
+    # are the ones rank_and_kernel gives on the Fraction matrices
     cx = AomotoComplex(six_planes(), [1, 1, 1, -1, 0, 2])
     ranks = cx.ranks()
     kernels = cx.kernels()
@@ -119,6 +119,28 @@ def test_generic_dims_on_subspace():
 def test_generic_dims_zero_subspace():
     with pytest.raises(PreconditionError, match="zero subspace"):
         generic_dims_sample(concurrent3(), subspace=[[0, 0, 0]], trials=5)
+
+
+@pytest.mark.parametrize("subspace, length", [
+    ([[1, 0, 0, 5]], 4), ([[1, -1]], 2), ([[1, 0, -1], [0, 1]], 2)])
+def test_generic_dims_subspace_rows_need_dim_a1_entries(subspace, length):
+    k = len(subspace) - 1
+    with pytest.raises(PreconditionError,
+                       match=f"subspace row {k} has {length} entries; "
+                             "A\\^1 has dimension 3"):
+        generic_dims_sample(concurrent3(), subspace=subspace, trials=5)
+
+
+def test_reduction_refuses_a_prime_that_moves_the_pivots():
+    # (13 e0e1 + e0e2): over Q the degree-2 pivot is e0e1 and the basis
+    # {e0e2, e1e2}; mod 13 the pivot is e0e2 and the basis {e0e1, e1e2}.
+    # The dims agree, so only the basis comparison sees it.
+    A = build_quotient_algebra(3, [Multivector(3, [(0b011, 13), (0b101, 1)])],
+                               3)
+    assert A.basis[2] == [0b101, 0b110]
+    with pytest.raises(BadPrimeError, match="basis in degree 2 moves mod 13"):
+        generic_dims_sample(A, prime=13, trials=5)
+    assert generic_dims_sample(A, prime=17, trials=5).dims == (0, 0, 0, 0)
 
 
 def test_semicontinuity_at_special_point():

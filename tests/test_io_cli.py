@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -493,6 +494,44 @@ def test_huge_decimal_exponent_exits_2_in_json_and_weights(tmp_path):
                         "--weights", "1,1e100000000"], 2)
     assert err["kind"] == "parse"
     assert err["error"].startswith("weights[1]: bad rational '1e100000000'")
+
+
+@pytest.mark.parametrize("subspace, length", [("1,0,0,5", 4), ("1,-1", 2)])
+def test_subspace_rows_of_the_wrong_length_exit_2(subspace, length):
+    # concurrent3 has dim A^1 = 3: a longer row used to raise IndexError,
+    # a shorter one was padded with zeros
+    err = stderr_error(["resonance-sample", "--arrangement", "concurrent3",
+                        "--subspace", subspace], 2)
+    assert err["kind"] == "precondition"
+    assert err["error"] == (f"subspace row 0 has {length} entries; "
+                            "A^1 has dimension 3")
+
+
+def _unlimited_str(n):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_reports_render_rationals_beyond_the_digit_limit_exactly():
+    # a critical point of (t - 1/N)^N (t - N) is (N^2 - N + 1)/N, whose
+    # numerator has 8000 digits; and (t - 1)(t - 2)^W with W = 10^4300 has
+    # its critical point at (W + 2)/(W + 1)
+    limit = sys.get_int_max_str_digits()
+    n = int("7" * 4000)
+    rep = report(["master", "--points", f"1/{'7' * 4000},{'7' * 4000}",
+                  "--weights", f"{'7' * 4000},1"])
+    value = rep["result"]["critical"]["zeros"][0]["value"]
+    assert value == f"{_unlimited_str(n * n - n + 1)}/{'7' * 4000}"
+    rep = report(["master", "--points", "1,2", "--weights", "1,1e4300"])
+    for key in ("critical", "log_divisor"):
+        zeros = rep["result"][key]["zeros"]
+        assert [z["value"] for z in zeros] == [
+            f"1{'0' * 4299}2/1{'0' * 4299}1"]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_exit_code_2_on_precondition_errors(tmp_path):
