@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import PreconditionError
@@ -24,16 +23,13 @@ from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
 
 
 def _integral(field, alpha):
-    """Integer coordinates of a nonzero multiple of alpha, cleared with one
-    lcm: ints over QQ, (re, im) pairs over QQ(i), the residues over F_p.
-    A nonzero multiple of a differential has the same rank, kernel and
-    RREF."""
-    if field is QQ:
-        return _clear([alpha], False)[0][0]
-    if field is QI:
-        re, im = _clear([alpha], True)
-        return list(zip(re[0], im[0]))
-    return alpha
+    """The integer parts of a nonzero multiple of alpha, cleared with one
+    lcm as `_clear` returns them: [ints] over QQ, [re, im] over QQ(i), and
+    [residues] over F_p.  A nonzero multiple of a differential has the same
+    rank, kernel and RREF."""
+    if field is QQ or field is QI:
+        return [part[0] for part in _clear([alpha], field is QI)]
+    return [alpha]
 
 
 class AomotoComplex:
@@ -164,20 +160,17 @@ def resonance_membership(algebra, alpha, degree, depth=1):
 
 def _scalar_mod(x, fp, i_res):
     if isinstance(x, GaussianRational):
-        if i_res is None:
-            raise BadPrimeError(
-                f"Gaussian coefficients need a prime p = 1 mod 4; "
-                f"got {fp.p}")
         return fp.coerce(fp.coerce(x.re) + i_res * fp.coerce(x.im))
     return fp.coerce(x)
 
 
 def reduce_algebra_mod(algebra, prime):
-    """Rebuild a rational or Gaussian-rational quotient algebra over F_p.
+    """Rebuild a quotient algebra over QQ or QQ(i) over F_p from its
+    rational ideal generators.
 
-    For Gaussian coefficients, i is sent to a square root of -1 mod p
-    (requires p = 1 mod 4).  Raises BadPrimeError when a denominator dies
-    mod p or the quotient basis is not the rational one in some degree
+    Over QQ(i) the coordinates send i to the returned square root of -1
+    mod p (requires p = 1 mod 4).  Raises BadPrimeError when a denominator
+    dies mod p or the quotient basis is not the rational one in some degree
     (unlucky prime): the dimensions collapse, or they agree but the pivots
     move, and coordinates over F_p would name other monomials.
     """
@@ -188,13 +181,9 @@ def reduce_algebra_mod(algebra, prime):
         i_res = fp.sqrt_minus_one()
     else:
         raise PreconditionError("algebra is already over a prime field")
-    gens = [
-        Multivector(g.ngens,
-                    [(m, _scalar_mod(Fraction(c) if isinstance(c, int) else c,
-                                     fp, i_res))
-                     for m, c in g.terms.items()])
-        for g in algebra.ideal_gens
-    ]
+    gens = [Multivector(g.ngens,
+                        [(m, fp.coerce(c)) for m, c in g.terms.items()])
+            for g in algebra.ideal_gens]
     reduced = build_quotient_algebra(
         algebra.ngens, gens, algebra.top, field=fp,
         hodge_types=algebra.hodge_types)
@@ -277,6 +266,15 @@ class IsotropyReport:
 def isotropic_check(algebra, vectors):
     """Do all pairwise products of the given degree-one classes vanish in
     degree two?  On failure the witness names the offending pair."""
+    if algebra.top < 2:
+        raise PreconditionError(
+            f"isotropy needs the algebra built through degree 2; top is "
+            f"{algebra.top}")
+    n1 = algebra.dim(1)
+    for k, v in enumerate(vectors):
+        if len(v) != n1:
+            raise PreconditionError(
+                f"vector {k} has {len(v)} entries; A^1 has dimension {n1}")
     lifts = [algebra.lift([algebra.field.coerce(x) for x in v], 1)
              for v in vectors]
     for i in range(len(lifts)):
@@ -307,6 +305,9 @@ def log_resonance_membership(algebra, alpha):
     if algebra.hodge_types is None:
         raise PreconditionError("logarithmic resonance needs Hodge types")
     alpha = [algebra.field.coerce(a) for a in alpha]
+    if len(alpha) != algebra.dim(1):
+        raise PreconditionError(
+            f"alpha needs {algebra.dim(1)} coordinates, got {len(alpha)}")
     # F^1 A^1 is the coordinate subspace on these positions
     f1 = algebra.hodge_positions(1, 1)
     if not any(alpha):

@@ -3,11 +3,11 @@ truncated cohomology model, the scroll (determinantal) resonance variety,
 Hodge decomposition of degree-one classes, and the filtered E2 page of the
 twisted complex.
 
-The curve's period is fixed at the Gaussian unit i, so everything runs
-exactly over Q(i).  Degree-one classes are written either in (x, y)
-coordinates (x_k dual to a_k, y_k dual to b_k) or in the pure-basis
-coordinates used internally: u_k = a_k + i b_k of type (1,0) and
-v_k = a_k - i b_k of type (0,1).
+The curve's period is fixed at the Gaussian unit i, so classes have exact
+coordinates over Q(i) (the relations are rational).  Degree-one classes
+are written either in (x, y) coordinates (x_k dual to a_k, y_k dual to
+b_k) or in the pure-basis coordinates used internally: u_k = a_k + i b_k
+of type (1,0) and v_k = a_k - i b_k of type (0,1).
 """
 
 from __future__ import annotations
@@ -86,7 +86,11 @@ def diagonal_class(n, k, l):
 class EllipticModel:
     """Truncated cohomology algebra of the configuration space of n points
     on an elliptic curve: exterior algebra on a_1, b_1, ..., a_n, b_n modulo
-    the span of the diagonal classes, with its Hodge bigrading."""
+    the span of the diagonal classes, with its Hodge bigrading.
+
+    The diagonals are integral classes, so each Kunneth class (kept in
+    `diagonals`) over its coefficient at the lowest monomial is a rational
+    relation; the algebra is built from these, with coordinates in QQ(i)."""
 
     def __init__(self, n, top=2):
         if not 2 <= n <= 32:
@@ -100,9 +104,13 @@ class EllipticModel:
         types = []
         for _ in range(n):
             types.extend([(1, 0), (0, 1)])
+        relations = [g.scale(1 / g.terms[min(g.terms)])
+                     for g in self.diagonals.values()]
+        if any(c.im for g in relations for c in g.terms.values()):
+            raise AssertionError("a diagonal class is not a multiple of a "
+                                 "rational relation")
         self.algebra = build_quotient_algebra(
-            2 * n, list(self.diagonals.values()), top,
-            field=QI, hodge_types=types)
+            2 * n, relations, top, field=QI, hodge_types=types)
 
     @property
     def top(self):

@@ -4,23 +4,23 @@ Subsets of generators are bitmasks, so a multivector is a sparse map from
 bitmask to coefficient.  Quotient algebras store, per degree, the monomial
 basis, a canonical quotient basis (the lexicographically smallest monomials
 completing an echelon basis of the ideal), and the projection of every
-monomial onto that basis.  Generators may carry Hodge types (p, q), in which
-case monomials are bigraded.  Ideal generators must then be pure, so the
-ideal's reduced echelon form splits into blocks by type and every monomial
-projects onto basis monomials of its own type.  The Hodge filtration F^p is
-therefore a coordinate subspace: the span of the basis monomials whose
-first index is at least p.
+monomial onto that basis, all rational (over QQ(i) too) or mod p.
+Generators may carry Hodge types (p, q), in which case monomials are
+bigraded.  Ideal generators must then be pure, so the ideal's reduced
+echelon form splits into blocks by type and every monomial projects onto
+basis monomials of its own type.  The Hodge filtration F^p is therefore a
+coordinate subspace: the span of the basis monomials whose first index is
+at least p.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 from .errors import PreconditionError
-from .scalars import QI, QQ, GaussianRational, Matrix, rref
+from .scalars import QI, QQ, Matrix, rref
 
 
 def _mask(indices):
@@ -174,7 +174,8 @@ class GradedAlgebra:
     Built by `build_quotient_algebra`.  For each degree d up to `top` it
     holds the monomial list (lex order), the quotient basis (non-pivot
     monomials of the ideal's reduced echelon form), and projections of all
-    monomials.  All data is exact over `field`.
+    monomials, as rationals (residues over F_p); `field` is the field of
+    the coordinates that `project`, `lift` and `hodge_subspace` use.
 
     Multiplication by the generators is kept as integer structure constants
     (`structure_constants`), built from the projections on first use; the
@@ -248,35 +249,22 @@ class GradedAlgebra:
         den * (e_i wedge .): A^d -> A^{d+1} at the j-th basis monomial.
 
         `den` is the lcm of the denominators of the projections into
-        A^{d+1}; entries are ints over QQ, (re, im) int pairs over QQ(i) and
-        residues over F_p (den = 1).  Built on first use and kept.
+        A^{d+1}; entries are ints over QQ and QQ(i) and residues over F_p
+        (den = 1).  Built on first use and kept.
         """
         if d not in self._structure:
             self._structure[d] = self._integer_structure(d)
         return self._structure[d]
 
     def _integer_structure(self, d):
-        field = self.field
+        p = getattr(self.field, "p", None)
         target = self.proj[d + 1]
-        if field is QQ:
+        if p:
+            den, cleared = 1, target
+        else:
             den = lcm(*(c.denominator for col in target for _, c in col))
             cleared = [tuple((j, c.numerator * (den // c.denominator))
                              for j, c in col) for col in target]
-            neg = operator.neg
-        elif field is QI:
-            den = lcm(*(x.denominator for col in target for _, c in col
-                        for x in (c.re, c.im)))
-            cleared = [tuple((j, (c.re.numerator * (den // c.re.denominator),
-                                  c.im.numerator * (den // c.im.denominator)))
-                             for j, c in col) for col in target]
-
-            def neg(e):
-                return -e[0], -e[1]
-        else:
-            den, cleared = 1, target
-
-            def neg(e):
-                return -e % field.p
         index = self.mono_index[d + 1]
         cols = []
         for i in range(self.ngens):
@@ -288,7 +276,7 @@ class GradedAlgebra:
                     continue
                 col = cleared[index[bit | m]]
                 if _merge_sign(bit, m) < 0:
-                    col = tuple((j, neg(e)) for j, e in col)
+                    col = tuple((j, -e % p if p else -e) for j, e in col)
                 gen.append(col)
             cols.append(gen)
         return den, cols
@@ -302,8 +290,7 @@ class GradedAlgebra:
         Raises AssertionError naming the pair and degree that fail."""
         if self._anticommutes:
             return
-        gaussian = self.field is QI
-        p = None if self.field is QQ or gaussian else self.field.p
+        p = getattr(self.field, "p", None)
         pairs = list(combinations_with_replacement(range(self.ngens), 2))
         for d in range(self.top - 1):
             _, first = self.structure_constants(d)
@@ -313,14 +300,8 @@ class GradedAlgebra:
                 for a, b in {(i, k), (k, i)}:
                     for r, c in first[a][j]:
                         for s, e in second[b][r]:
-                            if gaussian:
-                                x, y = acc.get(s, (0, 0))
-                                acc[s] = (x + c[0] * e[0] - c[1] * e[1],
-                                          y + c[0] * e[1] + c[1] * e[0])
-                            else:
-                                acc[s] = acc.get(s, 0) + c * e
-                if any(any(x) if gaussian else x % p if p else x
-                       for x in acc.values()):
+                            acc[s] = acc.get(s, 0) + c * e
+                if any(x % p if p else x for x in acc.values()):
                     raise AssertionError(
                         f"e_{i} and e_{k} do not anticommute out of degree "
                         f"{d}: the Aomoto differentials would not square "
@@ -329,36 +310,26 @@ class GradedAlgebra:
 
     def class_mult_parts(self, alpha, d):
         """The matrix of (alpha wedge .): A^d -> A^{d+1} as the cleared
-        parts that `scalars._rref_parts` takes, for alpha given by integer
-        coordinates (ints over QQ, (re, im) int pairs over QQ(i), residues
-        over F_p).  Rows are target coordinates; the parts are den_d times
-        the matrix, which changes no rank, kernel or RREF."""
-        nparts = 2 if self.field is QI else 1
+        parts that `scalars._rref_parts` takes, for alpha given by its
+        integer parts, one list each ([ints] over QQ, [re, im] over QQ(i),
+        [residues] over F_p; see `aomoto._integral`).  Rows are target
+        coordinates; the parts are den_d times the matrix, which changes no
+        rank, kernel or RREF."""
         nsrc, ntgt = self.dim(d), self.dim(d + 1)
-        parts = [[[0] * nsrc for _ in range(ntgt)] for _ in range(nparts)]
+        parts = [[[0] * nsrc for _ in range(ntgt)] for _ in alpha]
         if d >= self.top:
             return parts
         _, cols = self.structure_constants(d)
-        if nparts == 2:
-            re, im = parts
-            for (ar, ai), gen in zip(alpha, cols):
-                if not (ar or ai):
+        for rows, coords in zip(parts, alpha):
+            for a, gen in zip(coords, cols):
+                if not a:
                     continue
                 for j, col in enumerate(gen):
-                    for r, (cr, ci) in col:
-                        re[r][j] += ar * cr - ai * ci
-                        im[r][j] += ar * ci + ai * cr
-            return parts
-        rows = parts[0]
-        for a, gen in zip(alpha, cols):
-            if not a:
-                continue
-            for j, col in enumerate(gen):
-                for r, c in col:
-                    rows[r][j] += a * c
-        if self.field is not QQ:
-            p = self.field.p
-            parts[0] = [[x % p for x in row] for row in rows]
+                    for r, c in col:
+                        rows[r][j] += a * c
+        p = getattr(self.field, "p", None)
+        if p:
+            parts = [[[x % p for x in row] for row in rows] for rows in parts]
         return parts
 
     def class_mult_matrix(self, alpha, d):
@@ -380,8 +351,6 @@ class GradedAlgebra:
                 continue
             for j, col in enumerate(gen):
                 for r, c in col:
-                    if field is QI:
-                        c = GaussianRational(*c)
                     rows[r][j] = rows[r][j] + a * c
         if den != 1:
             inv = field.coerce(Fraction(1, den))
@@ -426,6 +395,9 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     present they must also be pure (all monomials of equal total type).
     The quotient basis in each degree is canonical: monomials are ordered
     lexicographically and the non-pivot ones survive.
+
+    Over QQ(i) the generators must be rational: the ideal is ranked over QQ,
+    and `field` is only the field of the coordinates.
     """
     if top < 0:
         raise PreconditionError("top degree must be nonnegative")
@@ -444,6 +416,13 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
             raise PreconditionError(
                 f"ideal generator {k} has degree {g.degree()}; degree-one "
                 "relations would change the generator space")
+        if field is QI:
+            coeffs = {m: QI.coerce(c) for m, c in g.terms.items()}
+            if any(c.im for c in coeffs.values()):
+                raise PreconditionError(
+                    f"ideal generator {k} has a non-rational coefficient; "
+                    "the relations of a quotient over QQ(i) are rational")
+            g = Multivector(ngens, {m: c.re for m, c in coeffs.items()})
         gens.append(g)
     if hodge_types is not None:
         hodge_types = tuple(tuple(t) for t in hodge_types)
@@ -455,6 +434,7 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
                 raise PreconditionError(
                     f"ideal generator {k} mixes Hodge types {sorted(types)}")
 
+    base = QQ if field is QI else field
     monomials = []
     basis = []
     proj = []
@@ -471,12 +451,12 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
                 w = wedge(g, Multivector.monomial(ngens, c))
                 if w.is_zero():
                     continue
-                row = [field.zero()] * nm
+                row = [base.zero()] * nm
                 for mask, coeff in w.terms.items():
-                    row[index[mask]] = field.coerce(coeff)
+                    row[index[mask]] = base.coerce(coeff)
                 rows.append(row)
         if rows:
-            _, pivots, rrows = rref(rows, field)
+            _, pivots, rrows = rref(rows, base)
         else:
             pivots, rrows = (), []
         pivot_set = set(pivots)
@@ -489,10 +469,10 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
             if k in pivot_set:
                 row = rrows[pivot_row[k]]
                 cols.append(tuple(
-                    (keep_pos[j], field.coerce(-row[j]))
+                    (keep_pos[j], base.coerce(-row[j]))
                     for j in keep if row[j]))
             else:
-                cols.append(((keep_pos[k], field.one()),))
+                cols.append(((keep_pos[k], base.one()),))
         monomials.append(monos)
         basis.append([monos[k] for k in keep])
         proj.append(cols)

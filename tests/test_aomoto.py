@@ -174,6 +174,26 @@ def test_non_isotropic_pair_names_witness():
     assert any(rep.witness[2])
 
 
+@pytest.mark.parametrize("top", [0, 1])
+def test_isotropy_needs_the_algebra_through_degree_two(top):
+    # e0 e1 != 0 in A^2 of concurrent3; a build through degree 1 cannot see
+    # it (and at top 0 the degree-one lift used to raise IndexError)
+    A = os_algebra(Arrangement(2, [[1, 0], [0, 1], [1, 1]]), top=top)
+    with pytest.raises(PreconditionError, match="through degree 2; top is"):
+        isotropic_check(A, [[1, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("vectors, k, length", [
+    ([[1, 0, 0, 0], [0, 0, 0, 1]], 0, 4),
+    ([[1, -1, 0], [1, 0]], 1, 2)])
+def test_isotropy_vectors_need_dim_a1_entries(vectors, k, length):
+    # the first case used to be truncated to e0, 0 and reported isotropic
+    with pytest.raises(PreconditionError) as err:
+        isotropic_check(concurrent3(), vectors)
+    assert str(err.value) == (f"vector {k} has {length} entries; A^1 has "
+                              "dimension 3")
+
+
 def test_log_resonance_weight_two_case():
     # every OS generator has type (1,1), so F^1 is all of A^1 and the
     # logarithmic locus coincides with the usual one
@@ -194,6 +214,13 @@ def test_log_resonance_elliptic_is_empty():
 def test_log_resonance_zero_class_flagged():
     rep = log_resonance_membership(concurrent3(), [0, 0, 0])
     assert not rep.member and rep.zero_class and rep.h1 is None
+
+
+@pytest.mark.parametrize("alpha", [[0], [0, 0, 0, 0], [1, 1]])
+def test_log_resonance_checks_the_length_before_the_zero_class(alpha):
+    with pytest.raises(PreconditionError) as err:
+        log_resonance_membership(concurrent3(), alpha)
+    assert str(err.value) == f"alpha needs 3 coordinates, got {len(alpha)}"
 
 
 def test_log_resonance_outside_filtration():

@@ -1,16 +1,19 @@
 """Configuration spaces of points on a genus-one curve: model, scroll,
 Hodge decomposition, and the filtered second page."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from jumploci.aomoto import AomotoComplex
 from jumploci.elliptic import (
-    e2_page, elliptic_model, hodge_decompose, scroll_membership,
-    tangent_pair_basis)
+    diagonal_class, e2_page, elliptic_model, hodge_decompose,
+    scroll_membership, tangent_pair_basis)
 from jumploci.errors import PreconditionError
-from jumploci.exterior import Multivector
+from jumploci.exterior import Multivector, wedge
 from jumploci.scalars import (QI, GaussianRational, Matrix, rank,
-                              rank_and_kernel)
+                              rank_and_kernel, rref)
 
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0)
@@ -43,6 +46,60 @@ def test_diagonal_classes_are_type_one_one():
     for cls in m.diagonals.values():
         for mask in cls.terms:
             assert m.algebra.monomial_hodge_type(mask) == (1, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_diagonal_classes_are_multiples_of_the_rational_relations(n):
+    # the model is built from one rational relation per diagonal: the
+    # Kunneth class over its coefficient at the lowest monomial
+    m = elliptic_model(n)
+    relations = m.algebra.ideal_gens
+    assert len(relations) == len(m.diagonal_pairs)
+    for (k, l), relation in zip(m.diagonal_pairs, relations):
+        diagonal = diagonal_class(n, k, l)
+        assert diagonal == m.diagonals[(k, l)]
+        lead = diagonal.terms[min(diagonal.terms)]
+        assert relation.terms[min(relation.terms)] == 1
+        assert all(type(c) in (int, Fraction) for c in relation.terms.values())
+        assert relation.scale(lead) == diagonal
+
+
+def _gaussian_quotient(m, d):
+    """Basis and projections in degree d from the Q(i) RREF of the Kunneth
+    diagonal classes times every monomial of degree d - 2."""
+    ngens = 2 * m.n
+    monos = m.algebra.monomials[d]
+    index = {mask: k for k, mask in enumerate(monos)}
+    rows = []
+    for g in m.diagonals.values():
+        for c in combinations(range(ngens), d - 2) if d >= 2 else ():
+            w = wedge(g, Multivector.monomial(ngens, c))
+            if not w.is_zero():
+                row = [ZERO] * len(monos)
+                for mask, coeff in w.terms.items():
+                    row[index[mask]] = coeff
+                rows.append(row)
+    _, pivots, rrows = rref(rows, QI) if rows else (0, (), [])
+    keep = [k for k in range(len(monos)) if k not in pivots]
+    position = {k: j for j, k in enumerate(keep)}
+    proj = []
+    for k in range(len(monos)):
+        if k in pivots:
+            row = rrows[pivots.index(k)]
+            proj.append(tuple((position[j], -row[j]) for j in keep if row[j]))
+        else:
+            proj.append(((position[k], 1),))
+    return [monos[k] for k in keep], proj
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("top", [2, 3])
+def test_rational_build_matches_the_gaussian_rref_of_the_diagonals(n, top):
+    m = elliptic_model(n, top)
+    for d in range(top + 1):
+        basis, proj = _gaussian_quotient(m, d)
+        assert basis == m.algebra.basis[d]
+        assert proj == m.algebra.proj[d]
 
 
 def test_coordinate_roundtrip():

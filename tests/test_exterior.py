@@ -10,7 +10,7 @@ from jumploci.elliptic import elliptic_model
 from jumploci.errors import PreconditionError
 from jumploci.exterior import (
     GradedAlgebra, Multivector, build_quotient_algebra, wedge)
-from jumploci.scalars import rref
+from jumploci.scalars import QI, GaussianRational, rref
 from jumploci.verify import SIXPLANES_FORMS
 
 
@@ -59,6 +59,20 @@ def test_ideal_generator_validation():
         build_quotient_algebra(4, [inhomog], 2)
     with pytest.raises(PreconditionError):
         build_quotient_algebra(4, [gen(0)], 2)
+
+
+def test_gaussian_ideal_generator_is_rejected_over_qi():
+    # quotient structure is rational: QQ(i) is only the coordinate field
+    rational = Multivector(4, [(0b0011, GaussianRational(1)),
+                               (0b0101, Fraction(1, 2))])
+    gaussian = Multivector(4, [(0b0011, 1), (0b1100, GaussianRational(2, 1))])
+    with pytest.raises(PreconditionError,
+                       match="ideal generator 2 has a non-rational coefficient"):
+        build_quotient_algebra(4, [rational, Multivector.zero(4), gaussian],
+                               2, field=QI)
+    A = build_quotient_algebra(4, [rational], 2, field=QI)
+    assert A.dims() == (1, 4, 5)
+    assert A.project(gen(0)) == [GaussianRational(1), 0, 0, 0]
 
 
 def test_projection_recovers_quotient_basis():

@@ -422,6 +422,15 @@ def test_log_resonance_subcommand():
                              "filtration_dim": 3}
 
 
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_log_resonance_alpha_of_the_wrong_length_exits_2(alpha):
+    # "0" used to exit 0 with zero_class: true before the length was checked
+    err = stderr_error(["log-resonance", "--arrangement", "concurrent3",
+                        "--alpha", alpha], 2)
+    assert err["kind"] == "precondition"
+    assert err["error"] == "alpha needs 3 coordinates, got 1"
+
+
 def test_e2_page_entries_are_keyed_by_bidegree():
     rep = report(["e2-page", "--n", "3", "--x", "1,1,-2"])
     res = rep["result"]
