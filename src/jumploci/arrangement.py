@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import PreconditionError
 from .exterior import Multivector, build_quotient_algebra
-from .scalars import Matrix, rank, solve_linear
+from .scalars import DEFAULT_PRIME, Matrix, _rref_mod, rank, solve_linear
 
 
 class Arrangement:
@@ -88,25 +89,85 @@ class Arrangement:
         return f"Arrangement({kind}, ambient={self.ambient}, size={self.size})"
 
 
+def _mod_images(arr):
+    """Each augmented form cleared of denominators and reduced mod
+    DEFAULT_PRIME.  A nonzero integer multiple of a row changes no rank, and
+    a minor of integer rows that is nonzero mod p is nonzero, so the rank of
+    any set of these images (or of their linear slices [1:]) is a lower
+    bound on the true rank of the forms (or of their linear parts)."""
+    p = DEFAULT_PRIME
+    images = []
+    for form in arr.forms:
+        den = lcm(*(c.denominator for c in form))
+        images.append([c.numerator * (den // c.denominator) % p
+                       for c in form])
+    return images
+
+
+def _rank_mod(rows):
+    """Rank mod DEFAULT_PRIME of rows of residues (the rows are copied)."""
+    return len(_rref_mod([list(r) for r in rows], DEFAULT_PRIME))
+
+
+def _meets(arr, images, subset, aug_rank):
+    """Do the listed hyperplanes have a common point?  `aug_rank` is an
+    upper bound on the rank of their augmented forms (len(subset) in
+    general, len(subset) - 1 for a circuit).  Two rank bounds mod p decide
+    most subsets exactly; the rest go to the exact `common_point`."""
+    if _rank_mod([images[j] for j in subset]) > arr.ambient:
+        return False  # augmented rank above every linear rank: inconsistent
+    if _rank_mod([images[j][1:] for j in subset]) >= aug_rank:
+        return True  # linear rank reaches the augmented rank: consistent
+    return arr.common_point(subset) is not None
+
+
+def _minimal_subsets(d, largest, bad):
+    """The minimal subsets of range(d) of sizes 2..largest on which `bad`
+    holds, each sorted, the list sorted lexicographically.  `bad` must hold
+    on every superset of a set where it holds, so a subset with a bad
+    one-smaller subset is bad and not minimal: k set lookups decide a
+    size-k subset, and `bad` is called only on the others."""
+    found = []
+    smaller = set()  # the bad subsets of the previous size
+    for size in range(2, largest + 1):
+        current = set()
+        for subset in combinations(range(d), size):
+            if any(subset[:k] + subset[k + 1:] in smaller
+                   for k in range(size)):
+                current.add(subset)
+            elif bad(subset):
+                found.append(subset)
+                current.add(subset)
+        smaller = current
+    return sorted(found)
+
+
 def matroid_circuits(arr):
     """Minimal dependent hyperplane sets (affine dependence for affine
     arrangements), each sorted, the list sorted lexicographically.
 
-    Complete: every circuit has size at most rank + 1 and all are returned.
+    Complete: every circuit has size at most r + 1, r the rank of the
+    augmented forms, and all are returned.  Subsets are decided by size,
+    each exactly:
+
+    - one of its one-smaller subsets is dependent: it contains a circuit,
+      so it is dependent and not a circuit (`_minimal_subsets`);
+    - otherwise, at size r + 1: any r + 1 vectors are dependent, a circuit;
+    - otherwise, full rank of its images mod p (`_mod_images`): independent;
+    - otherwise the exact `rank` decides.
     """
     vecs = arr.augmented()
     d = len(vecs)
     r = rank(vecs) if vecs else 0
-    circuits = []
-    dependent = set()
-    for size in range(2, min(d, r + 1) + 1):
-        for subset in combinations(range(d), size):
-            if any(c <= set(subset) for c in dependent):
-                continue
-            if rank([vecs[j] for j in subset]) < size:
-                circuits.append(subset)
-                dependent.add(frozenset(subset))
-    return sorted(circuits)
+    images = _mod_images(arr)
+
+    def dependent(subset):
+        size = len(subset)
+        return size == r + 1 or (
+            _rank_mod([images[j] for j in subset]) < size
+            and rank([vecs[j] for j in subset]) < size)
+
+    return _minimal_subsets(d, min(d, r + 1), dependent)
 
 
 def _empty_intersection_minimal(arr):
@@ -114,21 +175,15 @@ def _empty_intersection_minimal(arr):
 
     A minimal inconsistent system of affine equations on C^n has linear
     parts of rank one less than its size, so at most n + 1 equations; larger
-    subsets are never enumerated.
+    subsets are never enumerated.  A subset with an empty one-smaller subset
+    is empty and not minimal; every other one is decided by `_meets`.
     """
     if arr.central:
         return []
-    d = arr.size
-    out = []
-    found = set()
-    for size in range(2, min(d, arr.ambient + 1) + 1):
-        for subset in combinations(range(d), size):
-            if any(s <= set(subset) for s in found):
-                continue
-            if arr.common_point(subset) is None:
-                out.append(subset)
-                found.add(frozenset(subset))
-    return sorted(out)
+    images = _mod_images(arr)
+    return _minimal_subsets(
+        arr.size, min(arr.size, arr.ambient + 1),
+        lambda subset: not _meets(arr, images, subset, len(subset)))
 
 
 def circuit_boundary(ngens, circuit):
@@ -152,9 +207,11 @@ def os_algebra(arr, top=None, circuits=None):
     if circuits is None:
         circuits = matroid_circuits(arr)
     d = arr.size
+    images = None if arr.central else _mod_images(arr)
     gens = []
     for c in circuits:
-        if arr.central or arr.common_point(c) is not None:
+        # a circuit's augmented forms have rank len(c) - 1
+        if arr.central or _meets(arr, images, c, len(c) - 1):
             gens.append(circuit_boundary(d, c))
     for s in _empty_intersection_minimal(arr):
         gens.append(Multivector.monomial(d, s))

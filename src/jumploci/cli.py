@@ -22,17 +22,17 @@ from importlib import resources
 from . import __version__
 from .aomoto import (generic_dims_sample, log_resonance_membership,
                      resonance_membership)
-from .arrangement import matroid_circuits, os_algebra
+from .arrangement import Arrangement, matroid_circuits, os_algebra
 from .elliptic import e2_page, elliptic_model
 from .errors import DegeneracyError, ParseError, PreconditionError
-from .foxcalc import Character, twisted_cohomology
+from .foxcalc import Character, Presentation, twisted_cohomology
 from .io import (load_json, parse_arrangement, parse_input, parse_presentation,
                  rational_from_text, serialize)
 from .master import (critical_points_bivariate, critical_points_univariate,
                      local_koszul_univariate, log_zero_divisor_p1,
                      residues_line_arrangement)
 from .scalars import DEFAULT_PRIME, GaussianRational
-from .torus import ExpPolynomial, etc_membership
+from .torus import ExpPolynomial, LaurentSystem, etc_membership
 from .verify import check_elliptic_suite, run_all
 
 _IU = GaussianRational(0, 1)
@@ -100,9 +100,18 @@ def _load_arrangement(path):
     return arr, {"path": path, "sha256": _digest(path)}
 
 
-def _load_typed(path):
+_KINDS = {Arrangement: "an arrangement", LaurentSystem: "a torus system",
+          Presentation: "a presentation"}
+
+
+def _load_typed(path, kind, where):
+    """A typed input file that must parse to a `kind`; a file of another
+    kind is a ParseError at the option `where`."""
     path = resolve_path(path)
     value = parse_input(path)
+    if not isinstance(value, kind):
+        raise ParseError(
+            f"expected {_KINDS[kind]}, got {_KINDS[type(value)]}", where)
     return value, {"path": path, "sha256": _digest(path)}
 
 
@@ -176,7 +185,7 @@ def _cmd_e2_page(args):
 
 
 def _cmd_etc_membership(args):
-    system, digest = _load_typed(args.system)
+    system, digest = _load_typed(args.system, LaurentSystem, "system")
     alpha = parse_rational_csv(args.alpha, "alpha")
     rep = etc_membership(system, alpha)
     return jsonable(rep), {"system": digest}
@@ -209,7 +218,8 @@ def _cmd_residues(args):
 
 
 def _cmd_fox_h1(args):
-    pres, digest = _load_typed(args.presentation)
+    pres, digest = _load_typed(args.presentation, Presentation,
+                               "presentation")
     values = parse_rational_csv(args.character, "character")
     rep = twisted_cohomology(pres, Character(pres, values))
     return jsonable(rep), {"presentation": digest, "character": args.character}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .aomoto import AomotoComplex
 from .errors import PreconditionError
@@ -27,12 +28,14 @@ _HALF = GaussianRational(Fraction(1, 2))
 _MODELS = {}
 
 
+@lru_cache(maxsize=None)
 def _curve_duals():
     """Poincare-dual basis of H*(genus-1 curve) = exterior algebra on a, b.
 
     Monomials are indexed by 2-bit masks (bit 0 = a, bit 1 = b).  Returns
-    the list of (mask, degree, dual) with dual a list of (mask, coeff) whose
-    wedge against the basis element hits the top class with coefficient 1.
+    the tuple of (mask, degree, dual) with dual a tuple of (mask, coeff)
+    whose wedge against the basis element hits the top class with
+    coefficient 1.  A constant table, computed once.
     """
     masks = [0b00, 0b01, 0b10, 0b11]
     # gram[l][j] = coefficient of ab in monomial_l wedge monomial_j
@@ -48,8 +51,8 @@ def _curve_duals():
         e = [Fraction(1) if l == m else Fraction(0) for l in masks]
         c = solve_linear(Matrix(gram), e)
         duals.append((m, bin(m).count("1"),
-                      [(masks[j], c[j]) for j in range(4) if c[j]]))
-    return duals
+                      tuple((masks[j], c[j]) for j in range(4) if c[j])))
+    return tuple(duals)
 
 
 def _embed_factor(n, k, mask):

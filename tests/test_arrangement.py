@@ -12,13 +12,15 @@ from itertools import combinations
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from jumploci import arrangement
 from jumploci.arrangement import (
     Arrangement, _empty_intersection_minimal, decone, matroid_circuits, os_algebra, points_arrangement,
     poincare_and_euler, restrict_line_arrangement)
 from jumploci.errors import PreconditionError
 from jumploci.verify import LINE_LIBRARY, SIXPLANES_FORMS, line_library
-from jumploci.scalars import Matrix, rank
+from jumploci.scalars import DEFAULT_PRIME, Matrix, rank
 
 
 def whitney_poincare(arr):
@@ -76,6 +78,126 @@ def test_empty_intersections_match_full_enumeration(seed, ambient, size):
     found = _empty_intersection_minimal(arr)
     assert found == minimal_empty_oracle(arr)
     assert found  # parallel families always give empty pairs
+
+
+def circuits_oracle(arr):
+    """Every dependent set of augmented forms all of whose one-smaller
+    subsets are independent, by exact rank over all 2^d subsets."""
+    vecs = arr.augmented()
+
+    def independent(s):
+        return rank([vecs[j] for j in s]) == len(s) if s else True
+
+    out = []
+    for size in range(1, arr.size + 1):
+        for s in combinations(range(arr.size), size):
+            if not independent(s) and all(
+                    independent(t) for t in combinations(s, size - 1)):
+                out.append(s)
+    return sorted(out)
+
+
+@st.composite
+def coincident_arrangements(draw):
+    """Small integer forms, central or affine, in which later forms are
+    often forced to coincide with earlier ones: a repeated direction with a
+    new constant term (a parallel family), or an integer combination of two
+    earlier forms (through their common points, so concurrent triples)."""
+    ambient = draw(st.integers(1, 3))
+    central = draw(st.booleans())
+    coeff = st.integers(-3, 3)
+    size = draw(st.integers(2, 6))
+    forms = []
+    for _ in range(3 * size):
+        if len(forms) == size:
+            break
+        kind = draw(st.sampled_from(["free", "parallel", "combination"]))
+        if kind == "parallel" and forms:
+            form = [draw(coeff)] + list(draw(st.sampled_from(forms))[1:])
+        elif kind == "combination" and len(forms) >= 2:
+            a = draw(st.sampled_from(forms))
+            b = draw(st.sampled_from(forms))
+            s, t = draw(coeff), draw(coeff)
+            form = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            form = [draw(coeff) for _ in range(ambient + 1)]
+        if central:
+            form[0] = 0
+        try:  # a zero linear part or a repeated hyperplane is no new form
+            Arrangement(ambient, forms + [form])
+        except PreconditionError:
+            continue
+        forms.append(form)
+    assume(len(forms) >= 2)
+    return Arrangement(ambient, forms)
+
+
+@given(coincident_arrangements())
+@settings(max_examples=150, deadline=None)
+def test_screened_enumeration_matches_exact_oracles(arr):
+    circuits = matroid_circuits(arr)
+    assert circuits == circuits_oracle(arr)
+    if not arr.central:
+        assert _empty_intersection_minimal(arr) == minimal_empty_oracle(arr)
+    images = arrangement._mod_images(arr)
+    for size in range(1, arr.size + 1):
+        for s in combinations(range(arr.size), size):
+            assert arrangement._meets(arr, images, s, size) == \
+                (arr.common_point(s) is not None), s
+    for c in circuits:
+        assert arrangement._meets(arr, images, c, len(c) - 1) == \
+            (arr.common_point(c) is not None), c
+
+
+P = DEFAULT_PRIME
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts of the exact fallbacks the screen makes: `rank` on a subset
+    and `common_point`."""
+    calls = {"rank": 0, "common_point": 0}
+    exact_rank, exact_point = arrangement.rank, Arrangement.common_point
+
+    def counted_rank(rows):
+        calls["rank"] += 1
+        return exact_rank(rows)
+
+    def counted_point(self, subset):
+        calls["common_point"] += 1
+        return exact_point(self, subset)
+
+    monkeypatch.setattr(arrangement, "rank", counted_rank)
+    monkeypatch.setattr(Arrangement, "common_point", counted_point)
+    return calls
+
+
+@pytest.mark.parametrize("forms,circuits", [
+    # independent over Q, but the two forms agree mod p
+    ([[1, 0], [1, P]], []),
+    ([[1, 0], [1, P], [0, 1]], [(0, 1, 2)]),
+    # a coefficient 1/p clears to a form whose image mod p is (0, 0, 1)
+    ([[0, 1], [1, Fraction(1, P)], [1, 0]], [(0, 1, 2)]),
+])
+def test_unlucky_prime_circuits_reach_the_exact_rank(exact_calls, forms,
+                                                     circuits):
+    arr = Arrangement(2, forms)
+    before = exact_calls["rank"]
+    assert matroid_circuits(arr) == circuits == circuits_oracle(arr)
+    assert exact_calls["rank"] > before + 1  # more than the rank of all
+
+
+@pytest.mark.parametrize("forms", [
+    # x = 0 and 1 + x + p y = 0 meet at (0, -1/p); mod p they are parallel
+    [[0, 1, 0], [1, 1, P]],
+    # x = 0 and 1/p + x + y = 0: the second clears to (1, p, p), whose
+    # linear part vanishes mod p
+    [[0, 1, 0], [Fraction(1, P), 1, 1]],
+])
+def test_unlucky_prime_intersections_reach_common_point(exact_calls, forms):
+    arr = Arrangement(2, forms)
+    assert _empty_intersection_minimal(arr) == [] == minimal_empty_oracle(arr)
+    assert exact_calls["common_point"] >= 1
 
 
 def test_circuit_examples():

@@ -612,3 +612,64 @@ def test_reports_are_deterministic_modulo_elapsed_time():
     a, b = report(argv), report(argv)
     a.pop("elapsed_s"), b.pop("elapsed_s")
     assert a == b
+
+
+# every subcommand that reads a typed input file, with the option naming the
+# file and the comma-separated options it also needs
+TYPED_SUBCOMMANDS = [
+    ("os-algebra", "--arrangement", []),
+    ("aomoto", "--arrangement", ["--alpha"]),
+    ("resonance-sample", "--arrangement", []),
+    ("log-resonance", "--arrangement", ["--alpha"]),
+    ("master", "--arrangement", ["--weights"]),
+    ("residues", "--arrangement", ["--weights"]),
+    ("etc-membership", "--system", ["--alpha"]),
+    ("fox-h1", "--presentation", ["--character"]),
+]
+FIXTURE_NAMES = sorted(f.name[:-len(".json")] for f in FIXTURES.iterdir()
+                       if f.name.endswith(".json"))
+
+
+def _fixture_length(name):
+    """How many values the fixture's own kind of option takes: one per
+    hyperplane, torus coordinate or generator."""
+    value = parse_input(str(FIXTURES / f"{name}.json"))
+    for attr in ("size", "rank", "generators"):
+        if hasattr(value, attr):
+            return getattr(value, attr)
+    raise AssertionError(f"{name}: unknown input kind")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("subcommand,file_option,value_options",
+                         TYPED_SUBCOMMANDS, ids=[s for s, _, _ in
+                                                 TYPED_SUBCOMMANDS])
+def test_every_typed_subcommand_on_every_fixture(subcommand, file_option,
+                                                 value_options, name):
+    # values sized to the fixture; a fixture of another kind than the
+    # subcommand reads must be refused with exit 2, never a traceback
+    values = ",".join(str(k + 1) for k in range(_fixture_length(name)))
+    argv = [subcommand, file_option, name]
+    for option in value_options:
+        argv += [option, values]
+    code, out, err = run_cli(argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["subcommand"] == subcommand
+    else:
+        assert out == "" and json.loads(err)["kind"] in ("parse",
+                                                         "precondition")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["etc-membership", "--system", "torusrel", "--alpha", "1,1"],
+     "system: expected a torus system, got a presentation"),
+    (["etc-membership", "--system", "concurrent3", "--alpha", "1,1"],
+     "system: expected a torus system, got an arrangement"),
+    (["fox-h1", "--presentation", "subtorus", "--character", "2,3"],
+     "presentation: expected a presentation, got a torus system"),
+])
+def test_typed_input_of_the_wrong_kind_exits_2(argv, message):
+    err = stderr_error(argv, 2)
+    assert err == {"error": message, "kind": "parse"}
