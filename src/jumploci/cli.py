@@ -5,6 +5,10 @@ Exit codes: 0 success, 2 rejected input (including parse errors), 3 refused
 certification (degeneracy).  `verify-paper` additionally exits 1 when any
 acceptance check fails.  Reports are identical for identical inputs and seed,
 up to the elapsed_s timing field.
+
+Only the `master`, `residues` and `verify-paper` subcommands load sympy,
+and only when they run: their handlers import `master` (through `verify`
+for `verify-paper`), and nothing this module imports at load time needs it.
 """
 
 from __future__ import annotations
@@ -26,16 +30,28 @@ from .arrangement import Arrangement, matroid_circuits, os_algebra
 from .elliptic import e2_page, elliptic_model
 from .errors import DegeneracyError, ParseError, PreconditionError
 from .foxcalc import Character, Presentation, twisted_cohomology
-from .io import (load_json, parse_arrangement, parse_input, parse_presentation,
+from .io import (input_kind, load_json, parse_arrangement, parse_input,
                  rational_from_text, serialize)
-from .master import (critical_points_bivariate, critical_points_univariate,
-                     local_koszul_univariate, log_zero_divisor_p1,
-                     residues_line_arrangement)
 from .scalars import DEFAULT_PRIME, GaussianRational
 from .torus import ExpPolynomial, LaurentSystem, etc_membership
-from .verify import check_elliptic_suite, run_all
 
 _IU = GaussianRational(0, 1)
+
+# The master functions that bench/spans.py rebinds on this module.  They
+# resolve from `master` on first access (PEP 562), so that reading them does
+# not load sympy at import; the hook exists only for that outside-in tracer
+# and goes away with the shims of ROADMAP item 1.
+_TRACED_MASTER = ("critical_points_bivariate", "critical_points_univariate",
+                  "local_koszul_univariate", "log_zero_divisor_p1")
+
+
+def __getattr__(name):
+    if name not in _TRACED_MASTER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import master
+    value = getattr(master, name)
+    globals()[name] = value
+    return value
 
 
 def jsonable(x):
@@ -94,14 +110,27 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_arrangement(path):
-    path = resolve_path(path)
-    arr = parse_arrangement(load_json(path), path)
-    return arr, {"path": path, "sha256": _digest(path)}
-
-
 _KINDS = {Arrangement: "an arrangement", LaurentSystem: "a torus system",
           Presentation: "a presentation"}
+
+
+def _check_kind(found, kind, where):
+    """A ParseError at the option `where` when the input is of another kind
+    than `kind`; `found` None (no recognised shape) passes."""
+    if found is not None and found is not kind:
+        raise ParseError(f"expected {_KINDS[kind]}, got {_KINDS[found]}",
+                         where)
+
+
+def _load_arrangement(path):
+    """An arrangement file.  A file shaped like another kind of input is
+    refused by its kind; anything else goes to `parse_arrangement`, whose
+    messages name the malformed field."""
+    path = resolve_path(path)
+    obj = load_json(path)
+    _check_kind(input_kind(obj), Arrangement, "arrangement")
+    arr = parse_arrangement(obj, path)
+    return arr, {"path": path, "sha256": _digest(path)}
 
 
 def _load_typed(path, kind, where):
@@ -109,9 +138,7 @@ def _load_typed(path, kind, where):
     kind is a ParseError at the option `where`."""
     path = resolve_path(path)
     value = parse_input(path)
-    if not isinstance(value, kind):
-        raise ParseError(
-            f"expected {_KINDS[kind]}, got {_KINDS[type(value)]}", where)
+    _check_kind(type(value), kind, where)
     return value, {"path": path, "sha256": _digest(path)}
 
 
@@ -167,6 +194,7 @@ def _cmd_log_resonance(args):
 
 
 def _cmd_elliptic(args):
+    from .verify import check_elliptic_suite
     kwargs = {}
     if args.trials is not None:
         kwargs = {"scroll_samples": args.trials, "f1_samples": args.trials,
@@ -192,6 +220,8 @@ def _cmd_etc_membership(args):
 
 
 def _cmd_master(args):
+    from .master import (_critical_from_divisor, _koszul_from_divisor,
+                         critical_points_bivariate, log_zero_divisor_p1)
     if (args.points is None) == (args.arrangement is None):
         raise PreconditionError(
             "need exactly one of --points (univariate) or --arrangement "
@@ -199,10 +229,13 @@ def _cmd_master(args):
     if args.points is not None:
         points = parse_rational_csv(args.points, "points")
         lam = parse_rational_csv(args.weights, "weights")
+        # one factorization: the critical report and the Koszul data are the
+        # ones critical_points_univariate and local_koszul_univariate return
+        divisor = log_zero_divisor_p1(points, lam)
         return {
-            "critical": jsonable(critical_points_univariate(points, lam)),
-            "log_divisor": jsonable(log_zero_divisor_p1(points, lam)),
-            "koszul": jsonable(local_koszul_univariate(points, lam)),
+            "critical": jsonable(_critical_from_divisor(divisor)),
+            "log_divisor": jsonable(divisor),
+            "koszul": jsonable(_koszul_from_divisor(divisor, points, lam)),
         }, {"points": args.points, "weights": args.weights}
     arr, digest = _load_arrangement(args.arrangement)
     lam = parse_rational_csv(args.weights, "weights")
@@ -211,6 +244,7 @@ def _cmd_master(args):
 
 
 def _cmd_residues(args):
+    from .master import residues_line_arrangement
     arr, digest = _load_arrangement(args.arrangement)
     lam = parse_rational_csv(args.weights, "weights")
     return jsonable(residues_line_arrangement(arr, lam)), \
@@ -226,6 +260,7 @@ def _cmd_fox_h1(args):
 
 
 def _cmd_verify_paper(args):
+    from .verify import run_all
     checks = run_all(seed=args.seed, prime=args.prime)
     result = {
         "checks": jsonable(checks),

@@ -175,18 +175,32 @@ def load_json(path):
         raise ParseError(f"malformed JSON: {exc}", str(path)) from None
 
 
+def input_kind(obj):
+    """The type a loaded JSON input parses to, judged by its shape alone
+    (Arrangement, LaurentSystem or Presentation), or None for no known
+    shape."""
+    if isinstance(obj, dict):
+        if "forms" in obj:
+            return Arrangement
+        if "polys" in obj:
+            return LaurentSystem
+        if "generators" in obj:
+            return Presentation
+    if isinstance(obj, list):
+        return LaurentSystem
+    return None
+
+
 def parse_input(path):
     """Load and type a JSON input file by its shape."""
     obj = load_json(path)
-    if isinstance(obj, dict):
-        if "forms" in obj:
-            return parse_arrangement(obj, str(path))
-        if "polys" in obj:
-            return parse_laurent_system(obj, str(path))
-        if "generators" in obj:
-            return parse_presentation(obj, str(path))
-    if isinstance(obj, list):
+    kind = input_kind(obj)
+    if kind is Arrangement:
+        return parse_arrangement(obj, str(path))
+    if kind is LaurentSystem:
         return parse_laurent_system(obj, str(path))
+    if kind is Presentation:
+        return parse_presentation(obj, str(path))
     raise ParseError(
         "unrecognized input shape: expected an arrangement ('forms'), "
         "a Laurent system ('polys'), or a presentation ('generators')",

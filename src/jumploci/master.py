@@ -207,9 +207,20 @@ def critical_points_univariate(points, lam):
         _m, interior = _divide_out(interior, c)
     zeros = (_zeros_of_poly(_zz_poly(interior), "interior")
              if len(interior) > 1 else [])
+    return _interior_report(zeros, 1 - len(points))
+
+
+def _interior_report(zeros, chi):
     total = sum(z.multiplicity for z in zeros)
-    chi = 1 - len(points)
     return DivisorReport(tuple(zeros), total, chi, total == abs(chi))
+
+
+def _critical_from_divisor(divisor):
+    """What critical_points_univariate returns, read off the log divisor of
+    the same points and weights: its interior zeros are those of the
+    numerator with every puncture divided out, found in the same order."""
+    return _interior_report(
+        [z for z in divisor.zeros if z.kind == "interior"], divisor.chi)
 
 
 def _infinity_valuation(points, lam):
@@ -267,7 +278,12 @@ def local_koszul_univariate(points, lam):
     0 -> O -> O -> 0 given by multiplication by the local multiplier a of
     alpha.  H^0 = 0 iff a is a nonzero germ; dim H^1 = dim O/(a) = ord(a),
     recomputed here by exact division rather than read off the divisor."""
-    report = log_zero_divisor_p1(points, lam)
+    return _koszul_from_divisor(log_zero_divisor_p1(points, lam), points, lam)
+
+
+def _koszul_from_divisor(report, points, lam):
+    """local_koszul_univariate at the zeros of `report`, the log divisor of
+    the same points and weights."""
     points, lam = _punctures(points, lam)
     n = _cleared_numerator(points, lam)
     out = []

@@ -23,8 +23,6 @@ from .elliptic import (elliptic_model, e2_page, scroll_membership,
                        tangent_pair_basis)
 from .errors import DegeneracyError, PreconditionError
 from .foxcalc import Character, Presentation, twisted_h1
-from .master import (critical_points_bivariate, critical_points_univariate,
-                     local_koszul_univariate, log_zero_divisor_p1)
 from .scalars import DEFAULT_PRIME, QI, GaussianRational, rank, rref
 from .torus import (LaurentSystem, etc_membership, evaluate_terms,
                     tangent_cone_hypersurface)
@@ -416,6 +414,8 @@ BIVARIATE_CASES = [
 
 
 def check_hopf_counts(seed=0, univariate_runs=20):
+    from .master import (critical_points_bivariate,
+                         critical_points_univariate, log_zero_divisor_p1)
     _require_counts(univariate_runs=univariate_runs)
     rng = _rng("hopf", seed)
     uni_failures = []
@@ -477,6 +477,7 @@ KOSZUL_CRAFTED = [
 
 
 def check_local_koszul(seed=0, random_runs=20):
+    from .master import local_koszul_univariate
     _require_counts(random_runs=random_runs)
     rng = _rng("koszul", seed)
     configs = [_random_univariate_config(rng) for _ in range(random_runs)]

@@ -8,14 +8,17 @@ normalize x, but a second parse/serialize pass must be the identity.
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import jumploci
 from jumploci import __version__, cli
 from jumploci.errors import ParseError, PreconditionError
 from jumploci.io import (
@@ -453,6 +456,50 @@ def test_master_points_report():
         assert entry["h1"] == entry["zero"]["multiplicity"]
 
 
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _punctured_lines(draw):
+    """Distinct punctures with weights that may vanish (a zero at that
+    puncture) or sum to zero (a zero at infinity)."""
+    d = draw(st.integers(1, 5))
+    points = draw(st.lists(small_rationals, min_size=d, max_size=d,
+                           unique=True))
+    lam = draw(st.lists(st.one_of(st.just(Fraction(0)), small_rationals),
+                        min_size=d, max_size=d))
+    if d > 1 and draw(st.booleans()):
+        lam[-1] = -sum(lam[:-1])
+    assume(any(lam))
+    return points, lam
+
+
+def _csv(values):
+    return ",".join(str(Fraction(v)) for v in values)
+
+
+@given(_punctured_lines())
+@example(([0, 1, 2], [24, -27, 6]))                  # double interior zero
+@example(([0, 1, 2], [Fraction(3, 2), 0, Fraction(3, 2)]))  # at a puncture
+@example(([0, 1], [1, -1]))                          # at infinity
+@example(([0, 1, 2, 3], [1, 0, -2, 1]))              # both, plus interior
+@settings(max_examples=60, deadline=None)
+def test_master_points_report_equals_the_public_functions(case):
+    # the subcommand factors once and derives the critical report and the
+    # Koszul data from the log divisor; the three functions each factor
+    from jumploci import master
+    points, lam = case
+    # "=": a leading minus sign would read as an option
+    rep = report(["master", f"--points={_csv(points)}",
+                  f"--weights={_csv(lam)}"])
+    assert rep["result"] == {
+        "critical": cli.jsonable(
+            master.critical_points_univariate(points, lam)),
+        "log_divisor": cli.jsonable(master.log_zero_divisor_p1(points, lam)),
+        "koszul": cli.jsonable(master.local_koszul_univariate(points, lam)),
+    }
+
+
 def test_residues_subcommand(tmp_path):
     tri = tmp_path / "tri.json"
     tri.write_text(json.dumps({
@@ -669,7 +716,84 @@ def test_every_typed_subcommand_on_every_fixture(subcommand, file_option,
      "system: expected a torus system, got an arrangement"),
     (["fox-h1", "--presentation", "subtorus", "--character", "2,3"],
      "presentation: expected a presentation, got a torus system"),
+    (["os-algebra", "--arrangement", "free2"],
+     "arrangement: expected an arrangement, got a presentation"),
+    (["master", "--arrangement", "subtorus", "--weights", "1,1"],
+     "arrangement: expected an arrangement, got a torus system"),
 ])
 def test_typed_input_of_the_wrong_kind_exits_2(argv, message):
     err = stderr_error(argv, 2)
     assert err == {"error": message, "kind": "parse"}
+
+
+def test_malformed_arrangement_files_keep_their_field_messages(tmp_path):
+    # only a file shaped like another kind of input is refused by its kind
+    no_forms = tmp_path / "no_forms.json"
+    no_forms.write_text(json.dumps({"ambient": 2}))
+    err = stderr_error(["os-algebra", "--arrangement", str(no_forms)], 2)
+    assert err == {"error": f"{no_forms}: missing key 'forms'",
+                   "kind": "parse"}
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text("3")
+    err = stderr_error(["residues", "--arrangement", str(scalar),
+                        "--weights", "1"], 2)
+    assert err == {"error": f"{scalar}: expected an object", "kind": "parse"}
+
+
+# ------------------------------------------------------------ lazy sympy
+
+# every subcommand that needs no sympy, on bundled fixtures
+SYMPY_FREE_RUNS = [
+    ["os-algebra", "--arrangement", "concurrent3"],
+    ["aomoto", "--arrangement", "concurrent3", "--alpha", "1,1,-2"],
+    ["resonance-sample", "--arrangement", "concurrent3", "--trials", "2"],
+    ["log-resonance", "--arrangement", "concurrent3", "--alpha", "1,1,-2"],
+    ["e2-page", "--n", "3", "--x", "1,1,-2"],
+    ["elliptic", "--n", "3", "--trials", "3"],
+    ["etc-membership", "--system", "subtorus", "--alpha", "1,-1"],
+    ["fox-h1", "--presentation", "free2", "--character", "2,3"],
+]
+
+_LAZY_SCRIPT = """
+import contextlib, io, json, sys
+from jumploci import cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in ("sympy", "jumploci.master") if m in sys.modules)
+master = run(["master", "--points", "0,1,2", "--weights", "1,1,1"])
+print(json.dumps({"codes": codes, "loaded": loaded, "master": master,
+                  "sympy_after": "sympy" in sys.modules}))
+"""
+
+
+def test_sympy_free_subcommands_never_import_sympy(tmp_path):
+    # a fresh interpreter, since this one has imported master already
+    src = os.path.dirname(os.path.dirname(jumploci.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCRIPT, json.dumps(SYMPY_FREE_RUNS)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {"codes": [0] * len(SYMPY_FREE_RUNS), "loaded": [],
+                   "master": 0, "sympy_after": True}
+
+
+@pytest.mark.parametrize("name", [
+    "critical_points_bivariate", "critical_points_univariate",
+    "log_zero_divisor_p1", "local_koszul_univariate"])
+def test_cli_resolves_the_traced_master_names(name):
+    # the benchmark's tracer rebinds these four on the cli module
+    from jumploci import master
+    assert getattr(cli, name) is getattr(master, name)
+
+
+def test_cli_getattr_refuses_other_names():
+    # hasattr and getattr with a default rely on AttributeError
+    assert not hasattr(cli, "residues_line_arrangement")
