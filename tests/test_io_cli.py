@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import jumploci
-from jumploci import __version__, cli
+from jumploci import __version__, cli, master
 from jumploci.errors import ParseError, PreconditionError
 from jumploci.io import (
     load_json, parse_arrangement, parse_input, parse_laurent_system,
@@ -487,7 +487,6 @@ def _csv(values):
 def test_master_points_report_equals_the_public_functions(case):
     # the subcommand factors once and derives the critical report and the
     # Koszul data from the log divisor; the three functions each factor
-    from jumploci import master
     points, lam = case
     # "=": a leading minus sign would read as an option
     rep = report(["master", f"--points={_csv(points)}",
@@ -790,7 +789,6 @@ def test_sympy_free_subcommands_never_import_sympy(tmp_path):
     "log_zero_divisor_p1", "local_koszul_univariate"])
 def test_cli_resolves_the_traced_master_names(name):
     # the benchmark's tracer rebinds these four on the cli module
-    from jumploci import master
     assert getattr(cli, name) is getattr(master, name)
 
 
