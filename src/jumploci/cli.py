@@ -7,8 +7,9 @@ acceptance check fails.  Reports are identical for identical inputs and seed,
 up to the elapsed_s timing field.
 
 Only the `master`, `residues` and `verify-paper` subcommands load sympy,
-and only when they run: their handlers import `master` (through `verify`
-for `verify-paper`), and nothing this module imports at load time needs it.
+and only when they run: `master` is imported by their handlers (by the
+`verify` checks that need it, for `verify-paper`), and nothing this module
+imports at load time needs it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .io import (input_kind, load_json, parse_arrangement, parse_input,
                  rational_from_text, serialize)
 from .scalars import DEFAULT_PRIME, GaussianRational
 from .torus import ExpPolynomial, LaurentSystem, etc_membership
+from .verify import check_elliptic_suite, run_all
 
 _IU = GaussianRational(0, 1)
 
@@ -194,7 +196,6 @@ def _cmd_log_resonance(args):
 
 
 def _cmd_elliptic(args):
-    from .verify import check_elliptic_suite
     kwargs = {}
     if args.trials is not None:
         kwargs = {"scroll_samples": args.trials, "f1_samples": args.trials,
@@ -260,7 +261,6 @@ def _cmd_fox_h1(args):
 
 
 def _cmd_verify_paper(args):
-    from .verify import run_all
     checks = run_all(seed=args.seed, prime=args.prime)
     result = {
         "checks": jsonable(checks),

@@ -201,26 +201,16 @@ def critical_points_univariate(points, lam):
     |chi(M)| = d - 1; weights with boundary zeros (e.g. sum lambda = 0)
     make it False and the balance moves to log_zero_divisor_p1.
     """
-    points, lam = _punctures(points, lam)
-    interior = _cleared_numerator(points, lam)
-    for c in points:
-        _m, interior = _divide_out(interior, c)
-    zeros = (_zeros_of_poly(_zz_poly(interior), "interior")
-             if len(interior) > 1 else [])
-    return _interior_report(zeros, 1 - len(points))
-
-
-def _interior_report(zeros, chi):
-    total = sum(z.multiplicity for z in zeros)
-    return DivisorReport(tuple(zeros), total, chi, total == abs(chi))
+    return _critical_from_divisor(log_zero_divisor_p1(points, lam))
 
 
 def _critical_from_divisor(divisor):
-    """What critical_points_univariate returns, read off the log divisor of
-    the same points and weights: its interior zeros are those of the
-    numerator with every puncture divided out, found in the same order."""
-    return _interior_report(
-        [z for z in divisor.zeros if z.kind == "interior"], divisor.chi)
+    """The interior part of a log divisor: the zeros of the numerator with
+    every puncture divided out, against chi(M) = 1 - d."""
+    zeros = tuple(z for z in divisor.zeros if z.kind == "interior")
+    total = sum(z.multiplicity for z in zeros)
+    chi = divisor.chi
+    return DivisorReport(zeros, total, chi, total == abs(chi))
 
 
 def _infinity_valuation(points, lam):
