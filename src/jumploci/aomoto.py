@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PreconditionError
-from .exterior import Multivector, build_quotient_algebra
+from .exterior import build_quotient_algebra
 # rank_and_kernel and solve_linear are imported for the benchmark's tracer,
 # which wraps aomoto.rank_and_kernel and aomoto.solve_linear
 from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
@@ -181,11 +181,8 @@ def reduce_algebra_mod(algebra, prime):
         i_res = fp.sqrt_minus_one()
     else:
         raise PreconditionError("algebra is already over a prime field")
-    gens = [Multivector(g.ngens,
-                        [(m, fp.coerce(c)) for m, c in g.terms.items()])
-            for g in algebra.ideal_gens]
     reduced = build_quotient_algebra(
-        algebra.ngens, gens, algebra.top, field=fp,
+        algebra.ngens, algebra.ideal_gens, algebra.top, field=fp,
         hodge_types=algebra.hodge_types)
     for d, (got, want) in enumerate(zip(reduced.basis, algebra.basis)):
         if got != want:

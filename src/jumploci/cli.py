@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -368,9 +369,28 @@ def build_parser():
     return parser
 
 
+_LIST_OPTIONS = ("--alpha", "--weights", "--points", "--x", "--character",
+                 "--subspace")
+
+
+def _glue_negative_values(argv):
+    """argparse takes a value such as -2,1,1 for an option string, so a
+    value after a list option that starts with a minus sign and a digit or
+    point is glued to it (--alpha=-2,1,1).  A missing value, as in
+    `--alpha --degree 1`, is left for argparse to refuse."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-[0-9.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_values(
+        sys.argv[1:] if argv is None else argv))
     t0 = time.monotonic()
     try:
         result, inputs = args.handler(args)

@@ -14,76 +14,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .aomoto import AomotoComplex
 from .errors import PreconditionError
-from .exterior import Multivector, build_quotient_algebra, wedge
-# rank_and_kernel and rref are imported for the benchmark's tracer, which
-# wraps elliptic.rank_and_kernel and elliptic.rref
-from .scalars import QI, GaussianRational, Matrix, rank_and_kernel, rref, solve_linear  # noqa: F401
+from .exterior import Multivector, build_quotient_algebra
+# rank_and_kernel, rref and solve_linear are imported for the benchmark's
+# tracer, which wraps them on this module
+from .scalars import QI, GaussianRational, rank_and_kernel, rref, solve_linear  # noqa: F401
 
 _I = GaussianRational(0, 1)
 _HALF = GaussianRational(Fraction(1, 2))
 _MODELS = {}
 
 
-@lru_cache(maxsize=None)
-def _curve_duals():
-    """Poincare-dual basis of H*(genus-1 curve) = exterior algebra on a, b.
+def _diagonal_relation(n, k, l):
+    """The rational relation of the (k, l) diagonal, k < l, on the u, v
+    generators 2k, 2k+1, 2l, 2l+1:
 
-    Monomials are indexed by 2-bit masks (bit 0 = a, bit 1 = b).  Returns
-    the tuple of (mask, degree, dual) with dual a tuple of (mask, coeff)
-    whose wedge against the basis element hits the top class with
-    coefficient 1.  A constant table, computed once.
-    """
-    masks = [0b00, 0b01, 0b10, 0b11]
-    # gram[l][j] = coefficient of ab in monomial_l wedge monomial_j
-    gram = []
-    for l in masks:
-        row = []
-        for j in masks:
-            w = wedge(Multivector(2, [(l, 1)]), Multivector(2, [(j, 1)]))
-            row.append(w.terms.get(0b11, 0))
-        gram.append(row)
-    duals = []
-    for m in masks:
-        e = [Fraction(1) if l == m else Fraction(0) for l in masks]
-        c = solve_linear(Matrix(gram), e)
-        duals.append((m, bin(m).count("1"),
-                      tuple((masks[j], c[j]) for j in range(4) if c[j])))
-    return tuple(duals)
+        u_k v_k + v_k u_l - u_k v_l + u_l v_l.
 
-
-def _embed_factor(n, k, mask):
-    """Image of a curve monomial (mask over a, b) in the n-point model's
-    ambient exterior algebra, written in the u, v generators of factor k."""
-    ng = 2 * n
-    u = Multivector.generator(ng, 2 * k)
-    v = Multivector.generator(ng, 2 * k + 1)
-    a = (u + v).scale(_HALF)
-    b = (u - v).scale(-_I * _HALF)
-    if mask == 0b00:
-        return Multivector(ng, [(0, GaussianRational(1))])
-    if mask == 0b01:
-        return a
-    if mask == 0b10:
-        return b
-    return wedge(a, b)
-
-
-def diagonal_class(n, k, l):
-    """The class of the (k,l) diagonal in degree 2, via the Kunneth
-    dual-basis formula sum_m (-1)^{deg m} m_k wedge (dual m)_l."""
-    total = Multivector.zero(2 * n)
-    for mask, deg, dual in _curve_duals():
-        left = _embed_factor(n, k, mask)
-        for dmask, coeff in dual:
-            right = _embed_factor(n, l, dmask)
-            term = wedge(left, right).scale(
-                GaussianRational(coeff if deg % 2 == 0 else -coeff))
-            total = total + term
-    return total
+    The Kunneth class of the diagonal is i/2 times it (see EllipticModel)."""
+    uk, vk, ul, vl = 1 << 2 * k, 1 << 2 * k + 1, 1 << 2 * l, 1 << 2 * l + 1
+    return Multivector(2 * n, [(uk | vk, 1), (vk | ul, 1), (uk | vl, -1),
+                               (ul | vl, 1)])
 
 
 class EllipticModel:
@@ -91,9 +44,16 @@ class EllipticModel:
     on an elliptic curve: exterior algebra on a_1, b_1, ..., a_n, b_n modulo
     the span of the diagonal classes, with its Hodge bigrading.
 
-    The diagonals are integral classes, so each Kunneth class (kept in
-    `diagonals`) over its coefficient at the lowest monomial is a rational
-    relation; the algebra is built from these, with coordinates in QQ(i)."""
+    The class of the (k, l) diagonal is the Kunneth sum
+    sum_m (-1)^{deg m} m_k (dual m)_l over the basis 1, a, b, ab of the
+    curve's cohomology, with dual basis 1 <-> ab, a <-> b, b <-> -a:
+
+        (ab)_l - a_k b_l + b_k a_l + (ab)_k.
+
+    With a = (u + v)/2 and b = i(v - u)/2 this is i/2 times the integer
+    relation u_k v_k + v_k u_l - u_k v_l + u_l v_l.  The algebra is built
+    from these relations (`_diagonal_relation`), with coordinates in
+    QQ(i); the tests rederive the classes from the Kunneth formula."""
 
     def __init__(self, n, top=2):
         if not 2 <= n <= 32:
@@ -103,15 +63,10 @@ class EllipticModel:
         self.n = n
         pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
         self.diagonal_pairs = pairs
-        self.diagonals = {p: diagonal_class(n, *p) for p in pairs}
         types = []
         for _ in range(n):
             types.extend([(1, 0), (0, 1)])
-        relations = [g.scale(1 / g.terms[min(g.terms)])
-                     for g in self.diagonals.values()]
-        if any(c.im for g in relations for c in g.terms.values()):
-            raise AssertionError("a diagonal class is not a multiple of a "
-                                 "rational relation")
+        relations = [_diagonal_relation(n, *p) for p in pairs]
         self.algebra = build_quotient_algebra(
             2 * n, relations, top, field=QI, hodge_types=types)
 

@@ -4,7 +4,9 @@ Subsets of generators are bitmasks, so a multivector is a sparse map from
 bitmask to coefficient.  Quotient algebras store, per degree, the monomial
 basis, a canonical quotient basis (the lexicographically smallest monomials
 completing an echelon basis of the ideal), and the projection of every
-monomial onto that basis, all rational (over QQ(i) too) or mod p.
+monomial onto that basis.  The ideal's relations are rational (over QQ(i)
+too) or residues mod p.  They are built and ranked as integer rows, and the
+projections of one degree are stored as integers over one denominator.
 Generators may carry Hodge types (p, q), in which case monomials are
 bigraded.  Ideal generators must then be pure, so the ideal's reduced
 echelon form splits into blocks by type and every monomial projects onto
@@ -17,10 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PreconditionError
-from .scalars import QI, QQ, Matrix, rref
+# rref is imported for the benchmark's tracer, which wraps exterior.rref
+from .scalars import QI, QQ, Matrix, _rref_parts, rref  # noqa: F401
 
 
 def _mask(indices):
@@ -107,9 +110,6 @@ class Multivector:
             raise PreconditionError("multivector is not homogeneous")
         return degs[0]
 
-    def coefficient(self, indices):
-        return self.terms.get(_mask(indices), 0)
-
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
@@ -173,9 +173,12 @@ class GradedAlgebra:
 
     Built by `build_quotient_algebra`.  For each degree d up to `top` it
     holds the monomial list (lex order), the quotient basis (non-pivot
-    monomials of the ideal's reduced echelon form), and projections of all
-    monomials, as rationals (residues over F_p); `field` is the field of
-    the coordinates that `project`, `lift` and `hodge_subspace` use.
+    monomials of the ideal's reduced echelon form), and the projections of
+    all monomials as `proj[d] = (den, cols)`: cols[k] is the sparse column
+    ((basis position, numerator), ...) of monomial k, integers over den,
+    the lcm of their reduced denominators (residues and den = 1 over F_p).
+    `field` is the field of the coordinates that `project`, `lift` and
+    `hodge_subspace` use; the projections are rational over QQ(i) too.
 
     Multiplication by the generators is kept as integer structure constants
     (`structure_constants`), built from the projections on first use; the
@@ -219,12 +222,15 @@ class GradedAlgebra:
             raise PreconditionError("degree mismatch in projection")
         out = self.zero_coords(d)
         index = self.mono_index[d]
-        proj = self.proj[d]
+        den, cols = self.proj[d]
         coerce = self.field.coerce
         for mask, c in mv.terms.items():
             c = coerce(c)
-            for j, pc in proj[index[mask]]:
+            for j, pc in cols[index[mask]]:
                 out[j] = out[j] + c * pc
+        if den != 1:
+            inv = coerce(Fraction(1, den))
+            out = [x * inv for x in out]
         return [coerce(x) for x in out]
 
     def lift(self, coords, d):
@@ -248,9 +254,9 @@ class GradedAlgebra:
         (den, cols) with cols[i][j] the sparse column ((row, entry), ...) of
         den * (e_i wedge .): A^d -> A^{d+1} at the j-th basis monomial.
 
-        `den` is the lcm of the denominators of the projections into
-        A^{d+1}; entries are ints over QQ and QQ(i) and residues over F_p
-        (den = 1).  Built on first use and kept.
+        `den` and the entries are those of the stored projections into
+        A^{d+1} (`proj[d + 1]`), signed: ints over QQ and QQ(i), residues
+        over F_p (den = 1).  Built on first use and kept.
         """
         if d not in self._structure:
             self._structure[d] = self._integer_structure(d)
@@ -258,13 +264,7 @@ class GradedAlgebra:
 
     def _integer_structure(self, d):
         p = getattr(self.field, "p", None)
-        target = self.proj[d + 1]
-        if p:
-            den, cleared = 1, target
-        else:
-            den = lcm(*(c.denominator for col in target for _, c in col))
-            cleared = [tuple((j, c.numerator * (den // c.denominator))
-                             for j, c in col) for col in target]
+        den, target = self.proj[d + 1]
         index = self.mono_index[d + 1]
         cols = []
         for i in range(self.ngens):
@@ -274,9 +274,9 @@ class GradedAlgebra:
                 if m & bit:
                     gen.append(())
                     continue
-                col = cleared[index[bit | m]]
+                col = target[index[bit | m]]
                 if _merge_sign(bit, m) < 0:
-                    col = tuple((j, -e % p if p else -e) for j, e in col)
+                    col = tuple((j, p - e if p else -e) for j, e in col)
                 gen.append(col)
             cols.append(gen)
         return den, cols
@@ -396,14 +396,24 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     The quotient basis in each degree is canonical: monomials are ordered
     lexicographically and the non-pivot ones survive.
 
-    Over QQ(i) the generators must be rational: the ideal is ranked over QQ,
-    and `field` is only the field of the coordinates.
+    Each coefficient but an int over QQ or QQ(i) goes through `field.coerce`
+    once, so over F_p a denominator that vanishes mod p raises
+    BadPrimeError.  Each generator is cleared to integers (residues over
+    F_p) and the rows e_T wedge g are signed copies of it, ranked by
+    `scalars._rref_parts`.  Over QQ(i) the generators must be rational: the
+    ideal is ranked over QQ, and `field` is only the field of the
+    coordinates.
     """
     if top < 0:
         raise PreconditionError("top degree must be nonnegative")
-    if top > ngens:
-        top = ngens
+    top = min(top, ngens)
+    if hodge_types is not None:
+        hodge_types = tuple(tuple(t) for t in hodge_types)
+        if len(hodge_types) != ngens:
+            raise PreconditionError("one Hodge type per generator required")
+    p = getattr(field, "p", None)
     gens = []
+    cleared = []  # per generator: (degree, [(mask, c, -c), ...]), cleared
     for k, g in enumerate(ideal_gens):
         if not isinstance(g, Multivector) or g.ngens != ngens:
             raise PreconditionError(
@@ -416,23 +426,33 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
             raise PreconditionError(
                 f"ideal generator {k} has degree {g.degree()}; degree-one "
                 "relations would change the generator space")
-        if field is QI:
-            coeffs = {m: QI.coerce(c) for m, c in g.terms.items()}
-            if any(c.im for c in coeffs.values()):
-                raise PreconditionError(
-                    f"ideal generator {k} has a non-rational coefficient; "
-                    "the relations of a quotient over QQ(i) are rational")
-            g = Multivector(ngens, {m: c.re for m, c in coeffs.items()})
-        gens.append(g)
-    if hodge_types is not None:
-        hodge_types = tuple(tuple(t) for t in hodge_types)
-        if len(hodge_types) != ngens:
-            raise PreconditionError("one Hodge type per generator required")
-        for k, g in enumerate(gens):
+        coeffs = {}
+        for m, c in g.terms.items():
+            if p or type(c) is not int:
+                c = field.coerce(c)
+                if field is QI:
+                    if c.im:
+                        raise PreconditionError(
+                            f"ideal generator {k} has a non-rational "
+                            "coefficient; the relations of a quotient over "
+                            "QQ(i) are rational")
+                    c = c.re
+            coeffs[m] = c
+        g = Multivector(ngens, coeffs)
+        if g.is_zero():  # a multiple of p
+            continue
+        if hodge_types is not None:
             types = {_mono_type(m, hodge_types) for m in g.terms}
             if len(types) > 1:
-                raise PreconditionError(
-                    f"ideal generator {k} mixes Hodge types {sorted(types)}")
+                raise PreconditionError(f"ideal generator {len(gens)} mixes "
+                                        f"Hodge types {sorted(types)}")
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        terms = []
+        for m, c in g.terms.items():
+            c = c.numerator * (den // c.denominator)
+            terms.append((m, c, p - c if p else -c))
+        gens.append(g)
+        cleared.append((g.degree(), terms))
 
     base = QQ if field is QI else field
     monomials = []
@@ -441,40 +461,34 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     for d in range(top + 1):
         monos = [_mask(c) for c in combinations(range(ngens), d)]
         index = {m: k for k, m in enumerate(monos)}
-        nm = len(monos)
         rows = []
-        for g in gens:
-            e = g.degree()
-            if e > d:
-                continue
-            for c in combinations(range(ngens), d - e):
-                w = wedge(g, Multivector.monomial(ngens, c))
-                if w.is_zero():
-                    continue
-                row = [base.zero()] * nm
-                for mask, coeff in w.terms.items():
-                    row[index[mask]] = base.coerce(coeff)
-                rows.append(row)
-        if rows:
-            _, pivots, rrows = rref(rows, base)
-        else:
-            pivots, rrows = (), []
-        pivot_set = set(pivots)
-        keep = [k for k in range(nm) if k not in pivot_set]
-        keep_pos = {k: j for j, k in enumerate(keep)}
-        # projection of each monomial, stored sparsely as (basis pos, coeff)
-        cols = []
-        pivot_row = {p: i for i, p in enumerate(pivots)}
-        for k in range(nm):
-            if k in pivot_set:
-                row = rrows[pivot_row[k]]
-                cols.append(tuple(
-                    (keep_pos[j], base.coerce(-row[j]))
-                    for j in keep if row[j]))
-            else:
-                cols.append(((keep_pos[k], base.one()),))
+        for e, terms in cleared:
+            for t in monomials[d - e] if e <= d else ():
+                hits = [(index[m | t], c if _merge_sign(m, t) > 0 else neg)
+                        for m, c, neg in terms if not m & t]
+                if hits:
+                    row = [0] * len(monos)
+                    for j, c in hits:
+                        row[j] = c
+                    rows.append(row)
+        pivots, free, echelon = _rref_parts([rows], len(monos), base)
         monomials.append(monos)
-        basis.append([monos[k] for k in keep])
-        proj.append(cols)
+        basis.append([monos[k] for k in free])
+        proj.append(_projections(len(monos), pivots, free, echelon, p))
     return GradedAlgebra(ngens, field, top, gens, hodge_types,
                          monomials, basis, proj)
+
+
+def _projections(nm, pivots, free, echelon, p):
+    """`proj[d]` = (den, cols) from the RREF of the degree-d ideal, in the
+    form `scalars._rref_parts` returns: the basis is the free columns, a
+    free monomial projects to den / den at its place, and a pivot monomial
+    to minus its RREF row; den is the lcm of the reduced denominators."""
+    den = 1 if p else lcm(*(r // gcd(r, *nums) for r, (nums,) in echelon))
+    cols = [None] * nm
+    for j, k in enumerate(free):
+        cols[k] = ((j, den),)
+    for k, (r, (nums,)) in zip(pivots, echelon):
+        cols[k] = tuple((j, p - a if p else -a * den // r)
+                        for j, a in enumerate(nums) if a)
+    return den, cols

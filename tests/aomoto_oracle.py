@@ -15,6 +15,7 @@ entry.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from jumploci.aomoto import (GenericDimsReport, LogResonanceReport,
                              _scalar_mod, reduce_algebra_mod)
@@ -30,14 +31,14 @@ def generator_matrix(algebra, i, d):
     bit = 1 << i
     field = algebra.field
     index = algebra.mono_index[d + 1]
-    proj = algebra.proj[d + 1]
+    den, proj = algebra.proj[d + 1]
     cols = []
     for m in algebra.basis[d]:
         col = [field.zero()] * algebra.dim(d + 1)
         if not m & bit:
             sign = _merge_sign(bit, m)
             for j, pc in proj[index[bit | m]]:
-                col[j] = pc if sign == 1 else field.coerce(-pc)
+                col[j] = field.coerce(Fraction(sign * pc, den))
         cols.append(col)
     return cols
 

@@ -143,6 +143,16 @@ def test_reduction_refuses_a_prime_that_moves_the_pivots():
     assert generic_dims_sample(A, prime=17, trials=5).dims == (0, 0, 0, 0)
 
 
+def test_reduction_refuses_a_prime_that_divides_a_denominator():
+    # the F_p build coerces each rational coefficient itself: 1/13 has no
+    # residue mod 13
+    A = build_quotient_algebra(
+        3, [Multivector(3, [(0b011, Fraction(1, 13)), (0b101, 1)])], 3)
+    with pytest.raises(BadPrimeError, match="denominator of 1/13 vanishes "
+                                            "mod 13"):
+        generic_dims_sample(A, prime=13, trials=5)
+
+
 def test_semicontinuity_at_special_point():
     rep = generic_dims_sample(six_planes(), trials=30, seed=3)
     special = resonance_membership(

@@ -160,8 +160,9 @@ def test_corrupted_projection_fails_the_anticommutation_check():
     # which the products e_i (e_j e_k) of the complex go through
     k = next(k for k, m in enumerate(algebra.monomials[2])
              if m not in algebra.basis[2])
-    (j, c), *rest = algebra.proj[2][k]
-    algebra.proj[2][k] = ((j, c + 1), *rest)
+    den, cols = algebra.proj[2]
+    (j, c), *rest = cols[k]
+    cols[k] = ((j, c + den), *rest)
     with pytest.raises(AssertionError, match="do not anticommute"):
         AomotoComplex(algebra, [1] * algebra.dim(1))
     with pytest.raises(AssertionError):

@@ -6,10 +6,11 @@ from itertools import combinations
 
 import pytest
 
+from elliptic_oracle import diagonal_class
 from jumploci.aomoto import AomotoComplex
 from jumploci.elliptic import (
-    diagonal_class, e2_page, elliptic_model, hodge_decompose,
-    scroll_membership, tangent_pair_basis)
+    e2_page, elliptic_model, hodge_decompose, scroll_membership,
+    tangent_pair_basis)
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, wedge
 from jumploci.scalars import (QI, GaussianRational, Matrix, rank,
@@ -43,7 +44,7 @@ def test_out_of_range_n():
 
 def test_diagonal_classes_are_type_one_one():
     m = elliptic_model(3)
-    for cls in m.diagonals.values():
+    for cls in (diagonal_class(3, k, l) for k, l in m.diagonal_pairs):
         for mask in cls.terms:
             assert m.algebra.monomial_hodge_type(mask) == (1, 1)
 
@@ -51,14 +52,15 @@ def test_diagonal_classes_are_type_one_one():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_diagonal_classes_are_multiples_of_the_rational_relations(n):
     # the model is built from one rational relation per diagonal: the
-    # Kunneth class over its coefficient at the lowest monomial
+    # Kunneth class over its coefficient at the lowest monomial, which is
+    # i/2 (the closed form)
     m = elliptic_model(n)
     relations = m.algebra.ideal_gens
     assert len(relations) == len(m.diagonal_pairs)
     for (k, l), relation in zip(m.diagonal_pairs, relations):
         diagonal = diagonal_class(n, k, l)
-        assert diagonal == m.diagonals[(k, l)]
         lead = diagonal.terms[min(diagonal.terms)]
+        assert lead == I / 2
         assert relation.terms[min(relation.terms)] == 1
         assert all(type(c) in (int, Fraction) for c in relation.terms.values())
         assert relation.scale(lead) == diagonal
@@ -71,7 +73,7 @@ def _gaussian_quotient(m, d):
     monos = m.algebra.monomials[d]
     index = {mask: k for k, mask in enumerate(monos)}
     rows = []
-    for g in m.diagonals.values():
+    for g in (diagonal_class(m.n, k, l) for k, l in m.diagonal_pairs):
         for c in combinations(range(ngens), d - 2) if d >= 2 else ():
             w = wedge(g, Multivector.monomial(ngens, c))
             if not w.is_zero():
@@ -98,8 +100,10 @@ def test_rational_build_matches_the_gaussian_rref_of_the_diagonals(n, top):
     m = elliptic_model(n, top)
     for d in range(top + 1):
         basis, proj = _gaussian_quotient(m, d)
+        den, cols = m.algebra.proj[d]
         assert basis == m.algebra.basis[d]
-        assert proj == m.algebra.proj[d]
+        assert proj == [tuple((j, Fraction(c, den)) for j, c in col)
+                        for col in cols]
 
 
 def test_coordinate_roundtrip():

@@ -127,7 +127,7 @@ def _hodge_subspace_by_definition(A, p, d):
 def _check_coordinate_filtration(A):
     for d in range(A.top + 1):
         # pure ideal generators: every monomial projects onto its own type
-        for m, proj in zip(A.monomials[d], A.proj[d]):
+        for m, proj in zip(A.monomials[d], A.proj[d][1]):
             assert {A.monomial_hodge_type(A.basis[d][j]) for j, _ in proj} \
                 <= {A.monomial_hodge_type(m)}
         for p in range(d + 2):

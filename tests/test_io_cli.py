@@ -488,9 +488,8 @@ def test_master_points_report_equals_the_public_functions(case):
     # the subcommand factors once and derives the critical report and the
     # Koszul data from the log divisor; the three functions each factor
     points, lam = case
-    # "=": a leading minus sign would read as an option
-    rep = report(["master", f"--points={_csv(points)}",
-                  f"--weights={_csv(lam)}"])
+    rep = report(["master", "--points", _csv(points),
+                  "--weights", _csv(lam)])
     assert rep["result"] == {
         "critical": cli.jsonable(
             master.critical_points_univariate(points, lam)),
@@ -642,6 +641,39 @@ def test_unknown_subcommand_exits_via_argparse():
         with contextlib.redirect_stderr(io.StringIO()):
             cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# list values that start with a minus sign, each next to its option
+NEGATIVE_VALUE_RUNS = [
+    ["aomoto", "--arrangement", "concurrent3", "--alpha", "-2,1,1"],
+    ["e2-page", "--n", "3", "--x", "-1,1,0"],
+    ["master", "--points", "-1,0,1", "--weights", "1,1,1"],
+    ["master", "--points", "0,1,2", "--weights", "-1/2,2,1"],
+    ["resonance-sample", "--arrangement", "concurrent3",
+     "--subspace", "-1,1,0", "--trials", "2"],
+    ["log-resonance", "--arrangement", "concurrent3", "--alpha", "-.5,1,1"],
+    ["fox-h1", "--presentation", "free2", "--character", "-2,3"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUE_RUNS,
+                         ids=[" ".join(a[:1] + a[-2:]) for a in
+                              NEGATIVE_VALUE_RUNS])
+def test_list_values_may_start_with_a_minus_sign(argv):
+    k = next(k for k, a in enumerate(argv) if a[:2] != "--" and a[:1] == "-")
+    spelled = argv[:k - 1] + [f"{argv[k - 1]}={argv[k]}"] + argv[k + 1:]
+    got, want = report(argv), report(spelled)
+    got.pop("elapsed_s"), want.pop("elapsed_s")
+    assert got == want
+
+
+def test_a_list_option_without_its_value_still_exits_2():
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(["aomoto", "--arrangement", "concurrent3", "--alpha",
+                  "--degree", "1"])
+    assert exc.value.code == 2
+    assert "argument --alpha: expected one argument" in err.getvalue()
 
 
 def test_json_out_duplicates_stdout(tmp_path):
