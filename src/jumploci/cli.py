@@ -241,7 +241,7 @@ def _cmd_master(args):
         }, {"points": args.points, "weights": args.weights}
     arr, digest = _load_arrangement(args.arrangement)
     lam = parse_rational_csv(args.weights, "weights")
-    rep = critical_points_bivariate(arr, lam, seed=args.seed)
+    rep = critical_points_bivariate(arr, lam)
     return jsonable(rep), {"arrangement": digest, "weights": args.weights}
 
 

@@ -10,9 +10,9 @@ is |D| - 2 for every nonzero weight vector.
 
 Bivariate: critical points of line-arrangement master functions are counted
 by a sheared Sylvester resultant with the arrangement's multiple points
-divided out.  Genericity of the weights is certified, never assumed: the
-count must be reproduced by a second shear and by a perturbed weight
-vector, and the genuine eliminant must be square-free; otherwise a
+divided out.  The count is certified by the length identity behind
+Corollary 1.1 (Orlik-Terao 1995, Silvotti 1996, Huh 2013): a finite zero
+set Z(alpha) on a good compactification has length chi(M); otherwise a
 DegeneracyError is raised instead of a wrong count.
 
 Every polynomial is built over the integers, as a coefficient list or a
@@ -24,7 +24,6 @@ is counted by exact division by b z - a in ZZ[z].
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -378,16 +377,33 @@ def _eliminant(forms, weights, spurious, t):
     return _zz_poly(g), pt, qt
 
 
-def _certified_count(forms, weights, spurious):
-    """Scan the whole shear sequence and certify the critical count.
+def _vanishes_at_infinity(arr, lam):
+    """Whether alpha, with nonzero weights, vanishes on the (strict
+    transform of the) line at infinity, the only boundary curve it can
+    vanish on: its residue there is -sum lambda, and the residues of its
+    restriction are the weight sums of the parallel classes, a single line
+    giving its own nonzero weight."""
+    if sum(lam):
+        return False
+    classes = []
+    for j in range(arr.size):
+        for members in classes:
+            if arr.common_point((members[0], j)) is None:
+                members.append(j)
+                break
+        else:
+            classes.append([j])
+    return all(len(members) >= 2 and not sum(lam[k] for k in members)
+               for members in classes)
 
-    Dividing out a multiple point's valuation can also swallow a genuine
-    critical point that happens to share its sheared x-coordinate, so a
-    single shear can only undercount; the true count is the maximum over
-    collision-free shears.  It is accepted when at least two distinct
-    shears attain it with square-free eliminants.
-    """
-    usable = []
+
+def _certifying_shear(forms, weights, spurious, n):
+    """(t, G, P_t, Q_t) for the first shear t whose genuine eliminant G is
+    square-free of degree n = |chi(M)|.  The roots of G are the sheared
+    x-coordinates of distinct interior zeros (dividing out a multiple point
+    can only drop some), so when Z(alpha) is finite, of length n, they are
+    all of it, each simple and none on the boundary."""
+    found = set()
     for t in _SHEARS:
         got = _eliminant(forms, weights, spurious, t)
         if got is None:
@@ -397,28 +413,21 @@ def _certified_count(forms, weights, spurious):
         # square-free over Q: gcd(G, G') is a constant
         if deg > 0 and sp.gcd(g, g.diff(_X)).degree() > 0:
             continue
-        usable.append((deg, t, g, pt, qt))
-    if not usable:
-        raise DegeneracyError(
-            "no shear yields a square-free genuine eliminant: repeated "
-            "critical points for these weights")
-    best = max(u[0] for u in usable)
-    winners = [u for u in usable if u[0] == best]
-    if len(winners) < 2:
-        raise DegeneracyError(
-            f"only shear {winners[0][1]} attains the maximal count {best}: "
-            "cannot certify the count for these weights")
-    return winners[0]
+        if deg == n:
+            return t, g, pt, qt
+        found.add(deg)
+    raise DegeneracyError(
+        f"no shear exhibits |chi(M)| = {n} simple interior zeros (largest "
+        f"square-free count: {max(found, default='none')}): zeros are "
+        "repeated or on the boundary for these weights")
 
 
 def critical_points_bivariate(arr, lam, seed=0):
     """Critical points of the master function of an essential affine line
-    arrangement, counted with multiplicity by a sheared resultant.
-
-    The weight vector is certified generic by three independent checks
-    (square-free eliminant, agreement of a second shear, agreement after a
-    seeded weight perturbation); any failure raises DegeneracyError.
-    chi_matches compares the count with |chi(M)| from the face algebra.
+    arrangement, certified by the length identity |Z(alpha)| = |chi(M)|.
+    Its hypothesis, a finite Z(alpha), is checked: the resultant must not
+    vanish identically and alpha not on the line at infinity.  Any failure
+    raises DegeneracyError.  `seed` is accepted and has no effect.
     """
     if not isinstance(arr, Arrangement) or arr.ambient != 2:
         raise PreconditionError("need a line arrangement in C^2")
@@ -430,32 +439,15 @@ def critical_points_bivariate(arr, lam, seed=0):
             raise DegeneracyError(
                 f"weight lambda_{j} = 0 drops hyperplane {j} from the form; "
                 "the puncture structure no longer matches the arrangement")
-    _dims, chi = poincare_and_euler(arr)
-    forms = _cleared_forms(arr)
-    spurious = _multiple_points(arr)
-
-    count, t1, g1, pt1, qt1 = _certified_count(
-        forms, _cleared_weights(lam), spurious)
-    rng = random.Random(seed)
-    stable = False
-    for _ in range(3):
-        bumped = [l + Fraction(rng.randint(1, 9), 97) for l in lam]
-        if not all(bumped):
-            continue
-        try:
-            bumped_count = _certified_count(
-                forms, _cleared_weights(bumped), spurious)[0]
-        except DegeneracyError:
-            continue
-        if bumped_count != count:
-            raise DegeneracyError(
-                f"count {count} is not stable under weight perturbation "
-                f"(got {bumped_count}): weights are degenerate")
-        stable = True
-        break
-    if not stable:
+    if _vanishes_at_infinity(arr, lam):
         raise DegeneracyError(
-            "could not reproduce the count with perturbed weights")
+            "alpha vanishes on the line at infinity (sum lambda = 0 and every "
+            "parallel class has weight sum 0): the zero set is not finite")
+    _dims, chi = poincare_and_euler(arr)
+    count = abs(chi)
+    t1, g1, pt1, qt1 = _certifying_shear(
+        _cleared_forms(arr), _cleared_weights(lam), _multiple_points(arr),
+        count)
 
     zeros = []
     if g1.degree() > 0:
@@ -480,10 +472,9 @@ def critical_points_bivariate(arr, lam, seed=0):
                 zeros.append(Zero("interior", mult, value=pt))
             else:
                 zeros.extend(_zeros_of_poly(f, "interior"))
-    notes = (f"count {count} certified by two shears (reported from shear "
-             f"{t1}) and by a perturbed weight vector",)
-    return DivisorReport(tuple(zeros), count, chi, count == abs(chi),
-                         notes=notes)
+    notes = (f"length identity: shear {t1} exhibits |chi(M)| = {count} "
+             "simple interior zeros, so there are no others",)
+    return DivisorReport(tuple(zeros), count, chi, True, notes=notes)
 
 
 @dataclass(frozen=True)

@@ -395,7 +395,9 @@ def check_elliptic_all(seed=0, ns=(3, 4, 5)):
 
 # ---------------------------------------------------------------------------
 # 4. Hopf-index counts: univariate random configurations, bivariate line
-#    arrangements with certified resultant counts.
+#    arrangements with certified resultant counts, each cross-checked against
+#    Corollary 1.1: a finite zero set (codimension 2) forces Aomoto
+#    cohomology (0, 0, |chi|).
 
 def _random_univariate_config(rng):
     d = rng.randint(2, 8)
@@ -410,6 +412,9 @@ BIVARIATE_CASES = [
     ("generic3", [[0, 1, 0], [0, 0, 1], [-1, 1, 1]]),
     ("boolean2", [[1, 0], [0, 1]]),
     ("triple4", [[0, 1, 0], [0, 0, 1], [-1, 1, 1], [0, 1, -1]]),
+    # braid A3 deconed: x, y, x - y, x - 1, y - 1
+    ("deconed-A3", [[0, 1, 0], [0, 0, 1], [0, 1, -1], [-1, 1, 0],
+                    [-1, 0, 1]]),
 ]
 
 
@@ -437,23 +442,25 @@ def check_hopf_counts(seed=0, univariate_runs=20):
     for name, forms in BIVARIATE_CASES:
         arr = Arrangement(2, forms)
         _coeffs, chi = poincare_and_euler(arr)
-        counted = None
+        counted = aomoto = None
         degeneracies = 0
-        for attempt in range(6):
+        for _attempt in range(6):
             lam = [rng.choice([k for k in range(-7, 8) if k])
                    for _ in range(arr.size)]
             try:
-                rep = critical_points_bivariate(arr, lam, seed=seed + attempt)
+                rep = critical_points_bivariate(arr, lam)
             except DegeneracyError:
                 degeneracies += 1
                 continue
             counted = rep.total
-            if counted != abs(chi) or not rep.chi_matches:
+            aomoto = AomotoComplex(os_algebra(arr), lam).cohomology_dims()
+            if (counted != abs(chi) or not rep.chi_matches
+                    or aomoto != (0, 0, abs(chi))):
                 biv_ok = False
             break
         if counted is None:
             biv_ok = False
-        biv_results.append((name, abs(chi), counted, degeneracies))
+        biv_results.append((name, abs(chi), counted, degeneracies, aomoto))
 
     passed = not uni_failures and biv_ok
     return CheckResult(

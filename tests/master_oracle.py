@@ -13,7 +13,6 @@ field for field.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import sympy as sp
@@ -205,8 +204,23 @@ def _eliminant(p, q, spurious, t):
     return g, res, pt, qt
 
 
-def _certified_count(p, q, spurious):
-    usable = []
+def _vanishes_at_infinity(arr, lam):
+    """sum lambda = 0 and the lines split into parallel classes, by the 2x2
+    determinant of their linear parts, each of two or more lines and of
+    weight sum 0."""
+    if sum(lam):
+        return False
+    classes = {}
+    for j, (_c0, a, b) in enumerate(arr.forms):
+        key = next((k for k in classes
+                    if a * arr.forms[k][2] - b * arr.forms[k][1] == 0), j)
+        classes.setdefault(key, []).append(j)
+    return all(len(c) >= 2 and sum(lam[k] for k in c) == 0
+               for c in classes.values())
+
+
+def _certifying_shear(p, q, spurious, n):
+    found = set()
     for t in _SHEARS:
         got = _eliminant(p, q, spurious, t)
         if got is None:
@@ -215,18 +229,13 @@ def _certified_count(p, q, spurious):
         deg = max(g.degree(), 0)
         if deg > 0 and not sp.gcd(g, g.diff(_X)).is_one:
             continue
-        usable.append((deg, t, g, pt, qt))
-    if not usable:
-        raise DegeneracyError(
-            "no shear yields a square-free genuine eliminant: repeated "
-            "critical points for these weights")
-    best = max(u[0] for u in usable)
-    winners = [u for u in usable if u[0] == best]
-    if len(winners) < 2:
-        raise DegeneracyError(
-            f"only shear {winners[0][1]} attains the maximal count {best}: "
-            "cannot certify the count for these weights")
-    return winners[0]
+        if deg == n:
+            return t, g, pt, qt
+        found.add(deg)
+    raise DegeneracyError(
+        f"no shear exhibits |chi(M)| = {n} simple interior zeros (largest "
+        f"square-free count: {max(found, default='none')}): zeros are "
+        "repeated or on the boundary for these weights")
 
 
 def oracle_critical_points_bivariate(arr, lam, seed=0):
@@ -240,31 +249,14 @@ def oracle_critical_points_bivariate(arr, lam, seed=0):
             raise DegeneracyError(
                 f"weight lambda_{j} = 0 drops hyperplane {j} from the form; "
                 "the puncture structure no longer matches the arrangement")
-    _dims, chi = poincare_and_euler(arr)
-    p, q, fs = _master_components(arr, lam)
-    spurious = _multiple_points(arr)
-
-    count, t1, g1, pt1, qt1 = _certified_count(p, q, spurious)
-    rng = random.Random(seed)
-    stable = False
-    for _ in range(3):
-        bumped = [l + Fraction(rng.randint(1, 9), 97) for l in lam]
-        if not all(bumped):
-            continue
-        try:
-            p2, q2, _ = _master_components(arr, bumped)
-            bumped_count = _certified_count(p2, q2, spurious)[0]
-        except DegeneracyError:
-            continue
-        if bumped_count != count:
-            raise DegeneracyError(
-                f"count {count} is not stable under weight perturbation "
-                f"(got {bumped_count}): weights are degenerate")
-        stable = True
-        break
-    if not stable:
+    if _vanishes_at_infinity(arr, lam):
         raise DegeneracyError(
-            "could not reproduce the count with perturbed weights")
+            "alpha vanishes on the line at infinity (sum lambda = 0 and every "
+            "parallel class has weight sum 0): the zero set is not finite")
+    _dims, chi = poincare_and_euler(arr)
+    count = abs(chi)
+    p, q, fs = _master_components(arr, lam)
+    t1, g1, pt1, qt1 = _certifying_shear(p, q, _multiple_points(arr), count)
 
     zeros = []
     if g1.degree() > 0:
@@ -292,7 +284,6 @@ def oracle_critical_points_bivariate(arr, lam, seed=0):
                 zeros.extend(
                     z for z in _zeros_of_poly(sp.Poly(f, _X, domain="QQ"),
                                               "interior"))
-    notes = (f"count {count} certified by two shears (reported from shear "
-             f"{t1}) and by a perturbed weight vector",)
-    return DivisorReport(tuple(zeros), count, chi, count == abs(chi),
-                         notes=notes)
+    notes = (f"length identity: shear {t1} exhibits |chi(M)| = {count} "
+             "simple interior zeros, so there are no others",)
+    return DivisorReport(tuple(zeros), count, chi, True, notes=notes)

@@ -7,13 +7,15 @@ independent of the resultant solver), and whole reports against the
 symbolic-expression route kept in `master_oracle`.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from jumploci.arrangement import Arrangement
+from jumploci.aomoto import AomotoComplex
+from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.master import (
     _root_intervals, critical_points_bivariate, critical_points_univariate,
@@ -213,6 +215,72 @@ def test_non_essential_arrangement_refused():
             Arrangement(2, [[0, 1, 0], [-1, 1, 0]]), [1, 1])
 
 
+# -- the length identity against Aomoto cohomology and boundary residues ----
+
+# braid A3 deconed: x, y, x - y, x - 1, y - 1, with chi = 2
+DECONED_A3 = Arrangement(2, [[0, 1, 0], [0, 0, 1], [0, 1, -1], [-1, 1, 0],
+                             [-1, 0, 1]])
+GRID = Arrangement(2, [[0, 1, 0], [-1, 1, 0], [0, 0, 1], [-1, 0, 1]])
+
+
+def aomoto_dims(arr, lam):
+    return AomotoComplex(os_algebra(arr), lam).cohomology_dims()
+
+
+def projective_zero_residues(arr, lam):
+    """The boundary components of residue 0 of the projective closure:
+    the cone over `arr` with the line at infinity z = 0 of weight
+    -sum lambda."""
+    cone = Arrangement(3, [[c1, c2, c0] for c0, c1, c2 in arr.forms]
+                       + [[0, 0, 1]], central=True)
+    return residues_line_arrangement(
+        cone, list(lam) + [-sum(lam)]).zero_components
+
+
+@pytest.mark.parametrize("lam", [
+    (1, 1, -2, 1, 1), (1, -2, 1, -2, 1), (-1, -1, 2, -1, -1),
+    (-1, 2, -1, 2, -1), (2, -1, -1, -1, 2), (-2, 1, 1, 1, -2)])
+def test_resonant_weights_are_refused(lam):
+    # a resonant alpha is pulled back along a pencil, so Z(alpha) contains
+    # a fiber and has no finite length to certify
+    assert aomoto_dims(DECONED_A3, lam)[1] == 1
+    with pytest.raises(DegeneracyError):
+        critical_points_bivariate(DECONED_A3, lam)
+
+
+def test_weights_without_zero_residues_are_certified():
+    rng = random.Random(0)
+    certified = 0
+    while certified < 5:
+        lam = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(5)]
+        if projective_zero_residues(DECONED_A3, lam):
+            continue
+        assert aomoto_dims(DECONED_A3, lam) == (0, 0, 2), lam
+        rep = critical_points_bivariate(DECONED_A3, lam)
+        assert rep.total == 2 and len(rep.zeros) == 2, lam
+        assert all(z.multiplicity == 1 for z in rep.zeros)
+        certified += 1
+
+
+def test_zero_on_the_line_at_infinity_is_refused():
+    # the classes {x, x - 1} and {y, y - 1} both have weight sum 0, so
+    # alpha vanishes on the line at infinity; Aomoto cohomology cannot see it
+    assert aomoto_dims(GRID, [1, -1, 1, -1]) == (0, 0, 1)
+    with pytest.raises(DegeneracyError, match="line at infinity"):
+        critical_points_bivariate(GRID, [1, -1, 1, -1])
+
+
+def test_zero_weight_sum_with_nonzero_class_sums_is_certified():
+    # sum lambda = 0, but after the two points at infinity are blown up
+    # the line at infinity meets only their exceptional curves, of
+    # residues 2 and -2
+    rep = critical_points_bivariate(GRID, [1, 1, -1, -1])
+    assert rep.total == 1 and rep.chi == 1
+    (z,) = rep.zeros
+    assert z.value == (Fraction(1, 2), Fraction(1, 2))
+    assert z.multiplicity == 1
+
+
 # -- against the symbolic-expression route -----------------------------------
 
 def outcome(fn, *args, **kwargs):
@@ -294,8 +362,9 @@ def weighted_line_arrangements(draw):
 @settings(max_examples=6, deadline=None)
 def test_bivariate_reports_match_the_expression_route(case, seed):
     arr, lam = case
-    assert outcome(critical_points_bivariate, arr, lam, seed=seed) == \
-        outcome(oracle_critical_points_bivariate, arr, lam, seed=seed)
+    got = outcome(critical_points_bivariate, arr, lam, seed=seed)
+    assert got == outcome(oracle_critical_points_bivariate, arr, lam, seed=seed)
+    assert got == outcome(critical_points_bivariate, arr, lam, seed=0)
 
 
 TRIPLE_POINT = Arrangement(2, [[0, 1, 0], [0, 0, 1], [0, 1, 1], [-1, 1, 2]])
