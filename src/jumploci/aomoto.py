@@ -4,19 +4,20 @@ Given a graded quotient algebra A and a degree-one class alpha, the Aomoto
 complex has differential d(u) = alpha wedge u.  Its cohomology dimensions
 are the resonance data: alpha lies in the degree-j, depth-k resonance locus
 iff h^j >= k.  Everything is exact; randomized sampling runs over a prime
-field by reducing the algebra's structure mod p.
+field by reading the algebra's integer structure constants mod p.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PreconditionError
-from .exterior import build_quotient_algebra
-# rank_and_kernel and solve_linear are imported for the benchmark's tracer,
-# which wraps aomoto.rank_and_kernel and aomoto.solve_linear
+# build_quotient_algebra, rank_and_kernel and solve_linear are imported for
+# the benchmark's tracer, which wraps them on this module
+from .exterior import build_quotient_algebra  # noqa: F401
 from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
                       GaussianRational, _clear, _kernel_basis, _rref_parts,
                       rank_and_kernel, solve_linear)
@@ -165,14 +166,15 @@ def _scalar_mod(x, fp, i_res):
 
 
 def reduce_algebra_mod(algebra, prime):
-    """Rebuild a quotient algebra over QQ or QQ(i) over F_p from its
-    rational ideal generators.
+    """A quotient algebra over QQ or QQ(i) with F_p as its coordinate field:
+    the same basis, projections and integer structure constants, shared.
 
     Over QQ(i) the coordinates send i to the returned square root of -1
-    mod p (requires p = 1 mod 4).  Raises BadPrimeError when a denominator
-    dies mod p or the quotient basis is not the rational one in some degree
-    (unlucky prime): the dimensions collapse, or they agree but the pivots
-    move, and coordinates over F_p would name other monomials.
+    mod p (requires p = 1 mod 4).  Raises BadPrimeError exactly when p
+    divides some den_d: pivots that stay mod p make the RREF entries minors
+    over a pivot minor prime to p.  A prime that only lowers the ideal's
+    rank is accepted: h at a point of A tensor F_p is at least the rational
+    h at any lift.
     """
     fp = GF(prime)
     if algebra.field is QQ:
@@ -181,15 +183,15 @@ def reduce_algebra_mod(algebra, prime):
         i_res = fp.sqrt_minus_one()
     else:
         raise PreconditionError("algebra is already over a prime field")
-    reduced = build_quotient_algebra(
-        algebra.ngens, algebra.ideal_gens, algebra.top, field=fp,
-        hodge_types=algebra.hodge_types)
-    for d, (got, want) in enumerate(zip(reduced.basis, algebra.basis)):
-        if got != want:
+    for d, (den, _) in enumerate(algebra.proj):
+        if den % prime == 0:
             raise BadPrimeError(
-                f"quotient basis in degree {d} moves mod {prime} ({len(got)} "
-                f"vs {len(want)} monomials): coordinates over F_{prime} "
+                f"quotient basis in degree {d} moves mod {prime}, which "
+                f"divides its denominator {den}: coordinates over F_{prime} "
                 "would not name the rational basis")
+    algebra.check_anticommutation()  # in integers, so once for every p
+    reduced = copy.copy(algebra)
+    reduced.field = fp
     return reduced, i_res
 
 
@@ -206,9 +208,9 @@ def generic_dims_sample(algebra, subspace=None, trials=40,
     """Coordinatewise-minimum cohomology dims over random F_p points of a
     subspace of A^1 (default: all of A^1), with the exceeding trials flagged.
 
-    By semicontinuity the minimum is the generic value off a proper closed
-    subset, and a random prime-field point misses that subset with
-    probability 1 - O(1/p).
+    The points are drawn on `reduce_algebra_mod(algebra, prime)`.  By
+    semicontinuity the minimum is the generic value off a proper closed
+    subset, which a random F_p point misses with probability 1 - O(1/p).
     """
     if trials < 1:
         raise PreconditionError("at least one trial required")

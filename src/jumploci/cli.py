@@ -183,8 +183,7 @@ def _cmd_resonance_sample(args):
     arr, digest = _load_arrangement(args.arrangement)
     algebra = os_algebra(arr)
     subspace = _subspace_rows(args.subspace) if args.subspace else None
-    trials = 40 if args.trials is None else args.trials
-    rep = generic_dims_sample(algebra, subspace=subspace, trials=trials,
+    rep = generic_dims_sample(algebra, subspace=subspace, trials=args.trials,
                               prime=args.prime, seed=args.seed)
     return jsonable(rep), {"arrangement": digest}
 
@@ -296,10 +295,6 @@ def build_parser():
         p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all randomized sampling (default 0)")
-        p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                       help="prime for finite-field sampling")
-        p.add_argument("--trials", type=_positive_int, default=None,
-                       help="sample count override where applicable")
         p.add_argument("--json-out", metavar="PATH", default=None,
                        help="also write the report to this file")
         return p
@@ -322,6 +317,10 @@ def build_parser():
     p.add_argument("--arrangement", required=True)
     p.add_argument("--subspace", default=None,
                    help="semicolon-separated rows of rational coefficients")
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
+                   help="prime for finite-field sampling")
+    p.add_argument("--trials", type=_positive_int, default=40,
+                   help="number of sample points (default 40)")
 
     p = sub("log-resonance", _cmd_log_resonance,
             help="logarithmic degree-1 resonance membership")
@@ -331,6 +330,8 @@ def build_parser():
     p = sub("elliptic", _cmd_elliptic,
             help="full elliptic configuration-space battery for one n")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, default=None,
+                   help="sample count of every sampled check")
 
     p = sub("e2-page", _cmd_e2_page,
             help="E2 page of the twisted complex at a pure class (x, ix)")
@@ -363,8 +364,10 @@ def build_parser():
     p.add_argument("--character", required=True,
                    help="comma-separated nonzero rational character values")
 
-    sub("verify-paper", _cmd_verify_paper,
-        help="run the full acceptance battery (exit 1 on any failure)")
+    p = sub("verify-paper", _cmd_verify_paper,
+            help="run the full acceptance battery (exit 1 on any failure)")
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
+                   help="prime for finite-field sampling")
 
     return parser
 

@@ -4,9 +4,9 @@ Subsets of generators are bitmasks, so a multivector is a sparse map from
 bitmask to coefficient.  Quotient algebras store, per degree, the monomial
 basis, a canonical quotient basis (the lexicographically smallest monomials
 completing an echelon basis of the ideal), and the projection of every
-monomial onto that basis.  The ideal's relations are rational (over QQ(i)
-too) or residues mod p.  They are built and ranked as integer rows, and the
-projections of one degree are stored as integers over one denominator.
+monomial onto that basis.  The ideal's relations are rational, built and
+ranked as integer rows, and the projections of one degree are stored as
+integers over one denominator; the field is only where coordinates live.
 Generators may carry Hodge types (p, q), in which case monomials are
 bigraded.  Ideal generators must then be pure, so the ideal's reduced
 echelon form splits into blocks by type and every monomial projects onto
@@ -176,9 +176,9 @@ class GradedAlgebra:
     monomials of the ideal's reduced echelon form), and the projections of
     all monomials as `proj[d] = (den, cols)`: cols[k] is the sparse column
     ((basis position, numerator), ...) of monomial k, integers over den,
-    the lcm of their reduced denominators (residues and den = 1 over F_p).
-    `field` is the field of the coordinates that `project`, `lift` and
-    `hodge_subspace` use; the projections are rational over QQ(i) too.
+    the lcm of their reduced denominators.  `field` is the field of the
+    coordinates that `project`, `lift` and `hodge_subspace` use: QQ, QQ(i),
+    or F_p for p prime to every den (`aomoto.reduce_algebra_mod`).
 
     Multiplication by the generators is kept as integer structure constants
     (`structure_constants`), built from the projections on first use; the
@@ -255,15 +255,13 @@ class GradedAlgebra:
         den * (e_i wedge .): A^d -> A^{d+1} at the j-th basis monomial.
 
         `den` and the entries are those of the stored projections into
-        A^{d+1} (`proj[d + 1]`), signed: ints over QQ and QQ(i), residues
-        over F_p (den = 1).  Built on first use and kept.
+        A^{d+1} (`proj[d + 1]`), signed.  Built on first use and kept.
         """
         if d not in self._structure:
             self._structure[d] = self._integer_structure(d)
         return self._structure[d]
 
     def _integer_structure(self, d):
-        p = getattr(self.field, "p", None)
         den, target = self.proj[d + 1]
         index = self.mono_index[d + 1]
         cols = []
@@ -276,7 +274,7 @@ class GradedAlgebra:
                     continue
                 col = target[index[bit | m]]
                 if _merge_sign(bit, m) < 0:
-                    col = tuple((j, p - e if p else -e) for j, e in col)
+                    col = tuple((j, -e) for j, e in col)
                 gen.append(col)
             cols.append(gen)
         return den, cols
@@ -284,13 +282,12 @@ class GradedAlgebra:
     def check_anticommutation(self):
         """Certify (alpha wedge .)^2 = 0 for every alpha in A^1, once per
         algebra: with E_i = (e_i wedge .), check E_i E_j + E_j E_i = 0 for
-        all i <= j out of every degree, on the integer structure constants
-        (mod p over F_p).  (alpha wedge .)^2 is the sum of a_i a_j times
-        these maps, so the Aomoto complex of every alpha is a complex.
+        all i <= j out of every degree, in integers, so mod every p too.
+        (alpha wedge .)^2 is the sum of a_i a_j times these maps, so the
+        Aomoto complex of every alpha is a complex.
         Raises AssertionError naming the pair and degree that fail."""
         if self._anticommutes:
             return
-        p = getattr(self.field, "p", None)
         pairs = list(combinations_with_replacement(range(self.ngens), 2))
         for d in range(self.top - 1):
             _, first = self.structure_constants(d)
@@ -301,7 +298,7 @@ class GradedAlgebra:
                     for r, c in first[a][j]:
                         for s, e in second[b][r]:
                             acc[s] = acc.get(s, 0) + c * e
-                if any(x % p if p else x for x in acc.values()):
+                if any(acc.values()):
                     raise AssertionError(
                         f"e_{i} and e_{k} do not anticommute out of degree "
                         f"{d}: the Aomoto differentials would not square "
@@ -314,7 +311,7 @@ class GradedAlgebra:
         integer parts, one list each ([ints] over QQ, [re, im] over QQ(i),
         [residues] over F_p; see `aomoto._integral`).  Rows are target
         coordinates; the parts are den_d times the matrix, which changes no
-        rank, kernel or RREF."""
+        rank, kernel or RREF.  Over F_p they are reduced mod p here."""
         nsrc, ntgt = self.dim(d), self.dim(d + 1)
         parts = [[[0] * nsrc for _ in range(ntgt)] for _ in alpha]
         if d >= self.top:
@@ -396,14 +393,16 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     The quotient basis in each degree is canonical: monomials are ordered
     lexicographically and the non-pivot ones survive.
 
-    Each coefficient but an int over QQ or QQ(i) goes through `field.coerce`
-    once, so over F_p a denominator that vanishes mod p raises
-    BadPrimeError.  Each generator is cleared to integers (residues over
-    F_p) and the rows e_T wedge g are signed copies of it, ranked by
-    `scalars._rref_parts`.  Over QQ(i) the generators must be rational: the
-    ideal is ranked over QQ, and `field` is only the field of the
-    coordinates.
+    Each coefficient but an int goes through `field.coerce` once.  Each
+    generator is cleared to integers and the rows e_T wedge g are signed
+    copies of it, ranked by `scalars._rref_parts`.  `field` is QQ or QQ(i),
+    only the field of the coordinates: the generators must be rational.
+    Over F_p, reduce a built algebra with `aomoto.reduce_algebra_mod`.
     """
+    if field is not QQ and field is not QI:
+        raise PreconditionError(
+            f"quotient algebras are built over QQ or QQ(i), not {field}; "
+            "reduce a built one mod p with aomoto.reduce_algebra_mod")
     if top < 0:
         raise PreconditionError("top degree must be nonnegative")
     top = min(top, ngens)
@@ -411,7 +410,6 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
         hodge_types = tuple(tuple(t) for t in hodge_types)
         if len(hodge_types) != ngens:
             raise PreconditionError("one Hodge type per generator required")
-    p = getattr(field, "p", None)
     gens = []
     cleared = []  # per generator: (degree, [(mask, c, -c), ...]), cleared
     for k, g in enumerate(ideal_gens):
@@ -428,7 +426,7 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
                 "relations would change the generator space")
         coeffs = {}
         for m, c in g.terms.items():
-            if p or type(c) is not int:
+            if type(c) is not int:
                 c = field.coerce(c)
                 if field is QI:
                     if c.im:
@@ -439,8 +437,6 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
                     c = c.re
             coeffs[m] = c
         g = Multivector(ngens, coeffs)
-        if g.is_zero():  # a multiple of p
-            continue
         if hodge_types is not None:
             types = {_mono_type(m, hodge_types) for m in g.terms}
             if len(types) > 1:
@@ -450,11 +446,10 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
         terms = []
         for m, c in g.terms.items():
             c = c.numerator * (den // c.denominator)
-            terms.append((m, c, p - c if p else -c))
+            terms.append((m, c, -c))
         gens.append(g)
         cleared.append((g.degree(), terms))
 
-    base = QQ if field is QI else field
     monomials = []
     basis = []
     proj = []
@@ -471,24 +466,23 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
                     for j, c in hits:
                         row[j] = c
                     rows.append(row)
-        pivots, free, echelon = _rref_parts([rows], len(monos), base)
+        pivots, free, echelon = _rref_parts([rows], len(monos), QQ)
         monomials.append(monos)
         basis.append([monos[k] for k in free])
-        proj.append(_projections(len(monos), pivots, free, echelon, p))
+        proj.append(_projections(len(monos), pivots, free, echelon))
     return GradedAlgebra(ngens, field, top, gens, hodge_types,
                          monomials, basis, proj)
 
 
-def _projections(nm, pivots, free, echelon, p):
+def _projections(nm, pivots, free, echelon):
     """`proj[d]` = (den, cols) from the RREF of the degree-d ideal, in the
     form `scalars._rref_parts` returns: the basis is the free columns, a
     free monomial projects to den / den at its place, and a pivot monomial
     to minus its RREF row; den is the lcm of the reduced denominators."""
-    den = 1 if p else lcm(*(r // gcd(r, *nums) for r, (nums,) in echelon))
+    den = lcm(*(r // gcd(r, *nums) for r, (nums,) in echelon))
     cols = [None] * nm
     for j, k in enumerate(free):
         cols[k] = ((j, den),)
     for k, (r, (nums,)) in zip(pivots, echelon):
-        cols[k] = tuple((j, p - a if p else -a * den // r)
-                        for j, a in enumerate(nums) if a)
+        cols[k] = tuple((j, -a * den // r) for j, a in enumerate(nums) if a)
     return den, cols

@@ -6,10 +6,12 @@ dense column list of field elements read off the projections, alpha wedge .
 is a Fraction (or Gaussian-rational, or residue) `Matrix`, every complex
 checks d o d = 0 with `Matrix.mul`, and ranks and kernels come from
 `rank_and_kernel`.  It shares no code with `GradedAlgebra.structure_constants`,
-`class_mult_parts`, `check_anticommutation` or `AomotoComplex` (the F_p
-samples rebuild the algebra with the package's `reduce_algebra_mod`), and
-each function returns what its package counterpart must return, entry for
-entry.
+`class_mult_parts`, `check_anticommutation` or `AomotoComplex`, and each
+function returns what its package counterpart must return, entry for entry.
+The F_p samples take the algebra from the package's `reduce_algebra_mod`,
+which only changes its coordinate field; the oracle then reduces each
+rational projection entry mod p itself, through `field.coerce`, so it
+shares no code with the integer structure constants either.
 """
 
 from __future__ import annotations

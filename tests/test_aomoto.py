@@ -1,11 +1,13 @@
 """The complex (A*, alpha wedge): cohomology, resonance, log resonance."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import random
 
+from jumploci import aomoto, exterior, scalars
 from jumploci.aomoto import (
     AomotoComplex, LogResonanceReport, generic_dims_sample, isotropic_check,
     log_resonance_membership, resonance_membership)
@@ -14,7 +16,7 @@ from jumploci.elliptic import elliptic_model, tangent_pair_basis
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.scalars import (
-    BadPrimeError, GaussianRational, Matrix, rank_and_kernel, solve_linear)
+    GF, BadPrimeError, GaussianRational, Matrix, rank_and_kernel, solve_linear)
 from jumploci.verify import SIXPLANES_FORMS
 
 I = GaussianRational(0, 1)
@@ -143,14 +145,37 @@ def test_reduction_refuses_a_prime_that_moves_the_pivots():
     assert generic_dims_sample(A, prime=17, trials=5).dims == (0, 0, 0, 0)
 
 
-def test_reduction_refuses_a_prime_that_divides_a_denominator():
-    # the F_p build coerces each rational coefficient itself: 1/13 has no
-    # residue mod 13
-    A = build_quotient_algebra(
-        3, [Multivector(3, [(0b011, Fraction(1, 13)), (0b101, 1)])], 3)
-    with pytest.raises(BadPrimeError, match="denominator of 1/13 vanishes "
-                                            "mod 13"):
-        generic_dims_sample(A, prime=13, trials=5)
+@pytest.mark.parametrize("terms", [
+    # (1/13) e0e1 + e0e2: its RREF row is e0e1 + 13 e0e2, so den_2 = 1
+    [(0b011, Fraction(1, 13)), (0b101, 1)],
+    # 13 e0e1: the ideal's rank drops mod 13, but no den is divisible by it
+    [(0b011, 13)]])
+def test_reduction_accepts_a_prime_that_divides_no_denominator(terms):
+    # the samples run on the rational table read mod 13, A tensor F_13
+    A = build_quotient_algebra(3, [Multivector(3, terms)], 3)
+    assert all(den == 1 for den, _ in A.proj)
+    for seed, subspace in product(range(3), (None, [[1, 2, 3]])):
+        at13, at17 = (generic_dims_sample(A, subspace, trials=5, prime=p,
+                                          seed=seed) for p in (13, 17))
+        assert at13.prime == 13 and at13.dims == at17.dims == (0, 0, 0, 0)
+
+
+def test_reduction_runs_no_elimination(monkeypatch):
+    A = six_planes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduce_algebra_mod eliminated")
+    for module, name in ((scalars, "_rref_parts"), (scalars, "_rref_mod"),
+                         (scalars, "_rref_lifted"), (scalars, "rref"),
+                         (exterior, "_rref_parts"),
+                         (exterior, "build_quotient_algebra"),
+                         (aomoto, "build_quotient_algebra")):
+        monkeypatch.setattr(module, name, refuse)
+    structure = A.structure_constants(1)
+    reduced, i_res = aomoto.reduce_algebra_mod(A, 101)
+    assert reduced.field is GF(101) and i_res is None
+    assert reduced.basis is A.basis and reduced.proj is A.proj
+    assert reduced.structure_constants(1) is structure
 
 
 def test_semicontinuity_at_special_point():

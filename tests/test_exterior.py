@@ -10,7 +10,7 @@ from jumploci.elliptic import elliptic_model
 from jumploci.errors import PreconditionError
 from jumploci.exterior import (
     GradedAlgebra, Multivector, build_quotient_algebra, wedge)
-from jumploci.scalars import QI, GaussianRational, rref
+from jumploci.scalars import GF, QI, GaussianRational, rref
 from jumploci.verify import SIXPLANES_FORMS
 
 
@@ -73,6 +73,15 @@ def test_gaussian_ideal_generator_is_rejected_over_qi():
     A = build_quotient_algebra(4, [rational], 2, field=QI)
     assert A.dims() == (1, 4, 5)
     assert A.project(gen(0)) == [GaussianRational(1), 0, 0, 0]
+
+
+def test_quotient_algebras_are_not_built_over_a_prime_field():
+    # an algebra over F_p is a rational one read mod p
+    with pytest.raises(PreconditionError,
+                       match="built over QQ or QQ\\(i\\), not GF\\(101\\); "
+                             "reduce a built one mod p with "
+                             "aomoto.reduce_algebra_mod"):
+        build_quotient_algebra(4, [], 2, field=GF(101))
 
 
 def test_projection_recovers_quotient_basis():

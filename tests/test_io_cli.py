@@ -613,6 +613,24 @@ def test_sample_counts_below_one_exit_2(argv):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("argv", [
+    ["os-algebra", "--arrangement", "concurrent3", "--prime", "13"],
+    ["os-algebra", "--arrangement", "concurrent3", "--trials", "7"],
+    ["aomoto", "--arrangement", "concurrent3", "--alpha", "1,1,-2",
+     "--trials", "3"],
+    ["elliptic", "--n", "3", "--prime", "13"],
+    ["e2-page", "--n", "3", "--x", "1,1,-2", "--trials", "3"],
+    ["master", "--points", "0,1,2", "--weights", "1,1,1", "--prime", "13"],
+    ["verify-paper", "--trials", "5"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_options_a_subcommand_does_not_read_exit_2(argv):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err.getvalue()
+
+
 def test_elliptic_suite_refuses_vacuous_sample_counts():
     for count in (0, -1):
         with pytest.raises(PreconditionError, match="f1_samples"):
