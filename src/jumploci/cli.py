@@ -221,8 +221,9 @@ def _cmd_etc_membership(args):
 
 
 def _cmd_master(args):
-    from .master import (_critical_from_divisor, _koszul_from_divisor,
-                         critical_points_bivariate, log_zero_divisor_p1)
+    from .master import (critical_points_bivariate,
+                         critical_points_univariate, local_koszul_univariate,
+                         log_zero_divisor_p1)
     if (args.points is None) == (args.arrangement is None):
         raise PreconditionError(
             "need exactly one of --points (univariate) or --arrangement "
@@ -230,13 +231,12 @@ def _cmd_master(args):
     if args.points is not None:
         points = parse_rational_csv(args.points, "points")
         lam = parse_rational_csv(args.weights, "weights")
-        # one factorization: the critical report and the Koszul data are the
-        # ones critical_points_univariate and local_koszul_univariate return
-        divisor = log_zero_divisor_p1(points, lam)
+        # one factorization: the three functions share the configuration's
+        # log divisor through master's one-entry memo
         return {
-            "critical": jsonable(_critical_from_divisor(divisor)),
-            "log_divisor": jsonable(divisor),
-            "koszul": jsonable(_koszul_from_divisor(divisor, points, lam)),
+            "critical": jsonable(critical_points_univariate(points, lam)),
+            "log_divisor": jsonable(log_zero_divisor_p1(points, lam)),
+            "koszul": jsonable(local_koszul_univariate(points, lam)),
         }, {"points": args.points, "weights": args.weights}
     arr, digest = _load_arrangement(args.arrangement)
     lam = parse_rational_csv(args.weights, "weights")

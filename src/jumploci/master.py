@@ -19,14 +19,16 @@ Every polynomial is built over the integers, as a coefficient list or a
 sympy Poly over ZZ, never as a sympy expression.  Denominators are cleared
 first, which scales a numerator, or both components of the form, by one
 nonzero constant and so moves no zero.  The order at a rational point a/b
-is counted by exact division by b z - a in ZZ[z].
+is counted by exact division by b z - a in ZZ[z], and at the roots of an
+irreducible factor by exact division by that factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 
 import sympy as sp
 from sympy import QQ, ZZ
@@ -43,16 +45,22 @@ def _frac(r):
     return Fraction(int(r.p), int(r.q))
 
 
+def _rationals(values, what):
+    """Fractions of ints and Fractions; a float, bool, str or anything else
+    is refused rather than converted."""
+    out = []
+    for j, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise PreconditionError(f"{what} {j} must be rational, got {v!r}")
+        out.append(Fraction(v))
+    return out
+
+
 def _rational_weights(lam, d):
     if len(lam) != d:
         raise PreconditionError(
             f"got {len(lam)} weights for {d} hyperplanes")
-    out = []
-    for j, l in enumerate(lam):
-        if isinstance(l, bool) or not isinstance(l, (int, Fraction)):
-            raise PreconditionError(f"weight {j} must be rational, got {l!r}")
-        out.append(Fraction(l))
-    return out
+    return _rationals(lam, "weight")
 
 
 def _cleared_weights(lam):
@@ -99,10 +107,11 @@ def _weighted_products(weights, factors):
 
 
 def _punctures(points, lam):
-    points = [Fraction(c) for c in points]
+    """The validated points and weights as tuples of Fractions."""
+    points = tuple(_rationals(points, "point"))
     if len(set(points)) != len(points):
         raise PreconditionError("puncture points must be distinct")
-    lam = _rational_weights(lam, len(points))
+    lam = tuple(_rational_weights(lam, len(points)))
     if not any(lam):
         raise PreconditionError("all-zero weight vector: the form vanishes")
     return points, lam
@@ -130,26 +139,35 @@ def _cleared_numerator(points, lam, at_infinity=False):
     return _weighted_products(weights, factors)
 
 
-def _divide_out(coeffs, root):
-    """(m, q) with coeffs = (b z - a)^m q over ZZ and q(a/b) != 0, for
-    root = a/b in lowest terms.  Each step is a synthetic division by
-    b z - a, which stays in ZZ[z] whenever a/b is a root (Gauss's lemma), so
-    an inexact quotient digit already means a/b is not a root; otherwise the
-    last remainder is the Horner value at a/b.  Constants and the zero
-    polynomial have order 0."""
-    a, b = root.numerator, root.denominator
+def _divide_out(coeffs, divisor):
+    """(m, q) with coeffs = divisor^m q over ZZ and divisor not dividing q,
+    for a primitive integer polynomial `divisor` of positive degree; both
+    are coefficient lists, highest degree first.  Each step is a long
+    division by divisor, which stays in ZZ[z] whenever divisor divides
+    (Gauss's lemma), so an inexact quotient digit already means it does not;
+    otherwise the remainder decides.  Constants and the zero polynomial have
+    order 0."""
+    lead, tail = divisor[0], divisor[1:]
+    k = len(tail)
     m = 0
-    while len(coeffs) > 1:
-        quot, acc = [], 0
-        for c in coeffs[:-1]:
-            acc, r = divmod(c + a * acc, b)
+    while len(coeffs) > k:
+        rem, quot = list(coeffs), []
+        for i in range(len(coeffs) - k):
+            q, r = divmod(rem[i], lead)
             if r:
                 return m, coeffs
-            quot.append(acc)
-        if coeffs[-1] + a * acc:
+            quot.append(q)
+            for j, c in enumerate(tail, i + 1):
+                rem[j] -= q * c
+        if any(rem[-k:]):
             return m, coeffs
         coeffs, m = quot, m + 1
     return m, coeffs
+
+
+def _linear(root):
+    """b z - a, for root = a/b in lowest terms."""
+    return (root.denominator, -root.numerator)
 
 
 def _zz_poly(coeffs):
@@ -194,18 +212,15 @@ def _zeros_of_poly(poly, kind):
 
 
 def critical_points_univariate(points, lam):
-    """Zeros of alpha inside M = C minus the punctures, with multiplicity.
+    """Zeros of alpha inside M = C minus the punctures, with multiplicity:
+    the interior part of the log divisor, the zeros of the numerator with
+    every puncture divided out, against chi(M) = 1 - d.
 
     chi_matches reports whether the interior count alone already reaches
     |chi(M)| = d - 1; weights with boundary zeros (e.g. sum lambda = 0)
     make it False and the balance moves to log_zero_divisor_p1.
     """
-    return _critical_from_divisor(log_zero_divisor_p1(points, lam))
-
-
-def _critical_from_divisor(divisor):
-    """The interior part of a log divisor: the zeros of the numerator with
-    every puncture divided out, against chi(M) = 1 - d."""
+    divisor = _log_divisor(*_punctures(points, lam))
     zeros = tuple(z for z in divisor.zeros if z.kind == "interior")
     total = sum(z.multiplicity for z in zeros)
     chi = divisor.chi
@@ -229,11 +244,19 @@ def log_zero_divisor_p1(points, lam):
     The total is |D| - 2 = d - 1 for every nonzero weight vector; the
     infinity entry notes when the residue there (-sum lambda) vanishes.
     """
-    points, lam = _punctures(points, lam)
+    return _log_divisor(*_punctures(points, lam))
+
+
+# The three univariate functions are called back to back on one
+# configuration (the CLI, verify-paper, the benchmark's master op), so the
+# last configuration's divisor is kept and its numerator factored once.
+@lru_cache(maxsize=1)
+def _log_divisor(points, lam):
+    """log_zero_divisor_p1 for validated tuples of Fractions."""
     zeros = []
     interior = _cleared_numerator(points, lam)
     for c in points:
-        m, interior = _divide_out(interior, c)
+        m, interior = _divide_out(interior, _linear(c))
         if m:
             zeros.append(Zero("puncture", m, value=c))
     vinf, _tilde = _infinity_valuation(points, lam)
@@ -265,16 +288,18 @@ class LocalKoszul:
 def local_koszul_univariate(points, lam):
     """Local Koszul cohomology at every zero of the log divisor: the complex
     0 -> O -> O -> 0 given by multiplication by the local multiplier a of
-    alpha.  H^0 = 0 iff a is a nonzero germ; dim H^1 = dim O/(a) = ord(a),
-    recomputed here by exact division rather than read off the divisor."""
-    return _koszul_from_divisor(log_zero_divisor_p1(points, lam), points, lam)
+    alpha.  H^0 = 0 iff a is a nonzero germ; dim H^1 = dim O/(a) = ord(a).
 
-
-def _koszul_from_divisor(report, points, lam):
-    """local_koszul_univariate at the zeros of `report`, the log divisor of
-    the same points and weights."""
+    The zeros are those of log_zero_divisor_p1 (the same report, factored
+    once), but every order is recomputed by exact division of the numerator
+    rather than read off the divisor: at a rational zero by b z - a, at
+    infinity by w, and at the conjugate roots of an irreducible factor by
+    that factor, once per factor since the order is the same at each root.
+    """
     points, lam = _punctures(points, lam)
+    report = _log_divisor(points, lam)
     n = _cleared_numerator(points, lam)
+    factor_orders = {}
     out = []
     for z in report.zeros:
         if z.kind == "infinity":
@@ -284,20 +309,18 @@ def _koszul_from_divisor(report, points, lam):
                 tilde = tilde[:-1]  # N~ = w * (the shifted coefficients)
                 h1 += 1
         elif z.value is not None:
-            h1, _rest = _divide_out(n, z.value)
+            h1, _rest = _divide_out(n, _linear(z.value))
         else:
-            # conjugate orbit: the minimal polynomial is square-free, so the
-            # order at each of its roots is the exponent of the factor in N
-            f = _zz_poly(list(z.minpoly))
-            if sp.gcd(f, f.diff(_X)).degree() > 0:
-                raise AssertionError("irreducible factor not square-free")
-            h1 = 0
-            rem = _zz_poly(n)
-            while True:
-                q, r = rem.div(f)
-                if not r.is_zero:
-                    break
-                rem, h1 = q, h1 + 1
+            # conjugate orbit: the minimal polynomial is primitive and
+            # square-free, so the order at each of its roots is the exponent
+            # of the factor in N, found once for all of them
+            if z.minpoly not in factor_orders:
+                f = _zz_poly(list(z.minpoly))
+                if gcd(*z.minpoly) != 1 or sp.gcd(f, f.diff(_X)).degree() > 0:
+                    raise AssertionError(
+                        "irreducible factor not primitive and square-free")
+                factor_orders[z.minpoly], _rest = _divide_out(n, z.minpoly)
+            h1 = factor_orders[z.minpoly]
         if not n:
             raise AssertionError("zero multiplier germ")
         out.append(LocalKoszul(z, 0, h1))
@@ -373,7 +396,7 @@ def _eliminant(forms, weights, spurious, t):
             "for these weights")
     g = [int(c) for c in res.all_coeffs()]
     for (px, py) in spurious:
-        _m, g = _divide_out(g, Fraction(px) - t * Fraction(py))
+        _m, g = _divide_out(g, _linear(Fraction(px) - t * Fraction(py)))
     return _zz_poly(g), pt, qt
 
 

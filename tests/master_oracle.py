@@ -20,14 +20,15 @@ import sympy as sp
 from jumploci.arrangement import Arrangement, poincare_and_euler
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.master import (_SHEARS, DivisorReport, LocalKoszul, Zero,
-                             _frac, _multiple_points, _rational_weights)
+                             _frac, _multiple_points, _rational_weights,
+                             _rationals)
 
 _X, _Y, _W = sp.symbols("jl_x jl_y jl_w")
 
 
 def oracle_numerator(points, lam):
     """N(z) = sum_j lambda_j prod_{k != j} (z - c_k), exact over Q."""
-    points = [Fraction(c) for c in points]
+    points = _rationals(points, "point")
     if len(set(points)) != len(points):
         raise PreconditionError("puncture points must be distinct")
     lam = _rational_weights(lam, len(points))

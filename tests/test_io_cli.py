@@ -485,8 +485,8 @@ def _csv(values):
 @example(([0, 1, 2, 3], [1, 0, -2, 1]))              # both, plus interior
 @settings(max_examples=60, deadline=None)
 def test_master_points_report_equals_the_public_functions(case):
-    # the subcommand factors once and derives the critical report and the
-    # Koszul data from the log divisor; the three functions each factor
+    # the subcommand calls the three public functions, which share one
+    # factorization of the configuration's numerator
     points, lam = case
     rep = report(["master", "--points", _csv(points),
                   "--weights", _csv(lam)])

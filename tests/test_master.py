@@ -14,13 +14,14 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
+from jumploci import master
 from jumploci.aomoto import AomotoComplex
 from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.master import (
-    _root_intervals, critical_points_bivariate, critical_points_univariate,
-    local_koszul_univariate, log_zero_divisor_p1, numerator_polynomial,
-    residues_line_arrangement)
+    _divide_out, _root_intervals, critical_points_bivariate,
+    critical_points_univariate, local_koszul_univariate, log_zero_divisor_p1,
+    numerator_polynomial, residues_line_arrangement)
 from master_oracle import (
     oracle_critical_points_bivariate, oracle_critical_points_univariate,
     oracle_local_koszul_univariate, oracle_log_zero_divisor_p1)
@@ -99,6 +100,19 @@ def test_univariate_input_validation():
         critical_points_univariate([0, 1], [0, 0])
     with pytest.raises(PreconditionError):
         critical_points_univariate([0, 1], [1])  # wrong weight count
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (0.1, "0.1"), (True, "True"), ("1/3", "'1/3'"), (sp.Rational(1, 3), "1/3")])
+@pytest.mark.parametrize("fn", [
+    critical_points_univariate, log_zero_divisor_p1, local_koszul_univariate,
+    numerator_polynomial])
+def test_points_must_be_rational(fn, bad, shown):
+    # refused as the weights are, not converted: Fraction(0.1) would be
+    # 3602879701896397/36028797018963968, and True or "1/3" a silent 1, 1/3
+    with pytest.raises(PreconditionError,
+                       match=rf"^point 1 must be rational, got {shown}$"):
+        fn([0, bad, 2], [1, 1, 1])
 
 
 def test_log_divisor_boundary_zero():
@@ -324,16 +338,58 @@ def test_univariate_reports_match_the_expression_route(case):
         assert outcome(fn, points, lam) == outcome(oracle, points, lam)
 
 
+# N(z) is a multiple of (z^2 - 2)^2: one irreducible factor, twice
+SQUARED_QUADRATIC = ([0, 1, -1, 3, -3], [Fraction(4, 9), Fraction(-1, 16),
+                                         Fraction(-1, 16), Fraction(49, 144),
+                                         Fraction(49, 144)])
+
+
 @pytest.mark.parametrize("points, lam", [
     ([0, 1, 2], [24, -27, 6]),                          # double interior zero
     ([0, Fraction(1, 3), -2, 5], [1, -3, Fraction(2, 7), 2]),
     ([0, 1, 2, 3], [1, -1, 1, -1]),                     # sum 0
     ([0, 1, 2], [1, 0, -1]),                            # zero at a puncture
     ([1, 2, 3, 4, 5], [1, 1, -5, 1, 1]),
+    SQUARED_QUADRATIC,                                  # N ~ (z^2 - 2)^2
 ])
 def test_univariate_hand_cases_match_the_expression_route(points, lam):
     for fn, oracle in UNIVARIATE_ROUTES:
         assert outcome(fn, points, lam) == outcome(oracle, points, lam)
+
+
+def test_repeated_irreducible_factor_has_order_two_at_both_roots():
+    reports = local_koszul_univariate(*SQUARED_QUADRATIC)
+    assert len(reports) == 2
+    for k in reports:
+        assert k.zero.minpoly == (1, 0, -2) and k.zero.multiplicity == 2
+        assert k.h0 == 0 and k.h1 == 2
+
+
+def test_one_univariate_triple_factors_once(monkeypatch):
+    calls = []
+    factor_list = sp.Poly.factor_list
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return factor_list(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Poly, "factor_list", counted)
+    master._log_divisor.cache_clear()  # an earlier test may hold this one
+    points, lam = [0, 1, 2, 3, 5], [1, 2, 3, 4, 5]
+    critical_points_univariate(points, lam)
+    log_zero_divisor_p1(points, lam)
+    local_koszul_univariate(points, lam)
+    assert len(calls) == 1
+
+
+def test_the_memo_serves_no_stale_report():
+    # B has A's points: the weights are part of the key
+    a = ([0, 1, 2, 3, 5], [1, 2, 3, 4, 5])
+    b = ([0, 1, 2, 3, 5], [2, -1, 5, 1, -7])
+    assert log_zero_divisor_p1(*a) != log_zero_divisor_p1(*b)
+    for points, lam in (a, b, a):
+        for fn, oracle in UNIVARIATE_ROUTES:
+            assert fn(points, lam) == oracle(points, lam)
 
 
 line_coefficients = st.one_of(
@@ -416,6 +472,25 @@ def test_real_root_shortcut_on_irreducible_factors(coeffs):
     for g, _m in f.factor_list()[1]:
         if g.degree() >= 2:
             assert _root_intervals(g) == g.intervals(all=True)
+
+
+# -- exact division in ZZ[z] -------------------------------------------------
+
+@given(st.lists(st.integers(-5, 5), min_size=2, max_size=4),
+       st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+       st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_divide_out_is_the_exponent_of_a_primitive_divisor(g, q, m):
+    x = sp.Symbol("x")
+    g = sp.Poly(g, x, domain="ZZ").primitive()[1]
+    q = sp.Poly(q, x, domain="ZZ")
+    assume(g.degree() >= 1 and not q.is_zero)
+    n = g ** m * q
+    order, rest = _divide_out([int(c) for c in n.all_coeffs()],
+                              [int(c) for c in g.all_coeffs()])
+    assert order >= m
+    assert g ** order * sp.Poly(rest, x, domain="ZZ") == n
+    assert not sp.Poly(rest, x, domain="QQ").rem(g.set_domain("QQ")).is_zero
 
 
 # -- residues ----------------------------------------------------------------
