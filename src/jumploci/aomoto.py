@@ -19,18 +19,8 @@ from .errors import PreconditionError
 # the benchmark's tracer, which wraps them on this module
 from .exterior import build_quotient_algebra  # noqa: F401
 from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
-                      GaussianRational, _clear, _kernel_basis, _rref_parts,
-                      rank_and_kernel, solve_linear)
-
-
-def _integral(field, alpha):
-    """The integer parts of a nonzero multiple of alpha, cleared with one
-    lcm as `_clear` returns them: [ints] over QQ, [re, im] over QQ(i), and
-    [residues] over F_p.  A nonzero multiple of a differential has the same
-    rank, kernel and RREF."""
-    if field is QQ or field is QI:
-        return [part[0] for part in _clear([alpha], field is QI)]
-    return [alpha]
+                      GaussianRational, _integral, _kernel_basis,
+                      _rref_parts, rank_and_kernel, solve_linear)
 
 
 class AomotoComplex:
@@ -52,7 +42,7 @@ class AomotoComplex:
         algebra.check_anticommutation()
         self.algebra = algebra
         self.alpha = tuple(alpha)
-        integral = _integral(algebra.field, alpha)
+        integral, _ = _integral(algebra.field, alpha)
         self.parts = [algebra.class_mult_parts(integral, d)
                       for d in range(algebra.top + 1)]
         self._echelons = None

@@ -23,7 +23,6 @@ from .exterior import Multivector, build_quotient_algebra
 from .scalars import QI, GaussianRational, rank_and_kernel, rref, solve_linear  # noqa: F401
 
 _I = GaussianRational(0, 1)
-_HALF = GaussianRational(Fraction(1, 2))
 _MODELS = {}
 
 
@@ -75,12 +74,16 @@ class EllipticModel:
         return self.algebra.top
 
     def class_coords(self, x, y):
-        """A1 coordinates (u, v basis) of sum x_k a_k + y_k b_k."""
+        """A1 coordinates (u, v basis) of sum x_k a_k + y_k b_k: u_k =
+        (x_k - i y_k)/2 and v_k = (x_k + i y_k)/2, written out on the real
+        and imaginary parts."""
         x, y = self._pair(x, y)
         coords = []
-        for k in range(self.n):
-            coords.append((x[k] - _I * y[k]) * _HALF)
-            coords.append((x[k] + _I * y[k]) * _HALF)
+        for a, b in zip(x, y):
+            coords.append(GaussianRational((a.re + b.im) / 2,
+                                           (a.im - b.re) / 2))
+            coords.append(GaussianRational((a.re - b.im) / 2,
+                                           (a.im + b.re) / 2))
         return tuple(coords)
 
     def xy_of_coords(self, coords):
@@ -151,11 +154,11 @@ def hodge_decompose(model, x, y):
     """Split a degree-one class (x, y) into pure pieces: alpha^{1,0} =
     (u, iu), alpha^{0,1} = (v, -iv), from x = u + v, y = iu - iv."""
     x, y = model._pair(x, y)
-    u = [(x[k] - _I * y[k]) * _HALF for k in range(model.n)]
-    v = [(x[k] + _I * y[k]) * _HALF for k in range(model.n)]
+    coords = model.class_coords(x, y)
+    u, v = coords[0::2], coords[1::2]
     split = HodgeSplit(
-        (tuple(u), tuple(_I * c for c in u)),
-        (tuple(v), tuple(-_I * c for c in v)),
+        (u, tuple(_I * c for c in u)),
+        (v, tuple(-_I * c for c in v)),
         (tuple(QI.zero() for _ in u), tuple(QI.zero() for _ in u)))
     for k in range(model.n):
         assert split.pure10[0][k] + split.pure01[0][k] == x[k]
@@ -197,7 +200,7 @@ def e2_page(model, x, y):
     if not any(x) and not any(y):
         raise PreconditionError("alpha = 0 has no E2 page here")
     for k in range(model.n):
-        if y[k] != _I * x[k]:
+        if y[k].re != -x[k].im or y[k].im != x[k].re:
             raise PreconditionError(
                 "alpha lies outside filtration level F^1 (need y = i x)")
     deep = elliptic_model(model.n, top=3)

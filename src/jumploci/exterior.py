@@ -23,7 +23,8 @@ from math import gcd, lcm
 
 from .errors import PreconditionError
 # rref is imported for the benchmark's tracer, which wraps exterior.rref
-from .scalars import QI, QQ, Matrix, _rref_parts, rref  # noqa: F401
+from .scalars import (QI, QQ, Matrix, _integral, _read,  # noqa: F401
+                      _rref_parts, rref)
 
 
 def _mask(indices):
@@ -309,9 +310,10 @@ class GradedAlgebra:
         """The matrix of (alpha wedge .): A^d -> A^{d+1} as the cleared
         parts that `scalars._rref_parts` takes, for alpha given by its
         integer parts, one list each ([ints] over QQ, [re, im] over QQ(i),
-        [residues] over F_p; see `aomoto._integral`).  Rows are target
-        coordinates; the parts are den_d times the matrix, which changes no
-        rank, kernel or RREF.  Over F_p they are reduced mod p here."""
+        [residues] over F_p; see `scalars._integral`).  Rows are target
+        coordinates; the parts are scale * den_d times the matrix, with
+        scale the factor that cleared alpha, which changes no rank, kernel
+        or RREF.  Over F_p they are reduced mod p here."""
         nsrc, ntgt = self.dim(d), self.dim(d + 1)
         parts = [[[0] * nsrc for _ in range(ntgt)] for _ in alpha]
         if d >= self.top:
@@ -333,26 +335,16 @@ class GradedAlgebra:
         """Matrix of (alpha wedge .): A^d -> A^{d+1}, alpha in A^1 coords.
 
         Returns a Matrix acting on coordinate columns (rows = target dim),
-        with entries in the field, derived from `structure_constants`.
+        with entries in the field: the integer rows of `class_mult_parts`
+        read over scale * den_d by `scalars._read`, where scale * alpha are
+        the integer parts of alpha (`scalars._integral`).
         """
         field = self.field
-        if d >= self.top:
-            return Matrix([], field=field, ncols=self.dim(d))
-        den, cols = self.structure_constants(d)
-        nsrc, ntgt = self.dim(d), self.dim(d + 1)
-        zero = field.zero()
-        rows = [[zero] * nsrc for _ in range(ntgt)]
-        for a, gen in zip(alpha, cols):
-            a = field.coerce(a)
-            if not a:
-                continue
-            for j, col in enumerate(gen):
-                for r, c in col:
-                    rows[r][j] = rows[r][j] + a * c
-        if den != 1:
-            inv = field.coerce(Fraction(1, den))
-            rows = [[x * inv for x in row] for row in rows]
-        return Matrix(rows, field=field, ncols=nsrc)
+        integral, scale = _integral(field, [field.coerce(a) for a in alpha])
+        den = self.structure_constants(d)[0] if d < self.top else 1
+        rows = [_read(field, scale * den, nums)
+                for nums in zip(*self.class_mult_parts(integral, d))]
+        return Matrix(rows, field=field, ncols=self.dim(d))
 
     def monomial_hodge_type(self, mask):
         if self.hodge_types is None:

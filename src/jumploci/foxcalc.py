@@ -11,10 +11,9 @@ is asserted on every Jacobian build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionError
-from .scalars import QQ, Matrix, field_of, rref
+from .scalars import Matrix, infer_field, rank
 
 
 class Presentation:
@@ -45,14 +44,6 @@ class Presentation:
                 f"{len(self.relators)} relators)")
 
 
-def _field_for(values):
-    field = QQ
-    for v in values:
-        if not isinstance(v, int):
-            field = field_of(v)
-    return field
-
-
 class Character:
     """A character of the presented group: one invertible scalar per
     generator, consistent on every relator (checked at construction)."""
@@ -61,9 +52,8 @@ class Character:
         if len(values) != presentation.generators:
             raise PreconditionError(
                 f"need {presentation.generators} values, got {len(values)}")
-        field = _field_for(values)
-        values = tuple(field.coerce(Fraction(v) if isinstance(v, int) else v)
-                       for v in values)
+        field = infer_field(values)
+        values = tuple(field.coerce(v) for v in values)
         for j, v in enumerate(values):
             if not v:
                 raise PreconditionError(
@@ -141,7 +131,7 @@ def twisted_cohomology(presentation, chi):
     chi.  h0 and h1 are invariants of the group; the top dimension is only
     the presentation complex's and is labeled as such."""
     jac = fox_jacobian(presentation, chi)
-    r1, _, _ = rref(jac)
+    r1 = rank(jac)
     r0 = 0 if chi.is_trivial() else 1
     g = presentation.generators
     h0 = 1 - r0

@@ -3,7 +3,6 @@ field-path error locations, and canonical serialization that round-trips.
 
 Formats:
   rational        "3/4", "-2", or a JSON integer
-  gaussian        {"re": rational, "im": rational}
   arrangement     {"ambient": n, "central": bool, "forms": [[rational]]}
                   central forms have length n, affine n+1 (constant first);
                   without "central" the forms decide
@@ -20,7 +19,6 @@ from fractions import Fraction
 from .arrangement import Arrangement
 from .errors import ParseError
 from .foxcalc import Presentation
-from .scalars import GaussianRational
 from .torus import LaurentSystem
 
 
@@ -55,18 +53,6 @@ def parse_rational(node, where):
     if isinstance(node, str):
         return rational_from_text(node, where)
     raise ParseError(f"expected a rational, got {node!r}", where)
-
-
-def parse_scalar(node, where):
-    """Rational or Gaussian-rational scalar."""
-    if isinstance(node, dict):
-        extra = set(node) - {"re", "im"}
-        if extra:
-            raise ParseError(f"unknown keys {sorted(extra)}", where)
-        return GaussianRational(
-            parse_rational(node.get("re", 0), f"{where}.re"),
-            parse_rational(node.get("im", 0), f"{where}.im"))
-    return parse_rational(node, where)
 
 
 def _expect(obj, key, types, where):

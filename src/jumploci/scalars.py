@@ -7,6 +7,11 @@ produce identical output.  Elements of F_p are plain ints in [0, p); the
 field object `GF(p)` is the one place that knows the modulus.  All
 elimination runs through one loop on residues mod p (`_rref_mod`); results
 over QQ and QQ(i) are lifted from it and certified exactly (`_rref_lifted`).
+The certified echelon holds integers (`_rref_parts`), and one reader
+(`_read`) turns them into field values: the rows of `rref`, the kernels of
+`rank_and_kernel`, the solutions of `solve_linear` and the Aomoto matrices
+all come from it.  A field given by no argument is inferred by one rule
+(`infer_field`).
 """
 
 from __future__ import annotations
@@ -248,6 +253,17 @@ def field_of(value):
     raise FieldMismatchError(f"{value!r} is not a supported field element")
 
 
+def infer_field(values):
+    """The field of scalars given without one, the one rule of the package:
+    ints are skipped, rationals give QQ and any Gaussian rational gives
+    QQ(i), wherever it stands.  F_p is never inferred: its elements are
+    ints, so a matrix over F_p needs its field given."""
+    for x in values:
+        if not isinstance(x, int) and field_of(x) is QI:
+            return QI
+    return QQ
+
+
 def _join_field(a, b):
     # int/Fraction embed into QI; everything else must match exactly
     if a is b:
@@ -260,10 +276,10 @@ def _join_field(a, b):
 class Matrix:
     """Immutable matrix over a single field.
 
-    Entries may be given as ints (coerced into the field).  Mixing elements of
-    genuinely different fields raises FieldMismatchError; plain rationals embed
-    into QQ(i) when Gaussian entries are present.  Elements of F_p are ints,
-    so a matrix over F_p needs its field given.
+    Entries may be given as ints (coerced into the field).  Without a field
+    it is `infer_field` of the entries: plain rationals embed into QQ(i)
+    when Gaussian entries are present.  Elements of F_p are ints, so a
+    matrix over F_p needs its field given.
     """
 
     __slots__ = ("field", "nrows", "ncols", "entries")
@@ -278,15 +294,7 @@ class Matrix:
         else:
             w = ncols if ncols is not None else 0
         if field is None:
-            field = QQ
-            seen = False
-            for row in entries:
-                for x in row:
-                    if isinstance(x, int):
-                        continue
-                    f = field_of(x)
-                    field = f if not seen else _join_field(field, f)
-                    seen = True
+            field = infer_field(x for row in entries for x in row)
         coerced = tuple(
             tuple(field.coerce(x) for x in row) for row in entries)
         object.__setattr__(self, "field", field)
@@ -425,21 +433,39 @@ def _ratrecon(u, m, bound):
     return r1, t1
 
 
+def _clear_row(row, gaussian):
+    """(den, integer parts) of one row: den is the lcm of its denominators
+    and the parts are den times the row, [A] over QQ, [Re A, Im A] over
+    QQ(i)."""
+    if gaussian:
+        halves = ([x.re.as_integer_ratio() for x in row],
+                  [x.im.as_integer_ratio() for x in row])
+    else:
+        halves = ([x.as_integer_ratio() for x in row],)
+    den = lcm(*(d for half in halves for _, d in half))
+    return den, [[n * (den // d) for n, d in half] if den != 1
+                 else [n for n, _ in half] for half in halves]
+
+
 def _clear(rows, gaussian):
     """Each row times the lcm of its denominators, as integer parts: [A] over
     QQ, [Re A, Im A] over QQ(i)."""
     parts = [[], []] if gaussian else [[]]
     for row in rows:
-        if gaussian:
-            halves = ([x.re.as_integer_ratio() for x in row],
-                      [x.im.as_integer_ratio() for x in row])
-        else:
-            halves = ([x.as_integer_ratio() for x in row],)
-        den = lcm(*(d for half in halves for _, d in half))
-        for part, half in zip(parts, halves):
-            part.append([n * (den // d) for n, d in half] if den != 1
-                        else [n for n, _ in half])
+        for part, ints in zip(parts, _clear_row(row, gaussian)[1]):
+            part.append(ints)
     return parts
+
+
+def _integral(field, vector):
+    """(parts, scale): the integer parts of scale * vector as `_clear`
+    returns them, [ints] over QQ and [re, im] over QQ(i) with scale the lcm
+    of the denominators, and [residues] with scale 1 over F_p.  A nonzero
+    multiple of a differential has the same rank, kernel and RREF."""
+    if field is QQ or field is QI:
+        scale, parts = _clear_row(vector, field is QI)
+        return parts, scale
+    return [list(vector)], 1
 
 
 def _images(parts, p, s):
@@ -580,7 +606,7 @@ def _rref_lifted(parts, ncols):
 
 
 def _rref_parts(parts, ncols, field):
-    """The stage of `rref` after `_clear`: the RREF of a matrix given as
+    """The stage of `_echelon` after `_clear`: the RREF of a matrix given as
     cleared integer parts ([A] over QQ, [Re A, Im A] over QQ(i)) or as
     residue rows over F_p ([A]; the rows are not modified).
 
@@ -601,27 +627,57 @@ def _rref_parts(parts, ncols, field):
                           for row in rows[:len(pivots)]]
 
 
+def _read(field, den, nums, sign=1):
+    """The field values of sign * nums[.][j] / den for every j: an RREF row,
+    in the form `_rref_parts` returns, read on its free columns.  They are
+    Fractions over QQ, GaussianRationals over QQ(i) (parts nums[0] and
+    nums[1]) and residues over F_p."""
+    zero = field.zero()
+    if field is QQ:
+        return [Fraction(sign * a, den) if a else zero for a in nums[0]]
+    if field is QI:
+        return [GaussianRational(Fraction(sign * a, den),
+                                 Fraction(sign * b, den)) if a or b else zero
+                for a, b in zip(*nums)]
+    p = field.p
+    if den != 1:
+        sign *= pow(den, -1, p)
+    return [sign * a % p for a in nums[0]]
+
+
+def _echelon(rows, ncols, field):
+    """The RREF of rows of field values, in the form `_rref_parts` returns:
+    rows over QQ and QQ(i) are cleared by `_clear`, residues over F_p are
+    taken as they are."""
+    gaussian = field is QI
+    parts = _clear(rows, gaussian) if gaussian or field is QQ else [rows]
+    return _rref_parts(parts, ncols, field)
+
+
 def _kernel_basis(field, ncols, pivots, free, echelon):
     """The canonical kernel basis from an RREF in the form `_rref_parts`
     returns: one vector per free column in ascending order, 1 there and
-    minus the RREF entries of that column on the pivots.  Equal, entry for
-    entry, to the basis `rank_and_kernel` derives from `rref`."""
-    zero, one = field.zero(), field.one()
-    kernel = []
-    for j, f in enumerate(free):
-        v = [zero] * ncols
-        v[f] = one
-        for pc, (den, nums) in zip(pivots, echelon):
-            a = nums[0][j]
-            if field is QI:
-                b = nums[1][j]
-                if a or b:
-                    v[pc] = GaussianRational(Fraction(-a, den),
-                                             Fraction(-b, den))
-            elif a:
-                v[pc] = Fraction(-a, den) if field is QQ else -a % field.p
-        kernel.append(tuple(v))
-    return kernel
+    minus the RREF entries of that column on the pivots."""
+    zero = field.zero()
+    kernel = [[zero] * ncols for _ in free]
+    for v, f in zip(kernel, free):
+        v[f] = field.one()
+    for pc, (den, nums) in zip(pivots, echelon):
+        for v, x in zip(kernel, _read(field, den, nums, -1)):
+            v[pc] = x
+    return [tuple(v) for v in kernel]
+
+
+def _field_rows(rows, field):
+    """(rows, ncols, field) of a Matrix, or of a list of rows coerced into
+    `field` or, when it is None, into the field `infer_field` gives."""
+    if isinstance(rows, Matrix):
+        return rows.entries, rows.ncols, rows.field
+    rows = [list(r) for r in rows]
+    if field is None:
+        field = infer_field(x for r in rows for x in r)
+    rows = [[field.coerce(x) for x in r] for r in rows]
+    return rows, len(rows[0]) if rows else 0, field
 
 
 def rref(rows, field=None):
@@ -631,81 +687,47 @@ def rref(rows, field=None):
     each column is the first nonzero candidate.  Over F_p the elimination
     runs on residues; over QQ and QQ(i) the result is lifted from prime
     images and certified exactly (`_rref_lifted`), so it is the unique RREF
-    over the true field.
+    over the true field.  The rows are read off the integer echelon by
+    `_read`.
     """
-    if isinstance(rows, Matrix):
-        field = rows.field
-        rows = rows.entries
-    else:
-        rows = [list(r) for r in rows]
-        if field is None:
-            field = field_of(next(
-                (x for r in rows for x in r if not isinstance(x, int)),
-                Fraction(0)))
-        rows = [[field.coerce(x) for x in r] for r in rows]
-    if not rows or not rows[0]:
-        return 0, (), []
-    ncols = len(rows[0])
-    if field is not QQ and field is not QI:
-        residues = [list(r) for r in rows]
-        pivots = _rref_mod(residues, field.p)
-        return len(pivots), tuple(pivots), [tuple(r) for r in
-                                            residues[:len(pivots)]]
-    pivots, free, echelon = _rref_parts(_clear(rows, field is QI), ncols,
-                                        field)
-    zero, one = field.zero(), field.one()
+    rows, ncols, field = _field_rows(rows, field)
+    pivots, free, echelon = _echelon(rows, ncols, field)
     out = []
-    for k, (den, nums) in enumerate(echelon):
-        row = [zero] * ncols
-        row[pivots[k]] = one
-        if field is QQ:
-            for f, a in zip(free, nums[0]):
-                if a:
-                    row[f] = Fraction(a, den)
-        else:
-            for f, a, b in zip(free, nums[0], nums[1]):
-                if a or b:
-                    row[f] = GaussianRational(Fraction(a, den),
-                                              Fraction(b, den))
+    for pc, (den, nums) in zip(pivots, echelon):
+        row = [field.zero()] * ncols
+        row[pc] = field.one()
+        for f, x in zip(free, _read(field, den, nums)):
+            row[f] = x
         out.append(tuple(row))
     return len(pivots), tuple(pivots), out
 
 
 def rank(rows, field=None):
-    return rref(rows, field)[0]
+    """The rank of a list of rows (or a Matrix): the pivot count of its
+    echelon, with no rows read."""
+    return len(_echelon(*_field_rows(rows, field))[0])
 
 
 def rank_and_kernel(matrix):
     """Rank and a canonical kernel basis of a Matrix (as a map on columns).
 
-    The kernel basis is derived from the RREF, one vector per free column in
-    ascending column order; stacked as rows it is itself in echelon form, so
-    the output is deterministic.
+    The kernel basis is `_kernel_basis` of the echelon, one vector per free
+    column in ascending column order; stacked as rows it is itself in
+    echelon form, so the output is deterministic.
     """
     if not isinstance(matrix, Matrix):
         matrix = Matrix(matrix)
-    field = matrix.field
-    r, pivots, rows = rref(matrix)
-    ncols = matrix.ncols
-    free = [c for c in range(ncols) if c not in pivots]
-    zero, one = field.zero(), field.one()
-    kernel = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for i, pc in enumerate(pivots):
-            coeff = rows[i][f]
-            if coeff:
-                v[pc] = field.coerce(-coeff)
-        kernel.append(tuple(v))
-    return r, kernel
+    field, ncols = matrix.field, matrix.ncols
+    pivots, free, echelon = _echelon(matrix.entries, ncols, field)
+    return len(pivots), _kernel_basis(field, ncols, pivots, free, echelon)
 
 
 def solve_linear(matrix, rhs):
     """One exact solution of matrix * x = rhs, or None if inconsistent.
 
     The solution returned is the echelon-canonical one: free variables are
-    set to zero.
+    set to zero, and each pivot variable is the last column of its row of
+    the augmented echelon.
     """
     if not isinstance(matrix, Matrix):
         matrix = Matrix(matrix)
@@ -713,12 +735,12 @@ def solve_linear(matrix, rhs):
     rhs = [field.coerce(x) for x in rhs]
     if len(rhs) != matrix.nrows:
         raise ValueError("right-hand side length mismatch")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix.entries)]
-    _, pivots, rows = rref(aug, field)
     ncols = matrix.ncols
+    aug = [row + (b,) for row, b in zip(matrix.entries, rhs)]
+    pivots, _, echelon = _echelon(aug, ncols + 1, field)
     if ncols in pivots:
         return None
     x = [field.zero()] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][ncols]
+    for pc, (den, nums) in zip(pivots, echelon):
+        x[pc] = _read(field, den, [part[-1:] for part in nums])[0]
     return tuple(x)

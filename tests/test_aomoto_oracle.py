@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import aomoto_oracle as oracle
 from jumploci.aomoto import (AomotoComplex, generic_dims_sample,
-                             log_resonance_membership)
+                             log_resonance_membership, reduce_algebra_mod)
 from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.elliptic import e2_page, elliptic_model
 from jumploci.exterior import Multivector, build_quotient_algebra
-from jumploci.scalars import DEFAULT_PRIME, GaussianRational
+from jumploci.scalars import DEFAULT_PRIME, GF, GaussianRational
 from jumploci.verify import SIXPLANES_FORMS
 
 I = GaussianRational(0, 1)
@@ -101,7 +101,12 @@ def test_rational_generators_give_a_structure_denominator():
     h = Multivector(4, [(0b0110, Fraction(3, 7)), (0b1010, Fraction(1, 2))])
     algebra = build_quotient_algebra(4, [g, h], 4)
     assert algebra.structure_constants(1)[0] == 30
-    assert_same_complex(algebra, [Fraction(1, 2), -1, Fraction(2, 3), 3])
+    alpha = [Fraction(1, 2), -1, Fraction(2, 3), 3]
+    assert_same_complex(algebra, alpha)
+    # over F_p the matrices are read over den_d too, as residues
+    for prime in (DEFAULT_PRIME, 101):
+        reduced, _ = reduce_algebra_mod(algebra, prime)
+        assert_same_complex(reduced, [GF(prime).coerce(a) for a in alpha])
 
 
 @st.composite

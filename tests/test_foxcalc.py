@@ -9,7 +9,7 @@ from jumploci.arrangement import os_algebra, points_arrangement
 from jumploci.errors import PreconditionError
 from jumploci.foxcalc import (
     Character, Presentation, fox_jacobian, twisted_cohomology, twisted_h1)
-from jumploci.scalars import GaussianRational
+from jumploci.scalars import QI, GaussianRational
 
 TORUS = Presentation(2, [[1, 2, -1, -2]])
 
@@ -85,6 +85,11 @@ def test_gaussian_and_prime_field_characters():
     free2 = Presentation(2)
     i = GaussianRational(0, 1)
     assert twisted_h1(free2, Character(free2, [i, GaussianRational(2)])) == 1
+    # a rational next to a Gaussian value embeds into QQ(i), in any order
+    for values in ([i, 2], [i, Fraction(2)], [Fraction(1, 2), i]):
+        chi = Character(free2, values)
+        assert chi.field is QI
+        assert twisted_h1(free2, chi) == 1
 
 
 def test_fundamental_identity():

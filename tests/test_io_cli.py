@@ -23,8 +23,7 @@ from jumploci import __version__, cli, master
 from jumploci.errors import ParseError, PreconditionError
 from jumploci.io import (
     load_json, parse_arrangement, parse_input, parse_laurent_system,
-    parse_presentation, parse_rational, parse_scalar, serialize)
-from jumploci.scalars import GaussianRational
+    parse_presentation, parse_rational, serialize)
 from jumploci.verify import check_elliptic_suite
 
 FIXTURES = resources.files("jumploci").joinpath("fixtures")
@@ -70,19 +69,6 @@ def test_rational_decimal_exponent_beyond_4300_is_refused(text):
         parse_rational(text, "forms[0][1]")
     assert exc.value.location == "forms[0][1]"
     assert "decimal exponent exceeds 4300 in magnitude" in str(exc.value)
-
-
-def test_scalar_gaussian_object():
-    z = parse_scalar({"re": "1/2", "im": -3}, "a")
-    assert isinstance(z, GaussianRational)
-    assert (str(z.re), str(z.im)) == ("1/2", "-3")
-    # omitted parts default to zero
-    assert parse_scalar({"im": 1}, "a").re == 0
-
-
-def test_scalar_rejects_unknown_keys():
-    with pytest.raises(ParseError, match="unknown keys"):
-        parse_scalar({"re": 1, "imaginary": 2}, "a")
 
 
 # --------------------------------------------------------------- typed inputs

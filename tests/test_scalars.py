@@ -206,16 +206,51 @@ def test_bareiss_agrees_with_generic_elimination(rows):
 #
 # `rref_oracle` keeps the field-arithmetic routines that `rref` replaced;
 # the certified mod-p core must agree with them entry for entry, type
-# included.
+# included.  Every value `rref`, `rank_and_kernel` and `solve_linear` read
+# off the integer echelon is checked this way.
+
+def assert_same_vectors(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a == b
+        assert [type(x) for x in a] == [type(x) for x in b]
+
 
 def assert_same_rref(rows, field):
+    """rref, rank and rank_and_kernel of the rows, and solve_linear of the
+    rows read as an augmented matrix [A | b], against the oracle RREF of the
+    rows: kernels are built from its rows by definition, and the solution
+    is its last column on the pivots, None when that column is a pivot."""
     new = rref(rows, field)
     old = oracle_rref(rows, field)
     assert new[:2] == old[:2]
-    assert len(new[2]) == len(old[2])
-    for a, b in zip(new[2], old[2]):
-        assert a == b
-        assert [type(x) for x in a] == [type(x) for x in b]
+    assert_same_vectors(new[2], old[2])
+    assert rank(rows, field) == old[0]
+
+    _, pivots, echelon = old
+    ncols = len(rows[0])
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [field.zero()] * ncols
+            v[f] = field.one()
+            for pc, row in zip(pivots, echelon):
+                if row[f]:
+                    v[pc] = field.coerce(-row[f])
+            kernel.append(tuple(v))
+    r, basis = rank_and_kernel(Matrix(rows, field=field))
+    assert r == old[0]
+    assert_same_vectors(basis, kernel)
+
+    a = Matrix([row[:-1] for row in rows], field=field, ncols=ncols - 1)
+    solution = solve_linear(a, [row[-1] for row in rows])
+    if ncols - 1 in pivots:
+        assert solution is None
+    else:
+        x = [field.zero()] * (ncols - 1)
+        for pc, row in zip(pivots, echelon):
+            x[pc] = row[-1]
+        assert_same_vectors([solution], [tuple(x)])
 
 
 def with_dependent_rows(draw, rows):
@@ -293,6 +328,19 @@ def test_rref_drops_a_prime_unlucky_under_one_root_of_minus_one():
     rows = [[one, one], [one, GaussianRational(1 - s, 1)]]
     assert rref(rows, QI)[:2] == (2, (0, 1))
     assert_same_rref(rows, QI)
+
+
+def test_mixed_rational_and_gaussian_entries_infer_qq_i():
+    # one rule wherever the Gaussian entry stands: Matrix, rref and rank
+    # agree, and F_p is never inferred
+    half, i = Fraction(1, 2), GaussianRational(0, 1)
+    for rows in ([[half, i]], [[i, half]], [[1, half], [i, 2]]):
+        assert Matrix(rows).field is QI
+        assert rref(rows) == rref(rows, QI) == rref(Matrix(rows))
+        assert rank(rows) == rank(rows, QI)
+    assert Matrix([[1, 2]]).field is QQ
+    with pytest.raises(FieldMismatchError):
+        rref([[half, 0.5]])
 
 
 def test_matrix_multiplication_and_shape_errors():
