@@ -4,9 +4,10 @@ A hyperplane is an affine-linear form c0 + c1 x1 + ... + cn xn, stored
 projectively normalized (first nonzero coefficient 1) so duplicates are
 detected exactly.  Central arrangements are those with all constant terms
 zero.  The OS algebra is the exterior algebra on one generator per
-hyperplane (the class of dlog f_j, Hodge type (1,1)) modulo the circuit
-boundary relations, plus, for affine arrangements, the monomials of
-hyperplane sets with empty common intersection.
+hyperplane (the class of dlog f_j, Hodge type (1,1)) modulo the boundaries
+of the circuits that meet and the monomials of the minimal sets with empty
+intersection.  Both are the minimal sets S whose forms become dependent
+once the hyperplane at infinity e0 = (1, 0, ..., 0) is adjoined.
 """
 
 from __future__ import annotations
@@ -89,36 +90,23 @@ class Arrangement:
         return f"Arrangement({kind}, ambient={self.ambient}, size={self.size})"
 
 
-def _mod_images(arr):
-    """Each augmented form cleared of denominators and reduced mod
-    DEFAULT_PRIME.  A nonzero integer multiple of a row changes no rank, and
-    a minor of integer rows that is nonzero mod p is nonzero, so the rank of
-    any set of these images (or of their linear slices [1:]) is a lower
-    bound on the true rank of the forms (or of their linear parts)."""
+def _mod_images(vecs):
+    """Each vector cleared of denominators and reduced mod DEFAULT_PRIME.
+    A nonzero integer multiple of a vector changes no rank, and a minor of
+    integer rows that is nonzero mod p is nonzero, so the rank of any set of
+    these images is a lower bound on the true rank of the vectors."""
     p = DEFAULT_PRIME
     images = []
-    for form in arr.forms:
-        den = lcm(*(c.denominator for c in form))
+    for vec in vecs:
+        den = lcm(*(c.denominator for c in vec))
         images.append([c.numerator * (den // c.denominator) % p
-                       for c in form])
+                       for c in vec])
     return images
 
 
 def _rank_mod(rows):
     """Rank mod DEFAULT_PRIME of rows of residues (the rows are copied)."""
     return len(_rref_mod([list(r) for r in rows], DEFAULT_PRIME))
-
-
-def _meets(arr, images, subset, aug_rank):
-    """Do the listed hyperplanes have a common point?  `aug_rank` is an
-    upper bound on the rank of their augmented forms (len(subset) in
-    general, len(subset) - 1 for a circuit).  Two rank bounds mod p decide
-    most subsets exactly; the rest go to the exact `common_point`."""
-    if _rank_mod([images[j] for j in subset]) > arr.ambient:
-        return False  # augmented rank above every linear rank: inconsistent
-    if _rank_mod([images[j][1:] for j in subset]) >= aug_rank:
-        return True  # linear rank reaches the augmented rank: consistent
-    return arr.common_point(subset) is not None
 
 
 def _minimal_subsets(d, largest, bad):
@@ -142,48 +130,42 @@ def _minimal_subsets(d, largest, bad):
     return sorted(found)
 
 
-def matroid_circuits(arr):
-    """Minimal dependent hyperplane sets (affine dependence for affine
-    arrangements), each sorted, the list sorted lexicographically.
+def _minimal_dependent(vecs, extra=()):
+    """The minimal index sets S, of size at least 2, for which the vectors
+    of S together with the independent vectors `extra` are dependent, each
+    sorted, the list sorted lexicographically.
 
-    Complete: every circuit has size at most r + 1, r the rank of the
-    augmented forms, and all are returned.  Subsets are decided by size,
-    each exactly:
+    Complete: with r the rank of all the vectors, every such S has
+    |S| + len(extra) <= r + 1, since dropping one element of S leaves an
+    independent set.  Subsets are decided by size, each exactly:
 
-    - one of its one-smaller subsets is dependent: it contains a circuit,
-      so it is dependent and not a circuit (`_minimal_subsets`);
-    - otherwise, at size r + 1: any r + 1 vectors are dependent, a circuit;
-    - otherwise, full rank of its images mod p (`_mod_images`): independent;
+    - one of its one-smaller subsets is dependent: so is it, and it is not
+      minimal (`_minimal_subsets`);
+    - otherwise, at |S| + len(extra) = r + 1: dependent, with no rank;
+    - otherwise, full rank of the images mod p (`_mod_images`): independent;
     - otherwise the exact `rank` decides.
     """
-    vecs = arr.augmented()
-    d = len(vecs)
-    r = rank(vecs) if vecs else 0
-    images = _mod_images(arr)
+    vecs, extra = list(vecs), list(extra)
+    every = vecs + extra
+    r = rank(every) if every else 0
+    images = _mod_images(every)
+    tail = images[len(vecs):]
 
     def dependent(subset):
-        size = len(subset)
+        size = len(subset) + len(extra)
         return size == r + 1 or (
-            _rank_mod([images[j] for j in subset]) < size
-            and rank([vecs[j] for j in subset]) < size)
+            _rank_mod([images[j] for j in subset] + tail) < size
+            and rank([vecs[j] for j in subset] + extra) < size)
 
-    return _minimal_subsets(d, min(d, r + 1), dependent)
-
-
-def _empty_intersection_minimal(arr):
-    """Minimal hyperplane sets with empty common intersection (affine only).
-
-    A minimal inconsistent system of affine equations on C^n has linear
-    parts of rank one less than its size, so at most n + 1 equations; larger
-    subsets are never enumerated.  A subset with an empty one-smaller subset
-    is empty and not minimal; every other one is decided by `_meets`.
-    """
-    if arr.central:
-        return []
-    images = _mod_images(arr)
     return _minimal_subsets(
-        arr.size, min(arr.size, arr.ambient + 1),
-        lambda subset: not _meets(arr, images, subset, len(subset)))
+        len(vecs), min(len(vecs), r + 1 - len(extra)), dependent)
+
+
+def matroid_circuits(arr):
+    """Minimal dependent hyperplane sets (affine dependence for affine
+    arrangements), each sorted, the list sorted lexicographically: the
+    minimal dependent sets of the augmented forms, none of them zero."""
+    return _minimal_dependent(arr.augmented())
 
 
 def circuit_boundary(ngens, circuit):
@@ -199,7 +181,14 @@ def os_algebra(arr, top=None, circuits=None):
     """The Orlik-Solomon algebra of an arrangement, built through degree
     `top` (default: the full rank).  Generator j is the class of dlog f_j,
     with Hodge type (1,1).  `circuits` is `matroid_circuits(arr)`, passed by
-    a caller that has already enumerated them."""
+    a caller that has already enumerated them.
+
+    An affine arrangement's relations are the minimal S that are dependent
+    with e0 = (1, 0, ..., 0) adjoined: S is dependent or has empty
+    intersection, since an inconsistent system has 1 in the span of its
+    forms.  Such an S is a circuit all of whose proper subsets meet, so a
+    circuit that meets (its boundary), or an independent set with e0 in its
+    span, a minimal empty set (its monomial)."""
     if top is None:
         top = arr.rank()
     if top < 0:
@@ -207,14 +196,14 @@ def os_algebra(arr, top=None, circuits=None):
     if circuits is None:
         circuits = matroid_circuits(arr)
     d = arr.size
-    images = None if arr.central else _mod_images(arr)
-    gens = []
-    for c in circuits:
-        # a circuit's augmented forms have rank len(c) - 1
-        if arr.central or _meets(arr, images, c, len(c) - 1):
-            gens.append(circuit_boundary(d, c))
-    for s in _empty_intersection_minimal(arr):
-        gens.append(Multivector.monomial(d, s))
+    relations = circuits
+    if not arr.central:
+        e0 = [Fraction(1)] + [Fraction(0)] * arr.ambient
+        relations = _minimal_dependent(arr.augmented(), [e0])
+    meeting = set(circuits)
+    gens = [circuit_boundary(d, s) for s in relations if s in meeting]
+    gens += [Multivector.monomial(d, s) for s in relations
+             if s not in meeting]
     return build_quotient_algebra(
         d, gens, top, hodge_types=[(1, 1)] * d)
 

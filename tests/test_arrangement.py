@@ -16,8 +16,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jumploci import arrangement
 from jumploci.arrangement import (
-    Arrangement, _empty_intersection_minimal, decone, matroid_circuits, os_algebra, points_arrangement,
-    poincare_and_euler, restrict_line_arrangement)
+    Arrangement, circuit_boundary, decone, matroid_circuits, os_algebra,
+    points_arrangement, poincare_and_euler, restrict_line_arrangement)
+from jumploci.exterior import Multivector
 from jumploci.errors import PreconditionError
 from jumploci.verify import LINE_LIBRARY, SIXPLANES_FORMS, line_library
 from jumploci.scalars import DEFAULT_PRIME, Matrix, rank
@@ -48,6 +49,14 @@ def minimal_empty_oracle(arr):
     return sorted(out)
 
 
+def monomial_gens(algebra):
+    """The index sets of the monomial relations among `ideal_gens` (a
+    circuit boundary has at least three terms)."""
+    return [tuple(j for j in range(algebra.ngens) if mask >> j & 1)
+            for g in algebra.ideal_gens if len(g.terms) == 1
+            for mask in g.terms]
+
+
 def seeded_affine(seed, ambient, size):
     """An affine arrangement with parallel families: a few pairwise
     non-proportional directions, each repeated with several constant terms,
@@ -75,7 +84,7 @@ def seeded_affine(seed, ambient, size):
 @pytest.mark.parametrize("ambient,size", [(2, 8), (3, 8)])
 def test_empty_intersections_match_full_enumeration(seed, ambient, size):
     arr = seeded_affine(seed, ambient, size)
-    found = _empty_intersection_minimal(arr)
+    found = monomial_gens(os_algebra(arr))
     assert found == minimal_empty_oracle(arr)
     assert found  # parallel families always give empty pairs
 
@@ -136,17 +145,14 @@ def coincident_arrangements(draw):
 @settings(max_examples=150, deadline=None)
 def test_screened_enumeration_matches_exact_oracles(arr):
     circuits = matroid_circuits(arr)
-    assert circuits == circuits_oracle(arr)
+    oracle = circuits_oracle(arr)
+    assert circuits == oracle
+    expected = [circuit_boundary(arr.size, c) for c in oracle
+                if arr.central or arr.common_point(c) is not None]
     if not arr.central:
-        assert _empty_intersection_minimal(arr) == minimal_empty_oracle(arr)
-    images = arrangement._mod_images(arr)
-    for size in range(1, arr.size + 1):
-        for s in combinations(range(arr.size), size):
-            assert arrangement._meets(arr, images, s, size) == \
-                (arr.common_point(s) is not None), s
-    for c in circuits:
-        assert arrangement._meets(arr, images, c, len(c) - 1) == \
-            (arr.common_point(c) is not None), c
+        expected += [Multivector.monomial(arr.size, s)
+                     for s in minimal_empty_oracle(arr)]
+    assert list(os_algebra(arr).ideal_gens) == expected
 
 
 P = DEFAULT_PRIME
@@ -194,10 +200,16 @@ def test_unlucky_prime_circuits_reach_the_exact_rank(exact_calls, forms,
     # linear part vanishes mod p
     [[0, 1, 0], [Fraction(1, P), 1, 1]],
 ])
-def test_unlucky_prime_intersections_reach_common_point(exact_calls, forms):
+def test_unlucky_prime_intersections_reach_the_exact_rank(exact_calls, forms):
     arr = Arrangement(2, forms)
-    assert _empty_intersection_minimal(arr) == [] == minimal_empty_oracle(arr)
-    assert exact_calls["common_point"] >= 1
+    assert minimal_empty_oracle(arr) == []
+    top, circuits = arr.rank(), matroid_circuits(arr)
+    before = dict(exact_calls)
+    algebra = os_algebra(arr, top, circuits)
+    assert monomial_gens(algebra) == []
+    # more than the rank of all the forms with e0 adjoined
+    assert exact_calls["rank"] > before["rank"] + 1
+    assert exact_calls["common_point"] == before["common_point"]
 
 
 def test_circuit_examples():
@@ -301,19 +313,33 @@ def test_decone_examples():
         decone(Arrangement(2, [[0, 1, 0], [-1, 1, 0]]), 0)  # not central
 
 
+BRAID_A3 = [[1 if k == i else (-1 if k == j else 0) for k in range(4)]
+            for i, j in combinations(range(4), 2)]
+
+
+# central arrangements whose every deconing is checked: deconed braid A3
+# has parallel pairs and triple points, the deconed six planes have
+# circuits with and without a common point
+CONED = {
+    "generic4": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]),
+    "braidA3": (4, BRAID_A3),
+    "sixplanes": (4, SIXPLANES_FORMS),
+}
+
+
 def test_cone_decone_poincare():
     # P_central(t) = (1 + t) P_decone(t) for every choice of hyperplane
-    central = Arrangement(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
-                          central=True)
-    p_central, _ = poincare_and_euler(central)
-    for j in range(central.size):
-        affine, _ = decone(central, j)
-        p_aff, _ = poincare_and_euler(affine)
-        prod = [0] * (len(p_aff) + 1)
-        for k, c in enumerate(p_aff):
-            prod[k] += c
-            prod[k + 1] += c
-        assert tuple(prod) == p_central
+    for name, (ambient, forms) in CONED.items():
+        central = Arrangement(ambient, forms, central=True)
+        p_central, _ = poincare_and_euler(central)
+        for j in range(central.size):
+            affine, _ = decone(central, j)
+            p_aff, _ = poincare_and_euler(affine)
+            prod = [0] * (len(p_aff) + 1)
+            for k, c in enumerate(p_aff):
+                prod[k] += c
+                prod[k + 1] += c
+            assert tuple(prod) == p_central, (name, j)
 
 
 def test_points_arrangement():
