@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import PreconditionError
 from .exterior import Multivector, build_quotient_algebra
-from .scalars import DEFAULT_PRIME, Matrix, _rref_mod, rank, solve_linear
+from .scalars import (DEFAULT_PRIME, Matrix, _clear, _rref_mod, rank,
+                      solve_linear)
 
 
 class Arrangement:
@@ -96,12 +96,7 @@ def _mod_images(vecs):
     integer rows that is nonzero mod p is nonzero, so the rank of any set of
     these images is a lower bound on the true rank of the vectors."""
     p = DEFAULT_PRIME
-    images = []
-    for vec in vecs:
-        den = lcm(*(c.denominator for c in vec))
-        images.append([c.numerator * (den // c.denominator) % p
-                       for c in vec])
-    return images
+    return [[c % p for c in row] for row in _clear(vecs, False)[0]]
 
 
 def _rank_mod(rows):
@@ -251,31 +246,53 @@ def decone(arr, j):
     return Arrangement(arr.ambient - 1, new_forms), index_map
 
 
+def line_points(arr):
+    """Every point of P^2 where two or more lines of a line arrangement
+    meet, the points at infinity z = 0 included, as pairs (point, lines)
+    sorted by lines; lines are the sorted indices of the lines through the
+    point.  A line is a vector in the coordinates (x, y, z): (c1, c2, c0)
+    for c0 + c1 x + c2 y in C^2, the linear part of a central arrangement in
+    C^3.  Two distinct lines meet in exactly one point, the cross product
+    of their vectors, here of their integer multiples, scaled so that its
+    last nonzero coordinate is 1: a tuple of Fractions that keys the point
+    exactly.  No elimination is made."""
+    if arr.ambient == 2:
+        vecs = [(c1, c2, c0) for c0, c1, c2 in arr.forms]
+    elif arr.ambient == 3 and arr.central:
+        vecs = arr.linear_parts()
+    else:
+        raise PreconditionError(
+            "need a line arrangement: an arrangement in C^2 or a central "
+            "one in C^3")
+    vecs = _clear(vecs, False)[0]
+    points = {}
+    for i, j in combinations(range(len(vecs)), 2):
+        (a0, a1, a2), (b0, b1, b2) = vecs[i], vecs[j]
+        p = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        last = next(c for c in reversed(p) if c)
+        points.setdefault(tuple(Fraction(c, last) for c in p),
+                          set()).update((i, j))
+    return sorted(((p, tuple(sorted(lines))) for p, lines in points.items()),
+                  key=lambda pair: pair[1])
+
+
 def restrict_line_arrangement(arr, j):
     """Restriction of a line arrangement in C^2 to the line H_j: the
-    arrangement of distinct intersection points, as forms on C^1."""
+    arrangement of distinct intersection points, as forms on C^1.  They
+    are the finite points of `line_points` on H_j, ordered by their
+    smallest other line, at the parameter t of (x, y) = q + t (-c2, c1),
+    that is t = y / c1, or -x / c2 when c1 = 0."""
     if arr.ambient != 2:
         raise PreconditionError("restriction implemented for line arrangements")
     if not 0 <= j < arr.size:
         raise PreconditionError(f"hyperplane index {j} out of range")
-    c0, c1, c2 = arr.forms[j]
-    direction = (-c2, c1)
-    if c1:
-        q = (-c0 / c1, Fraction(0))
-    else:
-        q = (Fraction(0), -c0 / c2)
-    points = []
-    for k, form in enumerate(arr.forms):
-        if k == j:
-            continue
-        d0, d1, d2 = form
-        slope = d1 * direction[0] + d2 * direction[1]
-        if not slope:
-            continue  # parallel to H_j, no trace
-        t = -(d0 + d1 * q[0] + d2 * q[1]) / slope
-        if t not in points:
-            points.append(t)
-    return Arrangement(1, [[-t, Fraction(1)] for t in points])
+    _c0, c1, c2 = arr.forms[j]
+    found = []
+    for (x, y, z), lines in line_points(arr):
+        if z and j in lines:
+            t = y / c1 if c1 else -x / c2
+            found.append((min(k for k in lines if k != j), t))
+    return Arrangement(1, [[-t, Fraction(1)] for _k, t in sorted(found)])
 
 
 def points_arrangement(points):

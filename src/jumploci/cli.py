@@ -15,6 +15,7 @@ imports at load time needs it.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -372,6 +373,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built on its first call and kept for the
+    process: building the tree of subcommands costs more than most runs."""
+    return build_parser()
+
+
 _LIST_OPTIONS = ("--alpha", "--weights", "--points", "--x", "--character",
                  "--subspace")
 
@@ -391,8 +399,7 @@ def _glue_negative_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_glue_negative_values(
+    args = _parser().parse_args(_glue_negative_values(
         sys.argv[1:] if argv is None else argv))
     t0 = time.monotonic()
     try:

@@ -28,14 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 import sympy as sp
 from sympy import QQ, ZZ
 
-from .arrangement import Arrangement, poincare_and_euler
+from .arrangement import Arrangement, line_points, poincare_and_euler
 from .errors import DegeneracyError, PreconditionError
-from .scalars import Matrix, rank_and_kernel
+from .scalars import _clear
 
 _X, _Y = sp.symbols("jl_x jl_y")
 
@@ -64,8 +64,7 @@ def _rational_weights(lam, d):
 
 
 def _cleared_weights(lam):
-    den = lcm(*(l.denominator for l in lam))
-    return [int(l * den) for l in lam]
+    return _clear([lam], False)[0][0]
 
 
 @dataclass(frozen=True)
@@ -329,16 +328,6 @@ def local_koszul_univariate(points, lam):
 
 # -- bivariate: the sheared pair over ZZ -------------------------------------
 
-def _cleared_forms(arr):
-    """Integer multiples (c0, c1, c2) of the affine forms.  Rescaling f_j
-    leaves d log f_j, and so the form alpha, unchanged."""
-    out = []
-    for f in arr.forms:
-        den = lcm(*(c.denominator for c in f))
-        out.append(tuple(int(c * den) for c in f))
-    return out
-
-
 def _sheared_pair(forms, weights, t):
     """P(x + t y, y) and Q(x + t y, y) as Polys over ZZ in (y, x), where
     P = sum_j w_j c1_j prod_{k != j} f_k and Q likewise with c2_j.  The
@@ -365,17 +354,6 @@ def _sheared_pair(forms, weights, t):
                                    _Y, _X, domain=ZZ) for h in (p, q))
 
 
-def _multiple_points(arr):
-    """All pairwise intersection points of the lines, as exact pairs."""
-    pts = set()
-    for i in range(arr.size):
-        for j in range(i + 1, arr.size):
-            p = arr.common_point((i, j))
-            if p is not None:
-                pts.add(tuple(p))
-    return sorted(pts)
-
-
 _SHEARS = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8]
 
 
@@ -400,24 +378,19 @@ def _eliminant(forms, weights, spurious, t):
     return _zz_poly(g), pt, qt
 
 
-def _vanishes_at_infinity(arr, lam):
+def _vanishes_at_infinity(points, lam):
     """Whether alpha, with nonzero weights, vanishes on the (strict
     transform of the) line at infinity, the only boundary curve it can
     vanish on: its residue there is -sum lambda, and the residues of its
     restriction are the weight sums of the parallel classes, a single line
-    giving its own nonzero weight."""
+    giving its own nonzero weight.  The classes are the lines through the
+    points at infinity (z = 0) among `points`, the `line_points` of the
+    arrangement; a line lies on at most one of them."""
     if sum(lam):
         return False
-    classes = []
-    for j in range(arr.size):
-        for members in classes:
-            if arr.common_point((members[0], j)) is None:
-                members.append(j)
-                break
-        else:
-            classes.append([j])
-    return all(len(members) >= 2 and not sum(lam[k] for k in members)
-               for members in classes)
+    classes = [lines for (_x, _y, z), lines in points if not z]
+    return (sum(map(len, classes)) == len(lam)
+            and all(not sum(lam[k] for k in lines) for lines in classes))
 
 
 def _certifying_shear(forms, weights, spurious, n):
@@ -462,15 +435,18 @@ def critical_points_bivariate(arr, lam, seed=0):
             raise DegeneracyError(
                 f"weight lambda_{j} = 0 drops hyperplane {j} from the form; "
                 "the puncture structure no longer matches the arrangement")
-    if _vanishes_at_infinity(arr, lam):
+    points = line_points(arr)
+    if _vanishes_at_infinity(points, lam):
         raise DegeneracyError(
             "alpha vanishes on the line at infinity (sum lambda = 0 and every "
             "parallel class has weight sum 0): the zero set is not finite")
     _dims, chi = poincare_and_euler(arr)
     count = abs(chi)
+    finite = sorted((x, y) for (x, y, z), _lines in points if z)
+    # integer multiples of the forms: rescaling f_j leaves d log f_j, and
+    # so the form alpha, unchanged
     t1, g1, pt1, qt1 = _certifying_shear(
-        _cleared_forms(arr), _cleared_weights(lam), _multiple_points(arr),
-        count)
+        _clear(arr.forms, False)[0], _cleared_weights(lam), finite, count)
 
     zeros = []
     if g1.degree() > 0:
@@ -503,7 +479,7 @@ def critical_points_bivariate(arr, lam, seed=0):
 @dataclass(frozen=True)
 class FlatResidue:
     lines: tuple          # indices of the lines through the point
-    point: tuple          # a spanning vector of the rank-2 flat in C^3
+    point: tuple          # the flat's spanning vector from line_points
     residue: Fraction
 
 
@@ -521,7 +497,9 @@ def residues_line_arrangement(arr, lam):
     or more lines meet (residue = sum of the lambdas through the point).
 
     Input is the central arrangement in C^3; sum lambda = 0 is required for
-    the form to descend to the projective complement.
+    the form to descend to the projective complement.  The multiple points
+    are the `line_points` with three or more lines, each given by its
+    vector with last nonzero coordinate 1.
     """
     if not isinstance(arr, Arrangement) or arr.ambient != 3 or not arr.central:
         raise PreconditionError(
@@ -532,24 +510,8 @@ def residues_line_arrangement(arr, lam):
         raise PreconditionError(
             f"sum of weights is {sum(lam)}, not 0: the form does not descend "
             "to the projective complement")
-    linear = arr.linear_parts()
-    flats = {}
-    for i in range(arr.size):
-        for j in range(i + 1, arr.size):
-            _rk, kern = rank_and_kernel(Matrix([linear[i], linear[j]]))
-            if len(kern) != 1:
-                continue
-            v = kern[0]
-            members = tuple(
-                k for k in range(arr.size)
-                if sum(c * w for c, w in zip(linear[k], v)) == 0)
-            flats[members] = v
-    points = []
-    for members in sorted(flats):
-        if len(members) < 3:
-            continue
-        points.append(FlatResidue(
-            members, flats[members], sum(lam[k] for k in members)))
+    points = [FlatResidue(lines, point, sum(lam[k] for k in lines))
+              for point, lines in line_points(arr) if len(lines) >= 3]
     zero = []
     for j, l in enumerate(lam):
         if not l:

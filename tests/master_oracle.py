@@ -4,11 +4,12 @@ This is the symbolic construction the package used before it built its
 polynomials over the integers: numerators and master-function components
 as sympy expressions, the shear x -> x + t y by `subs` and `expand`, the
 resultant on expressions over QQ, `Poly.div` for every root order, and
-`intervals(all=True)` for every irreducible factor.  It shares the report
-types, the input validation, the shear sequence and the list of multiple
-points with the package, and none of the construction.  Each `oracle_*`
-function returns what the package function of the same name must return,
-field for field.
+`intervals(all=True)` for every irreducible factor.  Its multiple points are
+the pairwise `common_point` solves the package made before it read them off
+cross products in P^2.  It shares the report types, the input validation
+and the shear sequence with the package, and none of the construction.
+Each `oracle_*` function returns what the package function of the same
+name must return, field for field.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import sympy as sp
 from jumploci.arrangement import Arrangement, poincare_and_euler
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.master import (_SHEARS, DivisorReport, LocalKoszul, Zero,
-                             _frac, _multiple_points, _rational_weights,
-                             _rationals)
+                             _frac, _rational_weights, _rationals)
 
 _X, _Y, _W = sp.symbols("jl_x jl_y jl_w")
 
@@ -203,6 +203,17 @@ def _eliminant(p, q, spurious, t):
         for _ in range(_ord_at(g, x0)):
             g, _r = g.div(sp.Poly(_X - sp.Rational(x0), _X, domain="QQ"))
     return g, res, pt, qt
+
+
+def _multiple_points(arr):
+    """All pairwise intersection points of the lines, as exact pairs."""
+    pts = set()
+    for i in range(arr.size):
+        for j in range(i + 1, arr.size):
+            p = arr.common_point((i, j))
+            if p is not None:
+                pts.add(tuple(p))
+    return sorted(pts)
 
 
 def _vanishes_at_infinity(arr, lam):

@@ -14,14 +14,15 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jumploci import arrangement
+from jumploci import arrangement, master, scalars
 from jumploci.arrangement import (
-    Arrangement, circuit_boundary, decone, matroid_circuits, os_algebra,
-    points_arrangement, poincare_and_euler, restrict_line_arrangement)
+    Arrangement, circuit_boundary, decone, line_points, matroid_circuits,
+    os_algebra, points_arrangement, poincare_and_euler,
+    restrict_line_arrangement)
 from jumploci.exterior import Multivector
-from jumploci.errors import PreconditionError
+from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.verify import LINE_LIBRARY, SIXPLANES_FORMS, line_library
-from jumploci.scalars import DEFAULT_PRIME, Matrix, rank
+from jumploci.scalars import DEFAULT_PRIME, Matrix, rank, rank_and_kernel
 
 
 def whitney_poincare(arr):
@@ -378,3 +379,142 @@ def test_library_is_well_formed():
     assert len(LINE_LIBRARY) == 10
     for name, arr in line_library():
         assert arr.size <= 6 and arr.ambient == 2, name
+
+
+# ------------------------------------------------------------ points of P^2
+
+def common_point_oracle(arr):
+    """The points of an arrangement in C^2 by pairwise `common_point`: the
+    finite ones grouped by point, as (x, y, 1), and one point at infinity
+    per class of two or more parallel lines, the direction (c2, -c1, 0) of
+    its lines scaled to last nonzero coordinate 1."""
+    finite, infinite = {}, {}
+    for i, j in combinations(range(arr.size), 2):
+        p = arr.common_point((i, j))
+        if p is not None:
+            finite.setdefault(tuple(p) + (Fraction(1),), set()).update((i, j))
+        else:
+            _c0, c1, c2 = arr.forms[i]
+            key = (-c2 / c1, 1, 0) if c1 else (1, 0, 0)
+            infinite.setdefault(tuple(map(Fraction, key)), set()).update(
+                (i, j))
+    return sorted(((p, tuple(sorted(m)))
+                   for p, m in (finite | infinite).items()),
+                  key=lambda pair: pair[1])
+
+
+def kernel_oracle(arr):
+    """The points by the pairwise `rank_and_kernel` of two line vectors,
+    (c1, c2, c0) in C^2 and the linear part in C^3, with every line scanned
+    against each kernel vector."""
+    if arr.ambient == 2:
+        vecs = [(c1, c2, c0) for c0, c1, c2 in arr.forms]
+    else:
+        vecs = arr.linear_parts()
+    points = {}
+    for i, j in combinations(range(arr.size), 2):
+        _rk, kern = rank_and_kernel(Matrix([vecs[i], vecs[j]]))
+        v = kern[0]
+        members = tuple(k for k in range(arr.size)
+                        if sum(c * w for c, w in zip(vecs[k], v)) == 0)
+        points[members] = v
+    return [(points[m], m) for m in sorted(points)]
+
+
+def restrict_oracle(arr, j):
+    """The restriction to H_j by intersecting every other line with the
+    parametrization q + t (-c2, c1) of H_j."""
+    c0, c1, c2 = arr.forms[j]
+    direction = (-c2, c1)
+    q = (-c0 / c1, Fraction(0)) if c1 else (Fraction(0), -c0 / c2)
+    points = []
+    for k, (d0, d1, d2) in enumerate(arr.forms):
+        slope = d1 * direction[0] + d2 * direction[1]
+        if k == j or not slope:
+            continue
+        t = -(d0 + d1 * q[0] + d2 * q[1]) / slope
+        if t not in points:
+            points.append(t)
+    return Arrangement(1, [[-t, Fraction(1)] for t in points])
+
+
+@given(coincident_arrangements())
+@settings(max_examples=150, deadline=None)
+def test_line_points_match_pairwise_solves_and_kernels(arr):
+    assume(arr.ambient == 2 or (arr.ambient == 3 and arr.central))
+    points = line_points(arr)
+    assert points == kernel_oracle(arr)
+    if arr.ambient == 2:
+        assert points == common_point_oracle(arr)
+        for j in range(arr.size):
+            got = restrict_line_arrangement(arr, j)
+            assert got.forms == restrict_oracle(arr, j).forms, j
+
+
+def test_restriction_matches_the_intersection_loop_on_the_library():
+    for name, arr in line_library():
+        for j in range(arr.size):
+            assert restrict_line_arrangement(arr, j).forms == \
+                restrict_oracle(arr, j).forms, (name, j)
+
+
+def test_line_points_refuse_other_arrangements():
+    for arr in (Arrangement(1, [[0, 1], [1, 1]]),
+                Arrangement(3, [[1, 1, 0, 0], [0, 0, 1, 0]]),
+                Arrangement(4, SIXPLANES_FORMS)):
+        with pytest.raises(PreconditionError, match="line arrangement"):
+            line_points(arr)
+
+
+def test_three_parallel_lines_meet_in_a_triple_point_at_infinity():
+    arr = Arrangement(2, [[0, 1, 1], [1, 1, 1], [2, 1, 1]])
+    assert line_points(arr) == [((-1, 1, 0), (0, 1, 2))]
+    assert master._vanishes_at_infinity(line_points(arr), [1, 1, -2])
+    assert not master._vanishes_at_infinity(line_points(arr), [1, 1, -1])
+
+
+GRID = [[0, 1, 0], [-1, 1, 0], [0, 0, 1], [-1, 0, 1]]  # x = 0, 1; y = 0, 1
+
+
+def test_grid_with_alternating_weights_vanishes_at_infinity():
+    arr = Arrangement(2, GRID)
+    lam = [1, -1, 1, -1]
+    assert master._vanishes_at_infinity(line_points(arr), lam)
+    with pytest.raises(DegeneracyError, match="line at infinity"):
+        master.critical_points_bivariate(arr, lam)
+
+
+def test_a_line_parallel_to_no_other_keeps_alpha_off_infinity():
+    # x = 0, x = 1 (weight sum 0); y = 0 and x + y = 1 each alone
+    arr = Arrangement(2, [[0, 1, 0], [-1, 1, 0], [0, 0, 1], [-1, 1, 1]])
+    lam = [1, -1, 2, -2]
+    assert sum(lam) == 0
+    assert not master._vanishes_at_infinity(line_points(arr), lam)
+
+
+def test_points_and_restrictions_need_no_elimination(monkeypatch,
+                                                     exact_calls):
+    hexlat = dict(LINE_LIBRARY)["hexlat6"]
+    arr = Arrangement(2, hexlat)
+    cone = Arrangement(3, [[0, c1, c2, c0] for c0, c1, c2 in arr.forms]
+                       + [[0, 0, 0, 1]])
+    weights = [1, 2, 3, 4, 5, 6]
+    before = exact_calls["common_point"]
+    master.critical_points_bivariate(arr, weights)
+    assert exact_calls["common_point"] == before
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination called")
+
+    monkeypatch.setattr(scalars, "_echelon", refuse)
+    # the cone's line 6 is the line at infinity: dropped, the cone's points
+    # are the affine ones
+    dropped = [(p, tuple(k for k in lines if k != 6))
+               for p, lines in line_points(cone)]
+    assert sorted(pair for pair in dropped if len(pair[1]) >= 2) == \
+        sorted(line_points(arr))
+    table = master.residues_line_arrangement(cone, weights + [-21])
+    assert [p.lines for p in table.points] == [(0, 1, 2, 3), (0, 4, 6),
+                                                (1, 5, 6), (2, 4, 5)]
+    for j in range(arr.size):
+        assert restrict_line_arrangement(arr, j).size >= 1

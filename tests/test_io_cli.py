@@ -696,6 +696,33 @@ def test_reports_are_deterministic_modulo_elapsed_time():
     assert a == b
 
 
+def test_parser_is_built_once_and_survives_a_refused_argv(monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        argv = ["aomoto", "--arrangement", "concurrent3", "--alpha", "-2,1,1"]
+        first = report(argv)
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            cli.main(["aomoto", "--arrangement", "concurrent3", "--alpha",
+                      "--degree", "1"])
+        assert exc.value.code == 2
+        assert "argument --alpha: expected one argument" in err.getvalue()
+        last = report(argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    first.pop("elapsed_s"), last.pop("elapsed_s")
+    assert first == last
+
+
 # every subcommand that reads a typed input file, with the option naming the
 # file and the comma-separated options it also needs
 TYPED_SUBCOMMANDS = [
