@@ -87,29 +87,6 @@ class AomotoComplex:
             ncols = len(cols)
         return len(_rref_parts(parts, ncols, self.algebra.field)[0])
 
-    def cocycle_rank(self, d, coords):
-        """Rank of the cocycles of degree d restricted to the coordinates
-        `coords`: of the rows `coords` of the `kernels()[d]` basis, read off
-        the integer RREF.  A free coordinate is a unit row there and a pivot
-        coordinate minus its RREF row on the free columns; the sign and the
-        row's denominator change no rank."""
-        self.ranks()
-        pivots, free, echelon = self._echelons[d]
-        position = {f: t for t, f in enumerate(free)}
-        pivot_rows = dict(zip(pivots, echelon))
-        parts = [[] for _ in self.parts[d]]
-        for k in coords:
-            if k in position:
-                unit = [0] * len(free)
-                unit[position[k]] = 1
-                parts[0].append(unit)
-                for part in parts[1:]:
-                    part.append([0] * len(free))
-            else:
-                for part, nums in zip(parts, pivot_rows[k][1]):
-                    part.append(nums)
-        return len(_rref_parts(parts, len(free), self.algebra.field)[0])
-
     def cohomology_dims(self):
         """h^d = dim ker(d_d) - rank(d_{d-1}) for each degree through top."""
         r = self.ranks()

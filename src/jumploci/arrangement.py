@@ -17,19 +17,21 @@ from itertools import combinations
 
 from .errors import PreconditionError
 from .exterior import Multivector, build_quotient_algebra
-from .scalars import (DEFAULT_PRIME, Matrix, _clear, _rref_mod, rank,
-                      solve_linear)
+from .scalars import (DEFAULT_PRIME, Matrix, _clear, _rational, _rref_mod,
+                      rank, solve_linear)
 
 
 class Arrangement:
-    """An ordered list of distinct hyperplanes in C^ambient."""
+    """An ordered list of distinct hyperplanes in C^ambient.  Coefficients
+    are ints or Fractions; a float, bool or str is refused, not converted."""
 
     def __init__(self, ambient, forms, central=None):
         if ambient < 1:
             raise PreconditionError("ambient dimension must be at least 1")
         norm = []
         for k, form in enumerate(forms):
-            vec = [Fraction(c) for c in form]
+            vec = [_rational(c, f"form {k} coefficient {i}")
+                   for i, c in enumerate(form)]
             if len(vec) == ambient:
                 vec = [Fraction(0)] + vec
             if len(vec) != ambient + 1:
@@ -203,18 +205,11 @@ def os_algebra(arr, top=None, circuits=None):
         d, gens, top, hodge_types=[(1, 1)] * d)
 
 
-def poincare_and_euler(arr, top=None):
+def poincare_and_euler(arr):
     """Poincare polynomial coefficients (b_0, ..., b_rank) and the Euler
-    characteristic of the complement.  Requires the full-rank build; a
-    truncated request errors since the alternating sum would be wrong."""
-    r = arr.rank()
-    if top is not None and top < r:
-        raise PreconditionError(
-            f"Euler characteristic unavailable: build truncated at degree "
-            f"{top} below the matroid rank {r}")
-    algebra = os_algebra(arr, r)
-    coeffs = algebra.dims()
-    return coeffs, algebra.euler()
+    characteristic of the complement, from the full-rank build."""
+    algebra = os_algebra(arr, arr.rank())
+    return algebra.dims(), algebra.euler()
 
 
 def decone(arr, j):
@@ -297,4 +292,5 @@ def restrict_line_arrangement(arr, j):
 
 def points_arrangement(points):
     """The arrangement of finitely many distinct points in C^1."""
-    return Arrangement(1, [[-Fraction(p), Fraction(1)] for p in points])
+    return Arrangement(1, [[-_rational(p, f"point {j}"), Fraction(1)]
+                           for j, p in enumerate(points)])

@@ -182,19 +182,25 @@ class E2Report:
     n: int
     entries: dict  # (p, q) -> dim of the E2 term, p + q <= 2
     h: tuple       # dims of H^0, H^1, H^2 of the full complex
-    consistent: bool
+    consistent: bool  # the bigraded blocks of d_m have rank d_m, m <= 2
 
 
 def e2_page(model, x, y):
     """Dims of the E2 terms Gr_F^p H_{p+q} for p + q <= 2 of the complex
     (A*, alpha wedge) at a nonzero alpha = (x, ix) in F^1.
 
-    The induced filtration on H_m is (K_m intersect F^p) / (I_m intersect
-    F^p) with K the cocycles and I the coboundaries.  F^p is the coordinate
-    subspace on the basis positions `hodge_positions(p, m)`, so for V = K or
-    I, dim(V intersect F^p) is rank V minus the rank of V restricted to the
-    other positions.  The graded dims of one H_m always sum to dim H_m, and
-    that consistency is rechecked against the unfiltered cohomology.
+    Such an alpha is pure of type (1, 0), and every monomial projects onto
+    basis monomials of its own type (`build_quotient_algebra` rejects
+    impure relations), so alpha wedge maps the type-(p, q) basis positions
+    of A^m into the type-(p + 1, q) positions of A^{m+1}.  The complex is
+    then the direct sum of its rows of fixed q, and
+
+        E2^{p,q} = dim A^{p,q} - r(p, q) - r(p - 1, q),
+
+    with r(p, q) the rank of the block from A^{p,q} to A^{p+1,q}.  h comes
+    from the full complex.  `consistent` checks that the block ranks of d_m
+    add up to rank d_m for m = 0, 1, 2, which fails exactly when alpha
+    wedge leaves the bigrading.
     """
     x, y = model._pair(x, y)
     if not any(x) and not any(y):
@@ -204,25 +210,28 @@ def e2_page(model, x, y):
             raise PreconditionError(
                 "alpha lies outside filtration level F^1 (need y = i x)")
     deep = elliptic_model(model.n, top=3)
-    coords = deep.class_coords(x, y)
-    cx = AomotoComplex(deep.algebra, coords)
-    h = cx.cohomology_dims()[:3]
+    return _e2_from_blocks(AomotoComplex(deep.algebra,
+                                         deep.class_coords(x, y)))
+
+
+def _e2_from_blocks(cx):
+    """The E2Report of `e2_page` for a complex cx on an elliptic model's
+    algebra built through degree 3, read off the bigraded blocks of its
+    differentials whether or not alpha is pure."""
+    algebra = cx.algebra
+    # types[m][p]: the positions of the type-(p, m - p) basis monomials
+    types = []
+    for m in range(4):
+        types.append([[] for _ in range(m + 1)])
+        for j, mono in enumerate(algebra.basis[m]):
+            types[m][algebra.monomial_hodge_type(mono)[0]].append(j)
+    block = {(p, m - p): cx.restricted_rank(m, rows=types[m + 1][p + 1],
+                                            cols=types[m][p])
+             for m in range(3) for p in range(m + 1)}
+    entries = {(p, q): len(types[p + q][p]) - r - block.get((p - 1, q), 0)
+               for (p, q), r in block.items()}
     ranks = cx.ranks()
-    entries = {}
-    for m in range(3):
-        dim_m = deep.algebra.dim(m)
-        fdims = []
-        for p in range(m + 2):
-            inside = set(deep.algebra.hodge_positions(p, m))
-            outside = [k for k in range(dim_m) if k not in inside]
-            cocycles = dim_m - ranks[m] - cx.cocycle_rank(m, outside)
-            # the coboundaries are spanned by the columns of d_{m-1}
-            bounds = (ranks[m - 1] - cx.restricted_rank(m - 1, rows=outside)
-                      if m else 0)
-            fdims.append(cocycles - bounds)
-        for p in range(m + 1):
-            entries[(p, m - p)] = fdims[p] - fdims[p + 1]
-    consistent = all(
-        sum(entries[(p, m - p)] for p in range(m + 1)) == h[m]
-        for m in range(3))
-    return E2Report(model.n, entries, h, consistent)
+    consistent = all(sum(block[(p, m - p)] for p in range(m + 1)) == ranks[m]
+                     for m in range(3))
+    return E2Report(algebra.ngens // 2, entries, cx.cohomology_dims()[:3],
+                    consistent)

@@ -33,9 +33,9 @@ from math import gcd
 import sympy as sp
 from sympy import QQ, ZZ
 
-from .arrangement import Arrangement, line_points, poincare_and_euler
+from .arrangement import Arrangement, line_points
 from .errors import DegeneracyError, PreconditionError
-from .scalars import _clear
+from .scalars import _clear, _rational
 
 _X, _Y = sp.symbols("jl_x jl_y")
 
@@ -45,22 +45,11 @@ def _frac(r):
     return Fraction(int(r.p), int(r.q))
 
 
-def _rationals(values, what):
-    """Fractions of ints and Fractions; a float, bool, str or anything else
-    is refused rather than converted."""
-    out = []
-    for j, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise PreconditionError(f"{what} {j} must be rational, got {v!r}")
-        out.append(Fraction(v))
-    return out
-
-
 def _rational_weights(lam, d):
     if len(lam) != d:
         raise PreconditionError(
             f"got {len(lam)} weights for {d} hyperplanes")
-    return _rationals(lam, "weight")
+    return [_rational(v, f"weight {j}") for j, v in enumerate(lam)]
 
 
 def _cleared_weights(lam):
@@ -107,7 +96,7 @@ def _weighted_products(weights, factors):
 
 def _punctures(points, lam):
     """The validated points and weights as tuples of Fractions."""
-    points = tuple(_rationals(points, "point"))
+    points = tuple(_rational(v, f"point {j}") for j, v in enumerate(points))
     if len(set(points)) != len(points):
         raise PreconditionError("puncture points must be distinct")
     lam = tuple(_rational_weights(lam, len(points)))
@@ -440,9 +429,12 @@ def critical_points_bivariate(arr, lam, seed=0):
         raise DegeneracyError(
             "alpha vanishes on the line at infinity (sum lambda = 0 and every "
             "parallel class has weight sum 0): the zero set is not finite")
-    _dims, chi = poincare_and_euler(arr)
-    count = abs(chi)
     finite = sorted((x, y) for (x, y, z), _lines in points if z)
+    # chi(M) = b_0 - b_1 + b_2, with b_2 the sum of mu(p) = (lines through
+    # p) - 1 over the finite points where lines meet
+    chi = 1 - arr.size + sum(len(lines) - 1 for (_x, _y, z), lines in points
+                             if z)
+    count = abs(chi)
     # integer multiples of the forms: rescaling f_j leaves d log f_j, and
     # so the form alpha, unchanged
     t1, g1, pt1, qt1 = _certifying_shear(

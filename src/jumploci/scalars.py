@@ -154,6 +154,15 @@ def _as_gaussian(x):
     return None
 
 
+def _rational(value, what):
+    """`value` as a Fraction when it is an int that is not a bool, or a
+    Fraction; a float, bool, str or anything else is refused rather than
+    converted (Fraction(0.1) is not 1/10)."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise PreconditionError(f"{what} must be rational, got {value!r}")
+    return Fraction(value)
+
+
 DEFAULT_PRIME = 2147483629  # largest prime below 2**31 that is 1 mod 4
 
 

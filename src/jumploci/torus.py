@@ -15,14 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PreconditionError
-
-
-def _rational(value, what):
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise PreconditionError(
-            f"{what} must be rational (int or Fraction), got {value!r}; "
-            "irrational directions are out of scope")
-    return Fraction(value)
+from .scalars import _rational
 
 
 def _clean_poly(poly, rank):

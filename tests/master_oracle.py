@@ -21,14 +21,15 @@ import sympy as sp
 from jumploci.arrangement import Arrangement, poincare_and_euler
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.master import (_SHEARS, DivisorReport, LocalKoszul, Zero,
-                             _frac, _rational_weights, _rationals)
+                             _frac, _rational_weights)
+from jumploci.scalars import _rational
 
 _X, _Y, _W = sp.symbols("jl_x jl_y jl_w")
 
 
 def oracle_numerator(points, lam):
     """N(z) = sum_j lambda_j prod_{k != j} (z - c_k), exact over Q."""
-    points = _rationals(points, "point")
+    points = [_rational(v, f"point {j}") for j, v in enumerate(points)]
     if len(set(points)) != len(points):
         raise PreconditionError("puncture points must be distinct")
     lam = _rational_weights(lam, len(points))

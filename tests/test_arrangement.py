@@ -369,10 +369,26 @@ def test_zero_linear_part_rejected():
 
 
 def test_truncated_build_refuses_euler():
+    # a truncated build is only an algebra: the Euler characteristic is
+    # taken from the full-rank build, with no way to ask for a shorter one
     arr = Arrangement(2, [[1, 0], [0, 1], [1, 1]])
-    with pytest.raises(PreconditionError, match="truncated"):
+    with pytest.raises(TypeError):
         poincare_and_euler(arr, top=1)
     assert os_algebra(arr, top=1).dims() == (1, 3)
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (0.1, "0.1"), ("1/3", "'1/3'"), (True, "True")])
+def test_inexact_coefficients_are_refused(bad, shown):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, and True
+    # or "1/3" a silent 1, 1/3
+    with pytest.raises(PreconditionError,
+                       match=rf"^form 1 coefficient 2 must be rational, "
+                             rf"got {shown}$"):
+        Arrangement(2, [[0, 1, 0], [1, 1, bad]])
+    with pytest.raises(PreconditionError,
+                       match=rf"^point 1 must be rational, got {shown}$"):
+        points_arrangement([0, bad])
 
 
 def test_library_is_well_formed():

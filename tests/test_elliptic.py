@@ -9,8 +9,8 @@ import pytest
 from elliptic_oracle import diagonal_class
 from jumploci.aomoto import AomotoComplex
 from jumploci.elliptic import (
-    e2_page, elliptic_model, hodge_decompose, scroll_membership,
-    tangent_pair_basis)
+    _e2_from_blocks, e2_page, elliptic_model, hodge_decompose,
+    scroll_membership, tangent_pair_basis)
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, wedge
 from jumploci.scalars import (QI, GaussianRational, Matrix, rank,
@@ -250,12 +250,33 @@ def _e2_by_intersection(n, x):
 @pytest.mark.parametrize("x", [
     (1, -1, 0), (1, 2, 0), (2, -1, -1),
     (1, 2, -3, 0), (1, 1, 1, 1),
+    (GaussianRational(1, 2), GaussianRational(0, -1), 3),
 ])
 def test_e2_page_matches_subspace_intersection(x):
-    x = gi(*x)
+    x = [QI.coerce(c) for c in x]
     rep = e2_page(elliptic_model(len(x)), x, [I * c for c in x])
     assert (rep.entries, rep.h) == _e2_by_intersection(len(x), x)
     assert rep.consistent
+
+
+def test_e2_blocks_catch_a_class_that_leaves_the_bigrading():
+    # alpha = (x, y) with y != i x has parts of type (1, 0) and (0, 1), so
+    # the bigraded blocks of alpha wedge miss some of its rank
+    deep = elliptic_model(3, top=3)
+    A = deep.algebra
+    cx = AomotoComplex(A, deep.class_coords(gi(1, 0, -1), gi(0, 2, -2)))
+    assert not _e2_from_blocks(cx).consistent
+
+    def of_type(p, m):
+        return [j for j, mono in enumerate(A.basis[m])
+                if A.monomial_hodge_type(mono)[0] == p]
+
+    sums = tuple(sum(cx.restricted_rank(m, rows=of_type(p + 1, m + 1),
+                                        cols=of_type(p, m))
+                     for p in range(m + 1))
+                 for m in range(3))
+    assert sums == (1, 4, 5)
+    assert cx.ranks()[:3] == (1, 5, 7)
 
 
 def test_e2_page_rejects_bad_alpha():

@@ -14,7 +14,7 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from jumploci import master
+from jumploci import arrangement, master
 from jumploci.aomoto import AomotoComplex
 from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
@@ -22,6 +22,7 @@ from jumploci.master import (
     _divide_out, _root_intervals, critical_points_bivariate,
     critical_points_univariate, local_koszul_univariate, log_zero_divisor_p1,
     numerator_polynomial, residues_line_arrangement)
+from jumploci.verify import BIVARIATE_CASES
 from master_oracle import (
     oracle_critical_points_bivariate, oracle_critical_points_univariate,
     oracle_local_koszul_univariate, oracle_log_zero_divisor_p1)
@@ -421,6 +422,24 @@ def test_bivariate_reports_match_the_expression_route(case, seed):
     got = outcome(critical_points_bivariate, arr, lam, seed=seed)
     assert got == outcome(oracle_critical_points_bivariate, arr, lam, seed=seed)
     assert got == outcome(critical_points_bivariate, arr, lam, seed=0)
+
+
+@pytest.mark.parametrize("name, forms", BIVARIATE_CASES)
+def test_bivariate_reports_build_no_os_algebra(monkeypatch, name, forms):
+    # chi(M) is read off line_points, so no Orlik-Solomon algebra is built
+    arr = Arrangement(2, forms)
+    d = arr.size
+    weights = [list(range(1, d + 1)), [2, -1, 3, 5, -7][:d],
+               [1] * (d - 1) + [1 - d]]
+    want = [outcome(oracle_critical_points_bivariate, arr, lam)
+            for lam in weights]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an OS algebra was built")
+
+    monkeypatch.setattr(arrangement, "os_algebra", refuse)
+    assert [outcome(critical_points_bivariate, arr, lam)
+            for lam in weights] == want
 
 
 TRIPLE_POINT = Arrangement(2, [[0, 1, 0], [0, 0, 1], [0, 1, 1], [-1, 1, 2]])
