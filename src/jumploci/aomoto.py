@@ -20,7 +20,7 @@ from .errors import PreconditionError
 from .exterior import build_quotient_algebra  # noqa: F401
 from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
                       GaussianRational, _integral, _kernel_basis,
-                      _rref_parts, rank_and_kernel, solve_linear)
+                      _rref_parts, rank, rank_and_kernel, solve_linear)
 
 
 class AomotoComplex:
@@ -178,6 +178,8 @@ def generic_dims_sample(algebra, subspace=None, trials=40,
     The points are drawn on `reduce_algebra_mod(algebra, prime)`.  By
     semicontinuity the minimum is the generic value off a proper closed
     subset, which a random F_p point misses with probability 1 - O(1/p).
+    Raises BadPrimeError when the subspace rows lose rank mod p, as they
+    would then span a smaller subspace.
     """
     if trials < 1:
         raise PreconditionError("at least one trial required")
@@ -193,8 +195,14 @@ def generic_dims_sample(algebra, subspace=None, trials=40,
         rows = [[fp.one() if i == j else fp.zero() for i in range(n1)]
                 for j in range(n1)]
     else:
-        rows = [[_scalar_mod(algebra.field.coerce(x), fp, i_res) for x in row]
-                for row in subspace]
+        exact = [[algebra.field.coerce(x) for x in row] for row in subspace]
+        rows = [[_scalar_mod(x, fp, i_res) for x in row] for row in exact]
+        want, got = rank(exact, algebra.field), rank(rows, fp)
+        if got < want:
+            raise BadPrimeError(
+                f"subspace rows have rank {want} over {algebra.field} but "
+                f"their images mod {prime} have rank {got}: samples would "
+                "miss part of the subspace")
         rows = [r for r in rows if any(r)]
     if not rows:
         raise PreconditionError("cannot sample a zero subspace")

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import PreconditionError
 from .exterior import Multivector, build_quotient_algebra
-from .scalars import (DEFAULT_PRIME, Matrix, _clear, _rational, _rref_mod,
-                      rank, solve_linear)
+from .scalars import (QQ, Matrix, _clear, _rational, _rref_parts, rank,
+                      solve_linear)
 
 
 class Arrangement:
@@ -92,70 +93,73 @@ class Arrangement:
         return f"Arrangement({kind}, ambient={self.ambient}, size={self.size})"
 
 
-def _mod_images(vecs):
-    """Each vector cleared of denominators and reduced mod DEFAULT_PRIME.
-    A nonzero integer multiple of a vector changes no rank, and a minor of
-    integer rows that is nonzero mod p is nonzero, so the rank of any set of
-    these images is a lower bound on the true rank of the vectors."""
-    p = DEFAULT_PRIME
-    return [[c % p for c in row] for row in _clear(vecs, False)[0]]
-
-
-def _rank_mod(rows):
-    """Rank mod DEFAULT_PRIME of rows of residues (the rows are copied)."""
-    return len(_rref_mod([list(r) for r in rows], DEFAULT_PRIME))
-
-
-def _minimal_subsets(d, largest, bad):
-    """The minimal subsets of range(d) of sizes 2..largest on which `bad`
-    holds, each sorted, the list sorted lexicographically.  `bad` must hold
-    on every superset of a set where it holds, so a subset with a bad
-    one-smaller subset is bad and not minimal: k set lookups decide a
-    size-k subset, and `bad` is called only on the others."""
-    found = []
-    smaller = set()  # the bad subsets of the previous size
-    for size in range(2, largest + 1):
-        current = set()
-        for subset in combinations(range(d), size):
-            if any(subset[:k] + subset[k + 1:] in smaller
-                   for k in range(size)):
-                current.add(subset)
-            elif bad(subset):
-                found.append(subset)
-                current.add(subset)
-        smaller = current
-    return sorted(found)
+def _covers(rows, flat, basis):
+    """{i: cover} for every integer row i outside a flat: a bitmask of the
+    rows in the span of the independent rows `basis`, and its cover through
+    i the flat of `basis` and i.  One exact echelon R of the basis gives
+    each row a its residue a - sum_k a[p_k] R_k, scaled to integers, which
+    is zero exactly on the flat.  Rows b and c outside it share a cover
+    exactly when c lies in the span of the flat and b, that is, when their
+    residues are proportional: the primitive residue with a positive
+    leading entry keys the cover."""
+    pivots, free, echelon = _rref_parts(
+        [[rows[b] for b in basis]], len(rows[0]), QQ)
+    big = lcm(*(den for den, _ in echelon))
+    scaled = [[big // den * w for w in nums[0]] for den, nums in echelon]
+    keys, masks = {}, {}
+    for i, a in enumerate(rows):
+        if not flat >> i & 1:
+            res = [big * a[f] for f in free]
+            for pk, w in zip(pivots, scaled):
+                if a[pk]:
+                    res = [x - a[pk] * y for x, y in zip(res, w)]
+            g = gcd(*res) * (1 if next(x for x in res if x) > 0 else -1)
+            keys[i] = key = tuple(x // g for x in res)
+            masks[key] = masks.get(key, flat) | 1 << i
+    return {i: masks[key] for i, key in keys.items()}
 
 
 def _minimal_dependent(vecs, extra=()):
-    """The minimal index sets S, of size at least 2, for which the vectors
-    of S together with the independent vectors `extra` are dependent, each
-    sorted, the list sorted lexicographically.
+    """The minimal index sets S for which the vectors of S together with the
+    independent vectors `extra` are dependent, each sorted, the list sorted
+    lexicographically.  No vector lies in the span of `extra`, so |S| >= 2.
 
-    Complete: with r the rank of all the vectors, every such S has
-    |S| + len(extra) <= r + 1, since dropping one element of S leaves an
-    independent set.  Subsets are decided by size, each exactly:
-
-    - one of its one-smaller subsets is dependent: so is it, and it is not
-      minimal (`_minimal_subsets`);
-    - otherwise, at |S| + len(extra) = r + 1: dependent, with no rank;
-    - otherwise, full rank of the images mod p (`_mod_images`): independent;
-    - otherwise the exact `rank` decides.
+    The walk goes by size over the independent sets S, each with its flat,
+    the bitmask of the vectors in the span of S and `extra`.  Adding an
+    index j past the last of S gives a dependent set exactly when bit j of
+    that flat is set, and a minimal one exactly when its other one-smaller
+    subsets are independent too.  Otherwise its flat is the cover of the
+    flat of S through j (`_covers`, one echelon per flat), except at rank
+    r, the rank of all the vectors: a set of rank r spans them all, and no
+    minimal set is larger, since dropping one element leaves an
+    independent set.
     """
-    vecs, extra = list(vecs), list(extra)
-    every = vecs + extra
-    r = rank(every) if every else 0
-    images = _mod_images(every)
-    tail = images[len(vecs):]
-
-    def dependent(subset):
-        size = len(subset) + len(extra)
-        return size == r + 1 or (
-            _rank_mod([images[j] for j in subset] + tail) < size
-            and rank([vecs[j] for j in subset] + extra) < size)
-
-    return _minimal_subsets(
-        len(vecs), min(len(vecs), r + 1 - len(extra)), dependent)
+    every = list(vecs) + list(extra)
+    d, r = len(vecs), rank(every)
+    rows = _clear(every, False)[0]
+    full = (1 << len(every)) - 1
+    covers, found = {}, []
+    level = {(): full ^ ((1 << d) - 1)}  # the flat of `extra` alone
+    size = 0
+    while level:
+        size += 1
+        larger = {}
+        for s, flat in level.items():
+            for j in range(s[-1] + 1 if s else 0, d):
+                t = s + (j,)
+                if flat >> j & 1:
+                    if all(t[:k] + t[k + 1:] in level
+                           for k in range(size - 1)):
+                        found.append(t)
+                elif size + len(extra) == r:
+                    larger[t] = full
+                else:
+                    if flat not in covers:
+                        covers[flat] = _covers(
+                            rows, flat, list(s) + list(range(d, len(every))))
+                    larger[t] = covers[flat][j]
+        level = larger
+    return sorted(found)
 
 
 def matroid_circuits(arr):

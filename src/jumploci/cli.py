@@ -317,7 +317,8 @@ def build_parser():
             help="generic cohomology dims over a prime field")
     p.add_argument("--arrangement", required=True)
     p.add_argument("--subspace", default=None,
-                   help="semicolon-separated rows of rational coefficients")
+                   help="semicolon-separated rows of rational coefficients; "
+                   "refused if their rank drops mod the prime")
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                    help="prime for finite-field sampling")
     p.add_argument("--trials", type=_positive_int, default=40,

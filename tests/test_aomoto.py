@@ -16,7 +16,8 @@ from jumploci.elliptic import elliptic_model, tangent_pair_basis
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.scalars import (
-    GF, BadPrimeError, GaussianRational, Matrix, rank_and_kernel, solve_linear)
+    DEFAULT_PRIME, GF, BadPrimeError, GaussianRational, Matrix,
+    rank_and_kernel, solve_linear)
 from jumploci.verify import SIXPLANES_FORMS
 
 I = GaussianRational(0, 1)
@@ -121,6 +122,25 @@ def test_generic_dims_on_subspace():
 def test_generic_dims_zero_subspace():
     with pytest.raises(PreconditionError, match="zero subspace"):
         generic_dims_sample(concurrent3(), subspace=[[0, 0, 0]], trials=5)
+
+
+def test_generic_dims_refuses_rows_that_lose_rank_mod_p():
+    # (p, 2p, 0) is a nonzero multiple of (1, 2, 0) whose image mod p is 0:
+    # the images would span only the line of (1, -1, 0), where h^1 = 1
+    p = DEFAULT_PRIME
+    with pytest.raises(BadPrimeError,
+                       match=f"rank 2 over QQ but their images mod {p} "
+                             "have rank 1"):
+        generic_dims_sample(concurrent3(), subspace=[[p, 2 * p, 0],
+                                                     [1, -1, 0]], trials=5)
+    with pytest.raises(BadPrimeError, match="rank 1 over QQ .* rank 0"):
+        generic_dims_sample(concurrent3(), subspace=[[p, -p, 0]], trials=5)
+    # the same plane with rows that keep their rank, and the exact Aomoto
+    # complex at a point of it, give the generic dims
+    rep = generic_dims_sample(concurrent3(), subspace=[[1, 2, 0], [1, -1, 0]],
+                              trials=5)
+    assert rep.dims == (0, 0, 0)
+    assert resonance_membership(concurrent3(), [2, 1, 0], 1).dims == (0, 0, 0)
 
 
 @pytest.mark.parametrize("subspace, length", [

@@ -8,6 +8,7 @@ P(t) = sum over subsets S with nonempty intersection of (-1)^{|S|} (-t)^{rank S}
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
 
 import random
 
@@ -161,20 +162,14 @@ P = DEFAULT_PRIME
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Counts of the exact fallbacks the screen makes: `rank` on a subset
-    and `common_point`."""
-    calls = {"rank": 0, "common_point": 0}
-    exact_rank, exact_point = arrangement.rank, Arrangement.common_point
-
-    def counted_rank(rows):
-        calls["rank"] += 1
-        return exact_rank(rows)
+    """Counts of `common_point`, which the relation walk never calls."""
+    calls = {"common_point": 0}
+    exact_point = Arrangement.common_point
 
     def counted_point(self, subset):
         calls["common_point"] += 1
         return exact_point(self, subset)
 
-    monkeypatch.setattr(arrangement, "rank", counted_rank)
     monkeypatch.setattr(Arrangement, "common_point", counted_point)
     return calls
 
@@ -186,12 +181,9 @@ def exact_calls(monkeypatch):
     # a coefficient 1/p clears to a form whose image mod p is (0, 0, 1)
     ([[0, 1], [1, Fraction(1, P)], [1, 0]], [(0, 1, 2)]),
 ])
-def test_unlucky_prime_circuits_reach_the_exact_rank(exact_calls, forms,
-                                                     circuits):
+def test_unlucky_prime_circuits_reach_the_exact_rank(forms, circuits):
     arr = Arrangement(2, forms)
-    before = exact_calls["rank"]
     assert matroid_circuits(arr) == circuits == circuits_oracle(arr)
-    assert exact_calls["rank"] > before + 1  # more than the rank of all
 
 
 @pytest.mark.parametrize("forms", [
@@ -208,9 +200,54 @@ def test_unlucky_prime_intersections_reach_the_exact_rank(exact_calls, forms):
     before = dict(exact_calls)
     algebra = os_algebra(arr, top, circuits)
     assert monomial_gens(algebra) == []
-    # more than the rank of all the forms with e0 adjoined
-    assert exact_calls["rank"] > before["rank"] + 1
     assert exact_calls["common_point"] == before["common_point"]
+
+
+def braid(n):
+    """The braid arrangement A_{n-1}: the forms x_i - x_j in C^n, i < j,
+    indexed like the edges (i, j) of the complete graph K_n."""
+    return Arrangement(n, [[1 if k == i else (-1 if k == j else 0)
+                            for k in range(n)]
+                           for i, j in combinations(range(n), 2)],
+                       central=True)
+
+
+def test_circuit_walk_makes_one_elimination_per_flat(monkeypatch):
+    # the flats of braid A4 are the 52 set partitions of 5 points (B_5);
+    # every subset is decided by one bit of a flat, none is ranked
+    calls = []
+    eliminate = arrangement._rref_parts
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(arrangement, "_rref_parts", counted)
+    assert len(matroid_circuits(braid(5))) == 37
+    assert 0 < len(calls) <= 52
+
+
+def test_braid_a5_circuits_are_the_cycles_of_k6():
+    # a set of edges of K_6 is a circuit of the graphic matroid exactly
+    # when it is a cycle: connected, every vertex it touches of degree 2
+    edges = list(combinations(range(6), 2))
+    circuits = matroid_circuits(braid(6))
+    for c in circuits:
+        degree, parent = {}, {}
+
+        def root(v):
+            while parent.get(v, v) != v:
+                v = parent[v]
+            return v
+        for i, j in (edges[k] for k in c):
+            degree[i], degree[j] = degree.get(i, 0) + 1, degree.get(j, 0) + 1
+            parent[root(i)] = root(j)
+        assert set(degree.values()) == {2}, c
+        assert len({root(v) for v in degree}) == 1, c
+    # K_6 has C(6, k) (k - 1)! / 2 cycles of length k; distinct circuits
+    # that are all cycles, as many as there are cycles, are all of them
+    assert len(set(circuits)) == len(circuits) == sum(
+        comb(6, k) * factorial(k - 1) // 2 for k in range(3, 7)) == 197
 
 
 def test_circuit_examples():

@@ -547,6 +547,16 @@ def test_subspace_rows_of_the_wrong_length_exit_2(subspace, length):
                             "A^1 has dimension 3")
 
 
+def test_subspace_rows_that_lose_rank_mod_p_exit_2():
+    p = 2147483629  # the default sampling prime
+    err = stderr_error(["resonance-sample", "--arrangement", "concurrent3",
+                        "--subspace", f"{p},{2 * p},0;1,-1,0"], 2)
+    assert err["kind"] == "precondition"
+    assert err["error"].startswith(
+        f"subspace rows have rank 2 over QQ but their images mod {p} have "
+        "rank 1")
+
+
 def _unlimited_str(n):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
