@@ -29,9 +29,20 @@ class AomotoComplex:
     Each differential is assembled from the algebra's integer structure
     constants as the cleared parts of a nonzero multiple of itself
     (`parts[d]` maps degree-d coordinates to degree-(d+1) coordinates; the
-    top one is the zero map out of A^top), and ranked by the certified
-    elimination core.  That every such complex squares to zero is checked
-    once per algebra (`GradedAlgebra.check_anticommutation`).
+    top one is the zero map out of A^top).  That every such complex squares
+    to zero is checked once per algebra (`GradedAlgebra.check_anticommutation`).
+
+    `ranks` takes one exact route, named by `route`, from the boundary
+    derivation D (De_i = 1) and its two checks, run once per algebra
+    (`GradedAlgebra.boundary_split`):
+    "homotopy" when D descends to A and sum alpha is a unit: then
+    D(alpha x) + alpha Dx = (sum alpha) x makes the complex exact below top;
+    "quotient" when e_jA is also a coordinate subspace and sum alpha = 0:
+    then A = ker D + e_jA, two copies of Q = A/e_jA, so
+    r(d) = r_Q(d) + r_Q(d-1), ranked on the basis monomials without j;
+    "full", the elimination of every differential, otherwise.  Both fast
+    routes set r(top) = 0, the zero map of the truncation.  `kernels`
+    always come from the full elimination.
     """
 
     def __init__(self, algebra, alpha):
@@ -40,13 +51,32 @@ class AomotoComplex:
             raise PreconditionError(
                 f"alpha needs {algebra.dim(1)} coordinates, got {len(alpha)}")
         algebra.check_anticommutation()
+        descends, kept = algebra.boundary_split()
         self.algebra = algebra
         self.alpha = tuple(alpha)
-        integral, _ = _integral(algebra.field, alpha)
-        self.parts = [algebra.class_mult_parts(integral, d)
-                      for d in range(algebra.top + 1)]
-        self._echelons = None
+        self._integral, _ = _integral(algebra.field, alpha)
+        p = getattr(algebra.field, "p", None)
+        unit = any(sum(part) % p if p else sum(part)
+                   for part in self._integral)
+        if descends and unit:
+            self._route = "homotopy"
+        elif kept is not None and not unit:
+            self._route = "quotient"
+        else:
+            self._route = "full"
+        self._kept = kept
+        self._ranks = None
         self._kernels = None
+
+    @property
+    def route(self):
+        """How `ranks` is computed: "homotopy", "quotient" or "full"."""
+        return self._route
+
+    @cached_property
+    def parts(self):
+        return [self.algebra.class_mult_parts(self._integral, d)
+                for d in range(self.algebra.top + 1)]
 
     @cached_property
     def matrices(self):
@@ -54,19 +84,34 @@ class AomotoComplex:
         return [self.algebra.class_mult_matrix(self.alpha, d)
                 for d in range(self.algebra.top + 1)]
 
-    def ranks(self):
-        if self._echelons is None:
-            field = self.algebra.field
-            self._echelons = [
-                _rref_parts(parts, self.algebra.dim(d), field)
+    @cached_property
+    def _echelons(self):
+        field = self.algebra.field
+        return [_rref_parts(parts, self.algebra.dim(d), field)
                 for d, parts in enumerate(self.parts)]
-        return tuple(len(pivots) for pivots, _, _ in self._echelons)
+
+    def ranks(self):
+        if self._ranks is None:
+            top = self.algebra.top
+            if self._route == "full":
+                r = [len(pivots) for pivots, _, _ in self._echelons]
+            elif self._route == "homotopy":
+                r = []
+                for d in range(top):
+                    r.append(self.algebra.dim(d) - (r[-1] if r else 0))
+                r.append(0)
+            else:
+                kept = self._kept  # q[d + 1] = r_Q(d)
+                q = [0] + [self.restricted_rank(d, kept[d + 1], kept[d])
+                           for d in range(top)]
+                r = [q[d + 1] + q[d] for d in range(top)] + [0]
+            self._ranks = tuple(r)
+        return self._ranks
 
     def kernels(self):
         """Canonical kernel bases of the differentials (the cocycles), read
-        off the reductions that computed `ranks`."""
+        off the full certified reductions."""
         if self._kernels is None:
-            self.ranks()
             field = self.algebra.field
             self._kernels = tuple(
                 _kernel_basis(field, self.algebra.dim(d), *echelon)
@@ -156,7 +201,9 @@ def reduce_algebra_mod(algebra, prime):
                 f"quotient basis in degree {d} moves mod {prime}, which "
                 f"divides its denominator {den}: coordinates over F_{prime} "
                 "would not name the rational basis")
-    algebra.check_anticommutation()  # in integers, so once for every p
+    # both in integers, so once for every p
+    algebra.check_anticommutation()
+    algebra.boundary_split()
     reduced = copy.copy(algebra)
     reduced.field = fp
     return reduced, i_res

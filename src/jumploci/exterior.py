@@ -200,6 +200,7 @@ class GradedAlgebra:
         self.proj = proj
         self._structure = {}
         self._anticommutes = False
+        self._boundary = None
 
     def dim(self, d):
         if d < 0 or d > self.top:
@@ -305,6 +306,57 @@ class GradedAlgebra:
                         f"{d}: the Aomoto differentials would not square "
                         "to zero")
         self._anticommutes = True
+
+    def boundary_split(self):
+        """The boundary derivation D (degree -1, De_i = 1) checked once per
+        algebra in integers, so mod every p too: (descends, kept).
+        `descends`: Dg projects to 0 for every ideal generator g of degree
+        <= top, so D is defined on A.  `kept`: if D descends and e_jA,
+        j = ngens - 1, is a coordinate subspace, the positions of the basis
+        monomials without j in each degree (a basis of A/e_jA); else None.
+        """
+        if self._boundary is None:
+            descends = all(self._boundary_vanishes(g)
+                           for g in self.ideal_gens if g.degree() <= self.top)
+            kept = self._quotient_positions() if descends else None
+            self._boundary = (descends, kept)
+        return self._boundary
+
+    def _boundary_vanishes(self, g):
+        """Does Dg, cleared to integers, project to 0?"""
+        d = g.degree()
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        _, cols = self.proj[d - 1]
+        index = self.mono_index[d - 1]
+        acc = {}
+        for m, c in g.terms.items():
+            c = c.numerator * (den // c.denominator)
+            for k, i in enumerate(_indices(m)):
+                for j, e in cols[index[m ^ (1 << i)]]:
+                    acc[j] = acc.get(j, 0) + (-c * e if k & 1 else c * e)
+        return not any(acc.values())
+
+    def _quotient_positions(self):
+        """`kept`, if e_j sends each basis monomial m without j to +-den at
+        m + {j}, reaching every basis monomial with j; else None."""
+        if not self.ngens:
+            return None
+        bit = 1 << (self.ngens - 1)
+        for d in range(self.top):
+            den, cols = self.structure_constants(d)
+            position = {m: k for k, m in enumerate(self.basis[d + 1])}
+            reached = set()
+            for m, col in zip(self.basis[d], cols[-1]):
+                if m & bit:
+                    continue
+                k = position.get(m | bit)
+                if k is None or col not in (((k, den),), ((k, -den),)):
+                    return None
+                reached.add(k)
+            if len(reached) != sum(1 for m in self.basis[d + 1] if m & bit):
+                return None
+        return [[k for k, m in enumerate(ms) if not m & bit]
+                for ms in self.basis]
 
     def class_mult_parts(self, alpha, d):
         """The matrix of (alpha wedge .): A^d -> A^{d+1} as the cleared

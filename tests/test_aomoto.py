@@ -1,12 +1,15 @@
 """The complex (A*, alpha wedge): cohomology, resonance, log resonance."""
 
+import copy
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import random
 
+import aomoto_oracle as oracle
 from jumploci import aomoto, exterior, scalars
 from jumploci.aomoto import (
     AomotoComplex, LogResonanceReport, generic_dims_sample, isotropic_check,
@@ -196,6 +199,9 @@ def test_reduction_runs_no_elimination(monkeypatch):
     assert reduced.field is GF(101) and i_res is None
     assert reduced.basis is A.basis and reduced.proj is A.proj
     assert reduced.structure_constants(1) is structure
+    # the boundary checks ran once, on the rational algebra, for every p
+    assert reduced.boundary_split() is A.boundary_split()
+    assert A.boundary_split()[0] and A.boundary_split()[1] is not None
 
 
 def test_semicontinuity_at_special_point():
@@ -373,3 +379,134 @@ def test_composition_zero_across_fields():
     alpha = m.class_coords(x, [I * c for c in x])
     cx = AomotoComplex(m.algebra, alpha)
     assert cx.matrices[1].mul(cx.matrices[0]).is_zero()
+
+
+# ------------------------------------------- the three routes of `ranks`
+
+def assert_oracle_ranks(algebra, alpha, route):
+    cx = AomotoComplex(algebra, alpha)
+    assert cx.route == route
+    ref = oracle.OracleComplex(algebra, alpha)
+    assert cx.ranks() == ref.ranks
+    assert cx.cohomology_dims() == ref.cohomology_dims()
+
+
+@st.composite
+def central_classes(draw):
+    """A central arrangement of 3 to 6 planes in C^2 or C^3 with small
+    integer forms, its OS algebra built through a drawn top degree (so the
+    truncation is reached), over QQ or a small F_p, and an integer class
+    whose sum is drawn to be 0, p (0 mod p, not over QQ) or anything."""
+    ambient = draw(st.integers(2, 3))
+    forms = []
+    for form in draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=ambient, max_size=ambient),
+            min_size=3, max_size=6)):
+        try:  # a zero form or a repeated hyperplane is no new plane
+            Arrangement(ambient, forms + [form], central=True)
+        except PreconditionError:
+            continue
+        forms.append(form)
+    assume(len(forms) >= 3)
+    arr = Arrangement(ambient, forms, central=True)
+    algebra = os_algebra(arr, top=draw(st.integers(1, arr.rank())))
+    prime = draw(st.sampled_from([None, 2, 3, 5, 7]))
+    alpha = draw(st.lists(st.integers(-3, 3), min_size=len(forms),
+                          max_size=len(forms)))
+    total = draw(st.sampled_from([None, 0, prime or 1]))
+    if total is not None:
+        alpha[-1] = total - sum(alpha[:-1])
+    if prime is not None:
+        try:
+            algebra, _ = aomoto.reduce_algebra_mod(algebra, prime)
+        except BadPrimeError:
+            assume(False)
+    return algebra, alpha, prime
+
+
+@given(central_classes())
+@settings(max_examples=120, deadline=None)
+def test_central_ranks_match_the_oracle_on_both_boundary_routes(case):
+    # the boundary derivation descends on every central OS algebra, and the
+    # route turns on sum alpha as an element of the field: a unit over QQ
+    # may be 0 mod p
+    algebra, alpha, prime = case
+    total = sum(alpha) % prime if prime else sum(alpha)
+    assert_oracle_ranks(algebra, alpha, "homotopy" if total else "quotient")
+
+
+@pytest.mark.parametrize("n, top", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_elliptic_ranks_match_the_oracle_on_both_boundary_routes(n, top):
+    # D kills every diagonal relation; sum alpha over the u, v coordinates
+    # is sum x, so a class with sum x = 0 takes the quotient route
+    model = elliptic_model(n, top)
+    rng = random.Random(f"boundary-routes:{n}:{top}")
+
+    def gaussian():
+        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                rng.randint(-2, 2))
+    for trial in range(8):
+        x = [gaussian() for _ in range(n)]
+        y = [gaussian() for _ in range(n)] if trial % 4 else [I * v for v in x]
+        if trial % 2:
+            x[-1] = -sum(x[:-1], GaussianRational(0))
+        route = "homotopy" if any(x) and sum(x, GaussianRational(0)) \
+            else "quotient"
+        assert_oracle_ranks(model.algebra, model.class_coords(x, y), route)
+
+
+def test_homotopy_route_is_zero_out_of_the_truncation():
+    # built through degree 1, concurrent3 at sum alpha != 0 is exact in
+    # degree 0 only: h^1 = 3 - 1 is the truncation's, not A's h^1 = 0
+    A = os_algebra(Arrangement(2, [[1, 0], [0, 1], [1, 1]]), top=1)
+    assert_oracle_ranks(A, [1, 1, 1], "homotopy")
+    assert AomotoComplex(A, [1, 1, 1]).cohomology_dims() == (0, 2)
+
+
+def test_affine_monomial_relations_refuse_the_boundary_routes():
+    # x = 0 and x = 1 are parallel, so e0 e1 = 0 and D(e0 e1) = e1 - e0 is
+    # no relation: D does not descend, and alpha = e0 with sum 1 is not
+    # acyclic
+    A = os_algebra(Arrangement(2, [[0, 1, 0], [-1, 1, 0], [0, 0, 1]]))
+    assert A.boundary_split() == (False, None)
+    assert_oracle_ranks(A, [1, 0, 0], "full")
+    assert AomotoComplex(A, [1, 0, 0]).cohomology_dims() == (0, 1, 1)
+    assert_oracle_ranks(A, [1, -1, 0], "full")
+
+
+def test_an_adjoined_monomial_refuses_the_boundary_routes():
+    A3 = os_algebra(Arrangement(4, [[1, -1, 0, 0], [1, 0, -1, 0],
+                                    [1, 0, 0, -1], [0, 1, -1, 0],
+                                    [0, 1, 0, -1], [0, 0, 1, -1]]))
+    A = build_quotient_algebra(
+        6, list(A3.ideal_gens) + [Multivector.monomial(6, (0, 1))], 3)
+    assert A.boundary_split() == (False, None)
+    for alpha in ([1, 0, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]):
+        assert_oracle_ranks(A, alpha, "full")
+    # sum alpha = 1, and yet h^1 = 1
+    assert AomotoComplex(A, [1, 0, 0, 0, 0, 0]).cohomology_dims() \
+        == (0, 1, 3, 0)
+
+
+def test_quotient_route_needs_e_j_a_to_be_a_coordinate_subspace():
+    # double one structure constant of e_j: D still descends, but e_j no
+    # longer sends a basis monomial to +-den at a basis monomial
+    A = concurrent3()
+    assert A.boundary_split() == (True, [[0], [0, 1], []])
+    broken = copy.copy(A)
+    broken._boundary = None
+    den, cols = A.structure_constants(0)
+    (k, c), = cols[-1][0]
+    gens = list(cols)
+    gens[-1] = [((k, 2 * c),)]
+    broken._structure = {**A._structure, 0: (den, gens)}
+    assert broken.boundary_split() == (True, None)
+    assert A.boundary_split() == (True, [[0], [0, 1], []])
+
+
+def test_the_empty_arrangement_takes_the_full_route():
+    # no generator, so no e_j to split by
+    A = os_algebra(Arrangement(2, []))
+    assert A.boundary_split() == (True, None)
+    assert_oracle_ranks(A, [], "full")
+    assert AomotoComplex(A, []).cohomology_dims() == (1,)

@@ -145,7 +145,7 @@ def coincident_arrangements(draw):
 
 @given(coincident_arrangements())
 @settings(max_examples=150, deadline=None)
-def test_screened_enumeration_matches_exact_oracles(arr):
+def test_flat_walk_matches_the_circuit_and_relation_oracles(arr):
     circuits = matroid_circuits(arr)
     oracle = circuits_oracle(arr)
     assert circuits == oracle
@@ -181,7 +181,7 @@ def exact_calls(monkeypatch):
     # a coefficient 1/p clears to a form whose image mod p is (0, 0, 1)
     ([[0, 1], [1, Fraction(1, P)], [1, 0]], [(0, 1, 2)]),
 ])
-def test_unlucky_prime_circuits_reach_the_exact_rank(forms, circuits):
+def test_circuits_of_forms_equal_mod_p_match_the_oracle(forms, circuits):
     arr = Arrangement(2, forms)
     assert matroid_circuits(arr) == circuits == circuits_oracle(arr)
 
@@ -193,7 +193,7 @@ def test_unlucky_prime_circuits_reach_the_exact_rank(forms, circuits):
     # linear part vanishes mod p
     [[0, 1, 0], [Fraction(1, P), 1, 1]],
 ])
-def test_unlucky_prime_intersections_reach_the_exact_rank(exact_calls, forms):
+def test_lines_parallel_mod_p_get_no_empty_relation(exact_calls, forms):
     arr = Arrangement(2, forms)
     assert minimal_empty_oracle(arr) == []
     top, circuits = arr.rank(), matroid_circuits(arr)
