@@ -7,7 +7,9 @@ zero.  The OS algebra is the exterior algebra on one generator per
 hyperplane (the class of dlog f_j, Hodge type (1,1)) modulo the boundaries
 of the circuits that meet and the monomials of the minimal sets with empty
 intersection.  Both are the minimal sets S whose forms become dependent
-once the hyperplane at infinity e0 = (1, 0, ..., 0) is adjoined.
+once the hyperplane at infinity e0 = (1, 0, ..., 0) is adjoined.  The
+algebra is built with no elimination, by straightening every monomial into
+the no-broken-circuit basis, and certified to equal the elimination build.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import PreconditionError
-from .exterior import Multivector, build_quotient_algebra
+# build_quotient_algebra is imported for the benchmark's tracer, which wraps
+# arrangement.build_quotient_algebra
+from .exterior import (GradedAlgebra, Multivector, _mask,  # noqa: F401
+                       _merge_sign, build_quotient_algebra)
 from .scalars import (QQ, Matrix, _clear, _rational, _rref_parts, rank,
                       solve_linear)
 
@@ -189,7 +194,11 @@ def os_algebra(arr, top=None, circuits=None):
     intersection, since an inconsistent system has 1 in the span of its
     forms.  Such an S is a circuit all of whose proper subsets meet, so a
     circuit that meets (its boundary), or an independent set with e0 in its
-    span, a minimal empty set (its monomial)."""
+    span, a minimal empty set (its monomial).  The ideal generators are the
+    boundaries, then the monomials.  The algebra is straightened from them
+    with no elimination (`_straighten`): bit for bit the one that
+    `build_quotient_algebra` gives for these generators, or AssertionError.
+    """
     if top is None:
         top = arr.rank()
     if top < 0:
@@ -205,8 +214,90 @@ def os_algebra(arr, top=None, circuits=None):
     gens = [circuit_boundary(d, s) for s in relations if s in meeting]
     gens += [Multivector.monomial(d, s) for s in relations
              if s not in meeting]
-    return build_quotient_algebra(
-        d, gens, top, hodge_types=[(1, 1)] * d)
+    rules = {}
+    for s in relations:
+        rule = s[:-1] if s in meeting else s
+        if len(rule) <= top:  # a larger set never fires
+            rules.setdefault(_mask(rule), s if s in meeting else None)
+    return _straighten(d, min(top, d), gens, rules)
+
+
+def _straighten(ngens, top, gens, rules):
+    """The quotient of the exterior algebra by `gens` through degree `top`
+    from rewriting rules, as a GradedAlgebra over QQ in the form that
+    `build_quotient_algebra` gives.  `rules` maps a set mask to the circuit
+    it is the broken circuit of, or to None for a set whose monomial is 0.
+    A circuit C = (c_0 < ... < c_r) rewrites e_B, B = C minus c_r, as
+    -(-1)^r sum_{k<r} (-1)^k e_{C minus c_k}, by its boundary.
+
+    A monomial m containing a rule's set (its witness: m itself, or the
+    witness of a one-smaller subset) is rewritten: m = B + R gives
+    e_m = sign(B, R) e_B e_R, and each term of e_B's rule swaps c_k for
+    c_r, so it is lex-later than m (0 if R holds c_r).  Walking a degree
+    in reverse lex order, every term's normal form nf is already known.
+    The basis is the monomials with no witness, and proj[d] is nf on it,
+    den 1.  Every m - nf(m) lies in the ideal with leading monomial m; and
+    nf(e_T g) = 0 is checked for every row e_T g that elimination would
+    stack.  So the rows m - nf(m) are the RREF of the ideal in degree d,
+    and the basis and proj are those of elimination.  Raises
+    AssertionError naming the generator and degree that fail."""
+    monomials, basis, proj = [], [], []
+    witness = {}
+    for d in range(top + 1):
+        monos = [_mask(c) for c in combinations(range(ngens), d)]
+        below, witness = witness, {}
+        for m in monos:
+            if m in rules:
+                witness[m] = m
+                continue
+            bits = m
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                w = below.get(m ^ b)
+                if w is not None:
+                    witness[m] = w
+                    break
+        std = [m for m in monos if m not in witness]
+        position = {m: j for j, m in enumerate(std)}
+        nf = {}
+        for m in reversed(monos):
+            w = witness.get(m)
+            if w is None:
+                nf[m] = ((position[m], 1),)
+                continue
+            circuit, rest = rules[w], m ^ w
+            if circuit is None or rest >> circuit[-1] & 1:
+                nf[m] = ()
+                continue
+            acc = {}
+            r = len(circuit) - 1
+            sign = -_merge_sign(w, rest) * (-1) ** r
+            for k in range(r):
+                t = (w ^ (1 << circuit[k])) | 1 << circuit[r]
+                c = sign * (-1) ** k * _merge_sign(t, rest)
+                for j, v in nf[t | rest]:
+                    acc[j] = acc.get(j, 0) + c * v
+            nf[m] = tuple(sorted((j, v) for j, v in acc.items() if v))
+        for k, g in enumerate(gens):
+            e = g.degree()
+            for t in monomials[d - e] if e <= d else ():
+                acc = {}
+                for m, c in g.terms.items():
+                    if not m & t:
+                        c *= _merge_sign(m, t)
+                        for j, v in nf[m | t]:
+                            acc[j] = acc.get(j, 0) + c * v
+                if any(acc.values()):
+                    raise AssertionError(
+                        f"ideal generator {k} does not straighten to zero "
+                        f"in degree {d}: the rewriting rules miss part of "
+                        "the ideal")
+        monomials.append(monos)
+        basis.append(std)
+        proj.append((1, [nf[m] for m in monos]))
+    return GradedAlgebra(ngens, QQ, top, gens, ((1, 1),) * ngens,
+                         monomials, basis, proj)
 
 
 def poincare_and_euler(arr):

@@ -172,7 +172,8 @@ def _mono_type(mask, hodge_types):
 class GradedAlgebra:
     """Quotient of an exterior algebra by a homogeneous ideal, per degree.
 
-    Built by `build_quotient_algebra`.  For each degree d up to `top` it
+    Built by `build_quotient_algebra`, or by `arrangement.os_algebra` in
+    the same form.  For each degree d up to `top` it
     holds the monomial list (lex order), the quotient basis (non-pivot
     monomials of the ideal's reduced echelon form), and the projections of
     all monomials as `proj[d] = (den, cols)`: cols[k] is the sparse column

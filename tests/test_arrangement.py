@@ -15,12 +15,12 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jumploci import arrangement, master, scalars
+from jumploci import arrangement, exterior, master, scalars
 from jumploci.arrangement import (
     Arrangement, circuit_boundary, decone, line_points, matroid_circuits,
     os_algebra, points_arrangement, poincare_and_euler,
     restrict_line_arrangement)
-from jumploci.exterior import Multivector
+from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.verify import LINE_LIBRARY, SIXPLANES_FORMS, line_library
 from jumploci.scalars import DEFAULT_PRIME, Matrix, rank, rank_and_kernel
@@ -248,6 +248,84 @@ def test_braid_a5_circuits_are_the_cycles_of_k6():
     # that are all cycles, as many as there are cycles, are all of them
     assert len(set(circuits)) == len(circuits) == sum(
         comb(6, k) * factorial(k - 1) // 2 for k in range(3, 7)) == 197
+
+
+def coxeter_b3():
+    """The Coxeter arrangement B_3: x_i, and x_i - x_j, x_i + x_j (i < j)."""
+    forms = [[1 if k == i else 0 for k in range(3)] for i in range(3)]
+    for i, j in combinations(range(3), 2):
+        for s in (-1, 1):
+            forms.append([1 if k == i else (s if k == j else 0)
+                          for k in range(3)])
+    return Arrangement(3, forms, central=True)
+
+
+def assert_eliminates_to(algebra):
+    """The straightened algebra is the elimination build on its generators,
+    bit for bit."""
+    oracle = build_quotient_algebra(algebra.ngens, algebra.ideal_gens,
+                                    algebra.top,
+                                    hodge_types=[(1, 1)] * algebra.ngens)
+    assert algebra.monomials == oracle.monomials
+    assert algebra.basis == oracle.basis
+    assert algebra.proj == oracle.proj
+    assert algebra.ideal_gens == oracle.ideal_gens
+    assert algebra.dims() == oracle.dims()
+    assert algebra.hodge_types == oracle.hodge_types
+
+
+@given(coincident_arrangements(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_straightening_matches_elimination(arr, cut):
+    # a top below the rank drops the rules too large to fire
+    assert_eliminates_to(os_algebra(arr, max(arr.rank() - cut, 0)))
+
+
+@pytest.mark.parametrize("arr, dims", [
+    (braid(4), (1, 6, 11, 6)),
+    (braid(5), (1, 10, 35, 50, 24)),
+    (coxeter_b3(), (1, 9, 23, 15)),
+], ids=["braid-A3", "braid-A4", "coxeter-B3"])
+def test_straightening_matches_elimination_on_reflection_arrangements(
+        arr, dims):
+    algebra = os_algebra(arr)
+    assert algebra.dims() == dims
+    assert_eliminates_to(algebra)
+
+
+def test_straightening_refuses_a_circuit_list_missing_a_relation():
+    # without the triangle (3, 4, 5) of K_4 no rule rewrites e_3 e_4, and
+    # the rows e_T g of degree 3 of the first generator, the boundary of
+    # (0, 1, 3), do not all straighten to zero
+    circuits = matroid_circuits(braid(4))
+    with pytest.raises(AssertionError, match="generator 0 .* degree 3"):
+        os_algebra(braid(4), circuits=[c for c in circuits if c != (3, 4, 5)])
+
+
+def test_os_algebra_runs_no_elimination(monkeypatch):
+    a4 = braid(5)
+    top, circuits = a4.rank(), matroid_circuits(a4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("os_algebra eliminated")
+    for module, name in ((scalars, "_rref_parts"), (exterior, "_rref_parts"),
+                         (exterior, "build_quotient_algebra"),
+                         (arrangement, "build_quotient_algebra")):
+        monkeypatch.setattr(module, name, refuse)
+    assert os_algebra(a4, top, circuits).dims() == (1, 10, 35, 50, 24)
+    # the rank and the flat walk of an affine arrangement rank forms (at
+    # most three columns for lines), never ideal rows
+    eliminate, widths = arrangement._rref_parts, []
+
+    def forms_only(parts, ncols, field):
+        widths.append(ncols)
+        assert ncols <= 3, "os_algebra eliminated ideal rows"
+        return eliminate(parts, ncols, field)
+    for module in (scalars, arrangement):
+        monkeypatch.setattr(module, "_rref_parts", forms_only)
+    hexlat = Arrangement(2, dict(LINE_LIBRARY)["hexlat6"])
+    assert os_algebra(hexlat).dims() == (1, 6, 9)
+    assert widths
 
 
 def test_circuit_examples():

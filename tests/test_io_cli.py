@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import jumploci
 from jumploci import __version__, cli, master
@@ -442,38 +442,23 @@ def test_master_points_report():
         assert entry["h1"] == entry["zero"]["multiplicity"]
 
 
-small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-
-
-@st.composite
-def _punctured_lines(draw):
-    """Distinct punctures with weights that may vanish (a zero at that
-    puncture) or sum to zero (a zero at infinity)."""
-    d = draw(st.integers(1, 5))
-    points = draw(st.lists(small_rationals, min_size=d, max_size=d,
-                           unique=True))
-    lam = draw(st.lists(st.one_of(st.just(Fraction(0)), small_rationals),
-                        min_size=d, max_size=d))
-    if d > 1 and draw(st.booleans()):
-        lam[-1] = -sum(lam[:-1])
-    assume(any(lam))
-    return points, lam
-
-
 def _csv(values):
     return ",".join(str(Fraction(v)) for v in values)
 
 
-@given(_punctured_lines())
-@example(([0, 1, 2], [24, -27, 6]))                  # double interior zero
-@example(([0, 1, 2], [Fraction(3, 2), 0, Fraction(3, 2)]))  # at a puncture
-@example(([0, 1], [1, -1]))                          # at infinity
-@example(([0, 1, 2, 3], [1, 0, -2, 1]))              # both, plus interior
-@settings(max_examples=60, deadline=None)
-def test_master_points_report_equals_the_public_functions(case):
+# The subcommand calls the very functions it is compared with, so the
+# comparison checks `jsonable` and the envelope; these four cases reach
+# every kind of zero, and random configurations would add nothing.
+@pytest.mark.parametrize("points, lam", [
+    ([0, 1, 2], [24, -27, 6]),
+    ([0, 1, 2], [Fraction(3, 2), 0, Fraction(3, 2)]),
+    ([0, 1], [1, -1]),
+    ([0, 1, 2, 3], [1, 0, -2, 1]),
+], ids=["double-interior-zero", "at-a-puncture", "at-infinity",
+        "both-plus-interior"])
+def test_master_points_report_equals_the_public_functions(points, lam):
     # the subcommand calls the three public functions, which share one
     # factorization of the configuration's numerator
-    points, lam = case
     rep = report(["master", "--points", _csv(points),
                   "--weights", _csv(lam)])
     assert rep["result"] == {
