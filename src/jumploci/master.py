@@ -21,6 +21,16 @@ first, which scales a numerator, or both components of the form, by one
 nonzero constant and so moves no zero.  The order at a rational point a/b
 is counted by exact division by b z - a in ZZ[z], and at the roots of an
 irreducible factor by exact division by that factor.
+
+Every factorization goes through `_factor`, whose answer is always that of
+sympy's `Poly.factor_list`.  A fast answer is a proof, and every other case
+falls back to sympy.  At a prime p not dividing the leading coefficient, a
+square-free f mod p proves f square-free over Q, and the degrees of the
+irreducible factors of f mod p bound the degree of any factor over ZZ to
+their subset sums.  When those sums, intersected over a fixed list of small
+primes, are {0, deg f} alone, f is irreducible (Musser, J. ACM 25, 1978).
+The same square-free proof, with sympy's gcd as the fallback, certifies the
+eliminant of a shear and the minimal polynomials of the Koszul orders.
 """
 
 from __future__ import annotations
@@ -162,6 +172,155 @@ def _zz_poly(coeffs):
     return sp.Poly(coeffs, _X, domain=ZZ)
 
 
+# -- certified factoring: degree sets mod small primes ----------------------
+#
+# Polynomials over F_p are lists of ints in 0..p-1, highest degree first,
+# with no leading zero; the zero polynomial is [].
+
+# The odd primes tried, in this order.  The degree-set test uses the first
+# _SIEVE of them that do not divide the leading coefficient and keep the
+# polynomial square-free, and stops there.  A quartic with a dihedral
+# Galois group is certified only at a prime where it stays irreducible, one
+# prime in four, so eight primes miss about one such quartic in ten; a
+# polynomial left uncertified costs one sympy factorization, nothing more.
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+           67, 71, 73, 79, 83, 89, 97)
+_SIEVE = 8
+
+
+def _gf_strip(a):
+    i = 0
+    while i < len(a) and not a[i]:
+        i += 1
+    return a[i:]
+
+
+def _gf_monic(a, p):
+    inv = pow(a[0], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gf_divmod(a, b, p):
+    """(q, r) with a = q b + r and deg r < deg b over F_p, b monic."""
+    r, k = list(a), len(b) - 1
+    q = []
+    for i in range(len(a) - k):
+        c = r[i]
+        q.append(c)
+        if c:
+            for j in range(1, k + 1):
+                r[i + j] = (r[i + j] - c * b[j]) % p
+    return q, _gf_strip(r[max(len(a) - k, 0):])
+
+
+def _gf_gcd(a, b, p):
+    """The monic gcd of a != 0 and b over F_p."""
+    while b:
+        b = _gf_monic(b, p)
+        a, b = b, _gf_divmod(a, b, p)[1]
+    return _gf_monic(a, p)
+
+
+def _gf_mulmod(a, b, f, p):
+    """a b mod f over F_p, f monic."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _gf_divmod([c % p for c in prod], f, p)[1]
+
+
+def _gf_degrees(f, p):
+    """The degrees of the irreducible factors of a monic square-free f over
+    F_p, by distinct-degree factorization: the factors of degree i divide
+    x^(p^i) - x, and those of lower degree are already divided out."""
+    degrees, h, i = [], [1, 0], 0  # h = x^(p^i) mod f
+    while len(f) - 1 >= 2 * (i + 1):
+        i += 1
+        frob = [1]  # h^p mod f, by squaring and multiplying
+        for bit in bin(p)[2:]:
+            frob = _gf_mulmod(frob, frob, f, p)
+            if bit == "1":
+                frob = _gf_mulmod(frob, h, f, p)
+        h = frob
+        shifted = [0] * (2 - len(h)) + h  # h - x
+        shifted[-2] = (shifted[-2] - 1) % p
+        g = _gf_gcd(f, _gf_strip(shifted), p)
+        if len(g) > 1:
+            degrees += [i] * ((len(g) - 1) // i)
+            f = _gf_divmod(f, g, p)[0]
+            h = _gf_divmod(h, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def _sieve(f):
+    """(p, f mod p made monic) for the first _SIEVE primes p of _PRIMES that
+    do not divide lc(f) and at which f mod p is square-free.  Each pair
+    proves f square-free over Q: a square g^2 dividing f in ZZ[z] keeps its
+    degree mod p, as p does not divide lc(f), and would divide f mod p."""
+    found = 0
+    for p in _PRIMES:
+        if not f[0] % p:
+            continue
+        fp = _gf_monic([c % p for c in f], p)
+        n = len(fp) - 1
+        dfp = _gf_strip([c * (n - i) % p for i, c in enumerate(fp[:-1])])
+        if dfp and len(_gf_gcd(fp, dfp, p)) == 1:
+            yield p, fp
+            found += 1
+            if found == _SIEVE:
+                return
+
+
+def _squarefree(coeffs):
+    """Whether an integer polynomial of positive degree is square-free over
+    Q: proved mod a prime of the sieve, or else decided by sympy's
+    gcd(f, f')."""
+    if next(_sieve(coeffs), None):
+        return True
+    f = _zz_poly(list(coeffs))
+    return sp.gcd(f, f.diff(_X)).degree() == 0
+
+
+def _irreducible(f):
+    """Whether Musser's degree-set test proves a primitive integer
+    polynomial f of degree n >= 2 irreducible over ZZ.  A factor of f of
+    degree k keeps its degree mod a sieve prime p, so k is a sum of degrees
+    of irreducible factors of f mod p; once the sets of such sums, over the
+    primes so far, meet in {0, n} alone, f has no proper factor."""
+    n = len(f) - 1
+    sums = (2 << n) - 1  # bit k set: degree k not yet excluded
+    for p, fp in _sieve(f):
+        mask = 1
+        for d in _gf_degrees(fp, p):
+            mask |= mask << d
+        sums &= mask
+        if sums == 1 | 1 << n:
+            return True
+    return False
+
+
+def _factor(coeffs):
+    """`Poly.factor_list()[1]` for an integer polynomial, a coefficient list
+    with nonzero leading entry, as (factor, multiplicity) pairs: primitive
+    factors as coefficient tuples, leading coefficient positive.  A linear
+    primitive part, or one that the degree-set test proves irreducible, is
+    the only factor; every other polynomial is factored by sympy."""
+    if len(coeffs) < 2:
+        return []
+    c = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
+    f = tuple(a // c for a in coeffs)
+    if len(f) == 2 or _irreducible(f):
+        return [(f, 1)]
+    return [(tuple(int(a) for a in g.all_coeffs()), m)
+            for g, m in _zz_poly(list(coeffs)).factor_list()[1]]
+
+
 def _root_intervals(f):
     """`f.intervals(all=True)` for a square-free integer Poly f.  Sympy
     isolates the real part of all=True with the same
@@ -174,28 +333,32 @@ def _root_intervals(f):
     return f.intervals(all=True)
 
 
-def _zeros_of_poly(poly, kind):
-    """Zero entries for all roots of a nonzero univariate integer Poly,
-    exact for rational roots, isolating data otherwise."""
+def _factor_zeros(f, mult, kind):
+    """Zero entries for the roots of an irreducible factor f, a primitive
+    coefficient tuple, of multiplicity mult: exact for a linear f,
+    isolating data with minimal polynomial f otherwise."""
+    if len(f) == 2:
+        a, b = f
+        return [Zero(kind, mult, value=Fraction(-b, a))]
+    real, complexes = _root_intervals(_zz_poly(list(f)))
+    out = [Zero(kind, mult, interval=(_frac(lo), _frac(hi)), minpoly=f)
+           for (lo, hi), _m in real]
+    for (a, b), _m in complexes:
+        ar, ai = a.as_real_imag()
+        br, bi = b.as_real_imag()
+        out.append(Zero(kind, mult,
+                        interval=((_frac(ar), _frac(br)),
+                                  (_frac(ai), _frac(bi))),
+                        minpoly=f))
+    return out
+
+
+def _zeros_of_poly(coeffs, kind):
+    """Zero entries for all roots of a nonzero integer polynomial, a
+    coefficient list, exact for rational roots, isolating data otherwise."""
     out = []
-    _, factors = poly.factor_list()
-    for f, mult in sorted(factors, key=lambda t: (t[0].degree(), t[0].all_coeffs())):
-        coeffs = [int(c) for c in f.all_coeffs()]
-        if f.degree() == 1:
-            a, b = coeffs
-            out.append(Zero(kind, mult, value=Fraction(-b, a)))
-            continue
-        real, complexes = _root_intervals(f)
-        for (lo, hi), _m in real:
-            out.append(Zero(kind, mult, interval=(_frac(lo), _frac(hi)),
-                            minpoly=tuple(coeffs)))
-        for (a, b), _m in complexes:
-            ar, ai = a.as_real_imag()
-            br, bi = b.as_real_imag()
-            out.append(Zero(kind, mult,
-                            interval=((_frac(ar), _frac(br)),
-                                      (_frac(ai), _frac(bi))),
-                            minpoly=tuple(coeffs)))
+    for f, mult in sorted(_factor(coeffs), key=lambda t: (len(t[0]), t[0])):
+        out.extend(_factor_zeros(f, mult, kind))
     return out
 
 
@@ -251,7 +414,7 @@ def _log_divisor(points, lam):
     if vinf:
         zeros.append(Zero("infinity", vinf))
     if len(interior) > 1:
-        zeros.extend(_zeros_of_poly(_zz_poly(interior), "interior"))
+        zeros.extend(_zeros_of_poly(interior, "interior"))
     total = sum(z.multiplicity for z in zeros)
     d = len(points)
     if total != d - 1:
@@ -303,8 +466,7 @@ def local_koszul_univariate(points, lam):
             # square-free, so the order at each of its roots is the exponent
             # of the factor in N, found once for all of them
             if z.minpoly not in factor_orders:
-                f = _zz_poly(list(z.minpoly))
-                if gcd(*z.minpoly) != 1 or sp.gcd(f, f.diff(_X)).degree() > 0:
+                if gcd(*z.minpoly) != 1 or not _squarefree(z.minpoly):
                     raise AssertionError(
                         "irreducible factor not primitive and square-free")
                 factor_orders[z.minpoly], _rest = _divide_out(n, z.minpoly)
@@ -350,7 +512,7 @@ def _eliminant(forms, weights, spurious, t):
     """Genuine eliminant at shear x -> x + t y, or None if this shear is
     unusable (non-constant leading y-coefficients).  Returns (G, P_t, Q_t),
     G an integer multiple of the resultant with the multiple points'
-    sheared x-coordinates divided out."""
+    sheared x-coordinates divided out, as a coefficient list."""
     pt, qt = _sheared_pair(forms, weights, t)
     for h in (pt, qt):
         top = h.degree(_Y)
@@ -364,7 +526,7 @@ def _eliminant(forms, weights, spurious, t):
     g = [int(c) for c in res.all_coeffs()]
     for (px, py) in spurious:
         _m, g = _divide_out(g, _linear(Fraction(px) - t * Fraction(py)))
-    return _zz_poly(g), pt, qt
+    return g, pt, qt
 
 
 def _vanishes_at_infinity(points, lam):
@@ -394,9 +556,8 @@ def _certifying_shear(forms, weights, spurious, n):
         if got is None:
             continue
         g, pt, qt = got
-        deg = max(g.degree(), 0)
-        # square-free over Q: gcd(G, G') is a constant
-        if deg > 0 and sp.gcd(g, g.diff(_X)).degree() > 0:
+        deg = len(g) - 1
+        if deg > 0 and not _squarefree(g):
             continue
         if deg == n:
             return t, g, pt, qt
@@ -441,28 +602,25 @@ def critical_points_bivariate(arr, lam, seed=0):
         _clear(arr.forms, False)[0], _cleared_weights(lam), finite, count)
 
     zeros = []
-    if g1.degree() > 0:
-        _, factors = g1.factor_list()
-        for f, mult in factors:
-            if f.degree() == 1:
-                a, b = (int(c) for c in f.all_coeffs())
-                x0 = Fraction(-b, a)
-                at = QQ(x0.numerator, x0.denominator)
-                py = sp.gcd(pt1.eval(_X, at), qt1.eval(_X, at))
-                if py.degree() != 1:
-                    raise DegeneracyError(
-                        f"back-substitution at x = {x0} is not a single "
-                        "simple point")
-                ca, cb = (_frac(c) for c in py.all_coeffs())
-                y0 = -cb / ca
-                pt = (x0 + t1 * y0, y0)
-                if any(c0 + c1 * pt[0] + c2 * pt[1] == 0
-                       for c0, c1, c2 in arr.forms):
-                    raise AssertionError(
-                        "recovered critical point lies on the arrangement")
-                zeros.append(Zero("interior", mult, value=pt))
-            else:
-                zeros.extend(_zeros_of_poly(f, "interior"))
+    for f, mult in _factor(g1):
+        if len(f) > 2:
+            zeros.extend(_factor_zeros(f, mult, "interior"))
+            continue
+        a, b = f
+        x0 = Fraction(-b, a)
+        at = QQ(x0.numerator, x0.denominator)
+        py = sp.gcd(pt1.eval(_X, at), qt1.eval(_X, at))
+        if py.degree() != 1:
+            raise DegeneracyError(
+                f"back-substitution at x = {x0} is not a single simple point")
+        ca, cb = (_frac(c) for c in py.all_coeffs())
+        y0 = -cb / ca
+        pt = (x0 + t1 * y0, y0)
+        if any(c0 + c1 * pt[0] + c2 * pt[1] == 0
+               for c0, c1, c2 in arr.forms):
+            raise AssertionError(
+                "recovered critical point lies on the arrangement")
+        zeros.append(Zero("interior", mult, value=pt))
     notes = (f"length identity: shear {t1} exhibits |chi(M)| = {count} "
              "simple interior zeros, so there are no others",)
     return DivisorReport(tuple(zeros), count, chi, True, notes=notes)

@@ -7,6 +7,7 @@ independent of the resultant solver), and whole reports against the
 symbolic-expression route kept in `master_oracle`.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from jumploci.aomoto import AomotoComplex
 from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.master import (
-    _divide_out, _root_intervals, critical_points_bivariate,
+    _PRIMES, _divide_out, _factor, _root_intervals, critical_points_bivariate,
     critical_points_univariate, local_koszul_univariate, log_zero_divisor_p1,
     numerator_polynomial, residues_line_arrangement)
 from jumploci.verify import BIVARIATE_CASES
@@ -367,14 +368,16 @@ def test_repeated_irreducible_factor_has_order_two_at_both_roots():
 
 
 def test_one_univariate_triple_factors_once(monkeypatch):
+    # every factorization goes through master._factor, which calls sympy's
+    # factor_list only when no certificate proves the numerator irreducible
     calls = []
-    factor_list = sp.Poly.factor_list
+    factor = master._factor
 
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return factor_list(self, *args, **kwargs)
+    def counted(coeffs):
+        calls.append(coeffs)
+        return factor(coeffs)
 
-    monkeypatch.setattr(sp.Poly, "factor_list", counted)
+    monkeypatch.setattr(master, "_factor", counted)
     master._log_divisor.cache_clear()  # an earlier test may hold this one
     points, lam = [0, 1, 2, 3, 5], [1, 2, 3, 4, 5]
     critical_points_univariate(points, lam)
@@ -491,6 +494,92 @@ def test_real_root_shortcut_on_irreducible_factors(coeffs):
     for g, _m in f.factor_list()[1]:
         if g.degree() >= 2:
             assert _root_intervals(g) == g.intervals(all=True)
+
+
+# -- certified factoring -----------------------------------------------------
+
+def sympy_factors(coeffs):
+    f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
+    return [(tuple(int(c) for c in g.all_coeffs()), m)
+            for g, m in f.factor_list()[1]]
+
+
+def times(f, g):
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    return prod
+
+
+def squarefree(coeffs):
+    f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
+    return sp.gcd(f, f.diff()).degree() == 0
+
+
+LC_OF_EVERY_PRIME = math.prod(_PRIMES)
+
+
+@pytest.mark.parametrize("coeffs, certified", [
+    ([1, 0, -10, 0, 1], False),       # irreducible, split mod every p
+    ([1, 0, -5, 0, 6], False),        # (x^2 - 2)(x^2 - 3)
+    ([1, 0, -4, 0, 4], False),        # (x^2 - 2)^2
+    (times([1, 3, 3, 1], [1, 0, 1]), False),  # (x + 1)^3 (x^2 + 1)
+    ([4, 0, -8], True),               # 4 (x^2 - 2): content, not a square
+    ([-6, 0, -6, -6], True),          # -6 (x^3 + x + 1)
+    ([105, 0, 1, 1], True),           # 3, 5 and 7 divide the lead
+    ([3 * 5 * 7 * 11, 2, 0, 0, 1], True),
+    ([LC_OF_EVERY_PRIME, 0, 0, 1, 1], False),  # no sieve prime is left
+    ([5, -20, 20, -3], True),
+    ([7], False), ([-3], False),      # degree 0: no factors
+    ([4, -6], True), ([-4, 6], True),  # degree 1: 2x - 3
+    ([1] + [0] * 8 + [1, 1], True),   # degree 10: x^10 + x + 1
+    ([1] + [0] * 9 + [-2], True),     # degree 10: x^10 - 2
+    (times([1, 0, 0, 1, 1], [1, 1, 0, 0, 0, 0, 1]), False),
+])
+def test_factor_is_sympys_factor_list(monkeypatch, coeffs, certified):
+    # a certified or constant polynomial makes no factor_list call, any
+    # other exactly one
+    want = sympy_factors(coeffs)
+    calls = []
+    factor_list = sp.Poly.factor_list
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return factor_list(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Poly, "factor_list", counted)
+    assert _factor(coeffs) == want
+    assert len(calls) == (0 if certified or len(coeffs) < 2 else 1)
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Random integer polynomials of degree 0..10, and products of small
+    factors with repeats, a content and a sign."""
+    lead = st.integers(-30, 30).filter(bool)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 10))
+        return [draw(lead)] + draw(st.lists(st.integers(-50, 50),
+                                            min_size=n, max_size=n))
+    f = [draw(st.sampled_from([-6, -2, -1, 1, 3, 35]))]
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        g = [draw(lead)] + draw(st.lists(st.integers(-5, 5), min_size=n,
+                                         max_size=n))
+        for _ in range(draw(st.integers(1, 3))):
+            f = times(f, g)
+    return f
+
+
+@given(integer_polynomials())
+@settings(max_examples=150, deadline=None)
+def test_factor_matches_factor_list(coeffs):
+    assert _factor(coeffs) == sympy_factors(coeffs)
+    if len(coeffs) > 1 and not squarefree(coeffs):
+        # no prime of the sieve can prove a square-free reduction
+        assert next(master._sieve(coeffs), None) is None
+        assert not master._squarefree(coeffs)
 
 
 # -- exact division in ZZ[z] -------------------------------------------------
