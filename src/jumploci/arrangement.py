@@ -6,15 +6,17 @@ detected exactly.  Central arrangements are those with all constant terms
 zero.  The OS algebra is the exterior algebra on one generator per
 hyperplane (the class of dlog f_j, Hodge type (1,1)) modulo the boundaries
 of the circuits that meet and the monomials of the minimal sets with empty
-intersection.  Both are the minimal sets S whose forms become dependent
-once the hyperplane at infinity e0 = (1, 0, ..., 0) is adjoined.  The
-algebra is built with no elimination, by straightening every monomial into
-the no-broken-circuit basis, and certified to equal the elimination build.
+intersection.  Both are read off one walk over the minimal dependent sets
+of the forms and, for an affine arrangement, the hyperplane at infinity
+e0 = (1, 0, ..., 0).  The algebra is built with no elimination, by
+straightening every monomial into the no-broken-circuit basis, and
+certified to equal the elimination build.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
@@ -72,6 +74,17 @@ class Arrangement:
     def augmented(self):
         return [tuple(v) for v in self.forms]
 
+    @cached_property
+    def dependencies(self):
+        """The one walk of the arrangement (`_minimal_dependent`): the
+        minimal dependent sets of the augmented forms with their flats, and
+        for an affine arrangement e0 = (1, 0, ..., 0) as one more vector,
+        index `size`.  Arrangements are never mutated, so it is kept."""
+        vecs = self.augmented()
+        if not self.central:
+            vecs.append((1,) + (0,) * self.ambient)
+        return _minimal_dependent(vecs)
+
     def rank(self):
         """Rank of the linear parts; the top nonvanishing OS degree."""
         if not self.forms:
@@ -124,27 +137,26 @@ def _covers(rows, flat, basis):
     return {i: masks[key] for i, key in keys.items()}
 
 
-def _minimal_dependent(vecs, extra=()):
-    """The minimal index sets S for which the vectors of S together with the
-    independent vectors `extra` are dependent, each sorted, the list sorted
-    lexicographically.  No vector lies in the span of `extra`, so |S| >= 2.
+def _minimal_dependent(vecs):
+    """The minimal dependent index sets of the vectors, none of them zero,
+    each sorted and paired with its flat, the bitmask of the vectors in its
+    span; the list sorted lexicographically.
 
-    The walk goes by size over the independent sets S, each with its flat,
-    the bitmask of the vectors in the span of S and `extra`.  Adding an
-    index j past the last of S gives a dependent set exactly when bit j of
-    that flat is set, and a minimal one exactly when its other one-smaller
-    subsets are independent too.  Otherwise its flat is the cover of the
-    flat of S through j (`_covers`, one echelon per flat), except at rank
-    r, the rank of all the vectors: a set of rank r spans them all, and no
-    minimal set is larger, since dropping one element leaves an
-    independent set.
+    The walk goes by size over the independent sets S, each with its flat.
+    Adding an index j past the last of S gives a dependent set exactly when
+    bit j of that flat is set, and a minimal one exactly when its other
+    one-smaller subsets are independent too; the flat of S, which it is
+    returned with, is then its span.  Otherwise the flat of S and j is the
+    cover of the flat of S through j (`_covers`, one echelon per flat),
+    except at rank r, the rank of all the vectors: a set of rank r spans
+    them all, and no minimal set is larger, since dropping one element
+    leaves an independent set.
     """
-    every = list(vecs) + list(extra)
-    d, r = len(vecs), rank(every)
-    rows = _clear(every, False)[0]
-    full = (1 << len(every)) - 1
+    d, r = len(vecs), rank(vecs)
+    rows = _clear(vecs, False)[0]
+    full = (1 << d) - 1
     covers, found = {}, []
-    level = {(): full ^ ((1 << d) - 1)}  # the flat of `extra` alone
+    level = {(): 0}
     size = 0
     while level:
         size += 1
@@ -155,13 +167,12 @@ def _minimal_dependent(vecs, extra=()):
                 if flat >> j & 1:
                     if all(t[:k] + t[k + 1:] in level
                            for k in range(size - 1)):
-                        found.append(t)
-                elif size + len(extra) == r:
+                        found.append((t, flat))
+                elif size == r:
                     larger[t] = full
                 else:
                     if flat not in covers:
-                        covers[flat] = _covers(
-                            rows, flat, list(s) + list(range(d, len(every))))
+                        covers[flat] = _covers(rows, flat, s)
                     larger[t] = covers[flat][j]
         level = larger
     return sorted(found)
@@ -170,8 +181,10 @@ def _minimal_dependent(vecs, extra=()):
 def matroid_circuits(arr):
     """Minimal dependent hyperplane sets (affine dependence for affine
     arrangements), each sorted, the list sorted lexicographically: the
-    minimal dependent sets of the augmented forms, none of them zero."""
-    return _minimal_dependent(arr.augmented())
+    minimal dependent sets of the augmented forms, none of them zero, read
+    off the arrangement's one walk (`Arrangement.dependencies`) as those
+    that avoid e0."""
+    return [t for t, _ in arr.dependencies if t[-1] < arr.size]
 
 
 def circuit_boundary(ngens, circuit):
@@ -183,42 +196,38 @@ def circuit_boundary(ngens, circuit):
     return Multivector(ngens, terms)
 
 
-def os_algebra(arr, top=None, circuits=None):
+def os_algebra(arr, top=None):
     """The Orlik-Solomon algebra of an arrangement, built through degree
     `top` (default: the full rank).  Generator j is the class of dlog f_j,
-    with Hodge type (1,1).  `circuits` is `matroid_circuits(arr)`, passed by
-    a caller that has already enumerated them.
+    with Hodge type (1,1).
 
-    An affine arrangement's relations are the minimal S that are dependent
-    with e0 = (1, 0, ..., 0) adjoined: S is dependent or has empty
-    intersection, since an inconsistent system has 1 in the span of its
-    forms.  Such an S is a circuit all of whose proper subsets meet, so a
-    circuit that meets (its boundary), or an independent set with e0 in its
-    span, a minimal empty set (its monomial).  The ideal generators are the
-    boundaries, then the monomials.  The algebra is straightened from them
-    with no elimination (`_straighten`): bit for bit the one that
-    `build_quotient_algebra` gives for these generators, or AssertionError.
+    Its relations are read off the arrangement's one walk
+    (`Arrangement.dependencies`), which for an affine arrangement takes
+    e0 = (1, 0, ..., 0) as vector d = `arr.size`; a set of forms has empty
+    intersection exactly when e0 lies in its span, since an inconsistent
+    system has 1 in the span of its forms.  A circuit through d, with d
+    dropped, is a minimal empty set (its monomial).  A circuit that avoids
+    d meets exactly when bit d of its flat is clear (its boundary);
+    otherwise it holds an empty set and is no relation.  The ideal
+    generators are the boundaries, then the monomials.  The algebra is
+    straightened from them with no elimination (`_straighten`): bit for
+    bit the one that `build_quotient_algebra` gives for these generators,
+    or AssertionError.
     """
     if top is None:
         top = arr.rank()
     if top < 0:
         raise PreconditionError("top degree must be nonnegative")
-    if circuits is None:
-        circuits = matroid_circuits(arr)
     d = arr.size
-    relations = circuits
-    if not arr.central:
-        e0 = [Fraction(1)] + [Fraction(0)] * arr.ambient
-        relations = _minimal_dependent(arr.augmented(), [e0])
-    meeting = set(circuits)
-    gens = [circuit_boundary(d, s) for s in relations if s in meeting]
-    gens += [Multivector.monomial(d, s) for s in relations
-             if s not in meeting]
+    meeting = [t for t, flat in arr.dependencies
+               if t[-1] < d and not flat >> d & 1]
+    empty = [t[:-1] for t, _ in arr.dependencies if t[-1] == d]
+    gens = [circuit_boundary(d, s) for s in meeting]
+    gens += [Multivector.monomial(d, s) for s in empty]
     rules = {}
-    for s in relations:
-        rule = s[:-1] if s in meeting else s
+    for rule, c in [(c[:-1], c) for c in meeting] + [(s, None) for s in empty]:
         if len(rule) <= top:  # a larger set never fires
-            rules.setdefault(_mask(rule), s if s in meeting else None)
+            rules.setdefault(_mask(rule), c)
     return _straighten(d, min(top, d), gens, rules)
 
 
@@ -303,7 +312,7 @@ def _straighten(ngens, top, gens, rules):
 def poincare_and_euler(arr):
     """Poincare polynomial coefficients (b_0, ..., b_rank) and the Euler
     characteristic of the complement, from the full-rank build."""
-    algebra = os_algebra(arr, arr.rank())
+    algebra = os_algebra(arr)
     return algebra.dims(), algebra.euler()
 
 

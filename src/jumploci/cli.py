@@ -162,7 +162,7 @@ def _cmd_os_algebra(args):
     rank = arr.rank()
     full = args.top is None or args.top >= rank
     circuits = matroid_circuits(arr)
-    algebra = os_algebra(arr, rank if full else args.top, circuits=circuits)
+    algebra = os_algebra(arr, rank if full else args.top)
     result = {
         "dims": algebra.dims(), "euler": algebra.euler() if full else None,
         "size": arr.size, "rank": rank, "central": arr.central,

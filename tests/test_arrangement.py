@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jumploci import arrangement, exterior, master, scalars
+from jumploci import arrangement, cli, exterior, master, scalars
 from jumploci.arrangement import (
     Arrangement, circuit_boundary, decone, line_points, matroid_circuits,
     os_algebra, points_arrangement, poincare_and_euler,
@@ -196,9 +196,8 @@ def test_circuits_of_forms_equal_mod_p_match_the_oracle(forms, circuits):
 def test_lines_parallel_mod_p_get_no_empty_relation(exact_calls, forms):
     arr = Arrangement(2, forms)
     assert minimal_empty_oracle(arr) == []
-    top, circuits = arr.rank(), matroid_circuits(arr)
     before = dict(exact_calls)
-    algebra = os_algebra(arr, top, circuits)
+    algebra = os_algebra(arr, arr.rank())
     assert monomial_gens(algebra) == []
     assert exact_calls["common_point"] == before["common_point"]
 
@@ -225,6 +224,24 @@ def test_circuit_walk_makes_one_elimination_per_flat(monkeypatch):
     monkeypatch.setattr(arrangement, "_rref_parts", counted)
     assert len(matroid_circuits(braid(5))) == 37
     assert 0 < len(calls) <= 52
+
+
+@pytest.mark.parametrize("fixture", ["concurrent3", "generic3"])
+def test_os_algebra_command_walks_the_forms_once(monkeypatch, capsys,
+                                                 fixture):
+    # the circuits it reports and the relations of its build, central or
+    # affine, come from one walk
+    calls = []
+    walk = arrangement._minimal_dependent
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(arrangement, "_minimal_dependent", counted)
+    assert cli.main(["os-algebra", "--arrangement", fixture]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_braid_a5_circuits_are_the_cycles_of_k6():
@@ -297,14 +314,17 @@ def test_straightening_refuses_a_circuit_list_missing_a_relation():
     # without the triangle (3, 4, 5) of K_4 no rule rewrites e_3 e_4, and
     # the rows e_T g of degree 3 of the first generator, the boundary of
     # (0, 1, 3), do not all straighten to zero
-    circuits = matroid_circuits(braid(4))
+    arr = braid(4)
+    arr.dependencies = [(t, flat) for t, flat in braid(4).dependencies
+                        if t != (3, 4, 5)]
     with pytest.raises(AssertionError, match="generator 0 .* degree 3"):
-        os_algebra(braid(4), circuits=[c for c in circuits if c != (3, 4, 5)])
+        os_algebra(arr)
 
 
 def test_os_algebra_runs_no_elimination(monkeypatch):
     a4 = braid(5)
-    top, circuits = a4.rank(), matroid_circuits(a4)
+    top = a4.rank()
+    matroid_circuits(a4)  # the walk ranks forms; a4 keeps it
 
     def refuse(*args, **kwargs):
         raise AssertionError("os_algebra eliminated")
@@ -312,7 +332,7 @@ def test_os_algebra_runs_no_elimination(monkeypatch):
                          (exterior, "build_quotient_algebra"),
                          (arrangement, "build_quotient_algebra")):
         monkeypatch.setattr(module, name, refuse)
-    assert os_algebra(a4, top, circuits).dims() == (1, 10, 35, 50, 24)
+    assert os_algebra(a4, top).dims() == (1, 10, 35, 50, 24)
     # the rank and the flat walk of an affine arrangement rank forms (at
     # most three columns for lines), never ideal rows
     eliminate, widths = arrangement._rref_parts, []
