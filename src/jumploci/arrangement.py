@@ -9,8 +9,8 @@ of the circuits that meet and the monomials of the minimal sets with empty
 intersection.  Both are read off one walk over the minimal dependent sets
 of the forms and, for an affine arrangement, the hyperplane at infinity
 e0 = (1, 0, ..., 0).  The algebra is built with no elimination, by
-straightening every monomial into the no-broken-circuit basis, and
-certified to equal the elimination build.
+straightening every monomial into the no-broken-circuit basis
+(`exterior._straighten`), and certified to equal the elimination build.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from math import gcd, lcm
 from .errors import PreconditionError
 # build_quotient_algebra is imported for the benchmark's tracer, which wraps
 # arrangement.build_quotient_algebra
-from .exterior import (GradedAlgebra, Multivector, _mask,  # noqa: F401
-                       _merge_sign, build_quotient_algebra)
+from .exterior import (GradedAlgebra, Multivector,  # noqa: F401
+                       _straighten, build_quotient_algebra)
 from .scalars import (QQ, Matrix, _clear, _rational, _rref_parts, rank,
                       solve_linear)
 
@@ -209,10 +209,10 @@ def os_algebra(arr, top=None):
     dropped, is a minimal empty set (its monomial).  A circuit that avoids
     d meets exactly when bit d of its flat is clear (its boundary);
     otherwise it holds an empty set and is no relation.  The ideal
-    generators are the boundaries, then the monomials.  The algebra is
-    straightened from them with no elimination (`_straighten`): bit for
-    bit the one that `build_quotient_algebra` gives for these generators,
-    or AssertionError.
+    generators are the boundaries, then the monomials; each is a rule, a
+    boundary solved for its broken circuit.  The algebra is straightened
+    with no elimination (`exterior._straighten`): bit for bit the one that
+    `build_quotient_algebra` gives for these generators, or AssertionError.
     """
     if top is None:
         top = arr.rank()
@@ -224,89 +224,9 @@ def os_algebra(arr, top=None):
     empty = [t[:-1] for t, _ in arr.dependencies if t[-1] == d]
     gens = [circuit_boundary(d, s) for s in meeting]
     gens += [Multivector.monomial(d, s) for s in empty]
-    rules = {}
-    for rule, c in [(c[:-1], c) for c in meeting] + [(s, None) for s in empty]:
-        if len(rule) <= top:  # a larger set never fires
-            rules.setdefault(_mask(rule), c)
-    return _straighten(d, min(top, d), gens, rules)
-
-
-def _straighten(ngens, top, gens, rules):
-    """The quotient of the exterior algebra by `gens` through degree `top`
-    from rewriting rules, as a GradedAlgebra over QQ in the form that
-    `build_quotient_algebra` gives.  `rules` maps a set mask to the circuit
-    it is the broken circuit of, or to None for a set whose monomial is 0.
-    A circuit C = (c_0 < ... < c_r) rewrites e_B, B = C minus c_r, as
-    -(-1)^r sum_{k<r} (-1)^k e_{C minus c_k}, by its boundary.
-
-    A monomial m containing a rule's set (its witness: m itself, or the
-    witness of a one-smaller subset) is rewritten: m = B + R gives
-    e_m = sign(B, R) e_B e_R, and each term of e_B's rule swaps c_k for
-    c_r, so it is lex-later than m (0 if R holds c_r).  Walking a degree
-    in reverse lex order, every term's normal form nf is already known.
-    The basis is the monomials with no witness, and proj[d] is nf on it,
-    den 1.  Every m - nf(m) lies in the ideal with leading monomial m; and
-    nf(e_T g) = 0 is checked for every row e_T g that elimination would
-    stack.  So the rows m - nf(m) are the RREF of the ideal in degree d,
-    and the basis and proj are those of elimination.  Raises
-    AssertionError naming the generator and degree that fail."""
-    monomials, basis, proj = [], [], []
-    witness = {}
-    for d in range(top + 1):
-        monos = [_mask(c) for c in combinations(range(ngens), d)]
-        below, witness = witness, {}
-        for m in monos:
-            if m in rules:
-                witness[m] = m
-                continue
-            bits = m
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                w = below.get(m ^ b)
-                if w is not None:
-                    witness[m] = w
-                    break
-        std = [m for m in monos if m not in witness]
-        position = {m: j for j, m in enumerate(std)}
-        nf = {}
-        for m in reversed(monos):
-            w = witness.get(m)
-            if w is None:
-                nf[m] = ((position[m], 1),)
-                continue
-            circuit, rest = rules[w], m ^ w
-            if circuit is None or rest >> circuit[-1] & 1:
-                nf[m] = ()
-                continue
-            acc = {}
-            r = len(circuit) - 1
-            sign = -_merge_sign(w, rest) * (-1) ** r
-            for k in range(r):
-                t = (w ^ (1 << circuit[k])) | 1 << circuit[r]
-                c = sign * (-1) ** k * _merge_sign(t, rest)
-                for j, v in nf[t | rest]:
-                    acc[j] = acc.get(j, 0) + c * v
-            nf[m] = tuple(sorted((j, v) for j, v in acc.items() if v))
-        for k, g in enumerate(gens):
-            e = g.degree()
-            for t in monomials[d - e] if e <= d else ():
-                acc = {}
-                for m, c in g.terms.items():
-                    if not m & t:
-                        c *= _merge_sign(m, t)
-                        for j, v in nf[m | t]:
-                            acc[j] = acc.get(j, 0) + c * v
-                if any(acc.values()):
-                    raise AssertionError(
-                        f"ideal generator {k} does not straighten to zero "
-                        f"in degree {d}: the rewriting rules miss part of "
-                        "the ideal")
-        monomials.append(monos)
-        basis.append(std)
-        proj.append((1, [nf[m] for m in monos]))
-    return GradedAlgebra(ngens, QQ, top, gens, ((1, 1),) * ngens,
-                         monomials, basis, proj)
+    top = min(top, d)
+    return GradedAlgebra(d, QQ, top, gens, ((1, 1),) * d,
+                         *_straighten(d, top, gens, gens))
 
 
 def poincare_and_euler(arr):

@@ -1,7 +1,7 @@
-"""Configuration spaces of n points on an elliptic curve: the degree-two
-truncated cohomology model, the scroll (determinantal) resonance variety,
-Hodge decomposition of degree-one classes, and the filtered E2 page of the
-twisted complex.
+"""Configuration spaces of n points on an elliptic curve: the truncated
+cohomology model (straightened, with no elimination), the scroll
+(determinantal) resonance variety, Hodge decomposition of degree-one
+classes, and the filtered E2 page of the twisted complex.
 
 The curve's period is fixed at the Gaussian unit i, so classes have exact
 coordinates over Q(i) (the relations are rational).  Degree-one classes
@@ -17,9 +17,10 @@ from fractions import Fraction
 
 from .aomoto import AomotoComplex
 from .errors import PreconditionError
-from .exterior import Multivector, build_quotient_algebra
-# rank_and_kernel, rref and solve_linear are imported for the benchmark's
-# tracer, which wraps them on this module
+# build_quotient_algebra, rank_and_kernel, rref and solve_linear are imported
+# for the benchmark's tracer, which wraps them on this module
+from .exterior import (GradedAlgebra, Multivector,  # noqa: F401
+                       _straighten, build_quotient_algebra)
 from .scalars import QI, GaussianRational, rank_and_kernel, rref, solve_linear  # noqa: F401
 
 _I = GaussianRational(0, 1)
@@ -50,24 +51,30 @@ class EllipticModel:
         (ab)_l - a_k b_l + b_k a_l + (ab)_k.
 
     With a = (u + v)/2 and b = i(v - u)/2 this is i/2 times the integer
-    relation u_k v_k + v_k u_l - u_k v_l + u_l v_l.  The algebra is built
-    from these relations (`_diagonal_relation`), with coordinates in
-    QQ(i); the tests rederive the classes from the Kunneth formula."""
+    relation u_k v_k + v_k u_l - u_k v_l + u_l v_l (`_diagonal_relation`),
+    of type (1, 1); the tests rederive the classes from the Kunneth formula.
+    The algebra, over QQ(i), is straightened (`exterior._straighten`) by
+    the (k, n - 1) relations, solved for u_k v_k, and for l < n - 1 the
+    (k, l) relation minus the (k, n - 1) one, solved for u_k v_l."""
 
     def __init__(self, n, top=2):
         if not 2 <= n <= 32:
             raise PreconditionError(
                 f"n = {n} out of range: need 2 <= n <= 32 "
                 "(n = 1 has no diagonals and degenerates to the curve)")
+        if top < 0:
+            raise PreconditionError("top degree must be nonnegative")
         self.n = n
         pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
         self.diagonal_pairs = pairs
-        types = []
-        for _ in range(n):
-            types.extend([(1, 0), (0, 1)])
         relations = [_diagonal_relation(n, *p) for p in pairs]
-        self.algebra = build_quotient_algebra(
-            2 * n, relations, top, field=QI, hodge_types=types)
+        last = {k: g for (k, l), g in zip(pairs, relations) if l == n - 1}
+        rels = [g if l == n - 1 else g - last[k]
+                for (k, l), g in zip(pairs, relations)]
+        top = min(top, 2 * n)
+        self.algebra = GradedAlgebra(2 * n, QI, top, relations,
+                                     ((1, 0), (0, 1)) * n,
+                                     *_straighten(2 * n, top, relations, rels))
 
     @property
     def top(self):
@@ -190,10 +197,10 @@ def e2_page(model, x, y):
     (A*, alpha wedge) at a nonzero alpha = (x, ix) in F^1.
 
     Such an alpha is pure of type (1, 0), and every monomial projects onto
-    basis monomials of its own type (`build_quotient_algebra` rejects
-    impure relations), so alpha wedge maps the type-(p, q) basis positions
-    of A^m into the type-(p + 1, q) positions of A^{m+1}.  The complex is
-    then the direct sum of its rows of fixed q, and
+    basis monomials of its own type, since the relations have type (1, 1).
+    So alpha wedge maps the type-(p, q) basis positions of A^m into the
+    type-(p + 1, q) positions of A^{m+1}, and the complex is the direct sum
+    of its rows of fixed q:
 
         E2^{p,q} = dim A^{p,q} - r(p, q) - r(p - 1, q),
 

@@ -4,9 +4,9 @@ Subsets of generators are bitmasks, so a multivector is a sparse map from
 bitmask to coefficient.  Quotient algebras store, per degree, the monomial
 basis, a canonical quotient basis (the lexicographically smallest monomials
 completing an echelon basis of the ideal), and the projection of every
-monomial onto that basis.  The ideal's relations are rational, built and
-ranked as integer rows, and the projections of one degree are stored as
-integers over one denominator; the field is only where coordinates live.
+monomial onto that basis.  Relations are rational, ranked as integer rows
+or straightened (`_straighten`); the projections of a degree are integers
+over one denominator, and the field is only where coordinates live.
 Generators may carry Hodge types (p, q), in which case monomials are
 bigraded.  Ideal generators must then be pure, so the ideal's reduced
 echelon form splits into blocks by type and every monomial projects onto
@@ -172,15 +172,15 @@ def _mono_type(mask, hodge_types):
 class GradedAlgebra:
     """Quotient of an exterior algebra by a homogeneous ideal, per degree.
 
-    Built by `build_quotient_algebra`, or by `arrangement.os_algebra` in
-    the same form.  For each degree d up to `top` it
-    holds the monomial list (lex order), the quotient basis (non-pivot
-    monomials of the ideal's reduced echelon form), and the projections of
-    all monomials as `proj[d] = (den, cols)`: cols[k] is the sparse column
-    ((basis position, numerator), ...) of monomial k, integers over den,
-    the lcm of their reduced denominators.  `field` is the field of the
-    coordinates that `project`, `lift` and `hodge_subspace` use: QQ, QQ(i),
-    or F_p for p prime to every den (`aomoto.reduce_algebra_mod`).
+    Built by `build_quotient_algebra`, or in that form by `_straighten`
+    (`arrangement.os_algebra`, `elliptic.EllipticModel`).  Per degree d up
+    to `top` it holds the monomial list (lex order), the quotient basis
+    (non-pivot monomials of the ideal's reduced echelon form), and the
+    projections of all monomials as `proj[d] = (den, cols)`: cols[k] is the
+    sparse column ((basis position, numerator), ...) of monomial k,
+    integers over den, the lcm of their reduced denominators.  `field`
+    holds the coordinates of `project`, `lift` and `hodge_subspace`: QQ,
+    QQ(i), or F_p for p prime to every den (`aomoto.reduce_algebra_mod`).
 
     Multiplication by the generators is kept as integer structure constants
     (`structure_constants`), built from the projections on first use; the
@@ -419,9 +419,9 @@ class GradedAlgebra:
         of monomials with first-index sum >= p.
 
         The ideal generators are pure (`build_quotient_algebra` rejects
-        mixed ones), so every monomial projects onto basis monomials of its
-        own type and F^p A^d is spanned by the unit rows at
-        `hodge_positions(p, d)`.
+        mixed ones; the models' relations have type (1, 1)), so every
+        monomial projects onto basis monomials of its own type and F^p A^d
+        is spanned by the unit rows at `hodge_positions(p, d)`.
         """
         zero, one = self.field.zero(), self.field.one()
         n = self.dim(d)
@@ -443,6 +443,7 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     copies of it, ranked by `scalars._rref_parts`.  `field` is QQ or QQ(i),
     only the field of the coordinates: the generators must be rational.
     Over F_p, reduce a built algebra with `aomoto.reduce_algebra_mod`.
+    The package's models are straightened instead (`_straighten`).
     """
     if field is not QQ and field is not QI:
         raise PreconditionError(
@@ -456,7 +457,7 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
         if len(hodge_types) != ngens:
             raise PreconditionError("one Hodge type per generator required")
     gens = []
-    cleared = []  # per generator: (degree, [(mask, c, -c), ...]), cleared
+    cleared = []  # per generator: (degree, [(mask, c), ...]), cleared
     for k, g in enumerate(ideal_gens):
         if not isinstance(g, Multivector) or g.ngens != ngens:
             raise PreconditionError(
@@ -488,12 +489,9 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
                 raise PreconditionError(f"ideal generator {len(gens)} mixes "
                                         f"Hodge types {sorted(types)}")
         den = lcm(*(c.denominator for c in g.terms.values()))
-        terms = []
-        for m, c in g.terms.items():
-            c = c.numerator * (den // c.denominator)
-            terms.append((m, c, -c))
         gens.append(g)
-        cleared.append((g.degree(), terms))
+        cleared.append((g.degree(), [(m, c.numerator * (den // c.denominator))
+                                     for m, c in g.terms.items()]))
 
     monomials = []
     basis = []
@@ -502,15 +500,11 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
         monos = [_mask(c) for c in combinations(range(ngens), d)]
         index = {m: k for k, m in enumerate(monos)}
         rows = []
-        for e, terms in cleared:
-            for t in monomials[d - e] if e <= d else ():
-                hits = [(index[m | t], c if _merge_sign(m, t) > 0 else neg)
-                        for m, c, neg in terms if not m & t]
-                if hits:
-                    row = [0] * len(monos)
-                    for j, c in hits:
-                        row[j] = c
-                    rows.append(row)
+        for _, hits in _ideal_rows(cleared, monomials, d):
+            row = [0] * len(monos)
+            for m, c in hits:
+                row[index[m]] = c
+            rows.append(row)
         pivots, free, echelon = _rref_parts([rows], len(monos), QQ)
         monomials.append(monos)
         basis.append([monos[k] for k in free])
@@ -531,3 +525,93 @@ def _projections(nm, pivots, free, echelon):
     for k, (r, (nums,)) in zip(pivots, echelon):
         cols[k] = tuple((j, -a * den // r) for j, a in enumerate(nums) if a)
     return den, cols
+
+
+def _ideal_rows(cleared, monomials, d):
+    """The nonzero rows g wedge e_T of the ideal in degree d, signed, as
+    (k, [(mask, c), ...]) for the k-th g = (degree, [(mask, c), ...]) of
+    `cleared` and each T among the `monomials` of degree d - deg g."""
+    for k, (e, terms) in enumerate(cleared):
+        for t in monomials[d - e] if e <= d else ():
+            row = [(m | t, c if _merge_sign(m, t) > 0 else -c)
+                   for m, c in terms if not m & t]
+            if row:
+                yield k, row
+
+
+def _straighten(ngens, top, gens, rels):
+    """(monomials, basis, proj) of the quotient by the ideal of `gens`
+    through degree `top`, as `build_quotient_algebra` gives them, with no
+    elimination.  Each of `rels`, integer elements of the ideal, is solved
+    for its lex-first monomial L, of coefficient c = +-1: e_L = -c sum c_s
+    e_s over its later terms.  The first element with a given lead wins.
+    A monomial m = L + R containing a lead (its witness: m, or the witness
+    of a one-smaller subset) is e_m = sign(L, R) e_L e_R; each term e_s e_R
+    is lex-later than m (0 if s meets R), since adding a disjoint set keeps
+    lex order on sets of one size.  So walking a degree in reverse lex
+    order, every term's normal form nf is known.  The basis is the
+    monomials with no witness, proj[d] is nf on it, den 1.  Every m - nf(m)
+    lies in the ideal with leading monomial m, and nf(g e_T) = 0 is checked
+    for every row that elimination stacks (`_ideal_rows`), so the rows
+    m - nf(m) are the RREF of the ideal.  Raises AssertionError naming the
+    generator and degree that fail."""
+    rules = {}
+    for g in rels:
+        lead = next(iter(g.terms))
+        for m in g.terms:
+            x = m ^ lead
+            if m & x & -x:  # the lowest index where they differ is in m
+                lead = m
+        c = g.terms[lead]
+        if c not in (1, -1):
+            raise PreconditionError(f"lead coefficient {c} is not +-1")
+        rules.setdefault(lead, [(s, -c * v) for s, v in g.terms.items()
+                                if s != lead])
+    cleared = [(g.degree(), list(g.terms.items())) for g in gens]
+    monomials, basis, proj = [], [], []
+    witness = {}
+    for d in range(top + 1):
+        monos = [_mask(c) for c in combinations(range(ngens), d)]
+        below, witness = witness, {}
+        for m in monos:
+            if m in rules:
+                witness[m] = m
+                continue
+            bits = m
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                w = below.get(m ^ b)
+                if w is not None:
+                    witness[m] = w
+                    break
+        std = [m for m in monos if m not in witness]
+        position = {m: j for j, m in enumerate(std)}
+        nf = {}
+        for m in reversed(monos):
+            w = witness.get(m)
+            if w is None:
+                nf[m] = ((position[m], 1),)
+                continue
+            rest = m ^ w
+            sign = _merge_sign(w, rest)
+            acc = {}
+            for s, v in rules[w]:
+                if not s & rest:
+                    c = sign * v * _merge_sign(s, rest)
+                    for j, e in nf[s | rest]:
+                        acc[j] = acc.get(j, 0) + c * e
+            nf[m] = tuple(sorted((j, e) for j, e in acc.items() if e))
+        for k, row in _ideal_rows(cleared, monomials, d):
+            acc = {}
+            for m, c in row:
+                for j, e in nf[m]:
+                    acc[j] = acc.get(j, 0) + c * e
+            if any(acc.values()):
+                raise AssertionError(
+                    f"ideal generator {k} does not straighten to zero in "
+                    f"degree {d}: the rewriting rules miss part of the ideal")
+        monomials.append(monos)
+        basis.append(std)
+        proj.append((1, [nf[m] for m in monos]))
+    return monomials, basis, proj

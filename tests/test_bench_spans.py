@@ -43,7 +43,7 @@ def test_the_tracer_installs_and_restores():
     finally:
         rec.restore()
     assert rec.calls["elliptic.model"] == 1
-    assert rec.calls["exterior.build"] == 1
+    assert rec.calls["exterior.build"] == 0  # the model straightens
     assert (scalars.rref, exterior.rref, elliptic.rref,
             elliptic.solve_linear, elliptic.rank_and_kernel,
             GradedAlgebra.__dict__["class_mult_matrix"]) == originals

@@ -1,16 +1,18 @@
 """Configuration spaces of points on a genus-one curve: model, scroll,
 Hodge decomposition, and the filtered second page."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from elliptic_oracle import diagonal_class
+from jumploci import elliptic, exterior, scalars
 from jumploci.aomoto import AomotoComplex
 from jumploci.elliptic import (
-    _e2_from_blocks, e2_page, elliptic_model, hodge_decompose,
-    scroll_membership, tangent_pair_basis)
+    EllipticModel, _diagonal_relation, _e2_from_blocks, e2_page,
+    elliptic_model, hodge_decompose, scroll_membership, tangent_pair_basis)
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, wedge
 from jumploci.scalars import (QI, GaussianRational, Matrix, rank,
@@ -40,6 +42,8 @@ def test_out_of_range_n():
         elliptic_model(1)
     with pytest.raises(PreconditionError):
         elliptic_model(33)
+    with pytest.raises(PreconditionError):
+        elliptic_model(3, top=-1)
 
 
 def test_diagonal_classes_are_type_one_one():
@@ -104,6 +108,49 @@ def test_rational_build_matches_the_gaussian_rref_of_the_diagonals(n, top):
         assert basis == m.algebra.basis[d]
         assert proj == [tuple((j, Fraction(c, den)) for j, c in col)
                         for col in cols]
+
+
+# every n = 2..8 at each top <= 4, and n = 2..4 through top 2n, the top
+# degree of the exterior algebra
+CORPUS = [(n, top) for n in range(2, 9) for top in range(5)]
+CORPUS += [(n, top) for n in range(2, 5) for top in range(5, 2 * n + 1)]
+
+
+def test_elliptic_models_are_pinned_bit_for_bit():
+    # the SHA-256 of every model in CORPUS (top, monomials, basis,
+    # projections, relations and Hodge types) as the elimination build of
+    # the diagonal relations gave it; straightening must change none of it
+    values = []
+    for n, top in CORPUS:
+        a = elliptic_model(n, top).algebra
+        values.append((a.top, a.monomials, a.basis, a.proj,
+                       [sorted(g.terms.items()) for g in a.ideal_gens],
+                       a.hodge_types))
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "12dd1a7dcd4c0968944c5cb28cf9a3d5210c7d54f067c314f68b743dac934ffd")
+
+
+def test_elliptic_model_runs_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("EllipticModel eliminated")
+    for module, name in ((scalars, "_rref_parts"), (exterior, "_rref_parts"),
+                         (exterior, "build_quotient_algebra"),
+                         (elliptic, "build_quotient_algebra")):
+        monkeypatch.setattr(module, name, refuse)
+    assert EllipticModel(6, 3).algebra.dims() == (1, 12, 51, 110)
+
+
+def test_straightening_refuses_relations_missing_a_rule():
+    # without the element solved for u_0 v_1 no rule rewrites it, and the
+    # (0, 1) diagonal relation does not straighten to zero in degree 2
+    n = 4
+    pairs = list(combinations(range(n), 2))
+    gens = [_diagonal_relation(n, k, l) for k, l in pairs]
+    last = {k: _diagonal_relation(n, k, n - 1) for k in range(n - 1)}
+    rels = [g if l == n - 1 else g - last[k]
+            for (k, l), g in zip(pairs, gens) if (k, l) != (0, 1)]
+    with pytest.raises(AssertionError, match="generator .* degree 2"):
+        exterior._straighten(2 * n, 2, gens, rels)
 
 
 def test_coordinate_roundtrip():

@@ -9,7 +9,7 @@ from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.elliptic import elliptic_model
 from jumploci.errors import PreconditionError
 from jumploci.exterior import (
-    GradedAlgebra, Multivector, build_quotient_algebra, wedge)
+    GradedAlgebra, Multivector, _straighten, build_quotient_algebra, wedge)
 from jumploci.scalars import GF, QI, GaussianRational, rref
 from jumploci.verify import SIXPLANES_FORMS
 
@@ -160,6 +160,14 @@ def test_mixed_hodge_type_generator_is_rejected():
     with pytest.raises(PreconditionError, match="mixes Hodge types"):
         build_quotient_algebra(4, [mixed], 2,
                                hodge_types=[(1, 0), (0, 1), (1, 0), (0, 1)])
+
+
+def test_straightening_needs_a_unit_lead():
+    # e_0 e_1 + 2 e_0 e_2 solves for e_0 e_1; twice it does not, over Z
+    g = Multivector(3, [(0b011, 1), (0b101, 2)])
+    assert _straighten(3, 2, [g], [g])[1][2] == [0b101, 0b110]
+    with pytest.raises(PreconditionError, match="lead coefficient 2"):
+        _straighten(3, 2, [g], [g.scale(2)])
 
 
 def test_missing_hodge_types_error():
