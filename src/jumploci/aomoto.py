@@ -110,7 +110,7 @@ class AomotoComplex:
 
     def kernels(self):
         """Canonical kernel bases of the differentials (the cocycles), read
-        off the full certified reductions."""
+        off the exact reduced echelon forms of the full differentials."""
         if self._kernels is None:
             field = self.algebra.field
             self._kernels = tuple(

@@ -1,13 +1,14 @@
 """Exact scalars (rationals, Gaussian rationals, prime fields) and linear algebra.
 
 Everything here is exact: no floats, no tolerances.  Matrices are immutable;
-rank and kernel computations are deterministic (first-nonzero pivoting), and
-kernel bases come out in reduced echelon form so two runs of the same input
-produce identical output.  Elements of F_p are plain ints in [0, p); the
-field object `GF(p)` is the one place that knows the modulus.  All
-elimination runs through one loop on residues mod p (`_rref_mod`); results
-over QQ and QQ(i) are lifted from it and certified exactly (`_rref_lifted`).
-The certified echelon holds integers (`_rref_parts`), and one reader
+every elimination gives the unique reduced echelon form, and kernel bases
+come out in reduced echelon form, so two runs of the same input produce
+identical output.  Elements of F_p are plain ints in [0, p); the
+field object `GF(p)` is the one place that knows the modulus.  There is one
+elimination loop per kind of field: Gauss-Jordan on residues mod p over F_p
+(`_rref_mod`), and fraction-free Gauss-Jordan on integers over QQ and on
+Gaussian integers over QQ(i) (`_rref_exact`), exact by construction.
+The echelon holds integers (`_rref_parts`), and one reader
 (`_read`) turns them into field values: the rows of `rref`, the kernels of
 `rank_and_kernel`, the solutions of `solve_linear` and the Aomoto matrices
 all come from it.  A field given by no argument is inferred by one rule
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, lcm
 
 from .errors import PreconditionError
 
@@ -370,7 +371,7 @@ def _rref_mod(rows, p):
     """Gauss-Jordan elimination mod p, in place, on rows of residues in
     [0, p).  Returns the pivot columns; rows[:len(pivots)] then hold the
     reduced row echelon form.  The pivot in each column is the first nonzero
-    candidate.  This is the one elimination loop of the package."""
+    candidate.  This is the elimination loop over F_p."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -410,38 +411,6 @@ def _rref_mod(rows, p):
     return pivots
 
 
-def _lift_primes():
-    """The fixed list of lifting primes: every prime p = 1 mod 4 between
-    2**30 and 2**31, descending from DEFAULT_PRIME (known prime, so the
-    common single-prime case runs no primality test)."""
-    yield DEFAULT_PRIME
-    for q in range(DEFAULT_PRIME - 4, 2**30, -4):
-        if _is_prime(q):
-            yield q
-    raise AssertionError("lifting primes exhausted")
-
-
-def _crt(x, m, y, q):
-    """The residue mod m*q that is x mod m and y mod q."""
-    return x + m * ((y - x) * pow(m, -1, q) % q)
-
-
-def _ratrecon(u, m, bound):
-    """(a, b) with a = b*u mod m, |a| <= bound and 0 < b <= bound, found by
-    the half extended Euclidean algorithm (Wang 1981), or None.  With
-    2*bound**2 < m such a fraction is unique when it exists."""
-    r0, r1, t0, t1 = m, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    if t1 > bound:
-        return None
-    return r1, t1
-
-
 def _clear_row(row, gaussian):
     """(den, integer parts) of one row: den is the lcm of its denominators
     and the parts are den times the row, [A] over QQ, [Re A, Im A] over
@@ -477,147 +446,117 @@ def _integral(field, vector):
     return [list(vector)], 1
 
 
-def _images(parts, p, s):
-    """The images of the cleared rows in F_p: A mod p over QQ, and over
-    QQ(i) the two images Re A + s Im A and Re A - s Im A, s*s = -1 mod p."""
-    if len(parts) == 1:
-        return [[[x % p for x in row] for row in parts[0]]]
-    re_rows, im_rows = parts
-    return [[[(a + t * b) % p for a, b in zip(ra, rb)]
-             for ra, rb in zip(re_rows, im_rows)] for t in (s, p - s)]
+def _exact(values, d):
+    """Each value divided by the nonzero integer d, a division known to be
+    exact (`_rref_exact`)."""
+    return [v // d for v in values]
 
 
-def _image_parts(echelons, p, s):
-    """Residues mod p of the parts of the RREF entries from the RREFs of the
-    images: the entries over QQ; re = (R+ + R-)/2 and im = (R+ - R-)/(2s)
-    over QQ(i)."""
-    if len(echelons) == 1:
-        return echelons
-    plus, minus = echelons
-    half = (p + 1) // 2
-    inv2s = pow(2 * s, -1, p)
-    return [[[(x + y) * half % p for x, y in zip(ra, rb)]
-             for ra, rb in zip(plus, minus)],
-            [[(x - y) * inv2s % p for x, y in zip(ra, rb)]
-             for ra, rb in zip(plus, minus)]]
+def _combine(a, x, xi, f, y, yi, s):
+    """(a X - f Y) / s for rows X = x + i xi and Y = y + i yi of integers
+    (xi and yi are None over QQ) and Gaussian integers a, f and s given as
+    (re, im) pairs, when s is known to divide exactly: over QQ(i) the
+    numerator is multiplied by conj(s) and divided by |s|^2."""
+    (ar, ai), (fr, fi) = a, f
+    if xi is None:
+        zr, zi = [ar * u - fr * v for u, v in zip(x, y)], None
+    else:
+        zr = [ar * u - ai * ui - fr * v + fi * vi
+              for u, ui, v, vi in zip(x, xi, y, yi)]
+        zi = [ar * ui + ai * u - fr * vi - fi * v
+              for u, ui, v, vi in zip(x, xi, y, yi)]
+    sr, si = s
+    if si:
+        n = sr * sr + si * si
+        return (_exact([u * sr + v * si for u, v in zip(zr, zi)], n),
+                _exact([v * sr - u * si for u, v in zip(zr, zi)], n))
+    if sr == 1:
+        return zr, zi
+    return _exact(zr, sr), None if zi is None else _exact(zi, sr)
 
 
-def _reconstruct(parts, m, free):
-    """Rational reconstruction of every free-column entry of every part.
-    Returns per RREF row (denominator, integer numerators per part on the
-    free columns), or None when some entry has no small enough fraction."""
-    bound = isqrt(m // 2)
-    out = []
-    for k in range(len(parts[0])):
-        fracs = []
-        for part in parts:
-            row = part[k]
-            fr = []
-            for f in free:
-                u = row[f]
-                if u <= bound:
-                    fr.append((u, 1))
-                    continue
-                ab = _ratrecon(u, m, bound)
-                if ab is None:
-                    return None
-                fr.append(ab)
-            fracs.append(fr)
-        den = lcm(*(b for fr in fracs for _, b in fr))
-        out.append((den, [[a * (den // b) for a, b in fr] for fr in fracs]))
-    return out
+def _rref_exact(parts, ncols):
+    """The RREF over QQ (one integer part) or QQ(i) (real and imaginary
+    parts), in the form `_rref_parts` returns, by fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968).
 
+    Let d_0 = 1 and d_k be the k-th pivot.  Step k replaces every other row
+    R by (d_k R - R[c] P) / d_{k-1}, where P is the pivot row and c its
+    column.  By Sylvester's identity every entry then stored is a minor of
+    the input, so every division is exact (`_exact`) and no entry exceeds
+    the Hadamard bound of the input, the product of its row norms.  Rows
+    are lazy: a row with R[c] = 0 would only be scaled by d_k / d_{k-1}, so
+    it keeps what was written at its last step s, and when it is next
+    touched at step k the updates combine into (d_k R - R[c] P) / d_s, with
+    P first brought to step k - 1 as P d_{k-1} / d_s.  The pivot row of a
+    column is the candidate with the fewest nonzero entries (over QQ(i),
+    parts) from that column on; the RREF is unique, so any choice gives the
+    same bits.  Row k of the RREF is the stored row over its own pivot,
+    reduced by one gcd.
 
-def _certified(parts, pivots, free, candidate):
-    """Exact upper bound on the rank: does every cleared input row equal
-    sum_k row[p_k] * R_k in integers (Gaussian integers over QQ(i))?  Only
-    the free columns need checking: on the pivot columns R_k is 1 at p_k
-    and 0 elsewhere, so both sides agree there by construction."""
-    big = lcm(*(den for den, _ in candidate))
-    scaled = [[[big // den * w for w in nums] for nums in numss]
-              for den, numss in candidate]
-    if len(parts) == 1:
-        for a in parts[0]:
-            acc = [big * a[f] for f in free]
-            for k, pk in enumerate(pivots):
-                c = a[pk]
-                if c:
-                    acc = [x - c * w for x, w in zip(acc, scaled[k][0])]
-            if any(acc):
-                return False
-        return True
-    for a, b in zip(*parts):
-        acc_re = [big * a[f] for f in free]
-        acc_im = [big * b[f] for f in free]
-        for k, pk in enumerate(pivots):
-            x, y = a[pk], b[pk]
-            if x or y:
-                u, v = scaled[k]
-                acc_re = [z - x * s + y * t for z, s, t in zip(acc_re, u, v)]
-                acc_im = [z - x * t - y * s for z, s, t in zip(acc_im, u, v)]
-        if any(acc_re) or any(acc_im):
-            return False
-    return True
-
-
-def _rref_lifted(parts, ncols):
-    """Certified RREF over QQ (one integer part) or QQ(i) (real and
-    imaginary parts) through images mod the lifting primes.
-
-    For each prime the image RREFs give the pivots and residues of the RREF
-    entries.  The mod-p rank is a lower bound for the true rank, so an image
-    whose rank is lower, or whose pivots are lexicographically later, than
-    another image's comes from an unlucky prime and is dropped; the
-    residues of the kept images are combined by CRT and every entry is
-    lifted by rational reconstruction.  The candidate is returned only when
-    `_certified` proves its span contains every input row; with the rank
-    lower bound that makes it the RREF itself.  Otherwise the next prime is
-    added.
-
-    The loop terminates: a prime is unlucky only if it divides one fixed
-    nonzero pivot minor delta of the cleared matrix (over QQ(i): its norm),
-    and every lifting prime exceeds 2**30, so at most log2|delta|/30 primes
-    are unlucky.  Every RREF entry is a ratio of minors (Cramer), bounded by
-    the Hadamard bound H, the product of the row norms; once the product of
-    the kept primes exceeds 2*H**4 every reconstruction is the true entry
-    (over QQ(i) the parts have numerators and denominators below H**2) and
-    the check passes.
+    Every operation is exact integer arithmetic, so the answer is exact,
+    with no prime, reconstruction or certificate.  The matrices the package
+    ranks (Aomoto, cover, block and Fox matrices) are sparse with small
+    entries; a dense full-rank matrix with large entries pays for the
+    growth of its minors and is slower than a modular method would be.
     """
-    best = None
-    for p in _lift_primes():
-        s = GF(p).sqrt_minus_one() if len(parts) == 2 else None
-        echelons = []
-        keys = set()
-        for image in _images(parts, p, s):
-            piv = _rref_mod(image, p)
-            keys.add((-len(piv), tuple(piv)))
-            echelons.append(image[:len(piv)])
-        key = min(keys)
-        if best is None or key < best:
-            best, acc, m = key, None, 1
-        if len(keys) > 1 or key != best:
+    re = list(parts[0])
+    im = list(parts[1]) if len(parts) == 2 else None
+    step = [0] * len(re)  # the step at which each row was last written
+    d = [(1, 0)]          # d_0 = 1, then the pivots, as (re, im) pairs
+    rest = list(range(len(re)))
+    order, pivots = [], []
+    for c in range(ncols):
+        cand = [i for i in rest if re[i][c] or im and im[i][c]]
+        if not cand:
             continue
-        pivots = best[1]
-        residues = _image_parts(echelons, p, s)
-        if acc is None:
-            acc = residues
-        else:
-            acc = [[[_crt(x, m, y, p) for x, y in zip(ra, rb)]
-                    for ra, rb in zip(pa, pb)]
-                   for pa, pb in zip(acc, residues)]
-        m *= p
-        pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
-        candidate = _reconstruct(acc, m, free)
-        if candidate is not None and _certified(parts, pivots, free,
-                                                candidate):
-            return pivots, free, candidate
+        p = max(cand, key=lambda i: re[i][c:].count(0)
+                + (im[i][c:].count(0) if im else 0))
+        rest.remove(p)
+        k = len(d)
+        if step[p] != k - 1:
+            x, xi = re[p][c:], im[p][c:] if im else None
+            x, xi = _combine(d[k - 1], x, xi, (0, 0), x, xi, d[step[p]])
+            re[p] = [0] * c + x
+            if im:
+                im[p] = [0] * c + xi
+        y, yi = re[p], im[p] if im else None
+        d.append((y[c], yi[c] if im else 0))
+        step[p] = k
+        for i, lo in list(zip(order, pivots)) + [(i, c) for i in rest]:
+            f = (re[i][c], im[i][c] if im else 0)
+            if not f[0] and not f[1]:
+                continue
+            x, xi = _combine(d[k], re[i][lo:], im[i][lo:] if im else None, f,
+                             y[lo:], yi[lo:] if im else None, d[step[i]])
+            re[i] = [0] * lo + x
+            if im:
+                im[i] = [0] * lo + xi
+            step[i] = k
+        order.append(p)
+        pivots.append(c)
+        if not rest:
+            break
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    echelon = []
+    for i, c in zip(order, pivots):
+        # the row over its pivot a + bi is the row times a - bi over a^2 + b^2
+        a, b = re[i][c], im[i][c] if im else 0
+        x = [re[i][j] for j in free]
+        xi = [im[i][j] for j in free] if im else None
+        nums = [z for z in _combine((a, -b), x, xi, (0, 0), x, xi, (1, 0))
+                if z is not None]
+        g = gcd(a * a + b * b, *nums[0], *nums[-1])
+        echelon.append(((a * a + b * b) // g, [_exact(z, g) for z in nums]))
+    return tuple(pivots), free, echelon
 
 
 def _rref_parts(parts, ncols, field):
     """The stage of `_echelon` after `_clear`: the RREF of a matrix given as
     cleared integer parts ([A] over QQ, [Re A, Im A] over QQ(i)) or as
-    residue rows over F_p ([A]; the rows are not modified).
+    residue rows over F_p ([A]); the rows are not modified.  QQ and QQ(i)
+    eliminate in `_rref_exact`, F_p in `_rref_mod`.
 
     A nonzero scale of any row changes no RREF, so every cleared form of a
     matrix gives the RREF of the matrix itself.  Returns the pivot columns,
@@ -627,7 +566,7 @@ def _rref_parts(parts, ncols, field):
     if not parts[0] or not ncols:
         return (), list(range(ncols)), []
     if field is QQ or field is QI:
-        return _rref_lifted(parts, ncols)
+        return _rref_exact(parts, ncols)
     rows = [list(r) for r in parts[0]]
     pivots = tuple(_rref_mod(rows, field.p))
     pivot_set = set(pivots)
@@ -692,12 +631,10 @@ def _field_rows(rows, field):
 def rref(rows, field=None):
     """Reduced row echelon form of a list of rows (or a Matrix).
 
-    Returns (rank, pivot columns, rref rows).  Deterministic: the pivot in
-    each column is the first nonzero candidate.  Over F_p the elimination
-    runs on residues; over QQ and QQ(i) the result is lifted from prime
-    images and certified exactly (`_rref_lifted`), so it is the unique RREF
-    over the true field.  The rows are read off the integer echelon by
-    `_read`.
+    Returns (rank, pivot columns, rref rows), the unique RREF over the
+    field.  Over F_p the elimination runs on residues (`_rref_mod`); over
+    QQ and QQ(i) it runs on the cleared rows in exact integer arithmetic
+    (`_rref_exact`).  The rows are read off the integer echelon by `_read`.
     """
     rows, ncols, field = _field_rows(rows, field)
     pivots, free, echelon = _echelon(rows, ncols, field)

@@ -1,12 +1,13 @@
 """Reference elimination for the differential tests of `scalars.rref`.
 
-These are the exact field-arithmetic routines the package used before its
-certified mod-p core: Gauss-Jordan elimination on field elements
-(`_rref_generic`, for QQ(i)) and a fraction-free Bareiss forward pass with
-exact back substitution (`_bareiss_echelon`, `_rref_rational`, for QQ),
-plus a textbook Gauss-Jordan on residues (`_rref_residues`, for F_p, whose
-elements are ints in [0, p)).  They share no code with the core, and
-`oracle_rref` returns what `rref` must return, entry for entry.
+These are the exact field-arithmetic routines the package used before it
+eliminated on cleared integer rows: Gauss-Jordan elimination on field
+elements (`_rref_generic`, for QQ(i)) and a fraction-free Bareiss forward
+pass with exact back substitution (`_bareiss_echelon`, `_rref_rational`,
+for QQ), plus a textbook Gauss-Jordan on residues (`_rref_residues`, for
+F_p, whose elements are ints in [0, p)).  They share no code with the core
+(`scalars._rref_exact` over QQ and QQ(i), `scalars._rref_mod` over F_p),
+and `oracle_rref` returns what `rref` must return, entry for entry.
 """
 
 from __future__ import annotations

@@ -189,7 +189,7 @@ def test_reduction_runs_no_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("reduce_algebra_mod eliminated")
     for module, name in ((scalars, "_rref_parts"), (scalars, "_rref_mod"),
-                         (scalars, "_rref_lifted"), (scalars, "rref"),
+                         (scalars, "_rref_exact"), (scalars, "rref"),
                          (exterior, "_rref_parts"),
                          (exterior, "build_quotient_algebra"),
                          (aomoto, "build_quotient_algebra")):

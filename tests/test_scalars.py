@@ -1,10 +1,12 @@
 """Exact scalar and linear-algebra kernels."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jumploci import scalars
 from jumploci.aomoto import reduce_algebra_mod
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, build_quotient_algebra
@@ -192,8 +194,8 @@ def test_rational_rank_bounds_modular_rank(rows):
 @given(matrices)
 @settings(max_examples=50, deadline=None)
 def test_bareiss_agrees_with_generic_elimination(rows):
-    # the same matrix lifted as rationals (one image per prime) and as
-    # Gaussian rationals with zero imaginary part (two images per prime)
+    # the same matrix eliminated as rationals (one integer part) and as
+    # Gaussian rationals with zero imaginary part (two integer parts)
     r_q, piv_q, rows_q = rref(rows, QQ)
     gauss = [[GaussianRational(x) for x in row] for row in rows]
     r_g, piv_g, rows_g = rref(gauss, QI)
@@ -205,7 +207,7 @@ def test_bareiss_agrees_with_generic_elimination(rows):
 # -- differential test against the reference elimination ---------------------
 #
 # `rref_oracle` keeps the field-arithmetic routines that `rref` replaced;
-# the certified mod-p core must agree with them entry for entry, type
+# the fraction-free integer core must agree with them entry for entry, type
 # included.  Every value `rref`, `rank_and_kernel` and `solve_linear` read
 # off the integer echelon is checked this way.
 
@@ -255,7 +257,7 @@ def assert_same_rref(rows, field):
 
 def with_dependent_rows(draw, rows):
     """Append integer combinations of the drawn rows, so that rank drops
-    and the reconstruction meets nontrivial RREF entries."""
+    and the echelon has nontrivial RREF entries."""
     for _ in range(draw(st.integers(0, 2))):
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
                                max_size=len(rows)))
@@ -289,7 +291,7 @@ def test_rref_matches_oracle_over_rationals(rows):
        st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_oracle_over_gaussian_rationals(rows, widen):
-    if widen:  # large real and imaginary parts force CRT over several primes
+    if widen:  # large real and imaginary parts make large minors
         rows = [[x * GaussianRational(10**9 + 7, -(10**8 + 3)) / 11
                  for x in row] for row in rows]
     assert_same_rref(rows, QI)
@@ -304,8 +306,9 @@ def test_rref_matches_oracle_over_prime_fields(p, rows):
 
 
 def test_rref_entry_above_the_first_prime_bound_needs_crt():
-    # 10**6/7 has a numerator above sqrt(p/2) for every lifting prime, so
-    # no single image reconstructs it
+    # a regression input from lifting mod primes below 2**31: the numerator
+    # of 10**6/7 lay above sqrt(p/2) for every one of them, so no single
+    # image reconstructed it; the exact core divides by the pivot 7
     rows = [[7, 10**6]]
     assert rref(rows)[2] == [(Fraction(1), Fraction(10**6, 7))]
     assert_same_rref(rows, QQ)
@@ -313,8 +316,9 @@ def test_rref_entry_above_the_first_prime_bound_needs_crt():
 
 @pytest.mark.parametrize("field", [QQ, QI], ids=str)
 def test_rref_drops_the_image_of_an_unlucky_prime(field):
-    # the determinant DEFAULT_PRIME vanishes mod the first lifting prime
-    # (over QQ(i) under both square roots of -1)
+    # a regression input from lifting mod primes: the determinant
+    # DEFAULT_PRIME vanished mod the first one (over QQ(i) under both square
+    # roots of -1); the exact core sees the nonzero minor itself
     rows = [[field.coerce(x) for x in row]
             for row in [[1, 1], [1, 1 + DEFAULT_PRIME]]]
     assert rref(rows, field)[:2] == (2, (0, 1))
@@ -322,12 +326,62 @@ def test_rref_drops_the_image_of_an_unlucky_prime(field):
 
 
 def test_rref_drops_a_prime_unlucky_under_one_root_of_minus_one():
-    # the determinant i - s vanishes under i -> s but not under i -> -s
+    # a regression input from lifting mod primes: the determinant i - s
+    # vanished mod DEFAULT_PRIME under i -> s but not under i -> -s
     s = GF(DEFAULT_PRIME).sqrt_minus_one()
     one = GaussianRational(1)
     rows = [[one, one], [one, GaussianRational(1 - s, 1)]]
     assert rref(rows, QI)[:2] == (2, (0, 1))
     assert_same_rref(rows, QI)
+
+
+def test_lazy_row_is_brought_up_over_its_own_step():
+    # the second row is written at step 1 (pivot 1 + i), keeps a zero in
+    # the pivot columns of steps 2 and 3 (pivots (2 - i)(1 + i) = 3 + i and
+    # (1 + i)(3 + i) = 2 + 4i), and is touched at step 4, where the last
+    # row, sparser from column 3 on, is the pivot: its update divides by
+    # d_1 = 1 + i, not by d_3
+    i = GaussianRational(0, 1)
+    rows = [[1 + i, 0, 0, 0, 1, 3],
+            [1, 0, 0, 1, 2, -1],
+            [0, 2 - i, 0, 0, 1, i],
+            [0, 0, 1 + i, 0, 1, 2],
+            [0, 0, 0, 1, 0, 1 + i]]
+    rows = [[QI.coerce(x) for x in row] for row in rows]
+    r, pivots, echelon = rref(rows, QI)
+    assert (r, pivots) == (5, (0, 1, 2, 3, 4))
+    assert [row[5] for row in echelon] == [
+        2 - 3 * i, GaussianRational(Fraction(4, 5), Fraction(2, 5)),
+        GaussianRational(Fraction(3, 2), Fraction(-5, 2)), 1 + i, -2 + i]
+    assert_same_rref(rows, QI)
+
+
+def test_sparsest_candidate_is_the_pivot_row():
+    # in column 0 the second row has fewer nonzeros than the first, so it
+    # is the pivot row; the RREF is unique, so the rows are the same
+    rows = [[1, 1, 1, 1], [2, 0, 0, 1]]
+    assert rref(rows) == (2, (0, 1), [
+        (1, 0, 0, Fraction(1, 2)), (0, 1, 1, Fraction(1, 2))])
+    assert_same_rref([[Fraction(x) for x in row] for row in rows], QQ)
+    assert_same_rref([[GaussianRational(x, x % 2) for x in row]
+                      for row in rows], QI)
+
+
+@given(st.one_of(
+    dependent_matrices(st.one_of(sparse_q, large_q)).map(
+        lambda rows: (rows, QQ)),
+    dependent_matrices(st.builds(GaussianRational, sparse_q, sparse_q)).map(
+        lambda rows: (rows, QI))))
+@settings(max_examples=100, deadline=None)
+def test_every_division_of_the_core_is_exact(case):
+    rows, field = case
+    exact = scalars._exact
+
+    def checked(values, d):
+        assert all(divmod(v, d)[1] == 0 for v in values), (values, d)
+        return exact(values, d)
+    with mock.patch.object(scalars, "_exact", checked):
+        assert_same_rref(rows, field)
 
 
 def test_mixed_rational_and_gaussian_entries_infer_qq_i():
