@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .aomoto import AomotoComplex
 from .errors import PreconditionError
@@ -23,7 +24,6 @@ from .exterior import (GradedAlgebra, Multivector,  # noqa: F401
                        _straighten, build_quotient_algebra)
 from .scalars import QI, GaussianRational, rank_and_kernel, rref, solve_linear  # noqa: F401
 
-_I = GaussianRational(0, 1)
 _MODELS = {}
 
 
@@ -82,15 +82,21 @@ class EllipticModel:
 
     def class_coords(self, x, y):
         """A1 coordinates (u, v basis) of sum x_k a_k + y_k b_k: u_k =
-        (x_k - i y_k)/2 and v_k = (x_k + i y_k)/2, written out on the real
-        and imaginary parts."""
-        x, y = self._pair(x, y)
+        (x_k - i y_k)/2 and v_k = (x_k + i y_k)/2.
+
+        Rational and Gaussian inputs take one path: x_k = a/b + i c/d and
+        y_k = e/f + i g/h are read once as integers, and each output part
+        is one `Fraction(num, den)`, e.g. Re u_k = (ah + gb) / 2bh.
+        Raises PreconditionError on a length mismatch and
+        FieldMismatchError (from `QI.coerce`) on a value outside Q(i)."""
+        self._check_lengths(x, y)
         coords = []
-        for a, b in zip(x, y):
-            coords.append(GaussianRational((a.re + b.im) / 2,
-                                           (a.im - b.re) / 2))
-            coords.append(GaussianRational((a.re - b.im) / 2,
-                                           (a.im + b.re) / 2))
+        for (a, b, c, d), (e, f, g, h) in zip(_integer_parts(x),
+                                              _integer_parts(y)):
+            coords.append(GaussianRational(Fraction(a * h + g * b, 2 * b * h),
+                                           Fraction(c * f - e * d, 2 * d * f)))
+            coords.append(GaussianRational(Fraction(a * h - g * b, 2 * b * h),
+                                           Fraction(c * f + e * d, 2 * d * f)))
         return tuple(coords)
 
     def xy_of_coords(self, coords):
@@ -102,15 +108,36 @@ class EllipticModel:
         x, y = [], []
         for k in range(self.n):
             cu, cv = coords[2 * k], coords[2 * k + 1]
+            d = cu - cv
             x.append(cu + cv)
-            y.append(_I * (cu - cv))
+            y.append(GaussianRational(-d.im, d.re))  # i d
         return tuple(x), tuple(y)
 
-    def _pair(self, x, y):
+    def _check_lengths(self, x, y):
         if len(x) != self.n or len(y) != self.n:
             raise PreconditionError(
                 f"coordinate vectors must have length {self.n}")
+
+    def _pair(self, x, y):
+        self._check_lengths(x, y)
         return ([QI.coerce(c) for c in x], [QI.coerce(c) for c in y])
+
+
+def _integer_parts(values):
+    """(re numerator, re denominator, im numerator, im denominator) of each
+    value of Q(i), read off its parts, or off an int or Fraction as the real
+    part, with no GaussianRational built."""
+    out = []
+    for c in values:
+        if isinstance(c, GaussianRational):
+            re, im = c.re, c.im
+        elif isinstance(c, (int, Fraction)):
+            re, im = c, 0
+        else:  # QI.coerce refuses it with FieldMismatchError
+            g = QI.coerce(c)
+            re, im = g.re, g.im
+        out.append((re.numerator, re.denominator, im.numerator, im.denominator))
+    return out
 
 
 def elliptic_model(n, top=2):
@@ -129,25 +156,37 @@ class ScrollVerdict:
 def scroll_membership(n, x, y):
     """Is (x, y) on the scroll: sum x = sum y = 0 and rank [x; y] <= 1?
 
-    The failing equation is reported on rejection (1-based indices)."""
+    The failing equation is reported on rejection (1-based indices).  The
+    sums and minors are computed on the Gaussian integers D x and D y, D the
+    lcm of every denominator, as (re, im) pairs; a GaussianRational is
+    built only for the rejection message."""
     if len(x) != n or len(y) != n:
         raise PreconditionError(f"vectors must have length {n}")
-    x = [QI.coerce(c) for c in x]
-    y = [QI.coerce(c) for c in y]
-    sx = sum(x, QI.zero())
-    if sx:
-        return ScrollVerdict(False, f"sum of x coordinates is {sx}, not 0")
-    sy = sum(y, QI.zero())
-    if sy:
-        return ScrollVerdict(False, f"sum of y coordinates is {sy}, not 0")
-    for i in range(n):
+    xs, ys = _integer_parts(x), _integer_parts(y)
+    den = lcm(*(d for _, q, _, s in xs + ys for d in (q, s)))
+    x = [(p * (den // q), r * (den // s)) for p, q, r, s in xs]
+    y = [(p * (den // q), r * (den // s)) for p, q, r, s in ys]
+    for name, v in (("x", x), ("y", y)):
+        sr, si = sum(a for a, _ in v), sum(b for _, b in v)
+        if sr or si:
+            return ScrollVerdict(False, f"sum of {name} coordinates is "
+                                        f"{_over(sr, si, den)}, not 0")
+    for i, ((ar, ai), (br, bi)) in enumerate(zip(x, y)):
         for j in range(i + 1, n):
-            m = x[i] * y[j] - x[j] * y[i]
-            if m:
+            (cr, ci), (dr, di) = x[j], y[j]
+            # x_i y_j - x_j y_i
+            mr = ar * dr - ai * di - cr * br + ci * bi
+            mi = ar * di + ai * dr - cr * bi - ci * br
+            if mr or mi:
                 return ScrollVerdict(
-                    False,
-                    f"minor x_{i+1} y_{j+1} - x_{j+1} y_{i+1} = {m}")
+                    False, f"minor x_{i+1} y_{j+1} - x_{j+1} y_{i+1} = "
+                           f"{_over(mr, mi, den * den)}")
     return ScrollVerdict(True, None)
+
+
+def _over(re, im, den):
+    """The GaussianRational (re + i im) / den."""
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 @dataclass(frozen=True)
@@ -163,9 +202,10 @@ def hodge_decompose(model, x, y):
     x, y = model._pair(x, y)
     coords = model.class_coords(x, y)
     u, v = coords[0::2], coords[1::2]
+    # i(a + bi) = -b + ai and -i(a + bi) = b - ai
     split = HodgeSplit(
-        (u, tuple(_I * c for c in u)),
-        (v, tuple(-_I * c for c in v)),
+        (u, tuple(GaussianRational(-c.im, c.re) for c in u)),
+        (v, tuple(GaussianRational(c.im, -c.re) for c in v)),
         (tuple(QI.zero() for _ in u), tuple(QI.zero() for _ in u)))
     for k in range(model.n):
         assert split.pure10[0][k] + split.pure01[0][k] == x[k]

@@ -46,14 +46,23 @@ def _indices(mask):
     return tuple(out)
 
 
-def _merge_sign(s, t):
-    """Sign of e_S wedge e_T for disjoint bitmasks: parity of interleavings."""
-    swaps = 0
+def _prefix_parity(t):
+    """The mask P whose bit i is set when an odd number of bits of t lie
+    below i (a negative int: the bits past the last of t are all set).  For
+    s disjoint from t, e_S wedge e_T = (-1)^((s & P).bit_count()) e_{S+T}:
+    each i in S passes the elements of T below it."""
+    p = 0
     while t:
         b = t & -t
-        swaps += (s >> b.bit_length()).bit_count()
+        p ^= -(b << 1)  # every bit above b
         t ^= b
-    return -1 if swaps & 1 else 1
+    return p
+
+
+def _merge_sign(s, t):
+    """Sign of e_S wedge e_T for disjoint bitmasks: parity of interleavings.
+    Where one t meets many s, compute `_prefix_parity(t)` once instead."""
+    return -1 if (s & _prefix_parity(t)).bit_count() & 1 else 1
 
 
 class Multivector:
@@ -533,7 +542,8 @@ def _ideal_rows(cleared, monomials, d):
     `cleared` and each T among the `monomials` of degree d - deg g."""
     for k, (e, terms) in enumerate(cleared):
         for t in monomials[d - e] if e <= d else ():
-            row = [(m | t, c if _merge_sign(m, t) > 0 else -c)
+            prefix = _prefix_parity(t)
+            row = [(m | t, -c if (m & prefix).bit_count() & 1 else c)
                    for m, c in terms if not m & t]
             if row:
                 yield k, row
@@ -594,11 +604,12 @@ def _straighten(ngens, top, gens, rels):
                 nf[m] = ((position[m], 1),)
                 continue
             rest = m ^ w
-            sign = _merge_sign(w, rest)
+            prefix = _prefix_parity(rest)
+            parity = (w & prefix).bit_count()
             acc = {}
             for s, v in rules[w]:
                 if not s & rest:
-                    c = sign * v * _merge_sign(s, rest)
+                    c = -v if (parity + (s & prefix).bit_count()) & 1 else v
                     for j, e in nf[s | rest]:
                         acc[j] = acc.get(j, 0) + c * e
             nf[m] = tuple(sorted((j, e) for j, e in acc.items() if e))

@@ -58,13 +58,20 @@ def _is_prime(n):
 
 
 class GaussianRational:
-    """Element a + b*i with a, b rational; i*i = -1."""
+    """Element a + b*i with a, b rational; i*i = -1.
+
+    `re` and `im` are always Fractions.  A Fraction given for either part
+    is kept as it is (Fractions are immutable); anything else goes through
+    `Fraction`, so callers that build a part as `Fraction(num, den)` pay
+    for its normalisation once."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re",
+                           re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im",
+                           im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -562,9 +569,19 @@ def _rref_parts(parts, ncols, field):
     matrix gives the RREF of the matrix itself.  Returns the pivot columns,
     the free columns, and per RREF row (den, numerators per part on the
     free columns): row k is 1 at pivots[k] and nums[j] / den at free[j].
+
+    A QQ(i) matrix whose imaginary part is zero everywhere is eliminated on
+    its real part alone, and its RREF rows get zero imaginary numerators.
+    The bits are those of the two-part elimination: the RREF is unique and
+    real, the zero imaginary part adds the same count to every pivot
+    candidate, and den comes from the same gcd.
     """
     if not parts[0] or not ncols:
         return (), list(range(ncols)), []
+    if field is QI and not any(any(row) for row in parts[1]):
+        pivots, free, echelon = _rref_exact(parts[:1], ncols)
+        return pivots, free, [(den, [nums[0], [0] * len(free)])
+                              for den, nums in echelon]
     if field is QQ or field is QI:
         return _rref_exact(parts, ncols)
     rows = [list(r) for r in parts[0]]

@@ -21,11 +21,13 @@ from fractions import Fraction
 
 from jumploci.aomoto import (GenericDimsReport, LogResonanceReport,
                              _scalar_mod, reduce_algebra_mod)
-from jumploci.elliptic import E2Report, _I, elliptic_model
+from jumploci.elliptic import E2Report, elliptic_model
 from jumploci.errors import PreconditionError
 from jumploci.exterior import _merge_sign
-from jumploci.scalars import (DEFAULT_PRIME, GF, QI, Matrix, rank_and_kernel,
-                              rref)
+from jumploci.scalars import (DEFAULT_PRIME, GF, QI, GaussianRational, Matrix,
+                              rank_and_kernel, rref)
+
+_I = GaussianRational(0, 1)
 
 
 def generator_matrix(algebra, i, d):

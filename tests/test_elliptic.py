@@ -6,17 +6,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elliptic_oracle import diagonal_class
 from jumploci import elliptic, exterior, scalars
-from jumploci.aomoto import AomotoComplex
+from jumploci.aomoto import AomotoComplex, resonance_membership
 from jumploci.elliptic import (
     EllipticModel, _diagonal_relation, _e2_from_blocks, e2_page,
     elliptic_model, hodge_decompose, scroll_membership, tangent_pair_basis)
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, wedge
-from jumploci.scalars import (QI, GaussianRational, Matrix, rank,
-                              rank_and_kernel, rref)
+from jumploci.scalars import (QI, FieldMismatchError, GaussianRational,
+                              Matrix, rank, rank_and_kernel, rref)
 
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0)
@@ -351,3 +352,143 @@ def test_scroll_equivalence_spot_checks():
     for x, y in cases:
         verdict = scroll_membership(4, x, y)
         assert verdict.member == (h1(x, y) >= 1), (x, y)
+
+
+# -- class coordinates and the scroll against the GaussianRational formulas --
+#
+# class_coords and scroll_membership compute on integer parts; the oracles
+# below are the GaussianRational arithmetic they replaced, kept verbatim.
+
+def old_class_coords(n, x, y):
+    if len(x) != n or len(y) != n:
+        raise PreconditionError(f"coordinate vectors must have length {n}")
+    x, y = [QI.coerce(c) for c in x], [QI.coerce(c) for c in y]
+    coords = []
+    for a, b in zip(x, y):
+        coords.append(GaussianRational((a.re + b.im) / 2, (a.im - b.re) / 2))
+        coords.append(GaussianRational((a.re - b.im) / 2, (a.im + b.re) / 2))
+    return tuple(coords)
+
+
+def old_scroll_membership(n, x, y):
+    if len(x) != n or len(y) != n:
+        raise PreconditionError(f"vectors must have length {n}")
+    x = [QI.coerce(c) for c in x]
+    y = [QI.coerce(c) for c in y]
+    sx = sum(x, QI.zero())
+    if sx:
+        return False, f"sum of x coordinates is {sx}, not 0"
+    sy = sum(y, QI.zero())
+    if sy:
+        return False, f"sum of y coordinates is {sy}, not 0"
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = x[i] * y[j] - x[j] * y[i]
+            if m:
+                return False, f"minor x_{i+1} y_{j+1} - x_{j+1} y_{i+1} = {m}"
+    return True, None
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type of the error it raised."""
+    try:
+        return f(*args)
+    except PreconditionError as e:
+        return type(e)
+
+
+q_values = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+qi_values = st.one_of(
+    st.integers(-5, 5), q_values, st.builds(GaussianRational, q_values),
+    st.builds(GaussianRational, q_values, q_values))
+# mostly good vectors of the model's length; sometimes a value outside
+# Q(i) (FieldMismatchError) or a wrong length (PreconditionError)
+bad_values = st.sampled_from([0.5, "1", None, 1j])
+entries = st.one_of(qi_values, qi_values, qi_values, bad_values)
+
+
+@st.composite
+def xy_pairs(draw, n=4):
+    def vector():
+        k = draw(st.sampled_from([n] * 6 + [n - 1, n + 1]))
+        good = draw(st.booleans())
+        return draw(st.lists(qi_values if good else entries,
+                             min_size=k, max_size=k))
+    return vector(), vector()
+
+
+@given(xy_pairs())
+@settings(max_examples=100, deadline=None)
+def test_class_coords_match_the_gaussian_formula(xy):
+    m = elliptic_model(4)
+    new, old = outcome(m.class_coords, *xy), outcome(old_class_coords, 4, *xy)
+    assert new == old
+    if isinstance(old, tuple):
+        assert all(type(c) is GaussianRational and type(c.re) is Fraction
+                   and type(c.im) is Fraction for c in new)
+    else:
+        assert old in (PreconditionError, FieldMismatchError)
+
+
+def zero_sum(v):
+    """v with its last entry replaced to make the sum 0, when v is a
+    nonempty vector over Q(i)."""
+    if not v or not all(isinstance(c, (int, Fraction, GaussianRational))
+                        for c in v):
+        return v
+    return list(v[:-1]) + [-sum(v[:-1], QI.zero())]
+
+
+@given(xy_pairs(), st.sampled_from(["as drawn", "zero sums", "rank one"]))
+@settings(max_examples=100, deadline=None)
+def test_scroll_verdicts_match_the_gaussian_formula(xy, shape):
+    x, y = xy
+    if shape != "as drawn":  # the minors decide
+        x, y = zero_sum(x), zero_sum(y)
+    if shape == "rank one" and x is not xy[0]:
+        y = [GaussianRational(2, -1) * c for c in x]
+    new = outcome(scroll_membership, 4, x, y)
+    old = outcome(old_scroll_membership, 4, x, y)
+    if isinstance(old, tuple):
+        assert (new.member, new.reason) == old
+    else:
+        assert new == old
+
+
+def test_scroll_minor_message_is_unchanged():
+    verdict = scroll_membership(3, [Fraction(1, 2), Fraction(-1, 2), 0],
+                                [GaussianRational(0, Fraction(1, 3)), 0,
+                                 GaussianRational(0, Fraction(-1, 3))])
+    assert verdict.reason == (
+        "minor x_1 y_2 - x_2 y_1 = GaussianRational(0, 1/6)")
+
+
+def eliminations(monkeypatch):
+    """The part count of every elimination of `scalars._rref_exact`."""
+    widths, eliminate = [], scalars._rref_exact
+
+    def counted(parts, ncols):
+        widths.append(len(parts))
+        return eliminate(parts, ncols)
+    monkeypatch.setattr(scalars, "_rref_exact", counted)
+    return widths
+
+
+def test_pure_classes_eliminate_on_one_part(monkeypatch):
+    # alpha = (x, ix) with x real has u = x and v = 0: every matrix of its
+    # complex is real, so no elimination carries an imaginary part
+    widths = eliminations(monkeypatch)
+    x = [Fraction(1, 2), -3, 2, 0, Fraction(1, 2)]
+    rep = e2_page(elliptic_model(5), x, [I * c for c in x])
+    assert rep.consistent
+    assert widths and set(widths) == {1}
+
+
+def test_gaussian_classes_eliminate_on_two_parts(monkeypatch):
+    m = elliptic_model(5)
+    alpha = m.class_coords([1, -1, 0, 0, 0], [0, 2, -2, 0, 0])
+    cx = AomotoComplex(m.algebra, alpha)
+    assert cx.route == "quotient"
+    widths = eliminations(monkeypatch)
+    resonance_membership(m.algebra, alpha, 1)
+    assert 2 in widths

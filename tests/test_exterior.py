@@ -9,7 +9,8 @@ from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.elliptic import elliptic_model
 from jumploci.errors import PreconditionError
 from jumploci.exterior import (
-    GradedAlgebra, Multivector, _straighten, build_quotient_algebra, wedge)
+    GradedAlgebra, Multivector, _merge_sign, _prefix_parity, _straighten,
+    build_quotient_algebra, wedge)
 from jumploci.scalars import GF, QI, GaussianRational, rref
 from jumploci.verify import SIXPLANES_FORMS
 
@@ -215,3 +216,15 @@ def test_multiply_respects_quotient():
     A = m.algebra
     u = A.lift([A.field.coerce(1)] + [A.field.zero()] * 3, 1)
     assert not any(A.multiply(u, u))
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_prefix_parity_signs_match_an_inversion_count(r, k):
+    # disjoint s and t of up to 64 bits; the sign of e_S wedge e_T is the
+    # parity of the pairs i in S, j in T with i > j
+    s, t = r & k, r & ~k
+    inversions = sum(1 for i in range(64) if s >> i & 1
+                     for j in range(i) if t >> j & 1)
+    assert (s & _prefix_parity(t)).bit_count() & 1 == inversions & 1
+    assert _merge_sign(s, t) == (-1 if inversions & 1 else 1)
