@@ -41,8 +41,11 @@ class AomotoComplex:
     then A = ker D + e_jA, two copies of Q = A/e_jA, so
     r(d) = r_Q(d) + r_Q(d-1), ranked on the basis monomials without j;
     "full", the elimination of every differential, otherwise.  Both fast
-    routes set r(top) = 0, the zero map of the truncation.  `kernels`
-    always come from the full elimination.
+    routes set r(top) = 0, the zero map of the truncation.  A rank is the
+    pivot count of the forward pass of the exact elimination
+    (`restricted_rank`), so no route builds a reduced echelon form.
+    `kernels` always come from the reduced echelon forms of the full
+    differentials (`_echelons`), built only when kernels are asked for.
     """
 
     def __init__(self, algebra, alpha):
@@ -86,6 +89,7 @@ class AomotoComplex:
 
     @cached_property
     def _echelons(self):
+        """The reduced echelon forms of the differentials, for `kernels`."""
         field = self.algebra.field
         return [_rref_parts(parts, self.algebra.dim(d), field)
                 for d, parts in enumerate(self.parts)]
@@ -94,7 +98,7 @@ class AomotoComplex:
         if self._ranks is None:
             top = self.algebra.top
             if self._route == "full":
-                r = [len(pivots) for pivots, _, _ in self._echelons]
+                r = [self.restricted_rank(d) for d in range(top + 1)]
             elif self._route == "homotopy":
                 r = []
                 for d in range(top):
@@ -121,7 +125,7 @@ class AomotoComplex:
     def restricted_rank(self, d, rows=None, cols=None):
         """Rank of the differential out of degree d restricted to the target
         coordinates `rows` and the source coordinates `cols` (all of them
-        when None)."""
+        when None), from the forward pass of its elimination alone."""
         parts = self.parts[d]
         if rows is not None:
             parts = [[part[k] for k in rows] for part in parts]
@@ -130,7 +134,8 @@ class AomotoComplex:
             parts = [[[row[j] for j in cols] for row in part]
                      for part in parts]
             ncols = len(cols)
-        return len(_rref_parts(parts, ncols, self.algebra.field)[0])
+        return len(_rref_parts(parts, ncols, self.algebra.field,
+                               read=False)[0])
 
     def cohomology_dims(self):
         """h^d = dim ker(d_d) - rank(d_{d-1}) for each degree through top."""

@@ -1,18 +1,21 @@
 """Exact scalars (rationals, Gaussian rationals, prime fields) and linear algebra.
 
 Everything here is exact: no floats, no tolerances.  Matrices are immutable;
-every elimination gives the unique reduced echelon form, and kernel bases
-come out in reduced echelon form, so two runs of the same input produce
-identical output.  Elements of F_p are plain ints in [0, p); the
-field object `GF(p)` is the one place that knows the modulus.  There is one
-elimination loop per kind of field: Gauss-Jordan on residues mod p over F_p
-(`_rref_mod`), and fraction-free Gauss-Jordan on integers over QQ and on
-Gaussian integers over QQ(i) (`_rref_exact`), exact by construction.
-The echelon holds integers (`_rref_parts`), and one reader
-(`_read`) turns them into field values: the rows of `rref`, the kernels of
-`rank_and_kernel`, the solutions of `solve_linear` and the Aomoto matrices
-all come from it.  A field given by no argument is inferred by one rule
-(`infer_field`).
+every elimination that rows are read from gives the unique reduced echelon
+form, and kernel bases come out in reduced echelon form, so two runs of the
+same input produce identical output.  Elements of F_p are plain ints in
+[0, p); the field object `GF(p)` is the one place that knows the modulus.
+There is one elimination loop per kind of field: Gauss-Jordan on residues
+mod p over F_p (`_rref_mod`), and fraction-free elimination on integers
+over QQ and on Gaussian integers over QQ(i) (`_rref_exact`), exact by
+construction.  Over QQ and QQ(i) a rank is the pivot count of the forward
+pass alone, its final pivot the nonzero minor that proves it;
+back-substitution above the pivots and the gcd read of each row run only
+where rows are read.  The echelon holds integers (`_rref_parts`), and one
+reader (`_read`) turns them into field values: the rows of `rref`, the
+kernels of `rank_and_kernel`, the solutions of `solve_linear` and the
+Aomoto matrices all come from it.  A field given by no argument is
+inferred by one rule (`infer_field`).
 """
 
 from __future__ import annotations
@@ -482,24 +485,33 @@ def _combine(a, x, xi, f, y, yi, s):
     return _exact(zr, sr), None if zi is None else _exact(zi, sr)
 
 
-def _rref_exact(parts, ncols):
+def _rref_exact(parts, ncols, read):
     """The RREF over QQ (one integer part) or QQ(i) (real and imaginary
-    parts), in the form `_rref_parts` returns, by fraction-free Gauss-Jordan
-    elimination (Bareiss, Math. Comp. 22, 1968).
+    parts), in the form `_rref_parts` returns, by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968); without `read`, only its pivot
+    columns, with None for the free columns and the rows.
 
-    Let d_0 = 1 and d_k be the k-th pivot.  Step k replaces every other row
-    R by (d_k R - R[c] P) / d_{k-1}, where P is the pivot row and c its
-    column.  By Sylvester's identity every entry then stored is a minor of
-    the input, so every division is exact (`_exact`) and no entry exceeds
-    the Hadamard bound of the input, the product of its row norms.  Rows
-    are lazy: a row with R[c] = 0 would only be scaled by d_k / d_{k-1}, so
-    it keeps what was written at its last step s, and when it is next
-    touched at step k the updates combine into (d_k R - R[c] P) / d_s, with
-    P first brought to step k - 1 as P d_{k-1} / d_s.  The pivot row of a
+    Let d_0 = 1 and d_k be the k-th pivot.  Step k replaces every row R
+    that is not yet a pivot row by (d_k R - R[c] P) / d_{k-1}, where P is
+    the pivot row and c its column.  By Sylvester's identity every entry
+    then stored is a minor of the input, so every division is exact
+    (`_exact`) and no entry exceeds the Hadamard bound of the input, the
+    product of its row norms.  Rows are lazy: a row with R[c] = 0 would
+    only be scaled by d_k / d_{k-1}, so it keeps what was written at its
+    last step s, and when it is next touched at step k the updates combine
+    into (d_k R - R[c] P) / d_s, with P first brought to step k - 1 as
+    P d_{k-1} / d_s.  Each row is stored from the column where its nonzero
+    part can start: a pivot row from its pivot, any other row from the
+    column after the last pivot it was eliminated at.  The pivot row of a
     column is the candidate with the fewest nonzero entries (over QQ(i),
-    parts) from that column on; the RREF is unique, so any choice gives the
-    same bits.  Row k of the RREF is the stored row over its own pivot,
-    reduced by one gcd.
+    parts) from that column on.
+
+    The rank is the pivot count of this forward pass; its final pivot is
+    the nonzero minor that proves it.  With `read`, step k also eliminates
+    the earlier pivot rows above P, by the same update (Gauss-Jordan), and
+    row k of the RREF is the stored row over its own pivot, reduced by one
+    gcd; the RREF is unique, so any choice of pivot rows gives the same
+    bits.
 
     Every operation is exact integer arithmetic, so the answer is exact,
     with no prime, reconstruction or certificate.  The matrices the package
@@ -509,49 +521,67 @@ def _rref_exact(parts, ncols):
     """
     re = list(parts[0])
     im = list(parts[1]) if len(parts) == 2 else None
-    step = [0] * len(re)  # the step at which each row was last written
-    d = [(1, 0)]          # d_0 = 1, then the pivots, as (re, im) pairs
+    start = [0] * len(re)  # the column at which each stored row begins
+    step = [0] * len(re)   # the step at which each row was last written
+    d = [(1, 0)]           # d_0 = 1, then the pivots, as (re, im) pairs
     rest = list(range(len(re)))
     order, pivots = [], []
     for c in range(ncols):
-        cand = [i for i in rest if re[i][c] or im and im[i][c]]
+        cand = [i for i in rest
+                if re[i][c - start[i]] or im and im[i][c - start[i]]]
         if not cand:
             continue
-        p = max(cand, key=lambda i: re[i][c:].count(0)
-                + (im[i][c:].count(0) if im else 0))
+        p = max(cand, key=lambda i: re[i][c - start[i]:].count(0)
+                + (im[i][c - start[i]:].count(0) if im else 0))
         rest.remove(p)
         k = len(d)
+        y, yi = re[p][c - start[p]:], im[p][c - start[p]:] if im else None
         if step[p] != k - 1:
-            x, xi = re[p][c:], im[p][c:] if im else None
-            x, xi = _combine(d[k - 1], x, xi, (0, 0), x, xi, d[step[p]])
-            re[p] = [0] * c + x
-            if im:
-                im[p] = [0] * c + xi
-        y, yi = re[p], im[p] if im else None
-        d.append((y[c], yi[c] if im else 0))
-        step[p] = k
-        for i, lo in list(zip(order, pivots)) + [(i, c) for i in rest]:
-            f = (re[i][c], im[i][c] if im else 0)
+            y, yi = _combine(d[k - 1], y, yi, (0, 0), y, yi, d[step[p]])
+        re[p], start[p], step[p] = y, c, k
+        if im:
+            im[p] = yi
+        d.append((y[0], yi[0] if im else 0))
+        # the rows still below: zero at c once eliminated, so kept from c + 1
+        y1, yi1 = y[1:], yi[1:] if im else None
+        for i in rest:
+            j = c - start[i]
+            f = (re[i][j], im[i][j] if im else 0)
             if not f[0] and not f[1]:
                 continue
-            x, xi = _combine(d[k], re[i][lo:], im[i][lo:] if im else None, f,
-                             y[lo:], yi[lo:] if im else None, d[step[i]])
-            re[i] = [0] * lo + x
+            x, xi = _combine(d[k], re[i][j + 1:],
+                             im[i][j + 1:] if im else None, f, y1, yi1,
+                             d[step[i]])
+            re[i], start[i], step[i] = x, c + 1, k
             if im:
-                im[i] = [0] * lo + xi
-            step[i] = k
+                im[i] = xi
+        # the pivot rows above, only when rows are read: zero on [lo, c)
+        # in P, so padded there
+        for i, lo in zip(order, pivots) if read else ():
+            j = c - lo
+            f = (re[i][j], im[i][j] if im else 0)
+            if not f[0] and not f[1]:
+                continue
+            pad = [0] * j
+            x, xi = _combine(d[k], re[i], im[i] if im else None, f, pad + y,
+                             pad + yi if im else None, d[step[i]])
+            re[i], step[i] = x, k
+            if im:
+                im[i] = xi
         order.append(p)
         pivots.append(c)
         if not rest:
             break
+    if not read:
+        return tuple(pivots), None, None
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     echelon = []
     for i, c in zip(order, pivots):
         # the row over its pivot a + bi is the row times a - bi over a^2 + b^2
-        a, b = re[i][c], im[i][c] if im else 0
-        x = [re[i][j] for j in free]
-        xi = [im[i][j] for j in free] if im else None
+        a, b = re[i][0], im[i][0] if im else 0
+        x = [re[i][j - c] if j > c else 0 for j in free]
+        xi = [im[i][j - c] if j > c else 0 for j in free] if im else None
         nums = [z for z in _combine((a, -b), x, xi, (0, 0), x, xi, (1, 0))
                 if z is not None]
         g = gcd(a * a + b * b, *nums[0], *nums[-1])
@@ -559,7 +589,7 @@ def _rref_exact(parts, ncols):
     return tuple(pivots), free, echelon
 
 
-def _rref_parts(parts, ncols, field):
+def _rref_parts(parts, ncols, field, read=True):
     """The stage of `_echelon` after `_clear`: the RREF of a matrix given as
     cleared integer parts ([A] over QQ, [Re A, Im A] over QQ(i)) or as
     residue rows over F_p ([A]); the rows are not modified.  QQ and QQ(i)
@@ -569,6 +599,9 @@ def _rref_parts(parts, ncols, field):
     matrix gives the RREF of the matrix itself.  Returns the pivot columns,
     the free columns, and per RREF row (den, numerators per part on the
     free columns): row k is 1 at pivots[k] and nums[j] / den at free[j].
+    A caller that reads only the pivot columns passes `read` False; over
+    QQ and QQ(i) the elimination then stops after its forward pass and
+    reads no rows.
 
     A QQ(i) matrix whose imaginary part is zero everywhere is eliminated on
     its real part alone, and its RREF rows get zero imaginary numerators.
@@ -579,11 +612,13 @@ def _rref_parts(parts, ncols, field):
     if not parts[0] or not ncols:
         return (), list(range(ncols)), []
     if field is QI and not any(any(row) for row in parts[1]):
-        pivots, free, echelon = _rref_exact(parts[:1], ncols)
-        return pivots, free, [(den, [nums[0], [0] * len(free)])
-                              for den, nums in echelon]
+        pivots, free, echelon = _rref_exact(parts[:1], ncols, read)
+        if read:
+            echelon = [(den, [nums[0], [0] * len(free)])
+                       for den, nums in echelon]
+        return pivots, free, echelon
     if field is QQ or field is QI:
-        return _rref_exact(parts, ncols)
+        return _rref_exact(parts, ncols, read)
     rows = [list(r) for r in parts[0]]
     pivots = tuple(_rref_mod(rows, field.p))
     pivot_set = set(pivots)
@@ -610,13 +645,13 @@ def _read(field, den, nums, sign=1):
     return [sign * a % p for a in nums[0]]
 
 
-def _echelon(rows, ncols, field):
-    """The RREF of rows of field values, in the form `_rref_parts` returns:
-    rows over QQ and QQ(i) are cleared by `_clear`, residues over F_p are
-    taken as they are."""
+def _echelon(rows, ncols, field, read=True):
+    """The RREF of rows of field values, in the form `_rref_parts` returns
+    (with `read` False, the pivot columns alone): rows over QQ and QQ(i)
+    are cleared by `_clear`, residues over F_p are taken as they are."""
     gaussian = field is QI
     parts = _clear(rows, gaussian) if gaussian or field is QQ else [rows]
-    return _rref_parts(parts, ncols, field)
+    return _rref_parts(parts, ncols, field, read)
 
 
 def _kernel_basis(field, ncols, pivots, free, echelon):
@@ -666,9 +701,9 @@ def rref(rows, field=None):
 
 
 def rank(rows, field=None):
-    """The rank of a list of rows (or a Matrix): the pivot count of its
-    echelon, with no rows read."""
-    return len(_echelon(*_field_rows(rows, field))[0])
+    """The rank of a list of rows (or a Matrix): the pivot count of the
+    forward pass of its elimination, with no rows read."""
+    return len(_echelon(*_field_rows(rows, field), read=False)[0])
 
 
 def rank_and_kernel(matrix):

@@ -241,9 +241,6 @@ def _sumzero_vector(rng, n, lo=-4, hi=4):
             return v
 
 
-_IU = GaussianRational(0, 1)
-
-
 def _h1(model, x, y):
     coords = model.class_coords(x, y)
     return AomotoComplex(model.algebra, coords).cohomology_dims()[1]
@@ -304,7 +301,7 @@ def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
     f1_failures = 0
     for _ in range(f1_samples):
         c = _sumzero_vector(rng, n)
-        ic = [_IU * QI.coerce(v) for v in c]
+        ic = [GaussianRational(0, v) for v in c]
         if _h1(model, c, ic) < 1:
             f1_failures += 1
     details["f1_samples"] = f1_samples
@@ -317,7 +314,7 @@ def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
             c = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
             if any(c):
                 break
-        ic = [_IU * QI.coerce(v) for v in c]
+        ic = [GaussianRational(0, v) for v in c]
         rep = log_resonance_membership(model.algebra,
                                        model.class_coords(c, ic))
         if rep.member or rep.h1 != 0:
@@ -330,7 +327,7 @@ def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
     e2_values = set()
     for _ in range(e2_samples):
         c = _sumzero_vector(rng, n)
-        ic = [_IU * QI.coerce(v) for v in c]
+        ic = [GaussianRational(0, v) for v in c]
         rep = e2_page(model, c, ic)
         e2_values.add((rep.entries[(1, 0)], rep.entries[(0, 1)]))
         if (rep.entries[(1, 0)] != 0 or rep.entries[(0, 1)] != 1
@@ -656,7 +653,7 @@ def check_structural_invariants(seed=0, trials=100):
                 c = [Fraction(rng.randint(-4, 4)) for _ in range(model.n)]
                 if any(c):
                     break
-            ic = [_IU * QI.coerce(v) for v in c]
+            ic = [GaussianRational(0, v) for v in c]
             algebra_t = model.algebra
             alpha = list(model.class_coords(c, ic))
         else:

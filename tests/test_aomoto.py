@@ -61,15 +61,26 @@ def test_concurrent_triple_point_resonance():
     assert AomotoComplex(A, [1, 1, 1]).cohomology_dims() == (0, 0, 0)
 
 
-def test_kernels_are_kept_from_the_rank_computation():
-    # the kernels are read off the integer reductions behind `ranks`, and
-    # are the ones rank_and_kernel gives on the Fraction matrices
-    cx = AomotoComplex(six_planes(), [1, 1, 1, -1, 0, 2])
-    ranks = cx.ranks()
-    kernels = cx.kernels()
-    for m, r, kernel in zip(cx.matrices, ranks, kernels):
-        assert (r, kernel) == rank_and_kernel(m)
-        assert len(kernel) == m.ncols - r
+def test_ranks_leave_the_kernel_echelons_unbuilt():
+    # the ranks stop after the forward pass, on the full route (the affine
+    # grid x = 0, 1, y = 0, 1, whose monomial relations refuse both
+    # boundary routes) and on the quotient route (sum alpha = 0 on a
+    # central arrangement); the kernels, asked for afterwards, are read off
+    # reduced echelon forms and are the ones rank_and_kernel gives on the
+    # Fraction matrices
+    grid = os_algebra(Arrangement(2, [[0, 1, 0], [-1, 1, 0], [0, 0, 1],
+                                      [-1, 0, 1]]))
+    for algebra, alpha, route, dims in (
+            (grid, [1, -1, 1, -1], "full", (0, 0, 1)),
+            (six_planes(), [1, 1, 1, -1, 0, -2], "quotient", (0, 0, 0, 2, 2))):
+        cx = AomotoComplex(algebra, alpha)
+        assert cx.route == route
+        assert cx.cohomology_dims() == dims
+        assert "_echelons" not in vars(cx)
+        kernels = cx.kernels()
+        for m, r, kernel in zip(cx.matrices, cx.ranks(), kernels):
+            assert (r, kernel) == rank_and_kernel(m)
+            assert len(kernel) == m.ncols - r
 
 
 def test_wrong_alpha_length():

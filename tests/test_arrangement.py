@@ -337,10 +337,10 @@ def test_os_algebra_runs_no_elimination(monkeypatch):
     # most three columns for lines), never ideal rows
     eliminate, widths = arrangement._rref_parts, []
 
-    def forms_only(parts, ncols, field):
+    def forms_only(parts, ncols, field, *read):
         widths.append(ncols)
         assert ncols <= 3, "os_algebra eliminated ideal rows"
-        return eliminate(parts, ncols, field)
+        return eliminate(parts, ncols, field, *read)
     for module in (scalars, arrangement):
         monkeypatch.setattr(module, "_rref_parts", forms_only)
     hexlat = Arrangement(2, dict(LINE_LIBRARY)["hexlat6"])

@@ -464,24 +464,27 @@ def test_scroll_minor_message_is_unchanged():
 
 
 def eliminations(monkeypatch):
-    """The part count of every elimination of `scalars._rref_exact`."""
-    widths, eliminate = [], scalars._rref_exact
+    """(part count, read) of every elimination of `scalars._rref_exact`;
+    read is False for the rank-only calls, which stop after the forward
+    pass."""
+    calls, eliminate = [], scalars._rref_exact
 
-    def counted(parts, ncols):
-        widths.append(len(parts))
-        return eliminate(parts, ncols)
+    def counted(parts, ncols, read):
+        calls.append((len(parts), read))
+        return eliminate(parts, ncols, read)
     monkeypatch.setattr(scalars, "_rref_exact", counted)
-    return widths
+    return calls
 
 
 def test_pure_classes_eliminate_on_one_part(monkeypatch):
     # alpha = (x, ix) with x real has u = x and v = 0: every matrix of its
-    # complex is real, so no elimination carries an imaginary part
-    widths = eliminations(monkeypatch)
+    # complex is real, so no elimination carries an imaginary part, and the
+    # E_2 page reads only ranks
+    calls = eliminations(monkeypatch)
     x = [Fraction(1, 2), -3, 2, 0, Fraction(1, 2)]
     rep = e2_page(elliptic_model(5), x, [I * c for c in x])
     assert rep.consistent
-    assert widths and set(widths) == {1}
+    assert set(calls) == {(1, False)}
 
 
 def test_gaussian_classes_eliminate_on_two_parts(monkeypatch):
@@ -489,6 +492,10 @@ def test_gaussian_classes_eliminate_on_two_parts(monkeypatch):
     alpha = m.class_coords([1, -1, 0, 0, 0], [0, 2, -2, 0, 0])
     cx = AomotoComplex(m.algebra, alpha)
     assert cx.route == "quotient"
-    widths = eliminations(monkeypatch)
+    calls = eliminations(monkeypatch)
     resonance_membership(m.algebra, alpha, 1)
-    assert 2 in widths
+    assert (2, False) in calls
+    # the kernels read rows, on two parts as well
+    calls.clear()
+    AomotoComplex(m.algebra, alpha).kernels()
+    assert (2, True) in calls

@@ -783,6 +783,89 @@ def test_typed_input_of_the_wrong_kind_exits_2(argv, message):
     assert err == {"error": message, "kind": "parse"}
 
 
+# argv fuzz of the subcommands that rank: mostly fixtures of the kind the
+# subcommand reads with value lists of their length, so that most draws
+# reach the ranks, and otherwise fixtures of other kinds, malformed names,
+# lists of other lengths, malformed tokens and out-of-range integers
+_BAD_TOKENS = ["", " ", "x", "1/0", "1//2", "nan", "inf", "1e4301", "--",
+               "-", "1,,2", "\u0663", "0x10", "1_0", "2/-3"]
+_good_value = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(1, 5)).map(
+        lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["-.5", "1.25", "3e2", "-2E-1", "1e4300"]))
+_value = st.one_of(_good_value, _good_value, st.sampled_from(_BAD_TOKENS))
+_ARRANGEMENTS = [name for name in FIXTURE_NAMES if hasattr(
+    parse_input(str(FIXTURES / f"{name}.json")), "size")]
+_PRESENTATIONS = [name for name in FIXTURE_NAMES if hasattr(
+    parse_input(str(FIXTURES / f"{name}.json")), "generators")]
+_READS = {"aomoto": ("--arrangement", "--alpha", _ARRANGEMENTS),
+          "log-resonance": ("--arrangement", "--alpha", _ARRANGEMENTS),
+          "fox-h1": ("--presentation", "--character", _PRESENTATIONS)}
+
+
+def _values(draw, length):
+    if draw(st.integers(0, 3)):
+        return ",".join(draw(st.lists(_value, min_size=length,
+                                      max_size=length)))
+    return draw(st.one_of(
+        st.lists(_value, min_size=1, max_size=7).map(",".join),
+        st.sampled_from(_BAD_TOKENS)))
+
+
+@st.composite
+def _ranking_argv(draw):
+    subcommand = draw(st.sampled_from(
+        ["aomoto", "log-resonance", "e2-page", "fox-h1"]))
+    if subcommand == "e2-page":
+        n = draw(st.integers(2, 6)) if draw(st.integers(0, 3)) else None
+        options = [("--n", str(n) if n else draw(st.sampled_from(
+                        ["-1", "0", "1", "33", "x", ""]))),
+                   ("--x", _values(draw, n or 3))]
+    else:
+        file_option, value_option, own = _READS[subcommand]
+        name = draw(st.sampled_from(own)) if draw(st.integers(0, 3)) else \
+            draw(st.sampled_from(FIXTURE_NAMES + ["no-such-input", "",
+                                                  "../x.json"]))
+        length = _fixture_length(name) if name in FIXTURE_NAMES else 3
+        options = [(file_option, name),
+                   (value_option, _values(draw, length))]
+        if subcommand == "aomoto":
+            options += draw(st.lists(st.tuples(
+                st.sampled_from(["--degree", "--depth"]),
+                st.one_of(st.integers(-1, 4).map(str),
+                          st.sampled_from(["x", "1.5"]))), max_size=2))
+    options = draw(st.permutations(options))
+    # now and then an option is dropped, which argparse refuses
+    if not draw(st.integers(0, 9)):
+        options = options[1:]
+    return [subcommand] + [token for option in options for token in option]
+
+
+@given(_ranking_argv())
+@settings(max_examples=300, deadline=None)
+def test_ranking_subcommands_survive_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            # argparse's own refusal: its usage message, exit 2
+            assert exc.code == 2, (argv, err.getvalue())
+            assert "error:" in err.getvalue(), argv
+            assert "Traceback" not in err.getvalue(), argv
+            return
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert json.loads(out.getvalue())["subcommand"] == argv[0]
+    else:
+        assert out.getvalue() == "", argv
+        error = json.loads(err.getvalue())
+        assert error["kind"] in ("parse", "precondition", "degeneracy")
+        assert error["error"], argv
+
+
 def test_malformed_arrangement_files_keep_their_field_messages(tmp_path):
     # only a file shaped like another kind of input is refused by its kind
     no_forms = tmp_path / "no_forms.json"

@@ -221,13 +221,16 @@ def assert_same_vectors(new, old):
 def assert_same_rref(rows, field):
     """rref, rank and rank_and_kernel of the rows, and solve_linear of the
     rows read as an augmented matrix [A | b], against the oracle RREF of the
-    rows: kernels are built from its rows by definition, and the solution
-    is its last column on the pivots, None when that column is a pivot."""
+    rows: the rank is its pivot count, kernels are built from its rows by
+    definition, and the solution is its last column on the pivots, None
+    when that column is a pivot."""
     new = rref(rows, field)
     old = oracle_rref(rows, field)
     assert new[:2] == old[:2]
     assert_same_vectors(new[2], old[2])
-    assert rank(rows, field) == old[0]
+    # rank stops after the forward pass; its pivot columns are the RREF's
+    assert rank(rows, field) == len(old[1])
+    assert scalars._echelon(rows, len(rows[0]), field, read=False)[0] == old[1]
 
     _, pivots, echelon = old
     ncols = len(rows[0])
@@ -339,6 +342,12 @@ def test_rref_drops_a_prime_unlucky_under_one_root_of_minus_one():
     assert_same_rref(rows, QI)
 
 
+def exact_only(values, d, exact=scalars._exact):
+    """`scalars._exact`, refusing a division that leaves a remainder."""
+    assert all(divmod(v, d)[1] == 0 for v in values), (values, d)
+    return exact(values, d)
+
+
 def test_lazy_row_is_brought_up_over_its_own_step():
     # the second row is written at step 1 (pivot 1 + i), keeps a zero in
     # the pivot columns of steps 2 and 3 (pivots (2 - i)(1 + i) = 3 + i and
@@ -354,10 +363,24 @@ def test_lazy_row_is_brought_up_over_its_own_step():
     rows = [[QI.coerce(x) for x in row] for row in rows]
     r, pivots, echelon = rref(rows, QI)
     assert (r, pivots) == (5, (0, 1, 2, 3, 4))
+    # the forward pass alone makes the same update of the second row: each
+    # of its divisions is exact
+    with mock.patch.object(scalars, "_exact", exact_only):
+        assert rank(rows, QI) == 5
     assert [row[5] for row in echelon] == [
         2 - 3 * i, GaussianRational(Fraction(4, 5), Fraction(2, 5)),
         GaussianRational(Fraction(3, 2), Fraction(-5, 2)), 1 + i, -2 + i]
     assert_same_rref(rows, QI)
+
+
+def test_forward_pass_divides_a_lazy_row_over_its_own_step():
+    # the rank alone: the last row is not touched at step 1 (pivot 2) and
+    # is updated at step 2 (pivot 1) over d_0 = 1; over d_1 = 2 its entry
+    # 1 would floor to 0, and the rank would read 2
+    rows = [[2, 1, 0], [-1, 0, -1], [0, 1, -1]]
+    with mock.patch.object(scalars, "_exact", exact_only):
+        assert rank(rows) == 3
+    assert_same_rref([[Fraction(x) for x in row] for row in rows], QQ)
 
 
 def test_sparsest_candidate_is_the_pivot_row():
@@ -379,13 +402,10 @@ def test_sparsest_candidate_is_the_pivot_row():
 @settings(max_examples=100, deadline=None)
 def test_every_division_of_the_core_is_exact(case):
     rows, field = case
-    exact = scalars._exact
-
-    def checked(values, d):
-        assert all(divmod(v, d)[1] == 0 for v in values), (values, d)
-        return exact(values, d)
-    with mock.patch.object(scalars, "_exact", checked):
+    with mock.patch.object(scalars, "_exact", exact_only):
         assert_same_rref(rows, field)
+        # the forward pass alone, as rank runs it, divides by the same d_s
+        assert rank(rows, field) == len(oracle_rref(rows, field)[1])
 
 
 def test_mixed_rational_and_gaussian_entries_infer_qq_i():
