@@ -19,8 +19,9 @@ from .errors import PreconditionError
 # the benchmark's tracer, which wraps them on this module
 from .exterior import build_quotient_algebra  # noqa: F401
 from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
-                      GaussianRational, _integral, _kernel_basis,
-                      _rref_parts, rank, rank_and_kernel, solve_linear)
+                      GaussianRational, _coerced, _integral,
+                      _kernel_basis, _rref_parts, rank, rank_and_kernel,
+                      solve_linear)
 
 
 class AomotoComplex:
@@ -46,17 +47,25 @@ class AomotoComplex:
     (`restricted_rank`), so no route builds a reduced echelon form.
     `kernels` always come from the reduced echelon forms of the full
     differentials (`_echelons`), built only when kernels are asked for.
+
+    alpha is cleared before anything is read off it (`scalars._integral`).
+    Over QQ(i) a `scalars.ClearedVector`, such as
+    `EllipticModel.class_coords` returns, is kept as it is, as `alpha`, and
+    its integer parts are the ones the differentials are assembled from, so
+    no field object is built between the class and the elimination.  Any
+    other alpha is first coerced into the field, entry by entry, and kept
+    as a tuple.
     """
 
     def __init__(self, algebra, alpha):
-        alpha = [algebra.field.coerce(a) for a in alpha]
+        alpha = _coerced(algebra.field, alpha)
         if len(alpha) != algebra.dim(1):
             raise PreconditionError(
                 f"alpha needs {algebra.dim(1)} coordinates, got {len(alpha)}")
         algebra.check_anticommutation()
         descends, kept = algebra.boundary_split()
         self.algebra = algebra
-        self.alpha = tuple(alpha)
+        self.alpha = alpha
         self._integral, _ = _integral(algebra.field, alpha)
         p = getattr(algebra.field, "p", None)
         unit = any(sum(part) % p if p else sum(part)
@@ -327,19 +336,24 @@ def log_resonance_membership(algebra, alpha):
     By convention the zero class is reported as a non-member with the
     zero_class flag set (the locus is defined by a nonvanishing quotient,
     which is empty at 0); no error is raised.
+
+    Both tests run on the integer parts of alpha (`scalars._integral`), and
+    a `scalars.ClearedVector` goes on to `AomotoComplex` as it is.
     """
     if algebra.hodge_types is None:
         raise PreconditionError("logarithmic resonance needs Hodge types")
-    alpha = [algebra.field.coerce(a) for a in alpha]
+    alpha = _coerced(algebra.field, alpha)
     if len(alpha) != algebra.dim(1):
         raise PreconditionError(
             f"alpha needs {algebra.dim(1)} coordinates, got {len(alpha)}")
+    parts, _ = _integral(algebra.field, alpha)
     # F^1 A^1 is the coordinate subspace on these positions
     f1 = algebra.hodge_positions(1, 1)
-    if not any(alpha):
+    if not any(map(any, parts)):
         return LogResonanceReport(False, None, True, len(f1))
     inside = set(f1)
-    if any(a for j, a in enumerate(alpha) if j not in inside):
+    outside = [j for j in range(len(alpha)) if j not in inside]
+    if any(part[j] for part in parts for j in outside):
         raise PreconditionError(
             "class lies outside filtration level F^1 in degree 1; "
             "logarithmic membership undefined")

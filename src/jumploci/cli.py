@@ -272,15 +272,19 @@ def _cmd_verify_paper(args):
 
 # --------------------------------------------------------------------- wiring
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser():
@@ -321,7 +325,7 @@ def build_parser():
                    "refused if their rank drops mod the prime")
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                    help="prime for finite-field sampling")
-    p.add_argument("--trials", type=_positive_int, default=40,
+    p.add_argument("--trials", type=_int_at_least(1), default=40,
                    help="number of sample points (default 40)")
 
     p = sub("log-resonance", _cmd_log_resonance,
@@ -332,8 +336,10 @@ def build_parser():
     p = sub("elliptic", _cmd_elliptic,
             help="full elliptic configuration-space battery for one n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=None,
-                   help="sample count of every sampled check")
+    p.add_argument("--trials", type=_int_at_least(3), default=None,
+                   help="sample count of every sampled check; at least 3, "
+                        "one scroll sample per stratum (rank 1, general, "
+                        "near miss)")
 
     p = sub("e2-page", _cmd_e2_page,
             help="E2 page of the twisted complex at a pure class (x, ix)")

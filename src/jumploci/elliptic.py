@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .aomoto import AomotoComplex
 from .errors import PreconditionError
@@ -22,7 +22,8 @@ from .errors import PreconditionError
 # for the benchmark's tracer, which wraps them on this module
 from .exterior import (GradedAlgebra, Multivector,  # noqa: F401
                        _straighten, build_quotient_algebra)
-from .scalars import QI, GaussianRational, rank_and_kernel, rref, solve_linear  # noqa: F401
+from .scalars import (QI, ClearedVector, GaussianRational,  # noqa: F401
+                      rank_and_kernel, rref, solve_linear)
 
 _MODELS = {}
 
@@ -82,22 +83,18 @@ class EllipticModel:
 
     def class_coords(self, x, y):
         """A1 coordinates (u, v basis) of sum x_k a_k + y_k b_k: u_k =
-        (x_k - i y_k)/2 and v_k = (x_k + i y_k)/2.
+        (x_k - i y_k)/2 and v_k = (x_k + i y_k)/2, as a
+        `scalars.ClearedVector`: one positive den and the integer parts
+        [re, im] in lowest terms, computed from the integer parts of x and
+        y with no Fraction built.  Its items are the GaussianRationals
+        u_1, v_1, ..., u_n, v_n, built when read, and it compares equal to
+        their tuple; `AomotoComplex` takes its parts as they are.
 
-        Rational and Gaussian inputs take one path: x_k = a/b + i c/d and
-        y_k = e/f + i g/h are read once as integers, and each output part
-        is one `Fraction(num, den)`, e.g. Re u_k = (ah + gb) / 2bh.
+        Rational and Gaussian inputs take one path (`_class_vector`).
         Raises PreconditionError on a length mismatch and
         FieldMismatchError (from `QI.coerce`) on a value outside Q(i)."""
         self._check_lengths(x, y)
-        coords = []
-        for (a, b, c, d), (e, f, g, h) in zip(_integer_parts(x),
-                                              _integer_parts(y)):
-            coords.append(GaussianRational(Fraction(a * h + g * b, 2 * b * h),
-                                           Fraction(c * f - e * d, 2 * d * f)))
-            coords.append(GaussianRational(Fraction(a * h - g * b, 2 * b * h),
-                                           Fraction(c * f + e * d, 2 * d * f)))
-        return tuple(coords)
+        return _class_vector(_integer_parts(x), _integer_parts(y))
 
     def xy_of_coords(self, coords):
         """Inverse of class_coords."""
@@ -131,13 +128,51 @@ def _integer_parts(values):
     for c in values:
         if isinstance(c, GaussianRational):
             re, im = c.re, c.im
+            out.append((re.numerator, re.denominator,
+                        im.numerator, im.denominator))
         elif isinstance(c, (int, Fraction)):
-            re, im = c, 0
+            out.append((c.numerator, c.denominator, 0, 1))
         else:  # QI.coerce refuses it with FieldMismatchError
             g = QI.coerce(c)
-            re, im = g.re, g.im
-        out.append((re.numerator, re.denominator, im.numerator, im.denominator))
+            out.append((g.re.numerator, g.re.denominator,
+                        g.im.numerator, g.im.denominator))
     return out
+
+
+def _common_den(*parts):
+    """A common multiple of the denominators of the values whose
+    `_integer_parts` are given: the lcm of the products of each value's two
+    denominators."""
+    return lcm(*[q * s for values in parts for _, q, _, s in values])
+
+
+def _scaled(parts, den):
+    """The (re, im) integer pairs of den times the values whose
+    `_integer_parts` are given, den a common multiple of their
+    denominators."""
+    if den == 1:
+        return [(p, r) for p, _, r, _ in parts]
+    return [(p * (den // q), r * (den // s)) for p, q, r, s in parts]
+
+
+def _class_vector(xs, ys):
+    """The ClearedVector of u_k = (x_k - i y_k)/2, v_k = (x_k + i y_k)/2
+    from the `_integer_parts` xs and ys of x and y.  With L a common
+    denominator and X = L x, Y = L y Gaussian integers, 2L u_k = X_k - i Y_k
+    and 2L v_k = X_k + i Y_k; dividing 2L and these by their gcd puts them
+    in lowest terms."""
+    den = _common_den(xs, ys)
+    re, im = [], []
+    for (xr, xi), (yr, yi) in zip(_scaled(xs, den), _scaled(ys, den)):
+        re += (xr + yi, xr - yi)
+        im += (xi - yr, xi + yr)
+    den *= 2
+    g = gcd(den, *re, *im)
+    if g != 1:
+        den //= g
+        re = [a // g for a in re]
+        im = [a // g for a in im]
+    return ClearedVector(den, re, im)
 
 
 def elliptic_model(n, top=2):
@@ -157,15 +192,14 @@ def scroll_membership(n, x, y):
     """Is (x, y) on the scroll: sum x = sum y = 0 and rank [x; y] <= 1?
 
     The failing equation is reported on rejection (1-based indices).  The
-    sums and minors are computed on the Gaussian integers D x and D y, D the
-    lcm of every denominator, as (re, im) pairs; a GaussianRational is
-    built only for the rejection message."""
+    sums and minors are computed on the Gaussian integers D x and D y, D a
+    common denominator (`_common_den`), as (re, im) pairs; a
+    GaussianRational is built only for the rejection message."""
     if len(x) != n or len(y) != n:
         raise PreconditionError(f"vectors must have length {n}")
     xs, ys = _integer_parts(x), _integer_parts(y)
-    den = lcm(*(d for _, q, _, s in xs + ys for d in (q, s)))
-    x = [(p * (den // q), r * (den // s)) for p, q, r, s in xs]
-    y = [(p * (den // q), r * (den // s)) for p, q, r, s in ys]
+    den = _common_den(xs, ys)
+    x, y = _scaled(xs, den), _scaled(ys, den)
     for name, v in (("x", x), ("y", y)):
         sr, si = sum(a for a, _ in v), sum(b for _, b in v)
         if sr or si:
@@ -249,16 +283,17 @@ def e2_page(model, x, y):
     add up to rank d_m for m = 0, 1, 2, which fails exactly when alpha
     wedge leaves the bigrading.
     """
-    x, y = model._pair(x, y)
-    if not any(x) and not any(y):
+    model._check_lengths(x, y)
+    xs, ys = _integer_parts(x), _integer_parts(y)
+    if not any(p or r for p, _, r, _ in xs + ys):
         raise PreconditionError("alpha = 0 has no E2 page here")
-    for k in range(model.n):
-        if y[k].re != -x[k].im or y[k].im != x[k].re:
+    # y = i x, part by part in lowest terms: Re y = -Im x and Im y = Re x
+    for (a, b, c, d), (e, f, g, h) in zip(xs, ys):
+        if e != -c or f != d or g != a or h != b:
             raise PreconditionError(
                 "alpha lies outside filtration level F^1 (need y = i x)")
     deep = elliptic_model(model.n, top=3)
-    return _e2_from_blocks(AomotoComplex(deep.algebra,
-                                         deep.class_coords(x, y)))
+    return _e2_from_blocks(AomotoComplex(deep.algebra, _class_vector(xs, ys)))
 
 
 def _e2_from_blocks(cx):

@@ -20,6 +20,7 @@ inferred by one rule (`infer_field`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -421,6 +422,64 @@ def _rref_mod(rows, p):
     return pivots
 
 
+class ClearedVector(Sequence):
+    """A vector over QQ(i) held as one positive integer `den` and the integer
+    `parts` (re, im) in lowest terms: item k is (re[k] + i im[k]) / den, a
+    GaussianRational built only when it is read.
+
+    `parts` and `den` are what `_integral(QI, ...)` returns for the tuple of
+    its items, and `_integral` passes them through as they are over QQ(i),
+    so such a vector reaches the elimination with no field object built.
+    It compares equal to the tuple of its items; slicing gives a tuple."""
+
+    __slots__ = ("den", "parts")
+
+    def __init__(self, den, re, im):
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "parts", (tuple(re), tuple(im)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClearedVector is immutable")
+
+    def __len__(self):
+        return len(self.parts[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        re, im = self.parts
+        return GaussianRational(Fraction(re[k], self.den),
+                                Fraction(im[k], self.den))
+
+    def __iter__(self):
+        den = self.den
+        for re, im in zip(*self.parts):
+            yield GaussianRational(Fraction(re, den), Fraction(im, den))
+
+    def __eq__(self, other):
+        if isinstance(other, ClearedVector):
+            return self.den == other.den and self.parts == other.parts
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        re, im = self.parts
+        return f"ClearedVector({self.den}, {re!r}, {im!r})"
+
+
+def _coerced(field, vector):
+    """The vector as `_integral` takes it: a ClearedVector as it is over
+    QQ(i), and otherwise the tuple of its entries coerced into the field
+    (FieldMismatchError on an entry outside it)."""
+    if field is QI and type(vector) is ClearedVector:
+        return vector
+    return tuple([field.coerce(a) for a in vector])
+
+
 def _clear_row(row, gaussian):
     """(den, integer parts) of one row: den is the lcm of its denominators
     and the parts are den times the row, [A] over QQ, [Re A, Im A] over
@@ -449,7 +508,13 @@ def _integral(field, vector):
     """(parts, scale): the integer parts of scale * vector as `_clear`
     returns them, [ints] over QQ and [re, im] over QQ(i) with scale the lcm
     of the denominators, and [residues] with scale 1 over F_p.  A nonzero
-    multiple of a differential has the same rank, kernel and RREF."""
+    multiple of a differential has the same rank, kernel and RREF.
+
+    The vector holds field elements (`_coerced`), except that over QQ(i) a
+    ClearedVector is taken as it is: its (parts, den) are returned, with no
+    entry read."""
+    if type(vector) is ClearedVector and field is QI:
+        return vector.parts, vector.den
     if field is QQ or field is QI:
         scale, parts = _clear_row(vector, field is QI)
         return parts, scale

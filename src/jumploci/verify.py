@@ -248,6 +248,11 @@ def _h1(model, x, y):
 
 def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
                          lr_samples=100, e2_samples=25):
+    if n < 3:
+        raise PreconditionError(
+            f"n = {n}: the elliptic suite needs n >= 3, since check (e) "
+            "needs a scroll point outside every tangent-pair subspace E_ij, "
+            "and at n = 2 the scroll is E_01 itself")
     _require_counts(scroll_samples=scroll_samples, f1_samples=f1_samples,
                     lr_samples=lr_samples, e2_samples=e2_samples)
     if scroll_samples < 3:

@@ -10,14 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from elliptic_oracle import diagonal_class
 from jumploci import elliptic, exterior, scalars
-from jumploci.aomoto import AomotoComplex, resonance_membership
+from jumploci.aomoto import (AomotoComplex, reduce_algebra_mod,
+                             resonance_membership)
+from jumploci.arrangement import os_algebra, points_arrangement
 from jumploci.elliptic import (
     EllipticModel, _diagonal_relation, _e2_from_blocks, e2_page,
     elliptic_model, hodge_decompose, scroll_membership, tangent_pair_basis)
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, wedge
-from jumploci.scalars import (QI, FieldMismatchError, GaussianRational,
-                              Matrix, rank, rank_and_kernel, rref)
+from jumploci.scalars import (QI, ClearedVector, FieldMismatchError,
+                              GaussianRational, Matrix, _integral, rank,
+                              rank_and_kernel, rref)
 
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0)
@@ -499,3 +502,117 @@ def test_gaussian_classes_eliminate_on_two_parts(monkeypatch):
     calls.clear()
     AomotoComplex(m.algebra, alpha).kernels()
     assert (2, True) in calls
+
+
+# -- class_coords returns a cleared vector: integer parts over one den --
+
+def _complex_reading(algebra, alpha):
+    cx = AomotoComplex(algebra, alpha)
+    return cx.route, cx.ranks(), cx.cohomology_dims(), cx.kernels()
+
+
+@given(xy_pairs())
+@settings(max_examples=100, deadline=None)
+def test_class_vector_is_the_cleared_gaussian_formula(xy):
+    m = elliptic_model(4)
+    new, old = outcome(m.class_coords, *xy), outcome(old_class_coords, 4, *xy)
+    if not isinstance(old, tuple):
+        assert new is old
+        return
+    assert isinstance(new, ClearedVector)
+    parts, den = _integral(QI, old)
+    assert new.den == den > 0 and [list(p) for p in new.parts] == parts
+    assert _integral(QI, new) == (new.parts, new.den)
+    assert tuple(new) == old == new and len(new) == len(old) == 8
+    assert new[::2] == old[::2] and new[-1] == old[-1]
+    # the vector reaches the elimination as it is, and reads as its items
+    assert _complex_reading(m.algebra, new) \
+        == _complex_reading(m.algebra, tuple(new))
+
+
+def test_cleared_vectors_are_immutable_sequences():
+    v = elliptic_model(2).class_coords([1, Fraction(1, 3)],
+                                       [0, GaussianRational(2, -1)])
+    # u_2 = (1/3 - i(2 - i))/2 = -1/3 - i and v_2 = (1/3 + i(2 - i))/2
+    assert v.den == 6 and v.parts == ((3, 3, -2, 4), (0, 0, -6, 6))
+    assert list(v) == [GaussianRational(Fraction(1, 2)),
+                       GaussianRational(Fraction(1, 2)),
+                       GaussianRational(Fraction(-1, 3), -1),
+                       GaussianRational(Fraction(2, 3), 1)]
+    assert hash(v) == hash(tuple(v)) and v.index(v[2]) == 2
+    with pytest.raises(AttributeError, match="immutable"):
+        v.den = 1
+    with pytest.raises(IndexError):
+        v[4]
+    assert elliptic_model(2).class_coords([0, 0], [0, 0]).den == 1
+
+
+def test_cleared_vectors_keep_the_field_errors_of_their_tuples():
+    # a QQ algebra and a prime-field algebra with A^1 of dimension 4 refuse
+    # the vector of the n = 2 model as they refuse the tuple of its items
+    v = elliptic_model(2).class_coords([1, -1], [2, -2])
+    rational = os_algebra(points_arrangement([0, 1, 2, 3]))
+    residues, _ = reduce_algebra_mod(elliptic_model(2).algebra, 13)
+    for algebra in (rational, residues):
+        assert algebra.dim(1) == len(v)
+        for alpha in (v, tuple(v)):
+            with pytest.raises(FieldMismatchError, match="cannot coerce"):
+                AomotoComplex(algebra, alpha)
+            with pytest.raises(FieldMismatchError, match="cannot coerce"):
+                resonance_membership(algebra, alpha, 1)
+
+
+@pytest.mark.parametrize("x,y,route", [
+    ([1, 0, 0, 0, 0], [0, 0, 0, 0, 0], "homotopy"),
+    ([1, -1, 0, 0, 0], [2, -2, 0, 0, 0], "quotient"),
+    ([1, -1, 1, -1, 0], [1, 2, -3, 0, 0], "quotient"),
+])
+def test_h1_queries_build_no_gaussian_rational(monkeypatch, x, y, route):
+    m = elliptic_model(5)
+    assert AomotoComplex(m.algebra, m.class_coords(x, y)).route == route
+    built, init = [], GaussianRational.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(GaussianRational, "__init__", counted)
+    rep = resonance_membership(m.algebra, m.class_coords(x, y), 1)
+    assert built == []
+    assert rep.dims[:2] == ((0, 1) if y == [2 * c for c in x] else (0, 0))
+
+
+def old_e2_refusal(model, x, y):
+    """The refusals of `e2_page` as it read them off coerced GaussianRationals:
+    None when (x, y) is a nonzero class in F^1."""
+    x, y = model._pair(x, y)
+    if not any(x) and not any(y):
+        raise PreconditionError("alpha = 0 has no E2 page here")
+    for k in range(model.n):
+        if y[k].re != -x[k].im or y[k].im != x[k].re:
+            raise PreconditionError(
+                "alpha lies outside filtration level F^1 (need y = i x)")
+
+
+def refusal(f, *args):
+    """(type, message) of the error f(*args) raised, or None."""
+    try:
+        f(*args)
+    except PreconditionError as e:
+        return type(e), str(e)
+    return None
+
+
+@given(xy_pairs(n=3), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_e2_page_refusals_match_the_coerced_route(xy, pure):
+    m = elliptic_model(3)
+    x, y = xy
+    if pure:  # y = i x where x is a vector of Q(i), so most draws are in F^1
+        y = outcome(lambda: [I * QI.coerce(c) for c in x])
+        if not isinstance(y, list):
+            y = xy[1]
+    want = refusal(old_e2_refusal, m, x, y)
+    got = refusal(e2_page, m, x, y)
+    assert got == want
+    if want is None:
+        assert e2_page(m, x, y).consistent

@@ -586,11 +586,13 @@ def test_exit_code_2_on_precondition_errors(tmp_path):
     ["resonance-sample", "--arrangement", "concurrent3", "--trials", "0"],
 ])
 def test_sample_counts_below_one_exit_2(argv):
+    # the elliptic battery needs one scroll sample per stratum
+    least = 3 if argv[0] == "elliptic" else 1
     err = io.StringIO()
     with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
         cli.main(argv)
     assert exc.value.code == 2
-    assert "argument --trials: must be at least 1" in err.getvalue()
+    assert f"argument --trials: must be at least {least}" in err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 
@@ -621,10 +623,38 @@ def test_elliptic_suite_refuses_vacuous_sample_counts():
 @pytest.mark.parametrize("trials", ["1", "2"])
 def test_elliptic_scroll_samples_below_three_exit_2(trials):
     # fewer than three scroll samples would leave the rank-1 and general
-    # strata untested
-    err = stderr_error(["elliptic", "--n", "3", "--trials", trials], 2)
-    assert err["kind"] == "precondition"
-    assert err["error"].startswith("scroll_samples must be at least 3")
+    # strata untested; argparse refuses them by the option's own name
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(["elliptic", "--n", "3", "--trials", trials])
+    assert exc.value.code == 2
+    assert f"argument --trials: must be at least 3, got {trials}" \
+        in err.getvalue()
+    assert "scroll_samples" not in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_elliptic_help_names_the_least_trials():
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out):
+        cli.main(["elliptic", "--help"])
+    assert exc.value.code == 0
+    assert "at least 3" in " ".join(out.getvalue().split())
+
+
+@pytest.mark.parametrize("n", ["2", "1", "0", "-1"])
+def test_elliptic_suite_below_three_points_exits_2(n):
+    # at n = 2 the scroll is E_01 itself, so check (e) has no witness; the
+    # refusal comes before the sample counts are read
+    for argv in (["elliptic", "--n", n], ["elliptic", "--n", n,
+                                          "--trials", "3"]):
+        err = stderr_error(argv, 2)
+        assert err["kind"] == "precondition"
+        assert err["error"].startswith(f"n = {n}: the elliptic suite needs "
+                                       "n >= 3"), err
+        assert "E_01" in err["error"]
+    with pytest.raises(PreconditionError, match=f"n = {n}: "):
+        check_elliptic_suite(int(n), scroll_samples=0)
 
 
 def test_exit_code_3_on_degenerate_weights():
@@ -845,6 +875,34 @@ def _ranking_argv(draw):
 @given(_ranking_argv())
 @settings(max_examples=300, deadline=None)
 def test_ranking_subcommands_survive_argv_fuzz(argv):
+    _run_fuzzed(argv)
+
+
+@st.composite
+def _battery_argv(draw):
+    """argv of the subcommands that build or sample at a size the argv
+    names: `elliptic` at n in 1..4 with --trials in -1..8, `os-algebra`
+    with --top in -2..5 on every bundled fixture."""
+    if draw(st.booleans()):
+        options = [("--n", str(draw(st.integers(1, 4)))),
+                   ("--trials", str(draw(st.integers(-1, 8))))]
+        subcommand = "elliptic"
+    else:
+        options = [("--arrangement", draw(st.sampled_from(FIXTURE_NAMES))),
+                   ("--top", str(draw(st.integers(-2, 5))))]
+        subcommand = "os-algebra"
+    options = draw(st.permutations(options))
+    # now and then an option is dropped: a required one is refused by
+    # argparse, an optional one takes its default
+    if not draw(st.integers(0, 9)):
+        options = options[1:]
+    return [subcommand] + [token for option in options for token in option]
+
+
+def _run_fuzzed(argv):
+    """(exit code, stdout) of one fuzzed argv, asserting the exit contract:
+    0, 2 or 3 from `main` with a JSON error on stderr otherwise, or
+    argparse's own exit 2, and never a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -854,7 +912,7 @@ def test_ranking_subcommands_survive_argv_fuzz(argv):
             assert exc.code == 2, (argv, err.getvalue())
             assert "error:" in err.getvalue(), argv
             assert "Traceback" not in err.getvalue(), argv
-            return
+            return None, ""
     assert code in (0, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     if code == 0:
@@ -864,6 +922,15 @@ def test_ranking_subcommands_survive_argv_fuzz(argv):
         error = json.loads(err.getvalue())
         assert error["kind"] in ("parse", "precondition", "degeneracy")
         assert error["error"], argv
+    return code, out.getvalue()
+
+
+@given(_battery_argv())
+@settings(max_examples=100, deadline=None)
+def test_sized_subcommands_survive_argv_fuzz(argv):
+    code, out = _run_fuzzed(argv)
+    if code == 0 and argv[0] == "elliptic":
+        assert json.loads(out)["result"]["passed"] is True, argv
 
 
 def test_malformed_arrangement_files_keep_their_field_messages(tmp_path):
