@@ -19,7 +19,7 @@ from .errors import PreconditionError
 # the benchmark's tracer, which wraps them on this module
 from .exterior import build_quotient_algebra  # noqa: F401
 from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
-                      GaussianRational, _coerced, _integral,
+                      GaussianRational, _integral,
                       _kernel_basis, _rref_parts, rank, rank_and_kernel,
                       solve_linear)
 
@@ -42,31 +42,30 @@ class AomotoComplex:
     then A = ker D + e_jA, two copies of Q = A/e_jA, so
     r(d) = r_Q(d) + r_Q(d-1), ranked on the basis monomials without j;
     "full", the elimination of every differential, otherwise.  Both fast
-    routes set r(top) = 0, the zero map of the truncation.  A rank is the
-    pivot count of the forward pass of the exact elimination
-    (`restricted_rank`), so no route builds a reduced echelon form.
+    routes set r(top) = 0, the zero map of the truncation, which is d_top
+    only when A^{top+1} = 0 (`GradedAlgebra.complete`); the queries below
+    refuse a degree that reads it otherwise.  A rank is the pivot count of
+    the forward pass of the exact elimination (`restricted_rank`), so no
+    route builds a reduced echelon form.
     `kernels` always come from the reduced echelon forms of the full
     differentials (`_echelons`), built only when kernels are asked for.
 
-    alpha is cleared before anything is read off it (`scalars._integral`).
-    Over QQ(i) a `scalars.ClearedVector`, such as
-    `EllipticModel.class_coords` returns, is kept as it is, as `alpha`, and
-    its integer parts are the ones the differentials are assembled from, so
-    no field object is built between the class and the elimination.  Any
-    other alpha is first coerced into the field, entry by entry, and kept
-    as a tuple.
+    alpha is cleared once (`scalars._integral`), and the differentials
+    are assembled from its integer parts.  A `scalars.ClearedVector` from
+    `EllipticModel.class_coords` passes through as it is, so no field
+    object is built between the class and the elimination.
     """
 
     def __init__(self, algebra, alpha):
-        alpha = _coerced(algebra.field, alpha)
-        if len(alpha) != algebra.dim(1):
+        self._integral, _ = _integral(algebra.field, alpha)
+        if len(self._integral[0]) != algebra.dim(1):
             raise PreconditionError(
-                f"alpha needs {algebra.dim(1)} coordinates, got {len(alpha)}")
+                f"alpha needs {algebra.dim(1)} coordinates, got "
+                f"{len(self._integral[0])}")
         algebra.check_anticommutation()
         descends, kept = algebra.boundary_split()
         self.algebra = algebra
         self.alpha = alpha
-        self._integral, _ = _integral(algebra.field, alpha)
         p = getattr(algebra.field, "p", None)
         unit = any(sum(part) % p if p else sum(part)
                    for part in self._integral)
@@ -177,12 +176,17 @@ def resonance_membership(algebra, alpha, degree, depth=1):
     if not 0 <= degree <= algebra.top:
         raise PreconditionError(
             f"degree {degree} outside the built range 0..{algebra.top}")
+    if degree == algebra.top and not algebra.complete:
+        raise PreconditionError(
+            f"degree {degree} is the top of an algebra truncated at "
+            f"{degree}: h^{degree} needs A^{degree + 1}, which was not built")
     if depth < 1:
         raise PreconditionError("depth must be at least 1")
     cx = AomotoComplex(algebra, alpha)
     dims = cx.cohomology_dims()
-    return ResonanceReport(degree, depth, dims,
-                           dims[degree] >= depth, cx.euler_matches())
+    euler = sum((-1) ** d * h for d, h in enumerate(dims))
+    return ResonanceReport(degree, depth, dims, dims[degree] >= depth,
+                           euler == algebra.euler())
 
 
 def _scalar_mod(x, fp, i_res):
@@ -337,26 +341,26 @@ def log_resonance_membership(algebra, alpha):
     zero_class flag set (the locus is defined by a nonvanishing quotient,
     which is empty at 0); no error is raised.
 
-    Both tests run on the integer parts of alpha (`scalars._integral`), and
-    a `scalars.ClearedVector` goes on to `AomotoComplex` as it is.
+    Both tests run on the integer parts the complex cleared alpha to.  An
+    algebra built below degree 2 is refused unless it is `complete`.
     """
     if algebra.hodge_types is None:
         raise PreconditionError("logarithmic resonance needs Hodge types")
-    alpha = _coerced(algebra.field, alpha)
-    if len(alpha) != algebra.dim(1):
+    if algebra.top < 2 and not algebra.complete:
         raise PreconditionError(
-            f"alpha needs {algebra.dim(1)} coordinates, got {len(alpha)}")
-    parts, _ = _integral(algebra.field, alpha)
+            "degree 1 logarithmic resonance needs A^2, which an algebra "
+            f"truncated at {algebra.top} did not build")
+    cx = AomotoComplex(algebra, alpha)
+    parts = cx._integral
     # F^1 A^1 is the coordinate subspace on these positions
     f1 = algebra.hodge_positions(1, 1)
     if not any(map(any, parts)):
         return LogResonanceReport(False, None, True, len(f1))
     inside = set(f1)
-    outside = [j for j in range(len(alpha)) if j not in inside]
+    outside = [j for j in range(algebra.dim(1)) if j not in inside]
     if any(part[j] for part in parts for j in outside):
         raise PreconditionError(
             "class lies outside filtration level F^1 in degree 1; "
             "logarithmic membership undefined")
-    r = AomotoComplex(algebra, alpha).restricted_rank(1, cols=f1)
-    h1 = len(f1) - r - 1
+    h1 = len(f1) - cx.restricted_rank(1, cols=f1) - 1
     return LogResonanceReport(h1 >= 1, h1, False, len(f1))

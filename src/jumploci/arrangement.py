@@ -213,20 +213,25 @@ def os_algebra(arr, top=None):
     boundary solved for its broken circuit.  The algebra is straightened
     with no elimination (`exterior._straighten`): bit for bit the one that
     `build_quotient_algebra` gives for these generators, or AssertionError.
+    The rank is read off the walk too; A is `complete` when top >= rank.
     """
+    d = arr.size
+    # a vector of the walk is in the span of those before it iff a circuit
+    # ends there; e0 adds one to the size and one to the rank
+    rank = d - len({t[-1] for t, _ in arr.dependencies})
     if top is None:
-        top = arr.rank()
+        top = rank
     if top < 0:
         raise PreconditionError("top degree must be nonnegative")
-    d = arr.size
     meeting = [t for t, flat in arr.dependencies
                if t[-1] < d and not flat >> d & 1]
     empty = [t[:-1] for t, _ in arr.dependencies if t[-1] == d]
     gens = [circuit_boundary(d, s) for s in meeting]
     gens += [Multivector.monomial(d, s) for s in empty]
+    complete = top >= rank  # A^k = 0 above the rank
     top = min(top, d)
     return GradedAlgebra(d, QQ, top, gens, ((1, 1),) * d,
-                         *_straighten(d, top, gens, gens))
+                         *_straighten(d, top, gens, gens), complete)
 
 
 def poincare_and_euler(arr):

@@ -159,12 +159,16 @@ def _subspace_rows(text):
 
 def _cmd_os_algebra(args):
     arr, digest = _load_arrangement(args.arrangement)
-    rank = arr.rank()
-    full = args.top is None or args.top >= rank
     circuits = matroid_circuits(arr)
-    algebra = os_algebra(arr, rank if full else args.top)
+    if args.top is None:
+        algebra = os_algebra(arr)
+        rank = algebra.top  # the default top is the rank
+    else:
+        rank = arr.rank()
+        algebra = os_algebra(arr, min(args.top, rank))
     result = {
-        "dims": algebra.dims(), "euler": algebra.euler() if full else None,
+        "dims": algebra.dims(),
+        "euler": algebra.euler() if algebra.complete else None,
         "size": arr.size, "rank": rank, "central": arr.central,
         "circuits": circuits,
         "canonical_input": serialize(arr),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .aomoto import AomotoComplex
 from .errors import PreconditionError
@@ -23,7 +23,7 @@ from .errors import PreconditionError
 from .exterior import (GradedAlgebra, Multivector,  # noqa: F401
                        _straighten, build_quotient_algebra)
 from .scalars import (QI, ClearedVector, GaussianRational,  # noqa: F401
-                      rank_and_kernel, rref, solve_linear)
+                      _integral, _read, rank_and_kernel, rref, solve_linear)
 
 _MODELS = {}
 
@@ -75,7 +75,8 @@ class EllipticModel:
         top = min(top, 2 * n)
         self.algebra = GradedAlgebra(2 * n, QI, top, relations,
                                      ((1, 0), (0, 1)) * n,
-                                     *_straighten(2 * n, top, relations, rels))
+                                     *_straighten(2 * n, top, relations, rels),
+                                     top == 2 * n)
 
     @property
     def top(self):
@@ -85,16 +86,17 @@ class EllipticModel:
         """A1 coordinates (u, v basis) of sum x_k a_k + y_k b_k: u_k =
         (x_k - i y_k)/2 and v_k = (x_k + i y_k)/2, as a
         `scalars.ClearedVector`: one positive den and the integer parts
-        [re, im] in lowest terms, computed from the integer parts of x and
-        y with no Fraction built.  Its items are the GaussianRationals
-        u_1, v_1, ..., u_n, v_n, built when read, and it compares equal to
-        their tuple; `AomotoComplex` takes its parts as they are.
+        [re, im] in lowest terms, computed from x and y cleared together
+        (`scalars._integral`) with no Fraction built.  Its items are the
+        GaussianRationals u_1, v_1, ..., u_n, v_n, built when read, and it
+        compares equal to their tuple; `AomotoComplex` takes its parts as
+        they are.
 
         Rational and Gaussian inputs take one path (`_class_vector`).
-        Raises PreconditionError on a length mismatch and
-        FieldMismatchError (from `QI.coerce`) on a value outside Q(i)."""
+        Raises PreconditionError on a length mismatch and the
+        FieldMismatchError of `QI.coerce` on a value outside Q(i)."""
         self._check_lengths(x, y)
-        return _class_vector(_integer_parts(x), _integer_parts(y))
+        return _class_vector(*_integral(QI, [*x, *y]))
 
     def xy_of_coords(self, coords):
         """Inverse of class_coords."""
@@ -120,50 +122,16 @@ class EllipticModel:
         return ([QI.coerce(c) for c in x], [QI.coerce(c) for c in y])
 
 
-def _integer_parts(values):
-    """(re numerator, re denominator, im numerator, im denominator) of each
-    value of Q(i), read off its parts, or off an int or Fraction as the real
-    part, with no GaussianRational built."""
-    out = []
-    for c in values:
-        if isinstance(c, GaussianRational):
-            re, im = c.re, c.im
-            out.append((re.numerator, re.denominator,
-                        im.numerator, im.denominator))
-        elif isinstance(c, (int, Fraction)):
-            out.append((c.numerator, c.denominator, 0, 1))
-        else:  # QI.coerce refuses it with FieldMismatchError
-            g = QI.coerce(c)
-            out.append((g.re.numerator, g.re.denominator,
-                        g.im.numerator, g.im.denominator))
-    return out
-
-
-def _common_den(*parts):
-    """A common multiple of the denominators of the values whose
-    `_integer_parts` are given: the lcm of the products of each value's two
-    denominators."""
-    return lcm(*[q * s for values in parts for _, q, _, s in values])
-
-
-def _scaled(parts, den):
-    """The (re, im) integer pairs of den times the values whose
-    `_integer_parts` are given, den a common multiple of their
-    denominators."""
-    if den == 1:
-        return [(p, r) for p, _, r, _ in parts]
-    return [(p * (den // q), r * (den // s)) for p, q, r, s in parts]
-
-
-def _class_vector(xs, ys):
+def _class_vector(parts, den):
     """The ClearedVector of u_k = (x_k - i y_k)/2, v_k = (x_k + i y_k)/2
-    from the `_integer_parts` xs and ys of x and y.  With L a common
-    denominator and X = L x, Y = L y Gaussian integers, 2L u_k = X_k - i Y_k
-    and 2L v_k = X_k + i Y_k; dividing 2L and these by their gcd puts them
-    in lowest terms."""
-    den = _common_den(xs, ys)
+    from `_integral(QI, [*x, *y])`: the integer parts [re, im] of den
+    times x followed by y.  With X = den x and Y = den y Gaussian integers,
+    2 den u_k = X_k - i Y_k and 2 den v_k = X_k + i Y_k; dividing 2 den and
+    these by their gcd puts them in lowest terms."""
+    re_xy, im_xy = parts
+    n = len(re_xy) // 2
     re, im = [], []
-    for (xr, xi), (yr, yi) in zip(_scaled(xs, den), _scaled(ys, den)):
+    for xr, xi, yr, yi in zip(re_xy, im_xy, re_xy[n:], im_xy[n:]):
         re += (xr + yi, xr - yi)
         im += (xi - yr, xi + yr)
     den *= 2
@@ -192,35 +160,32 @@ def scroll_membership(n, x, y):
     """Is (x, y) on the scroll: sum x = sum y = 0 and rank [x; y] <= 1?
 
     The failing equation is reported on rejection (1-based indices).  The
-    sums and minors are computed on the Gaussian integers D x and D y, D a
-    common denominator (`_common_den`), as (re, im) pairs; a
-    GaussianRational is built only for the rejection message."""
+    sums and minors are computed on the Gaussian integers D x and D y, D
+    the common denominator of x and y cleared together
+    (`scalars._integral`), on their real and imaginary parts; a
+    GaussianRational is built (by `scalars._read`) only for the rejection
+    message."""
     if len(x) != n or len(y) != n:
         raise PreconditionError(f"vectors must have length {n}")
-    xs, ys = _integer_parts(x), _integer_parts(y)
-    den = _common_den(xs, ys)
-    x, y = _scaled(xs, den), _scaled(ys, den)
-    for name, v in (("x", x), ("y", y)):
-        sr, si = sum(a for a, _ in v), sum(b for _, b in v)
+    (re, im), den = _integral(QI, [*x, *y])
+    for name, k in (("x", 0), ("y", n)):
+        sr, si = sum(re[k:k + n]), sum(im[k:k + n])
         if sr or si:
             return ScrollVerdict(False, f"sum of {name} coordinates is "
-                                        f"{_over(sr, si, den)}, not 0")
-    for i, ((ar, ai), (br, bi)) in enumerate(zip(x, y)):
+                                        f"{_read(QI, den, [[sr], [si]])[0]}, "
+                                        "not 0")
+    xr, xi, yr, yi = re[:n], im[:n], re[n:], im[n:]
+    for i, (ar, ai, br, bi) in enumerate(zip(xr, xi, yr, yi)):
         for j in range(i + 1, n):
-            (cr, ci), (dr, di) = x[j], y[j]
+            cr, ci, dr, di = xr[j], xi[j], yr[j], yi[j]
             # x_i y_j - x_j y_i
             mr = ar * dr - ai * di - cr * br + ci * bi
             mi = ar * di + ai * dr - cr * bi - ci * br
             if mr or mi:
                 return ScrollVerdict(
                     False, f"minor x_{i+1} y_{j+1} - x_{j+1} y_{i+1} = "
-                           f"{_over(mr, mi, den * den)}")
+                           f"{_read(QI, den * den, [[mr], [mi]])[0]}")
     return ScrollVerdict(True, None)
-
-
-def _over(re, im, den):
-    """The GaussianRational (re + i im) / den."""
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 @dataclass(frozen=True)
@@ -284,16 +249,18 @@ def e2_page(model, x, y):
     wedge leaves the bigrading.
     """
     model._check_lengths(x, y)
-    xs, ys = _integer_parts(x), _integer_parts(y)
-    if not any(p or r for p, _, r, _ in xs + ys):
+    parts, den = _integral(QI, [*x, *y])
+    re, im = parts
+    if not any(re) and not any(im):
         raise PreconditionError("alpha = 0 has no E2 page here")
-    # y = i x, part by part in lowest terms: Re y = -Im x and Im y = Re x
-    for (a, b, c, d), (e, f, g, h) in zip(xs, ys):
-        if e != -c or f != d or g != a or h != b:
-            raise PreconditionError(
-                "alpha lies outside filtration level F^1 (need y = i x)")
-    deep = elliptic_model(model.n, top=3)
-    return _e2_from_blocks(AomotoComplex(deep.algebra, _class_vector(xs, ys)))
+    # y = i x over the common denominator: Re y = -Im x and Im y = Re x
+    n = model.n
+    if re[n:] != [-a for a in im[:n]] or im[n:] != re[:n]:
+        raise PreconditionError(
+            "alpha lies outside filtration level F^1 (need y = i x)")
+    deep = elliptic_model(n, top=3)
+    return _e2_from_blocks(AomotoComplex(deep.algebra,
+                                         _class_vector(parts, den)))
 
 
 def _e2_from_blocks(cx):

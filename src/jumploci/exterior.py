@@ -23,8 +23,8 @@ from math import gcd, lcm
 
 from .errors import PreconditionError
 # rref is imported for the benchmark's tracer, which wraps exterior.rref
-from .scalars import (QI, QQ, Matrix, _integral, _read,  # noqa: F401
-                      _rref_parts, rref)
+from .scalars import (QI, QQ, Matrix, _clear_row, _integral,  # noqa: F401
+                      _read, _rref_parts, rref)
 
 
 def _mask(indices):
@@ -194,13 +194,18 @@ class GradedAlgebra:
     Multiplication by the generators is kept as integer structure constants
     (`structure_constants`), built from the projections on first use; the
     Aomoto differentials are assembled from them (`class_mult_parts`).
+
+    `complete` records that the builder knows A^{top+1} = 0, so that the
+    zero map out of A^top is the true differential; the Aomoto queries
+    refuse what reads that map on an algebra that is not complete.
     """
 
     def __init__(self, ngens, field, top, ideal_gens, hodge_types,
-                 monomials, basis, proj):
+                 monomials, basis, proj, complete):
         self.ngens = ngens
         self.field = field
         self.top = top
+        self.complete = complete
         self.ideal_gens = tuple(ideal_gens)
         self.hodge_types = hodge_types
         self.monomials = monomials
@@ -221,7 +226,7 @@ class GradedAlgebra:
         return tuple(self.dim(d) for d in range(self.top + 1))
 
     def euler(self):
-        return sum((-1) ** d * self.dim(d) for d in range(self.top + 1))
+        return sum((-1) ** d * len(b) for d, b in enumerate(self.basis))
 
     def zero_coords(self, d):
         return [self.field.zero()] * self.dim(d)
@@ -333,14 +338,14 @@ class GradedAlgebra:
         return self._boundary
 
     def _boundary_vanishes(self, g):
-        """Does Dg, cleared to integers, project to 0?"""
+        """Does Dg, cleared to integers (`scalars._clear_row`), project
+        to 0?"""
         d = g.degree()
-        den = lcm(*(c.denominator for c in g.terms.values()))
+        _, (ints,) = _clear_row(list(g.terms.values()), False)
         _, cols = self.proj[d - 1]
         index = self.mono_index[d - 1]
         acc = {}
-        for m, c in g.terms.items():
-            c = c.numerator * (den // c.denominator)
+        for m, c in zip(g.terms, ints):
             for k, i in enumerate(_indices(m)):
                 for j, e in cols[index[m ^ (1 << i)]]:
                     acc[j] = acc.get(j, 0) + (-c * e if k & 1 else c * e)
@@ -402,7 +407,7 @@ class GradedAlgebra:
         the integer parts of alpha (`scalars._integral`).
         """
         field = self.field
-        integral, scale = _integral(field, [field.coerce(a) for a in alpha])
+        integral, scale = _integral(field, alpha)
         den = self.structure_constants(d)[0] if d < self.top else 1
         rows = [_read(field, scale * den, nums)
                 for nums in zip(*self.class_mult_parts(integral, d))]
@@ -447,10 +452,11 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     The quotient basis in each degree is canonical: monomials are ordered
     lexicographically and the non-pivot ones survive.
 
-    Each coefficient but an int goes through `field.coerce` once.  Each
-    generator is cleared to integers and the rows e_T wedge g are signed
-    copies of it, ranked by `scalars._rref_parts`.  `field` is QQ or QQ(i),
-    only the field of the coordinates: the generators must be rational.
+    Each generator is cleared to integers once (`scalars._clear_row`, which
+    refuses a coefficient outside the field) and the rows e_T wedge g are
+    signed copies of it, ranked by `scalars._rref_parts`.  `field` is QQ or
+    QQ(i), only the field of the coordinates: the generators must be
+    rational.
     Over F_p, reduce a built algebra with `aomoto.reduce_algebra_mod`.
     The package's models are straightened instead (`_straighten`).
     """
@@ -479,28 +485,19 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
             raise PreconditionError(
                 f"ideal generator {k} has degree {g.degree()}; degree-one "
                 "relations would change the generator space")
-        coeffs = {}
-        for m, c in g.terms.items():
-            if type(c) is not int:
-                c = field.coerce(c)
-                if field is QI:
-                    if c.im:
-                        raise PreconditionError(
-                            f"ideal generator {k} has a non-rational "
-                            "coefficient; the relations of a quotient over "
-                            "QQ(i) are rational")
-                    c = c.re
-            coeffs[m] = c
-        g = Multivector(ngens, coeffs)
+        den, parts = _clear_row(list(g.terms.values()), field is QI)
+        if field is QI and any(parts[1]):
+            raise PreconditionError(
+                f"ideal generator {k} has a non-rational coefficient; the "
+                "relations of a quotient over QQ(i) are rational")
+        g = Multivector(ngens, zip(g.terms, _read(QQ, den, parts[:1])))
         if hodge_types is not None:
             types = {_mono_type(m, hodge_types) for m in g.terms}
             if len(types) > 1:
                 raise PreconditionError(f"ideal generator {len(gens)} mixes "
                                         f"Hodge types {sorted(types)}")
-        den = lcm(*(c.denominator for c in g.terms.values()))
         gens.append(g)
-        cleared.append((g.degree(), [(m, c.numerator * (den // c.denominator))
-                                     for m, c in g.terms.items()]))
+        cleared.append((g.degree(), list(zip(g.terms, parts[0]))))
 
     monomials = []
     basis = []
@@ -519,7 +516,7 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
         basis.append([monos[k] for k in free])
         proj.append(_projections(len(monos), pivots, free, echelon))
     return GradedAlgebra(ngens, field, top, gens, hodge_types,
-                         monomials, basis, proj)
+                         monomials, basis, proj, top == ngens)
 
 
 def _projections(nm, pivots, free, echelon):

@@ -115,13 +115,6 @@ def _punctures(points, lam):
     return points, lam
 
 
-def numerator_polynomial(points, lam):
-    """N(z) = sum_j lambda_j prod_{k != j} (z - c_k), exact over Q."""
-    points, lam = _punctures(points, lam)
-    return sp.Poly(_weighted_products(lam, [(1, -c) for c in points]), _X,
-                   domain=QQ)
-
-
 def _cleared_numerator(points, lam, at_infinity=False):
     """An integer multiple of N(z), or with at_infinity of
     N~(w) = sum_j lambda_j prod_{k != j} (1 - c_k w).  With c_k = a_k / b_k

@@ -11,11 +11,12 @@ over QQ and on Gaussian integers over QQ(i) (`_rref_exact`), exact by
 construction.  Over QQ and QQ(i) a rank is the pivot count of the forward
 pass alone, its final pivot the nonzero minor that proves it;
 back-substitution above the pivots and the gcd read of each row run only
-where rows are read.  The echelon holds integers (`_rref_parts`), and one
-reader (`_read`) turns them into field values: the rows of `rref`, the
-kernels of `rank_and_kernel`, the solutions of `solve_linear` and the
-Aomoto matrices all come from it.  A field given by no argument is
-inferred by one rule (`infer_field`).
+where rows are read.  Values become integers in one place, `_clear_row`
+(`_integral` for a vector), with no coerce pass, and integers become
+values in one place, `_read`: the rows of `rref`, the kernels of
+`rank_and_kernel`, the solutions of `solve_linear`, the Aomoto matrices
+and the items of a `ClearedVector` all come from it.  A field given by no
+argument is inferred by one rule (`infer_field`).
 """
 
 from __future__ import annotations
@@ -425,7 +426,7 @@ def _rref_mod(rows, p):
 class ClearedVector(Sequence):
     """A vector over QQ(i) held as one positive integer `den` and the integer
     `parts` (re, im) in lowest terms: item k is (re[k] + i im[k]) / den, a
-    GaussianRational built only when it is read.
+    GaussianRational built by `_read` only when it is read.
 
     `parts` and `den` are what `_integral(QI, ...)` returns for the tuple of
     its items, and `_integral` passes them through as they are over QQ(i),
@@ -448,13 +449,10 @@ class ClearedVector(Sequence):
         if isinstance(k, slice):
             return tuple(self)[k]
         re, im = self.parts
-        return GaussianRational(Fraction(re[k], self.den),
-                                Fraction(im[k], self.den))
+        return _read(QI, self.den, [[re[k]], [im[k]]])[0]
 
     def __iter__(self):
-        den = self.den
-        for re, im in zip(*self.parts):
-            yield GaussianRational(Fraction(re, den), Fraction(im, den))
+        return iter(_read(QI, self.den, self.parts))
 
     def __eq__(self, other):
         if isinstance(other, ClearedVector):
@@ -471,26 +469,39 @@ class ClearedVector(Sequence):
         return f"ClearedVector({self.den}, {re!r}, {im!r})"
 
 
-def _coerced(field, vector):
-    """The vector as `_integral` takes it: a ClearedVector as it is over
-    QQ(i), and otherwise the tuple of its entries coerced into the field
-    (FieldMismatchError on an entry outside it)."""
-    if field is QI and type(vector) is ClearedVector:
-        return vector
-    return tuple([field.coerce(a) for a in vector])
+_RATIONAL = (int, Fraction)
+
+
+def _refused(field, x):
+    """Raise the FieldMismatchError with which `field.coerce` refuses x."""
+    field.coerce(x)
+    raise AssertionError(f"{field} took {x!r}")
 
 
 def _clear_row(row, gaussian):
-    """(den, integer parts) of one row: den is the lcm of its denominators
-    and the parts are den times the row, [A] over QQ, [Re A, Im A] over
-    QQ(i)."""
+    """(den, integer parts) of one row of values: den is the lcm of their
+    denominators and the parts are den times the row, [A] over QQ and
+    [Re A, Im A] over QQ(i).  The only code that reads a value's
+    numerator and denominator: ints and Fractions and, over QQ(i),
+    GaussianRationals are read as they are, and the first other entry is
+    refused with the FieldMismatchError of the field's `coerce`."""
     if gaussian:
-        halves = ([x.re.as_integer_ratio() for x in row],
-                  [x.im.as_integer_ratio() for x in row])
+        re, im = [], []
+        for x in row:
+            if isinstance(x, GaussianRational):
+                re.append(x.re.as_integer_ratio())
+                im.append(x.im.as_integer_ratio())
+            elif isinstance(x, _RATIONAL):
+                re.append(x.as_integer_ratio())
+                im.append((0, 1))
+            else:
+                _refused(QI, x)
+        halves = (re, im)
     else:
-        halves = ([x.as_integer_ratio() for x in row],)
+        halves = ([x.as_integer_ratio() if isinstance(x, _RATIONAL)
+                   else _refused(QQ, x) for x in row],)
     den = lcm(*(d for half in halves for _, d in half))
-    return den, [[n * (den // d) for n, d in half] if den != 1
+    return den, [[n * (den // d) if n else 0 for n, d in half] if den != 1
                  else [n for n, _ in half] for half in halves]
 
 
@@ -507,18 +518,19 @@ def _clear(rows, gaussian):
 def _integral(field, vector):
     """(parts, scale): the integer parts of scale * vector as `_clear`
     returns them, [ints] over QQ and [re, im] over QQ(i) with scale the lcm
-    of the denominators, and [residues] with scale 1 over F_p.  A nonzero
-    multiple of a differential has the same rank, kernel and RREF.
+    of the denominators (`_clear_row`), and [residues] with scale 1 over
+    F_p.  A nonzero multiple of a differential has the same rank, kernel
+    and RREF.
 
-    The vector holds field elements (`_coerced`), except that over QQ(i) a
-    ClearedVector is taken as it is: its (parts, den) are returned, with no
-    entry read."""
+    Over QQ(i) a ClearedVector is taken as it is: its (parts, den) are
+    returned, with no entry read.  Over F_p each entry goes through the
+    field's `coerce`."""
     if type(vector) is ClearedVector and field is QI:
         return vector.parts, vector.den
     if field is QQ or field is QI:
         scale, parts = _clear_row(vector, field is QI)
         return parts, scale
-    return [list(vector)], 1
+    return [[field.coerce(x) for x in vector]], 1
 
 
 def _exact(values, d):
@@ -692,18 +704,21 @@ def _rref_parts(parts, ncols, field, read=True):
                           for row in rows[:len(pivots)]]
 
 
+# one zero per field for every read: field values are immutable
+_QQ_ZERO, _QI_ZERO = Fraction(0), GaussianRational(0)
+
+
 def _read(field, den, nums, sign=1):
     """The field values of sign * nums[.][j] / den for every j: an RREF row,
     in the form `_rref_parts` returns, read on its free columns.  They are
     Fractions over QQ, GaussianRationals over QQ(i) (parts nums[0] and
     nums[1]) and residues over F_p."""
-    zero = field.zero()
     if field is QQ:
-        return [Fraction(sign * a, den) if a else zero for a in nums[0]]
+        return [Fraction(sign * a, den) if a else _QQ_ZERO for a in nums[0]]
     if field is QI:
         return [GaussianRational(Fraction(sign * a, den),
-                                 Fraction(sign * b, den)) if a or b else zero
-                for a, b in zip(*nums)]
+                                 Fraction(sign * b, den)) if a or b
+                else _QI_ZERO for a, b in zip(*nums)]
     p = field.p
     if den != 1:
         sign *= pow(den, -1, p)
@@ -734,15 +749,11 @@ def _kernel_basis(field, ncols, pivots, free, echelon):
 
 
 def _field_rows(rows, field):
-    """(rows, ncols, field) of a Matrix, or of a list of rows coerced into
-    `field` or, when it is None, into the field `infer_field` gives."""
-    if isinstance(rows, Matrix):
-        return rows.entries, rows.ncols, rows.field
-    rows = [list(r) for r in rows]
-    if field is None:
-        field = infer_field(x for r in rows for x in r)
-    rows = [[field.coerce(x) for x in r] for r in rows]
-    return rows, len(rows[0]) if rows else 0, field
+    """(rows, ncols, field) of a Matrix, or of the Matrix of a list of rows
+    over `field` (when it is None, the field `infer_field` gives)."""
+    if not isinstance(rows, Matrix):
+        rows = Matrix(rows, field)
+    return rows.entries, rows.ncols, rows.field
 
 
 def rref(rows, field=None):

@@ -15,7 +15,8 @@ from jumploci.aomoto import (
     AomotoComplex, LogResonanceReport, generic_dims_sample, isotropic_check,
     log_resonance_membership, resonance_membership)
 from jumploci.arrangement import Arrangement, os_algebra, points_arrangement
-from jumploci.elliptic import elliptic_model, tangent_pair_basis
+from jumploci.elliptic import (EllipticModel, elliptic_model,
+                               tangent_pair_basis)
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.scalars import (
@@ -472,6 +473,63 @@ def test_homotopy_route_is_zero_out_of_the_truncation():
     A = os_algebra(Arrangement(2, [[1, 0], [0, 1], [1, 1]]), top=1)
     assert_oracle_ranks(A, [1, 1, 1], "homotopy")
     assert AomotoComplex(A, [1, 1, 1]).cohomology_dims() == (0, 2)
+
+
+def braid3():
+    """x_i - x_j in C^4: rank 3, so a build through degree 2 is truncated."""
+    return Arrangement(4, [[1 if k == i else -1 if k == j else 0
+                            for k in range(4)]
+                           for i in range(4) for j in range(i + 1, 4)],
+                       central=True)
+
+
+def test_truncated_top_degree_is_refused():
+    # d_2 of the build through degree 2 is the truncation's zero map, so it
+    # reported h^2 = 6 and membership where the full build has h = 0
+    alpha = [1, 2, 3, 4, 5, 7]
+    full, cut = os_algebra(braid3()), os_algebra(braid3(), top=2)
+    assert full.complete and not cut.complete
+    rep = resonance_membership(full, alpha, 2)
+    assert rep.dims == (0, 0, 0, 0) and not rep.member
+    with pytest.raises(PreconditionError, match=(
+            r"^degree 2 is the top of an algebra truncated at 2: h\^2 needs "
+            r"A\^3, which was not built")):
+        resonance_membership(cut, alpha, 2)
+    # below the top the truncation answers as the full build does
+    assert not resonance_membership(cut, alpha, 1).member
+
+
+def test_truncated_elliptic_model_refuses_log_resonance():
+    # at top 1, d_1 was the zero map, and c = (1, 2, -1) read h1 = 2
+    c = [1, 2, -1]
+    ic = [I * v for v in c]
+    low, model = EllipticModel(3, top=1), EllipticModel(3, top=2)
+    with pytest.raises(PreconditionError, match=(
+            r"^degree 1 logarithmic resonance needs A\^2, which an algebra "
+            r"truncated at 1 did not build")):
+        log_resonance_membership(low.algebra, low.class_coords(c, ic))
+    rep = log_resonance_membership(model.algebra, model.class_coords(c, ic))
+    assert not rep.member and rep.h1 == 0
+
+
+def test_complete_algebras_answer_at_their_top():
+    # concurrent3 is built through its rank 2, three points through rank 1:
+    # A^3 and A^2 vanish, so the zero map out of the top is the true one
+    A = concurrent3()
+    assert A.complete and A.top == 2
+    rep = resonance_membership(A, [1, -1, 0], 2)
+    assert rep.dims == (0, 1, 1) and rep.member
+    B = three_points()
+    assert B.complete and B.top == 1
+    assert log_resonance_membership(B, [1, 1, -2]) == LogResonanceReport(
+        True, 2, False, 3)
+    assert resonance_membership(B, [1, 1, -2], 1).dims == (0, 2)
+    # a quotient is complete when built through degree ngens, an elliptic
+    # model through degree 2n
+    assert build_quotient_algebra(3, [], 3).complete
+    assert not build_quotient_algebra(3, [], 2).complete
+    assert EllipticModel(2, top=9).algebra.complete
+    assert not EllipticModel(2, top=3).algebra.complete
 
 
 def test_affine_monomial_relations_refuse_the_boundary_routes():

@@ -295,7 +295,12 @@ def assert_eliminates_to(algebra):
 @settings(max_examples=150, deadline=None)
 def test_straightening_matches_elimination(arr, cut):
     # a top below the rank drops the rules too large to fire
-    assert_eliminates_to(os_algebra(arr, max(arr.rank() - cut, 0)))
+    top = max(arr.rank() - cut, 0)
+    algebra = os_algebra(arr, top)
+    assert_eliminates_to(algebra)
+    # the rank read off the walk is the rank of the linear parts
+    assert algebra.complete is (top == arr.rank())
+    assert os_algebra(arr).top == arr.rank()
 
 
 @pytest.mark.parametrize("arr, dims", [

@@ -20,9 +20,9 @@ from jumploci.aomoto import AomotoComplex
 from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.master import (
-    _PRIMES, _divide_out, _factor, _root_intervals, critical_points_bivariate,
-    critical_points_univariate, local_koszul_univariate, log_zero_divisor_p1,
-    numerator_polynomial, residues_line_arrangement)
+    _PRIMES, _cleared_numerator, _divide_out, _factor, _punctures,
+    _root_intervals, critical_points_bivariate, critical_points_univariate,
+    local_koszul_univariate, log_zero_divisor_p1, residues_line_arrangement)
 from jumploci.verify import BIVARIATE_CASES
 from master_oracle import (
     oracle_critical_points_bivariate, oracle_critical_points_univariate,
@@ -80,8 +80,7 @@ def test_three_points_equal_weights():
     for z in rep.zeros:
         assert z.minpoly == (3, -6, 2)
         assert z.interval is not None and z.multiplicity == 1
-    n = numerator_polynomial([0, 1, 2], [1, 1, 1])
-    assert n.all_coeffs() == [3, -6, 2]
+    assert _cleared_numerator(*_punctures([0, 1, 2], [1, 1, 1])) == [3, -6, 2]
 
 
 def test_zero_weight_sum_pushes_zero_to_boundary():
@@ -91,8 +90,8 @@ def test_zero_weight_sum_pushes_zero_to_boundary():
 
 def test_numerator_degree():
     # with nonzero weight sum the numerator has degree d - 1
-    n = numerator_polynomial([0, 1, 2, 5], [1, 2, 3, 4])
-    assert n.degree() == 3
+    n = _cleared_numerator(*_punctures([0, 1, 2, 5], [1, 2, 3, 4]))
+    assert len(n) == 4  # leading zeros are dropped
 
 
 def test_univariate_input_validation():
@@ -107,8 +106,7 @@ def test_univariate_input_validation():
 @pytest.mark.parametrize("bad, shown", [
     (0.1, "0.1"), (True, "True"), ("1/3", "'1/3'"), (sp.Rational(1, 3), "1/3")])
 @pytest.mark.parametrize("fn", [
-    critical_points_univariate, log_zero_divisor_p1, local_koszul_univariate,
-    numerator_polynomial])
+    critical_points_univariate, log_zero_divisor_p1, local_koszul_univariate])
 def test_points_must_be_rational(fn, bad, shown):
     # refused as the weights are, not converted: Fraction(0.1) would be
     # 3602879701896397/36028797018963968, and True or "1/3" a silent 1, 1/3

@@ -1,13 +1,16 @@
 """Exact scalar and linear-algebra kernels."""
 
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from jumploci import scalars
-from jumploci.aomoto import reduce_algebra_mod
+from jumploci import aomoto, scalars
+from jumploci.aomoto import (AomotoComplex, log_resonance_membership,
+                             reduce_algebra_mod)
+from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.scalars import (
@@ -439,3 +442,85 @@ def test_immutability():
     x = GaussianRational(1, 1)
     with pytest.raises(AttributeError):
         x.re = Fraction(2)
+
+
+# -- one reader: values become integers only in `_clear_row` -----------------
+
+def coerced_integral(field, vector):
+    """The integer parts and scale of a vector by the earlier route, the
+    oracle of the one reader: every entry coerced into the field first, then
+    the coerced row cleared."""
+    row = [field.coerce(a) for a in vector]
+    if field is QI:
+        halves = ([x.re.as_integer_ratio() for x in row],
+                  [x.im.as_integer_ratio() for x in row])
+    else:
+        halves = ([x.as_integer_ratio() for x in row],)
+    den = lcm(*(d for half in halves for _, d in half))
+    return [[n * (den // d) for n, d in half] for half in halves], den
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except Exception as e:  # noqa: BLE001 - compared, not swallowed
+        return type(e), str(e)
+
+
+gaussians = st.builds(GaussianRational, rationals, rationals)
+values = st.one_of(st.integers(-50, 50), st.booleans(), rationals, gaussians)
+refused = st.sampled_from([0.5, "1", None, 1j, GaussianRational(0, 1)])
+
+
+@given(st.lists(values, max_size=8), st.sampled_from([QQ, QI]),
+       st.none() | st.tuples(st.integers(0, 8), refused))
+@example([], QQ, (0, GaussianRational(1)))
+@example([1, Fraction(1, 2)], QI, (1, 1j))
+@settings(max_examples=300, deadline=None)
+def test_one_reader_matches_coerce_then_clear(vector, field, bad):
+    # the reader refuses an entry outside the field with the bytes of
+    # field.coerce: 0.5, "1", None and 1j anywhere, a Gaussian over QQ
+    if bad is not None:
+        k, x = bad
+        vector = vector[:k] + [x] + vector[k:]
+    got = outcome(scalars._integral, field, vector)
+    want = outcome(coerced_integral, field, vector)
+    assert got == want
+    if isinstance(want[0], type):
+        assert want[0] is FieldMismatchError
+        assert want[1].startswith("cannot coerce ")
+    else:
+        assert all(type(n) is int for part in got[0] for n in part)
+
+
+def test_log_resonance_clears_its_class_once(monkeypatch):
+    concurrent3 = os_algebra(Arrangement(2, [[1, 0], [0, 1], [1, 1]]))
+    calls, clear = [], aomoto._integral
+
+    def counted(field, vector):
+        calls.append(field)
+        return clear(field, vector)
+    monkeypatch.setattr(aomoto, "_integral", counted)
+    for alpha, member in (([1, 1, -2], True), ([1, 1, 1], False),
+                          ([0, 0, 0], False)):
+        calls.clear()
+        assert log_resonance_membership(concurrent3, alpha).member is member
+        assert calls == [QQ]
+
+
+def test_aomoto_complex_coerces_no_entry(monkeypatch):
+    concurrent3 = os_algebra(Arrangement(2, [[1, 0], [0, 1], [1, 1]]))
+    calls, coerce = [], scalars.RationalField.coerce
+
+    def counted(self, x):
+        calls.append(x)
+        return coerce(self, x)
+    monkeypatch.setattr(scalars.RationalField, "coerce", counted)
+    assert QQ.coerce(2) == 2 and calls == [2]  # the count sees a coerce
+    calls.clear()
+    for alpha in ([1, -1, 0], [Fraction(1, 2), 3, Fraction(-5, 2)]):
+        cx = AomotoComplex(concurrent3, alpha)
+        assert cx.cohomology_dims() == ((0, 1, 1) if sum(alpha) == 0
+                                        else (0, 0, 0))
+    assert calls == []
