@@ -45,10 +45,11 @@ class AomotoComplex:
     routes set r(top) = 0, the zero map of the truncation, which is d_top
     only when A^{top+1} = 0 (`GradedAlgebra.complete`); the queries below
     refuse a degree that reads it otherwise.  A rank is the pivot count of
-    the forward pass of the exact elimination (`restricted_rank`), so no
-    route builds a reduced echelon form.
-    `kernels` always come from the reduced echelon forms of the full
-    differentials (`_echelons`), built only when kernels are asked for.
+    the forward pass of the exact elimination (`restricted_rank`), which
+    assembles only the block it ranks, so no route builds a reduced echelon
+    form or a differential in full.
+    `kernels` come from the reduced echelon forms of the full differentials
+    (`parts`, `_echelons`), built only when kernels are asked for.
 
     alpha is cleared once (`scalars._integral`), and the differentials
     are assembled from its integer parts.  A `scalars.ClearedVector` from
@@ -86,6 +87,7 @@ class AomotoComplex:
 
     @cached_property
     def parts(self):
+        """The full differentials as cleared parts, for `kernels`."""
         return [self.algebra.class_mult_parts(self._integral, d)
                 for d in range(self.algebra.top + 1)]
 
@@ -133,17 +135,16 @@ class AomotoComplex:
     def restricted_rank(self, d, rows=None, cols=None):
         """Rank of the differential out of degree d restricted to the target
         coordinates `rows` and the source coordinates `cols` (all of them
-        when None), from the forward pass of its elimination alone."""
-        parts = self.parts[d]
-        if rows is not None:
-            parts = [[part[k] for k in rows] for part in parts]
-        ncols = self.algebra.dim(d)
-        if cols is not None:
-            parts = [[[row[j] for j in cols] for row in part]
-                     for part in parts]
-            ncols = len(cols)
-        return len(_rref_parts(parts, ncols, self.algebra.field,
-                               read=False)[0])
+        when None), from the forward pass of its elimination alone.  Only
+        that block is assembled (`GradedAlgebra.class_mult_parts`); a block
+        with no rows or no columns has rank 0 and is not assembled."""
+        algebra = self.algebra
+        nrows = algebra.dim(d + 1) if rows is None else len(rows)
+        ncols = algebra.dim(d) if cols is None else len(cols)
+        if not nrows or not ncols:
+            return 0
+        parts = algebra.class_mult_parts(self._integral, d, rows, cols)
+        return len(_rref_parts(parts, ncols, algebra.field, read=False)[0])
 
     def cohomology_dims(self):
         """h^d = dim ker(d_d) - rank(d_{d-1}) for each degree through top."""

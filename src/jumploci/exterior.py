@@ -373,29 +373,44 @@ class GradedAlgebra:
         return [[k for k, m in enumerate(ms) if not m & bit]
                 for ms in self.basis]
 
-    def class_mult_parts(self, alpha, d):
+    def class_mult_parts(self, alpha, d, rows=None, cols=None):
         """The matrix of (alpha wedge .): A^d -> A^{d+1} as the cleared
         parts that `scalars._rref_parts` takes, for alpha given by its
         integer parts, one list each ([ints] over QQ, [re, im] over QQ(i),
         [residues] over F_p; see `scalars._integral`).  Rows are target
         coordinates; the parts are scale * den_d times the matrix, with
         scale the factor that cleared alpha, which changes no rank, kernel
-        or RREF.  Over F_p they are reduced mod p here."""
-        nsrc, ntgt = self.dim(d), self.dim(d + 1)
-        parts = [[[0] * nsrc for _ in range(ntgt)] for _ in alpha]
+        or RREF.  Over F_p they are reduced mod p here.
+
+        `rows` and `cols`, lists of distinct target and source positions in
+        any order (all of them when None), select a block: block row k is
+        target `rows[k]`, block column j is source `cols[j]`.  The block is
+        read straight off the structure constants, so no entry outside it
+        is formed."""
+        src = range(self.dim(d)) if cols is None else cols
+        if rows is None:
+            where, nrows = range(self.dim(d + 1)), self.dim(d + 1)
+        else:
+            where, nrows = [None] * self.dim(d + 1), len(rows)
+            for k, r in enumerate(rows):
+                where[r] = k
+        parts = [[[0] * len(src) for _ in range(nrows)] for _ in alpha]
         if d >= self.top:
             return parts
-        _, cols = self.structure_constants(d)
-        for rows, coords in zip(parts, alpha):
-            for a, gen in zip(coords, cols):
+        _, gens = self.structure_constants(d)
+        for block, coords in zip(parts, alpha):
+            for a, gen in zip(coords, gens):
                 if not a:
                     continue
-                for j, col in enumerate(gen):
-                    for r, c in col:
-                        rows[r][j] += a * c
+                for j, s in enumerate(src):
+                    for r, c in gen[s]:
+                        k = where[r]
+                        if k is not None:
+                            block[k][j] += a * c
         p = getattr(self.field, "p", None)
         if p:
-            parts = [[[x % p for x in row] for row in rows] for rows in parts]
+            parts = [[[x % p for x in row] for row in block]
+                     for block in parts]
         return parts
 
     def class_mult_matrix(self, alpha, d):

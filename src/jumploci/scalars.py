@@ -542,24 +542,27 @@ def _exact(values, d):
 def _combine(a, x, xi, f, y, yi, s):
     """(a X - f Y) / s for rows X = x + i xi and Y = y + i yi of integers
     (xi and yi are None over QQ) and Gaussian integers a, f and s given as
-    (re, im) pairs, when s is known to divide exactly: over QQ(i) the
-    numerator is multiplied by conj(s) and divided by |s|^2."""
+    (re, im) pairs, when s is known to divide exactly.  Over QQ (s real)
+    each entry is combined and divided in one pass, into one list; over
+    QQ(i) the numerator is formed, multiplied by conj(s) and divided by
+    |s|^2 (`_exact`)."""
     (ar, ai), (fr, fi) = a, f
-    if xi is None:
-        zr, zi = [ar * u - fr * v for u, v in zip(x, y)], None
-    else:
-        zr = [ar * u - ai * ui - fr * v + fi * vi
-              for u, ui, v, vi in zip(x, xi, y, yi)]
-        zi = [ar * ui + ai * u - fr * vi - fi * v
-              for u, ui, v, vi in zip(x, xi, y, yi)]
     sr, si = s
+    if xi is None:
+        if sr == 1:
+            return [ar * u - fr * v for u, v in zip(x, y)], None
+        return [(ar * u - fr * v) // sr for u, v in zip(x, y)], None
+    zr = [ar * u - ai * ui - fr * v + fi * vi
+          for u, ui, v, vi in zip(x, xi, y, yi)]
+    zi = [ar * ui + ai * u - fr * vi - fi * v
+          for u, ui, v, vi in zip(x, xi, y, yi)]
     if si:
         n = sr * sr + si * si
         return (_exact([u * sr + v * si for u, v in zip(zr, zi)], n),
                 _exact([v * sr - u * si for u, v in zip(zr, zi)], n))
     if sr == 1:
         return zr, zi
-    return _exact(zr, sr), None if zi is None else _exact(zi, sr)
+    return _exact(zr, sr), _exact(zi, sr)
 
 
 def _rref_exact(parts, ncols, read):
@@ -572,7 +575,7 @@ def _rref_exact(parts, ncols, read):
     that is not yet a pivot row by (d_k R - R[c] P) / d_{k-1}, where P is
     the pivot row and c its column.  By Sylvester's identity every entry
     then stored is a minor of the input, so every division is exact
-    (`_exact`) and no entry exceeds the Hadamard bound of the input, the
+    (`_combine`) and no entry exceeds the Hadamard bound of the input, the
     product of its row norms.  Rows are lazy: a row with R[c] = 0 would
     only be scaled by d_k / d_{k-1}, so it keeps what was written at its
     last step s, and when it is next touched at step k the updates combine
@@ -581,7 +584,10 @@ def _rref_exact(parts, ncols, read):
     part can start: a pivot row from its pivot, any other row from the
     column after the last pivot it was eliminated at.  The pivot row of a
     column is the candidate with the fewest nonzero entries (over QQ(i),
-    parts) from that column on.
+    parts) from that column on, the first such in row order.  The zeros of
+    each stored row are counted once, when it is written: a row still
+    below the pivots is zero on [start, c), so its zeros from c on are its
+    count less (number of parts) * (c - start).
 
     The rank is the pivot count of this forward pass; its final pivot is
     the nonzero minor that proves it.  With `read`, step k also eliminates
@@ -600,6 +606,11 @@ def _rref_exact(parts, ncols, read):
     im = list(parts[1]) if len(parts) == 2 else None
     start = [0] * len(re)  # the column at which each stored row begins
     step = [0] * len(re)   # the step at which each row was last written
+    # the zeros of each stored row over its parts, counted when written
+    nparts = len(parts)
+    zeros = [row.count(0) for row in re]
+    if im:
+        zeros = [z + row.count(0) for z, row in zip(zeros, im)]
     d = [(1, 0)]           # d_0 = 1, then the pivots, as (re, im) pairs
     rest = list(range(len(re)))
     order, pivots = [], []
@@ -608,8 +619,7 @@ def _rref_exact(parts, ncols, read):
                 if re[i][c - start[i]] or im and im[i][c - start[i]]]
         if not cand:
             continue
-        p = max(cand, key=lambda i: re[i][c - start[i]:].count(0)
-                + (im[i][c - start[i]:].count(0) if im else 0))
+        p = max(cand, key=lambda i: zeros[i] - nparts * (c - start[i]))
         rest.remove(p)
         k = len(d)
         y, yi = re[p][c - start[p]:], im[p][c - start[p]:] if im else None
@@ -630,8 +640,10 @@ def _rref_exact(parts, ncols, read):
                              im[i][j + 1:] if im else None, f, y1, yi1,
                              d[step[i]])
             re[i], start[i], step[i] = x, c + 1, k
+            zeros[i] = x.count(0)
             if im:
                 im[i] = xi
+                zeros[i] += xi.count(0)
         # the pivot rows above, only when rows are read: zero on [lo, c)
         # in P, so padded there
         for i, lo in zip(order, pivots) if read else ():

@@ -1,8 +1,9 @@
 """The complex (A*, alpha wedge): cohomology, resonance, log resonance."""
 
 import copy
+import functools
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +16,7 @@ from jumploci.aomoto import (
     AomotoComplex, LogResonanceReport, generic_dims_sample, isotropic_check,
     log_resonance_membership, resonance_membership)
 from jumploci.arrangement import Arrangement, os_algebra, points_arrangement
-from jumploci.elliptic import (EllipticModel, elliptic_model,
+from jumploci.elliptic import (EllipticModel, e2_page, elliptic_model,
                                tangent_pair_basis)
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, build_quotient_algebra
@@ -62,26 +63,86 @@ def test_concurrent_triple_point_resonance():
     assert AomotoComplex(A, [1, 1, 1]).cohomology_dims() == (0, 0, 0)
 
 
-def test_ranks_leave_the_kernel_echelons_unbuilt():
+def test_ranks_leave_the_kernel_echelons_unbuilt(monkeypatch):
     # the ranks stop after the forward pass, on the full route (the affine
     # grid x = 0, 1, y = 0, 1, whose monomial relations refuse both
-    # boundary routes) and on the quotient route (sum alpha = 0 on a
-    # central arrangement); the kernels, asked for afterwards, are read off
+    # boundary routes), on the quotient route (sum alpha = 0 on a central
+    # arrangement) and on the homotopy route, and assemble only the blocks
+    # they rank, so neither the echelons nor the full differentials
+    # (`parts`) are built; the kernels, asked for afterwards, are read off
     # reduced echelon forms and are the ones rank_and_kernel gives on the
     # Fraction matrices
     grid = os_algebra(Arrangement(2, [[0, 1, 0], [-1, 1, 0], [0, 0, 1],
                                       [-1, 0, 1]]))
     for algebra, alpha, route, dims in (
             (grid, [1, -1, 1, -1], "full", (0, 0, 1)),
-            (six_planes(), [1, 1, 1, -1, 0, -2], "quotient", (0, 0, 0, 2, 2))):
+            (six_planes(), [1, 1, 1, -1, 0, -2], "quotient", (0, 0, 0, 2, 2)),
+            (six_planes(), [1, 1, 1, 1, 1, 1], "homotopy", (0, 0, 0, 0, 0))):
         cx = AomotoComplex(algebra, alpha)
         assert cx.route == route
         assert cx.cohomology_dims() == dims
-        assert "_echelons" not in vars(cx)
+        assert "_echelons" not in vars(cx) and "parts" not in vars(cx)
         kernels = cx.kernels()
         for m, r, kernel in zip(cx.matrices, cx.ranks(), kernels):
             assert (r, kernel) == rank_and_kernel(m)
             assert len(kernel) == m.ncols - r
+
+    # e2_page and LR_1 build their complexes inside: a full differential
+    # asked for there would raise
+    def refuse(self):
+        raise AssertionError("a full differential was assembled")
+    monkeypatch.setattr(AomotoComplex, "parts", property(refuse))
+    m = elliptic_model(4)
+    assert e2_page(m, [1, -1, 1, -1], [I, -I, I, -I]).h == (0, 1, 4)
+    rep = log_resonance_membership(
+        m.algebra, m.class_coords([1, -1, 0, 0], [I, -I, 0, 0]))
+    assert (rep.member, rep.h1) == (False, 0)
+    rep = log_resonance_membership(concurrent3(), [1, 1, -2])
+    assert (rep.member, rep.h1) == (True, 1)
+
+
+@functools.cache
+def block_algebras():
+    """Algebras over each field whose differentials are assembled by block:
+    braid A3 and A4 and the six planes over QQ, elliptic_model(4) over
+    QQ(i), and two of them read mod p."""
+    braid4 = os_algebra(Arrangement(5, [
+        [1 if k == i else -1 if k == j else 0 for k in range(5)]
+        for i, j in combinations(range(5), 2)], central=True))
+    planes, model = six_planes(), elliptic_model(4).algebra
+    return (os_algebra(braid3()), braid4, planes, model,
+            aomoto.reduce_algebra_mod(planes, 101)[0],
+            aomoto.reduce_algebra_mod(model, 13)[0])
+
+
+@st.composite
+def blocks(draw):
+    algebra = draw(st.sampled_from(block_algebras()))
+    d = draw(st.integers(0, algebra.top))
+    p = getattr(algebra.field, "p", None)
+    entries = st.integers(0, p - 1) if p else st.integers(-3, 3)
+    n1 = algebra.dim(1)
+    alpha = [draw(st.lists(entries, min_size=n1, max_size=n1))
+             for _ in range(2 if algebra.field is scalars.QI else 1)]
+
+    def positions(n):
+        # distinct positions in any order, empty included
+        return st.none() | st.lists(st.sampled_from(range(n)), unique=True)
+    rows = draw(positions(algebra.dim(d + 1)) if algebra.dim(d + 1)
+                else st.sampled_from([None, []]))
+    cols = draw(positions(algebra.dim(d)))
+    return algebra, alpha, d, rows, cols
+
+
+@given(blocks())
+@settings(max_examples=150, deadline=None)
+def test_a_block_is_the_slice_of_the_full_differential(case):
+    algebra, alpha, d, rows, cols = case
+    full = algebra.class_mult_parts(alpha, d)
+    rows_ = range(algebra.dim(d + 1)) if rows is None else rows
+    cols_ = range(algebra.dim(d)) if cols is None else cols
+    assert algebra.class_mult_parts(alpha, d, rows, cols) == [
+        [[part[r][c] for c in cols_] for r in rows_] for part in full]
 
 
 def test_wrong_alpha_length():

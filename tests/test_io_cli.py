@@ -933,6 +933,44 @@ def test_sized_subcommands_survive_argv_fuzz(argv):
         assert json.loads(out)["result"]["passed"] is True, argv
 
 
+@st.composite
+def _sample_argv(draw):
+    """argv of `resonance-sample`, whose F_p samples rank blocks of the
+    reduced algebra: --trials in -1..5, a prime, a composite or 1000003 as
+    --prime, and now and then a --subspace that is valid, ragged or has a
+    zero row, on the bundled fixtures."""
+    name = draw(st.sampled_from(_ARRANGEMENTS)) if draw(st.integers(0, 3)) \
+        else draw(st.sampled_from(FIXTURE_NAMES))
+    length = _fixture_length(name)
+    options = [("--arrangement", name),
+               ("--trials", str(draw(st.integers(-1, 5)))),
+               ("--prime", str(draw(st.sampled_from([2, 4, 7, 1000003]))))]
+    if draw(st.booleans()):
+        row = st.lists(st.integers(-3, 3), min_size=length,
+                       max_size=length)
+        rows = draw(st.lists(row, min_size=1, max_size=3))
+        kind = draw(st.sampled_from(["valid", "ragged", "zero"]))
+        if kind == "ragged":
+            rows[-1] = rows[-1] + [1] if draw(st.booleans()) else \
+                rows[-1][1:]
+        elif kind == "zero":
+            rows.insert(draw(st.integers(0, len(rows))), [0] * length)
+        options.append(("--subspace", ";".join(
+            ",".join(map(str, r)) for r in rows)))
+    options = draw(st.permutations(options))
+    return ["resonance-sample"] + [token for option in options
+                                   for token in option]
+
+
+@given(_sample_argv())
+@settings(max_examples=60, deadline=None)
+def test_resonance_sample_survives_argv_fuzz(argv):
+    code, out = _run_fuzzed(argv)
+    if code == 0:
+        report = json.loads(out)["result"]
+        assert report["trials"] == int(argv[argv.index("--trials") + 1])
+
+
 def test_malformed_arrangement_files_keep_their_field_messages(tmp_path):
     # only a file shaped like another kind of input is refused by its kind
     no_forms = tmp_path / "no_forms.json"

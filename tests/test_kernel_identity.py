@@ -23,6 +23,11 @@ part alone, so they pin both changes:
   `Fraction`;
 - `_rref_parts` of seeded Q(i) matrices whose imaginary part is zero, with
   dependent rows.
+
+The route and cohomology of braid A4 at classes with sum alpha = 0 were
+pinned before `restricted_rank` assembled only the blocks it ranks: one
+class on each triple-point component, seeded classes off every component,
+and the degree-2 jump alpha = (1, 2, -3, 0, ...).
 """
 
 import hashlib
@@ -146,3 +151,35 @@ def test_real_gaussian_echelons_are_pinned_bit_for_bit():
         values.append(_rref_parts([rows, zero], ncols, QI))
     assert digest(values) == (
         "12f19349372a81fe52feaef0f392c9ca8b123eea637720813f2307a01cf36011")
+
+
+def braid_a4_zero_sum_classes(rng):
+    """Classes with sum alpha = 0 on braid A4: one on each triple-point
+    component, seeded classes off every component, and the degree-2 jump
+    alpha = (1, 2, -3, 0, ...)."""
+    position = {pair: k for k, pair in enumerate(combinations(range(5), 2))}
+    for i, j, k in combinations(range(5), 3):
+        a, b = rational(rng) or Fraction(1), rational(rng) or Fraction(1)
+        alpha = [Fraction(0)] * 10
+        alpha[position[i, j]], alpha[position[i, k]] = a, b
+        alpha[position[j, k]] = -a - b
+        yield alpha
+    for _ in range(5):
+        alpha = [rational(rng) for _ in range(10)]
+        alpha[-1] -= sum(alpha)
+        yield alpha
+    yield [Fraction(c) for c in (1, 2, -3, 0, 0, 0, 0, 0, 0, 0)]
+
+
+def test_braid_a4_quotient_route_is_pinned_bit_for_bit():
+    # the shape of the benchmark's median Aomoto query: the quotient route
+    # ranks blocks of the differentials on A/e_4 A
+    rng = random.Random("jumploci-test:braid-a4-quotient-identity")
+    A = braid_a4()
+    values = []
+    for alpha in braid_a4_zero_sum_classes(rng):
+        cx = AomotoComplex(A, alpha)
+        values.append((cx.route, cx.cohomology_dims()))
+    assert {route for route, _ in values} == {"quotient"}
+    assert digest(values) == (
+        "ca6fbd2c9313a874063c63e60111011e13d005b26acb94ccf6d64320acc7e5dd")
