@@ -201,12 +201,7 @@ def _cmd_log_resonance(args):
 
 
 def _cmd_elliptic(args):
-    kwargs = {}
-    if args.trials is not None:
-        kwargs = {"scroll_samples": args.trials, "f1_samples": args.trials,
-                  "lr_samples": args.trials,
-                  "e2_samples": max(1, args.trials // 8)}
-    check = check_elliptic_suite(args.n, seed=args.seed, **kwargs)
+    check = check_elliptic_suite(args.n, seed=args.seed, trials=args.trials)
     return jsonable(check), {"n": args.n}
 
 

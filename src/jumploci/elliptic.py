@@ -98,20 +98,6 @@ class EllipticModel:
         self._check_lengths(x, y)
         return _class_vector(*_integral(QI, [*x, *y]))
 
-    def xy_of_coords(self, coords):
-        """Inverse of class_coords."""
-        if len(coords) != 2 * self.n:
-            raise PreconditionError(
-                f"expected {2 * self.n} coordinates, got {len(coords)}")
-        coords = [QI.coerce(c) for c in coords]
-        x, y = [], []
-        for k in range(self.n):
-            cu, cv = coords[2 * k], coords[2 * k + 1]
-            d = cu - cv
-            x.append(cu + cv)
-            y.append(GaussianRational(-d.im, d.re))  # i d
-        return tuple(x), tuple(y)
-
     def _check_lengths(self, x, y):
         if len(x) != self.n or len(y) != self.n:
             raise PreconditionError(

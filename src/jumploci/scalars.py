@@ -335,18 +335,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.field.name, self.entries))
 
-    def row(self, i):
-        return self.entries[i]
-
-    def col(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self):
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.nrows)]
-             for j in range(self.ncols)],
-            field=self.field, ncols=self.nrows)
-
     def mul(self, other):
         if not isinstance(other, Matrix):
             raise TypeError("Matrix.mul expects a Matrix")

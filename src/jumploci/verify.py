@@ -4,7 +4,9 @@ the acceptance test module.
 
 Each check returns a CheckResult with exact values in `details`; `run_all`
 executes all eight in order.  Randomness is seeded per check, so reports are
-reproducible bit for bit.
+reproducible bit for bit.  The sample counts are constants of this module,
+and each check reports the counts it ran in `details`; only the elliptic
+suite of one n takes a count, `trials`, for `jumploci elliptic --trials`.
 """
 
 from __future__ import annotations
@@ -38,13 +40,6 @@ class CheckResult:
 
 def _rng(tag, seed):
     return random.Random(f"jumploci:{tag}:{seed}")
-
-
-def _require_counts(**counts):
-    """Refuse sample counts below 1: a check that ran nothing cannot pass."""
-    for name, count in counts.items():
-        if count < 1:
-            raise PreconditionError(f"{name} must be at least 1, got {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +137,7 @@ def _poly_trim(a):
     return a
 
 
-def check_os_library(seed=0):
+def check_os_library():
     failures = []
     tested = []
     for name, arr in line_library():
@@ -180,10 +175,10 @@ COMPONENT_E1 = [[1, 0, 0, 0, -1, 0], [0, 1, 0, 0, -1, 0], [0, 0, 1, 0, -1, 0]]
 COMPONENT_E2 = [[0, 1, 0, 0, 0, -1], [0, 0, 1, 0, 0, -1], [0, 0, 0, 1, 0, -1]]
 _NORMALS_E1 = [[1, 1, 1, 0, 1, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]
 _NORMALS_E2 = [[0, 1, 1, 1, 0, 1], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
+OUTSIDE_SAMPLES = 100
 
 
-def check_jump_components(seed=0, prime=DEFAULT_PRIME, outside_samples=100):
-    _require_counts(outside_samples=outside_samples)
+def check_jump_components(seed=0, prime=DEFAULT_PRIME):
     arr = Arrangement(4, SIXPLANES_FORMS)
     algebra = os_algebra(arr, top=3)
     for basis, normals in ((COMPONENT_E1, _NORMALS_E1),
@@ -205,7 +200,7 @@ def check_jump_components(seed=0, prime=DEFAULT_PRIME, outside_samples=100):
     rng = _rng("jump-outside", seed)
     mismatches = 0
     done = 0
-    while done < outside_samples:
+    while done < OUTSIDE_SAMPLES:
         vec = [rng.randrange(prime) for _ in range(6)]
         if not any(vec):
             continue
@@ -233,9 +228,14 @@ def check_jump_components(seed=0, prime=DEFAULT_PRIME, outside_samples=100):
 # ---------------------------------------------------------------------------
 # 3. Elliptic configuration-space suite for n in {3, 4, 5}.
 
-def _sumzero_vector(rng, n, lo=-4, hi=4):
+ELLIPTIC_NS = (3, 4, 5)
+# scroll, F^1, LR_1 and E_2 samples of one n
+ELLIPTIC_SAMPLES = (200, 100, 100, 25)
+
+
+def _sumzero_vector(rng, n):
     while True:
-        v = [Fraction(rng.randint(lo, hi)) for _ in range(n - 1)]
+        v = [Fraction(rng.randint(-4, 4)) for _ in range(n - 1)]
         v.append(-sum(v))
         if any(v):
             return v
@@ -246,19 +246,25 @@ def _h1(model, x, y):
     return AomotoComplex(model.algebra, coords).cohomology_dims()[1]
 
 
-def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
-                         lr_samples=100, e2_samples=25):
+def check_elliptic_suite(n, seed=0, trials=None):
+    """Criterion 3 at one n: checks (a)-(e) below.  With `trials` None it
+    draws ELLIPTIC_SAMPLES; with trials=t it draws t scroll, t F^1 and t
+    LR_1 samples and max(1, t // 8) E_2 samples, and t must be at least 3,
+    one scroll sample per stratum (rank1, general, near-miss)."""
     if n < 3:
         raise PreconditionError(
             f"n = {n}: the elliptic suite needs n >= 3, since check (e) "
             "needs a scroll point outside every tangent-pair subspace E_ij, "
             "and at n = 2 the scroll is E_01 itself")
-    _require_counts(scroll_samples=scroll_samples, f1_samples=f1_samples,
-                    lr_samples=lr_samples, e2_samples=e2_samples)
-    if scroll_samples < 3:
+    if trials is None:
+        scroll_samples, f1_samples, lr_samples, e2_samples = ELLIPTIC_SAMPLES
+    elif trials < 3:
         raise PreconditionError(
-            f"scroll_samples must be at least 3, one per stratum (rank1, "
-            f"general, near-miss), got {scroll_samples}")
+            f"trials must be at least 3, one scroll sample per stratum "
+            f"(rank1, general, near-miss), got {trials}")
+    else:
+        scroll_samples = f1_samples = lr_samples = trials
+        e2_samples = max(1, trials // 8)
     model = elliptic_model(n, top=2)
     rng = _rng(f"elliptic-{n}", seed)
     details = {"n": n}
@@ -384,9 +390,8 @@ def check_elliptic_suite(n, seed=0, scroll_samples=200, f1_samples=100,
                        passed, details)
 
 
-def check_elliptic_all(seed=0, ns=(3, 4, 5)):
-    _require_counts(n_values=len(ns))
-    subs = [check_elliptic_suite(n, seed=seed) for n in ns]
+def check_elliptic_all(seed=0):
+    subs = [check_elliptic_suite(n, seed=seed) for n in ELLIPTIC_NS]
     return CheckResult(
         "3", "elliptic configuration suite, n in {3, 4, 5}",
         all(s.passed for s in subs),
@@ -416,15 +421,15 @@ BIVARIATE_CASES = [
     ("deconed-A3", [[0, 1, 0], [0, 0, 1], [0, 1, -1], [-1, 1, 0],
                     [-1, 0, 1]]),
 ]
+UNIVARIATE_RUNS = 20
 
 
-def check_hopf_counts(seed=0, univariate_runs=20):
+def check_hopf_counts(seed=0):
     from .master import (critical_points_bivariate,
                          critical_points_univariate, log_zero_divisor_p1)
-    _require_counts(univariate_runs=univariate_runs)
     rng = _rng("hopf", seed)
     uni_failures = []
-    for _ in range(univariate_runs):
+    for _ in range(UNIVARIATE_RUNS):
         points, lam = _random_univariate_config(rng)
         d = len(points)
         log_rep = log_zero_divisor_p1(points, lam)
@@ -466,8 +471,8 @@ def check_hopf_counts(seed=0, univariate_runs=20):
     return CheckResult(
         "4", "Hopf index: P^1 divisor degrees and bivariate counts",
         passed,
-        {"univariate_runs": univariate_runs, "univariate_failures": uni_failures,
-         "bivariate": biv_results})
+        {"univariate_runs": UNIVARIATE_RUNS,
+         "univariate_failures": uni_failures, "bivariate": biv_results})
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +486,14 @@ KOSZUL_CRAFTED = [
     # zero of order 1 at infinity (sum of weights vanishes)
     ([0, 1], [1, -1]),
 ]
+KOSZUL_RANDOM_RUNS = 20
 
 
-def check_local_koszul(seed=0, random_runs=20):
+def check_local_koszul(seed=0):
     from .master import local_koszul_univariate
-    _require_counts(random_runs=random_runs)
     rng = _rng("koszul", seed)
-    configs = [_random_univariate_config(rng) for _ in range(random_runs)]
+    configs = [_random_univariate_config(rng)
+               for _ in range(KOSZUL_RANDOM_RUNS)]
     configs += KOSZUL_CRAFTED
     failures = []
     zeros_seen = 0
@@ -528,20 +534,20 @@ HYPERSURFACE_CASES = [
     # (z1 z2 - 1)(z1 - z2): the union of two subtori through 1
     ({(2, 1): 1, (1, 2): -1, (1, 0): -1, (0, 1): 1}, 2, [(1, -1), (1, 1)]),
 ]
+ETC_SAMPLES = 50
 
 
 def _rand_rational(rng):
     return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
 
 
-def check_etc_suite(seed=0, samples=50):
-    _require_counts(samples=samples)
+def check_etc_suite(seed=0):
     rng = _rng("etc", seed)
     failures = []
     for system, normals, kernel in SUBTORUS_CASES:
         r = system.rank
-        for s in range(samples):
-            if s < samples // 2:
+        for s in range(ETC_SAMPLES):
+            if s < ETC_SAMPLES // 2:
                 while True:
                     coeffs = [_rand_rational(rng) for _ in kernel]
                     alpha = [sum(c * Fraction(k[i]) for c, k in
@@ -558,7 +564,7 @@ def check_etc_suite(seed=0, samples=50):
                 failures.append(("subtorus", system.rank, alpha, got, expected))
 
     translated_rejections = 0
-    for _ in range(samples):
+    for _ in range(ETC_SAMPLES):
         while True:
             alpha = [_rand_rational(rng) for _ in range(2)]
             if any(alpha):
@@ -588,7 +594,7 @@ def check_etc_suite(seed=0, samples=50):
     return CheckResult(
         "6", "exponential tangent cone: subtori, translated case, ETC in TC",
         not failures,
-        {"subtorus_systems": len(SUBTORUS_CASES), "samples_each": samples,
+        {"subtorus_systems": len(SUBTORUS_CASES), "samples_each": ETC_SAMPLES,
          "translated_rejections": translated_rejections,
          "tc_inclusions_checked": tc_checked, "failures": failures})
 
@@ -597,13 +603,16 @@ def check_etc_suite(seed=0, samples=50):
 # 7. Cross-oracle: Fox h^1 of the free group vs Aomoto h^1 of the punctured
 #    line, both d - 1.
 
-def check_cross_oracle(seed=0, characters=20, alphas=20, ds=(2, 3, 4, 5, 6)):
-    _require_counts(characters=characters, alphas=alphas, d_values=len(ds))
+CROSS_DS = (2, 3, 4, 5, 6)
+CROSS_SAMPLES = 20  # characters and alphas at each d
+
+
+def check_cross_oracle(seed=0):
     rng = _rng("cross", seed)
     failures = []
-    for d in ds:
+    for d in CROSS_DS:
         pres = Presentation(d, [])
-        for _ in range(characters):
+        for _ in range(CROSS_SAMPLES):
             while True:
                 values = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                           for _ in range(d)]
@@ -613,7 +622,7 @@ def check_cross_oracle(seed=0, characters=20, alphas=20, ds=(2, 3, 4, 5, 6)):
             if h1 != d - 1:
                 failures.append(("fox", d, values, h1))
         algebra = os_algebra(points_arrangement(list(range(d))))
-        for _ in range(alphas):
+        for _ in range(CROSS_SAMPLES):
             while True:
                 alpha = [Fraction(rng.randint(-9, 9)) for _ in range(d)]
                 if any(alpha):
@@ -624,12 +633,14 @@ def check_cross_oracle(seed=0, characters=20, alphas=20, ds=(2, 3, 4, 5, 6)):
     return CheckResult(
         "7", "Fox h^1 = Aomoto h^1 = d - 1 on punctured lines",
         not failures,
-        {"ds": list(ds), "characters_each": characters, "alphas_each": alphas,
-         "failures": failures})
+        {"ds": list(CROSS_DS), "characters_each": CROSS_SAMPLES,
+         "alphas_each": CROSS_SAMPLES, "failures": failures})
 
 
 # ---------------------------------------------------------------------------
 # 8. Structural invariants across the whole fixture set.
+
+STRUCTURAL_TRIALS = 100
 
 def _structural_fixtures():
     fixtures = []
@@ -645,13 +656,12 @@ def _structural_fixtures():
     return fixtures
 
 
-def check_structural_invariants(seed=0, trials=100):
-    _require_counts(trials=trials)
+def check_structural_invariants(seed=0):
     rng = _rng("structural", seed)
     fixtures = _structural_fixtures()
     failures = []
     lr_members = 0
-    for t in range(trials):
+    for t in range(STRUCTURAL_TRIALS):
         name, algebra, model = fixtures[t % len(fixtures)]
         if model is not None:
             while True:
@@ -690,7 +700,7 @@ def check_structural_invariants(seed=0, trials=100):
     return CheckResult(
         "8", "composition-zero, Euler, scaling, LR1 in R1 cap F1",
         not failures,
-        {"trials": trials, "fixtures": [f[0] for f in fixtures],
+        {"trials": STRUCTURAL_TRIALS, "fixtures": [f[0] for f in fixtures],
          "lr_members_seen": lr_members, "failures": failures})
 
 
@@ -698,7 +708,7 @@ def check_structural_invariants(seed=0, trials=100):
 
 def run_all(seed=0, prime=DEFAULT_PRIME):
     return [
-        check_os_library(seed),
+        check_os_library(),
         check_jump_components(seed, prime),
         check_elliptic_all(seed),
         check_hopf_counts(seed),

@@ -375,7 +375,7 @@ def _log_resonance_by_solving(algebra, alpha):
         return LogResonanceReport(False, None, True, len(f1))
     if not f1:
         return None
-    basis = Matrix(f1, field=field).transpose()
+    basis = Matrix(list(zip(*f1)), field=field)
     if solve_linear(basis, alpha) is None:
         return None
     r, _ = rank_and_kernel(algebra.class_mult_matrix(alpha, 1).mul(basis))

@@ -158,10 +158,13 @@ def test_straightening_refuses_relations_missing_a_rule():
 
 
 def test_coordinate_roundtrip():
+    # class_coords writes (u_k, v_k) with x = u + v and y = i(u - v)
     m = elliptic_model(3)
     x, y = gi(1, -2, 1), gi(0, 5, -5)
-    coords = m.class_coords(x, y)
-    assert m.xy_of_coords(coords) == (tuple(x), tuple(y))
+    coords = list(m.class_coords(x, y))
+    u, v = coords[0::2], coords[1::2]
+    assert [a + b for a, b in zip(u, v)] == x
+    assert [I * (a - b) for a, b in zip(u, v)] == y
 
 
 def test_scroll_examples():
@@ -284,7 +287,8 @@ def _e2_by_intersection(n, x):
     for m in range(3):
         _, cocycles = rank_and_kernel(cx.matrices[m])
         prev = cx.matrices[m - 1] if m else Matrix([], field=QI)
-        bounds = [prev.col(j) for j in range(prev.ncols)]
+        bounds = [tuple(r[j] for r in prev.entries)
+                  for j in range(prev.ncols)]
         fdims = []
         for p in range(m + 2):
             fp = [A.project(Multivector(A.ngens, [(mono, 1)]), m)

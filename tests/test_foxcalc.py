@@ -38,7 +38,7 @@ def test_torus_jacobian_row():
     # d[a,b]/da = 1 - chi(b), d[a,b]/db = chi(a) - 1
     chi = Character(TORUS, [2, 1])
     jac = fox_jacobian(TORUS, chi)
-    assert jac.row(0) == (Fraction(0), Fraction(1))
+    assert jac.entries[0] == (Fraction(0), Fraction(1))
     trivial = Character(TORUS, [1, 1])
     assert fox_jacobian(TORUS, trivial).is_zero()
 

@@ -616,8 +616,8 @@ def test_options_a_subcommand_does_not_read_exit_2(argv):
 
 def test_elliptic_suite_refuses_vacuous_sample_counts():
     for count in (0, -1):
-        with pytest.raises(PreconditionError, match="f1_samples"):
-            check_elliptic_suite(3, f1_samples=count)
+        with pytest.raises(PreconditionError, match="trials"):
+            check_elliptic_suite(3, trials=count)
 
 
 @pytest.mark.parametrize("trials", ["1", "2"])
@@ -630,7 +630,7 @@ def test_elliptic_scroll_samples_below_three_exit_2(trials):
     assert exc.value.code == 2
     assert f"argument --trials: must be at least 3, got {trials}" \
         in err.getvalue()
-    assert "scroll_samples" not in err.getvalue()
+    assert "precondition" not in err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 
@@ -654,7 +654,7 @@ def test_elliptic_suite_below_three_points_exits_2(n):
                                        "n >= 3"), err
         assert "E_01" in err["error"]
     with pytest.raises(PreconditionError, match=f"n = {n}: "):
-        check_elliptic_suite(int(n), scroll_samples=0)
+        check_elliptic_suite(int(n), trials=0)
 
 
 def test_exit_code_3_on_degenerate_weights():
@@ -969,6 +969,33 @@ def test_resonance_sample_survives_argv_fuzz(argv):
     if code == 0:
         report = json.loads(out)["result"]
         assert report["trials"] == int(argv[argv.index("--trials") + 1])
+
+
+_SYSTEMS = [name for name in FIXTURE_NAMES if hasattr(
+    parse_input(str(FIXTURES / f"{name}.json")), "rank")]
+
+
+@st.composite
+def _etc_argv(draw):
+    """argv of `etc-membership`: mostly a bundled torus system with an
+    --alpha of its rank, otherwise any bundled fixture or a missing name,
+    and now and then without one of its options."""
+    name = draw(st.sampled_from(_SYSTEMS)) if draw(st.integers(0, 3)) else \
+        draw(st.sampled_from(FIXTURE_NAMES + ["no-such-input", "",
+                                              "../x.json"]))
+    length = _fixture_length(name) if name in FIXTURE_NAMES else 2
+    options = draw(st.permutations([("--system", name),
+                                    ("--alpha", _values(draw, length))]))
+    if not draw(st.integers(0, 9)):
+        options = options[1:]
+    return ["etc-membership"] + [token for option in options
+                                 for token in option]
+
+
+@given(_etc_argv())
+@settings(max_examples=60, deadline=None)
+def test_etc_membership_survives_argv_fuzz(argv):
+    _run_fuzzed(argv)
 
 
 def test_malformed_arrangement_files_keep_their_field_messages(tmp_path):
