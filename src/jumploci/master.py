@@ -650,9 +650,11 @@ def residues_line_arrangement(arr, lam):
             "arrangement)")
     lam = _rational_weights(lam, arr.size)
     if sum(lam) != 0:
+        # the sum is not printed: a parsed weight may have more digits than
+        # Python converts to a string
         raise PreconditionError(
-            f"sum of weights is {sum(lam)}, not 0: the form does not descend "
-            "to the projective complement")
+            "the weights do not sum to 0: the form does not descend to the "
+            "projective complement")
     points = [FlatResidue(lines, point, sum(lam[k] for k in lines))
               for point, lines in line_points(arr) if len(lines) >= 3]
     zero = []

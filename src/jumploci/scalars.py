@@ -5,17 +5,18 @@ every elimination that rows are read from gives the unique reduced echelon
 form, and kernel bases come out in reduced echelon form, so two runs of the
 same input produce identical output.  Elements of F_p are plain ints in
 [0, p); the field object `GF(p)` is the one place that knows the modulus.
-There is one elimination loop per kind of field: Gauss-Jordan on residues
-mod p over F_p (`_rref_mod`), and fraction-free elimination on integers
-over QQ and on Gaussian integers over QQ(i) (`_rref_exact`), exact by
-construction.  Over QQ and QQ(i) a rank is the pivot count of the forward
-pass alone, its final pivot the nonzero minor that proves it;
-back-substitution above the pivots and the gcd read of each row run only
-where rows are read.  Values become integers in one place, `_clear_row`
-(`_integral` for a vector), with no coerce pass, and integers become
-values in one place, `_read`: the rows of `rref`, the kernels of
-`rank_and_kernel`, the solutions of `solve_linear`, the Aomoto matrices
-and the items of a `ClearedVector` all come from it.  A field given by no
+There is one elimination loop for all three fields, `_rref_exact`:
+fraction-free elimination on integers over QQ, on Gaussian integers over
+QQ(i) and on residues over F_p, where each pivot row is made monic and the
+update is plain row reduction mod p.  It is exact by construction.  A rank
+is the pivot count of the forward pass alone, over QQ and QQ(i) its final
+pivot the nonzero minor that proves it; back-substitution above the pivots
+and the read of each row run only where rows are read.  Values become
+integers in one place, `_clear_row` (`_integral` for a vector), with no
+coerce pass, and integers become values in one place, `_read`: the rows
+of `rref`, the kernels of `rank_and_kernel`, the solutions of
+`solve_linear`, the Aomoto matrices and the items of a `ClearedVector` all
+come from it.  A field given by no
 argument is inferred by one rule (`infer_field`).
 """
 
@@ -367,50 +368,6 @@ class Matrix:
 
 # ------------------------------------------------------- elimination core
 
-def _rref_mod(rows, p):
-    """Gauss-Jordan elimination mod p, in place, on rows of residues in
-    [0, p).  Returns the pivot columns; rows[:len(pivots)] then hold the
-    reduced row echelon form.  The pivot in each column is the first nonzero
-    candidate.  This is the elimination loop over F_p."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        pr = rows[i]
-        rows[i] = rows[r]
-        rows[r] = pr
-        v = pr[c]
-        if v != 1:
-            inv = pow(v, -1, p)
-            pr[c:] = [x * inv % p for x in pr[c:]]
-        tail = pr[c:]
-        # entries left of c vanish in the pivot row, so only the tail moves;
-        # a sparse pivot row is applied entry by entry
-        support = [(c + j, b) for j, b in enumerate(tail) if b]
-        sparse = 3 * len(support) < len(tail)
-        for i in range(nrows):
-            ri = rows[i]
-            f = ri[c]
-            if not f or i == r:
-                continue
-            if sparse:
-                for j, b in support:
-                    ri[j] = (ri[j] - f * b) % p
-            else:
-                ri[c:] = [(a - f * b) % p for a, b in zip(ri[c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 class ClearedVector(Sequence):
     """A vector over QQ(i) held as one positive integer `den` and the integer
     `parts` (re, im) in lowest terms: item k is (re[k] + i im[k]) / den, a
@@ -553,11 +510,12 @@ def _combine(a, x, xi, f, y, yi, s):
     return _exact(zr, sr), _exact(zi, sr)
 
 
-def _rref_exact(parts, ncols, read):
-    """The RREF over QQ (one integer part) or QQ(i) (real and imaginary
-    parts), in the form `_rref_parts` returns, by fraction-free elimination
-    (Bareiss, Math. Comp. 22, 1968); without `read`, only its pivot
-    columns, with None for the free columns and the rows.
+def _rref_exact(parts, ncols, read, prime=None):
+    """The RREF over QQ (one integer part), QQ(i) (real and imaginary
+    parts) or, given `prime`, F_p (one part of residues in [0, p)), in the
+    form `_rref_parts` returns, by fraction-free elimination (Bareiss, Math.
+    Comp. 22, 1968); without `read`, only its pivot columns, with None for
+    the free columns and the rows.
 
     Let d_0 = 1 and d_k be the k-th pivot.  Step k replaces every row R
     that is not yet a pivot row by (d_k R - R[c] P) / d_{k-1}, where P is
@@ -568,14 +526,21 @@ def _rref_exact(parts, ncols, read):
     only be scaled by d_k / d_{k-1}, so it keeps what was written at its
     last step s, and when it is next touched at step k the updates combine
     into (d_k R - R[c] P) / d_s, with P first brought to step k - 1 as
-    P d_{k-1} / d_s.  Each row is stored from the column where its nonzero
-    part can start: a pivot row from its pivot, any other row from the
-    column after the last pivot it was eliminated at.  The pivot row of a
-    column is the candidate with the fewest nonzero entries (over QQ(i),
-    parts) from that column on, the first such in row order.  The zeros of
+    P d_{k-1} / d_s when d_s differs from d_{k-1}.  Each row is stored from
+    the column where its nonzero part can start: a pivot row from its
+    pivot, any other row from the column after the last pivot it was
+    eliminated at.  The pivot row of a column is the candidate with the
+    fewest nonzero entries (over QQ(i), parts) from that column on, the
+    first such in row order.  The zeros of
     each stored row are counted once, when it is written: a row still
     below the pivots is zero on [start, c), so its zeros from c on are its
     count less (number of parts) * (c - start).
+
+    Over F_p each pivot row is made monic when it is chosen, by one
+    inverse mod p.  Every d_k is then 1, so no lazy row needs bringing up,
+    and the update, picked once per call in place of `_combine`, is
+    R - R[c] P reduced mod p: Gauss-Jordan elimination mod p, with the
+    pivot rule, row storage and read above.
 
     The rank is the pivot count of this forward pass; its final pivot is
     the nonzero minor that proves it.  With `read`, step k also eliminates
@@ -584,12 +549,19 @@ def _rref_exact(parts, ncols, read):
     gcd; the RREF is unique, so any choice of pivot rows gives the same
     bits.
 
-    Every operation is exact integer arithmetic, so the answer is exact,
-    with no prime, reconstruction or certificate.  The matrices the package
-    ranks (Aomoto, cover, block and Fox matrices) are sparse with small
-    entries; a dense full-rank matrix with large entries pays for the
-    growth of its minors and is slower than a modular method would be.
+    Every operation is exact integer arithmetic, so the answer over QQ and
+    QQ(i) is exact, with no prime, reconstruction or certificate.  The
+    matrices the package ranks (Aomoto, cover, block and Fox matrices) are
+    sparse with small entries; a dense full-rank matrix with large entries
+    pays for the growth of its minors and is slower than a modular method
+    would be.
     """
+    if prime is None:
+        combine = _combine
+    else:
+        def combine(a, x, xi, f, y, yi, s):  # a = s = 1: pivots are monic
+            f = f[0]
+            return [(u - f * v) % prime for u, v in zip(x, y)], None
     re = list(parts[0])
     im = list(parts[1]) if len(parts) == 2 else None
     start = [0] * len(re)  # the column at which each stored row begins
@@ -611,8 +583,11 @@ def _rref_exact(parts, ncols, read):
         rest.remove(p)
         k = len(d)
         y, yi = re[p][c - start[p]:], im[p][c - start[p]:] if im else None
-        if step[p] != k - 1:
-            y, yi = _combine(d[k - 1], y, yi, (0, 0), y, yi, d[step[p]])
+        if d[step[p]] != d[k - 1]:
+            y, yi = combine(d[k - 1], y, yi, (0, 0), y, yi, d[step[p]])
+        if prime is not None:
+            inv = pow(y[0], -1, prime)
+            y = [v * inv % prime for v in y]
         re[p], start[p], step[p] = y, c, k
         if im:
             im[p] = yi
@@ -624,9 +599,9 @@ def _rref_exact(parts, ncols, read):
             f = (re[i][j], im[i][j] if im else 0)
             if not f[0] and not f[1]:
                 continue
-            x, xi = _combine(d[k], re[i][j + 1:],
-                             im[i][j + 1:] if im else None, f, y1, yi1,
-                             d[step[i]])
+            x, xi = combine(d[k], re[i][j + 1:],
+                            im[i][j + 1:] if im else None, f, y1, yi1,
+                            d[step[i]])
             re[i], start[i], step[i] = x, c + 1, k
             zeros[i] = x.count(0)
             if im:
@@ -640,8 +615,8 @@ def _rref_exact(parts, ncols, read):
             if not f[0] and not f[1]:
                 continue
             pad = [0] * j
-            x, xi = _combine(d[k], re[i], im[i] if im else None, f, pad + y,
-                             pad + yi if im else None, d[step[i]])
+            x, xi = combine(d[k], re[i], im[i] if im else None, f, pad + y,
+                            pad + yi if im else None, d[step[i]])
             re[i], step[i] = x, k
             if im:
                 im[i] = xi
@@ -669,16 +644,15 @@ def _rref_exact(parts, ncols, read):
 def _rref_parts(parts, ncols, field, read=True):
     """The stage of `_echelon` after `_clear`: the RREF of a matrix given as
     cleared integer parts ([A] over QQ, [Re A, Im A] over QQ(i)) or as
-    residue rows over F_p ([A]); the rows are not modified.  QQ and QQ(i)
-    eliminate in `_rref_exact`, F_p in `_rref_mod`.
+    residue rows over F_p ([A]); the rows are not modified.  Every field
+    eliminates in `_rref_exact`, F_p with its modulus.
 
     A nonzero scale of any row changes no RREF, so every cleared form of a
     matrix gives the RREF of the matrix itself.  Returns the pivot columns,
     the free columns, and per RREF row (den, numerators per part on the
     free columns): row k is 1 at pivots[k] and nums[j] / den at free[j].
-    A caller that reads only the pivot columns passes `read` False; over
-    QQ and QQ(i) the elimination then stops after its forward pass and
-    reads no rows.
+    A caller that reads only the pivot columns passes `read` False; the
+    elimination then stops after its forward pass and reads no rows.
 
     A QQ(i) matrix whose imaginary part is zero everywhere is eliminated on
     its real part alone, and its RREF rows get zero imaginary numerators.
@@ -696,12 +670,7 @@ def _rref_parts(parts, ncols, field, read=True):
         return pivots, free, echelon
     if field is QQ or field is QI:
         return _rref_exact(parts, ncols, read)
-    rows = [list(r) for r in parts[0]]
-    pivots = tuple(_rref_mod(rows, field.p))
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    return pivots, free, [(1, [[row[f] for f in free]])
-                          for row in rows[:len(pivots)]]
+    return _rref_exact(parts, ncols, read, field.p)
 
 
 # one zero per field for every read: field values are immutable
@@ -760,9 +729,9 @@ def rref(rows, field=None):
     """Reduced row echelon form of a list of rows (or a Matrix).
 
     Returns (rank, pivot columns, rref rows), the unique RREF over the
-    field.  Over F_p the elimination runs on residues (`_rref_mod`); over
-    QQ and QQ(i) it runs on the cleared rows in exact integer arithmetic
-    (`_rref_exact`).  The rows are read off the integer echelon by `_read`.
+    field.  The elimination (`_rref_exact`) runs in exact integer
+    arithmetic: over QQ and QQ(i) on the cleared rows, over F_p on the
+    residues.  The rows are read off the integer echelon by `_read`.
     """
     rows, ncols, field = _field_rows(rows, field)
     pivots, free, echelon = _echelon(rows, ncols, field)

@@ -6,7 +6,7 @@ elements (`_rref_generic`, for QQ(i)) and a fraction-free Bareiss forward
 pass with exact back substitution (`_bareiss_echelon`, `_rref_rational`,
 for QQ), plus a textbook Gauss-Jordan on residues (`_rref_residues`, for
 F_p, whose elements are ints in [0, p)).  They share no code with the core
-(`scalars._rref_exact` over QQ and QQ(i), `scalars._rref_mod` over F_p),
+(`scalars._rref_exact`, the one elimination loop over all three fields),
 and `oracle_rref` returns what `rref` must return, entry for entry.
 """
 

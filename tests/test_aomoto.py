@@ -261,9 +261,8 @@ def test_reduction_runs_no_elimination(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("reduce_algebra_mod eliminated")
-    for module, name in ((scalars, "_rref_parts"), (scalars, "_rref_mod"),
-                         (scalars, "_rref_exact"), (scalars, "rref"),
-                         (exterior, "_rref_parts"),
+    for module, name in ((scalars, "_rref_parts"), (scalars, "_rref_exact"),
+                         (scalars, "rref"), (exterior, "_rref_parts"),
                          (exterior, "build_quotient_algebra"),
                          (aomoto, "build_quotient_algebra")):
         monkeypatch.setattr(module, name, refuse)

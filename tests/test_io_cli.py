@@ -998,6 +998,45 @@ def test_etc_membership_survives_argv_fuzz(argv):
     _run_fuzzed(argv)
 
 
+@pytest.fixture(scope="module")
+def triple_point(tmp_path_factory):
+    """A projective line arrangement of four lines with one triple point,
+    (0 : 0 : 1): no bundled fixture is central in C^3, so without it every
+    draw of `residues` would be refused."""
+    path = tmp_path_factory.mktemp("residues") / "triple.json"
+    path.write_text(json.dumps({"ambient": 3, "central": True, "forms": [
+        [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]}))
+    return str(path)
+
+
+@st.composite
+def _residues_argv(draw, line_arrangement):
+    """argv of `residues`, which reads only the points of its lines: the
+    line arrangement, any bundled fixture or a missing name, with --weights
+    of its size or, through `_values`, of another size or malformed.  On
+    the line arrangement the weights sum to 0 now and then, as the form
+    must to descend."""
+    name = draw(st.sampled_from(
+        [line_arrangement] * 3 + FIXTURE_NAMES + ["no-such-input"]))
+    length = 4 if name == line_arrangement else \
+        _fixture_length(name) if name in FIXTURE_NAMES else 3
+    weights = _values(draw, length)
+    if name == line_arrangement and draw(st.booleans()):
+        lam = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+        weights = ",".join(map(str, lam + [-sum(lam)]))
+    options = draw(st.permutations([("--arrangement", name),
+                                    ("--weights", weights)]))
+    return ["residues"] + [token for option in options for token in option]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_residues_survives_argv_fuzz(triple_point, data):
+    code, out = _run_fuzzed(data.draw(_residues_argv(triple_point)))
+    if code == 0:
+        assert json.loads(out)["result"]["points"]
+
+
 def test_malformed_arrangement_files_keep_their_field_messages(tmp_path):
     # only a file shaped like another kind of input is refused by its kind
     no_forms = tmp_path / "no_forms.json"

@@ -311,6 +311,9 @@ def test_rref_matches_oracle_over_gaussian_rationals(rows, widen):
        dependent_matrices(st.integers(-10**12, 10**12)))
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_oracle_over_prime_fields(p, rows):
+    # `assert_same_rref` also compares `rank` and the forward pass alone
+    # (`_echelon` with read False) with the oracle's pivots: over F_p they
+    # run the shared core without its Gauss-Jordan read
     F = GF(p)
     assert_same_rref([[F.coerce(x) for x in row] for row in rows], F)
 
@@ -403,6 +406,10 @@ def test_sparsest_candidate_is_the_pivot_row():
     assert_same_rref([[Fraction(x) for x in row] for row in rows], QQ)
     assert_same_rref([[GaussianRational(x, x % 2) for x in row]
                       for row in rows], QI)
+    # over F_7 the pivot 2 is made monic by its inverse 4 before the first
+    # row is reduced by it
+    assert rref(rows, GF(7)) == (2, (0, 1), [(1, 0, 0, 4), (0, 1, 1, 4)])
+    assert_same_rref(rows, GF(7))
 
 
 @given(st.one_of(
