@@ -28,7 +28,7 @@ class AomotoComplex:
     """The complex A^0 -> A^1 -> ... -> A^top with differential alpha wedge.
 
     Each differential is assembled from the algebra's integer structure
-    constants as the cleared parts of a nonzero multiple of itself
+    constants as the sparse integer rows of a nonzero multiple of itself
     (`parts[d]` maps degree-d coordinates to degree-(d+1) coordinates; the
     top one is the zero map out of A^top).  That every such complex squares
     to zero is checked once per algebra (`GradedAlgebra.check_anticommutation`).
@@ -54,7 +54,10 @@ class AomotoComplex:
     alpha is cleared once (`scalars._integral`), and the differentials
     are assembled from its integer parts.  A `scalars.ClearedVector` from
     `EllipticModel.class_coords` passes through as it is, so no field
-    object is built between the class and the elimination.
+    object is built between the class and the elimination.  Over QQ(i) a
+    class with zero imaginary part has real differentials: the blocks that
+    `restricted_rank` ranks are assembled from its real part and eliminated
+    over QQ, with the rank they have over QQ(i).
     """
 
     def __init__(self, algebra, alpha):
@@ -87,7 +90,8 @@ class AomotoComplex:
 
     @cached_property
     def parts(self):
-        """The full differentials as cleared parts, for `kernels`."""
+        """The full differentials as sparse integer rows, for
+        `kernels`."""
         return [self.algebra.class_mult_parts(self._integral, d)
                 for d in range(self.algebra.top + 1)]
 
@@ -96,6 +100,15 @@ class AomotoComplex:
         """The differentials as Matrix objects over the algebra's field."""
         return [self.algebra.class_mult_matrix(self.alpha, d)
                 for d in range(self.algebra.top + 1)]
+
+    @cached_property
+    def _blocks(self):
+        """(alpha parts, field) of the blocks that `restricted_rank` ranks:
+        a class over QQ(i) with zero imaginary part is ranked over QQ, from
+        its real part."""
+        if self.algebra.field is QI and not any(self._integral[1]):
+            return self._integral[:1], QQ
+        return self._integral, self.algebra.field
 
     @cached_property
     def _echelons(self):
@@ -143,8 +156,9 @@ class AomotoComplex:
         ncols = algebra.dim(d) if cols is None else len(cols)
         if not nrows or not ncols:
             return 0
-        parts = algebra.class_mult_parts(self._integral, d, rows, cols)
-        return len(_rref_parts(parts, ncols, algebra.field, read=False)[0])
+        alpha, field = self._blocks
+        block = algebra.class_mult_parts(alpha, d, rows, cols)
+        return len(_rref_parts(block, ncols, field, read=False)[0])
 
     def cohomology_dims(self):
         """h^d = dim ker(d_d) - rank(d_{d-1}) for each degree through top."""

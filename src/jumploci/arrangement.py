@@ -25,8 +25,8 @@ from .errors import PreconditionError
 # arrangement.build_quotient_algebra
 from .exterior import (GradedAlgebra, Multivector,  # noqa: F401
                        _straighten, build_quotient_algebra)
-from .scalars import (QQ, Matrix, _clear, _rational, _rref_parts, rank,
-                      solve_linear)
+from .scalars import (QQ, Matrix, _clear, _rational, _rref_parts, _sparse,
+                      rank, solve_linear)
 
 
 class Arrangement:
@@ -121,7 +121,7 @@ def _covers(rows, flat, basis):
     residues are proportional: the primitive residue with a positive
     leading entry keys the cover."""
     pivots, free, echelon = _rref_parts(
-        [[rows[b] for b in basis]], len(rows[0]), QQ)
+        [_sparse([rows[b]]) for b in basis], len(rows[0]), QQ)
     big = lcm(*(den for den, _ in echelon))
     scaled = [[big // den * w for w in nums[0]] for den, nums in echelon]
     keys, masks = {}, {}
@@ -153,7 +153,7 @@ def _minimal_dependent(vecs):
     leaves an independent set.
     """
     d, r = len(vecs), rank(vecs)
-    rows = _clear(vecs, False)[0]
+    rows = _clear(vecs)
     full = (1 << d) - 1
     covers, found = {}, []
     level = {(): 0}
@@ -288,7 +288,7 @@ def line_points(arr):
         raise PreconditionError(
             "need a line arrangement: an arrangement in C^2 or a central "
             "one in C^3")
-    vecs = _clear(vecs, False)[0]
+    vecs = _clear(vecs)
     points = {}
     for i, j in combinations(range(len(vecs)), 2):
         (a0, a1, a2), (b0, b1, b2) = vecs[i], vecs[j]

@@ -15,6 +15,7 @@ imports at load time needs it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -58,21 +59,29 @@ def __getattr__(name):
     return value
 
 
-def jsonable(x):
-    """Exact JSON form of report values: rationals as strings, dataclasses
-    as objects, tuple keys flattened to comma-joined strings.
-
-    Rationals are rendered in full.  Python refuses to print an integer of
-    more than 4300 digits by default; the inputs are bounded already (see
-    `io.parse_rational`), so that limit is lifted here, and only here."""
+@contextlib.contextmanager
+def _every_digit():
+    """Python refuses to print an integer of more than 4300 digits by
+    default; the inputs are bounded already (see `io.parse_rational`), so
+    that limit is lifted while a report is converted (`jsonable`) and
+    dumped (`main`), and only then."""
     if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
-        return _jsonable(x)
+        yield
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _jsonable(x)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def jsonable(x):
+    """Exact JSON form of report values: rationals as strings, dataclasses
+    as objects, tuple keys flattened to comma-joined strings.  Rationals
+    are rendered in full (`_every_digit`); ints stay ints."""
+    with _every_digit():
+        return _jsonable(x)
 
 
 def _jsonable(x):
@@ -431,7 +440,8 @@ def main(argv=None):
         "result": result,
         "elapsed_s": round(time.monotonic() - t0, 6),
     }
-    text = json.dumps(report, indent=2)
+    with _every_digit():
+        text = json.dumps(report, indent=2)
     print(text)
     if args.json_out:
         with open(args.json_out, "w") as fh:

@@ -374,19 +374,22 @@ class GradedAlgebra:
                 for ms in self.basis]
 
     def class_mult_parts(self, alpha, d, rows=None, cols=None):
-        """The matrix of (alpha wedge .): A^d -> A^{d+1} as the cleared
-        parts that `scalars._rref_parts` takes, for alpha given by its
-        integer parts, one list each ([ints] over QQ, [re, im] over QQ(i),
-        [residues] over F_p; see `scalars._integral`).  Rows are target
-        coordinates; the parts are scale * den_d times the matrix, with
-        scale the factor that cleared alpha, which changes no rank, kernel
-        or RREF.  Over F_p they are reduced mod p here.
+        """The matrix of (alpha wedge .): A^d -> A^{d+1} as the sparse
+        integer rows that `scalars._rref_parts` takes, for alpha given by
+        its integer parts, one list each ([ints] over QQ, [re, im] over
+        QQ(i), [residues] over F_p; see `scalars._integral`).  Row k maps
+        the column of each nonzero entry to an integer, or, when alpha has
+        two parts, to an (re, im) pair; the real part of a real class over
+        QQ(i), given alone, gives integers.  Rows are target coordinates;
+        the entries are scale * den_d times the matrix, with scale the
+        factor that cleared alpha, which changes no rank, kernel or RREF.
+        Over F_p they are reduced mod p here.
 
         `rows` and `cols`, lists of distinct target and source positions in
         any order (all of them when None), select a block: block row k is
-        target `rows[k]`, block column j is source `cols[j]`.  The block is
-        read straight off the structure constants, so no entry outside it
-        is formed."""
+        target `rows[k]`, block column j is source `cols[j]`.  Each row is
+        written straight from the sparse structure constants, so no entry
+        outside the block is formed and no dense row is filled."""
         src = range(self.dim(d)) if cols is None else cols
         if rows is None:
             where, nrows = range(self.dim(d + 1)), self.dim(d + 1)
@@ -394,24 +397,40 @@ class GradedAlgebra:
             where, nrows = [None] * self.dim(d + 1), len(rows)
             for k, r in enumerate(rows):
                 where[r] = k
-        parts = [[[0] * len(src) for _ in range(nrows)] for _ in alpha]
+        block = [{} for _ in range(nrows)]
         if d >= self.top:
-            return parts
+            return block
         _, gens = self.structure_constants(d)
-        for block, coords in zip(parts, alpha):
-            for a, gen in zip(coords, gens):
+        if len(alpha) == 1:
+            zero = 0
+            for a, gen in zip(alpha[0], gens):
                 if not a:
                     continue
                 for j, s in enumerate(src):
                     for r, c in gen[s]:
                         k = where[r]
                         if k is not None:
-                            block[k][j] += a * c
+                            row = block[k]
+                            row[j] = row.get(j, 0) + a * c
+        else:
+            zero = (0, 0)
+            for (ar, ai), gen in zip(zip(*alpha), gens):
+                if not ar and not ai:
+                    continue
+                for j, s in enumerate(src):
+                    for r, c in gen[s]:
+                        k = where[r]
+                        if k is not None:
+                            row = block[k]
+                            u, v = row.get(j, zero)
+                            row[j] = (u + ar * c, v + ai * c)
         p = getattr(self.field, "p", None)
         if p:
-            parts = [[[x % p for x in row] for row in block]
-                     for block in parts]
-        return parts
+            return [{j: v % p for j, v in row.items() if v % p}
+                    for row in block]
+        # a sum of products can cancel to zero
+        return [{j: v for j, v in row.items() if v != zero}
+                if zero in row.values() else row for row in block]
 
     def class_mult_matrix(self, alpha, d):
         """Matrix of (alpha wedge .): A^d -> A^{d+1}, alpha in A^1 coords.
@@ -424,9 +443,17 @@ class GradedAlgebra:
         field = self.field
         integral, scale = _integral(field, alpha)
         den = self.structure_constants(d)[0] if d < self.top else 1
-        rows = [_read(field, scale * den, nums)
-                for nums in zip(*self.class_mult_parts(integral, d))]
-        return Matrix(rows, field=field, ncols=self.dim(d))
+        n = self.dim(d)
+        rows = []
+        for row in self.class_mult_parts(integral, d):
+            nums = [[0] * n for _ in integral]
+            for j, v in row.items():
+                if field is QI:
+                    nums[0][j], nums[1][j] = v
+                else:
+                    nums[0][j] = v
+            rows.append(_read(field, scale * den, nums))
+        return Matrix(rows, field=field, ncols=n)
 
     def monomial_hodge_type(self, mask):
         if self.hodge_types is None:
@@ -469,7 +496,8 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
 
     Each generator is cleared to integers once (`scalars._clear_row`, which
     refuses a coefficient outside the field) and the rows e_T wedge g are
-    signed copies of it, ranked by `scalars._rref_parts`.  `field` is QQ or
+    signed copies of it, written as sparse rows and ranked by
+    `scalars._rref_parts`.  `field` is QQ or
     QQ(i), only the field of the coordinates: the generators must be
     rational.
     Over F_p, reduce a built algebra with `aomoto.reduce_algebra_mod`.
@@ -520,13 +548,9 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     for d in range(top + 1):
         monos = [_mask(c) for c in combinations(range(ngens), d)]
         index = {m: k for k, m in enumerate(monos)}
-        rows = []
-        for _, hits in _ideal_rows(cleared, monomials, d):
-            row = [0] * len(monos)
-            for m, c in hits:
-                row[index[m]] = c
-            rows.append(row)
-        pivots, free, echelon = _rref_parts([rows], len(monos), QQ)
+        rows = [{index[m]: c for m, c in hits}
+                for _, hits in _ideal_rows(cleared, monomials, d)]
+        pivots, free, echelon = _rref_parts(rows, len(monos), QQ)
         monomials.append(monos)
         basis.append([monos[k] for k in free])
         proj.append(_projections(len(monos), pivots, free, echelon))

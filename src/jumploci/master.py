@@ -63,7 +63,7 @@ def _rational_weights(lam, d):
 
 
 def _cleared_weights(lam):
-    return _clear([lam], False)[0][0]
+    return _clear([lam])[0]
 
 
 @dataclass(frozen=True)
@@ -592,7 +592,7 @@ def critical_points_bivariate(arr, lam, seed=0):
     # integer multiples of the forms: rescaling f_j leaves d log f_j, and
     # so the form alpha, unchanged
     t1, g1, pt1, qt1 = _certifying_shear(
-        _clear(arr.forms, False)[0], _cleared_weights(lam), finite, count)
+        _clear(arr.forms), _cleared_weights(lam), finite, count)
 
     zeros = []
     for f, mult in _factor(g1):

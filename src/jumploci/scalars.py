@@ -8,16 +8,19 @@ same input produce identical output.  Elements of F_p are plain ints in
 There is one elimination loop for all three fields, `_rref_exact`:
 fraction-free elimination on integers over QQ, on Gaussian integers over
 QQ(i) and on residues over F_p, where each pivot row is made monic and the
-update is plain row reduction mod p.  It is exact by construction.  A rank
-is the pivot count of the forward pass alone, over QQ and QQ(i) its final
-pivot the nonzero minor that proves it; back-substitution above the pivots
-and the read of each row run only where rows are read.  Values become
-integers in one place, `_clear_row` (`_integral` for a vector), with no
-coerce pass, and integers become values in one place, `_read`: the rows
-of `rref`, the kernels of `rank_and_kernel`, the solutions of
-`solve_linear`, the Aomoto matrices and the items of a `ClearedVector` all
-come from it.  A field given by no
-argument is inferred by one rule (`infer_field`).
+update is plain row reduction mod p.  It is exact by construction.  Its
+rows are sparse, maps from the columns of their nonzero entries to
+integers ((re, im) pairs over QQ(i)), so a row costs its nonzeros and not
+the width of the matrix; the Aomoto blocks are written straight into that
+form (`exterior.GradedAlgebra.class_mult_parts`).  A rank is the pivot
+count of the forward pass alone, over QQ and QQ(i) its final pivot the
+nonzero minor that proves it; back-substitution above the pivots and the
+read of each row run only where rows are read.  Values become integers in
+one place, `_clear_row` (`_integral` for a vector), with no coerce pass,
+and integers become values in one place, `_read`: the rows of `rref`, the
+kernels of `rank_and_kernel`, the solutions of `solve_linear`, the Aomoto
+matrices and the items of a `ClearedVector` all come from it.  A field
+given by no argument is inferred by one rule (`infer_field`).
 """
 
 from __future__ import annotations
@@ -450,22 +453,17 @@ def _clear_row(row, gaussian):
                  else [n for n, _ in half] for half in halves]
 
 
-def _clear(rows, gaussian):
-    """Each row times the lcm of its denominators, as integer parts: [A] over
-    QQ, [Re A, Im A] over QQ(i)."""
-    parts = [[], []] if gaussian else [[]]
-    for row in rows:
-        for part, ints in zip(parts, _clear_row(row, gaussian)[1]):
-            part.append(ints)
-    return parts
+def _clear(rows):
+    """Each row of rationals times the lcm of its denominators, as a list
+    of integers (`_clear_row`)."""
+    return [_clear_row(row, False)[1][0] for row in rows]
 
 
 def _integral(field, vector):
-    """(parts, scale): the integer parts of scale * vector as `_clear`
-    returns them, [ints] over QQ and [re, im] over QQ(i) with scale the lcm
-    of the denominators (`_clear_row`), and [residues] with scale 1 over
-    F_p.  A nonzero multiple of a differential has the same rank, kernel
-    and RREF.
+    """(parts, scale): the integer parts of scale * vector, [ints] over QQ
+    and [re, im] over QQ(i) with scale the lcm of the denominators
+    (`_clear_row`), and [residues] with scale 1 over F_p.  A nonzero
+    multiple of a differential has the same rank, kernel and RREF.
 
     Over QQ(i) a ClearedVector is taken as it is: its (parts, den) are
     returned, with no entry read.  Over F_p each entry goes through the
@@ -478,44 +476,66 @@ def _integral(field, vector):
     return [[field.coerce(x) for x in vector]], 1
 
 
-def _exact(values, d):
-    """Each value divided by the nonzero integer d, a division known to be
-    exact (`_rref_exact`)."""
-    return [v // d for v in values]
+def _sparse(parts):
+    """The sparse row of one row's integer parts, as `_rref_exact` takes
+    it: {column: integer} from [ints], {column: (re, im)} from [re, im];
+    its nonzero entries alone."""
+    if len(parts) == 1:
+        return {j: v for j, v in enumerate(parts[0]) if v}
+    return {j: v for j, v in enumerate(zip(*parts)) if v[0] or v[1]}
 
 
-def _combine(a, x, xi, f, y, yi, s):
-    """(a X - f Y) / s for rows X = x + i xi and Y = y + i yi of integers
-    (xi and yi are None over QQ) and Gaussian integers a, f and s given as
-    (re, im) pairs, when s is known to divide exactly.  Over QQ (s real)
-    each entry is combined and divided in one pass, into one list; over
-    QQ(i) the numerator is formed, multiplied by conj(s) and divided by
-    |s|^2 (`_exact`)."""
-    (ar, ai), (fr, fi) = a, f
-    sr, si = s
-    if xi is None:
-        if sr == 1:
-            return [ar * u - fr * v for u, v in zip(x, y)], None
-        return [(ar * u - fr * v) // sr for u, v in zip(x, y)], None
-    zr = [ar * u - ai * ui - fr * v + fi * vi
-          for u, ui, v, vi in zip(x, xi, y, yi)]
-    zi = [ar * ui + ai * u - fr * vi - fi * v
-          for u, ui, v, vi in zip(x, xi, y, yi)]
+def _combine(a, x, f, y, s):
+    """(a X - f Y) / s as a new sparse row, for sparse rows X and Y and
+    scalars a, f and s of their kind (integers over QQ, (re, im) pairs of a
+    Gaussian integer over QQ(i)), when s is known to divide exactly.  Each
+    entry is formed from the nonzeros of X and Y alone, and one that
+    cancels is dropped, so the row holds no zeros.  Over QQ each entry is
+    divided by s as it is formed; over QQ(i) the numerator is formed and
+    then multiplied by conj(s) and divided by |s|^2."""
+    if type(s) is int:
+        z = {}
+        for j, u in x.items():
+            v = y.get(j)
+            if v is None:
+                z[j] = a * u // s
+            elif w := a * u - f * v:
+                z[j] = w // s
+        nf = -f
+        for j, v in y.items():
+            if j not in x:
+                z[j] = nf * v // s
+        return z
+    (ar, ai), (fr, fi), (sr, si) = a, f, s
+    z = {}
+    for j, (u, ui) in x.items():
+        zr, zi = ar * u - ai * ui, ar * ui + ai * u
+        v = y.get(j)
+        if v is not None:
+            zr -= fr * v[0] - fi * v[1]
+            zi -= fr * v[1] + fi * v[0]
+            if not zr and not zi:
+                continue
+        z[j] = (zr, zi)
+    for j, (v, vi) in y.items():
+        if j not in x:
+            z[j] = (fi * vi - fr * v, -fr * vi - fi * v)
     if si:
         n = sr * sr + si * si
-        return (_exact([u * sr + v * si for u, v in zip(zr, zi)], n),
-                _exact([v * sr - u * si for u, v in zip(zr, zi)], n))
+        return {j: ((zr * sr + zi * si) // n, (zi * sr - zr * si) // n)
+                for j, (zr, zi) in z.items()}
     if sr == 1:
-        return zr, zi
-    return _exact(zr, sr), _exact(zi, sr)
+        return z
+    return {j: (zr // sr, zi // sr) for j, (zr, zi) in z.items()}
 
 
-def _rref_exact(parts, ncols, read, prime=None):
-    """The RREF over QQ (one integer part), QQ(i) (real and imaginary
-    parts) or, given `prime`, F_p (one part of residues in [0, p)), in the
-    form `_rref_parts` returns, by fraction-free elimination (Bareiss, Math.
+def _rref_exact(rows, ncols, read, field):
+    """The RREF of sparse integer rows over `field`, in the form
+    `_rref_parts` returns, by fraction-free elimination (Bareiss, Math.
     Comp. 22, 1968); without `read`, only its pivot columns, with None for
-    the free columns and the rows.
+    the free columns and the rows.  A row maps each column of a nonzero
+    entry to an integer over QQ, to an (re, im) pair of a Gaussian integer
+    over QQ(i) and to a residue in [0, p) over F_p; it holds no zeros.
 
     Let d_0 = 1 and d_k be the k-th pivot.  Step k replaces every row R
     that is not yet a pivot row by (d_k R - R[c] P) / d_{k-1}, where P is
@@ -526,21 +546,18 @@ def _rref_exact(parts, ncols, read, prime=None):
     only be scaled by d_k / d_{k-1}, so it keeps what was written at its
     last step s, and when it is next touched at step k the updates combine
     into (d_k R - R[c] P) / d_s, with P first brought to step k - 1 as
-    P d_{k-1} / d_s when d_s differs from d_{k-1}.  Each row is stored from
-    the column where its nonzero part can start: a pivot row from its
-    pivot, any other row from the column after the last pivot it was
-    eliminated at.  The pivot row of a column is the candidate with the
-    fewest nonzero entries (over QQ(i), parts) from that column on, the
-    first such in row order.  The zeros of
-    each stored row are counted once, when it is written: a row still
-    below the pivots is zero on [start, c), so its zeros from c on are its
-    count less (number of parts) * (c - start).
+    P d_{k-1} / d_s when d_s differs from d_{k-1}.  A row costs its own
+    nonzeros and those of P, not the width of the matrix.  The candidates
+    of a column are the rows still below the pivots that hold it; the pivot
+    row is the one with the fewest nonzero entries (over QQ(i), parts), the
+    first such in row order.  A row below the pivots is zero left of c, so
+    that count is its length over QQ and F_p.
 
     Over F_p each pivot row is made monic when it is chosen, by one
     inverse mod p.  Every d_k is then 1, so no lazy row needs bringing up,
     and the update, picked once per call in place of `_combine`, is
-    R - R[c] P reduced mod p: Gauss-Jordan elimination mod p, with the
-    pivot rule, row storage and read above.
+    R - R[c] P reduced mod p, made in place on the support of P alone:
+    Gauss-Jordan elimination mod p, with the pivot rule and read above.
 
     The rank is the pivot count of this forward pass; its final pivot is
     the nonzero minor that proves it.  With `read`, step k also eliminates
@@ -556,70 +573,54 @@ def _rref_exact(parts, ncols, read, prime=None):
     pays for the growth of its minors and is slower than a modular method
     would be.
     """
+    gaussian, prime = field is QI, getattr(field, "p", None)
     if prime is None:
-        combine = _combine
+        combine, rows = _combine, list(rows)
     else:
-        def combine(a, x, xi, f, y, yi, s):  # a = s = 1: pivots are monic
-            f = f[0]
-            return [(u - f * v) % prime for u, v in zip(x, y)], None
-    re = list(parts[0])
-    im = list(parts[1]) if len(parts) == 2 else None
-    start = [0] * len(re)  # the column at which each stored row begins
-    step = [0] * len(re)   # the step at which each row was last written
-    # the zeros of each stored row over its parts, counted when written
-    nparts = len(parts)
-    zeros = [row.count(0) for row in re]
-    if im:
-        zeros = [z + row.count(0) for z, row in zip(zeros, im)]
-    d = [(1, 0)]           # d_0 = 1, then the pivots, as (re, im) pairs
-    rest = list(range(len(re)))
+        def combine(a, x, f, y, s):  # a = s = 1: pivots are monic
+            for j, v in y.items():
+                w = (x.get(j, 0) - f * v) % prime
+                if w:
+                    x[j] = w
+                else:
+                    del x[j]
+            return x
+        rows = [dict(row) for row in rows]  # updated in place
+    if gaussian:
+        def count(row):  # nonzero parts
+            return sum((re != 0) + (im != 0) for re, im in row.values())
+    else:
+        count = len
+    zero, one = ((0, 0), (1, 0)) if gaussian else (0, 1)
+    step = [0] * len(rows)  # the step at which each row was last written
+    d = [one]               # d_0 = 1, then the pivots
+    rest = list(range(len(rows)))
     order, pivots = [], []
     for c in range(ncols):
-        cand = [i for i in rest
-                if re[i][c - start[i]] or im and im[i][c - start[i]]]
+        # (count, row) of each candidate: min takes the sparsest, the
+        # first such in row order
+        cand = [(count(rows[i]), i) for i in rest if c in rows[i]]
         if not cand:
             continue
-        p = max(cand, key=lambda i: zeros[i] - nparts * (c - start[i]))
+        p = min(cand)[1]
         rest.remove(p)
         k = len(d)
-        y, yi = re[p][c - start[p]:], im[p][c - start[p]:] if im else None
+        y = rows[p]
         if d[step[p]] != d[k - 1]:
-            y, yi = combine(d[k - 1], y, yi, (0, 0), y, yi, d[step[p]])
+            y = combine(d[k - 1], y, zero, {}, d[step[p]])
         if prime is not None:
-            inv = pow(y[0], -1, prime)
-            y = [v * inv % prime for v in y]
-        re[p], start[p], step[p] = y, c, k
-        if im:
-            im[p] = yi
-        d.append((y[0], yi[0] if im else 0))
-        # the rows still below: zero at c once eliminated, so kept from c + 1
-        y1, yi1 = y[1:], yi[1:] if im else None
-        for i in rest:
-            j = c - start[i]
-            f = (re[i][j], im[i][j] if im else 0)
-            if not f[0] and not f[1]:
-                continue
-            x, xi = combine(d[k], re[i][j + 1:],
-                            im[i][j + 1:] if im else None, f, y1, yi1,
-                            d[step[i]])
-            re[i], start[i], step[i] = x, c + 1, k
-            zeros[i] = x.count(0)
-            if im:
-                im[i] = xi
-                zeros[i] += xi.count(0)
-        # the pivot rows above, only when rows are read: zero on [lo, c)
-        # in P, so padded there
-        for i, lo in zip(order, pivots) if read else ():
-            j = c - lo
-            f = (re[i][j], im[i][j] if im else 0)
-            if not f[0] and not f[1]:
-                continue
-            pad = [0] * j
-            x, xi = combine(d[k], re[i], im[i] if im else None, f, pad + y,
-                            pad + yi if im else None, d[step[i]])
-            re[i], step[i] = x, k
-            if im:
-                im[i] = xi
+            inv = pow(y[c], -1, prime)
+            y = {j: v * inv % prime for j, v in y.items()}
+        rows[p], step[p] = y, k
+        dk = y[c]
+        d.append(dk)
+        # the rows still below that hold c, and, only when rows are read,
+        # the pivot rows above that do
+        below = [i for _, i in cand if i != p]
+        for i in below + [i for i in order if c in rows[i]] if read else below:
+            x = rows[i]
+            rows[i] = combine(dk, x, x[c], y, d[step[i]])
+            step[i] = k
         order.append(p)
         pivots.append(c)
         if not rest:
@@ -631,21 +632,25 @@ def _rref_exact(parts, ncols, read, prime=None):
     echelon = []
     for i, c in zip(order, pivots):
         # the row over its pivot a + bi is the row times a - bi over a^2 + b^2
-        a, b = re[i][0], im[i][0] if im else 0
-        x = [re[i][j - c] if j > c else 0 for j in free]
-        xi = [im[i][j - c] if j > c else 0 for j in free] if im else None
-        nums = [z for z in _combine((a, -b), x, xi, (0, 0), x, xi, (1, 0))
-                if z is not None]
-        g = gcd(a * a + b * b, *nums[0], *nums[-1])
-        echelon.append(((a * a + b * b) // g, [_exact(z, g) for z in nums]))
+        row = rows[i]
+        if gaussian:
+            (a, b), pairs = row[c], [row.get(j, zero) for j in free]
+            nums = [[a * u + b * ui for u, ui in pairs],
+                    [a * ui - b * u for u, ui in pairs]]
+        else:
+            a, b = row[c], 0
+            nums = [[a * row.get(j, 0) for j in free]]
+        n = a * a + b * b
+        g = gcd(n, *nums[0], *nums[-1])
+        echelon.append((n // g, [[v // g for v in z] for z in nums]))
     return tuple(pivots), free, echelon
 
 
-def _rref_parts(parts, ncols, field, read=True):
-    """The stage of `_echelon` after `_clear`: the RREF of a matrix given as
-    cleared integer parts ([A] over QQ, [Re A, Im A] over QQ(i)) or as
-    residue rows over F_p ([A]); the rows are not modified.  Every field
-    eliminates in `_rref_exact`, F_p with its modulus.
+def _rref_parts(rows, ncols, field, read=True):
+    """The stage of `_echelon` after clearing: the RREF of a matrix given as
+    sparse integer rows ({column: integer} over QQ, {column: (re, im)} over
+    QQ(i), {column: residue} over F_p; see `_rref_exact`); the rows are not
+    modified.  Every field eliminates in `_rref_exact`.
 
     A nonzero scale of any row changes no RREF, so every cleared form of a
     matrix gives the RREF of the matrix itself.  Returns the pivot columns,
@@ -655,22 +660,22 @@ def _rref_parts(parts, ncols, field, read=True):
     elimination then stops after its forward pass and reads no rows.
 
     A QQ(i) matrix whose imaginary part is zero everywhere is eliminated on
-    its real part alone, and its RREF rows get zero imaginary numerators.
-    The bits are those of the two-part elimination: the RREF is unique and
-    real, the zero imaginary part adds the same count to every pivot
-    candidate, and den comes from the same gcd.
+    its real part alone, as a matrix over QQ, and its RREF rows get zero
+    imaginary numerators.  The bits are those of the two-part elimination:
+    the RREF is unique and real, every candidate's count of nonzero parts
+    is its count of real ones, and den comes from the same gcd.
     """
-    if not parts[0] or not ncols:
+    if not rows or not ncols:
         return (), list(range(ncols)), []
-    if field is QI and not any(any(row) for row in parts[1]):
-        pivots, free, echelon = _rref_exact(parts[:1], ncols, read)
+    if field is QI and not any(v[1] for row in rows for v in row.values()):
+        pivots, free, echelon = _rref_exact(
+            [{j: v[0] for j, v in row.items()} for row in rows], ncols, read,
+            QQ)
         if read:
             echelon = [(den, [nums[0], [0] * len(free)])
                        for den, nums in echelon]
         return pivots, free, echelon
-    if field is QQ or field is QI:
-        return _rref_exact(parts, ncols, read)
-    return _rref_exact(parts, ncols, read, field.p)
+    return _rref_exact(rows, ncols, read, field)
 
 
 # one zero per field for every read: field values are immutable
@@ -697,10 +702,14 @@ def _read(field, den, nums, sign=1):
 def _echelon(rows, ncols, field, read=True):
     """The RREF of rows of field values, in the form `_rref_parts` returns
     (with `read` False, the pivot columns alone): rows over QQ and QQ(i)
-    are cleared by `_clear`, residues over F_p are taken as they are."""
-    gaussian = field is QI
-    parts = _clear(rows, gaussian) if gaussian or field is QQ else [rows]
-    return _rref_parts(parts, ncols, field, read)
+    are cleared by `_clear_row`, residues over F_p are taken as they are,
+    and each row is handed on as its nonzero entries (`_sparse`)."""
+    if field is QQ or field is QI:
+        gaussian = field is QI
+        rows = [_sparse(_clear_row(row, gaussian)[1]) for row in rows]
+    else:
+        rows = [_sparse([row]) for row in rows]
+    return _rref_parts(rows, ncols, field, read)
 
 
 def _kernel_basis(field, ncols, pivots, free, echelon):

@@ -18,7 +18,7 @@ from jumploci.elliptic import (
     elliptic_model, hodge_decompose, scroll_membership, tangent_pair_basis)
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, wedge
-from jumploci.scalars import (QI, ClearedVector, FieldMismatchError,
+from jumploci.scalars import (QI, QQ, ClearedVector, FieldMismatchError,
                               GaussianRational, Matrix, _integral, rank,
                               rank_and_kernel, rref)
 
@@ -471,14 +471,14 @@ def test_scroll_minor_message_is_unchanged():
 
 
 def eliminations(monkeypatch):
-    """(part count, read) of every elimination of `scalars._rref_exact`;
-    read is False for the rank-only calls, which stop after the forward
-    pass."""
+    """(field, read) of every elimination of `scalars._rref_exact`: QQ
+    for rows of one integer part, QI for rows of (re, im) pairs; read is
+    False for the rank-only calls, which stop after the forward pass."""
     calls, eliminate = [], scalars._rref_exact
 
-    def counted(parts, ncols, read):
-        calls.append((len(parts), read))
-        return eliminate(parts, ncols, read)
+    def counted(rows, ncols, read, field):
+        calls.append((field, read))
+        return eliminate(rows, ncols, read, field)
     monkeypatch.setattr(scalars, "_rref_exact", counted)
     return calls
 
@@ -491,7 +491,7 @@ def test_pure_classes_eliminate_on_one_part(monkeypatch):
     x = [Fraction(1, 2), -3, 2, 0, Fraction(1, 2)]
     rep = e2_page(elliptic_model(5), x, [I * c for c in x])
     assert rep.consistent
-    assert set(calls) == {(1, False)}
+    assert set(calls) == {(QQ, False)}
 
 
 def test_gaussian_classes_eliminate_on_two_parts(monkeypatch):
@@ -501,11 +501,11 @@ def test_gaussian_classes_eliminate_on_two_parts(monkeypatch):
     assert cx.route == "quotient"
     calls = eliminations(monkeypatch)
     resonance_membership(m.algebra, alpha, 1)
-    assert (2, False) in calls
+    assert (QI, False) in calls
     # the kernels read rows, on two parts as well
     calls.clear()
     AomotoComplex(m.algebra, alpha).kernels()
-    assert (2, True) in calls
+    assert (QI, True) in calls
 
 
 # -- class_coords returns a cleared vector: integer parts over one den --

@@ -899,6 +899,13 @@ def _battery_argv(draw):
     return [subcommand] + [token for option in options for token in option]
 
 
+def _loads(text):
+    """json.loads of a report, whose integers may have more than 4300
+    digits; only the parse runs with Python's limit lifted."""
+    with cli._every_digit():
+        return json.loads(text)
+
+
 def _run_fuzzed(argv):
     """(exit code, stdout) of one fuzzed argv, asserting the exit contract:
     0, 2 or 3 from `main` with a JSON error on stderr otherwise, or
@@ -916,7 +923,7 @@ def _run_fuzzed(argv):
     assert code in (0, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     if code == 0:
-        assert json.loads(out.getvalue())["subcommand"] == argv[0]
+        assert _loads(out.getvalue())["subcommand"] == argv[0]
     else:
         assert out.getvalue() == "", argv
         error = json.loads(err.getvalue())
@@ -1035,6 +1042,69 @@ def test_residues_survives_argv_fuzz(triple_point, data):
     code, out = _run_fuzzed(data.draw(_residues_argv(triple_point)))
     if code == 0:
         assert json.loads(out)["result"]["points"]
+
+
+def test_master_prints_integers_beyond_the_digit_limit():
+    # the report at a weight of 1e4300 holds integers of 4301 digits: main
+    # dumps them in full under the lifted limit, exits 0, and leaves
+    # Python's limit as it was
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["master", "--points", "0,1,2",
+                              "--weights", "1e4300,1,1"])
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    rep = _loads(out)
+    lam = [10**4300, 1, 1]
+    assert rep["result"] == {
+        "critical": cli.jsonable(
+            master.critical_points_univariate([0, 1, 2], lam)),
+        "log_divisor": cli.jsonable(master.log_zero_divisor_p1([0, 1, 2],
+                                                               lam)),
+        "koszul": cli.jsonable(master.local_koszul_univariate([0, 1, 2],
+                                                              lam)),
+    }
+    assert max(abs(c) for zero in rep["result"]["critical"]["zeros"]
+               for c in zero["minpoly"]) >= 10**4300
+
+
+# integer weights only, next to 1e4300: a fraction or -1e4300 among them
+# can make the root isolation of the numerator take seconds
+_MASTER_WEIGHT = st.sampled_from(["0", "1", "-2", "3", "1e4300"])
+
+
+@st.composite
+def _master_argv(draw):
+    """argv of `master` at small valid sizes: 2-4 distinct points with
+    weights of their number, or a ragged or malformed list, drawn from 0,
+    small integers and 1e4300; now and then without --points or
+    --weights, or with --arrangement beside or in place of --points (the
+    three lines of concurrent3, the bivariate mode)."""
+    n = draw(st.integers(2, 4))
+    points = ",".join(map(str, draw(st.lists(
+        st.integers(-3, 3), min_size=n, max_size=n, unique=True))))
+    if not draw(st.integers(0, 5)):
+        points = _values(draw, n)
+    k = n if draw(st.integers(0, 3)) else draw(st.integers(1, 5))
+    weights = ",".join(draw(st.lists(_MASTER_WEIGHT, min_size=k,
+                                     max_size=k)))
+    if not draw(st.integers(0, 5)):
+        weights = draw(st.sampled_from(_BAD_TOKENS))
+    options = [("--points", points), ("--weights", weights)]
+    if not draw(st.integers(0, 7)):
+        options.append(("--arrangement", "concurrent3"))
+    options = draw(st.permutations(options))
+    if not draw(st.integers(0, 7)):
+        options = options[1:]
+    return ["master"] + [token for option in options for token in option]
+
+
+@given(_master_argv())
+@settings(max_examples=40, deadline=None)
+def test_master_survives_argv_fuzz(argv):
+    code, out = _run_fuzzed(argv)
+    if code == 0 and "--points" in argv:
+        assert set(_loads(out)["result"]) == {"critical", "log_divisor",
+                                               "koszul"}
 
 
 def test_malformed_arrangement_files_keep_their_field_messages(tmp_path):

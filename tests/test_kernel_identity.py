@@ -153,8 +153,9 @@ def test_real_gaussian_echelons_are_pinned_bit_for_bit():
             rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
                          for j in range(ncols)])
         rng.shuffle(rows)
-        zero = [[0] * ncols for _ in rows]
-        values.append(_rref_parts([rows, zero], ncols, QI))
+        # sparse rows of Gaussian integers with zero imaginary parts
+        values.append(_rref_parts([{j: (v, 0) for j, v in enumerate(row) if v}
+                                   for row in rows], ncols, QI))
     assert digest(values) == (
         "12f19349372a81fe52feaef0f392c9ca8b123eea637720813f2307a01cf36011")
 

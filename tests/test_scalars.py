@@ -348,18 +348,24 @@ def test_rref_drops_a_prime_unlucky_under_one_root_of_minus_one():
     assert_same_rref(rows, QI)
 
 
-def exact_combine(a, x, xi, f, y, yi, s, combine=scalars._combine):
+def exact_combine(a, x, f, y, s, combine=scalars._combine):
     """`scalars._combine`, refusing a division that leaves a remainder: s
     divides every entry of a X - f Y, on both parts (z / s is a Gaussian
-    integer exactly when |s|^2 divides both parts of z conj(s))."""
-    (ar, ai), (fr, fi), (sr, si) = a, f, s
-    n, zeros = sr * sr + si * si, [0] * len(x)
-    for u, ui, v, vi in zip(x, xi or zeros, y, yi or zeros):
+    integer exactly when |s|^2 divides both parts of z conj(s)).  The rows
+    are sparse; over QQ the scalars and entries are integers, over QQ(i)
+    (re, im) pairs."""
+    def pair(v):
+        return v if type(s) is tuple else (v, 0)
+    (ar, ai), (fr, fi), (sr, si) = pair(a), pair(f), pair(s)
+    n = sr * sr + si * si
+    for j in x.keys() | y.keys():
+        u, ui = pair(x[j]) if j in x else (0, 0)
+        v, vi = pair(y[j]) if j in y else (0, 0)
         zr = ar * u - ai * ui - fr * v + fi * vi
         zi = ar * ui + ai * u - fr * vi - fi * v
         assert (zr * sr + zi * si) % n == 0 == (zi * sr - zr * si) % n, (
             a, f, s, zr, zi)
-    return combine(a, x, xi, f, y, yi, s)
+    return combine(a, x, f, y, s)
 
 
 def test_lazy_row_is_brought_up_over_its_own_step():
@@ -424,6 +430,79 @@ def test_every_division_of_the_core_is_exact(case):
         assert_same_rref(rows, field)
         # the forward pass alone, as rank runs it, divides by the same d_s
         assert rank(rows, field) == len(oracle_rref(rows, field)[1])
+
+
+# -- sparse integer blocks, handed to the core as the assembly writes them --
+
+@st.composite
+def sparse_blocks(draw):
+    """(field, ncols, rows): sparse integer rows as `class_mult_parts`
+    writes them, 5-30 % nonzero ((re, im) pairs over QQ(i), real ones
+    included; residues over F_p), with zero rows, and at times a nonzero in
+    column 0 of every row and one dense row, so that the first steps fill
+    the rows in.  The cells and values come from a drawn Random, so they
+    spread over the whole block."""
+    field = draw(st.sampled_from([QQ, QI, GF(7), GF(DEFAULT_PRIME)]))
+    nrows, ncols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    rng = draw(st.randoms(use_true_random=False))
+    p = getattr(field, "p", None)
+    real = draw(st.booleans())
+
+    def value():
+        if p:
+            return rng.randrange(1, p)
+        v = rng.choice([k for k in range(-40, 41) if k])
+        if field is QI:
+            return (v, 0) if real else rng.choice([(v, 0), (0, v), (v, v - 1)])
+        return v
+    density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3]))
+    size = max(1, round(density * nrows * ncols))
+    rows = [{} for _ in range(nrows)]
+    for cell in sorted(rng.sample(range(nrows * ncols), size)):
+        rows[cell // ncols][cell % ncols] = value()
+    if draw(st.booleans()):
+        for row in rows:
+            row.setdefault(0, value())
+        rows[-1] = {j: value() for j in range(ncols)}
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), {})
+    return field, ncols, rows
+
+
+def field_value(field, v):
+    """The field value of a sparse row's entry v (None for a zero)."""
+    if field is QQ:
+        return Fraction(v or 0)
+    if field is QI:
+        return GaussianRational(*v) if v else GaussianRational(0)
+    return v or 0
+
+
+@given(sparse_blocks(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_sparse_blocks_match_oracle(block, read):
+    # the rows go straight into the core, not through `_clear_row`; the
+    # core leaves them as they are, and its pivots (and, with read, its
+    # RREF rows, read by `_read`) are the oracle's
+    field, ncols, rows = block
+    given_rows = [dict(row) for row in rows]
+    dense = [[field_value(field, row.get(j)) for j in range(ncols)]
+             for row in rows]
+    _, pivots, want = oracle_rref(dense, field)
+    got, free, echelon = scalars._rref_parts(rows, ncols, field, read)
+    assert rows == given_rows
+    assert got == pivots
+    if not read:
+        assert free is None and echelon is None
+        return
+    out = []
+    for pc, (den, nums) in zip(got, echelon):
+        row = [field.zero()] * ncols
+        row[pc] = field.one()
+        for f, x in zip(free, scalars._read(field, den, nums)):
+            row[f] = x
+        out.append(tuple(row))
+    assert_same_vectors(out, want)
 
 
 def test_mixed_rational_and_gaussian_entries_infer_qq_i():
