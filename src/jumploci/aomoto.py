@@ -105,7 +105,8 @@ class AomotoComplex:
     def _blocks(self):
         """(alpha parts, field) of the blocks that `restricted_rank` ranks:
         a class over QQ(i) with zero imaginary part is ranked over QQ, from
-        its real part."""
+        its real part.  The package's one switch from QQ(i) to QQ: the core
+        eliminates every other matrix on the parts its rows have."""
         if self.algebra.field is QI and not any(self._integral[1]):
             return self._integral[:1], QQ
         return self._integral, self.algebra.field

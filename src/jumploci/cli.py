@@ -270,12 +270,12 @@ def _cmd_fox_h1(args):
 
 
 def _cmd_verify_paper(args):
-    checks = run_all(seed=args.seed, prime=args.prime)
+    checks = run_all(seed=args.seed)
     result = {
         "checks": jsonable(checks),
         "passed": all(c.passed for c in checks),
     }
-    return result, {"seed": args.seed, "prime": args.prime}
+    return result, {"seed": args.seed, "prime": DEFAULT_PRIME}
 
 
 # --------------------------------------------------------------------- wiring
@@ -303,11 +303,13 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    def sub(name, handler, **kw):
+    def sub(name, handler, sampled=False, **kw):
+        # the report's seed is 0 where nothing is sampled
         p = subs.add_parser(name, **kw)
-        p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for all randomized sampling (default 0)")
+        p.set_defaults(handler=handler, seed=0)
+        if sampled:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for the random samples (default 0)")
         p.add_argument("--json-out", metavar="PATH", default=None,
                        help="also write the report to this file")
         return p
@@ -325,7 +327,7 @@ def build_parser():
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--depth", type=int, default=1)
 
-    p = sub("resonance-sample", _cmd_resonance_sample,
+    p = sub("resonance-sample", _cmd_resonance_sample, sampled=True,
             help="generic cohomology dims over a prime field")
     p.add_argument("--arrangement", required=True)
     p.add_argument("--subspace", default=None,
@@ -341,7 +343,7 @@ def build_parser():
     p.add_argument("--arrangement", required=True)
     p.add_argument("--alpha", required=True)
 
-    p = sub("elliptic", _cmd_elliptic,
+    p = sub("elliptic", _cmd_elliptic, sampled=True,
             help="full elliptic configuration-space battery for one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=_int_at_least(3), default=None,
@@ -380,10 +382,8 @@ def build_parser():
     p.add_argument("--character", required=True,
                    help="comma-separated nonzero rational character values")
 
-    p = sub("verify-paper", _cmd_verify_paper,
-            help="run the full acceptance battery (exit 1 on any failure)")
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                   help="prime for finite-field sampling")
+    sub("verify-paper", _cmd_verify_paper, sampled=True,
+        help="run the full acceptance battery (exit 1 on any failure)")
 
     return parser
 

@@ -258,8 +258,8 @@ def _e2_from_blocks(cx):
     types = []
     for m in range(4):
         types.append([[] for _ in range(m + 1)])
-        for j, mono in enumerate(algebra.basis[m]):
-            types[m][algebra.monomial_hodge_type(mono)[0]].append(j)
+        for j, p in enumerate(algebra.hodge_index[m]):
+            types[m][p].append(j)
     block = {(p, m - p): cx.restricted_rank(m, rows=types[m + 1][p + 1],
                                             cols=types[m][p])
              for m in range(3) for p in range(m + 1)}

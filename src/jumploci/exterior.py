@@ -18,6 +18,7 @@ at least p.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 
@@ -383,7 +384,8 @@ class GradedAlgebra:
         QQ(i), given alone, gives integers.  Rows are target coordinates;
         the entries are scale * den_d times the matrix, with scale the
         factor that cleared alpha, which changes no rank, kernel or RREF.
-        Over F_p they are reduced mod p here.
+        They are the same integers over every field; over F_p the
+        elimination core reduces them mod p.
 
         `rows` and `cols`, lists of distinct target and source positions in
         any order (all of them when None), select a block: block row k is
@@ -424,10 +426,6 @@ class GradedAlgebra:
                             row = block[k]
                             u, v = row.get(j, zero)
                             row[j] = (u + ar * c, v + ai * c)
-        p = getattr(self.field, "p", None)
-        if p:
-            return [{j: v % p for j, v in row.items() if v % p}
-                    for row in block]
         # a sum of products can cancel to zero
         return [{j: v for j, v in row.items() if v != zero}
                 if zero in row.values() else row for row in block]
@@ -448,27 +446,30 @@ class GradedAlgebra:
         for row in self.class_mult_parts(integral, d):
             nums = [[0] * n for _ in integral]
             for j, v in row.items():
-                if field is QI:
+                if len(integral) == 2:
                     nums[0][j], nums[1][j] = v
                 else:
                     nums[0][j] = v
             rows.append(_read(field, scale * den, nums))
         return Matrix(rows, field=field, ncols=n)
 
-    def monomial_hodge_type(self, mask):
+    @cached_property
+    def hodge_index(self):
+        """hodge_index[d][j]: the first Hodge index of the j-th degree-d
+        basis monomial, the sum of its generators' first indices.  Computed
+        when first read and kept."""
         if self.hodge_types is None:
             raise PreconditionError("algebra carries no Hodge types")
-        return _mono_type(mask, self.hodge_types)
+        return [[_mono_type(m, self.hodge_types)[0] for m in ms]
+                for ms in self.basis]
 
     def hodge_positions(self, p, d):
         """Positions of the degree-d basis monomials whose first Hodge index
-        sums to at least p (none outside the built degrees)."""
-        if self.hodge_types is None:
-            raise PreconditionError("algebra carries no Hodge types")
+        is at least p (`hodge_index`; none outside the built degrees)."""
+        index = self.hodge_index  # refuses an algebra without Hodge types
         if d < 0 or d > self.top:
             return []
-        return [j for j, m in enumerate(self.basis[d])
-                if self.monomial_hodge_type(m)[0] >= p]
+        return [j for j, t in enumerate(index[d]) if t >= p]
 
     def hodge_subspace(self, p, d):
         """Echelon basis (coordinate rows) of F^p A^d = span of the classes
@@ -494,7 +495,7 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     The quotient basis in each degree is canonical: monomials are ordered
     lexicographically and the non-pivot ones survive.
 
-    Each generator is cleared to integers once (`scalars._clear_row`, which
+    Each generator is cleared to integers once (`scalars._integral`, which
     refuses a coefficient outside the field) and the rows e_T wedge g are
     signed copies of it, written as sparse rows and ranked by
     `scalars._rref_parts`.  `field` is QQ or
@@ -528,8 +529,8 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
             raise PreconditionError(
                 f"ideal generator {k} has degree {g.degree()}; degree-one "
                 "relations would change the generator space")
-        den, parts = _clear_row(list(g.terms.values()), field is QI)
-        if field is QI and any(parts[1]):
+        parts, den = _integral(field, list(g.terms.values()))
+        if len(parts) == 2 and any(parts[1]):
             raise PreconditionError(
                 f"ideal generator {k} has a non-rational coefficient; the "
                 "relations of a quotient over QQ(i) are rational")

@@ -12,15 +12,17 @@ update is plain row reduction mod p.  It is exact by construction.  Its
 rows are sparse, maps from the columns of their nonzero entries to
 integers ((re, im) pairs over QQ(i)), so a row costs its nonzeros and not
 the width of the matrix; the Aomoto blocks are written straight into that
-form (`exterior.GradedAlgebra.class_mult_parts`).  A rank is the pivot
-count of the forward pass alone, over QQ and QQ(i) its final pivot the
-nonzero minor that proves it; back-substitution above the pivots and the
-read of each row run only where rows are read.  Values become integers in
-one place, `_clear_row` (`_integral` for a vector), with no coerce pass,
-and integers become values in one place, `_read`: the rows of `rref`, the
-kernels of `rank_and_kernel`, the solutions of `solve_linear`, the Aomoto
-matrices and the items of a `ClearedVector` all come from it.  A field
-given by no argument is inferred by one rule (`infer_field`).
+form (`exterior.GradedAlgebra.class_mult_parts`), as the same integers
+for every field; over F_p the core reduces them mod p as it copies them.
+A rank is the pivot count of the forward pass alone, over QQ and QQ(i) its
+final pivot the nonzero minor that proves it; back-substitution above the
+pivots and the read of each row run only where rows are read.  Values
+become integers in one place, `_clear_row` (`_integral` for a vector),
+with no coerce pass, and integers become values in one place, `_read`: the
+rows of `rref`, the kernels of `rank_and_kernel`, the solutions of
+`solve_linear`, the Aomoto matrices and the items of a `ClearedVector` all
+come from it.  A field given by no argument is inferred by one rule
+(`infer_field`).
 """
 
 from __future__ import annotations
@@ -535,7 +537,7 @@ def _rref_exact(rows, ncols, read, field):
     Comp. 22, 1968); without `read`, only its pivot columns, with None for
     the free columns and the rows.  A row maps each column of a nonzero
     entry to an integer over QQ, to an (re, im) pair of a Gaussian integer
-    over QQ(i) and to a residue in [0, p) over F_p; it holds no zeros.
+    over QQ(i) and to any integer over F_p; it holds no zeros.
 
     Let d_0 = 1 and d_k be the k-th pivot.  Step k replaces every row R
     that is not yet a pivot row by (d_k R - R[c] P) / d_{k-1}, where P is
@@ -553,11 +555,14 @@ def _rref_exact(rows, ncols, read, field):
     first such in row order.  A row below the pivots is zero left of c, so
     that count is its length over QQ and F_p.
 
-    Over F_p each pivot row is made monic when it is chosen, by one
-    inverse mod p.  Every d_k is then 1, so no lazy row needs bringing up,
-    and the update, picked once per call in place of `_combine`, is
-    R - R[c] P reduced mod p, made in place on the support of P alone:
-    Gauss-Jordan elimination mod p, with the pivot rule and read above.
+    Over F_p the rows are copied first, to be updated in place, and the
+    copy reduces each entry mod p and drops those that vanish: the one
+    place where assembled integer rows meet the prime.  Each pivot row is
+    made monic when it is chosen, by one inverse mod p.  Every d_k is then
+    1, so no lazy row needs bringing up, and the update, picked once per
+    call in place of `_combine`, is R - R[c] P reduced mod p, made in place
+    on the support of P alone: Gauss-Jordan elimination mod p, with the
+    pivot rule and read above.
 
     The rank is the pivot count of this forward pass; its final pivot is
     the nonzero minor that proves it.  With `read`, step k also eliminates
@@ -585,7 +590,8 @@ def _rref_exact(rows, ncols, read, field):
                 else:
                     del x[j]
             return x
-        rows = [dict(row) for row in rows]  # updated in place
+        rows = [{j: w for j, v in row.items() if (w := v % prime)}
+                for row in rows]
     if gaussian:
         def count(row):  # nonzero parts
             return sum((re != 0) + (im != 0) for re, im in row.values())
@@ -648,9 +654,11 @@ def _rref_exact(rows, ncols, read, field):
 
 def _rref_parts(rows, ncols, field, read=True):
     """The stage of `_echelon` after clearing: the RREF of a matrix given as
-    sparse integer rows ({column: integer} over QQ, {column: (re, im)} over
-    QQ(i), {column: residue} over F_p; see `_rref_exact`); the rows are not
-    modified.  Every field eliminates in `_rref_exact`.
+    sparse integer rows ({column: integer} over QQ and F_p, {column: (re,
+    im)} over QQ(i); see `_rref_exact`, which reduces them mod p); the rows
+    are not modified.  Every field eliminates in `_rref_exact`, on the
+    parts its rows have: a QQ(i) matrix with zero imaginary part still
+    eliminates on both (`aomoto.AomotoComplex` ranks a real class over QQ).
 
     A nonzero scale of any row changes no RREF, so every cleared form of a
     matrix gives the RREF of the matrix itself.  Returns the pivot columns,
@@ -658,23 +666,9 @@ def _rref_parts(rows, ncols, field, read=True):
     free columns): row k is 1 at pivots[k] and nums[j] / den at free[j].
     A caller that reads only the pivot columns passes `read` False; the
     elimination then stops after its forward pass and reads no rows.
-
-    A QQ(i) matrix whose imaginary part is zero everywhere is eliminated on
-    its real part alone, as a matrix over QQ, and its RREF rows get zero
-    imaginary numerators.  The bits are those of the two-part elimination:
-    the RREF is unique and real, every candidate's count of nonzero parts
-    is its count of real ones, and den comes from the same gcd.
     """
     if not rows or not ncols:
         return (), list(range(ncols)), []
-    if field is QI and not any(v[1] for row in rows for v in row.values()):
-        pivots, free, echelon = _rref_exact(
-            [{j: v[0] for j, v in row.items()} for row in rows], ncols, read,
-            QQ)
-        if read:
-            echelon = [(den, [nums[0], [0] * len(free)])
-                       for den, nums in echelon]
-        return pivots, free, echelon
     return _rref_exact(rows, ncols, read, field)
 
 

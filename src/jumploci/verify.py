@@ -178,7 +178,7 @@ _NORMALS_E2 = [[0, 1, 1, 1, 0, 1], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
 OUTSIDE_SAMPLES = 100
 
 
-def check_jump_components(seed=0, prime=DEFAULT_PRIME):
+def check_jump_components(seed=0):
     arr = Arrangement(4, SIXPLANES_FORMS)
     algebra = os_algebra(arr, top=3)
     for basis, normals in ((COMPONENT_E1, _NORMALS_E1),
@@ -190,23 +190,23 @@ def check_jump_components(seed=0, prime=DEFAULT_PRIME):
     inter_dim = 6 - rank([[Fraction(c) for c in row]
                           for row in _NORMALS_E1 + _NORMALS_E2])
     rep1 = generic_dims_sample(algebra, subspace=COMPONENT_E1, trials=25,
-                               prime=prime, seed=seed)
+                               seed=seed)
     rep2 = generic_dims_sample(algebra, subspace=COMPONENT_E2, trials=25,
-                               prime=prime, seed=seed + 1)
-    repg = generic_dims_sample(algebra, trials=25, prime=prime, seed=seed + 2)
+                               seed=seed + 1)
+    repg = generic_dims_sample(algebra, trials=25, seed=seed + 2)
     h2_e1, h2_e2, h2_gen = rep1.dims[2], rep2.dims[2], repg.dims[2]
 
-    reduced, _ = reduce_algebra_mod(algebra, prime)
+    reduced, _ = reduce_algebra_mod(algebra, DEFAULT_PRIME)
     rng = _rng("jump-outside", seed)
     mismatches = 0
     done = 0
     while done < OUTSIDE_SAMPLES:
-        vec = [rng.randrange(prime) for _ in range(6)]
+        vec = [rng.randrange(DEFAULT_PRIME) for _ in range(6)]
         if not any(vec):
             continue
-        in_e1 = all(sum(v * m for v, m in zip(vec, row)) % prime == 0
+        in_e1 = all(sum(v * m for v, m in zip(vec, row)) % DEFAULT_PRIME == 0
                     for row in _NORMALS_E1)
-        in_e2 = all(sum(v * m for v, m in zip(vec, row)) % prime == 0
+        in_e2 = all(sum(v * m for v, m in zip(vec, row)) % DEFAULT_PRIME == 0
                     for row in _NORMALS_E2)
         if in_e1 or in_e2:
             continue
@@ -706,10 +706,10 @@ def check_structural_invariants(seed=0):
 
 # ---------------------------------------------------------------------------
 
-def run_all(seed=0, prime=DEFAULT_PRIME):
+def run_all(seed=0):
     return [
         check_os_library(),
-        check_jump_components(seed, prime),
+        check_jump_components(seed),
         check_elliptic_all(seed),
         check_hopf_counts(seed),
         check_local_koszul(seed),

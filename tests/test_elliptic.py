@@ -17,7 +17,7 @@ from jumploci.elliptic import (
     EllipticModel, _diagonal_relation, _e2_from_blocks, e2_page,
     elliptic_model, hodge_decompose, scroll_membership, tangent_pair_basis)
 from jumploci.errors import PreconditionError
-from jumploci.exterior import Multivector, wedge
+from jumploci.exterior import Multivector, _mono_type, wedge
 from jumploci.scalars import (QI, QQ, ClearedVector, FieldMismatchError,
                               GaussianRational, Matrix, _integral, rank,
                               rank_and_kernel, rref)
@@ -54,7 +54,7 @@ def test_diagonal_classes_are_type_one_one():
     m = elliptic_model(3)
     for cls in (diagonal_class(3, k, l) for k, l in m.diagonal_pairs):
         for mask in cls.terms:
-            assert m.algebra.monomial_hodge_type(mask) == (1, 1)
+            assert _mono_type(mask, m.algebra.hodge_types) == (1, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -293,7 +293,7 @@ def _e2_by_intersection(n, x):
         for p in range(m + 2):
             fp = [A.project(Multivector(A.ngens, [(mono, 1)]), m)
                   for mono in A.monomials[m]
-                  if A.monomial_hodge_type(mono)[0] >= p]
+                  if _mono_type(mono, A.hodge_types)[0] >= p]
             fdims.append(sum(
                 sign * (dim(v) + dim(fp) - dim(list(v) + fp))
                 for sign, v in ((1, cocycles), (-1, bounds))))
@@ -324,7 +324,7 @@ def test_e2_blocks_catch_a_class_that_leaves_the_bigrading():
 
     def of_type(p, m):
         return [j for j, mono in enumerate(A.basis[m])
-                if A.monomial_hodge_type(mono)[0] == p]
+                if _mono_type(mono, A.hodge_types)[0] == p]
 
     sums = tuple(sum(cx.restricted_rank(m, rows=of_type(p + 1, m + 1),
                                         cols=of_type(p, m))

@@ -9,8 +9,8 @@ from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.elliptic import elliptic_model
 from jumploci.errors import PreconditionError
 from jumploci.exterior import (
-    GradedAlgebra, Multivector, _merge_sign, _prefix_parity, _straighten,
-    build_quotient_algebra, wedge)
+    GradedAlgebra, Multivector, _merge_sign, _mono_type, _prefix_parity,
+    _straighten, build_quotient_algebra, wedge)
 from jumploci.scalars import GF, QI, GaussianRational, rref
 from jumploci.verify import SIXPLANES_FORMS
 
@@ -129,7 +129,7 @@ def _hodge_subspace_by_definition(A, p, d):
     """F^p A^d from its definition: the reduced row space of the projections
     of all monomials whose first Hodge index is at least p."""
     rows = [A.project(Multivector(A.ngens, [(m, 1)]), d)
-            for m in A.monomials[d] if A.monomial_hodge_type(m)[0] >= p]
+            for m in A.monomials[d] if _mono_type(m, A.hodge_types)[0] >= p]
     rows = [r for r in rows if any(r)]
     return rref(rows, A.field)[2] if rows else []
 
@@ -138,8 +138,8 @@ def _check_coordinate_filtration(A):
     for d in range(A.top + 1):
         # pure ideal generators: every monomial projects onto its own type
         for m, proj in zip(A.monomials[d], A.proj[d][1]):
-            assert {A.monomial_hodge_type(A.basis[d][j]) for j, _ in proj} \
-                <= {A.monomial_hodge_type(m)}
+            assert {_mono_type(A.basis[d][j], A.hodge_types)
+                    for j, _ in proj} <= {_mono_type(m, A.hodge_types)}
         for p in range(d + 2):
             assert A.hodge_subspace(p, d) == _hodge_subspace_by_definition(
                 A, p, d)

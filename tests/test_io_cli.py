@@ -605,6 +605,22 @@ def test_sample_counts_below_one_exit_2(argv):
     ["e2-page", "--n", "3", "--x", "1,1,-2", "--trials", "3"],
     ["master", "--points", "0,1,2", "--weights", "1,1,1", "--prime", "13"],
     ["verify-paper", "--trials", "5"],
+    ["verify-paper", "--prime", "13"],
+    # only resonance-sample, elliptic and verify-paper draw samples
+    ["os-algebra", "--arrangement", "concurrent3", "--seed", "9"],
+    ["aomoto", "--arrangement", "concurrent3", "--alpha", "1,1,-2",
+     "--seed", "9"],
+    ["log-resonance", "--arrangement", "concurrent3", "--alpha", "1,1,-2",
+     "--seed", "9"],
+    ["e2-page", "--n", "3", "--x", "1,1,-2", "--seed", "9"],
+    ["etc-membership", "--system", "subtorus", "--alpha", "1,-1",
+     "--seed", "9"],
+    ["master", "--arrangement", "generic3", "--weights", "1,2,3",
+     "--seed", "9"],
+    ["residues", "--arrangement", "generic3", "--weights", "1,2,3",
+     "--seed", "9"],
+    ["fox-h1", "--presentation", "torusrel", "--character", "2,3",
+     "--seed", "9"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
 def test_options_a_subcommand_does_not_read_exit_2(argv):
     err = io.StringIO()

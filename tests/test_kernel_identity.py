@@ -13,8 +13,10 @@ both fields:
   coordinates.
 
 The other digests were taken before `class_coords` computed on integer
-parts and before `_rref_parts` eliminated a real Q(i) matrix on its real
-part alone, so they pin both changes:
+parts and before real Q(i) matrices were eliminated on their real part
+alone, so they pin both changes.  Only `AomotoComplex` takes that route
+now, for the blocks of a real class; `_rref_parts` eliminates a real Q(i)
+matrix on both parts, with the same bits:
 
 - `e2_page` on the models n = 4, 5, 6, at seeded real x and at multiples
   of a_i - a_j (y = i x in both);
@@ -38,11 +40,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from jumploci.aomoto import (AomotoComplex, generic_dims_sample,
                              log_resonance_membership)
 from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.elliptic import e2_page, elliptic_model
-from jumploci.scalars import QI, GaussianRational, _rref_parts
+from jumploci.scalars import DEFAULT_PRIME, QI, GaussianRational, _rref_parts
 
 I = GaussianRational(0, 1)
 
@@ -153,7 +157,8 @@ def test_real_gaussian_echelons_are_pinned_bit_for_bit():
             rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
                          for j in range(ncols)])
         rng.shuffle(rows)
-        # sparse rows of Gaussian integers with zero imaginary parts
+        # sparse rows of Gaussian integers with zero imaginary parts,
+        # eliminated on both parts
         values.append(_rref_parts([{j: (v, 0) for j, v in enumerate(row) if v}
                                    for row in rows], ncols, QI))
     assert digest(values) == (
@@ -192,12 +197,15 @@ def test_braid_a4_quotient_route_is_pinned_bit_for_bit():
         "ca6fbd2c9313a874063c63e60111011e13d005b26acb94ccf6d64320acc7e5dd")
 
 
-def test_braid_a5_triple_point_sample_is_pinned():
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 5])
+def test_braid_a5_triple_point_sample_is_pinned(prime):
     # the local component of the triple point {01, 02, 12}, spanned by
-    # e01 - e12 and e02 - e12, sampled mod DEFAULT_PRIME
+    # e01 - e12 and e02 - e12, sampled mod p; at p = 5 the blocks hand the
+    # core negative entries, entries above p and multiples of p, which it
+    # reduces as it copies them
     e01_e12 = [1, 0, 0, 0, 0, -1] + [0] * 9
     e02_e12 = [0, 1, 0, 0, 0, -1] + [0] * 9
     report = generic_dims_sample(braid(6), [e01_e12, e02_e12], trials=3,
-                                 seed=0)
+                                 prime=prime, seed=0)
     assert report.dims == (0, 1, 13, 59, 107, 60)
     assert report.flagged == ()

@@ -295,7 +295,8 @@ def test_rref_matches_oracle_over_rationals(rows):
 
 @given(st.one_of(
     dependent_matrices(st.builds(GaussianRational, sparse_q, sparse_q)),
-    # zero imaginary part everywhere: eliminated on the real part alone
+    # zero imaginary part everywhere: eliminated on both parts, as a real
+    # Q(i) matrix is outside `AomotoComplex`
     dependent_matrices(st.builds(GaussianRational, sparse_q))),
     st.booleans())
 @settings(max_examples=150, deadline=None)
@@ -438,9 +439,10 @@ def test_every_division_of_the_core_is_exact(case):
 def sparse_blocks(draw):
     """(field, ncols, rows): sparse integer rows as `class_mult_parts`
     writes them, 5-30 % nonzero ((re, im) pairs over QQ(i), real ones
-    included; residues over F_p), with zero rows, and at times a nonzero in
-    column 0 of every row and one dense row, so that the first steps fill
-    the rows in.  The cells and values come from a drawn Random, so they
+    included; over F_p any integers, negative, at least p or multiples of
+    p among them, which the core reduces), with zero rows, and at times a
+    nonzero in column 0 of every row and one dense row, so that the first
+    steps fill the rows in.  The cells and values come from a drawn Random, so they
     spread over the whole block."""
     field = draw(st.sampled_from([QQ, QI, GF(7), GF(DEFAULT_PRIME)]))
     nrows, ncols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
@@ -450,7 +452,9 @@ def sparse_blocks(draw):
 
     def value():
         if p:
-            return rng.randrange(1, p)
+            return rng.choice([rng.randrange(1, p), -rng.randrange(1, 3 * p),
+                               rng.randrange(p, 3 * p),
+                               p * rng.choice([-2, -1, 1, 2])])
         v = rng.choice([k for k in range(-40, 41) if k])
         if field is QI:
             return (v, 0) if real else rng.choice([(v, 0), (0, v), (v, v - 1)])
@@ -470,12 +474,13 @@ def sparse_blocks(draw):
 
 
 def field_value(field, v):
-    """The field value of a sparse row's entry v (None for a zero)."""
+    """The field value of a sparse row's entry v (None for a zero); over
+    F_p its residue, so the oracle ranks the reduced matrix."""
     if field is QQ:
         return Fraction(v or 0)
     if field is QI:
         return GaussianRational(*v) if v else GaussianRational(0)
-    return v or 0
+    return (v or 0) % field.p
 
 
 @given(sparse_blocks(), st.booleans())
