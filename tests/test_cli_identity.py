@@ -5,6 +5,11 @@ Each digest is the SHA-256 of one run's `result` together with its
 as the package produced them before the sample counts of the acceptance
 checks became constants of `jumploci.verify`.  The `elliptic` runs pin the
 mapping from `--trials t` to the counts of `check_elliptic_suite`.
+
+`RAW_RUNS` pin the printed bytes themselves: the SHA-256 of stdout with
+the `elapsed_s` line dropped, run from the fixtures directory so that an
+input's path is its file name.  They fix the layout of the report (key
+order, indentation, escapes) as `json.dumps(report, indent=2)` prints it.
 """
 
 import contextlib
@@ -12,9 +17,13 @@ import hashlib
 import io
 import json
 
+from importlib import resources
+
 import pytest
 
 from jumploci import cli
+
+FIXTURES = resources.files("jumploci").joinpath("fixtures")
 
 SIXPLANES_E1 = "1,0,0,0,-1,0;0,1,0,0,-1,0;0,0,1,0,-1,0"
 
@@ -73,3 +82,33 @@ def run_digest(argv):
                          ids=[" ".join(argv) for argv, _ in PINNED_RUNS])
 def test_cli_report_is_pinned(argv, expected):
     assert run_digest(argv) == expected
+
+
+RAW_RUNS = [
+    (["os-algebra", "--arrangement", "concurrent3.json"],
+     "11c075161687b9c53966e6cfdab4d9b1b0f01449108fa888e36a4f908f1f4a4d"),
+    (["aomoto", "--arrangement", "sixplanes4.json", "--alpha", "1,0,0,0,-1,0",
+      "--degree", "2"],
+     "5c9939881451f9e1f187dab5fdb1440687b943790f54be29b5416095cf112b64"),
+    (["elliptic", "--n", "3"],
+     "0a5896fd4a981f76298fdd0a858cea4fc50ce4ac04756b279616ca58d4150863"),
+    (["verify-paper"],
+     "ae46865b51a437025171a25946c5bd9de293eae4d2eb926836affe491743a71c"),
+]
+
+
+def raw_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0, argv
+    kept = [line for line in out.getvalue().splitlines(keepends=True)
+            if not line.startswith('  "elapsed_s": ')]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,expected", RAW_RUNS,
+                         ids=[" ".join(argv) for argv, _ in RAW_RUNS])
+def test_cli_stdout_is_pinned_byte_for_byte(argv, expected, monkeypatch):
+    monkeypatch.chdir(str(FIXTURES))
+    assert raw_digest(argv) == expected
