@@ -6,10 +6,20 @@ certification (degeneracy).  `verify-paper` additionally exits 1 when any
 acceptance check fails.  Reports are identical for identical inputs and seed,
 up to the elapsed_s timing field.
 
-Only the `master`, `residues` and `verify-paper` subcommands load sympy,
-and only when they run: `master` is imported by their handlers (by the
-`verify` checks that need it, for `verify-paper`), and nothing this module
-imports at load time needs it.
+At load time this module imports only what the parser and every subcommand
+share: `io`, `arrangement`, `scalars` and `errors` (and `foxcalc` and
+`torus`, which `io` loads).  Each handler imports the rest itself, when it
+runs:
+
+- `os-algebra`, `etc-membership` and `fox-h1` load nothing more;
+- `aomoto`, `resonance-sample` and `log-resonance` load `aomoto`;
+- `e2-page` loads `elliptic` (and `aomoto`, which it uses);
+- `elliptic` and `verify-paper` load `verify`, and with it `aomoto` and
+  `elliptic`; `verify-paper` also loads `master`, in the checks that use it;
+- `master` and `residues` load `master`.
+
+Only `master` loads sympy, so only the `master`, `residues` and
+`verify-paper` subcommands load it.
 """
 
 from __future__ import annotations
@@ -25,36 +35,40 @@ import sys
 import time
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from importlib import resources
+from importlib import import_module
 
 from . import __version__
-from .aomoto import (generic_dims_sample, log_resonance_membership,
-                     resonance_membership)
 from .arrangement import Arrangement, matroid_circuits, os_algebra
-from .elliptic import e2_page, elliptic_model
 from .errors import DegeneracyError, ParseError, PreconditionError
 from .foxcalc import Character, Presentation, twisted_cohomology
-from .io import (input_kind, load_json, parse_arrangement, parse_input,
-                 rational_from_text, serialize)
+from .io import (input_kind, load_json, parse_arrangement, parse_typed,
+                 rational_from_text, read_bytes, serialize)
 from .scalars import DEFAULT_PRIME, GaussianRational
 from .torus import ExpPolynomial, LaurentSystem, etc_membership
-from .verify import check_elliptic_suite, run_all
 
 _IU = GaussianRational(0, 1)
 
-# The master functions that bench/spans.py rebinds on this module.  They
-# resolve from `master` on first access (PEP 562), so that reading them does
-# not load sympy at import; the hook exists only for that outside-in tracer
-# and goes away with the shims of ROADMAP item 1.
-_TRACED_MASTER = ("critical_points_bivariate", "critical_points_univariate",
-                  "local_koszul_univariate", "log_zero_divisor_p1")
+# The functions that bench/spans.py rebinds on this module, by the module
+# each resolves from on first access (PEP 562), so that reading them loads
+# neither sympy nor a module the subcommand does not use.  The handlers
+# import them from their modules; the hook exists only for that outside-in
+# tracer and goes away with the shims of ROADMAP item 1.
+_TRACED = {
+    "generic_dims_sample": "aomoto",
+    "log_resonance_membership": "aomoto",
+    "e2_page": "elliptic",
+    "critical_points_bivariate": "master",
+    "critical_points_univariate": "master",
+    "local_koszul_univariate": "master",
+    "log_zero_divisor_p1": "master",
+}
 
 
 def __getattr__(name):
-    if name not in _TRACED_MASTER:
+    module = _TRACED.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import master
-    value = getattr(master, name)
+    value = getattr(import_module(f".{module}", __package__), name)
     globals()[name] = value
     return value
 
@@ -105,6 +119,97 @@ def _jsonable(x):
     return str(x)
 
 
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+_INT_ONLY = {int}
+
+
+def indented_json(x):
+    """`json.dumps(x, indent=2)`, byte for byte, without the pure-Python
+    encoder that `json` falls back to whenever an indent is set.  A value
+    `json.dumps` refuses raises the same TypeError; a circular value is not
+    looked for, and recurses until RecursionError."""
+    out = []
+    _write(x, out, "\n")
+    return "".join(out)
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key):
+    # the key conversions of json, in its order: float before bool and
+    # int, bool before int
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write(x, out, nl):
+    """Append the text of `x` to `out`; `nl` is a newline and the indent of
+    the line `x` starts on.  Containers are tested first, since a report is
+    mostly lists; no type is both a container and a scalar."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if {*map(type, x)} == _INT_ONLY:  # not bool, not an int subclass
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x))
+                       + nl + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            sep = "," + inner
+            _write(v, out, inner)
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, v in x.items():
+            out.append(sep + _key_text(key) + ": ")
+            sep = "," + inner
+            _write(v, out, inner)
+        out.append(nl + "}")
+    elif isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(_float_text(x))
+    else:
+        raise TypeError(f"Object of type {x.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
 def resolve_path(path):
     """Filesystem path, else a bundled fixture by basename."""
     if os.path.exists(path):
@@ -112,15 +217,11 @@ def resolve_path(path):
     name = os.path.basename(path)
     if not name.endswith(".json"):
         name += ".json"
+    from importlib import resources
     bundled = resources.files("jumploci").joinpath("fixtures", name)
     if bundled.is_file():
         return str(bundled)
     raise ParseError("file not found and no bundled fixture matches", path)
-
-
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 _KINDS = {Arrangement: "an arrangement", LaurentSystem: "a torus system",
@@ -135,24 +236,32 @@ def _check_kind(found, kind, where):
                          where)
 
 
+def _read(path):
+    """The resolved path, the JSON value in the file, and the report's
+    record of the input: the file is read once, so its SHA-256 names the
+    bytes that were parsed."""
+    path = resolve_path(path)
+    data = read_bytes(path)
+    return path, load_json(path, data), {
+        "path": path, "sha256": hashlib.sha256(data).hexdigest()}
+
+
 def _load_arrangement(path):
     """An arrangement file.  A file shaped like another kind of input is
     refused by its kind; anything else goes to `parse_arrangement`, whose
     messages name the malformed field."""
-    path = resolve_path(path)
-    obj = load_json(path)
+    path, obj, digest = _read(path)
     _check_kind(input_kind(obj), Arrangement, "arrangement")
-    arr = parse_arrangement(obj, path)
-    return arr, {"path": path, "sha256": _digest(path)}
+    return parse_arrangement(obj, path), digest
 
 
 def _load_typed(path, kind, where):
     """A typed input file that must parse to a `kind`; a file of another
     kind is a ParseError at the option `where`."""
-    path = resolve_path(path)
-    value = parse_input(path)
+    path, obj, digest = _read(path)
+    value = parse_typed(obj, path)
     _check_kind(type(value), kind, where)
-    return value, {"path": path, "sha256": _digest(path)}
+    return value, digest
 
 
 def parse_rational_csv(text, what):
@@ -186,6 +295,7 @@ def _cmd_os_algebra(args):
 
 
 def _cmd_aomoto(args):
+    from .aomoto import resonance_membership
     arr, digest = _load_arrangement(args.arrangement)
     alpha = parse_rational_csv(args.alpha, "alpha")
     algebra = os_algebra(arr)
@@ -194,6 +304,7 @@ def _cmd_aomoto(args):
 
 
 def _cmd_resonance_sample(args):
+    from .aomoto import generic_dims_sample
     arr, digest = _load_arrangement(args.arrangement)
     algebra = os_algebra(arr)
     subspace = _subspace_rows(args.subspace) if args.subspace else None
@@ -203,6 +314,7 @@ def _cmd_resonance_sample(args):
 
 
 def _cmd_log_resonance(args):
+    from .aomoto import log_resonance_membership
     arr, digest = _load_arrangement(args.arrangement)
     alpha = parse_rational_csv(args.alpha, "alpha")
     rep = log_resonance_membership(os_algebra(arr), alpha)
@@ -210,11 +322,13 @@ def _cmd_log_resonance(args):
 
 
 def _cmd_elliptic(args):
+    from .verify import check_elliptic_suite
     check = check_elliptic_suite(args.n, seed=args.seed, trials=args.trials)
     return jsonable(check), {"n": args.n}
 
 
 def _cmd_e2_page(args):
+    from .elliptic import e2_page, elliptic_model
     x = parse_rational_csv(args.x, "x")
     model = elliptic_model(args.n)
     y = [_IU * c for c in x]
@@ -270,6 +384,7 @@ def _cmd_fox_h1(args):
 
 
 def _cmd_verify_paper(args):
+    from .verify import run_all
     checks = run_all(seed=args.seed)
     result = {
         "checks": jsonable(checks),
@@ -441,7 +556,7 @@ def main(argv=None):
         "elapsed_s": round(time.monotonic() - t0, 6),
     }
     with _every_digit():
-        text = json.dumps(report, indent=2)
+        text = indented_json(report)
     print(text)
     if args.json_out:
         with open(args.json_out, "w") as fh:

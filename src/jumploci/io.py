@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from io import BytesIO, TextIOWrapper
 
 from .arrangement import Arrangement
 from .errors import ParseError
@@ -146,18 +147,30 @@ def parse_presentation(obj, where="presentation"):
     return Presentation(g, relators)
 
 
-def load_json(path):
+def read_bytes(path):
+    """The bytes of the file at `path`."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise ParseError("file not found", str(path)) from None
+
+
+def load_json(path, data=None):
+    """The JSON value in the file at `path`, decoded as `open(path)` decodes
+    it (the locale's encoding, universal newlines).  `data` is the file's
+    bytes, when the caller has read them already."""
+    if data is None:
+        data = read_bytes(path)
+    try:
+        return json.loads(TextIOWrapper(BytesIO(data)).read())
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed JSON: {exc.msg}",
             f"{path}:{exc.lineno}:{exc.colno}") from None
     except ValueError as exc:
-        # an integer literal longer than Python's int-string digit limit
+        # bytes the encoding cannot decode, or an integer literal longer
+        # than Python's int-string digit limit
         raise ParseError(f"malformed JSON: {exc}", str(path)) from None
 
 
@@ -177,20 +190,24 @@ def input_kind(obj):
     return None
 
 
-def parse_input(path):
-    """Load and type a JSON input file by its shape."""
-    obj = load_json(path)
+def parse_typed(obj, where):
+    """A loaded JSON input, typed by its shape."""
     kind = input_kind(obj)
     if kind is Arrangement:
-        return parse_arrangement(obj, str(path))
+        return parse_arrangement(obj, where)
     if kind is LaurentSystem:
-        return parse_laurent_system(obj, str(path))
+        return parse_laurent_system(obj, where)
     if kind is Presentation:
-        return parse_presentation(obj, str(path))
+        return parse_presentation(obj, where)
     raise ParseError(
         "unrecognized input shape: expected an arrangement ('forms'), "
         "a Laurent system ('polys'), or a presentation ('generators')",
-        str(path))
+        where)
+
+
+def parse_input(path):
+    """Load and type a JSON input file by its shape."""
+    return parse_typed(load_json(path), str(path))
 
 
 def rational_str(x):

@@ -9,8 +9,9 @@ change fails here too.
 
 import os
 import sys
+from importlib import import_module
 
-from jumploci import cli, elliptic, exterior, master, scalars
+from jumploci import cli, elliptic, exterior, scalars
 from jumploci.exterior import GradedAlgebra
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -28,9 +29,10 @@ def _spans():
 
 def test_the_tracer_installs_and_restores():
     spans = _spans()
-    # resolve cli's lazy master names first: the tracer wraps master before
-    # cli, so a name first read during install would keep master's wrapper
-    for name in cli._TRACED_MASTER:
+    # resolve cli's lazy names first: the tracer wraps aomoto, elliptic and
+    # master before cli, so a name first read during install would keep the
+    # module's wrapper
+    for name in cli._TRACED:
         getattr(cli, name)
     originals = (scalars.rref, exterior.rref, elliptic.rref,
                  elliptic.solve_linear, elliptic.rank_and_kernel,
@@ -47,5 +49,6 @@ def test_the_tracer_installs_and_restores():
     assert (scalars.rref, exterior.rref, elliptic.rref,
             elliptic.solve_linear, elliptic.rank_and_kernel,
             GradedAlgebra.__dict__["class_mult_matrix"]) == originals
-    for name in cli._TRACED_MASTER:
-        assert getattr(cli, name) is getattr(master, name)
+    for name, module in cli._TRACED.items():
+        assert getattr(cli, name) is getattr(
+            import_module(f"jumploci.{module}"), name)

@@ -6,6 +6,8 @@ normalize x, but a second parse/serialize pass must be the identity.
 """
 
 import contextlib
+import hashlib
+import importlib
 import io
 import json
 import os
@@ -190,6 +192,58 @@ def test_load_json_syntax_error_reports_line_and_column(tmp_path):
         load_json(str(p))
     assert re.search(r"broken\.json:\d+:\d+", str(exc.value))
     assert "malformed JSON" in str(exc.value)
+
+
+@pytest.mark.parametrize("data,message", [
+    # line and column count universal newlines, as text-mode open() reads
+    (b'{\r\n  "ambient": 2,\r\n  "forms": [[1, 0],, [0, 1]]\r\n}\r\n',
+     "{path}:3:20: malformed JSON: Expecting value"),
+    (b'{\r  "ambient": 2,\r  "forms": [[1, 0]\r  x\r}',
+     "{path}:4:3: malformed JSON: Expecting ',' delimiter"),
+    (b'\xef\xbb\xbf{"ambient": 2, "forms": [[1, 0]]}',
+     "{path}:1:1: malformed JSON: Unexpected UTF-8 BOM (decode using "
+     "utf-8-sig)"),
+    (b"", "{path}:1:1: malformed JSON: Expecting value"),
+])
+def test_load_json_decodes_as_text_mode_open(tmp_path, data, message):
+    p = tmp_path / "input.json"
+    p.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_json(str(p))
+    assert str(exc.value) == message.format(path=p)
+
+
+def test_load_json_undecodable_bytes(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"ambient": 2, "forms": [["\xe9", "0"]]}')
+    with pytest.raises(ParseError) as exc:
+        load_json(str(p))
+    assert exc.value.location == str(p)
+    assert str(exc.value).startswith(f"{p}: malformed JSON: ")
+    assert "can't decode byte 0xe9 in position 27" in str(exc.value)
+
+
+def test_load_json_parses_the_bytes_it_is_given(tmp_path):
+    p = tmp_path / "input.json"
+    p.write_text('{"ambient": 1, "forms": [[1]]}')
+    data = b'{"ambient": 2, "forms": [[1, 0]]}'
+    assert load_json(str(p), data) == {"ambient": 2, "forms": [[1, 0]]}
+    assert load_json(str(p)) == {"ambient": 1, "forms": [[1]]}
+
+
+@pytest.mark.parametrize("argv,option,name", [
+    (["os-algebra", "--arrangement"], "arrangement", "concurrent3"),
+    (["etc-membership", "--alpha", "1,-1", "--system"], "system", "subtorus"),
+    (["fox-h1", "--character", "2,3", "--presentation"], "presentation",
+     "free2"),
+])
+def test_reported_sha256_names_the_parsed_bytes(tmp_path, argv, option, name):
+    data = (FIXTURES / f"{name}.json").read_bytes()
+    p = tmp_path / f"{name}.json"
+    p.write_bytes(data.replace(b"\n", b"\r\n"))
+    inputs = report(argv + [str(p)])["inputs"]
+    assert inputs[option] == {
+        "path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
 
 
 def test_parse_input_dispatches_on_shape():
@@ -730,6 +784,77 @@ def test_json_out_duplicates_stdout(tmp_path):
     assert out_path.read_text().strip() == out.strip()
 
 
+# ------------------------------------------------------------ the printer
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_BIG_INTS = st.builds(lambda digits, tail, sign: sign * (10 ** digits + tail),
+                      st.integers(4300, 4400), st.integers(0, 99),
+                      st.sampled_from([1, -1]))
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]))
+# all of Unicode, with control characters, quotes, backslashes, a line
+# separator, a lone surrogate and a character beyond the BMP drawn often
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    '\x00\x08\x1f\x7f"\\\u2028\ud800\U0001f600')), max_size=8)
+_REPORT_KEYS = st.one_of(_TEXT, st.integers(), _BIG_INTS, _FLOATS,
+                         st.booleans(), st.none(), _TEXT.map(_Str),
+                         st.integers().map(_Int))
+_REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _BIG_INTS, _FLOATS, _TEXT,
+    _TEXT.map(_Str),
+    st.integers().map(_Int), _FLOATS.map(_Float),
+    # int lists with bools among them, and pure int lists (the fast path)
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+    st.lists(st.one_of(st.integers(), _BIG_INTS), max_size=6))
+
+
+def _report_containers(children):
+    lists = st.lists(children, max_size=4)
+    dicts = st.dictionaries(_REPORT_KEYS, children, max_size=4)
+    return st.one_of(lists, lists.map(tuple), lists.map(_List), dicts,
+                     dicts.map(_Dict))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_REPORT_LEAVES, _report_containers, max_leaves=24))
+def test_printer_matches_json_dumps_with_indent(value):
+    with cli._every_digit():
+        assert cli.indented_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, Fraction(1, 2), b"bytes", [1, object()], {"a": [{"b": 1j}]},
+    {(1, 2): 3}, {"a": {frozenset(): 1}}, (1, [2, {"c": Fraction(1)}])])
+def test_printer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli.indented_json(value)
+    assert str(got.value) == str(want.value)
+
+
 def test_reports_are_deterministic_modulo_elapsed_time():
     argv = ["e2-page", "--n", "2", "--x", "1,-1"]
     a, b = report(argv), report(argv)
@@ -1137,9 +1262,9 @@ def test_malformed_arrangement_files_keep_their_field_messages(tmp_path):
     assert err == {"error": f"{scalar}: expected an object", "kind": "parse"}
 
 
-# ------------------------------------------------------------ lazy sympy
+# ------------------------------------------------------------ lazy imports
 
-# every subcommand that needs no sympy, on bundled fixtures
+# every subcommand that needs no sympy, on bundled fixtures; os-algebra first
 SYMPY_FREE_RUNS = [
     ["os-algebra", "--arrangement", "concurrent3"],
     ["aomoto", "--arrangement", "concurrent3", "--alpha", "1,1,-2"],
@@ -1151,6 +1276,10 @@ SYMPY_FREE_RUNS = [
     ["fox-h1", "--presentation", "free2", "--character", "2,3"],
 ]
 
+# the modules that only some subcommands use
+HANDLER_MODULES = ("jumploci.aomoto", "jumploci.elliptic", "jumploci.master",
+                   "jumploci.verify", "sympy")
+
 _LAZY_SCRIPT = """
 import contextlib, io, json, sys
 from jumploci import cli
@@ -1159,27 +1288,50 @@ def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(argv)
 
-codes = [run(argv) for argv in json.loads(sys.argv[1])]
-loaded = sorted(m for m in ("sympy", "jumploci.master") if m in sys.modules)
-master = run(["master", "--points", "0,1,2", "--weights", "1,1,1"])
-print(json.dumps({"codes": codes, "loaded": loaded, "master": master,
+def loaded(names):
+    return sorted(m for m in names if m in sys.modules)
+
+runs, handler_modules = json.loads(sys.argv[1])
+at_import = loaded(handler_modules)
+codes = [run(runs[0])]
+after_os_algebra = loaded(handler_modules)
+codes += [run(argv) for argv in runs[1:]]
+sympy_free = loaded(("sympy", "jumploci.master"))
+json.dump({"ambient": 3, "central": True,
+           "forms": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]},
+          open("triple.json", "w"))
+sympy_runs = [
+    run(["master", "--points", "0,1,2", "--weights", "1,1,1"]),
+    run(["master", "--arrangement", "generic3", "--weights", "1,2,3"]),
+    run(["residues", "--arrangement", "triple.json",
+         "--weights", "1,1,-1,-1"]),
+    run(["verify-paper"]),
+]
+print(json.dumps({"at_import": at_import, "after_os_algebra": after_os_algebra,
+                  "codes": codes, "loaded": sympy_free,
+                  "sympy_runs": sympy_runs,
                   "sympy_after": "sympy" in sys.modules}))
 """
 
 
 def test_sympy_free_subcommands_never_import_sympy(tmp_path):
-    # a fresh interpreter, since this one has imported master already
+    # a fresh interpreter, since this one has imported every module already:
+    # importing the cli and running os-algebra load none of the handlers'
+    # modules, the other sympy-free subcommands leave sympy out, and every
+    # subcommand exits 0
     src = os.path.dirname(os.path.dirname(jumploci.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCRIPT, json.dumps(SYMPY_FREE_RUNS)],
+        [sys.executable, "-c", _LAZY_SCRIPT,
+         json.dumps([SYMPY_FREE_RUNS, HANDLER_MODULES])],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got == {"codes": [0] * len(SYMPY_FREE_RUNS), "loaded": [],
-                   "master": 0, "sympy_after": True}
+    assert got == {"at_import": [], "after_os_algebra": [],
+                   "codes": [0] * len(SYMPY_FREE_RUNS), "loaded": [],
+                   "sympy_runs": [0, 0, 0, 0], "sympy_after": True}
 
 
 @pytest.mark.parametrize("name", [
@@ -1188,6 +1340,14 @@ def test_sympy_free_subcommands_never_import_sympy(tmp_path):
 def test_cli_resolves_the_traced_master_names(name):
     # the benchmark's tracer rebinds these four on the cli module
     assert getattr(cli, name) is getattr(master, name)
+
+
+@pytest.mark.parametrize("name", [
+    "generic_dims_sample", "log_resonance_membership", "e2_page"])
+def test_cli_resolves_the_traced_handler_names(name):
+    # and these three, which the handlers import from aomoto and elliptic
+    module = importlib.import_module(f"jumploci.{cli._TRACED[name]}")
+    assert getattr(cli, name) is getattr(module, name)
 
 
 def test_cli_getattr_refuses_other_names():
