@@ -4,8 +4,10 @@ membership, master-function critical points, and Fox-calculus oracles.
 
 The names in `__all__` are the public entry points: the constructors, the
 query functions, their report types and the errors.  They are imported
-from their modules on first access, so that `import jumploci` does not load
-sympy (which `master` needs) until a name that needs it is used.
+from their modules on first access, so that `import jumploci` loads only
+the modules that the names used need.  No module imports sympy at load
+time; `master` imports it in the steps that still call it (see its
+docstring).
 """
 
 from importlib import import_module

@@ -18,8 +18,10 @@ runs:
   `elliptic`; `verify-paper` also loads `master`, in the checks that use it;
 - `master` and `residues` load `master`.
 
-Only `master` loads sympy, so only the `master`, `residues` and
-`verify-paper` subcommands load it.
+Only `master` loads sympy, and only in the steps that still call it: the
+bivariate `master` path (and so `verify-paper`), and a univariate
+numerator that Musser's test does not certify irreducible or whose roots
+are not all real.  `residues` never loads it.
 """
 
 from __future__ import annotations
@@ -528,12 +530,47 @@ def _glue_negative_values(argv):
     return out
 
 
+def _check_writable(path):
+    """A ParseError naming `path` when no report can be written there: it
+    is a directory, or its parent is not one.  Checked before the run, so
+    that such a path costs no run and prints nothing."""
+    if os.path.isdir(path):
+        raise ParseError("cannot write the report: is a directory", path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ParseError("cannot write the report: no such directory", path)
+
+
+def _write_report(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write the report: {exc.strerror or exc}",
+                         path) from None
+
+
 def main(argv=None):
     args = _parser().parse_args(_glue_negative_values(
         sys.argv[1:] if argv is None else argv))
     t0 = time.monotonic()
     try:
+        if args.json_out:
+            _check_writable(args.json_out)
         result, inputs = args.handler(args)
+        report = {
+            "tool": "jumploci",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "seed": args.seed,
+            "inputs": jsonable(inputs),
+            "result": result,
+            "elapsed_s": round(time.monotonic() - t0, 6),
+        }
+        with _every_digit():
+            text = indented_json(report)
+        # the file first: a report that cannot be saved is not printed
+        if args.json_out:
+            _write_report(args.json_out, text + "\n")
     except ParseError as exc:
         print(json.dumps({"error": str(exc), "kind": "parse"}),
               file=sys.stderr)
@@ -546,21 +583,7 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "kind": "precondition"}),
               file=sys.stderr)
         return 2
-    report = {
-        "tool": "jumploci",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "seed": args.seed,
-        "inputs": jsonable(inputs),
-        "result": result,
-        "elapsed_s": round(time.monotonic() - t0, 6),
-    }
-    with _every_digit():
-        text = indented_json(report)
     print(text)
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
     if args.subcommand == "verify-paper" and not result["passed"]:
         return 1
     return 0

@@ -148,12 +148,16 @@ def parse_presentation(obj, where="presentation"):
 
 
 def read_bytes(path):
-    """The bytes of the file at `path`."""
+    """The bytes of the file at `path`; a path that cannot be read (a
+    directory, a missing file, no permission) is a ParseError naming it."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except FileNotFoundError:
         raise ParseError("file not found", str(path)) from None
+    except OSError as exc:
+        raise ParseError(f"cannot read the file: {exc.strerror or exc}",
+                         str(path)) from None
 
 
 def load_json(path, data=None):

@@ -15,22 +15,39 @@ Corollary 1.1 (Orlik-Terao 1995, Silvotti 1996, Huh 2013): a finite zero
 set Z(alpha) on a good compactification has length chi(M); otherwise a
 DegeneracyError is raised instead of a wrong count.
 
-Every polynomial is built over the integers, as a coefficient list or a
-sympy Poly over ZZ, never as a sympy expression.  Denominators are cleared
-first, which scales a numerator, or both components of the form, by one
-nonzero constant and so moves no zero.  The order at a rational point a/b
-is counted by exact division by b z - a in ZZ[z], and at the roots of an
-irreducible factor by exact division by that factor.
+Every polynomial is built over the integers, as a coefficient list, and
+becomes a sympy Poly over ZZ only in the steps that call sympy.
+Denominators are cleared first, which scales a numerator, or both
+components of the form, by one nonzero constant and so moves no zero.  The
+order at a rational point a/b is counted by exact division by b z - a in
+ZZ[z], and at the roots of an irreducible factor by exact division by that
+factor.
 
-Every factorization goes through `_factor`, whose answer is always that of
-sympy's `Poly.factor_list`.  A fast answer is a proof, and every other case
-falls back to sympy.  At a prime p not dividing the leading coefficient, a
-square-free f mod p proves f square-free over Q, and the degrees of the
-irreducible factors of f mod p bound the degree of any factor over ZZ to
-their subset sums.  When those sums, intersected over a fixed list of small
-primes, are {0, deg f} alone, f is irreducible (Musser, J. ACM 25, 1978).
-The same square-free proof, with sympy's gcd as the fallback, certifies the
-eliminant of a shear and the minimal polynomials of the Koszul orders.
+Which steps are proofs and which call sympy:
+
+- Factoring goes through `_factor`, whose answer is always that of sympy's
+  `Poly.factor_list`.  A linear primitive part is its own factor.
+  Otherwise, at a prime p not dividing the leading coefficient, a
+  square-free f mod p proves f square-free over Q, and the degrees of the
+  irreducible factors of f mod p bound the degree of any factor over ZZ to
+  their subset sums; when those sums, intersected over a fixed list of
+  small primes, are {0, deg f} alone, f is irreducible (Musser, J. ACM 25,
+  1978).  A polynomial this test does not certify is factored by sympy.
+- Square-freeness, of the eliminant of a shear and of the minimal
+  polynomials of the Koszul orders, is proved by the same sieve, with
+  sympy's gcd(f, f') as the fallback.
+- Real roots are isolated by `_isolate_real`, a port of sympy's
+  continued-fraction isolation that returns sympy's intervals exactly (a
+  test compares the two).  It is a proof in integer arithmetic: Descartes'
+  rule of signs counts exactly one root in each interval it returns and
+  none in the parts of the line it drops.  sympy is called, for the
+  isolating rectangles, only when an irreducible factor has fewer real
+  roots than its degree.
+- The bivariate path calls sympy throughout: the sheared Polys, the
+  resultant and the gcd of the back-substitution.
+
+So univariate runs whose numerator is certified and whose roots are all
+real, and `residues_line_arrangement`, never import sympy.
 """
 
 from __future__ import annotations
@@ -38,21 +55,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-import sympy as sp
-from sympy import QQ, ZZ
+from math import gcd, log
 
 from .arrangement import Arrangement, line_points
 from .errors import DegeneracyError, PreconditionError
 from .scalars import _clear, _rational
 
-_X, _Y = sp.symbols("jl_x jl_y")
+
+def _sympy():
+    """sympy and the generators x, y of its polynomials here, imported by
+    the steps that still call it.  Callers look up `sp.resultant` and
+    `Poly.factor_list` when they call them, as a tracer that rebinds those
+    names expects."""
+    import sympy as sp
+    x, y = sp.symbols("jl_x jl_y")
+    return sp, x, y
 
 
 def _frac(r):
-    r = sp.Rational(r)
-    return Fraction(int(r.p), int(r.q))
+    """A sympy Rational, or an element of its ZZ or QQ, as a Fraction."""
+    return Fraction(int(r.numerator), int(r.denominator))
 
 
 def _rational_weights(lam, d):
@@ -162,7 +184,8 @@ def _linear(root):
 
 
 def _zz_poly(coeffs):
-    return sp.Poly(coeffs, _X, domain=ZZ)
+    sp, x, _y = _sympy()
+    return sp.Poly(coeffs, x, domain=sp.ZZ)
 
 
 # -- certified factoring: degree sets mod small primes ----------------------
@@ -276,8 +299,9 @@ def _squarefree(coeffs):
     gcd(f, f')."""
     if next(_sieve(coeffs), None):
         return True
+    sp, x, _y = _sympy()
     f = _zz_poly(list(coeffs))
-    return sp.gcd(f, f.diff(_X)).degree() == 0
+    return sp.gcd(f, f.diff(x)).degree() == 0
 
 
 def _irreducible(f):
@@ -314,16 +338,181 @@ def _factor(coeffs):
             for g, m in _zz_poly(list(coeffs)).factor_list()[1]]
 
 
+# -- real roots: sympy's continued-fraction isolation on integer lists -------
+#
+# A port of sympy's `dup_isolate_real_roots_sqf(f, ZZ)`, the
+# Vincent-Akritas-Strzebonski method (Akritas and Strzebonski, Nonlinear
+# Analysis: Modelling and Control 10(4), 2005), which returns sympy's
+# intervals exactly because it makes sympy's choices: the same stack order,
+# the LMQ bound with sympy's logarithm int(math.log(x, 2)), an exact root
+# divided out by x, and refinement only until the interval is finite.  A
+# Mobius transform (a, b, c, d) stands for the interval between a/c and
+# b/d; coefficient lists are highest degree first.
+
+def _taylor(f, a):
+    """f(x + a)."""
+    f = list(f)
+    for i in range(len(f) - 1, 0, -1):
+        for j in range(i):
+            f[j + 1] += a * f[j]
+    return f
+
+
+def _variations(f):
+    """The sign variations of the coefficients of f, zeros skipped."""
+    k, last = 0, 0
+    for c in f:
+        if c:
+            if (c < 0) != (last < 0) and last:
+                k += 1
+            last = c
+    return k
+
+
+def _flip(f):
+    """f(1/x + 1) x^deg, divided by x when 0 is a root: the other half of
+    a bisection at 1."""
+    i = len(f) - 1
+    while not f[i]:
+        i -= 1
+    g = _taylor(f[i::-1], 1)
+    return g if g[-1] else g[:-1]
+
+
+def _lower_bound(f):
+    """int(1 / B) for sympy's LMQ bound B of the positive roots of
+    x^deg f(1/x) (Akritas-Strzebonski-Vigklas), 0 when it has none: an
+    integer no larger than any positive root of f."""
+    n = len(f)
+    while not f[n - 1]:
+        n -= 1
+    g = f[:n] if f[n - 1] > 0 else [-c for c in f[:n]]
+    logs = [int(log(abs(c), 2)) if c else 0 for c in g]
+    t, exps = [1] * n, []
+    for i, c in enumerate(g):
+        if c < 0:
+            qs = [((t[j] + logs[i] - logs[j]) // (j - i), j)
+                  for j in range(i + 1, n) if g[j] > 0]
+            if qs:
+                q, j = min(qs)
+                t[j] += 1
+                exps.append(q)
+    if not exps:
+        return 0
+    e = max(exps) + 1
+    return 1 >> e if e >= 0 else 1 << -e
+
+
+def _refine(f, a, b, c, d):
+    """sympy's refinement steps on the one positive root of f in the
+    transform's interval, until that interval is finite (c != 0)."""
+    while not c:
+        bound = _lower_bound(f)
+        if bound >= 1:
+            f = _taylor(f, bound)
+            b, d = bound * a + b, bound * c + d
+            if not f[-1]:
+                return b, b, d, d
+        f, g = _taylor(f, 1), f
+        if not f[-1]:
+            return a + b, a + b, c + d, c + d
+        if _variations(f) == 1:
+            b, d = a + b, c + d
+        else:
+            f = _flip(g)
+            a, b, c, d = b, a + b, d, c + d
+    return a, b, c, d
+
+
+def _positive_roots(f):
+    """Transforms isolating the positive roots of a square-free f with
+    f(0) != 0, in sympy's order."""
+    k = _variations(f)
+    if k < 2:
+        return [_refine(f, 1, 0, 0, 1)] if k else []
+    roots, stack = [], [(1, 0, 0, 1, f, k)]
+    while stack:
+        a, b, c, d, f, k = stack.pop()
+        bound = _lower_bound(f)
+        if bound >= 1:
+            f = _taylor(f, bound)
+            b, d = bound * a + b, bound * c + d
+            if not f[-1]:
+                roots.append((b, b, d, d))
+                f = f[:-1]
+            k = _variations(f)
+            if k < 2:
+                if k:
+                    roots.append(_refine(f, a, b, c, d))
+                continue
+        f1, r = _taylor(f, 1), 0
+        half1 = a, a + b, c, c + d
+        if not f1[-1]:
+            roots.append((a + b, a + b, c + d, c + d))
+            f1, r = f1[:-1], 1
+        k1 = _variations(f1)
+        k2 = k - k1 - r
+        half2 = b, a + b, d, c + d
+        f2 = None
+        if k2 > 1:
+            f2 = _flip(f)
+            k2 = _variations(f2)
+        if k1 < k2:
+            half1, half2, f1, f2, k1, k2 = half2, half1, f2, f1, k2, k1
+        for half, g, kg in ((half1, f1, k1), (half2, f2, k2)):
+            if not kg:
+                break
+            if g is None:
+                g = _flip(f)
+            if kg == 1:
+                roots.append(_refine(g, *half))
+            else:
+                stack.append((*half, g, kg))
+    return roots
+
+
+def _interval(m):
+    """The interval of a transform, lower end first."""
+    a, b, c, d = m
+    s, t = Fraction(a, c), Fraction(b, d)
+    return (s, t) if s <= t else (t, s)
+
+
+def _isolate_real(f):
+    """`dup_isolate_real_roots_sqf(f, ZZ)` for a square-free integer
+    polynomial f: sympy's isolating intervals of its real roots, in
+    increasing order, with Fraction endpoints."""
+    f = list(f)
+    if len(f) < 2:
+        return []
+    roots = []
+    if not f[-1]:
+        roots.append((Fraction(0), Fraction(0)))
+        while not f[-1]:
+            f.pop()
+    mirror = [-c if i % 2 else c for i, c in enumerate(reversed(f))][::-1]
+    roots += [(-t, -s) for s, t in map(_interval, _positive_roots(mirror))]
+    roots += map(_interval, _positive_roots(f))
+    return sorted(roots)
+
+
 def _root_intervals(f):
-    """`f.intervals(all=True)` for a square-free integer Poly f.  Sympy
-    isolates the real part of all=True with the same
-    `dup_isolate_real_roots_sqf` call that sqf=True makes, so when the real
-    roots are all f.degree() roots the complex search is skipped and the
-    answer is the same."""
-    real = f.intervals(sqf=True)
-    if len(real) == f.degree():
-        return [(iv, 1) for iv in real], []
-    return f.intervals(all=True)
+    """The real intervals and complex rectangles of
+    `Poly.intervals(all=True)` for a square-free integer polynomial f, a
+    coefficient tuple, with Fraction endpoints: ([(lo, hi)],
+    [((re_lo, re_hi), (im_lo, im_hi))]).  sympy isolates the real part of
+    all=True with `dup_isolate_real_roots_sqf`, which `_isolate_real`
+    reproduces, so sympy is called only for the rectangles, when some root
+    is not real."""
+    real = _isolate_real(f)
+    if len(real) == len(f) - 1:
+        return real, []
+    complexes = []
+    for (a, b), _m in _zz_poly(list(f)).intervals(all=True)[1]:
+        ar, ai = a.as_real_imag()
+        br, bi = b.as_real_imag()
+        complexes.append(((_frac(ar), _frac(br)), (_frac(ai), _frac(bi))))
+    return real, complexes
 
 
 def _factor_zeros(f, mult, kind):
@@ -333,17 +522,9 @@ def _factor_zeros(f, mult, kind):
     if len(f) == 2:
         a, b = f
         return [Zero(kind, mult, value=Fraction(-b, a))]
-    real, complexes = _root_intervals(_zz_poly(list(f)))
-    out = [Zero(kind, mult, interval=(_frac(lo), _frac(hi)), minpoly=f)
-           for (lo, hi), _m in real]
-    for (a, b), _m in complexes:
-        ar, ai = a.as_real_imag()
-        br, bi = b.as_real_imag()
-        out.append(Zero(kind, mult,
-                        interval=((_frac(ar), _frac(br)),
-                                  (_frac(ai), _frac(bi))),
-                        minpoly=f))
-    return out
+    real, complexes = _root_intervals(f)
+    return [Zero(kind, mult, interval=box, minpoly=f)
+            for box in real + complexes]
 
 
 def _zeros_of_poly(coeffs, kind):
@@ -364,7 +545,7 @@ def critical_points_univariate(points, lam):
     |chi(M)| = d - 1; weights with boundary zeros (e.g. sum lambda = 0)
     make it False and the balance moves to log_zero_divisor_p1.
     """
-    divisor = _log_divisor(*_punctures(points, lam))
+    divisor = _log_divisor(*_punctures(points, lam))[0]
     zeros = tuple(z for z in divisor.zeros if z.kind == "interior")
     total = sum(z.multiplicity for z in zeros)
     chi = divisor.chi
@@ -388,22 +569,26 @@ def log_zero_divisor_p1(points, lam):
     The total is |D| - 2 = d - 1 for every nonzero weight vector; the
     infinity entry notes when the residue there (-sum lambda) vanishes.
     """
-    return _log_divisor(*_punctures(points, lam))
+    return _log_divisor(*_punctures(points, lam))[0]
 
 
 # The three univariate functions are called back to back on one
 # configuration (the CLI, verify-paper, the benchmark's master op), so the
-# last configuration's divisor is kept and its numerator factored once.
+# last configuration's divisor is kept, with the numerators it was read
+# from: each is built and factored once.
 @lru_cache(maxsize=1)
 def _log_divisor(points, lam):
-    """log_zero_divisor_p1 for validated tuples of Fractions."""
+    """(log_zero_divisor_p1, N, N~) for validated tuples of Fractions, with
+    N and N~ the coefficient tuples of `_cleared_numerator` at z and at
+    w = 1/z."""
     zeros = []
-    interior = _cleared_numerator(points, lam)
+    numerator = tuple(_cleared_numerator(points, lam))
+    interior = numerator
     for c in points:
         m, interior = _divide_out(interior, _linear(c))
         if m:
             zeros.append(Zero("puncture", m, value=c))
-    vinf, _tilde = _infinity_valuation(points, lam)
+    vinf, tilde = _infinity_valuation(points, lam)
     if vinf:
         zeros.append(Zero("infinity", vinf))
     if len(interior) > 1:
@@ -419,7 +604,8 @@ def _log_divisor(points, lam):
                  "the boundary of M, with the order measured against dw/w",)
     chi = 1 - d
     return DivisorReport(tuple(zeros), total, chi, total == abs(chi),
-                         divisor_size=d + 1, notes=notes)
+                         divisor_size=d + 1, notes=notes), numerator, \
+        tuple(tilde)
 
 
 @dataclass(frozen=True)
@@ -434,20 +620,18 @@ def local_koszul_univariate(points, lam):
     0 -> O -> O -> 0 given by multiplication by the local multiplier a of
     alpha.  H^0 = 0 iff a is a nonzero germ; dim H^1 = dim O/(a) = ord(a).
 
-    The zeros are those of log_zero_divisor_p1 (the same report, factored
-    once), but every order is recomputed by exact division of the numerator
-    rather than read off the divisor: at a rational zero by b z - a, at
-    infinity by w, and at the conjugate roots of an irreducible factor by
-    that factor, once per factor since the order is the same at each root.
+    The zeros are those of log_zero_divisor_p1 (the same report and
+    numerators, built and factored once), but every order is recomputed by
+    exact division of the numerator rather than read off the divisor: at a
+    rational zero by b z - a, at infinity by w, and at the conjugate roots
+    of an irreducible factor by that factor, once per factor since the
+    order is the same at each root.
     """
-    points, lam = _punctures(points, lam)
-    report = _log_divisor(points, lam)
-    n = _cleared_numerator(points, lam)
+    report, n, tilde = _log_divisor(*_punctures(points, lam))
     factor_orders = {}
     out = []
     for z in report.zeros:
         if z.kind == "infinity":
-            _v, tilde = _infinity_valuation(points, lam)
             h1 = 0
             while tilde and not tilde[-1]:
                 tilde = tilde[:-1]  # N~ = w * (the shifted coefficients)
@@ -494,8 +678,9 @@ def _sheared_pair(forms, weights, t):
         for key, c in prod.items():
             p[key] = p.get(key, 0) + wp * c
             q[key] = q.get(key, 0) + wq * c
+    sp, x, y = _sympy()
     return tuple(sp.Poly.from_dict({k: c for k, c in h.items() if c},
-                                   _Y, _X, domain=ZZ) for h in (p, q))
+                                   y, x, domain=sp.ZZ) for h in (p, q))
 
 
 _SHEARS = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8]
@@ -506,9 +691,10 @@ def _eliminant(forms, weights, spurious, t):
     unusable (non-constant leading y-coefficients).  Returns (G, P_t, Q_t),
     G an integer multiple of the resultant with the multiple points'
     sheared x-coordinates divided out, as a coefficient list."""
+    sp, _x, y = _sympy()
     pt, qt = _sheared_pair(forms, weights, t)
     for h in (pt, qt):
-        top = h.degree(_Y)
+        top = h.degree(y)
         if any(m[1] for m, _c in h.terms() if m[0] == top):
             return None
     res = sp.resultant(pt, qt)
@@ -594,6 +780,7 @@ def critical_points_bivariate(arr, lam, seed=0):
     t1, g1, pt1, qt1 = _certifying_shear(
         _clear(arr.forms), _cleared_weights(lam), finite, count)
 
+    sp, x, _y = _sympy()
     zeros = []
     for f, mult in _factor(g1):
         if len(f) > 2:
@@ -601,8 +788,8 @@ def critical_points_bivariate(arr, lam, seed=0):
             continue
         a, b = f
         x0 = Fraction(-b, a)
-        at = QQ(x0.numerator, x0.denominator)
-        py = sp.gcd(pt1.eval(_X, at), qt1.eval(_X, at))
+        at = sp.QQ(x0.numerator, x0.denominator)
+        py = sp.gcd(pt1.eval(x, at), qt1.eval(x, at))
         if py.degree() != 1:
             raise DegeneracyError(
                 f"back-substitution at x = {x0} is not a single simple point")

@@ -25,7 +25,7 @@ from jumploci import __version__, cli, master
 from jumploci.errors import ParseError, PreconditionError
 from jumploci.io import (
     load_json, parse_arrangement, parse_input, parse_laurent_system,
-    parse_presentation, parse_rational, serialize)
+    parse_presentation, parse_rational, read_bytes, serialize)
 from jumploci.verify import check_elliptic_suite
 
 FIXTURES = resources.files("jumploci").joinpath("fixtures")
@@ -784,6 +784,54 @@ def test_json_out_duplicates_stdout(tmp_path):
     assert out_path.read_text().strip() == out.strip()
 
 
+BAD_PATHS = ["a directory", "under a missing directory", "through a file"]
+
+
+def bad_path(tmp_path, case):
+    regular = tmp_path / "regular.json"
+    regular.write_text("{}")
+    (tmp_path / "dir.json").mkdir()
+    return str({"a directory": tmp_path / "dir.json",
+                "under a missing directory": tmp_path / "missing" / "x.json",
+                "through a file": regular / "x.json"}[case])
+
+
+@pytest.mark.parametrize("case", BAD_PATHS)
+def test_an_unreadable_input_path_exits_2(tmp_path, case):
+    path = bad_path(tmp_path, case)
+    err = stderr_error(["os-algebra", "--arrangement", path], 2)
+    assert err["kind"] == "parse" and err["error"].startswith(f"{path}: ")
+    if case == "a directory":
+        with pytest.raises(ParseError, match="cannot read the file") as exc:
+            read_bytes(path)
+        assert exc.value.location == path
+
+
+@pytest.mark.parametrize("case", BAD_PATHS)
+def test_an_unwritable_json_out_exits_2_before_the_run(monkeypatch, tmp_path,
+                                                       case):
+    path = bad_path(tmp_path, case)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "os_algebra", refuse)
+    err = stderr_error(["os-algebra", "--arrangement", "concurrent3",
+                        "--json-out", path], 2)
+    assert err["kind"] == "parse"
+    assert err["error"].startswith(f"{path}: cannot write the report: ")
+
+
+def test_a_failed_json_out_write_prints_nothing(monkeypatch, tmp_path):
+    # past the check, an open that fails is still exit 2 with no report
+    path = bad_path(tmp_path, "a directory")
+    monkeypatch.setattr(cli, "_check_writable", lambda path: None)
+    err = stderr_error(["os-algebra", "--arrangement", "concurrent3",
+                        "--json-out", path], 2)
+    assert err["kind"] == "parse"
+    assert err["error"].startswith(f"{path}: cannot write the report: ")
+
+
 # ------------------------------------------------------------ the printer
 
 class _Str(str):
@@ -1300,15 +1348,21 @@ sympy_free = loaded(("sympy", "jumploci.master"))
 json.dump({"ambient": 3, "central": True,
            "forms": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]},
           open("triple.json", "w"))
-sympy_runs = [
+# numerators certified irreducible, with real roots only
+master_runs = [
     run(["master", "--points", "0,1,2", "--weights", "1,1,1"]),
-    run(["master", "--arrangement", "generic3", "--weights", "1,2,3"]),
+    run(["master", "--points", "0,1,2,3", "--weights", "1,2,3,4"]),
     run(["residues", "--arrangement", "triple.json",
          "--weights", "1,1,-1,-1"]),
+]
+after_master = loaded(("sympy",))
+sympy_runs = [
+    run(["master", "--arrangement", "generic3", "--weights", "1,2,3"]),
     run(["verify-paper"]),
 ]
 print(json.dumps({"at_import": at_import, "after_os_algebra": after_os_algebra,
                   "codes": codes, "loaded": sympy_free,
+                  "master_runs": master_runs, "after_master": after_master,
                   "sympy_runs": sympy_runs,
                   "sympy_after": "sympy" in sys.modules}))
 """
@@ -1317,8 +1371,9 @@ print(json.dumps({"at_import": at_import, "after_os_algebra": after_os_algebra,
 def test_sympy_free_subcommands_never_import_sympy(tmp_path):
     # a fresh interpreter, since this one has imported every module already:
     # importing the cli and running os-algebra load none of the handlers'
-    # modules, the other sympy-free subcommands leave sympy out, and every
-    # subcommand exits 0
+    # modules, the other sympy-free subcommands leave sympy out, univariate
+    # master and residues do too, the bivariate master path loads it, and
+    # every subcommand exits 0
     src = os.path.dirname(os.path.dirname(jumploci.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -1331,7 +1386,8 @@ def test_sympy_free_subcommands_never_import_sympy(tmp_path):
     got = json.loads(proc.stdout)
     assert got == {"at_import": [], "after_os_algebra": [],
                    "codes": [0] * len(SYMPY_FREE_RUNS), "loaded": [],
-                   "sympy_runs": [0, 0, 0, 0], "sympy_after": True}
+                   "master_runs": [0, 0, 0], "after_master": [],
+                   "sympy_runs": [0, 0], "sympy_after": True}
 
 
 @pytest.mark.parametrize("name", [

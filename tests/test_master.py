@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
 from jumploci import arrangement, master
 from jumploci.aomoto import AomotoComplex
@@ -469,6 +470,20 @@ def test_bivariate_hand_cases_match_the_expression_route(arr, lam):
 
 # -- real-root shortcut ------------------------------------------------------
 
+def sympy_root_intervals(f):
+    """`f.intervals(all=True)` for a sympy Poly f, in the form that
+    `_root_intervals` returns it."""
+    def frac(r):
+        return Fraction(int(r.p), int(r.q))
+
+    real, complexes = f.intervals(all=True)
+    boxes = []
+    for (a, b), _m in complexes:
+        (ar, ai), (br, bi) = a.as_real_imag(), b.as_real_imag()
+        boxes.append(((frac(ar), frac(br)), (frac(ai), frac(bi))))
+    return [(frac(lo), frac(hi)) for (lo, hi), _m in real], boxes
+
+
 @pytest.mark.parametrize("coeffs", [
     [3, -6, 2],            # all roots real
     [1, 0, -3, 1],         # three real roots
@@ -481,7 +496,7 @@ def test_bivariate_hand_cases_match_the_expression_route(arr, lam):
 def test_real_root_shortcut_is_all_intervals(coeffs):
     f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
     assert f.is_irreducible
-    assert _root_intervals(f) == f.intervals(all=True)
+    assert _root_intervals(tuple(coeffs)) == sympy_root_intervals(f)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=3, max_size=7))
@@ -491,7 +506,79 @@ def test_real_root_shortcut_on_irreducible_factors(coeffs):
     assume(f.degree() >= 2)
     for g, _m in f.factor_list()[1]:
         if g.degree() >= 2:
-            assert _root_intervals(g) == g.intervals(all=True)
+            got = _root_intervals(tuple(int(c) for c in g.all_coeffs()))
+            assert got == sympy_root_intervals(g)
+
+
+# -- the port of sympy's real root isolation ---------------------------------
+
+def sympy_real_intervals(coeffs):
+    intervals = dup_isolate_real_roots_sqf([int(c) for c in coeffs], sp.ZZ)
+    return [(Fraction(int(s.numerator), int(s.denominator)),
+             Fraction(int(t.numerator), int(t.denominator)))
+            for s, t in intervals]
+
+
+def square_free(coeffs):
+    f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
+    return f.degree() >= 1 and sp.gcd(f, f.diff()).degree() == 0
+
+
+def inverted(coeffs):
+    """x^n f(1/x - 1) for f of degree n: the roots r of f become
+    1/(r + 1), and f is the polynomial that the first bisection at 1
+    hands on."""
+    f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
+    return [int(c) for c in reversed(f.shift(-1).all_coeffs())]
+
+
+# sympy's LMQ logarithm, int(math.log(x, 2)), reads k for x = 2^k - 1 from
+# k = 48 on, where x.bit_length() - 1 reads k - 1
+LOG_SPLIT = [2**k - 1 for k in (49, 53, 60)]
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Integer polynomials of degree 1-10, coefficients up to 10, 10^6 or
+    10^15; some with a constant term +-(2^k - 1), k >= 49, as drawn or
+    inverted, and some with roots forced at 0 or at small rationals."""
+    bound = draw(st.sampled_from([10, 10**6, 10**15]))
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=2,
+                           max_size=11))
+    if draw(st.booleans()):
+        coeffs[-1] = draw(st.sampled_from([1, -1])) * (2**draw(
+            st.integers(49, 64)) - 1)
+        if coeffs[0] and draw(st.booleans()):
+            coeffs = inverted(coeffs)
+    for root in draw(st.lists(st.sampled_from(
+            [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+             Fraction(-2, 3), Fraction(3, 2), Fraction(-5)]), max_size=2)):
+        # times (b z - a) for root a/b
+        a, b = root.numerator, root.denominator
+        coeffs = [b * c - a * p for c, p in zip(coeffs + [0], [0] + coeffs)]
+    while coeffs and not coeffs[0]:
+        coeffs.pop(0)
+    return coeffs
+
+
+@given(integer_polynomials())
+@settings(max_examples=150, deadline=None)
+def test_real_isolation_is_sympys(coeffs):
+    assume(square_free(coeffs))
+    assert master._isolate_real(coeffs) == sympy_real_intervals(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [
+    # a real root and a complex pair: past the LMQ shift, which these
+    # constant terms set, the variations drop to 1 and the interval ends
+    # where the shift left it
+    inverted([-8, 1, -2, LOG_SPLIT[1]]),
+    inverted([5, -7, 6, -LOG_SPLIT[0]]),
+    inverted([2, -3, 6, -LOG_SPLIT[2]]),
+])
+def test_real_isolation_keeps_sympys_logarithm(coeffs):
+    assert square_free(coeffs)
+    assert master._isolate_real(coeffs) == sympy_real_intervals(coeffs)
 
 
 # -- certified factoring -----------------------------------------------------
