@@ -370,8 +370,8 @@ def _variations(f):
 
 
 def _flip(f):
-    """f(1/x + 1) x^deg, divided by x when 0 is a root: the other half of
-    a bisection at 1."""
+    """(x + 1)^deg f(1/(x + 1)), divided by x when f(1) = 0: the roots of f
+    in (0, 1) moved to (0, oo), the other half of a bisection at 1."""
     i = len(f) - 1
     while not f[i]:
         i -= 1
