@@ -38,3 +38,13 @@ def test_worse_is_a_median_past_the_bound():
 def test_a_base_spread_wider_than_the_bound_is_unresolved():
     base = [1.0, 2.0] * 5
     assert judge(base, list(base)) == "unresolved"
+
+
+def test_no_gain_when_the_head_fails_a_larger_share_of_operations():
+    faster = [b - 0.2 for b in BASE]
+    got = pairs.verdict(BASE, faster, 0.25, "lower", failed=(0.0, 0.01))
+    assert got["verdict"] == "same" and got["failed"]["head"] == 0.01
+    assert pairs.verdict(BASE, faster, 0.25, "lower",
+                         failed=(0.02, 0.01))["verdict"] == "gain"
+    assert pairs.verdict(BASE, faster, 0.25, "lower",
+                         failed=(0.01, 0.01))["verdict"] == "gain"

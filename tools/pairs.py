@@ -2,12 +2,13 @@
 
     python3 tools/pairs.py --label NAME [--base REV] [--head REV]
                            [--workload W ...] [--seed S ...] [--pairs N]
-                           [--seconds T]
 
 Each rev (default: HEAD^ against HEAD) is exported with `git archive` into
 a temporary directory, so only committed files are measured and the
 repository is left as it was.  Both revs must hold the same `bench/` and
-`BENCHMARK.json`.  For every workload and seed, N pairs run
+`BENCHMARK.json`, and that file, read from the exported trees, sets the
+metrics, their bounds and the run length T (its `run_seconds`).  For every
+workload and seed, N pairs run
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -21,8 +22,9 @@ seed, where "better" is the metric's direction and the bound is its
 fraction of the base median:
 
 - gain: at least nine in ten pairs are won by the head (ties count for
-  neither), and the medians differ, in the head's favour, by more than
-  the base's interquartile range; this needs at least ten pairs;
+  neither), the medians differ, in the head's favour, by more than the
+  base's interquartile range, and the head fails no larger share of its
+  operations than the base; this needs at least ten pairs;
 - worse: the head's median is worse than the base's by more than the bound;
 - unresolved: neither, and the base's interquartile range is wider than
   the bound;
@@ -93,15 +95,17 @@ def run_bench(tree, workload, seed, seconds):
             "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
 
 
-def verdict(base, head, bound, better):
-    """The 10-pair rule on paired values of one metric."""
+def verdict(base, head, bound, better, failed=(0.0, 0.0)):
+    """The 10-pair rule on paired values of one metric; `failed` is the
+    share of operations that failed on the base and on the head."""
     sign = 1 if better == "lower" else -1
     n = len(base)
     wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
     mb, mh = statistics.median(base), statistics.median(head)
     qb, qh = statistics.quantiles(base, n=4), statistics.quantiles(head, n=4)
     iqr = qb[2] - qb[0]
-    if n >= 10 and wins >= 0.9 * n and sign * (mb - mh) > iqr:
+    if n >= 10 and wins >= 0.9 * n and sign * (mb - mh) > iqr \
+            and failed[1] <= failed[0]:
         v = "gain"
     elif sign * (mh - mb) > bound * abs(mb):
         v = "worse"
@@ -111,6 +115,7 @@ def verdict(base, head, bound, better):
         v = "same"
     return {"verdict": v, "wins": wins, "pairs": n,
             "change": (mh - mb) / mb if mb else None,
+            "failed": {"base": failed[0], "head": failed[1]},
             "base": {"median": mb, "q1": qb[0], "q3": qb[2]},
             "head": {"median": mh, "q1": qh[0], "q3": qh[2]}}
 
@@ -123,7 +128,6 @@ def main(argv=None):
     ap.add_argument("--workload", action="append")
     ap.add_argument("--seed", type=int, action="append")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -131,16 +135,16 @@ def main(argv=None):
                        "bench", "BENCHMARK.json"], cwd=ROOT).returncode:
         ap.error(f"{args.base} and {args.head} differ under bench/ or in "
                  "BENCHMARK.json: the pairs need one benchmark")
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = args.seed or [0]
-    seconds = args.seconds or bench["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("base", "head")}
         revs = {side: export(getattr(args, side), trees[side])
                 for side in trees}
+        with open(os.path.join(trees["base"], "BENCHMARK.json")) as fh:
+            bench = json.load(fh)
+        workloads = args.workload or [w["name"] for w in bench["workloads"]]
+        seconds = bench["run_seconds"]
         runs, verdicts = [], []
         for workload in workloads:
             for seed in seeds:
@@ -156,6 +160,10 @@ def main(argv=None):
                         got[side].append(r)
                         print(f"{workload} seed {seed} pair {pair} {side}: "
                               f"{r['metrics']}", file=sys.stderr)
+                failed = tuple(
+                    sum(r["failed"] for r in got[side])
+                    / max(1, sum(r["attempted"] for r in got[side]))
+                    for side in ("base", "head"))
                 for m in bench["end_to_end"]:
                     verdicts.append({
                         "workload": workload, "seed": seed,
@@ -163,7 +171,7 @@ def main(argv=None):
                         "bound": m["bound"], **verdict(
                             [r["metrics"][m["name"]] for r in got["base"]],
                             [r["metrics"][m["name"]] for r in got["head"]],
-                            m["bound"], m["better"])})
+                            m["bound"], m["better"], failed)})
 
     out = {
         "label": args.label,
