@@ -18,10 +18,11 @@ runs:
   `elliptic`; `verify-paper` also loads `master`, in the checks that use it;
 - `master` and `residues` load `master`.
 
-Only `master` loads sympy, and only in the steps that still call it: the
-bivariate `master` path (and so `verify-paper`), and a univariate
-numerator that Musser's test does not certify irreducible or whose roots
-are not all real.  `residues` never loads it.
+Only `master` loads sympy, and only in the steps that still call it: a
+numerator or eliminant with a non-real root, or with no square-free
+prime in Musser's sieve (so `verify-paper`, whose univariate checks have
+non-real zeros).  Bivariate `master` with real zeros and `residues` never
+load it.
 """
 
 from __future__ import annotations
@@ -213,12 +214,13 @@ def _write(x, out, nl):
 
 
 def resolve_path(path):
-    """Filesystem path, else a bundled fixture by basename."""
+    """Filesystem path, else, for a bare name (no directory part), the
+    bundled fixture of that name."""
     if os.path.exists(path):
         return path
-    name = os.path.basename(path)
-    if not name.endswith(".json"):
-        name += ".json"
+    if os.path.basename(path) != path:
+        raise ParseError("file not found", path)
+    name = path if path.endswith(".json") else path + ".json"
     from importlib import resources
     bundled = resources.files("jumploci").joinpath("fixtures", name)
     if bundled.is_file():
@@ -583,7 +585,14 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "kind": "precondition"}),
               file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has closed stdout (`| head`): point it at devnull, so
+        # that the flush at exit raises no second error (the Python docs'
+        # note on SIGPIPE), and exit as the run itself did
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     if args.subcommand == "verify-paper" and not result["passed"]:
         return 1
     return 0

@@ -15,13 +15,13 @@ Corollary 1.1 (Orlik-Terao 1995, Silvotti 1996, Huh 2013): a finite zero
 set Z(alpha) on a good compactification has length chi(M); otherwise a
 DegeneracyError is raised instead of a wrong count.
 
-Every polynomial is built over the integers, as a coefficient list, and
-becomes a sympy Poly over ZZ only in the steps that call sympy.
-Denominators are cleared first, which scales a numerator, or both
-components of the form, by one nonzero constant and so moves no zero.  The
-order at a rational point a/b is counted by exact division by b z - a in
-ZZ[z], and at the roots of an irreducible factor by exact division by that
-factor.
+Every polynomial is built over the integers, as a coefficient list (a dict
+of terms in two variables), and becomes a sympy Poly over ZZ only in the
+steps that call sympy.  Denominators are cleared first, which scales a
+numerator, or both components of the form, by one nonzero constant and so
+moves no zero.  The order at a rational point a/b is counted by exact
+division by b z - a in ZZ[z], and at the roots of an irreducible factor by
+exact division by that factor.
 
 Which steps are proofs and which call sympy:
 
@@ -32,10 +32,14 @@ Which steps are proofs and which call sympy:
   irreducible factors of f mod p bound the degree of any factor over ZZ to
   their subset sums; when those sums, intersected over a fixed list of
   small primes, are {0, deg f} alone, f is irreducible (Musser, J. ACM 25,
-  1978).  A polynomial this test does not certify is factored by sympy.
+  1978).  A square-free polynomial this test does not certify, whose roots
+  are all real, is split on its isolated roots: a set of roots is a
+  factor's only if interval enclosures of its scaled elementary symmetric
+  functions hold integers, and the candidate they give is a factor only if
+  it divides exactly.  Any other polynomial is factored by sympy.
 - Square-freeness, of the eliminant of a shear and of the minimal
-  polynomials of the Koszul orders, is proved by the same sieve, with
-  sympy's gcd(f, f') as the fallback.
+  polynomials of the Koszul orders, is proved by the same sieve, with an
+  exact gcd(f, f') over Q as the fallback.
 - Real roots are isolated by `_isolate_real`, a port of sympy's
   continued-fraction isolation that returns sympy's intervals exactly (a
   test compares the two).  It is a proof in integer arithmetic: Descartes'
@@ -43,11 +47,16 @@ Which steps are proofs and which call sympy:
   none in the parts of the line it drops.  sympy is called, for the
   isolating rectangles, only when an irreducible factor has fewer real
   roots than its degree.
-- The bivariate path calls sympy throughout: the sheared Polys, the
-  resultant and the gcd of the back-substitution.
+- The bivariate resultant is the Sylvester determinant at integer points,
+  each the final pivot of the one elimination core, interpolated exactly;
+  the back-substitution takes an exact gcd over Q.
 
-So univariate runs whose numerator is certified and whose roots are all
-real, and `residues_line_arrangement`, never import sympy.
+So sympy is imported only for a polynomial with a non-real root (its
+rectangles, and its factors when the sieve does not certify it) or with no
+square-free sieve prime.  A run whose zeros are all real, as positive
+weights on real points or lines make them (Varchenko, Compositio 97, 1995),
+imports it only in that last case, and `residues_line_arrangement`, which
+factors nothing, never does.
 """
 
 from __future__ import annotations
@@ -55,21 +64,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, log
 
 from .arrangement import Arrangement, line_points
 from .errors import DegeneracyError, PreconditionError
-from .scalars import _clear, _rational
-
-
-def _sympy():
-    """sympy and the generators x, y of its polynomials here, imported by
-    the steps that still call it.  Callers look up `sp.resultant` and
-    `Poly.factor_list` when they call them, as a tracer that rebinds those
-    names expects."""
-    import sympy as sp
-    x, y = sp.symbols("jl_x jl_y")
-    return sp, x, y
+from .scalars import _clear, _det, _rational
 
 
 def _frac(r):
@@ -184,8 +184,12 @@ def _linear(root):
 
 
 def _zz_poly(coeffs):
-    sp, x, _y = _sympy()
-    return sp.Poly(coeffs, x, domain=sp.ZZ)
+    """A coefficient list as a sympy Poly over ZZ, for the steps that still
+    call sympy, which is imported here.  Callers look up
+    `Poly.factor_list` when they call it, as a tracer that rebinds that
+    name expects."""
+    import sympy as sp
+    return sp.Poly(coeffs, sp.Symbol("jl_x"), domain=sp.ZZ)
 
 
 # -- certified factoring: degree sets mod small primes ----------------------
@@ -204,7 +208,8 @@ _PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 _SIEVE = 8
 
 
-def _gf_strip(a):
+def _strip(a):
+    """a with its leading zeros dropped."""
     i = 0
     while i < len(a) and not a[i]:
         i += 1
@@ -226,7 +231,7 @@ def _gf_divmod(a, b, p):
         if c:
             for j in range(1, k + 1):
                 r[i + j] = (r[i + j] - c * b[j]) % p
-    return q, _gf_strip(r[max(len(a) - k, 0):])
+    return q, _strip(r[max(len(a) - k, 0):])
 
 
 def _gf_gcd(a, b, p):
@@ -264,7 +269,7 @@ def _gf_degrees(f, p):
         h = frob
         shifted = [0] * (2 - len(h)) + h  # h - x
         shifted[-2] = (shifted[-2] - 1) % p
-        g = _gf_gcd(f, _gf_strip(shifted), p)
+        g = _gf_gcd(f, _strip(shifted), p)
         if len(g) > 1:
             degrees += [i] * ((len(g) - 1) // i)
             f = _gf_divmod(f, g, p)[0]
@@ -285,7 +290,7 @@ def _sieve(f):
             continue
         fp = _gf_monic([c % p for c in f], p)
         n = len(fp) - 1
-        dfp = _gf_strip([c * (n - i) % p for i, c in enumerate(fp[:-1])])
+        dfp = _strip([c * (n - i) % p for i, c in enumerate(fp[:-1])])
         if dfp and len(_gf_gcd(fp, dfp, p)) == 1:
             yield p, fp
             found += 1
@@ -295,47 +300,194 @@ def _sieve(f):
 
 def _squarefree(coeffs):
     """Whether an integer polynomial of positive degree is square-free over
-    Q: proved mod a prime of the sieve, or else decided by sympy's
-    gcd(f, f')."""
+    Q: proved mod a prime of the sieve, or else decided by gcd(f, f') over
+    Q."""
     if next(_sieve(coeffs), None):
         return True
-    sp, x, _y = _sympy()
-    f = _zz_poly(list(coeffs))
-    return sp.gcd(f, f.diff(x)).degree() == 0
+    n = len(coeffs) - 1
+    return len(_gcd(coeffs, [c * (n - i) for i, c in
+                             enumerate(coeffs[:-1])])) == 1
 
 
-def _irreducible(f):
-    """Whether Musser's degree-set test proves a primitive integer
-    polynomial f of degree n >= 2 irreducible over ZZ.  A factor of f of
-    degree k keeps its degree mod a sieve prime p, so k is a sum of degrees
-    of irreducible factors of f mod p; once the sets of such sums, over the
-    primes so far, meet in {0, n} alone, f has no proper factor."""
+def _degree_sums(f):
+    """The degrees that a factor of a primitive integer polynomial f of
+    degree n >= 2 over ZZ can have by Musser's degree-set test, as a mask
+    (bit k set: degree k not excluded), or 0 when no prime of the sieve
+    proves f square-free.  A factor of degree k keeps its degree mod a
+    sieve prime p, so k is a sum of degrees of irreducible factors of f mod
+    p; the mask is those sums, intersected over the primes, and once it is
+    {0, n} alone f has no proper factor and the test stops."""
     n = len(f) - 1
-    sums = (2 << n) - 1  # bit k set: degree k not yet excluded
+    sums = 0
     for p, fp in _sieve(f):
         mask = 1
         for d in _gf_degrees(fp, p):
             mask |= mask << d
-        sums &= mask
+        sums = sums & mask if sums else mask
         if sums == 1 | 1 << n:
-            return True
-    return False
+            break
+    return sums
 
 
 def _factor(coeffs):
     """`Poly.factor_list()[1]` for an integer polynomial, a coefficient list
     with nonzero leading entry, as (factor, multiplicity) pairs: primitive
-    factors as coefficient tuples, leading coefficient positive.  A linear
+    factors as coefficient tuples, leading coefficient positive, sorted as
+    sympy sorts them (by length, multiplicity, coefficients).  A linear
     primitive part, or one that the degree-set test proves irreducible, is
-    the only factor; every other polynomial is factored by sympy."""
+    the only factor; a square-free primitive part whose roots are all real
+    is split on its isolated roots (`_split`); every other polynomial is
+    factored by sympy."""
     if len(coeffs) < 2:
         return []
     c = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
     f = tuple(a // c for a in coeffs)
-    if len(f) == 2 or _irreducible(f):
+    n = len(f) - 1
+    if n == 1:
         return [(f, 1)]
+    sums = _degree_sums(f)
+    if sums == 1 | 1 << n:
+        return [(f, 1)]
+    if sums:
+        roots = _isolate_real(f)
+        if len(roots) == n:
+            return [(g, 1) for g in sorted(_split(f, roots, sums),
+                                           key=lambda g: (len(g), g))]
     return [(tuple(int(a) for a in g.all_coeffs()), m)
             for g, m in _zz_poly(list(coeffs)).factor_list()[1]]
+
+
+# -- splitting a totally real polynomial on its roots -------------------------
+#
+# The roots r of a factor g of f over ZZ make lc(f) r algebraic integers
+# whose elementary symmetric functions are rational, so integers: the
+# coefficients of g, up to a power of lc(f).  So a set S of roots of f is
+# the root set of a factor only when every e_i(lc(f) r : r in S) is an
+# integer, which interval enclosures narrower than 1 decide or leave one
+# candidate for; exact division decides the candidate.  Intervals are
+# (a, b, q), the real segment from a/q to b/q, refined by bisection on
+# integers.
+
+def _sign_at(f, a, q):
+    """The sign of f(a/q), q > 0, by homogeneous evaluation on integers."""
+    v, qp = f[0], 1
+    for c in f[1:]:
+        qp *= q
+        v = v * a + c * qp
+    return (v > 0) - (v < 0)
+
+
+class _Roots:
+    """The real roots of a square-free integer polynomial f, from their
+    isolating intervals, with integer bounds on lc(f) r scaled by 2^bits,
+    refined on demand."""
+
+    def __init__(self, f, intervals):
+        self.f, self.lead = f, f[0]
+        n = len(f) - 1
+        df = [c * (n - i) for i, c in enumerate(f[:-1])]
+        self.iv, self.side = [], []
+        for lo, hi in intervals:
+            q = lo.denominator * hi.denominator
+            a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+            # the sign of f just above a/q; an interval may end at another
+            # root, where f vanishes and f' gives the sign past it
+            self.side.append(_sign_at(f, a, q) or _sign_at(df, a, q))
+            self.iv.append((a, b, q))
+        self.bits = 0
+        self.sharpen()
+
+    def sharpen(self, more=4):
+        """Raise `bits` by `more` and bisect every interval until lc(f)
+        times its width is at most 2^-bits; `bounds` holds floor and ceil
+        of lc(f) 2^bits times its ends."""
+        self.bits += more
+        scale = self.lead << self.bits
+        self.bounds = []
+        for k, (a, b, q) in enumerate(self.iv):
+            while a != b and scale * (b - a) > q:
+                a, b, q = 2 * a, 2 * b, 2 * q
+                m = (a + b) // 2
+                s = _sign_at(self.f, m, q)
+                if not s:
+                    a = b = m
+                elif s == self.side[k]:
+                    a = m
+                else:
+                    b = m
+            self.iv[k] = (a, b, q)
+            self.bounds.append((scale * a // q, -(-scale * b // q)))
+
+    def symmetric(self, subset):
+        """Integer enclosures [lo, hi] of e_i(lc(f) r : r in subset) times
+        2^(i bits), i = 1..len(subset), by interval arithmetic."""
+        e = [(1, 1)]
+        for k in subset:
+            u, v = self.bounds[k]
+            nxt = [(1, 1)]
+            for i in range(1, len(e) + 1):
+                lo, hi = e[i] if i < len(e) else (0, 0)
+                a, b = e[i - 1]
+                prods = (u * a, u * b, v * a, v * b)
+                nxt.append((lo + min(prods), hi + max(prods)))
+            e = nxt
+        return e[1:]
+
+
+def _candidate(roots, subset):
+    """The primitive integer polynomial whose roots are those of `subset`,
+    if every e_i(lc r) there has an enclosure narrower than 1 that holds
+    an integer; None when some enclosure holds none.  The trace is tried
+    first, on the bounds as they are."""
+    while True:
+        bits = roots.bits
+        lo = sum(roots.bounds[k][0] for k in subset)
+        hi = sum(roots.bounds[k][1] for k in subset)
+        more = ((hi - lo) >> bits).bit_length() + 1
+        if hi - lo < 1 << bits:
+            if -(-lo >> bits) > hi >> bits:
+                return None
+            es, ints = roots.symmetric(subset), []
+            for i, (lo, hi) in enumerate(es, 1):
+                if hi - lo >= 1 << i * bits:
+                    more = ((hi - lo) >> i * bits).bit_length() + 1
+                    break
+                n = -(-lo >> i * bits)
+                if n > hi >> i * bits:
+                    return None
+                ints.append(n)
+            else:
+                k, lead = len(subset), roots.lead
+                g = [lead ** k] + [(-1) ** i * e * lead ** (k - i)
+                                   for i, e in enumerate(ints, 1)]
+                c = gcd(*g)
+                return tuple(a // c for a in g)
+        roots.sharpen(more)
+
+
+def _split(f, intervals, sums):
+    """The irreducible factors of a primitive square-free integer
+    polynomial f of degree n whose n roots are all real, given their
+    isolating intervals and the `_degree_sums` mask.  Root sets S of size
+    k = 1, 2, ... (k a degree the mask allows, k at most half of what is
+    left) give candidates (`_candidate`); one that divides exactly is a
+    factor, and irreducible, since no smaller set gave one.  What is left
+    when no set of at most half its roots does is irreducible too."""
+    roots = _Roots(f, intervals)
+    left = list(range(len(intervals)))
+    factors, k = [], 1
+    while 2 * k <= len(left):
+        for subset in combinations(left, k) if sums >> k & 1 else ():
+            g = _candidate(roots, subset)
+            m, q = _divide_out(f, g) if g else (0, f)
+            if m:
+                factors.append(g)
+                f = q
+                left = [i for i in left if i not in subset]
+                break
+        else:
+            k += 1
+    return factors + [tuple(f)]
 
 
 # -- real roots: sympy's continued-fraction isolation on integer lists -------
@@ -655,16 +807,19 @@ def local_koszul_univariate(points, lam):
 
 
 # -- bivariate: the sheared pair over ZZ -------------------------------------
+#
+# A bivariate polynomial is a dict {(deg_y, deg_x): coefficient} of its
+# nonzero terms.
 
 def _sheared_pair(forms, weights, t):
-    """P(x + t y, y) and Q(x + t y, y) as Polys over ZZ in (y, x), where
-    P = sum_j w_j c1_j prod_{k != j} f_k and Q likewise with c2_j.  The
-    sheared forms are f_k(x + t y, y) = c0 + c1 x + (c2 + t c1) y; the
-    weights w_j c1_j, w_j c2_j stay those of the unsheared derivatives."""
+    """P(x + t y, y) and Q(x + t y, y), where P = sum_j w_j c1_j
+    prod_{k != j} f_k and Q likewise with c2_j.  The sheared forms are
+    f_k(x + t y, y) = c0 + c1 x + (c2 + t c1) y; the weights w_j c1_j,
+    w_j c2_j stay those of the unsheared derivatives."""
     sheared = [(c0, c1, c2 + t * c1) for c0, c1, c2 in forms]
     p, q = {}, {}
     for j, w in enumerate(weights):
-        prod = {(0, 0): 1}  # terms {(deg_y, deg_x): coefficient}
+        prod = {(0, 0): 1}
         for k, (c0, c1, c2) in enumerate(sheared):
             if k == j:
                 continue
@@ -678,9 +833,90 @@ def _sheared_pair(forms, weights, t):
         for key, c in prod.items():
             p[key] = p.get(key, 0) + wp * c
             q[key] = q.get(key, 0) + wq * c
-    sp, x, y = _sympy()
-    return tuple(sp.Poly.from_dict({k: c for k, c in h.items() if c},
-                                   y, x, domain=sp.ZZ) for h in (p, q))
+    return tuple({k: c for k, c in h.items() if c} for h in (p, q))
+
+
+def _at_x(h, a, b=1):
+    """b^D h(a/b, y), D the degree of h in x, as the integer coefficients of
+    a polynomial in y, highest degree first."""
+    dy = max(i for i, _e in h)
+    dx = max(e for _i, e in h)
+    out = [0] * (dy + 1)
+    for (i, e), c in h.items():
+        out[dy - i] += c * a ** e * b ** (dx - e)
+    return out
+
+
+def _sylvester(f, g):
+    """The Sylvester matrix of two polynomials in y, as the sparse rows of
+    `scalars._det`: deg g shifted rows of f, then deg f of g."""
+    rows = [{i + j: c for j, c in enumerate(f) if c}
+            for i in range(len(g) - 1)]
+    rows += [{i + j: c for j, c in enumerate(g) if c}
+             for i in range(len(f) - 1)]
+    return rows, len(rows)
+
+
+def _interpolate(values, x0):
+    """The integer polynomial of degree < len(values) that takes values[k]
+    at x0 + k, highest degree first, zeros stripped.  Newton's forward
+    form: it is sum_k (D^k y_0 / k!) s (s - 1) ... (s - k + 1) in s =
+    x - x0, and for a polynomial in ZZ[x] each D^k y_0 / k! is an integer;
+    an inexact division raises AssertionError."""
+    coeffs, diffs, fact = [], list(values), 1
+    for k in range(len(values)):
+        if k:
+            fact *= k
+        c, r = divmod(diffs[0], fact)
+        if r:
+            raise AssertionError(
+                "interpolated values are not those of an integer polynomial")
+        coeffs.append(c)
+        diffs = [v - u for u, v in zip(diffs, diffs[1:])]
+    poly = []
+    for k in reversed(range(len(coeffs))):  # Horner in s - k = x - (x0 + k)
+        a = x0 + k
+        poly = [u - a * v for u, v in zip(poly + [0], [0] + poly)]
+        poly[-1] += coeffs[k]
+    return _strip(poly)
+
+
+def _resultant(p, q):
+    """Res_y(p, q) in ZZ[x], highest degree first, for bivariate p and q
+    with constant leading y-coefficients.  Its degree is at most
+    deg p deg q (total degrees), so it is interpolated (`_interpolate`)
+    from its values at that many plus one consecutive integers centred on
+    0 (Collins, J. ACM 18, 1971).  A leading y-coefficient is the same
+    nonzero constant at every x, so each value is the resultant of the
+    specialised pair: its Sylvester determinant, the final pivot of the
+    one elimination core (`scalars._det`).  When p has the lower degree in
+    y, the pair is taken in the order (q, p), as sympy's subresultant PRS
+    takes it; the two orders differ by the sign (-1)^(deg_y p deg_y q).
+    A zero p or q has the zero resultant, []."""
+    if not p or not q:
+        return []
+    if max(i for i, _e in p) < max(i for i, _e in q):
+        p, q = q, p
+    n = max(i + e for i, e in p) * max(i + e for i, e in q) + 1
+    x0 = -(n // 2)
+    return _interpolate([_det(*_sylvester(_at_x(p, x), _at_x(q, x)))
+                         for x in range(x0, x0 + n)], x0)
+
+
+def _gcd(f, g):
+    """The monic gcd over Q of two integer polynomials, not both zero, as
+    Fractions, highest degree first: Euclid's algorithm in exact
+    arithmetic."""
+    f, g = _strip(f), _strip(g)
+    while g:
+        g = [Fraction(c, 1) / g[0] for c in g]
+        r, k = list(f), len(f) - len(g) + 1
+        for i in range(k):
+            if r[i]:
+                for j in range(1, len(g)):
+                    r[i + j] -= r[i] * g[j]
+        f, g = g, _strip(r[max(k, 0):])
+    return [Fraction(c, 1) / f[0] for c in f]
 
 
 _SHEARS = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8]
@@ -691,18 +927,16 @@ def _eliminant(forms, weights, spurious, t):
     unusable (non-constant leading y-coefficients).  Returns (G, P_t, Q_t),
     G an integer multiple of the resultant with the multiple points'
     sheared x-coordinates divided out, as a coefficient list."""
-    sp, _x, y = _sympy()
     pt, qt = _sheared_pair(forms, weights, t)
     for h in (pt, qt):
-        top = h.degree(y)
-        if any(m[1] for m, _c in h.terms() if m[0] == top):
+        top = max((i for i, _e in h), default=0)
+        if any(e for i, e in h if i == top):
             return None
-    res = sp.resultant(pt, qt)
-    if res.is_zero:
+    g = _resultant(pt, qt)
+    if not g:
         raise DegeneracyError(
             "resultant vanishes identically: the critical set is not isolated "
             "for these weights")
-    g = [int(c) for c in res.all_coeffs()]
     for (px, py) in spurious:
         _m, g = _divide_out(g, _linear(Fraction(px) - t * Fraction(py)))
     return g, pt, qt
@@ -780,7 +1014,6 @@ def critical_points_bivariate(arr, lam, seed=0):
     t1, g1, pt1, qt1 = _certifying_shear(
         _clear(arr.forms), _cleared_weights(lam), finite, count)
 
-    sp, x, _y = _sympy()
     zeros = []
     for f, mult in _factor(g1):
         if len(f) > 2:
@@ -788,13 +1021,11 @@ def critical_points_bivariate(arr, lam, seed=0):
             continue
         a, b = f
         x0 = Fraction(-b, a)
-        at = sp.QQ(x0.numerator, x0.denominator)
-        py = sp.gcd(pt1.eval(x, at), qt1.eval(x, at))
-        if py.degree() != 1:
+        py = _gcd(_at_x(pt1, -b, a), _at_x(qt1, -b, a))
+        if len(py) != 2:
             raise DegeneracyError(
                 f"back-substitution at x = {x0} is not a single simple point")
-        ca, cb = (_frac(c) for c in py.all_coeffs())
-        y0 = -cb / ca
+        y0 = -py[1]
         pt = (x0 + t1 * y0, y0)
         if any(c0 + c1 * pt[0] + c2 * pt[1] == 0
                for c0, c1, c2 in arr.forms):

@@ -534,8 +534,9 @@ def _combine(a, x, f, y, s):
 def _rref_exact(rows, ncols, read, field):
     """The RREF of sparse integer rows over `field`, in the form
     `_rref_parts` returns, by fraction-free elimination (Bareiss, Math.
-    Comp. 22, 1968); without `read`, only its pivot columns, with None for
-    the free columns and the rows.  A row maps each column of a nonzero
+    Comp. 22, 1968); without `read`, only its forward pass: the pivot
+    columns, the final pivot and the pivot rows in the order they were
+    chosen.  A row maps each column of a nonzero
     entry to an integer over QQ, to an (re, im) pair of a Gaussian integer
     over QQ(i) and to any integer over F_p; it holds no zeros.
 
@@ -565,8 +566,10 @@ def _rref_exact(rows, ncols, read, field):
     pivot rule and read above.
 
     The rank is the pivot count of this forward pass; its final pivot is
-    the nonzero minor that proves it.  With `read`, step k also eliminates
-    the earlier pivot rows above P, by the same update (Gauss-Jordan), and
+    the nonzero minor that proves it: the minor on the pivot rows, in the
+    order they were chosen, and the pivot columns (`_det` reads it).  With
+    `read`, step k also eliminates the earlier pivot rows above P, by the
+    same update (Gauss-Jordan), and
     row k of the RREF is the stored row over its own pivot, reduced by one
     gcd; the RREF is unique, so any choice of pivot rows gives the same
     bits.
@@ -632,7 +635,7 @@ def _rref_exact(rows, ncols, read, field):
         if not rest:
             break
     if not read:
-        return tuple(pivots), None, None
+        return tuple(pivots), d[-1], order
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     echelon = []
@@ -670,6 +673,24 @@ def _rref_parts(rows, ncols, field, read=True):
     if not rows or not ncols:
         return (), list(range(ncols)), []
     return _rref_exact(rows, ncols, read, field)
+
+
+def _det(rows, n):
+    """The determinant of an n x n integer matrix given as sparse rows
+    ({column: integer}, no zeros): the final pivot of `_rref_exact`'s
+    forward pass over QQ, the minor on its pivot rows in the order they
+    were chosen, times the sign of that order; 0 below full rank."""
+    if not n:
+        return 1
+    pivots, minor, order = _rref_exact(rows, n, False, QQ)
+    if len(pivots) < n:
+        return 0
+    for i in range(n):  # sort the order by transpositions
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
+            minor = -minor
+    return minor
 
 
 # one zero per field for every read: field values are immutable

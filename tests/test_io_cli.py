@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from importlib import resources
 
@@ -422,6 +423,15 @@ def test_unknown_fixture_name_is_a_parse_error():
     assert "no bundled fixture matches" in err["error"]
 
 
+@pytest.mark.parametrize("path", [
+    "/no/such/concurrent3.json", "no/such/concurrent3", "./concurrent3.json"])
+def test_a_missing_path_is_not_read_as_a_fixture(path):
+    # only a bare name falls back to a bundled fixture: a path with a
+    # directory part that names no file is refused, whatever its basename
+    err = stderr_error(["os-algebra", "--arrangement", path], 2)
+    assert err == {"kind": "parse", "error": f"{path}: file not found"}
+
+
 def test_etc_membership_subtorus_and_translated():
     rep = report(["etc-membership", "--system", "subtorus",
                   "--alpha", "1,-1"])
@@ -682,6 +692,33 @@ def test_options_a_subcommand_does_not_read_exit_2(argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err.getvalue()
+
+
+@given(st.one_of(st.none(), st.integers(-2 ** 70, 2 ** 70), st.text(max_size=4)),
+       st.sampled_from([None, "report.json", "no/such/dir/report.json", "."]),
+       st.lists(st.sampled_from(["--trials", "--bogus", "-x", "--seed", "5",
+                                 "--json-out"]), max_size=2))
+@settings(max_examples=8, deadline=None)
+def test_verify_paper_exits_0_2_or_3_without_a_traceback(seed, json_out,
+                                                         extra):
+    # any seed, a report path that can or cannot be written, and unknown or
+    # dangling flags: the battery passes, or the input is refused with exit
+    # 2, never a traceback or a failing check
+    argv = ["verify-paper"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as tmp:
+        if json_out is not None:
+            argv += ["--json-out", os.path.join(tmp, json_out)]
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv + extra)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_elliptic_suite_refuses_vacuous_sample_counts():
@@ -1348,18 +1385,20 @@ sympy_free = loaded(("sympy", "jumploci.master"))
 json.dump({"ambient": 3, "central": True,
            "forms": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]},
           open("triple.json", "w"))
-# numerators certified irreducible, with real roots only
+# numerators certified irreducible or split on their roots, all of them
+# real, and a bivariate eliminant on integers
 master_runs = [
     run(["master", "--points", "0,1,2", "--weights", "1,1,1"]),
     run(["master", "--points", "0,1,2,3", "--weights", "1,2,3,4"]),
+    run(["master", "--points", "2,-1,3,6,4", "--weights", "3,5,2,5,3"]),
+    run(["master", "--arrangement", "generic3", "--weights", "1,2,3"]),
     run(["residues", "--arrangement", "triple.json",
          "--weights", "1,1,-1,-1"]),
 ]
 after_master = loaded(("sympy",))
-sympy_runs = [
-    run(["master", "--arrangement", "generic3", "--weights", "1,2,3"]),
-    run(["verify-paper"]),
-]
+# a univariate check of verify-paper has a numerator with non-real roots,
+# whose isolating rectangles sympy computes
+sympy_runs = [run(["verify-paper"])]
 print(json.dumps({"at_import": at_import, "after_os_algebra": after_os_algebra,
                   "codes": codes, "loaded": sympy_free,
                   "master_runs": master_runs, "after_master": after_master,
@@ -1371,9 +1410,9 @@ print(json.dumps({"at_import": at_import, "after_os_algebra": after_os_algebra,
 def test_sympy_free_subcommands_never_import_sympy(tmp_path):
     # a fresh interpreter, since this one has imported every module already:
     # importing the cli and running os-algebra load none of the handlers'
-    # modules, the other sympy-free subcommands leave sympy out, univariate
-    # master and residues do too, the bivariate master path loads it, and
-    # every subcommand exits 0
+    # modules, the other sympy-free subcommands leave sympy out, master on
+    # real zeros (univariate and bivariate) and residues do too,
+    # verify-paper loads it, and every subcommand exits 0
     src = os.path.dirname(os.path.dirname(jumploci.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -1386,8 +1425,30 @@ def test_sympy_free_subcommands_never_import_sympy(tmp_path):
     got = json.loads(proc.stdout)
     assert got == {"at_import": [], "after_os_algebra": [],
                    "codes": [0] * len(SYMPY_FREE_RUNS), "loaded": [],
-                   "master_runs": [0, 0, 0], "after_master": [],
-                   "sympy_runs": [0, 0], "sympy_after": True}
+                   "master_runs": [0] * 5, "after_master": [],
+                   "sympy_runs": [0], "sympy_after": True}
+
+
+def test_a_closed_stdout_ends_the_run_without_a_traceback():
+    # stdout is a pipe whose read end is closed before the run starts, as
+    # `jumploci os-algebra ... | head -0` leaves it: the print fails with
+    # EPIPE, and the run exits 0 with nothing on stderr
+    src = os.path.dirname(os.path.dirname(jumploci.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from jumploci.cli import main; "
+             "sys.exit(main(['os-algebra', '--arrangement', 'concurrent3']))"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("name", [

@@ -8,12 +8,16 @@ symbolic-expression route kept in `master_oracle`.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
 from jumploci import arrangement, master
@@ -444,6 +448,51 @@ def test_bivariate_reports_build_no_os_algebra(monkeypatch, name, forms):
             for lam in weights] == want
 
 
+@st.composite
+def resultant_pairs(draw):
+    """Two bivariate integer polynomials {(deg_y, deg_x): c} with constant
+    leading y-coefficients, of degree 0..3 in y and in x; at times P is
+    zero, or Q is a multiple of P, whose resultant is zero when P is not
+    constant in y."""
+    def poly():
+        dy, dx = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        h = {(dy, 0): draw(st.integers(-5, 5).filter(bool))}
+        for i in range(dy):
+            for e in range(dx + 1):
+                if c := draw(st.integers(-6, 6)):
+                    h[i, e] = c
+        return h
+    p, q = poly(), poly()
+    kind = draw(st.sampled_from(["pair", "pair", "zero", "multiple"]))
+    if kind == "zero":
+        p = {}
+    elif kind == "multiple":
+        q = {key: -2 * c for key, c in p.items()}
+    return p, q
+
+
+@given(resultant_pairs())
+@settings(max_examples=150, deadline=None)
+@example(({(0, 0): 3}, {(0, 0): 5}))  # deg_y 0 and 0: the empty matrix
+@example(({(1, 0): 5, (0, 0): -4}, {(3, 0): 3, (1, 0): 4, (0, 0): -5}))
+@example(({(1, 0): 2, (0, 2): 1}, {(1, 0): -4, (0, 2): -2}))  # Res = 0
+def test_resultant_is_sympys(pq):
+    # the evaluated Sylvester determinants, interpolated, are sympy's
+    # resultant, in its operand order when deg_y P < deg_y Q
+    p, q = pq
+    y, x = sp.symbols("y x")
+    want = sp.resultant(*(sp.Poly.from_dict(h, y, x, domain="ZZ")
+                          for h in (p, q)))
+    assert master._resultant(p, q) == (
+        [] if want.is_zero else [int(c) for c in want.all_coeffs()])
+
+
+def test_interpolation_refuses_values_of_no_integer_polynomial():
+    assert master._interpolate([0, 1, 4, 9], -1) == [1, 2, 1]  # (x + 1)^2
+    with pytest.raises(AssertionError, match="not those of an integer"):
+        master._interpolate([0, 0, 1], 0)  # x (x - 1) / 2
+
+
 TRIPLE_POINT = Arrangement(2, [[0, 1, 0], [0, 0, 1], [0, 1, 1], [-1, 1, 2]])
 
 
@@ -466,6 +515,45 @@ def test_bivariate_hand_cases_match_the_expression_route(arr, lam):
         assert got == (DegeneracyError,
                        "resultant vanishes identically: the critical set is "
                        "not isolated for these weights")
+
+
+_PLANS_SCRIPT = """
+import sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from inputs import master_plan
+from jumploci import master
+from jumploci.io import parse_arrangement
+
+for seed in (0, 7, 22):
+    plan = master_plan(seed)
+    for b in plan["bivariate"]:
+        arr = parse_arrangement(b["arrangement"])
+        lam = [Fraction(w) for w in b["weights"]]
+        assert master.critical_points_bivariate(arr, lam).chi_matches
+    for u in plan["univariate"]:
+        pts = [Fraction(p) for p in u["points"]]
+        lam = [Fraction(w) for w in u["weights"]]
+        master.critical_points_univariate(pts, lam)
+        master.log_zero_divisor_p1(pts, lam)
+        master.local_koszul_univariate(pts, lam)
+assert "sympy" not in sys.modules, "the master plans loaded sympy"
+"""
+
+
+def test_the_master_plans_never_import_sympy():
+    # a fresh interpreter, since this one has imported sympy: the
+    # benchmark's master plans of seeds 0, 7 and 22 (positive weights, so
+    # every critical point is real) run on integers the package owns, the
+    # resultants, the back-substitution gcds and every factorization
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PLANS_SCRIPT, os.path.join(root, "bench")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- real-root shortcut ------------------------------------------------------
@@ -604,10 +692,20 @@ def squarefree(coeffs):
 
 LC_OF_EVERY_PRIME = math.prod(_PRIMES)
 
+# N = (z + 2)(4z + 5)(a cubic with one real root): its isolating intervals
+# are (-2, -2), (-2, -1) and (-1, 0), so -5/4 lies in an interval that ends
+# at the root -2, where f vanishes and only f' gives the sign past it
+FIVE_ROOTS = [5700, 17685, 13512, 4482, 5331, 270]
+
 
 @pytest.mark.parametrize("coeffs, certified", [
-    ([1, 0, -10, 0, 1], False),       # irreducible, split mod every p
-    ([1, 0, -5, 0, 6], False),        # (x^2 - 2)(x^2 - 3)
+    # split on their real roots, since Musser's test does not certify them
+    ([1, 0, -10, 0, 1], True),        # irreducible, split mod every p
+    ([1, 0, -5, 0, 6], True),         # (x^2 - 2)(x^2 - 3)
+    (times([2, -5], [9, -79, 176, -36]), True),  # a rational root
+    ([16, 12, -126, -38, 48], True),
+    (times([1, -3, 1], [2, 0, -7]), True),  # (2, 2), roots all real
+    # not square-free, or a non-real root: sympy
     ([1, 0, -4, 0, 4], False),        # (x^2 - 2)^2
     (times([1, 3, 3, 1], [1, 0, 1]), False),  # (x + 1)^3 (x^2 + 1)
     ([4, 0, -8], True),               # 4 (x^2 - 2): content, not a square
@@ -623,8 +721,8 @@ LC_OF_EVERY_PRIME = math.prod(_PRIMES)
     (times([1, 0, 0, 1, 1], [1, 1, 0, 0, 0, 0, 1]), False),
 ])
 def test_factor_is_sympys_factor_list(monkeypatch, coeffs, certified):
-    # a certified or constant polynomial makes no factor_list call, any
-    # other exactly one
+    # a polynomial that is certified, split on its real roots or constant
+    # makes no factor_list call, any other exactly one
     want = sympy_factors(coeffs)
     calls = []
     factor_list = sp.Poly.factor_list
@@ -659,12 +757,81 @@ def integer_polynomials(draw):
 
 @given(integer_polynomials())
 @settings(max_examples=150, deadline=None)
+@example(FIVE_ROOTS)
 def test_factor_matches_factor_list(coeffs):
     assert _factor(coeffs) == sympy_factors(coeffs)
     if len(coeffs) > 1 and not squarefree(coeffs):
         # no prime of the sieve can prove a square-free reduction
         assert next(master._sieve(coeffs), None) is None
         assert not master._squarefree(coeffs)
+
+
+@st.composite
+def totally_real_products(draw):
+    """Products of one to four factors whose roots are all real: a linear
+    a z - b, a quadratic a z^2 + b z + c with b^2 > 4ac, or a product of
+    linears with its constant term moved by one; times a content and a
+    sign."""
+    f = [draw(st.sampled_from([-3, -1, 1, 2, 6]))]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["linear", "quadratic", "moved"]))
+        if kind == "linear":
+            g = [draw(st.integers(1, 6)), draw(st.integers(-20, 20))]
+        elif kind == "quadratic":
+            a, b = draw(st.integers(1, 6)), draw(st.integers(-20, 20))
+            c = draw(st.integers(-30, 30))
+            assume(b * b > 4 * a * c)
+            g = [a, b, c]
+        else:
+            g = [1]
+            for _ in range(draw(st.integers(2, 4))):
+                g = times(g, [draw(st.integers(1, 4)),
+                              draw(st.integers(-12, 12))])
+            g[-1] += draw(st.sampled_from([-1, 1]))
+        f = times(f, g)
+    return f
+
+
+@given(totally_real_products())
+@settings(max_examples=120, deadline=None)
+@example(times([2, -5], [9, -79, 176, -36]))
+@example(times([1, 2], [1, 0, -2]))  # a root at an end of an interval
+def test_totally_real_products_are_split_without_sympy(coeffs):
+    f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
+    assume(len(coeffs) > 2 and squarefree(coeffs))
+    assume(f.count_roots() == f.degree())  # every root real
+    want = sympy_factors(coeffs)
+    with mock.patch.object(sp.Poly, "factor_list", None):  # no call is made
+        assert _factor(coeffs) == want
+
+
+def test_refinement_takes_the_sign_past_a_root_from_the_derivative():
+    intervals = master._isolate_real(FIVE_ROOTS)
+    assert intervals == [(-2, -2), (-2, -1), (-1, 0)]
+    roots = master._Roots(FIVE_ROOTS, intervals)
+    roots.sharpen(20)
+    a, b, q = roots.iv[1]
+    assert Fraction(a, q) <= Fraction(-5, 4) <= Fraction(b, q)
+    assert Fraction(b - a, q) < Fraction(1, 2 ** 20)
+    assert _factor(FIVE_ROOTS) == sympy_factors(FIVE_ROOTS)
+
+
+def test_a_candidate_is_a_factor_only_by_exact_division(monkeypatch):
+    # z^4 - 10z^2 + 1 splits mod every prime, so no degree is excluded;
+    # its roots +-sqrt2 +-sqrt3 give candidates whose enclosures hold an
+    # integer (near 3.146, or pairs with trace 0), and exact division
+    # refuses each of them
+    divisions = []
+    divide_out = master._divide_out
+
+    def counted(coeffs, divisor):
+        got = divide_out(coeffs, divisor)
+        divisions.append(got[0])
+        return got
+
+    monkeypatch.setattr(master, "_divide_out", counted)
+    assert _factor([1, 0, -10, 0, 1]) == [((1, 0, -10, 0, 1), 1)]
+    assert divisions and not any(divisions)
 
 
 # -- exact division in ZZ[z] -------------------------------------------------

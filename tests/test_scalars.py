@@ -1,6 +1,7 @@
 """Exact scalar and linear-algebra kernels."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import lcm
 from unittest import mock
 
@@ -483,6 +484,48 @@ def field_value(field, v):
     return (v or 0) % field.p
 
 
+def leibniz(matrix):
+    """The determinant of a square matrix by the Leibniz formula: a sum
+    over permutations, signed by their inversions."""
+    total = 0
+    for perm in permutations(range(len(matrix))):
+        term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for i, j in enumerate(perm):
+            term = matrix[i][j] * term
+        total = term + total
+    return total
+
+
+def eliminated_det(matrix):
+    """The determinant of a square matrix of field values by Gaussian
+    elimination in those values, a row swap flipping the sign."""
+    m, det = [list(row) for row in matrix], 1
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det = m[c][c] * det
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+@example([[0, 1], [1, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+def test_det_is_the_leibniz_determinant(matrix):
+    # a row swap, a singular matrix and a cyclic order of pivot rows
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    assert scalars._det(rows, len(matrix)) == leibniz(matrix)
+
+
 @given(sparse_blocks(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_sparse_blocks_match_oracle(block, read):
@@ -498,7 +541,17 @@ def test_sparse_blocks_match_oracle(block, read):
     assert rows == given_rows
     assert got == pivots
     if not read:
-        assert free is None and echelon is None
+        # the forward pass gives its final pivot, the minor on the pivot
+        # rows in the order they were chosen and the pivot columns
+        minor, order = free, echelon
+        assert len(order) == len(set(order)) == len(got)
+        if field is QQ or field is QI:
+            square = [[dense[i][j] for j in got] for i in order]
+            if field is QI:
+                minor = GaussianRational(*minor)
+            assert minor == eliminated_det(square)
+        else:
+            assert minor == 1  # pivot rows are made monic mod p
         return
     out = []
     for pc, (den, nums) in zip(got, echelon):
