@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, log
+from math import factorial, gcd, log
 
 from .arrangement import Arrangement, line_points
 from .errors import DegeneracyError, PreconditionError
@@ -176,6 +176,12 @@ def _divide_out(coeffs, divisor):
             return m, coeffs
         coeffs, m = quot, m + 1
     return m, coeffs
+
+
+def _derivative(f):
+    """f', highest degree first."""
+    n = len(f) - 1
+    return [c * (n - i) for i, c in enumerate(f[:-1])]
 
 
 def _linear(root):
@@ -289,8 +295,7 @@ def _sieve(f):
         if not f[0] % p:
             continue
         fp = _gf_monic([c % p for c in f], p)
-        n = len(fp) - 1
-        dfp = _strip([c * (n - i) % p for i, c in enumerate(fp[:-1])])
+        dfp = _strip([c % p for c in _derivative(fp)])
         if dfp and len(_gf_gcd(fp, dfp, p)) == 1:
             yield p, fp
             found += 1
@@ -304,9 +309,7 @@ def _squarefree(coeffs):
     Q."""
     if next(_sieve(coeffs), None):
         return True
-    n = len(coeffs) - 1
-    return len(_gcd(coeffs, [c * (n - i) for i, c in
-                             enumerate(coeffs[:-1])])) == 1
+    return len(_gcd(coeffs, _derivative(coeffs))) == 1
 
 
 def _degree_sums(f):
@@ -384,8 +387,7 @@ class _Roots:
 
     def __init__(self, f, intervals):
         self.f, self.lead = f, f[0]
-        n = len(f) - 1
-        df = [c * (n - i) for i, c in enumerate(f[:-1])]
+        df = _derivative(f)
         self.iv, self.side = [], []
         for lo, hi in intervals:
             q = lo.denominator * hi.denominator
@@ -863,11 +865,9 @@ def _interpolate(values, x0):
     form: it is sum_k (D^k y_0 / k!) s (s - 1) ... (s - k + 1) in s =
     x - x0, and for a polynomial in ZZ[x] each D^k y_0 / k! is an integer;
     an inexact division raises AssertionError."""
-    coeffs, diffs, fact = [], list(values), 1
+    coeffs, diffs = [], list(values)
     for k in range(len(values)):
-        if k:
-            fact *= k
-        c, r = divmod(diffs[0], fact)
+        c, r = divmod(diffs[0], factorial(k))
         if r:
             raise AssertionError(
                 "interpolated values are not those of an integer polynomial")
@@ -909,14 +909,14 @@ def _gcd(f, g):
     arithmetic."""
     f, g = _strip(f), _strip(g)
     while g:
-        g = [Fraction(c, 1) / g[0] for c in g]
+        g = [Fraction(c) / g[0] for c in g]
         r, k = list(f), len(f) - len(g) + 1
         for i in range(k):
             if r[i]:
                 for j in range(1, len(g)):
                     r[i + j] -= r[i] * g[j]
         f, g = g, _strip(r[max(k, 0):])
-    return [Fraction(c, 1) / f[0] for c in f]
+    return [Fraction(c) / f[0] for c in f]
 
 
 _SHEARS = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8]
