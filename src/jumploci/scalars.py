@@ -536,9 +536,9 @@ def _rref_exact(rows, ncols, read, field):
     `_rref_parts` returns, by fraction-free elimination (Bareiss, Math.
     Comp. 22, 1968); without `read`, only its forward pass: the pivot
     columns, the final pivot and the pivot rows in the order they were
-    chosen.  A row maps each column of a nonzero
-    entry to an integer over QQ, to an (re, im) pair of a Gaussian integer
-    over QQ(i) and to any integer over F_p; it holds no zeros.
+    chosen.  A row maps each column of a nonzero entry to an integer over
+    QQ, to an (re, im) pair of a Gaussian integer over QQ(i) and to any
+    integer over F_p; it holds no zeros.
 
     Let d_0 = 1 and d_k be the k-th pivot.  Step k replaces every row R
     that is not yet a pivot row by (d_k R - R[c] P) / d_{k-1}, where P is
@@ -569,10 +569,9 @@ def _rref_exact(rows, ncols, read, field):
     the nonzero minor that proves it: the minor on the pivot rows, in the
     order they were chosen, and the pivot columns (`_det` reads it).  With
     `read`, step k also eliminates the earlier pivot rows above P, by the
-    same update (Gauss-Jordan), and
-    row k of the RREF is the stored row over its own pivot, reduced by one
-    gcd; the RREF is unique, so any choice of pivot rows gives the same
-    bits.
+    same update (Gauss-Jordan), and row k of the RREF is the stored row
+    over its own pivot, reduced by one gcd; the RREF is unique, so any
+    choice of pivot rows gives the same bits.
 
     Every operation is exact integer arithmetic, so the answer over QQ and
     QQ(i) is exact, with no prime, reconstruction or certificate.  The
