@@ -699,13 +699,8 @@ FIVE_ROOTS = [5700, 17685, 13512, 4482, 5331, 270]
 
 
 @pytest.mark.parametrize("coeffs, certified", [
-    # split on their real roots, since Musser's test does not certify them
-    ([1, 0, -10, 0, 1], True),        # irreducible, split mod every p
-    ([1, 0, -5, 0, 6], True),         # (x^2 - 2)(x^2 - 3)
-    (times([2, -5], [9, -79, 176, -36]), True),  # a rational root
-    ([16, 12, -126, -38, 48], True),
-    (times([1, -3, 1], [2, 0, -7]), True),  # (2, 2), roots all real
-    # not square-free, or a non-real root: sympy
+    ([1, 0, -10, 0, 1], False),       # irreducible, split mod every p
+    ([1, 0, -5, 0, 6], False),        # (x^2 - 2)(x^2 - 3)
     ([1, 0, -4, 0, 4], False),        # (x^2 - 2)^2
     (times([1, 3, 3, 1], [1, 0, 1]), False),  # (x + 1)^3 (x^2 + 1)
     ([4, 0, -8], True),               # 4 (x^2 - 2): content, not a square
@@ -719,11 +714,19 @@ FIVE_ROOTS = [5700, 17685, 13512, 4482, 5331, 270]
     ([1] + [0] * 8 + [1, 1], True),   # degree 10: x^10 + x + 1
     ([1] + [0] * 9 + [-2], True),     # degree 10: x^10 - 2
     (times([1, 0, 0, 1, 1], [1, 1, 0, 0, 0, 0, 1]), False),
+    # not certified, square-free, every root real: split on the roots
+    (times([2, -5], [9, -79, 176, -36]), False),  # a rational root
+    ([16, 12, -126, -38, 48], False),
+    (times([1, -3, 1], [2, 0, -7]), False),  # (2, 2)
 ])
 def test_factor_is_sympys_factor_list(monkeypatch, coeffs, certified):
-    # a polynomial that is certified, split on its real roots or constant
-    # makes no factor_list call, any other exactly one
+    # a certified or constant polynomial makes no factor_list call, and
+    # neither does a square-free one whose roots are all real, which is
+    # split on its roots; any other makes exactly one
     want = sympy_factors(coeffs)
+    f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
+    real = (len(coeffs) > 2 and squarefree(coeffs)
+            and f.count_roots() == f.degree())
     calls = []
     factor_list = sp.Poly.factor_list
 
@@ -733,7 +736,7 @@ def test_factor_is_sympys_factor_list(monkeypatch, coeffs, certified):
 
     monkeypatch.setattr(sp.Poly, "factor_list", counted)
     assert _factor(coeffs) == want
-    assert len(calls) == (0 if certified or len(coeffs) < 2 else 1)
+    assert len(calls) == (0 if certified or real or len(coeffs) < 2 else 1)
 
 
 @st.composite
