@@ -36,7 +36,9 @@ Which steps are proofs and which call sympy:
   are all real, is split on its isolated roots: a set of roots is a
   factor's only if interval enclosures of its scaled elementary symmetric
   functions hold integers, and the candidate they give is a factor only if
-  it divides exactly.  Any other polynomial is factored by sympy.
+  it divides exactly; past n 2^r root sets, r the fewest factors of f mod
+  a sieve prime, sympy's search is the cheaper one and takes over.  Any
+  other polynomial is factored by sympy.
 - Square-freeness, of the eliminant of a shear and of the minimal
   polynomials of the Koszul orders, is proved by the same sieve, with an
   exact gcd(f, f') over Q as the fallback.
@@ -313,34 +315,41 @@ def _squarefree(coeffs):
 
 
 def _degree_sums(f):
-    """The degrees that a factor of a primitive integer polynomial f of
-    degree n >= 2 over ZZ can have by Musser's degree-set test, as a mask
-    (bit k set: degree k not excluded), or 0 when no prime of the sieve
-    proves f square-free.  A factor of degree k keeps its degree mod a
-    sieve prime p, so k is a sum of degrees of irreducible factors of f mod
-    p; the mask is those sums, intersected over the primes, and once it is
-    {0, n} alone f has no proper factor and the test stops."""
+    """(sums, r) for a primitive integer polynomial f of degree n >= 2 over
+    ZZ: the degrees that a factor of f can have by Musser's degree-set
+    test, as a mask (bit k set: degree k not excluded), or 0 when no prime
+    of the sieve proves f square-free; and r, the fewest irreducible
+    factors of f mod one of the primes tried.  A factor of degree k keeps
+    its degree mod a sieve prime p, so k is a sum of degrees of irreducible
+    factors of f mod p; the mask is those sums, intersected over the
+    primes, and once it is {0, n} alone f has no proper factor and the test
+    stops."""
     n = len(f) - 1
-    sums = 0
+    sums, r = 0, n
     for p, fp in _sieve(f):
+        degrees = _gf_degrees(fp, p)
         mask = 1
-        for d in _gf_degrees(fp, p):
+        for d in degrees:
             mask |= mask << d
         sums = sums & mask if sums else mask
+        r = min(r, len(degrees))
         if sums == 1 | 1 << n:
             break
-    return sums
+    return sums, r
 
 
-def _factor(coeffs):
+def _factor(coeffs, isolated=None):
     """`Poly.factor_list()[1]` for an integer polynomial, a coefficient list
     with nonzero leading entry, as (factor, multiplicity) pairs: primitive
     factors as coefficient tuples, leading coefficient positive, sorted as
     sympy sorts them (by length, multiplicity, coefficients).  A linear
     primitive part, or one that the degree-set test proves irreducible, is
     the only factor; a square-free primitive part whose roots are all real
-    is split on its isolated roots (`_split`); every other polynomial is
-    factored by sympy."""
+    is split on its isolated roots (`_split`) unless that search outgrows
+    sympy's; every other polynomial is factored by sympy.  A dict
+    `isolated` receives the real isolating intervals of a primitive part
+    that the split left whole, keyed by that factor, so that its roots are
+    not isolated twice."""
     if len(coeffs) < 2:
         return []
     c = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
@@ -348,16 +357,32 @@ def _factor(coeffs):
     n = len(f) - 1
     if n == 1:
         return [(f, 1)]
-    sums = _degree_sums(f)
+    sums, r = _degree_sums(f)
     if sums == 1 | 1 << n:
         return [(f, 1)]
-    if sums:
+    if sums and _descartes_real(f):
         roots = _isolate_real(f)
-        if len(roots) == n:
-            return [(g, 1) for g in sorted(_split(f, roots, sums),
-                                           key=lambda g: (len(g), g))]
+        # sympy's Zassenhaus search tries subsets of the r factors mod p,
+        # fewer than 2^r, each after lifting them to a precision that grows
+        # with n; the split tries root sets, one trace each for most.  Past
+        # n 2^r of them sympy is the cheaper search.
+        factors = _split(f, roots, sums, n << r) if len(roots) == n else None
+        if factors:
+            if isolated is not None and len(factors) == 1:
+                isolated[f] = roots
+            return [(g, 1) for g in sorted(factors, key=lambda g: (len(g), g))]
     return [(tuple(int(a) for a in g.all_coeffs()), m)
             for g, m in _zz_poly(list(coeffs)).factor_list()[1]]
+
+
+def _descartes_real(f):
+    """Whether Descartes' rule of signs leaves room for every root of a
+    square-free integer polynomial f to be real: f has at most as many
+    positive (negative) roots as f(z) (f(-z)) has sign variations, and 0 is
+    a root at most once."""
+    g = f if f[-1] else f[:-1]
+    bound = _variations(g) + _variations(_mirror(g)) + len(f) - len(g)
+    return bound == len(f) - 1
 
 
 # -- splitting a totally real polynomial on its roots -------------------------
@@ -420,6 +445,18 @@ class _Roots:
             self.iv[k] = (a, b, q)
             self.bounds.append((scale * a // q, -(-scale * b // q)))
 
+    def holds(self, g, k):
+        """Whether root k is a root of g, a factor of f over ZZ: g vanishes
+        at an exact root, or changes sign across the open interval, where f
+        has no other root; at an end where g vanishes, g' gives the sign
+        inside, as g is square-free."""
+        a, b, q = self.iv[k]
+        if a == b:
+            return not _sign_at(g, a, q)
+        dg = _derivative(g)
+        return ((_sign_at(g, a, q) or _sign_at(dg, a, q))
+                != (_sign_at(g, b, q) or -_sign_at(dg, b, q)))
+
     def symmetric(self, subset):
         """Integer enclosures [lo, hi] of e_i(lc(f) r : r in subset) times
         2^(i bits), i = 1..len(subset), by interval arithmetic."""
@@ -467,25 +504,34 @@ def _candidate(roots, subset):
         roots.sharpen(more)
 
 
-def _split(f, intervals, sums):
+def _split(f, intervals, sums, budget):
     """The irreducible factors of a primitive square-free integer
     polynomial f of degree n whose n roots are all real, given their
-    isolating intervals and the `_degree_sums` mask.  Root sets S of size
-    k = 1, 2, ... (k a degree the mask allows, k at most half of what is
-    left) give candidates (`_candidate`); one that divides exactly is a
-    factor, and irreducible, since no smaller set gave one.  What is left
-    when no set of at most half its roots does is irreducible too."""
+    isolating intervals and the `_degree_sums` mask, or None once more than
+    `budget` root sets have been tried.  Root sets S of size k = 1, 2, ...
+    (k a degree the mask allows, k at most half of what is left) give
+    candidates (`_candidate`); one that divides exactly is a factor, and
+    irreducible, since no smaller set gave one.  What is left when no set
+    of at most half its roots does is irreducible too."""
     roots = _Roots(f, intervals)
     left = list(range(len(intervals)))
     factors, k = [], 1
     while 2 * k <= len(left):
         for subset in combinations(left, k) if sums >> k & 1 else ():
+            budget -= 1
+            if budget < 0:
+                return None
             g = _candidate(roots, subset)
             m, q = _divide_out(f, g) if g else (0, f)
             if m:
+                # the roots of g are those of f that it vanishes at, which
+                # need not be the subset's: an enclosure of a set that is no
+                # factor's may still hold one integer
                 factors.append(g)
                 f = q
-                left = [i for i in left if i not in subset]
+                left = [i for i in left if not roots.holds(g, i)]
+                if len(left) != len(f) - 1:
+                    raise AssertionError("a factor's roots were not found")
                 break
         else:
             k += 1
@@ -625,6 +671,11 @@ def _positive_roots(f):
     return roots
 
 
+def _mirror(f):
+    """f(-z)."""
+    return [-c if i % 2 else c for i, c in enumerate(reversed(f))][::-1]
+
+
 def _interval(m):
     """The interval of a transform, lower end first."""
     a, b, c, d = m
@@ -644,21 +695,22 @@ def _isolate_real(f):
         roots.append((Fraction(0), Fraction(0)))
         while not f[-1]:
             f.pop()
-    mirror = [-c if i % 2 else c for i, c in enumerate(reversed(f))][::-1]
-    roots += [(-t, -s) for s, t in map(_interval, _positive_roots(mirror))]
+    negative = _positive_roots(_mirror(f))
+    roots += [(-t, -s) for s, t in map(_interval, negative)]
     roots += map(_interval, _positive_roots(f))
     return sorted(roots)
 
 
-def _root_intervals(f):
+def _root_intervals(f, real=None):
     """The real intervals and complex rectangles of
     `Poly.intervals(all=True)` for a square-free integer polynomial f, a
     coefficient tuple, with Fraction endpoints: ([(lo, hi)],
     [((re_lo, re_hi), (im_lo, im_hi))]).  sympy isolates the real part of
     all=True with `dup_isolate_real_roots_sqf`, which `_isolate_real`
-    reproduces, so sympy is called only for the rectangles, when some root
-    is not real."""
-    real = _isolate_real(f)
+    reproduces, or `real` when given, so sympy is called only for the
+    rectangles, when some root is not real."""
+    if real is None:
+        real = _isolate_real(f)
     if len(real) == len(f) - 1:
         return real, []
     complexes = []
@@ -669,14 +721,15 @@ def _root_intervals(f):
     return real, complexes
 
 
-def _factor_zeros(f, mult, kind):
+def _factor_zeros(f, mult, kind, isolated):
     """Zero entries for the roots of an irreducible factor f, a primitive
     coefficient tuple, of multiplicity mult: exact for a linear f,
-    isolating data with minimal polynomial f otherwise."""
+    isolating data with minimal polynomial f otherwise, with its real
+    intervals from `isolated` (filled by `_factor`) when they are there."""
     if len(f) == 2:
         a, b = f
         return [Zero(kind, mult, value=Fraction(-b, a))]
-    real, complexes = _root_intervals(f)
+    real, complexes = _root_intervals(f, isolated.get(f))
     return [Zero(kind, mult, interval=box, minpoly=f)
             for box in real + complexes]
 
@@ -684,9 +737,10 @@ def _factor_zeros(f, mult, kind):
 def _zeros_of_poly(coeffs, kind):
     """Zero entries for all roots of a nonzero integer polynomial, a
     coefficient list, exact for rational roots, isolating data otherwise."""
-    out = []
-    for f, mult in sorted(_factor(coeffs), key=lambda t: (len(t[0]), t[0])):
-        out.extend(_factor_zeros(f, mult, kind))
+    out, isolated = [], {}
+    for f, mult in sorted(_factor(coeffs, isolated),
+                          key=lambda t: (len(t[0]), t[0])):
+        out.extend(_factor_zeros(f, mult, kind, isolated))
     return out
 
 
@@ -1014,10 +1068,10 @@ def critical_points_bivariate(arr, lam, seed=0):
     t1, g1, pt1, qt1 = _certifying_shear(
         _clear(arr.forms), _cleared_weights(lam), finite, count)
 
-    zeros = []
-    for f, mult in _factor(g1):
+    zeros, isolated = [], {}
+    for f, mult in _factor(g1, isolated):
         if len(f) > 2:
-            zeros.extend(_factor_zeros(f, mult, "interior"))
+            zeros.extend(_factor_zeros(f, mult, "interior", isolated))
             continue
         a, b = f
         x0 = Fraction(-b, a)

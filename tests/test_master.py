@@ -376,9 +376,9 @@ def test_one_univariate_triple_factors_once(monkeypatch):
     calls = []
     factor = master._factor
 
-    def counted(coeffs):
+    def counted(coeffs, *rest):
         calls.append(coeffs)
-        return factor(coeffs)
+        return factor(coeffs, *rest)
 
     monkeypatch.setattr(master, "_factor", counted)
     master._log_divisor.cache_clear()  # an earlier test may hold this one
@@ -697,6 +697,11 @@ LC_OF_EVERY_PRIME = math.prod(_PRIMES)
 # at the root -2, where f vanishes and only f' gives the sign past it
 FIVE_ROOTS = [5700, 17685, 13512, 4482, 5331, 270]
 
+# z (z^2 + 100z + 1)(z^3 - 3z + 1): the interval of the root near -0.01 is
+# (-1, 0), next to the root 0, so its enclosures hold 0 and the set of that
+# root alone gives the candidate z, which divides; the factor's root is 0
+NEXT_TO_ZERO = times([1, 0], times([1, 100, 1], [1, 0, -3, 1]))
+
 
 @pytest.mark.parametrize("coeffs, certified", [
     ([1, 0, -10, 0, 1], False),       # irreducible, split mod every p
@@ -718,6 +723,7 @@ FIVE_ROOTS = [5700, 17685, 13512, 4482, 5331, 270]
     (times([2, -5], [9, -79, 176, -36]), False),  # a rational root
     ([16, 12, -126, -38, 48], False),
     (times([1, -3, 1], [2, 0, -7]), False),  # (2, 2)
+    (NEXT_TO_ZERO, False),
 ])
 def test_factor_is_sympys_factor_list(monkeypatch, coeffs, certified):
     # a certified or constant polynomial makes no factor_list call, and
@@ -799,13 +805,64 @@ def totally_real_products(draw):
 @settings(max_examples=120, deadline=None)
 @example(times([2, -5], [9, -79, 176, -36]))
 @example(times([1, 2], [1, 0, -2]))  # a root at an end of an interval
+@example(NEXT_TO_ZERO)
 def test_totally_real_products_are_split_without_sympy(coeffs):
     f = sp.Poly(coeffs, sp.Symbol("x"), domain="ZZ")
     assume(len(coeffs) > 2 and squarefree(coeffs))
     assume(f.count_roots() == f.degree())  # every root real
+    assert master._descartes_real(coeffs)
     want = sympy_factors(coeffs)
-    with mock.patch.object(sp.Poly, "factor_list", None):  # no call is made
+    splits, calls = [], []
+    split, factor_list = master._split, sp.Poly.factor_list
+
+    def spied(*args):
+        splits.append(split(*args))
+        return splits[-1]
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return factor_list(self, *args, **kwargs)
+
+    with mock.patch.object(master, "_split", spied), \
+            mock.patch.object(sp.Poly, "factor_list", counted):
         assert _factor(coeffs) == want
+    # sympy is asked only when the split ran out of root sets to try
+    assert len(calls) == (None in splits)
+
+
+def test_the_split_gives_way_to_sympy_past_n_2_to_the_r_root_sets(
+        monkeypatch):
+    f = times([1, 5, 5, -5, -5], [1, 0, -7, 6, -1])
+    want = sympy_factors(NEXT_TO_ZERO), sympy_factors(f)
+    calls = []
+    factor_list = sp.Poly.factor_list
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return factor_list(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Poly, "factor_list", counted)
+    # every degree is allowed and some prime gives 3 factors: 6 2^3 = 48
+    # root sets may be tried, and 10 find the factors
+    assert master._degree_sums(tuple(NEXT_TO_ZERO)) == (0b1111111, 3)
+    assert _factor(NEXT_TO_ZERO) == want[0]
+    assert not calls
+    # two quartics whose roots interleave: only degree 4 is allowed, and
+    # some prime gives 2 factors, so 8 2^2 = 32 of the C(8, 4) = 70 root
+    # sets are tried, none of them a factor's, before sympy is asked
+    assert master._degree_sums(tuple(f)) == (0b100010001, 2)
+    assert _factor(f) == want[1]
+    assert len(calls) == 1
+
+
+def test_a_factor_left_whole_keeps_its_intervals():
+    isolated = {}
+    f = (1, 0, -10, 0, 1)
+    assert _factor(list(f), isolated) == [(f, 1)]
+    assert isolated == {f: master._isolate_real(f)}
+    isolated = {}
+    assert _factor(NEXT_TO_ZERO, isolated) == sympy_factors(NEXT_TO_ZERO)
+    assert not isolated  # each factor's own intervals are sympy's
 
 
 def test_refinement_takes_the_sign_past_a_root_from_the_derivative():
