@@ -6,8 +6,9 @@ The names in `__all__` are the public entry points: the constructors, the
 query functions, their report types and the errors.  They are imported
 from their modules on first access, so that `import jumploci` loads only
 the modules that the names used need.  No module imports sympy at load
-time; `master` imports it only for a polynomial with a non-real root or
-with no square-free sieve prime (see its docstring).
+time; `master` imports it only for a polynomial with a non-real root, with
+no square-free sieve prime, or with more root sets than its split tries
+(see its docstring).
 """
 
 from importlib import import_module

@@ -19,9 +19,10 @@ runs:
 - `master` and `residues` load `master`.
 
 Only `master` loads sympy, and only in the steps that still call it: a
-numerator or eliminant with a non-real root, or with no square-free
-prime in Musser's sieve (so `verify-paper`, whose univariate checks have
-non-real zeros).  Bivariate `master` with real zeros and `residues` never
+numerator or eliminant with a non-real root, with no square-free prime in
+Musser's sieve, or with more root sets than the root-subset split tries
+(so `verify-paper`, whose univariate checks have non-real zeros).
+`master` on the real zeros of the benchmark plans and `residues` never
 load it.
 """
 

@@ -54,10 +54,11 @@ Which steps are proofs and which call sympy:
   the back-substitution takes an exact gcd over Q.
 
 So sympy is imported only for a polynomial with a non-real root (its
-rectangles, and its factors when the sieve does not certify it) or with no
-square-free sieve prime.  A run whose zeros are all real, as positive
-weights on real points or lines make them (Varchenko, Compositio 97, 1995),
-imports it only in that last case, and `residues_line_arrangement`, which
+rectangles, and its factors when the sieve does not certify it), with no
+square-free sieve prime, or with more root sets to try than the split
+allows.  A run whose zeros are all real, as positive weights on real
+points or lines make them (Varchenko, Compositio 97, 1995), imports it
+only in those last two cases, and `residues_line_arrangement`, which
 factors nothing, never does.
 """
 
