@@ -19,7 +19,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import jumploci
 from jumploci import __version__, cli, master
@@ -699,6 +699,7 @@ def test_options_a_subcommand_does_not_read_exit_2(argv):
        st.lists(st.sampled_from(["--trials", "--bogus", "-x", "--seed", "5",
                                  "--json-out"]), max_size=2))
 @settings(max_examples=8, deadline=None)
+@example(None, None, ["--json-out", "5"])  # a relative report path
 def test_verify_paper_exits_0_2_or_3_without_a_traceback(seed, json_out,
                                                          extra):
     # any seed, a report path that can or cannot be written, and unknown or
@@ -711,12 +712,18 @@ def test_verify_paper_exits_0_2_or_3_without_a_traceback(seed, json_out,
         if json_out is not None:
             argv += ["--json-out", os.path.join(tmp, json_out)]
         err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # where "--json-out 5" from the flags writes
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
                 code = cli.main(argv + extra)
         except SystemExit as exc:
             code = exc.code
+        finally:
+            os.chdir(cwd)
+        if extra == ["--json-out", "5"] and code == 0:
+            assert os.path.isfile(os.path.join(tmp, "5"))
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
