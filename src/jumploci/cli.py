@@ -7,11 +7,11 @@ acceptance check fails.  Reports are identical for identical inputs and seed,
 up to the elapsed_s timing field.
 
 At load time this module imports only what the parser and every subcommand
-share: `io`, `arrangement`, `scalars` and `errors` (and `foxcalc` and
-`torus`, which `io` loads).  Each handler imports the rest itself, when it
-runs:
+share: `io`, `arrangement`, `exterior`, `scalars` and `errors`, and no
+`dataclasses`.  Each handler imports the rest itself, when it runs:
 
-- `os-algebra`, `etc-membership` and `fox-h1` load nothing more;
+- `os-algebra` loads nothing more;
+- `etc-membership` loads `torus`, and `fox-h1` loads `foxcalc`;
 - `aomoto`, `resonance-sample` and `log-resonance` load `aomoto`;
 - `e2-page` loads `elliptic` (and `aomoto`, which it uses);
 - `elliptic` and `verify-paper` load `verify`, and with it `aomoto` and
@@ -37,18 +37,15 @@ import os
 import re
 import sys
 import time
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from importlib import import_module
 
 from . import __version__
 from .arrangement import Arrangement, matroid_circuits, os_algebra
 from .errors import DegeneracyError, ParseError, PreconditionError
-from .foxcalc import Character, Presentation, twisted_cohomology
 from .io import (input_kind, load_json, parse_arrangement, parse_typed,
                  rational_from_text, read_bytes, serialize)
 from .scalars import DEFAULT_PRIME, GaussianRational
-from .torus import ExpPolynomial, LaurentSystem, etc_membership
 
 _IU = GaussianRational(0, 1)
 
@@ -109,10 +106,6 @@ def _jsonable(x):
         return str(x)
     if isinstance(x, GaussianRational):
         return {"re": str(x.re), "im": str(x.im)}
-    if isinstance(x, ExpPolynomial):
-        return [{"frequency": str(mu), "coeff": str(c)} for mu, c in x.terms]
-    if is_dataclass(x):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
         return {
             (",".join(str(k) for k in key) if isinstance(key, tuple)
@@ -120,6 +113,15 @@ def _jsonable(x):
             for key, v in x.items()}
     if isinstance(x, (list, tuple, set, frozenset)):
         return [_jsonable(v) for v in x]
+    # a report object, whose module has loaded `dataclasses` already (no
+    # report is a container); an exponential polynomial, which is no
+    # dataclass, exists only once `torus` is loaded
+    from dataclasses import fields, is_dataclass
+    if is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
+    from .torus import ExpPolynomial
+    if isinstance(x, ExpPolynomial):
+        return [{"frequency": str(mu), "coeff": str(c)} for mu, c in x.terms]
     return str(x)
 
 
@@ -229,16 +231,17 @@ def resolve_path(path):
     raise ParseError("file not found and no bundled fixture matches", path)
 
 
-_KINDS = {Arrangement: "an arrangement", LaurentSystem: "a torus system",
-          Presentation: "a presentation"}
-
-
 def _check_kind(found, kind, where):
     """A ParseError at the option `where` when the input is of another kind
-    than `kind`; `found` None (no recognised shape) passes."""
+    than `kind`; `found` None (no recognised shape) passes.  The classes of
+    the other kinds are imported only to name them in the message."""
     if found is not None and found is not kind:
-        raise ParseError(f"expected {_KINDS[kind]}, got {_KINDS[found]}",
-                         where)
+        from .foxcalc import Presentation
+        from .torus import LaurentSystem
+        kinds = {Arrangement: "an arrangement",
+                 LaurentSystem: "a torus system",
+                 Presentation: "a presentation"}
+        raise ParseError(f"expected {kinds[kind]}, got {kinds[found]}", where)
 
 
 def _read(path):
@@ -342,6 +345,7 @@ def _cmd_e2_page(args):
 
 
 def _cmd_etc_membership(args):
+    from .torus import LaurentSystem, etc_membership
     system, digest = _load_typed(args.system, LaurentSystem, "system")
     alpha = parse_rational_csv(args.alpha, "alpha")
     rep = etc_membership(system, alpha)
@@ -381,6 +385,7 @@ def _cmd_residues(args):
 
 
 def _cmd_fox_h1(args):
+    from .foxcalc import Character, Presentation, twisted_cohomology
     pres, digest = _load_typed(args.presentation, Presentation,
                                "presentation")
     values = parse_rational_csv(args.character, "character")

@@ -19,8 +19,6 @@ from io import BytesIO, TextIOWrapper
 
 from .arrangement import Arrangement
 from .errors import ParseError
-from .foxcalc import Presentation
-from .torus import LaurentSystem
 
 
 # Fraction builds 10**e exactly for a decimal exponent e, so the exponent is
@@ -129,6 +127,7 @@ def parse_laurent_system(obj, where="system"):
     if rank is None:
         raise ParseError("cannot infer the torus rank from an empty system",
                          where)
+    from .torus import LaurentSystem
     return LaurentSystem(rank, polys)
 
 
@@ -144,6 +143,7 @@ def parse_presentation(obj, where="presentation"):
                 isinstance(s, int) and not isinstance(s, bool) for s in word):
             raise ParseError("word must be a list of signed integers",
                              f"{where}.relators[{i}]")
+    from .foxcalc import Presentation
     return Presentation(g, relators)
 
 
@@ -178,35 +178,45 @@ def load_json(path, data=None):
         raise ParseError(f"malformed JSON: {exc}", str(path)) from None
 
 
+def _parser_of(obj):
+    """The parser of a loaded JSON input, chosen by its shape alone, or
+    None for no known shape."""
+    if isinstance(obj, dict):
+        if "forms" in obj:
+            return parse_arrangement
+        if "polys" in obj:
+            return parse_laurent_system
+        if "generators" in obj:
+            return parse_presentation
+    if isinstance(obj, list):
+        return parse_laurent_system
+    return None
+
+
 def input_kind(obj):
     """The type a loaded JSON input parses to, judged by its shape alone
     (Arrangement, LaurentSystem or Presentation), or None for no known
-    shape."""
-    if isinstance(obj, dict):
-        if "forms" in obj:
-            return Arrangement
-        if "polys" in obj:
-            return LaurentSystem
-        if "generators" in obj:
-            return Presentation
-    if isinstance(obj, list):
+    shape.  The module of a torus system or a presentation is loaded only
+    when the input has its shape."""
+    parse = _parser_of(obj)
+    if parse is parse_laurent_system:
+        from .torus import LaurentSystem
         return LaurentSystem
-    return None
+    if parse is parse_presentation:
+        from .foxcalc import Presentation
+        return Presentation
+    return None if parse is None else Arrangement
 
 
 def parse_typed(obj, where):
     """A loaded JSON input, typed by its shape."""
-    kind = input_kind(obj)
-    if kind is Arrangement:
-        return parse_arrangement(obj, where)
-    if kind is LaurentSystem:
-        return parse_laurent_system(obj, where)
-    if kind is Presentation:
-        return parse_presentation(obj, where)
-    raise ParseError(
-        "unrecognized input shape: expected an arrangement ('forms'), "
-        "a Laurent system ('polys'), or a presentation ('generators')",
-        where)
+    parse = _parser_of(obj)
+    if parse is None:
+        raise ParseError(
+            "unrecognized input shape: expected an arrangement ('forms'), "
+            "a Laurent system ('polys'), or a presentation ('generators')",
+            where)
+    return parse(obj, where)
 
 
 def parse_input(path):
@@ -227,6 +237,9 @@ def serialize(value):
             "central": value.central,
             "forms": [[rational_str(c) for c in f] for f in forms],
         }
+    # a torus system exists only once its module is loaded, and so does a
+    # presentation: an arrangement reaches neither import
+    from .torus import LaurentSystem
     if isinstance(value, LaurentSystem):
         return {
             "rank": value.rank,
@@ -236,6 +249,7 @@ def serialize(value):
                 for p in value.polys
             ],
         }
+    from .foxcalc import Presentation
     if isinstance(value, Presentation):
         return {
             "generators": value.generators,

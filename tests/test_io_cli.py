@@ -1368,9 +1368,11 @@ SYMPY_FREE_RUNS = [
     ["fox-h1", "--presentation", "free2", "--character", "2,3"],
 ]
 
-# the modules that only some subcommands use
-HANDLER_MODULES = ("jumploci.aomoto", "jumploci.elliptic", "jumploci.master",
-                   "jumploci.verify", "sympy")
+# the modules that only some subcommands use: the handlers' modules, sympy,
+# and dataclasses with the inspect it loads, which only report types need
+HANDLER_MODULES = ("jumploci.aomoto", "jumploci.elliptic", "jumploci.foxcalc",
+                   "jumploci.master", "jumploci.torus", "jumploci.verify",
+                   "sympy", "dataclasses", "inspect")
 
 _LAZY_SCRIPT = """
 import contextlib, io, json, sys
@@ -1417,7 +1419,7 @@ print(json.dumps({"at_import": at_import, "after_os_algebra": after_os_algebra,
 def test_sympy_free_subcommands_never_import_sympy(tmp_path):
     # a fresh interpreter, since this one has imported every module already:
     # importing the cli and running os-algebra load none of the handlers'
-    # modules, the other sympy-free subcommands leave sympy out, master on
+    # modules nor dataclasses, the other sympy-free subcommands leave sympy out, master on
     # real zeros (univariate and bivariate) and residues do too,
     # verify-paper loads it, and every subcommand exits 0
     src = os.path.dirname(os.path.dirname(jumploci.__file__))
@@ -1434,6 +1436,38 @@ def test_sympy_free_subcommands_never_import_sympy(tmp_path):
                    "codes": [0] * len(SYMPY_FREE_RUNS), "loaded": [],
                    "master_runs": [0] * 5, "after_master": [],
                    "sympy_runs": [0], "sympy_after": True}
+
+
+_ONE_RUN_SCRIPT = """
+import contextlib, io, json, sys
+from jumploci import cli
+
+argv, names = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv)
+print(json.dumps([code, sorted(m for m in names if m in sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["etc-membership", "--system", "subtorus", "--alpha", "1,-1"],
+     ["dataclasses", "inspect", "jumploci.torus"]),
+    (["fox-h1", "--presentation", "free2", "--character", "2,3"],
+     ["dataclasses", "inspect", "jumploci.foxcalc"]),
+])
+def test_each_typed_input_loads_only_its_own_module(argv, loaded):
+    # a fresh interpreter: a torus system loads torus and no foxcalc, a
+    # presentation foxcalc and no torus, and neither loads another handler
+    src = os.path.dirname(os.path.dirname(jumploci.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_RUN_SCRIPT,
+         json.dumps([argv, HANDLER_MODULES])],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, loaded]
 
 
 def test_a_closed_stdout_ends_the_run_without_a_traceback():
