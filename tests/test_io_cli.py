@@ -1356,6 +1356,15 @@ def test_malformed_arrangement_files_keep_their_field_messages(tmp_path):
 
 # ------------------------------------------------------------ lazy imports
 
+def _src_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(jumploci.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 # every subcommand that needs no sympy, on bundled fixtures; os-algebra first
 SYMPY_FREE_RUNS = [
     ["os-algebra", "--arrangement", "concurrent3"],
@@ -1419,17 +1428,14 @@ print(json.dumps({"at_import": at_import, "after_os_algebra": after_os_algebra,
 def test_sympy_free_subcommands_never_import_sympy(tmp_path):
     # a fresh interpreter, since this one has imported every module already:
     # importing the cli and running os-algebra load none of the handlers'
-    # modules nor dataclasses, the other sympy-free subcommands leave sympy out, master on
-    # real zeros (univariate and bivariate) and residues do too,
-    # verify-paper loads it, and every subcommand exits 0
-    src = os.path.dirname(os.path.dirname(jumploci.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    # modules nor dataclasses, the other sympy-free subcommands leave sympy
+    # out, master on real zeros (univariate and bivariate) and residues do
+    # too, verify-paper loads it, and every subcommand exits 0
     proc = subprocess.run(
         [sys.executable, "-c", _LAZY_SCRIPT,
          json.dumps([SYMPY_FREE_RUNS, HANDLER_MODULES])],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+        timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got == {"at_import": [], "after_os_algebra": [],
@@ -1458,14 +1464,10 @@ print(json.dumps([code, sorted(m for m in names if m in sys.modules)]))
 def test_each_typed_input_loads_only_its_own_module(argv, loaded):
     # a fresh interpreter: a torus system loads torus and no foxcalc, a
     # presentation foxcalc and no torus, and neither loads another handler
-    src = os.path.dirname(os.path.dirname(jumploci.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", _ONE_RUN_SCRIPT,
          json.dumps([argv, HANDLER_MODULES])],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=_src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, loaded]
 
@@ -1474,10 +1476,6 @@ def test_a_closed_stdout_ends_the_run_without_a_traceback():
     # stdout is a pipe whose read end is closed before the run starts, as
     # `jumploci os-algebra ... | head -0` leaves it: the print fails with
     # EPIPE, and the run exits 0 with nothing on stderr
-    src = os.path.dirname(os.path.dirname(jumploci.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     read, write = os.pipe()
     os.close(read)
     try:
@@ -1485,7 +1483,7 @@ def test_a_closed_stdout_ends_the_run_without_a_traceback():
             [sys.executable, "-c",
              "import sys; from jumploci.cli import main; "
              "sys.exit(main(['os-algebra', '--arrangement', 'concurrent3']))"],
-            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            stdout=write, stderr=subprocess.PIPE, env=_src_env(), text=True,
             timeout=300)
     finally:
         os.close(write)
