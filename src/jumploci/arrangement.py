@@ -6,10 +6,10 @@ detected exactly.  Central arrangements are those with all constant terms
 zero.  The OS algebra is the exterior algebra on one generator per
 hyperplane (the class of dlog f_j, Hodge type (1,1)) modulo the boundaries
 of the circuits that meet and the monomials of the minimal sets with empty
-intersection.  Both are read off one walk over the minimal dependent sets
-of the forms and, for an affine arrangement, the hyperplane at infinity
-e0 = (1, 0, ..., 0).  The algebra is built with no elimination, by
-straightening every monomial into the no-broken-circuit basis
+intersection.  Both are read off one walk over the flats of the forms and,
+for an affine arrangement, e0 = (1, 0, ..., 0), by integer contraction: a
+flat's covers are the classes of equal residues it carries.  The algebra is
+straightened into the no-broken-circuit basis with no elimination either
 (`exterior._straighten`), and certified to equal the elimination build.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, inf
 
 from .errors import PreconditionError
 # build_quotient_algebra is imported for the benchmark's tracer, which wraps
@@ -76,14 +76,14 @@ class Arrangement:
 
     @cached_property
     def dependencies(self):
-        """The one walk of the arrangement (`_minimal_dependent`): the
+        """The one walk of the arrangement (`_lattice_walk`): the
         minimal dependent sets of the augmented forms with their flats, and
         for an affine arrangement e0 = (1, 0, ..., 0) as one more vector,
         index `size`.  Arrangements are never mutated, so it is kept."""
         vecs = self.augmented()
         if not self.central:
             vecs.append((1,) + (0,) * self.ambient)
-        return _minimal_dependent(vecs)
+        return _lattice_walk(vecs)
 
     def rank(self):
         """Rank of the linear parts; the top nonvanishing OS degree."""
@@ -111,69 +111,65 @@ class Arrangement:
         return f"Arrangement({kind}, ambient={self.ambient}, size={self.size})"
 
 
-def _covers(rows, flat, basis):
-    """{i: cover} for every integer row i outside a flat: a bitmask of the
-    rows in the span of the independent rows `basis`, and its cover through
-    i the flat of `basis` and i.  One exact echelon R of the basis gives
-    each row a its residue a - sum_k a[p_k] R_k, scaled to integers, which
-    is zero exactly on the flat.  Rows b and c outside it share a cover
-    exactly when c lies in the span of the flat and b, that is, when their
-    residues are proportional: the primitive residue with a positive
-    leading entry keys the cover."""
-    pivots, free, echelon = _rref_parts(
-        [_sparse([rows[b]]) for b in basis], len(rows[0]), QQ)
-    big = lcm(*(den for den, _ in echelon))
-    scaled = [[big // den * w for w in nums[0]] for den, nums in echelon]
-    keys, masks = {}, {}
-    for i, a in enumerate(rows):
-        if not flat >> i & 1:
-            res = [big * a[f] for f in free]
-            for pk, w in zip(pivots, scaled):
-                if a[pk]:
-                    res = [x - a[pk] * y for x, y in zip(res, w)]
-            g = gcd(*res) * (1 if next(x for x in res if x) > 0 else -1)
-            keys[i] = key = tuple(x // g for x in res)
-            masks[key] = masks.get(key, flat) | 1 << i
-    return {i: masks[key] for i, key in keys.items()}
+def _primitive(res):
+    """The primitive multiple of an integer vector, first nonzero entry > 0."""
+    g = gcd(*res) if next(filter(None, res)) > 0 else -gcd(*res)
+    return tuple(res) if g == 1 else tuple([x // g for x in res])
 
 
-def _minimal_dependent(vecs):
+def _contract(flat, res, c, d, residues):
+    """The covers of a flat, as d bitmasks with 0 at the vectors in it, and
+    their inputs put into `residues`: vectors with equal residues share a
+    cover.  The flat's residues step those of a flat it covers, `res`, to
+    c[p] a - a[p] c, made primitive, with c the residue of its class and p
+    its entry of least size; the step is zero exactly on c's line."""
+    if c:
+        p = min(range(len(c)), key=lambda q: abs(c[q]) or inf)
+        res = {k: _primitive([c[p] * x - a[p] * y for x, y in zip(a, c)])
+               if a[p] else a for k, a in res.items() if not flat >> k & 1}
+    classes, out = {}, [0] * d
+    for i, b in res.items():
+        classes[b] = classes.get(b, flat) | 1 << i
+    for i, b in res.items():
+        out[i] = cover = classes[b]
+        residues.setdefault(cover, (res, b))
+    return out
+
+
+def _lattice_walk(vecs):
     """The minimal dependent index sets of the vectors, none of them zero,
-    each sorted and paired with its flat, the bitmask of the vectors in its
-    span; the list sorted lexicographically.
-
-    The walk goes by size over the independent sets S, each with its flat.
-    Adding an index j past the last of S gives a dependent set exactly when
-    bit j of that flat is set, and a minimal one exactly when its other
-    one-smaller subsets are independent too; the flat of S, which it is
-    returned with, is then its span.  Otherwise the flat of S and j is the
-    cover of the flat of S through j (`_covers`, one echelon per flat),
-    except at rank r, the rank of all the vectors: a set of rank r spans
-    them all, and no minimal set is larger, since dropping one element
-    leaves an independent set.
-    """
-    d, r = len(vecs), rank(vecs)
-    rows = _clear(vecs)
-    full = (1 << d) - 1
-    covers, found = {}, []
-    level = {(): 0}
-    size = 0
+    each sorted with its flat, the bitmask of the vectors in its span; the
+    list sorted.  The walk goes by size over the independent sets S: S + j,
+    j past the last of S, is dependent exactly when bit j of the flat of S
+    is set, and spans it; otherwise its flat is a cover (`_contract`).  The
+    one elimination is the rank r: a flat of rank r - 1 has one cover, all
+    the vectors.  A dependent S + j is minimal unless it holds a smaller
+    circuit, whose flat then lies in that of S and has bit j."""
+    d, rows = len(vecs), _clear(vecs)
+    r = len(_rref_parts([_sparse([a]) for a in rows],
+                        len(rows[0]) if rows else 0, QQ, False)[0])
+    residues = {0: ({i: _primitive(a) for i, a in enumerate(rows)}, None)}
+    found, circuits, level, size = [], set(), {(): 0}, 0
     while level:
-        size += 1
-        larger = {}
+        size, larger, known = size + 1, {}, {}
         for s, flat in level.items():
+            if flat not in known:
+                held = 0  # the flats of the circuits inside it
+                for c in circuits:
+                    held |= c if c & flat == c else 0
+                known[flat] = held, (
+                    [0 if flat >> i & 1 else (1 << d) - 1 for i in range(d)]
+                    if size >= r else
+                    _contract(flat, *residues.pop(flat), d, residues))
+            held, covers = known[flat]
             for j in range(s[-1] + 1 if s else 0, d):
                 t = s + (j,)
-                if flat >> j & 1:
-                    if all(t[:k] + t[k + 1:] in level
-                           for k in range(size - 1)):
-                        found.append((t, flat))
-                elif size == r:
-                    larger[t] = full
-                else:
-                    if flat not in covers:
-                        covers[flat] = _covers(rows, flat, s)
-                    larger[t] = covers[flat][j]
+                if covers[j]:
+                    larger[t] = covers[j]
+                elif not held >> j & 1 or all(t[:k] + t[k + 1:] in level
+                                              for k in range(size - 1)):
+                    found.append((t, flat))
+                    circuits.add(flat)
         level = larger
     return sorted(found)
 
@@ -185,6 +181,12 @@ def matroid_circuits(arr):
     off the arrangement's one walk (`Arrangement.dependencies`) as those
     that avoid e0."""
     return [t for t, _ in arr.dependencies if t[-1] < arr.size]
+
+
+def walk_rank(arr):
+    """The rank of the linear parts: a vector of the walk is in the span of
+    those before it iff a circuit ends there; e0 adds one to both."""
+    return arr.size - len({t[-1] for t, _ in arr.dependencies})
 
 
 def circuit_boundary(ngens, circuit):
@@ -216,9 +218,7 @@ def os_algebra(arr, top=None):
     The rank is read off the walk too; A is `complete` when top >= rank.
     """
     d = arr.size
-    # a vector of the walk is in the span of those before it iff a circuit
-    # ends there; e0 adds one to the size and one to the rank
-    rank = d - len({t[-1] for t, _ in arr.dependencies})
+    rank = walk_rank(arr)
     if top is None:
         top = rank
     if top < 0:

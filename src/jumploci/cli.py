@@ -41,7 +41,7 @@ from fractions import Fraction
 from importlib import import_module
 
 from . import __version__
-from .arrangement import Arrangement, matroid_circuits, os_algebra
+from .arrangement import Arrangement, matroid_circuits, os_algebra, walk_rank
 from .errors import DegeneracyError, ParseError, PreconditionError
 from .io import (input_kind, load_json, parse_arrangement, parse_typed,
                  rational_from_text, read_bytes, serialize)
@@ -286,12 +286,9 @@ def _subspace_rows(text):
 def _cmd_os_algebra(args):
     arr, digest = _load_arrangement(args.arrangement)
     circuits = matroid_circuits(arr)
-    if args.top is None:
-        algebra = os_algebra(arr)
-        rank = algebra.top  # the default top is the rank
-    else:
-        rank = arr.rank()
-        algebra = os_algebra(arr, min(args.top, rank))
+    rank = walk_rank(arr)  # off the walk that found the circuits
+    algebra = os_algebra(arr, rank if args.top is None
+                         else min(args.top, rank))
     result = {
         "dims": algebra.dims(),
         "euler": algebra.euler() if algebra.complete else None,

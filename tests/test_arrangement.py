@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
+import json
 import random
 
 import pytest
@@ -157,6 +158,69 @@ def test_flat_walk_matches_the_circuit_and_relation_oracles(arr):
     assert list(os_algebra(arr).ideal_gens) == expected
 
 
+def dependencies_oracle(arr):
+    """Every minimal dependent set T of the augmented forms, with e0 as
+    vector `size` of an affine arrangement, each with its flat, the
+    bitmask of {j : rank(T + j) = rank(T)}; by `rank` over Fractions on
+    every subset, sorted."""
+    vecs = [list(v) for v in arr.augmented()]
+    if not arr.central:
+        vecs.append([Fraction(1)] + [Fraction(0)] * arr.ambient)
+
+    def rk(s):
+        return rank([vecs[j] for j in s]) if s else 0
+
+    out = []
+    for size in range(1, len(vecs) + 1):
+        for t in combinations(range(len(vecs)), size):
+            if rk(t) < size and all(rk(u) == size - 1
+                                    for u in combinations(t, size - 1)):
+                out.append((t, sum(1 << j for j in range(len(vecs))
+                                   if rk(t + (j,)) == size - 1)))
+    return sorted(out)
+
+
+@given(coincident_arrangements())
+@settings(max_examples=100, deadline=None)
+def test_every_dependency_and_flat_matches_the_rank_oracle(arr):
+    assert arr.dependencies == dependencies_oracle(arr)
+
+
+def holds_a_smaller_circuit(arr):
+    """Whether some independent S and an index j past its last, in the span
+    of S, make a dependent S + j that is not minimal: the sets whose
+    minimality the walk must look up."""
+    vecs = [list(v) for v in arr.augmented()]
+    if not arr.central:
+        vecs.append([Fraction(1)] + [Fraction(0)] * arr.ambient)
+    for size in range(1, len(vecs)):
+        for s in combinations(range(len(vecs)), size):
+            if rank([vecs[i] for i in s]) < size:
+                continue
+            for j in range(s[-1] + 1, len(vecs)):
+                t = s + (j,)
+                if rank([vecs[i] for i in t]) == size and any(
+                        rank([vecs[i] for i in u]) < size
+                        for u in combinations(t, size)):
+                    return True
+    return False
+
+
+@pytest.mark.parametrize("forms", [
+    # four lines through the origin, and y = 1: the concurrent triples are
+    # circuits of three inside the flats of rank 3
+    [[0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, -1], [-1, 0, 1]],
+    # the parallel lines x = 0, 1, 2 and y = 0, 1: a rank-2 flat with e0,
+    # such as {x = 0, x = 1, x = 2, e0}, holds more elements than its rank
+    [[0, 1, 0], [-1, 1, 0], [-2, 1, 0], [0, 0, 1], [-1, 0, 1]],
+], ids=["four-concurrent-and-one", "parallel-families"])
+def test_minimality_is_looked_up_where_a_smaller_circuit_fits(forms):
+    arr = Arrangement(2, forms)
+    assert holds_a_smaller_circuit(arr)
+    assert arr.dependencies == dependencies_oracle(arr)
+    assert matroid_circuits(arr) == circuits_oracle(arr)
+
+
 P = DEFAULT_PRIME
 
 
@@ -211,37 +275,62 @@ def braid(n):
                        central=True)
 
 
-def test_circuit_walk_makes_one_elimination_per_flat(monkeypatch):
-    # the flats of braid A4 are the 52 set partitions of 5 points (B_5);
-    # every subset is decided by one bit of a flat, none is ranked
-    calls = []
-    eliminate = arrangement._rref_parts
+def counted_eliminations(monkeypatch):
+    """Counts of the calls to `_rref_parts` and `rank`, wherever the
+    arrangement module or the elimination core holds them."""
+    calls = {"_rref_parts": 0, "rank": 0}
+    for module in (scalars, arrangement):
+        for name in calls:
+            real = getattr(module, name)
+
+            def counted(*args, name=name, real=real, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,circuits", [(5, 37), (6, 197)],
+                         ids=["braid-A4", "braid-A5"])
+def test_circuit_walk_eliminates_only_for_the_rank(monkeypatch, n, circuits):
+    # the flats of braid A_{n-1} are the set partitions of n points (52 and
+    # 203 of them); every cover is read off carried integer residues, so
+    # the walk makes at most one elimination, for the rank, and ranks no
+    # Fractions
+    calls = counted_eliminations(monkeypatch)
+    assert len(matroid_circuits(braid(n))) == circuits
+    assert calls["_rref_parts"] <= 1
+    assert calls["rank"] == 0
+
+
+@pytest.mark.parametrize("argv,rank,dims", [
+    (["os-algebra", "--arrangement", "concurrent3"], 2, [1, 3, 2]),
+    (["os-algebra", "--arrangement", "generic3"], 2, [1, 3, 3]),
+    (["os-algebra", "--arrangement", "sixplanes4", "--top", "2"], 4,
+     [1, 6, 15]),
+    (["os-algebra", "--arrangement", "generic3", "--top", "5"], 2,
+     [1, 3, 3]),
+], ids=["concurrent3", "generic3", "sixplanes4-top2", "generic3-top5"])
+def test_os_algebra_command_walks_the_lattice_once(monkeypatch, capsys,
+                                                   argv, rank, dims):
+    # the circuits it reports, the relations of its build and the rank,
+    # central or affine, with or without --top, come from one lattice walk
+    # and its one elimination
+    walks = []
+    walk = arrangement._lattice_walk
 
     def counted(*args):
-        calls.append(args)
-        return eliminate(*args)
-
-    monkeypatch.setattr(arrangement, "_rref_parts", counted)
-    assert len(matroid_circuits(braid(5))) == 37
-    assert 0 < len(calls) <= 52
-
-
-@pytest.mark.parametrize("fixture", ["concurrent3", "generic3"])
-def test_os_algebra_command_walks_the_forms_once(monkeypatch, capsys,
-                                                 fixture):
-    # the circuits it reports and the relations of its build, central or
-    # affine, come from one walk
-    calls = []
-    walk = arrangement._minimal_dependent
-
-    def counted(*args):
-        calls.append(args)
+        walks.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(arrangement, "_minimal_dependent", counted)
-    assert cli.main(["os-algebra", "--arrangement", fixture]) == 0
-    capsys.readouterr()
-    assert len(calls) == 1
+    monkeypatch.setattr(arrangement, "_lattice_walk", counted)
+    calls = counted_eliminations(monkeypatch)
+    monkeypatch.setattr(Arrangement, "rank", None)  # a call would fail
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["rank"], result["dims"]) == (rank, dims)
+    assert len(walks) == 1
+    assert calls["_rref_parts"] <= 1 and calls["rank"] == 0
 
 
 def test_braid_a5_circuits_are_the_cycles_of_k6():
