@@ -118,11 +118,11 @@ def _primitive(res):
 
 
 def _contract(flat, res, c, d, residues):
-    """The covers of a flat, as d bitmasks with 0 at the vectors in it, and
-    their inputs put into `residues`: vectors with equal residues share a
-    cover.  The flat's residues step those of a flat it covers, `res`, to
-    c[p] a - a[p] c, made primitive, with c the residue of its class and p
-    its entry of least size; the step is zero exactly on c's line."""
+    """The covers of a flat, as d bitmasks with 0 at the vectors in it:
+    vectors with equal residues share one, and `residues` gets each cover's
+    (residues, its class's residue).  The flat's residues step `res`, those
+    of a flat it covers, to c[p] a - a[p] c, made primitive, with c its
+    class's residue and p the entry of c of least size: zero on c's line."""
     if c:
         p = min(range(len(c)), key=lambda q: abs(c[q]) or inf)
         res = {k: _primitive([c[p] * x - a[p] * y for x, y in zip(a, c)])
