@@ -1,9 +1,10 @@
 """Hyperplane arrangements and their Orlik-Solomon algebras.
 
-A hyperplane is an affine-linear form c0 + c1 x1 + ... + cn xn, stored
-projectively normalized (first nonzero coefficient 1) so duplicates are
-detected exactly.  Central arrangements are those with all constant terms
-zero.  The OS algebra is the exterior algebra on one generator per
+A hyperplane is an affine-linear form c0 + c1 x1 + ... + cn xn, stored as
+its primitive integer multiple (gcd 1, first nonzero coefficient positive),
+the one canonical form of a hyperplane: all that is computed here depends on
+a form only up to scale.  Central arrangements are those with all constant
+terms zero.  The OS algebra is the exterior algebra on one generator per
 hyperplane (the class of dlog f_j, Hodge type (1,1)) modulo the boundaries
 of the circuits that meet and the monomials of the minimal sets with empty
 intersection.  Both are read off one walk over the flats of the forms and,
@@ -25,23 +26,24 @@ from .errors import PreconditionError
 # arrangement.build_quotient_algebra
 from .exterior import (GradedAlgebra, Multivector,  # noqa: F401
                        _straighten, build_quotient_algebra)
-from .scalars import (QQ, Matrix, _clear, _rational, _rref_parts, _sparse,
-                      rank, solve_linear)
+from .scalars import (QQ, Matrix, _clear_row, _rational, _rref_parts,
+                      _sparse, rank, solve_linear)
 
 
 class Arrangement:
     """An ordered list of distinct hyperplanes in C^ambient.  Coefficients
-    are ints or Fractions; a float, bool or str is refused, not converted."""
+    are ints or Fractions; a float, bool or str is refused, not converted.
+    `forms` holds the primitive integer tuples (c0, c1, ..., cn)."""
 
     def __init__(self, ambient, forms, central=None):
         if ambient < 1:
             raise PreconditionError("ambient dimension must be at least 1")
-        norm = []
+        ints = []
         for k, form in enumerate(forms):
             vec = [_rational(c, f"form {k} coefficient {i}")
                    for i, c in enumerate(form)]
             if len(vec) == ambient:
-                vec = [Fraction(0)] + vec
+                vec = [0] + vec
             if len(vec) != ambient + 1:
                 raise PreconditionError(
                     f"form {k}: expected {ambient} linear coefficients "
@@ -49,19 +51,19 @@ class Arrangement:
             if not any(vec[1:]):
                 raise PreconditionError(
                     f"form {k} has zero linear part; not a hyperplane")
-            lead = next(c for c in vec if c)
-            norm.append(tuple(c / lead for c in vec))
-        for a, b in combinations(range(len(norm)), 2):
-            if norm[a] == norm[b]:
-                raise PreconditionError(
-                    f"forms {a} and {b} define the same hyperplane")
-        is_central = all(v[0] == 0 for v in norm)
+            ints.append(_primitive(_clear_row(vec, False)[1][0]))
+        if len(set(ints)) < len(ints):
+            a, b = next((a, b) for a, b in combinations(range(len(ints)), 2)
+                        if ints[a] == ints[b])
+            raise PreconditionError(
+                f"forms {a} and {b} define the same hyperplane")
+        is_central = all(v[0] == 0 for v in ints)
         if central is not None and central != is_central:
             raise PreconditionError(
                 f"central flag {central} contradicts the forms "
                 f"(constant terms {'all vanish' if is_central else 'present'})")
         self.ambient = ambient
-        self.forms = tuple(norm)
+        self.forms = tuple(ints)
         self.central = is_central
 
     @property
@@ -71,16 +73,13 @@ class Arrangement:
     def linear_parts(self):
         return [v[1:] for v in self.forms]
 
-    def augmented(self):
-        return [tuple(v) for v in self.forms]
-
     @cached_property
     def dependencies(self):
         """The one walk of the arrangement (`_lattice_walk`): the
         minimal dependent sets of the augmented forms with their flats, and
         for an affine arrangement e0 = (1, 0, ..., 0) as one more vector,
         index `size`.  Arrangements are never mutated, so it is kept."""
-        vecs = self.augmented()
+        vecs = list(self.forms)
         if not self.central:
             vecs.append((1,) + (0,) * self.ambient)
         return _lattice_walk(vecs)
@@ -137,7 +136,7 @@ def _contract(flat, res, c, d, residues):
 
 
 def _lattice_walk(vecs):
-    """The minimal dependent index sets of the vectors, none of them zero,
+    """The minimal dependent index sets of the vectors, primitive tuples,
     each sorted with its flat, the bitmask of the vectors in its span; the
     list sorted.  The walk goes by size over the independent sets S: S + j,
     j past the last of S, is dependent exactly when bit j of the flat of S
@@ -145,10 +144,10 @@ def _lattice_walk(vecs):
     one elimination is the rank r: a flat of rank r - 1 has one cover, all
     the vectors.  A dependent S + j is minimal unless it holds a smaller
     circuit, whose flat then lies in that of S and has bit j."""
-    d, rows = len(vecs), _clear(vecs)
-    r = len(_rref_parts([_sparse([a]) for a in rows],
-                        len(rows[0]) if rows else 0, QQ, False)[0])
-    residues = {0: ({i: _primitive(a) for i, a in enumerate(rows)}, None)}
+    d = len(vecs)
+    r = len(_rref_parts([_sparse([a]) for a in vecs],
+                        len(vecs[0]) if vecs else 0, QQ, False)[0])
+    residues = {0: (dict(enumerate(vecs)), None)}
     found, circuits, level, size = [], set(), {(): 0}, 0
     while level:
         size, larger, known = size + 1, {}, {}
@@ -242,7 +241,8 @@ def poincare_and_euler(arr):
 
 
 def decone(arr, j):
-    """Affine arrangement obtained from a central one by setting f_j = 1.
+    """Affine arrangement obtained from a central one by setting f_j = 1,
+    with f_j scaled so that its first nonzero coefficient is 1.
 
     Returns (deconed arrangement, index map from original hyperplane index
     to its position in the deconed arrangement).  The variable eliminated is
@@ -255,6 +255,7 @@ def decone(arr, j):
     if arr.ambient < 2:
         raise PreconditionError("decone needs ambient dimension at least 2")
     c = arr.forms[j][1:]
+    lead = next(filter(None, c))
     v = max(i for i in range(arr.ambient) if c[i])
     keep = [i for i in range(arr.ambient) if i != v]
     new_forms = []
@@ -262,11 +263,11 @@ def decone(arr, j):
     for k, form in enumerate(arr.forms):
         if k == j:
             continue
+        # c[v] f_k where f_j = lead: x_v = (lead - sum_{i != v} c_i x_i) / c[v]
         dv = form[1 + v]
-        const = form[0] + dv / c[v]
-        coeffs = [form[1 + i] - dv * c[i] / c[v] for i in keep]
         index_map[k] = len(new_forms)
-        new_forms.append([const] + coeffs)
+        new_forms.append([dv * lead] + [form[1 + i] * c[v] - dv * c[i]
+                                        for i in keep])
     return Arrangement(arr.ambient - 1, new_forms), index_map
 
 
@@ -277,9 +278,8 @@ def line_points(arr):
     point.  A line is a vector in the coordinates (x, y, z): (c1, c2, c0)
     for c0 + c1 x + c2 y in C^2, the linear part of a central arrangement in
     C^3.  Two distinct lines meet in exactly one point, the cross product
-    of their vectors, here of their integer multiples, scaled so that its
-    last nonzero coordinate is 1: a tuple of Fractions that keys the point
-    exactly.  No elimination is made."""
+    of their vectors, scaled so that its last nonzero coordinate is 1: a
+    tuple of Fractions that keys the point exactly.  No elimination is made."""
     if arr.ambient == 2:
         vecs = [(c1, c2, c0) for c0, c1, c2 in arr.forms]
     elif arr.ambient == 3 and arr.central:
@@ -288,7 +288,6 @@ def line_points(arr):
         raise PreconditionError(
             "need a line arrangement: an arrangement in C^2 or a central "
             "one in C^3")
-    vecs = _clear(vecs)
     points = {}
     for i, j in combinations(range(len(vecs)), 2):
         (a0, a1, a2), (b0, b1, b2) = vecs[i], vecs[j]
@@ -305,21 +304,23 @@ def restrict_line_arrangement(arr, j):
     arrangement of distinct intersection points, as forms on C^1.  They
     are the finite points of `line_points` on H_j, ordered by their
     smallest other line, at the parameter t of (x, y) = q + t (-c2, c1),
-    that is t = y / c1, or -x / c2 when c1 = 0."""
+    that is t = y / c1, or -x / c2 when c1 = 0, for H_j written
+    c0 + c1 x + c2 y with its first nonzero coefficient 1."""
     if arr.ambient != 2:
         raise PreconditionError("restriction implemented for line arrangements")
     if not 0 <= j < arr.size:
         raise PreconditionError(f"hyperplane index {j} out of range")
+    lead = next(filter(None, arr.forms[j]))
     _c0, c1, c2 = arr.forms[j]
     found = []
     for (x, y, z), lines in line_points(arr):
         if z and j in lines:
-            t = y / c1 if c1 else -x / c2
+            t = y * lead / c1 if c1 else -x * lead / c2
             found.append((min(k for k in lines if k != j), t))
-    return Arrangement(1, [[-t, Fraction(1)] for _k, t in sorted(found)])
+    return Arrangement(1, [[-t, 1] for _k, t in sorted(found)])
 
 
 def points_arrangement(points):
     """The arrangement of finitely many distinct points in C^1."""
-    return Arrangement(1, [[-_rational(p, f"point {j}"), Fraction(1)]
+    return Arrangement(1, [[-_rational(p, f"point {j}"), 1]
                            for j, p in enumerate(points)])

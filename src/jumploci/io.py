@@ -231,11 +231,13 @@ def rational_str(x):
 def serialize(value):
     """Canonical JSON-ready form of a parsed input object."""
     if isinstance(value, Arrangement):
-        forms = [f if not value.central else f[1:] for f in value.forms]
+        # each form scaled so that its first nonzero coefficient is 1
+        forms = [[str(Fraction(c, next(filter(None, f)))) for c in f]
+                 for f in value.forms]
         return {
             "ambient": value.ambient,
             "central": value.central,
-            "forms": [[rational_str(c) for c in f] for f in forms],
+            "forms": [f[1:] if value.central else f for f in forms],
         }
     # a torus system exists only once its module is loaded, and so does a
     # presentation: an arrangement reaches neither import

@@ -72,7 +72,7 @@ from math import factorial, gcd, log
 
 from .arrangement import Arrangement, line_points
 from .errors import DegeneracyError, PreconditionError
-from .scalars import _clear, _det, _rational
+from .scalars import _clear_row, _det, _rational
 
 
 def _frac(r):
@@ -88,7 +88,7 @@ def _rational_weights(lam, d):
 
 
 def _cleared_weights(lam):
-    return _clear([lam])[0]
+    return _clear_row(lam, False)[1][0]
 
 
 @dataclass(frozen=True)
@@ -1064,10 +1064,8 @@ def critical_points_bivariate(arr, lam, seed=0):
     chi = 1 - arr.size + sum(len(lines) - 1 for (_x, _y, z), lines in points
                              if z)
     count = abs(chi)
-    # integer multiples of the forms: rescaling f_j leaves d log f_j, and
-    # so the form alpha, unchanged
     t1, g1, pt1, qt1 = _certifying_shear(
-        _clear(arr.forms), _cleared_weights(lam), finite, count)
+        arr.forms, _cleared_weights(lam), finite, count)
 
     zeros, isolated = [], {}
     for f, mult in _factor(g1, isolated):

@@ -176,7 +176,10 @@ def _as_gaussian(x):
 def _rational(value, what):
     """`value` as a Fraction when it is an int that is not a bool, or a
     Fraction; a float, bool, str or anything else is refused rather than
-    converted (Fraction(0.1) is not 1/10)."""
+    converted (Fraction(0.1) is not 1/10).  A Fraction is immutable, so it
+    is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise PreconditionError(f"{what} must be rational, got {value!r}")
     return Fraction(value)
@@ -453,12 +456,6 @@ def _clear_row(row, gaussian):
     den = lcm(*(d for half in halves for _, d in half))
     return den, [[n * (den // d) if n else 0 for n, d in half] if den != 1
                  else [n for n, _ in half] for half in halves]
-
-
-def _clear(rows):
-    """Each row of rationals times the lcm of its denominators, as a list
-    of integers (`_clear_row`)."""
-    return [_clear_row(row, False)[1][0] for row in rows]
 
 
 def _integral(field, vector):

@@ -23,6 +23,7 @@ from jumploci.arrangement import (
     restrict_line_arrangement)
 from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
+from jumploci.io import serialize
 from jumploci.verify import LINE_LIBRARY, SIXPLANES_FORMS, line_library
 from jumploci.scalars import DEFAULT_PRIME, Matrix, rank, rank_and_kernel
 
@@ -95,7 +96,7 @@ def test_empty_intersections_match_full_enumeration(seed, ambient, size):
 def circuits_oracle(arr):
     """Every dependent set of augmented forms all of whose one-smaller
     subsets are independent, by exact rank over all 2^d subsets."""
-    vecs = arr.augmented()
+    vecs = arr.forms
 
     def independent(s):
         return rank([vecs[j] for j in s]) == len(s) if s else True
@@ -161,9 +162,9 @@ def test_flat_walk_matches_the_circuit_and_relation_oracles(arr):
 def dependencies_oracle(arr):
     """Every minimal dependent set T of the augmented forms, with e0 as
     vector `size` of an affine arrangement, each with its flat, the
-    bitmask of {j : rank(T + j) = rank(T)}; by `rank` over Fractions on
+    bitmask of {j : rank(T + j) = rank(T)}; by exact `rank` on
     every subset, sorted."""
-    vecs = [list(v) for v in arr.augmented()]
+    vecs = [list(v) for v in arr.forms]
     if not arr.central:
         vecs.append([Fraction(1)] + [Fraction(0)] * arr.ambient)
 
@@ -190,7 +191,7 @@ def holds_a_smaller_circuit(arr):
     """Whether some independent S and an index j past its last, in the span
     of S, make a dependent S + j that is not minimal: the sets whose
     minimality the walk must look up."""
-    vecs = [list(v) for v in arr.augmented()]
+    vecs = [list(v) for v in arr.forms]
     if not arr.central:
         vecs.append([Fraction(1)] + [Fraction(0)] * arr.ambient)
     for size in range(1, len(vecs)):
@@ -585,6 +586,83 @@ def test_duplicate_forms_cite_both_indices():
         Arrangement(2, [[1, 1], [0, 1], [2, 2]])
 
 
+def test_rational_rescalings_are_duplicates():
+    a, b = [Fraction(1, 2), 1], [0, 1]  # x + 1/2, x
+    with pytest.raises(PreconditionError,
+                       match="^forms 0 and 1 define the same hyperplane$"):
+        Arrangement(1, [a, [-2, -4]])
+    # the pair a scan over all pairs meets first: least first index, then
+    # least second, not the first repeat met in order, (1, 2)
+    with pytest.raises(PreconditionError,
+                       match="^forms 0 and 3 define the same hyperplane$"):
+        Arrangement(1, [a, b, [0, Fraction(-3, 7)], [-2, -4]])
+
+
+# ------------------------------------------------- primitive integer forms
+
+def lead_normalized(form):
+    """The form as Fractions with its first nonzero entry 1."""
+    lead = next(filter(None, form))
+    return [Fraction(c) / lead for c in form]
+
+
+@st.composite
+def rational_forms(draw):
+    """(ambient, forms): distinct rational forms, with or without their
+    constant term, entries of either sign with large denominators, and
+    constants often zero."""
+    ambient = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-9, 9),
+                      st.fractions(max_denominator=10 ** 30))
+    forms, seen = [], set()
+    for _ in range(draw(st.integers(1, 5))):
+        linear = draw(st.lists(entry, min_size=ambient, max_size=ambient))
+        if not any(linear):
+            continue
+        constant = draw(st.sampled_from(["none", "zero", "drawn"]))
+        form = linear if constant == "none" else [
+            draw(entry) if constant == "drawn" else 0] + linear
+        key = tuple(lead_normalized([0] * (ambient + 1 - len(form)) + form))
+        if key not in seen:
+            seen.add(key)
+            forms.append(form)
+    assume(forms)
+    return ambient, forms
+
+
+@given(rational_forms())
+@settings(max_examples=200, deadline=None)
+def test_forms_are_the_cleared_lead_normalized_forms(drawn):
+    ambient, forms = drawn
+    arr = Arrangement(ambient, forms)
+    want = tuple(tuple(scalars._clear_row(lead_normalized(
+        [0] * (ambient + 1 - len(f)) + f), False)[1][0]) for f in forms)
+    assert arr.forms == want
+    assert all(type(c) is int for f in arr.forms for c in f)
+
+
+@given(coincident_arrangements(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rescaled_forms_give_the_same_arrangement(arr, data):
+    scale = st.fractions(min_value=-50, max_value=50,
+                         max_denominator=50).filter(bool)
+    scales = [data.draw(scale) for _ in arr.forms]
+    scaled = Arrangement(arr.ambient, [[s * c for c in f]
+                                       for s, f in zip(scales, arr.forms)])
+    assert scaled.forms == arr.forms
+    assert serialize(scaled) == serialize(arr)
+    assert scaled.dependencies == arr.dependencies
+    if arr.ambient == 2 or (arr.ambient == 3 and arr.central):
+        assert line_points(scaled) == line_points(arr)
+    for j in range(arr.size):
+        if arr.central and arr.ambient >= 2:
+            got, want = decone(scaled, j), decone(arr, j)
+            assert (got[0].forms, got[1]) == (want[0].forms, want[1]), j
+        if arr.ambient == 2:
+            assert restrict_line_arrangement(scaled, j).forms == \
+                restrict_line_arrangement(arr, j).forms, j
+
+
 def test_central_flag_checked_against_forms():
     with pytest.raises(PreconditionError, match="central"):
         Arrangement(2, [[1, 1, 0], [0, 0, 1]], central=True)
@@ -640,7 +718,7 @@ def common_point_oracle(arr):
             finite.setdefault(tuple(p) + (Fraction(1),), set()).update((i, j))
         else:
             _c0, c1, c2 = arr.forms[i]
-            key = (-c2 / c1, 1, 0) if c1 else (1, 0, 0)
+            key = (Fraction(-c2, c1), 1, 0) if c1 else (1, 0, 0)
             infinite.setdefault(tuple(map(Fraction, key)), set()).update(
                 (i, j))
     return sorted(((p, tuple(sorted(m)))
@@ -668,8 +746,10 @@ def kernel_oracle(arr):
 
 def restrict_oracle(arr, j):
     """The restriction to H_j by intersecting every other line with the
-    parametrization q + t (-c2, c1) of H_j."""
-    c0, c1, c2 = arr.forms[j]
+    parametrization q + t (-c2, c1) of H_j, written c0 + c1 x + c2 y with
+    its first nonzero coefficient 1."""
+    lead = next(filter(None, arr.forms[j]))
+    c0, c1, c2 = (Fraction(c, lead) for c in arr.forms[j])
     direction = (-c2, c1)
     q = (-c0 / c1, Fraction(0)) if c1 else (Fraction(0), -c0 / c2)
     points = []
