@@ -24,8 +24,8 @@ from math import gcd, inf
 from .errors import PreconditionError
 # build_quotient_algebra is imported for the benchmark's tracer, which wraps
 # arrangement.build_quotient_algebra
-from .exterior import (GradedAlgebra, Multivector,  # noqa: F401
-                       _straighten, build_quotient_algebra)
+from .exterior import (GradedAlgebra, _straighten,  # noqa: F401
+                       build_quotient_algebra)
 from .scalars import (QQ, Matrix, _clear_row, _rational, _rref_parts,
                       _sparse, rank, solve_linear)
 
@@ -142,34 +142,33 @@ def _lattice_walk(vecs):
     j past the last of S, is dependent exactly when bit j of the flat of S
     is set, and spans it; otherwise its flat is a cover (`_contract`).  The
     one elimination is the rank r: a flat of rank r - 1 has one cover, all
-    the vectors.  A dependent S + j is minimal unless it holds a smaller
-    circuit, whose flat then lies in that of S and has bit j."""
+    the vectors.  A dependent S + j is minimal exactly when j lies in no
+    flat of a facet S - s_k, OR'd once per S off the level before."""
     d = len(vecs)
     r = len(_rref_parts([_sparse([a]) for a in vecs],
                         len(vecs[0]) if vecs else 0, QQ, False)[0])
     residues = {0: (dict(enumerate(vecs)), None)}
-    found, circuits, level, size = [], set(), {(): 0}, 0
+    found, below, level, size = [], {}, {(): 0}, 0
     while level:
         size, larger, known = size + 1, {}, {}
         for s, flat in level.items():
             if flat not in known:
-                held = 0  # the flats of the circuits inside it
-                for c in circuits:
-                    held |= c if c & flat == c else 0
-                known[flat] = held, (
+                known[flat] = (
                     [0 if flat >> i & 1 else (1 << d) - 1 for i in range(d)]
                     if size >= r else
                     _contract(flat, *residues.pop(flat), d, residues))
-            held, covers = known[flat]
+            covers, facets = known[flat], None
             for j in range(s[-1] + 1 if s else 0, d):
-                t = s + (j,)
                 if covers[j]:
-                    larger[t] = covers[j]
-                elif not held >> j & 1 or all(t[:k] + t[k + 1:] in level
-                                              for k in range(size - 1)):
-                    found.append((t, flat))
-                    circuits.add(flat)
-        level = larger
+                    larger[s + (j,)] = covers[j]
+                    continue
+                if facets is None:
+                    facets = 0
+                    for k in range(size - 1):
+                        facets |= below[s[:k] + s[k + 1:]]
+                if not facets >> j & 1:
+                    found.append((s + (j,), flat))
+        below, level = level, larger
     return sorted(found)
 
 
@@ -188,13 +187,11 @@ def walk_rank(arr):
     return arr.size - len({t[-1] for t, _ in arr.dependencies})
 
 
-def circuit_boundary(ngens, circuit):
-    """The relation sum_k (-1)^k e_{S minus s_k} for a sorted circuit S."""
-    terms = []
-    for k in range(len(circuit)):
-        rest = circuit[:k] + circuit[k + 1:]
-        terms.append((sum(1 << i for i in rest), (-1) ** k))
-    return Multivector(ngens, terms)
+def circuit_boundary(circuit):
+    """The relation sum_k (-1)^k e_{S minus s_k} of a sorted circuit S, as
+    {mask: coefficient}."""
+    mask = sum(1 << i for i in circuit)
+    return {mask ^ 1 << i: -1 if k & 1 else 1 for k, i in enumerate(circuit)}
 
 
 def os_algebra(arr, top=None):
@@ -210,11 +207,12 @@ def os_algebra(arr, top=None):
     dropped, is a minimal empty set (its monomial).  A circuit that avoids
     d meets exactly when bit d of its flat is clear (its boundary);
     otherwise it holds an empty set and is no relation.  The ideal
-    generators are the boundaries, then the monomials; each is a rule, a
-    boundary solved for its broken circuit.  The algebra is straightened
-    with no elimination (`exterior._straighten`): bit for bit the one that
-    `build_quotient_algebra` gives for these generators, or AssertionError.
-    The rank is read off the walk too; A is `complete` when top >= rank.
+    generators, dicts {mask: int}, are the boundaries, then the monomials;
+    each is a rule, a boundary solved for its broken circuit.  The algebra
+    is straightened with no elimination (`exterior._straighten`): bit for
+    bit the one that `build_quotient_algebra` gives for these generators,
+    or AssertionError.  The rank is read off the walk too; A is `complete`
+    when top >= rank.
     """
     d = arr.size
     rank = walk_rank(arr)
@@ -225,8 +223,8 @@ def os_algebra(arr, top=None):
     meeting = [t for t, flat in arr.dependencies
                if t[-1] < d and not flat >> d & 1]
     empty = [t[:-1] for t, _ in arr.dependencies if t[-1] == d]
-    gens = [circuit_boundary(d, s) for s in meeting]
-    gens += [Multivector.monomial(d, s) for s in empty]
+    gens = [circuit_boundary(s) for s in meeting]
+    gens += [{sum(1 << i for i in s): 1} for s in empty]
     complete = top >= rank  # A^k = 0 above the rank
     top = min(top, d)
     return GradedAlgebra(d, QQ, top, gens, ((1, 1),) * d,

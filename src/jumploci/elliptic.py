@@ -20,24 +20,23 @@ from .aomoto import AomotoComplex
 from .errors import PreconditionError
 # build_quotient_algebra, rank_and_kernel, rref and solve_linear are imported
 # for the benchmark's tracer, which wraps them on this module
-from .exterior import (GradedAlgebra, Multivector,  # noqa: F401
-                       _straighten, build_quotient_algebra)
+from .exterior import (GradedAlgebra, _straighten,  # noqa: F401
+                       build_quotient_algebra)
 from .scalars import (QI, ClearedVector, GaussianRational,  # noqa: F401
                       _integral, _read, rank_and_kernel, rref, solve_linear)
 
 _MODELS = {}
 
 
-def _diagonal_relation(n, k, l):
-    """The rational relation of the (k, l) diagonal, k < l, on the u, v
-    generators 2k, 2k+1, 2l, 2l+1:
+def _diagonal_relation(k, l):
+    """The relation {mask: coefficient} of the (k, l) diagonal, k < l, on
+    the u, v generators 2k, 2k+1, 2l, 2l+1:
 
         u_k v_k + v_k u_l - u_k v_l + u_l v_l.
 
     The Kunneth class of the diagonal is i/2 times it (see EllipticModel)."""
     uk, vk, ul, vl = 1 << 2 * k, 1 << 2 * k + 1, 1 << 2 * l, 1 << 2 * l + 1
-    return Multivector(2 * n, [(uk | vk, 1), (vk | ul, 1), (uk | vl, -1),
-                               (ul | vl, 1)])
+    return {uk | vk: 1, vk | ul: 1, uk | vl: -1, ul | vl: 1}
 
 
 class EllipticModel:
@@ -68,9 +67,11 @@ class EllipticModel:
         self.n = n
         pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
         self.diagonal_pairs = pairs
-        relations = [_diagonal_relation(n, *p) for p in pairs]
+        relations = [_diagonal_relation(*p) for p in pairs]
         last = {k: g for (k, l), g in zip(pairs, relations) if l == n - 1}
-        rels = [g if l == n - 1 else g - last[k]
+        # g and last[k] share one term, u_k v_k, of coefficient 1 in both
+        rels = [g if l == n - 1 else {m: g.get(m, 0) - last[k].get(m, 0)
+                                      for m in g.keys() ^ last[k].keys()}
                 for (k, l), g in zip(pairs, relations)]
         top = min(top, 2 * n)
         self.algebra = GradedAlgebra(2 * n, QI, top, relations,

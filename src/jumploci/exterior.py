@@ -4,8 +4,9 @@ Subsets of generators are bitmasks, so a multivector is a sparse map from
 bitmask to coefficient.  Quotient algebras store, per degree, the monomial
 basis, a canonical quotient basis (the lexicographically smallest monomials
 completing an echelon basis of the ideal), and the projection of every
-monomial onto that basis.  Relations are rational, ranked as integer rows
-or straightened (`_straighten`); the projections of a degree are integers
+monomial onto that basis.  A relation is a dict {mask: int} of nonzero
+integer terms of one degree, ranked as integer rows or straightened
+(`_straighten`); the projections of a degree are integers
 over one denominator, and the field is only where coordinates live.
 Generators may carry Hodge types (p, q), in which case monomials are
 bigraded.  Ideal generators must then be pure, so the ideal's reduced
@@ -24,8 +25,8 @@ from math import gcd, lcm
 
 from .errors import PreconditionError
 # rref is imported for the benchmark's tracer, which wraps exterior.rref
-from .scalars import (QI, QQ, Matrix, _clear_row, _integral,  # noqa: F401
-                      _read, _rref_parts, rref)
+from .scalars import (QI, QQ, Matrix, _integral, _read,  # noqa: F401
+                      _rref_parts, rref)
 
 
 def _mask(indices):
@@ -183,7 +184,8 @@ class GradedAlgebra:
     """Quotient of an exterior algebra by a homogeneous ideal, per degree.
 
     Built by `build_quotient_algebra`, or in that form by `_straighten`
-    (`arrangement.os_algebra`, `elliptic.EllipticModel`).  Per degree d up
+    (`arrangement.os_algebra`, `elliptic.EllipticModel`), with the ideal's
+    generators in `ideal_gens` as relations {mask: int}.  Per degree d up
     to `top` it holds the monomial list (lex order), the quotient basis
     (non-pivot monomials of the ideal's reduced echelon form), and the
     projections of all monomials as `proj[d] = (den, cols)`: cols[k] is the
@@ -332,21 +334,19 @@ class GradedAlgebra:
         monomials without j in each degree (a basis of A/e_jA); else None.
         """
         if self._boundary is None:
-            descends = all(self._boundary_vanishes(g)
-                           for g in self.ideal_gens if g.degree() <= self.top)
+            descends = all(self._boundary_vanishes(g) for g in self.ideal_gens
+                           if next(iter(g)).bit_count() <= self.top)
             kept = self._quotient_positions() if descends else None
             self._boundary = (descends, kept)
         return self._boundary
 
     def _boundary_vanishes(self, g):
-        """Does Dg, cleared to integers (`scalars._clear_row`), project
-        to 0?"""
-        d = g.degree()
-        _, (ints,) = _clear_row(list(g.terms.values()), False)
+        """Does Dg, for g an integer relation, project to 0?"""
+        d = next(iter(g)).bit_count()
         _, cols = self.proj[d - 1]
         index = self.mono_index[d - 1]
         acc = {}
-        for m, c in zip(g.terms, ints):
+        for m, c in g.items():
             for k, i in enumerate(_indices(m)):
                 for j, e in cols[index[m ^ (1 << i)]]:
                     acc[j] = acc.get(j, 0) + (-c * e if k & 1 else c * e)
@@ -496,9 +496,10 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     lexicographically and the non-pivot ones survive.
 
     Each generator is cleared to integers once (`scalars._integral`, which
-    refuses a coefficient outside the field) and the rows e_T wedge g are
-    signed copies of it, written as sparse rows and ranked by
-    `scalars._rref_parts`.  `field` is QQ or
+    refuses a coefficient outside the field), kept as the relation
+    {mask: int} of den * g, and the rows e_T wedge g are signed copies of
+    it, written as sparse rows and ranked by `scalars._rref_parts`.
+    `field` is QQ or
     QQ(i), only the field of the coordinates: the generators must be
     rational.
     Over F_p, reduce a built algebra with `aomoto.reduce_algebra_mod`.
@@ -516,7 +517,6 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
         if len(hodge_types) != ngens:
             raise PreconditionError("one Hodge type per generator required")
     gens = []
-    cleared = []  # per generator: (degree, [(mask, c), ...]), cleared
     for k, g in enumerate(ideal_gens):
         if not isinstance(g, Multivector) or g.ngens != ngens:
             raise PreconditionError(
@@ -529,19 +529,17 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
             raise PreconditionError(
                 f"ideal generator {k} has degree {g.degree()}; degree-one "
                 "relations would change the generator space")
-        parts, den = _integral(field, list(g.terms.values()))
+        parts, _ = _integral(field, list(g.terms.values()))
         if len(parts) == 2 and any(parts[1]):
             raise PreconditionError(
                 f"ideal generator {k} has a non-rational coefficient; the "
                 "relations of a quotient over QQ(i) are rational")
-        g = Multivector(ngens, zip(g.terms, _read(QQ, den, parts[:1])))
         if hodge_types is not None:
             types = {_mono_type(m, hodge_types) for m in g.terms}
             if len(types) > 1:
                 raise PreconditionError(f"ideal generator {len(gens)} mixes "
                                         f"Hodge types {sorted(types)}")
-        gens.append(g)
-        cleared.append((g.degree(), list(zip(g.terms, parts[0]))))
+        gens.append(dict(zip(g.terms, parts[0])))
 
     monomials = []
     basis = []
@@ -550,7 +548,7 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
         monos = [_mask(c) for c in combinations(range(ngens), d)]
         index = {m: k for k, m in enumerate(monos)}
         rows = [{index[m]: c for m, c in hits}
-                for _, hits in _ideal_rows(cleared, monomials, d)]
+                for _, hits in _ideal_rows(gens, monomials, d)]
         pivots, free, echelon = _rref_parts(rows, len(monos), QQ)
         monomials.append(monos)
         basis.append([monos[k] for k in free])
@@ -573,15 +571,16 @@ def _projections(nm, pivots, free, echelon):
     return den, cols
 
 
-def _ideal_rows(cleared, monomials, d):
+def _ideal_rows(gens, monomials, d):
     """The nonzero rows g wedge e_T of the ideal in degree d, signed, as
-    (k, [(mask, c), ...]) for the k-th g = (degree, [(mask, c), ...]) of
-    `cleared` and each T among the `monomials` of degree d - deg g."""
-    for k, (e, terms) in enumerate(cleared):
+    (k, [(mask, c), ...]) for the k-th relation g {mask: int} of `gens` and
+    each T among the `monomials` of degree d - deg g."""
+    for k, g in enumerate(gens):
+        e = next(iter(g)).bit_count()
         for t in monomials[d - e] if e <= d else ():
             prefix = _prefix_parity(t)
             row = [(m | t, -c if (m & prefix).bit_count() & 1 else c)
-                   for m, c in terms if not m & t]
+                   for m, c in g.items() if not m & t]
             if row:
                 yield k, row
 
@@ -589,9 +588,9 @@ def _ideal_rows(cleared, monomials, d):
 def _straighten(ngens, top, gens, rels):
     """(monomials, basis, proj) of the quotient by the ideal of `gens`
     through degree `top`, as `build_quotient_algebra` gives them, with no
-    elimination.  Each of `rels`, integer elements of the ideal, is solved
-    for its lex-first monomial L, of coefficient c = +-1: e_L = -c sum c_s
-    e_s over its later terms.  The first element with a given lead wins.
+    elimination.  Each of `rels`, relations {mask: int} in the ideal, is
+    solved for its lex-first monomial L, of coefficient c = +-1: e_L = -c sum
+    c_s e_s over its later terms.  The first element with a given lead wins.
     A monomial m = L + R containing a lead (its witness: m, or the witness
     of a one-smaller subset) is e_m = sign(L, R) e_L e_R; each term e_s e_R
     is lex-later than m (0 if s meets R), since adding a disjoint set keeps
@@ -604,17 +603,16 @@ def _straighten(ngens, top, gens, rels):
     generator and degree that fail."""
     rules = {}
     for g in rels:
-        lead = next(iter(g.terms))
-        for m in g.terms:
+        lead = next(iter(g))
+        for m in g:
             x = m ^ lead
             if m & x & -x:  # the lowest index where they differ is in m
                 lead = m
-        c = g.terms[lead]
+        c = g[lead]
         if c not in (1, -1):
             raise PreconditionError(f"lead coefficient {c} is not +-1")
-        rules.setdefault(lead, [(s, -c * v) for s, v in g.terms.items()
+        rules.setdefault(lead, [(s, -c * v) for s, v in g.items()
                                 if s != lead])
-    cleared = [(g.degree(), list(g.terms.items())) for g in gens]
     monomials, basis, proj = [], [], []
     witness = {}
     for d in range(top + 1):
@@ -650,7 +648,7 @@ def _straighten(ngens, top, gens, rels):
                     for j, e in nf[s | rest]:
                         acc[j] = acc.get(j, 0) + c * e
             nf[m] = tuple(sorted((j, e) for j, e in acc.items() if e))
-        for k, row in _ideal_rows(cleared, monomials, d):
+        for k, row in _ideal_rows(gens, monomials, d):
             acc = {}
             for m, c in row:
                 for j, e in nf[m]:

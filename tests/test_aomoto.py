@@ -611,7 +611,8 @@ def test_an_adjoined_monomial_refuses_the_boundary_routes():
                                     [1, 0, 0, -1], [0, 1, -1, 0],
                                     [0, 1, 0, -1], [0, 0, 1, -1]]))
     A = build_quotient_algebra(
-        6, list(A3.ideal_gens) + [Multivector.monomial(6, (0, 1))], 3)
+        6, [Multivector(6, g) for g in A3.ideal_gens]
+        + [Multivector.monomial(6, (0, 1))], 3)
     assert A.boundary_split() == (False, None)
     for alpha in ([1, 0, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]):
         assert_oracle_ranks(A, alpha, "full")

@@ -12,6 +12,7 @@ from math import comb, factorial
 
 import json
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,7 +24,7 @@ from jumploci.arrangement import (
     restrict_line_arrangement)
 from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
-from jumploci.io import serialize
+from jumploci.io import input_kind, load_json, parse_arrangement, serialize
 from jumploci.verify import LINE_LIBRARY, SIXPLANES_FORMS, line_library
 from jumploci.scalars import DEFAULT_PRIME, Matrix, rank, rank_and_kernel
 
@@ -57,8 +58,8 @@ def monomial_gens(algebra):
     """The index sets of the monomial relations among `ideal_gens` (a
     circuit boundary has at least three terms)."""
     return [tuple(j for j in range(algebra.ngens) if mask >> j & 1)
-            for g in algebra.ideal_gens if len(g.terms) == 1
-            for mask in g.terms]
+            for g in algebra.ideal_gens if len(g) == 1
+            for mask in g]
 
 
 def seeded_affine(seed, ambient, size):
@@ -151,10 +152,10 @@ def test_flat_walk_matches_the_circuit_and_relation_oracles(arr):
     circuits = matroid_circuits(arr)
     oracle = circuits_oracle(arr)
     assert circuits == oracle
-    expected = [circuit_boundary(arr.size, c) for c in oracle
+    expected = [circuit_boundary(c) for c in oracle
                 if arr.central or arr.common_point(c) is not None]
     if not arr.central:
-        expected += [Multivector.monomial(arr.size, s)
+        expected += [Multivector.monomial(arr.size, s).terms
                      for s in minimal_empty_oracle(arr)]
     assert list(os_algebra(arr).ideal_gens) == expected
 
@@ -370,7 +371,9 @@ def coxeter_b3():
 def assert_eliminates_to(algebra):
     """The straightened algebra is the elimination build on its generators,
     bit for bit."""
-    oracle = build_quotient_algebra(algebra.ngens, algebra.ideal_gens,
+    oracle = build_quotient_algebra(algebra.ngens,
+                                    [Multivector(algebra.ngens, g)
+                                     for g in algebra.ideal_gens],
                                     algebra.top,
                                     hodge_types=[(1, 1)] * algebra.ngens)
     assert algebra.monomials == oracle.monomials
@@ -414,6 +417,28 @@ def test_straightening_refuses_a_circuit_list_missing_a_relation():
                         if t != (3, 4, 5)]
     with pytest.raises(AssertionError, match="generator 0 .* degree 3"):
         os_algebra(arr)
+
+
+def test_os_algebra_builds_no_multivector(monkeypatch):
+    # every relation is an integer relation {mask: int}, from the walk to
+    # the straightening
+    folder = resources.files("jumploci").joinpath("fixtures")
+    inputs = [(entry.name, load_json(str(entry)))
+              for entry in sorted(folder.iterdir(), key=lambda e: e.name)]
+    arrangements = [braid(5)] + [arr for _, arr in line_library()]
+    arrangements += [parse_arrangement(obj, name) for name, obj in inputs
+                     if input_kind(obj) is Arrangement]
+    dims = [os_algebra(arr).dims() for arr in arrangements]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Multivector was built")
+    monkeypatch.setattr(exterior.Multivector, "__init__", refuse)
+    for arr, expected in zip(arrangements, dims):
+        algebra = os_algebra(Arrangement(arr.ambient, arr.forms))
+        assert algebra.dims() == expected
+        assert all(type(g) is dict and g
+                   and all(type(c) is int for c in g.values())
+                   for g in algebra.ideal_gens)
 
 
 def test_os_algebra_runs_no_elimination(monkeypatch):

@@ -69,9 +69,9 @@ def test_diagonal_classes_are_multiples_of_the_rational_relations(n):
         diagonal = diagonal_class(n, k, l)
         lead = diagonal.terms[min(diagonal.terms)]
         assert lead == I / 2
-        assert relation.terms[min(relation.terms)] == 1
-        assert all(type(c) in (int, Fraction) for c in relation.terms.values())
-        assert relation.scale(lead) == diagonal
+        assert relation[min(relation)] == 1
+        assert all(type(c) in (int, Fraction) for c in relation.values())
+        assert Multivector(2 * n, relation).scale(lead) == diagonal
 
 
 def _gaussian_quotient(m, d):
@@ -128,7 +128,7 @@ def test_elliptic_models_are_pinned_bit_for_bit():
     for n, top in CORPUS:
         a = elliptic_model(n, top).algebra
         values.append((a.top, a.monomials, a.basis, a.proj,
-                       [sorted(g.terms.items()) for g in a.ideal_gens],
+                       [sorted(g.items()) for g in a.ideal_gens],
                        a.hodge_types))
     assert hashlib.sha256(repr(values).encode()).hexdigest() == (
         "12dd1a7dcd4c0968944c5cb28cf9a3d5210c7d54f067c314f68b743dac934ffd")
@@ -144,14 +144,29 @@ def test_elliptic_model_runs_no_elimination(monkeypatch):
     assert EllipticModel(6, 3).algebra.dims() == (1, 12, 51, 110)
 
 
+def test_elliptic_model_builds_no_multivector(monkeypatch):
+    # the diagonal relations and their differences are integer relations
+    # {mask: int} from the builder to the straightening
+    dims = EllipticModel(4, 3).algebra.dims()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Multivector was built")
+    monkeypatch.setattr(exterior.Multivector, "__init__", refuse)
+    algebra = EllipticModel(4, 3).algebra
+    assert algebra.dims() == dims == (1, 8, 22, 28)
+    assert all(type(g) is dict and all(type(c) is int for c in g.values())
+               for g in algebra.ideal_gens)
+
+
 def test_straightening_refuses_relations_missing_a_rule():
     # without the element solved for u_0 v_1 no rule rewrites it, and the
     # (0, 1) diagonal relation does not straighten to zero in degree 2
     n = 4
     pairs = list(combinations(range(n), 2))
-    gens = [_diagonal_relation(n, k, l) for k, l in pairs]
-    last = {k: _diagonal_relation(n, k, n - 1) for k in range(n - 1)}
-    rels = [g if l == n - 1 else g - last[k]
+    gens = [_diagonal_relation(k, l) for k, l in pairs]
+    last = {k: _diagonal_relation(k, n - 1) for k in range(n - 1)}
+    rels = [g if l == n - 1 else
+            (Multivector(2 * n, g) - Multivector(2 * n, last[k])).terms
             for (k, l), g in zip(pairs, gens) if (k, l) != (0, 1)]
     with pytest.raises(AssertionError, match="generator .* degree 2"):
         exterior._straighten(2 * n, 2, gens, rels)

@@ -11,7 +11,7 @@ from jumploci.errors import PreconditionError
 from jumploci.exterior import (
     GradedAlgebra, Multivector, _merge_sign, _mono_type, _prefix_parity,
     _straighten, build_quotient_algebra, wedge)
-from jumploci.scalars import GF, QI, GaussianRational, rref
+from jumploci.scalars import GF, QI, QQ, GaussianRational, _clear_row, rref
 from jumploci.verify import SIXPLANES_FORMS
 
 
@@ -165,10 +165,35 @@ def test_mixed_hodge_type_generator_is_rejected():
 
 def test_straightening_needs_a_unit_lead():
     # e_0 e_1 + 2 e_0 e_2 solves for e_0 e_1; twice it does not, over Z
-    g = Multivector(3, [(0b011, 1), (0b101, 2)])
+    g = {0b011: 1, 0b101: 2}
     assert _straighten(3, 2, [g], [g])[1][2] == [0b101, 0b110]
     with pytest.raises(PreconditionError, match="lead coefficient 2"):
-        _straighten(3, 2, [g], [g.scale(2)])
+        _straighten(3, 2, [g], [{m: 2 * c for m, c in g.items()}])
+
+
+@st.composite
+def rational_relations(draw):
+    """Homogeneous multivectors of degree 2 or 3 on 5 generators with
+    Fraction coefficients, some of them zero."""
+    degree = draw(st.integers(2, 3))
+    monos = [m for m in range(32) if m.bit_count() == degree]
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return Multivector(5, draw(st.lists(
+        st.tuples(st.sampled_from(monos), values), max_size=4)))
+
+
+@given(st.lists(rational_relations(), max_size=4),
+       st.sampled_from([QQ, QI]))
+@settings(max_examples=80, deadline=None)
+def test_quotient_stores_each_generator_cleared_to_integers(gens, field):
+    # `ideal_gens` holds den * g as {mask: int}, den the lcm of the
+    # denominators of g (`_clear_row`); a zero generator is dropped
+    A = build_quotient_algebra(5, gens, 3, field)
+    expected = [dict(zip(g.terms, _clear_row(list(g.terms.values()),
+                                             False)[1][0]))
+                for g in gens if g.terms]
+    assert A.ideal_gens == tuple(expected)
+    assert all(type(c) is int for g in A.ideal_gens for c in g.values())
 
 
 def test_missing_hodge_types_error():

@@ -462,6 +462,18 @@ def test_os_algebra_report_and_truncation():
     assert truncated["euler"] is None  # not computable from a truncation
 
 
+def test_os_algebra_takes_more_than_64_hyperplanes(tmp_path):
+    # 66 parallel lines: rank 1, no common point of any two, so the algebra
+    # is the 66 generators over 1; no relation is a Multivector, whose
+    # generator count is bounded by 64
+    path = tmp_path / "parallel66.json"
+    path.write_text(json.dumps(
+        {"ambient": 2, "forms": [[c, 1, 0] for c in range(66)]}))
+    res = report(["os-algebra", "--arrangement", str(path)])["result"]
+    assert res["dims"] == [1, 66] and res["euler"] == -65
+    assert res["rank"] == 1 and res["central"] is False
+
+
 def test_fox_h1_on_the_free_group():
     rep = report(["fox-h1", "--presentation", "free2", "--character", "2,3"])
     assert rep["result"] == {"h0": 0, "h1": 1, "h2_presentation": 0,

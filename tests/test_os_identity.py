@@ -32,7 +32,7 @@ def digest(arrangements):
         algebra = os_algebra(arr)
         values.append((matroid_circuits(arr), algebra.top, algebra.monomials,
                        algebra.basis, algebra.proj,
-                       [sorted(g.terms.items()) for g in algebra.ideal_gens]))
+                       [sorted(g.items()) for g in algebra.ideal_gens]))
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
