@@ -21,8 +21,7 @@ _EXPORTS = {
     "arrangement": ("Arrangement", "decone", "matroid_circuits", "os_algebra",
                     "poincare_and_euler", "points_arrangement",
                     "restrict_line_arrangement"),
-    "exterior": ("GradedAlgebra", "Multivector", "build_quotient_algebra",
-                 "wedge"),
+    "exterior": ("GradedAlgebra", "Multivector", "build_quotient_algebra"),
     "aomoto": ("AomotoComplex", "GenericDimsReport", "IsotropyReport",
                "LogResonanceReport", "ResonanceReport", "generic_dims_sample",
                "isotropic_check", "log_resonance_membership",

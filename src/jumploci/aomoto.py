@@ -19,9 +19,8 @@ from .errors import PreconditionError
 # the benchmark's tracer, which wraps them on this module
 from .exterior import build_quotient_algebra  # noqa: F401
 from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
-                      GaussianRational, _integral,
-                      _kernel_basis, _rref_parts, rank, rank_and_kernel,
-                      solve_linear)
+                      GaussianRational, _integral, _kernel_basis, _read,
+                      _rref_parts, rank, rank_and_kernel, solve_linear)
 
 
 class AomotoComplex:
@@ -90,15 +89,9 @@ class AomotoComplex:
 
     @cached_property
     def parts(self):
-        """The full differentials as sparse integer rows, for
-        `kernels`."""
+        """The full differentials as the sparse integer rows of
+        `class_mult_parts`, for `kernels` and for `verify`'s d d = 0."""
         return [self.algebra.class_mult_parts(self._integral, d)
-                for d in range(self.algebra.top + 1)]
-
-    @cached_property
-    def matrices(self):
-        """The differentials as Matrix objects over the algebra's field."""
-        return [self.algebra.class_mult_matrix(self.alpha, d)
                 for d in range(self.algebra.top + 1)]
 
     @cached_property
@@ -320,7 +313,12 @@ class IsotropyReport:
 
 def isotropic_check(algebra, vectors):
     """Do all pairwise products of the given degree-one classes vanish in
-    degree two?  On failure the witness names the offending pair."""
+    degree two?  On failure the witness names the first offending pair,
+    i < j (u wedge u = 0), with the coordinates of their product.  Each
+    class is cleared once (`scalars._integral`); u wedge v is the rows of
+    (u wedge .) out of degree 1 (`class_mult_parts`, per part of u) times
+    the parts of v, in integers, read over the two scales and den only when
+    it is nonzero."""
     if algebra.top < 2:
         raise PreconditionError(
             f"isotropy needs the algebra built through degree 2; top is "
@@ -330,13 +328,22 @@ def isotropic_check(algebra, vectors):
         if len(v) != n1:
             raise PreconditionError(
                 f"vector {k} has {len(v)} entries; A^1 has dimension {n1}")
-    lifts = [algebra.lift([algebra.field.coerce(x) for x in v], 1)
-             for v in vectors]
-    for i in range(len(lifts)):
-        for j in range(i, len(lifts)):
-            prod = algebra.multiply(lifts[i], lifts[j])
-            if any(prod):
-                return IsotropyReport(False, (i, j, tuple(prod)))
+    field = algebra.field
+    cleared = [_integral(field, v) for v in vectors]
+    den = algebra.structure_constants(1)[0]
+    for i, (u, su) in enumerate(cleared):
+        rows = [algebra.class_mult_parts([part], 1) for part in u]
+        for j in range(i + 1, len(cleared)):
+            v, sv = cleared[j]
+            # [u v] over QQ and F_p; [ur vr, ur vi, ui vr, ui vi] over QQ(i)
+            t = [[sum(a * y[k] for k, a in row.items()) for row in r]
+                 for r in rows for y in v]
+            nums = t if len(t) == 1 else [[a - b for a, b in zip(t[0], t[3])],
+                                          [a + b for a, b in zip(t[1], t[2])]]
+            if any(map(any, nums)):  # over F_p the read reduces mod p
+                prod = _read(field, su * sv * den, nums)
+                if any(prod):
+                    return IsotropyReport(False, (i, j, tuple(prod)))
     return IsotropyReport(True, None)
 
 

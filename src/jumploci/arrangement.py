@@ -24,10 +24,10 @@ from math import gcd, inf
 from .errors import PreconditionError
 # build_quotient_algebra is imported for the benchmark's tracer, which wraps
 # arrangement.build_quotient_algebra
-from .exterior import (GradedAlgebra, _straighten,  # noqa: F401
+from .exterior import (GradedAlgebra, _indices, _straighten,  # noqa: F401
                        build_quotient_algebra)
 from .scalars import (QQ, Matrix, _clear_row, _rational, _rref_parts,
-                      _sparse, rank, solve_linear)
+                      _sparse, solve_linear)
 
 
 class Arrangement:
@@ -85,10 +85,9 @@ class Arrangement:
         return _lattice_walk(vecs)
 
     def rank(self):
-        """Rank of the linear parts; the top nonvanishing OS degree."""
-        if not self.forms:
-            return 0
-        return rank(self.linear_parts())
+        """Rank of the linear parts (integer rows); the top OS degree."""
+        rows = [_sparse([v[1:]]) for v in self.forms]
+        return len(_rref_parts(rows, self.ambient, QQ, False)[0])
 
     def common_point(self, subset):
         """A point on every listed hyperplane, or None if the intersection
@@ -138,17 +137,17 @@ def _contract(flat, res, c, d, residues):
 def _lattice_walk(vecs):
     """The minimal dependent index sets of the vectors, primitive tuples,
     each sorted with its flat, the bitmask of the vectors in its span; the
-    list sorted.  The walk goes by size over the independent sets S: S + j,
-    j past the last of S, is dependent exactly when bit j of the flat of S
-    is set, and spans it; otherwise its flat is a cover (`_contract`).  The
-    one elimination is the rank r: a flat of rank r - 1 has one cover, all
-    the vectors.  A dependent S + j is minimal exactly when j lies in no
-    flat of a facet S - s_k, OR'd once per S off the level before."""
+    list sorted.  The walk goes by size over the independent sets S, by
+    bitmask: S + j, j past the last of S, is dependent exactly when bit j of
+    the flat of S is set, and spans it; else its flat is a cover
+    (`_contract`).  The one elimination is the rank r: a flat of rank r - 1
+    has one cover, all the vectors.  A dependent S + j is minimal exactly
+    when j is in no flat of a facet S - s_k, OR'd per S off the last level."""
     d = len(vecs)
     r = len(_rref_parts([_sparse([a]) for a in vecs],
                         len(vecs[0]) if vecs else 0, QQ, False)[0])
     residues = {0: (dict(enumerate(vecs)), None)}
-    found, below, level, size = [], {}, {(): 0}, 0
+    found, below, level, size = [], {}, {0: 0}, 0
     while level:
         size, larger, known = size + 1, {}, {}
         for s, flat in level.items():
@@ -157,17 +156,20 @@ def _lattice_walk(vecs):
                     [0 if flat >> i & 1 else (1 << d) - 1 for i in range(d)]
                     if size >= r else
                     _contract(flat, *residues.pop(flat), d, residues))
-            covers, facets = known[flat], None
-            for j in range(s[-1] + 1 if s else 0, d):
+            covers, facets, t = known[flat], None, None
+            for j in range(s.bit_length(), d):
                 if covers[j]:
-                    larger[s + (j,)] = covers[j]
+                    larger[s | 1 << j] = covers[j]
                     continue
                 if facets is None:
-                    facets = 0
-                    for k in range(size - 1):
-                        facets |= below[s[:k] + s[k + 1:]]
+                    facets, bits = 0, s
+                    while bits:
+                        b = bits & -bits
+                        facets |= below[s ^ b]
+                        bits ^= b
                 if not facets >> j & 1:
-                    found.append((s + (j,), flat))
+                    t = t or _indices(s)  # the indices of S, once
+                    found.append((t + (j,), flat))
         below, level = level, larger
     return sorted(found)
 

@@ -18,7 +18,6 @@ at least p.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
@@ -68,7 +67,8 @@ def _merge_sign(s, t):
 
 
 class Multivector:
-    """Sparse element of the exterior algebra on `ngens` generators.
+    """Sparse element of the exterior algebra on `ngens` generators, the
+    input type of the ideal generators of `build_quotient_algebra`.
 
     `terms` maps subset bitmask to a nonzero coefficient; the zero element
     has no terms.  Instances are treated as immutable.
@@ -153,24 +153,6 @@ class Multivector:
         return f"Multivector({self.ngens}, {bits})"
 
 
-def wedge(u, v):
-    """Exterior product, with the interleaving-parity sign convention."""
-    if u.ngens != v.ngens:
-        raise PreconditionError("generator count mismatch")
-    out = {}
-    for s, a in u.terms.items():
-        for t, b in v.terms.items():
-            if s & t:
-                continue
-            m = s | t
-            c = a * b * _merge_sign(s, t)
-            if m in out:
-                out[m] = out[m] + c
-            else:
-                out[m] = c
-    return Multivector(u.ngens, out)
-
-
 def _mono_type(mask, hodge_types):
     p = q = 0
     for i in _indices(mask):
@@ -191,12 +173,12 @@ class GradedAlgebra:
     projections of all monomials as `proj[d] = (den, cols)`: cols[k] is the
     sparse column ((basis position, numerator), ...) of monomial k,
     integers over den, the lcm of their reduced denominators.  `field`
-    holds the coordinates of `project`, `lift` and `hodge_subspace`: QQ,
-    QQ(i), or F_p for p prime to every den (`aomoto.reduce_algebra_mod`).
+    holds the coordinates that queries take and report: QQ, QQ(i), or F_p
+    for p prime to every den (`aomoto.reduce_algebra_mod`).
 
     Multiplication by the generators is kept as integer structure constants
-    (`structure_constants`), built from the projections on first use; the
-    Aomoto differentials are assembled from them (`class_mult_parts`).
+    (`structure_constants`), built on first use: the one product of classes,
+    read by the Aomoto differentials (`class_mult_parts`) and isotropy.
 
     `complete` records that the builder knows A^{top+1} = 0, so that the
     zero map out of A^top is the true differential; the Aomoto queries
@@ -230,44 +212,6 @@ class GradedAlgebra:
 
     def euler(self):
         return sum((-1) ** d * len(b) for d, b in enumerate(self.basis))
-
-    def zero_coords(self, d):
-        return [self.field.zero()] * self.dim(d)
-
-    def project(self, mv, d=None):
-        """Coordinates of a multivector's class in the degree-d basis."""
-        if d is None:
-            d = mv.degree() if mv.terms else 0
-        if mv.terms and mv.degree() != d:
-            raise PreconditionError("degree mismatch in projection")
-        out = self.zero_coords(d)
-        index = self.mono_index[d]
-        den, cols = self.proj[d]
-        coerce = self.field.coerce
-        for mask, c in mv.terms.items():
-            c = coerce(c)
-            for j, pc in cols[index[mask]]:
-                out[j] = out[j] + c * pc
-        if den != 1:
-            inv = coerce(Fraction(1, den))
-            out = [x * inv for x in out]
-        return [coerce(x) for x in out]
-
-    def lift(self, coords, d):
-        """The canonical representative: sum of quotient-basis monomials."""
-        return Multivector(
-            self.ngens,
-            [(m, c) for m, c in zip(self.basis[d], coords)])
-
-    def multiply(self, u, v):
-        """Product of two multivector representatives, projected."""
-        deg = (u.degree() if u.terms else 0) + (v.degree() if v.terms else 0)
-        if deg > self.top:
-            return []
-        w = wedge(u, v)
-        if w.is_zero():
-            return self.zero_coords(deg)
-        return self.project(w, deg)
 
     def structure_constants(self, d):
         """Multiplication by each generator out of degree d in integers:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .scalars import Matrix, infer_field, rank
+from .scalars import _echelon, infer_field
 
 
 class Presentation:
@@ -103,7 +103,8 @@ def _fox_gradient(word, chi):
 
 
 def fox_jacobian(presentation, chi):
-    """The relators-by-generators matrix of Fox derivatives at chi."""
+    """The relators-by-generators matrix of Fox derivatives at chi, as its
+    rows: one list of field values per relator, one entry per generator."""
     if chi.presentation is not presentation:
         chi = Character(presentation, chi.values)
     rows = []
@@ -115,7 +116,7 @@ def fox_jacobian(presentation, chi):
             raise AssertionError(
                 f"fundamental identity fails on relator {idx}")
         rows.append(grad)
-    return Matrix(rows, field=chi.field, ncols=presentation.generators)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -130,10 +131,10 @@ def twisted_cohomology(presentation, chi):
     """Cohomology of the presentation 2-complex with coefficients twisted by
     chi.  h0 and h1 are invariants of the group; the top dimension is only
     the presentation complex's and is labeled as such."""
-    jac = fox_jacobian(presentation, chi)
-    r1 = rank(jac)
-    r0 = 0 if chi.is_trivial() else 1
     g = presentation.generators
+    jac = fox_jacobian(presentation, chi)
+    r1 = len(_echelon(jac, g, chi.field, read=False)[0])
+    r0 = 0 if chi.is_trivial() else 1
     h0 = 1 - r0
     h1 = (g - r1) - r0
     h2 = len(presentation.relators) - r1

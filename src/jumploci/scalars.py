@@ -367,9 +367,6 @@ class Matrix:
             rows.append(out)
         return Matrix(rows, field=f, ncols=other.ncols)
 
-    def is_zero(self):
-        return all(not x for row in self.entries for x in row)
-
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 

@@ -11,7 +11,9 @@ function returns what its package counterpart must return, entry for entry.
 The F_p samples take the algebra from the package's `reduce_algebra_mod`,
 which only changes its coordinate field; the oracle then reduces each
 rational projection entry mod p itself, through `field.coerce`, so it
-shares no code with the integer structure constants either.
+shares no code with the integer structure constants either, and it reduces
+the subspace rows it samples from with its own map (`_mod`).  Isotropy is
+the product path of `exterior_oracle`: lift, wedge, project.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jumploci.aomoto import (GenericDimsReport, LogResonanceReport,
-                             _scalar_mod, reduce_algebra_mod)
+import exterior_oracle
+from jumploci.aomoto import (GenericDimsReport, IsotropyReport,
+                             LogResonanceReport, reduce_algebra_mod)
 from jumploci.elliptic import E2Report, elliptic_model
 from jumploci.errors import PreconditionError
-from jumploci.exterior import _merge_sign
-from jumploci.scalars import (DEFAULT_PRIME, GF, QI, GaussianRational, Matrix,
+from jumploci.scalars import (DEFAULT_PRIME, QI, GaussianRational, Matrix,
                               rank_and_kernel, rref)
 
 _I = GaussianRational(0, 1)
@@ -40,7 +42,7 @@ def generator_matrix(algebra, i, d):
     for m in algebra.basis[d]:
         col = [field.zero()] * algebra.dim(d + 1)
         if not m & bit:
-            sign = _merge_sign(bit, m)
+            sign = exterior_oracle.sign(bit, m)
             for j, pc in proj[index[bit | m]]:
                 col[j] = field.coerce(Fraction(sign * pc, den))
         cols.append(col)
@@ -77,7 +79,8 @@ class OracleComplex:
         self.matrices = [class_mult_matrix(algebra, alpha, d)
                          for d in range(algebra.top + 1)]
         for d in range(algebra.top - 1):
-            if not self.matrices[d + 1].mul(self.matrices[d]).is_zero():
+            square = self.matrices[d + 1].mul(self.matrices[d])
+            if any(x for row in square.entries for x in row):
                 raise AssertionError(
                     f"differential squares to a nonzero map in degree {d}")
         reduced = [rank_and_kernel(m) for m in self.matrices]
@@ -142,16 +145,40 @@ def e2_page(model, x, y):
     return E2Report(model.n, entries, h, consistent)
 
 
+def isotropic_check(algebra, vectors):
+    """Every pairwise product of the lifted classes, projected."""
+    if algebra.top < 2:
+        raise PreconditionError(
+            f"isotropy needs the algebra built through degree 2; top is "
+            f"{algebra.top}")
+    lifts = [exterior_oracle.lift(algebra, [algebra.field.coerce(x)
+                                            for x in v], 1)
+             for v in vectors]
+    for i in range(len(lifts)):
+        for j in range(i, len(lifts)):
+            prod = exterior_oracle.multiply(algebra, lifts[i], lifts[j])
+            if any(prod):
+                return IsotropyReport(False, (i, j, tuple(prod)))
+    return IsotropyReport(True, None)
+
+
+def _mod(x, prime, i_res):
+    """A rational or Gaussian rational mod p, with i sent to i_res."""
+    if isinstance(x, GaussianRational):
+        return (_mod(x.re, prime, i_res)
+                + i_res * _mod(x.im, prime, i_res)) % prime
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, prime) % prime
+
+
 def generic_dims_sample(algebra, subspace=None, trials=40,
                         prime=DEFAULT_PRIME, seed=0):
     reduced, i_res = reduce_algebra_mod(algebra, prime)
-    fp = GF(prime)
     n1 = algebra.dim(1)
     if subspace is None:
         rows = [[1 if i == j else 0 for i in range(n1)] for j in range(n1)]
     else:
-        rows = [[_scalar_mod(algebra.field.coerce(x), fp, i_res) for x in row]
-                for row in subspace]
+        rows = [[_mod(x, prime, i_res) for x in row] for row in subspace]
         rows = [r for r in rows if any(r)]
     rng = random.Random(seed)
     best = None

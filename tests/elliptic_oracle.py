@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from jumploci.exterior import Multivector, wedge
+from exterior_oracle import wedge
+from jumploci.exterior import Multivector
 from jumploci.scalars import GaussianRational, Matrix, solve_linear
 
 I = GaussianRational(0, 1)

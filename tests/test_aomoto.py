@@ -23,7 +23,8 @@ from jumploci.exterior import Multivector, build_quotient_algebra
 from jumploci.scalars import (
     DEFAULT_PRIME, GF, BadPrimeError, GaussianRational, Matrix,
     rank_and_kernel, solve_linear)
-from jumploci.verify import SIXPLANES_FORMS
+from jumploci.verify import (SIXPLANES_FORMS, _composes_to_zero,
+                             check_structural_invariants)
 
 I = GaussianRational(0, 1)
 
@@ -43,7 +44,7 @@ def six_planes():
 def test_zero_class_gives_zero_matrices():
     A = three_points()
     cx = AomotoComplex(A, [0, 0, 0])
-    assert all(m.is_zero() for m in cx.matrices)
+    assert all(row == {} for part in cx.parts for row in part)
     assert cx.cohomology_dims() == (1, 3)
 
 
@@ -58,7 +59,7 @@ def test_concurrent_triple_point_resonance():
     A = concurrent3()
     cx = AomotoComplex(A, [1, 1, -2])
     assert cx.cohomology_dims() == (0, 1, 1)
-    assert cx.matrices[1].mul(cx.matrices[0]).is_zero()
+    assert _composes_to_zero(cx.parts[1], cx.parts[0])
     assert cx.euler_matches()
     assert AomotoComplex(A, [1, 1, 1]).cohomology_dims() == (0, 0, 0)
 
@@ -83,9 +84,10 @@ def test_ranks_leave_the_kernel_echelons_unbuilt(monkeypatch):
         assert cx.cohomology_dims() == dims
         assert "_echelons" not in vars(cx) and "parts" not in vars(cx)
         kernels = cx.kernels()
-        for m, r, kernel in zip(cx.matrices, cx.ranks(), kernels):
-            assert (r, kernel) == rank_and_kernel(m)
-            assert len(kernel) == m.ncols - r
+        ref = oracle.OracleComplex(algebra, alpha)
+        assert (cx.ranks(), kernels) == (ref.ranks, ref.kernels)
+        for d, (r, kernel) in enumerate(zip(cx.ranks(), kernels)):
+            assert len(kernel) == algebra.dim(d) - r
 
     # e2_page and LR_1 build their complexes inside: a full differential
     # asked for there would raise
@@ -310,6 +312,18 @@ def test_non_isotropic_pair_names_witness():
     assert any(rep.witness[2])
 
 
+def test_isotropy_takes_more_than_64_generators():
+    # x = 0 and the 65 lines y = k: e0 e1 != 0, and parallel e1 e2 = 0;
+    # the lift to a Multivector used to refuse more than 64 generators
+    A = os_algebra(Arrangement(2, [[0, 1, 0]] + [[-k, 0, 1]
+                                                 for k in range(65)]))
+    assert A.dims() == (1, 66, 65)
+    e = [[int(i == j) for i in range(66)] for j in range(3)]
+    rep = isotropic_check(A, e)
+    assert rep.witness[:2] == (0, 1) and any(rep.witness[2])
+    assert isotropic_check(A, e[1:]).isotropic
+
+
 @pytest.mark.parametrize("top", [0, 1])
 def test_isotropy_needs_the_algebra_through_degree_two(top):
     # e0 e1 != 0 in A^2 of concurrent3; a build through degree 1 cannot see
@@ -453,7 +467,36 @@ def test_composition_zero_across_fields():
     x = [GaussianRational(1), GaussianRational(2), GaussianRational(-3)]
     alpha = m.class_coords(x, [I * c for c in x])
     cx = AomotoComplex(m.algebra, alpha)
-    assert cx.matrices[1].mul(cx.matrices[0]).is_zero()
+    assert _composes_to_zero(cx.parts[1], cx.parts[0])
+    # over QQ(i) the rows hold (re, im) pairs, and a corrupted pair shows
+    outer = [dict(row) for row in cx.parts[1]]
+    k, j = next((k, j) for k, row in enumerate(outer) for j in row)
+    outer[k][j] = (outer[k][j][0], outer[k][j][1] + 1)
+    assert not _composes_to_zero(outer, cx.parts[0])
+
+
+def test_criterion_8_fails_on_a_corrupted_differential(monkeypatch):
+    # criterion 8 multiplies the differentials' integer rows: one entry of
+    # each map out of degree 0 doubled (or set, where it was zero) makes
+    # it report a composition failure
+    exact = exterior.GradedAlgebra.class_mult_parts
+
+    def corrupted(self, alpha, d, rows=None, cols=None):
+        block = exact(self, alpha, d, rows, cols)
+        if d == 0 and block:
+            v = block[0].get(0)
+            if v is None:
+                v = 1 if len(alpha) == 1 else (1, 0)
+            else:
+                v = 2 * v if type(v) is int else (2 * v[0], 2 * v[1])
+            block[0] = {0: v}
+        return block
+    monkeypatch.setattr(exterior.GradedAlgebra, "class_mult_parts",
+                        corrupted)
+    result = check_structural_invariants(0)
+    assert not result.passed
+    kinds = {kind for _name, _t, kind in result.details["failures"]}
+    assert "composition" in kinds
 
 
 # ------------------------------------------- the three routes of `ranks`

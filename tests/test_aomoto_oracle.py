@@ -1,10 +1,10 @@
 """Aomoto complexes on integer structure constants against the Fraction
 route of `aomoto_oracle`: cohomology, kernels, matrices, E_2 pages, log
-resonance and F_p samples must agree with ==, on OS algebras, quotients by
-rational ideal generators (denominators in the structure constants), the
-elliptic models n = 3..5, and classes with rational and Gaussian
-denominators.  Also: the once-per-algebra d o d check catches a corrupted
-projection."""
+resonance, F_p samples and isotropy must agree with ==, on OS algebras,
+quotients by rational ideal generators (denominators in the structure
+constants), the elliptic models n = 3..5, and classes with rational and
+Gaussian denominators.  Also: the once-per-algebra d o d check catches a
+corrupted projection."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 import aomoto_oracle as oracle
 from jumploci.aomoto import (AomotoComplex, generic_dims_sample,
-                             log_resonance_membership, reduce_algebra_mod)
+                             isotropic_check, log_resonance_membership,
+                             reduce_algebra_mod)
 from jumploci.arrangement import Arrangement, os_algebra
-from jumploci.elliptic import e2_page, elliptic_model
+from jumploci.elliptic import e2_page, elliptic_model, tangent_pair_basis
 from jumploci.exterior import Multivector, build_quotient_algebra
-from jumploci.scalars import DEFAULT_PRIME, GF, GaussianRational
+from jumploci.scalars import DEFAULT_PRIME, GF, QI, GaussianRational
 from jumploci.verify import SIXPLANES_FORMS
 
 I = GaussianRational(0, 1)
@@ -49,7 +50,9 @@ def assert_same_complex(algebra, alpha):
     assert cx.ranks() == ref.ranks
     assert cx.kernels() == ref.kernels
     assert repr(cx.kernels()) == repr(ref.kernels)
-    assert cx.matrices == ref.matrices
+    # the differentials' integer rows, read over the algebra's field
+    assert [algebra.class_mult_matrix(alpha, d)
+            for d in range(algebra.top + 1)] == ref.matrices
 
 
 @st.composite
@@ -177,3 +180,103 @@ def test_corrupted_projection_fails_the_anticommutation_check():
         AomotoComplex(algebra, [1] * algebra.dim(1))
     with pytest.raises(AssertionError):
         oracle.OracleComplex(algebra, [1, 2, 3, 4, 5, 6])
+
+
+# ------------------------------------------------- isotropy, by products
+
+def _structure_denominator_algebra():
+    """A quotient whose structure constants out of degree 1 have den 30."""
+    g = Multivector(4, [(0b0011, Fraction(1, 3)), (0b0101, Fraction(-2, 5)),
+                        (0b1001, 1)])
+    h = Multivector(4, [(0b0110, Fraction(3, 7)), (0b1010, Fraction(1, 2))])
+    return build_quotient_algebra(4, [g, h], 4)
+
+
+@lru_cache(maxsize=None)
+def isotropy_fixture(name):
+    """(algebra, rows of an isotropic subspace of A^1, or None)."""
+    if name == "concurrent3":
+        # the triple point's local component, sum zero: isotropic
+        return os_fixture(name), ((1, -1, 0), (0, 1, -1))
+    if name in OS_FORMS:
+        return os_fixture(name), None
+    if name == "sixplanes_qi":
+        # the same relations, coordinates over QQ(i)
+        A = os_fixture("sixplanes")
+        return build_quotient_algebra(
+            A.ngens, [Multivector(A.ngens, g) for g in A.ideal_gens], A.top,
+            field=QI), None
+    if name == "den30":
+        algebra = _structure_denominator_algebra()
+        assert algebra.structure_constants(1)[0] == 30
+        return algebra, None
+    n = int(name[-1])
+    model = elliptic_model(n)
+    pairs = tangent_pair_basis(n, 0, 1)
+    return model.algebra, tuple(tuple(model.class_coords(x, y))
+                                for x, y in pairs)
+
+
+ISOTROPY_FIXTURES = sorted(OS_FORMS) + ["sixplanes_qi", "den30", "elliptic3",
+                                        "elliptic4"]
+
+
+@st.composite
+def isotropy_cases(draw):
+    """An algebra, perhaps reduced mod p, and one to four classes of A^1:
+    random ones, multiples of one class, or combinations of the rows of a
+    known isotropic subspace."""
+    name = draw(st.sampled_from(ISOTROPY_FIXTURES))
+    algebra, isotropic = isotropy_fixture(name)
+    n = algebra.dim(1)
+    gaussian = algebra.field is QI
+    values = gaussians if gaussian else rationals
+    prime = draw(st.sampled_from([None, DEFAULT_PRIME, 10009, 101]))
+    if prime is not None:
+        # 10009 and 101 are 1 mod 4, and divide no drawn denominator
+        algebra, _ = reduce_algebra_mod(algebra, prime)
+        values = rationals
+    count = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["random", "multiples", "subspace"]))
+    if mode == "subspace" and isotropic is not None and prime is None:
+        coeffs = draw(st.lists(st.lists(st.integers(-3, 3),
+                                        min_size=len(isotropic),
+                                        max_size=len(isotropic)),
+                               min_size=count, max_size=count))
+        vectors = [[sum((c * row[k] for c, row in zip(cs, isotropic)),
+                        GaussianRational(0) if gaussian else 0)
+                    for k in range(n)] for cs in coeffs]
+    elif mode == "multiples":
+        base = draw(st.lists(values, min_size=n, max_size=n))
+        scales = draw(st.lists(rationals, min_size=count, max_size=count))
+        vectors = [[c * x for x in base] for c in scales]
+    else:
+        vectors = draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                min_size=count, max_size=count))
+    return algebra, vectors
+
+
+@given(isotropy_cases())
+@settings(max_examples=150, deadline=None)
+def test_isotropy_matches_the_lift_wedge_project_route(case):
+    # the report, witness included, is the one the product path gives:
+    # lift each class, wedge the lifts, project through `proj`
+    algebra, vectors = case
+    got = isotropic_check(algebra, vectors)
+    want = oracle.isotropic_check(algebra, vectors)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_isotropy_fixtures_reach_both_verdicts_and_a_denominator():
+    # the differential test above sees isotropic and non-isotropic sets,
+    # and a witness read over den 30
+    for name in ("concurrent3", "elliptic3"):
+        algebra, rows = isotropy_fixture(name)
+        assert isotropic_check(algebra, rows).isotropic
+    algebra, _ = isotropy_fixture("den30")
+    vectors = [[1, 0, 0, 0], [0, Fraction(1, 2), 0, 0]]
+    rep = isotropic_check(algebra, vectors)
+    assert not rep.isotropic
+    assert rep == oracle.isotropic_check(algebra, vectors)
+    assert any(x.denominator % 5 == 0 for x in rep.witness[2])

@@ -283,7 +283,9 @@ def counted_eliminations(monkeypatch):
     calls = {"_rref_parts": 0, "rank": 0}
     for module in (scalars, arrangement):
         for name in calls:
-            real = getattr(module, name)
+            real = getattr(module, name, None)
+            if real is None:
+                continue
 
             def counted(*args, name=name, real=real, **kwargs):
                 calls[name] += 1

@@ -8,7 +8,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aomoto_oracle import class_mult_matrix
 from elliptic_oracle import diagonal_class
+from exterior_oracle import project, wedge
 from jumploci import elliptic, exterior, scalars
 from jumploci.aomoto import (AomotoComplex, reduce_algebra_mod,
                              resonance_membership)
@@ -17,7 +19,7 @@ from jumploci.elliptic import (
     EllipticModel, _diagonal_relation, _e2_from_blocks, e2_page,
     elliptic_model, hodge_decompose, scroll_membership, tangent_pair_basis)
 from jumploci.errors import PreconditionError
-from jumploci.exterior import Multivector, _mono_type, wedge
+from jumploci.exterior import Multivector, _mono_type
 from jumploci.scalars import (QI, QQ, ClearedVector, FieldMismatchError,
                               GaussianRational, Matrix, _integral, rank,
                               rank_and_kernel, rref)
@@ -293,20 +295,22 @@ def _e2_by_intersection(n, x):
     dim V + dim F^p - dim(V + F^p)."""
     deep = elliptic_model(n, top=3)
     A = deep.algebra
-    cx = AomotoComplex(A, deep.class_coords(x, [I * c for c in x]))
+    alpha = deep.class_coords(x, [I * c for c in x])
+    cx = AomotoComplex(A, alpha)
 
     def dim(rows):
         return rank(rows, QI) if rows else 0
 
     entries = {}
     for m in range(3):
-        _, cocycles = rank_and_kernel(cx.matrices[m])
-        prev = cx.matrices[m - 1] if m else Matrix([], field=QI)
+        _, cocycles = rank_and_kernel(class_mult_matrix(A, alpha, m))
+        prev = class_mult_matrix(A, alpha, m - 1) if m else Matrix(
+            [], field=QI)
         bounds = [tuple(r[j] for r in prev.entries)
                   for j in range(prev.ncols)]
         fdims = []
         for p in range(m + 2):
-            fp = [A.project(Multivector(A.ngens, [(mono, 1)]), m)
+            fp = [project(A, Multivector(A.ngens, [(mono, 1)]), m)
                   for mono in A.monomials[m]
                   if _mono_type(mono, A.hodge_types)[0] >= p]
             fdims.append(sum(

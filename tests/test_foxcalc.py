@@ -17,8 +17,7 @@ TORUS = Presentation(2, [[1, 2, -1, -2]])
 def test_free_group_has_empty_jacobian():
     free2 = Presentation(2)
     chi = Character(free2, [2, 3])
-    jac = fox_jacobian(free2, chi)
-    assert jac.nrows == 0 and jac.ncols == 2
+    assert fox_jacobian(free2, chi) == []
 
 
 def test_free_group_twisted_h1():
@@ -38,9 +37,10 @@ def test_torus_jacobian_row():
     # d[a,b]/da = 1 - chi(b), d[a,b]/db = chi(a) - 1
     chi = Character(TORUS, [2, 1])
     jac = fox_jacobian(TORUS, chi)
-    assert jac.entries[0] == (Fraction(0), Fraction(1))
+    assert jac == [[Fraction(0), Fraction(1)]]
+    assert all(type(x) is Fraction for x in jac[0])
     trivial = Character(TORUS, [1, 1])
-    assert fox_jacobian(TORUS, trivial).is_zero()
+    assert not any(map(any, fox_jacobian(TORUS, trivial)))
 
 
 def test_torus_cohomology():
@@ -98,10 +98,12 @@ def test_fundamental_identity():
     chi = Character(pres, [2, 3, 5])
     jac = fox_jacobian(pres, chi)
     one = chi.field.one()
-    for r in range(jac.nrows):
+    assert len(jac) == len(pres.relators)
+    for row in jac:
+        assert len(row) == pres.generators
         acc = chi.field.zero()
-        for j in range(jac.ncols):
-            acc = acc + jac.entries[r][j] * (chi.values[j] - one)
+        for x, v in zip(row, chi.values):
+            acc = acc + x * (v - one)
         assert not acc
 
 

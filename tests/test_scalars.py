@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jumploci import aomoto, scalars
-from jumploci.aomoto import (AomotoComplex, log_resonance_membership,
-                             reduce_algebra_mod)
+from jumploci.aomoto import (AomotoComplex, isotropic_check,
+                             log_resonance_membership, reduce_algebra_mod)
 from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.errors import PreconditionError
 from jumploci.exterior import Multivector, build_quotient_algebra
@@ -131,7 +131,9 @@ def test_prime_field_values_are_residues(p):
     d1 = A.class_mult_matrix(alpha, 1)
     assert d1.nrows and all(
         _is_residue(v, p) for row in d1.entries for v in row)
-    coords = A.project(Multivector(3, [(0b101, 1), (0b110, -4)]))
+    # e0 e1 is nonzero in A^2: the witness of a product is residues
+    rep = isotropic_check(A, [[1, 0, 0], [0, F.coerce(Fraction(1, 3)), 0]])
+    coords = rep.witness[2]
     assert any(coords) and all(_is_residue(v, p) for v in coords)
 
 
