@@ -97,12 +97,17 @@ def test_rational_quotients_match_the_fraction_route(case):
     assert_same_complex(*case)
 
 
-def test_rational_generators_give_a_structure_denominator():
-    # the differential test above must reach den_d != 1
+def structure_denominator_algebra():
+    """A quotient whose structure constants out of degree 1 have den 30."""
     g = Multivector(4, [(0b0011, Fraction(1, 3)), (0b0101, Fraction(-2, 5)),
                         (0b1001, 1)])
     h = Multivector(4, [(0b0110, Fraction(3, 7)), (0b1010, Fraction(1, 2))])
-    algebra = build_quotient_algebra(4, [g, h], 4)
+    return build_quotient_algebra(4, [g, h], 4)
+
+
+def test_rational_generators_give_a_structure_denominator():
+    # the differential test above must reach den_d != 1
+    algebra = structure_denominator_algebra()
     assert algebra.structure_constants(1)[0] == 30
     alpha = [Fraction(1, 2), -1, Fraction(2, 3), 3]
     assert_same_complex(algebra, alpha)
@@ -184,14 +189,6 @@ def test_corrupted_projection_fails_the_anticommutation_check():
 
 # ------------------------------------------------- isotropy, by products
 
-def _structure_denominator_algebra():
-    """A quotient whose structure constants out of degree 1 have den 30."""
-    g = Multivector(4, [(0b0011, Fraction(1, 3)), (0b0101, Fraction(-2, 5)),
-                        (0b1001, 1)])
-    h = Multivector(4, [(0b0110, Fraction(3, 7)), (0b1010, Fraction(1, 2))])
-    return build_quotient_algebra(4, [g, h], 4)
-
-
 @lru_cache(maxsize=None)
 def isotropy_fixture(name):
     """(algebra, rows of an isotropic subspace of A^1, or None)."""
@@ -207,9 +204,7 @@ def isotropy_fixture(name):
             A.ngens, [Multivector(A.ngens, g) for g in A.ideal_gens], A.top,
             field=QI), None
     if name == "den30":
-        algebra = _structure_denominator_algebra()
-        assert algebra.structure_constants(1)[0] == 30
-        return algebra, None
+        return structure_denominator_algebra(), None
     n = int(name[-1])
     model = elliptic_model(n)
     pairs = tangent_pair_basis(n, 0, 1)
