@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import PreconditionError
@@ -19,8 +20,8 @@ from .errors import PreconditionError
 # the benchmark's tracer, which wraps them on this module
 from .exterior import build_quotient_algebra  # noqa: F401
 from .scalars import (DEFAULT_PRIME, GF, QI, QQ, BadPrimeError,  # noqa: F401
-                      GaussianRational, _integral, _kernel_basis, _read,
-                      _rref_parts, rank, rank_and_kernel, solve_linear)
+                      _integral, _kernel_basis, _read, _rref_parts, _sparse,
+                      rank_and_kernel, solve_linear)
 
 
 class AomotoComplex:
@@ -198,12 +199,6 @@ def resonance_membership(algebra, alpha, degree, depth=1):
                            euler == algebra.euler())
 
 
-def _scalar_mod(x, fp, i_res):
-    if isinstance(x, GaussianRational):
-        return fp.coerce(fp.coerce(x.re) + i_res * fp.coerce(x.im))
-    return fp.coerce(x)
-
-
 def reduce_algebra_mod(algebra, prime):
     """A quotient algebra over QQ or QQ(i) with F_p as its coordinate field:
     the same basis, projections and integer structure constants, shared.
@@ -252,8 +247,11 @@ def generic_dims_sample(algebra, subspace=None, trials=40,
     The points are drawn on `reduce_algebra_mod(algebra, prime)`.  By
     semicontinuity the minimum is the generic value off a proper closed
     subset, which a random F_p point misses with probability 1 - O(1/p).
-    Raises BadPrimeError when the subspace rows lose rank mod p, as they
-    would then span a smaller subspace.
+    The subspace rows are cleared once each (`scalars._integral`), and
+    entry (re + i im) / den is read as (re + i_res im) / den mod p.  Raises
+    BadPrimeError when p divides the denominator of an entry, or when the
+    rows lose rank mod p, as they would then span a smaller subspace; both
+    ranks are taken on the integer rows by `scalars._rref_parts`.
     """
     if trials < 1:
         raise PreconditionError("at least one trial required")
@@ -264,14 +262,15 @@ def generic_dims_sample(algebra, subspace=None, trials=40,
                 f"subspace row {k} has {len(row)} entries; A^1 has "
                 f"dimension {n1}")
     reduced, i_res = reduce_algebra_mod(algebra, prime)
-    fp = GF(prime)
     if subspace is None:
-        rows = [[fp.one() if i == j else fp.zero() for i in range(n1)]
-                for j in range(n1)]
+        rows = [[1 if i == j else 0 for i in range(n1)] for j in range(n1)]
     else:
-        exact = [[algebra.field.coerce(x) for x in row] for row in subspace]
-        rows = [[_scalar_mod(x, fp, i_res) for x in row] for row in exact]
-        want, got = rank(exact, algebra.field), rank(rows, fp)
+        cleared = [_integral(algebra.field, row) for row in subspace]
+        rows = [_residues(parts, den, prime, i_res) for parts, den in cleared]
+        want = len(_rref_parts([_sparse(parts) for parts, _ in cleared], n1,
+                               algebra.field, read=False)[0])
+        got = len(_rref_parts([_sparse([r]) for r in rows], n1, GF(prime),
+                              read=False)[0])
         if got < want:
             raise BadPrimeError(
                 f"subspace rows have rank {want} over {algebra.field} but "
@@ -286,7 +285,7 @@ def generic_dims_sample(algebra, subspace=None, trials=40,
     for t in range(trials):
         while True:
             coeffs = [rng.randrange(prime) for _ in rows]
-            vec = [fp.zero()] * n1
+            vec = [0] * n1
             for c, row in zip(coeffs, rows):
                 if c:
                     for i, x in enumerate(row):
@@ -303,6 +302,23 @@ def generic_dims_sample(algebra, subspace=None, trials=40,
     flagged = tuple(t for t, dims in enumerate(samples)
                     if any(x > b for x, b in zip(dims, best)))
     return GenericDimsReport(tuple(best), trials, prime, flagged)
+
+
+def _residues(parts, den, prime, i_res):
+    """The residues mod p of the row whose integer parts over den are
+    `parts` ([a] over QQ, [re, im] over QQ(i), i sent to i_res).  Raises
+    the BadPrimeError of the first entry, real part before imaginary, whose
+    denominator p divides."""
+    if not den % prime:
+        for entry in zip(*parts):
+            for x in (Fraction(a, den) for a in entry):
+                if not x.denominator % prime:
+                    raise BadPrimeError(
+                        f"denominator of {x} vanishes mod {prime}")
+    inv = pow(den, -1, prime)
+    if len(parts) == 1:
+        return [a * inv % prime for a in parts[0]]
+    return [(a + i_res * b) * inv % prime for a, b in zip(*parts)]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from math import gcd, inf
 from .errors import PreconditionError
 # build_quotient_algebra is imported for the benchmark's tracer, which wraps
 # arrangement.build_quotient_algebra
-from .exterior import (GradedAlgebra, _indices, _straighten,  # noqa: F401
+from .exterior import (_indices, _straighten,  # noqa: F401
                        build_quotient_algebra)
 from .scalars import (QQ, Matrix, _clear_row, _rational, _rref_parts,
                       _sparse, solve_linear)
@@ -229,8 +229,7 @@ def os_algebra(arr, top=None):
     gens += [{sum(1 << i for i in s): 1} for s in empty]
     complete = top >= rank  # A^k = 0 above the rank
     top = min(top, d)
-    return GradedAlgebra(d, QQ, top, gens, ((1, 1),) * d,
-                         *_straighten(d, top, gens, gens), complete)
+    return _straighten(d, QQ, top, gens, gens, ((1, 1),) * d, complete)
 
 
 def poincare_and_euler(arr):

@@ -20,8 +20,7 @@ from .aomoto import AomotoComplex
 from .errors import PreconditionError
 # build_quotient_algebra, rank_and_kernel, rref and solve_linear are imported
 # for the benchmark's tracer, which wraps them on this module
-from .exterior import (GradedAlgebra, _straighten,  # noqa: F401
-                       build_quotient_algebra)
+from .exterior import _straighten, build_quotient_algebra  # noqa: F401
 from .scalars import (QI, ClearedVector, GaussianRational,  # noqa: F401
                       _integral, _read, rank_and_kernel, rref, solve_linear)
 
@@ -74,10 +73,8 @@ class EllipticModel:
                                       for m in g.keys() ^ last[k].keys()}
                 for (k, l), g in zip(pairs, relations)]
         top = min(top, 2 * n)
-        self.algebra = GradedAlgebra(2 * n, QI, top, relations,
-                                     ((1, 0), (0, 1)) * n,
-                                     *_straighten(2 * n, top, relations, rels),
-                                     top == 2 * n)
+        self.algebra = _straighten(2 * n, QI, top, relations, rels,
+                                   ((1, 0), (0, 1)) * n, top == 2 * n)
 
     @property
     def top(self):

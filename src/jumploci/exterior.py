@@ -1,13 +1,14 @@
-"""Exterior algebras on few generators and their graded quotients.
+"""Exterior algebras and their graded quotients.
 
-Subsets of generators are bitmasks, so a multivector is a sparse map from
-bitmask to coefficient.  Quotient algebras store, per degree, the monomial
-basis, a canonical quotient basis (the lexicographically smallest monomials
-completing an echelon basis of the ideal), and the projection of every
-monomial onto that basis.  A relation is a dict {mask: int} of nonzero
-integer terms of one degree, ranked as integer rows or straightened
-(`_straighten`); the projections of a degree are integers
-over one denominator, and the field is only where coordinates live.
+Subsets of generators are bitmasks, and the mask of a monomial is its one
+key: a relation is a dict {mask: coefficient} of one degree, and a
+quotient algebra stores, per degree, a canonical quotient basis (the
+lexicographically smallest monomials completing an echelon basis of the
+ideal) and the projection of every monomial onto that basis, keyed by its
+mask.  The relations are kept as {mask: int} of nonzero integer terms,
+ranked as integer rows or straightened (`_straighten`); the projections of
+a degree are integers over one denominator, and the field is only where
+coordinates live.
 Generators may carry Hodge types (p, q), in which case monomials are
 bigraded.  Ideal generators must then be pure, so the ideal's reduced
 echelon form splits into blocks by type and every monomial projects onto
@@ -28,14 +29,10 @@ from .scalars import (QI, QQ, Matrix, _integral, _read,  # noqa: F401
                       _rref_parts, rref)
 
 
-def _mask(indices):
-    m = 0
-    for i in indices:
-        b = 1 << i
-        if m & b:
-            raise ValueError(f"repeated generator index {i}")
-        m |= b
-    return m
+def _degree_masks(ngens, d):
+    """The masks of the degree-d monomials on `ngens` generators, in lex
+    order."""
+    return [sum(1 << i for i in c) for c in combinations(range(ngens), d)]
 
 
 def _indices(mask):
@@ -66,93 +63,6 @@ def _merge_sign(s, t):
     return -1 if (s & _prefix_parity(t)).bit_count() & 1 else 1
 
 
-class Multivector:
-    """Sparse element of the exterior algebra on `ngens` generators, the
-    input type of the ideal generators of `build_quotient_algebra`.
-
-    `terms` maps subset bitmask to a nonzero coefficient; the zero element
-    has no terms.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("ngens", "terms")
-
-    def __init__(self, ngens, terms=()):
-        if not 0 <= ngens <= 64:
-            raise PreconditionError("generator count must be between 0 and 64")
-        clean = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for mask, coeff in items:
-            if mask < 0 or mask >> ngens:
-                raise PreconditionError(
-                    f"subset mask {mask} out of range for {ngens} generators")
-            if coeff:
-                clean[mask] = clean.get(mask, 0) + coeff
-                if not clean[mask]:
-                    del clean[mask]
-        object.__setattr__(self, "ngens", ngens)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
-
-    @classmethod
-    def zero(cls, ngens):
-        return cls(ngens)
-
-    @classmethod
-    def generator(cls, ngens, i, coeff=1):
-        return cls(ngens, [(1 << i, coeff)])
-
-    @classmethod
-    def monomial(cls, ngens, indices, coeff=1):
-        return cls(ngens, [(_mask(indices), coeff)])
-
-    def is_zero(self):
-        return not self.terms
-
-    def degrees(self):
-        return sorted({m.bit_count() for m in self.terms})
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
-    def degree(self):
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise PreconditionError("multivector is not homogeneous")
-        return degs[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.ngens == other.ngens and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ngens, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if self.ngens != other.ngens:
-            raise PreconditionError("generator count mismatch")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Multivector(self.ngens, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, coeff):
-        return Multivector(
-            self.ngens, [(m, coeff * c) for m, c in self.terms.items()])
-
-    def __repr__(self):
-        if not self.terms:
-            return f"Multivector({self.ngens}, 0)"
-        bits = " + ".join(
-            f"({c})e{list(_indices(m))}" for m, c in sorted(self.terms.items()))
-        return f"Multivector({self.ngens}, {bits})"
-
-
 def _mono_type(mask, hodge_types):
     p = q = 0
     for i in _indices(mask):
@@ -168,11 +78,12 @@ class GradedAlgebra:
     Built by `build_quotient_algebra`, or in that form by `_straighten`
     (`arrangement.os_algebra`, `elliptic.EllipticModel`), with the ideal's
     generators in `ideal_gens` as relations {mask: int}.  Per degree d up
-    to `top` it holds the monomial list (lex order), the quotient basis
-    (non-pivot monomials of the ideal's reduced echelon form), and the
-    projections of all monomials as `proj[d] = (den, cols)`: cols[k] is the
-    sparse column ((basis position, numerator), ...) of monomial k,
-    integers over den, the lcm of their reduced denominators.  `field`
+    to `top` it holds the quotient basis `basis[d]` (the masks of the
+    non-pivot monomials of the ideal's reduced echelon form, in lex order)
+    and the projections of all monomials as `proj[d] = (den, cols)`:
+    cols[m] is the sparse column ((basis position, numerator), ...) of the
+    monomial of mask m, integers over den, the lcm of their reduced
+    denominators.  `field`
     holds the coordinates that queries take and report: QQ, QQ(i), or F_p
     for p prime to every den (`aomoto.reduce_algebra_mod`).
 
@@ -185,17 +96,14 @@ class GradedAlgebra:
     refuse what reads that map on an algebra that is not complete.
     """
 
-    def __init__(self, ngens, field, top, ideal_gens, hodge_types,
-                 monomials, basis, proj, complete):
+    def __init__(self, ngens, field, top, ideal_gens, hodge_types, basis,
+                 proj, complete):
         self.ngens = ngens
         self.field = field
         self.top = top
         self.complete = complete
         self.ideal_gens = tuple(ideal_gens)
         self.hodge_types = hodge_types
-        self.monomials = monomials
-        self.mono_index = [
-            {m: k for k, m in enumerate(ms)} for ms in monomials]
         self.basis = basis
         self.proj = proj
         self._structure = {}
@@ -227,7 +135,6 @@ class GradedAlgebra:
 
     def _integer_structure(self, d):
         den, target = self.proj[d + 1]
-        index = self.mono_index[d + 1]
         cols = []
         for i in range(self.ngens):
             bit = 1 << i
@@ -236,7 +143,7 @@ class GradedAlgebra:
                 if m & bit:
                     gen.append(())
                     continue
-                col = target[index[bit | m]]
+                col = target[bit | m]
                 if _merge_sign(bit, m) < 0:
                     col = tuple((j, -e) for j, e in col)
                 gen.append(col)
@@ -288,11 +195,10 @@ class GradedAlgebra:
         """Does Dg, for g an integer relation, project to 0?"""
         d = next(iter(g)).bit_count()
         _, cols = self.proj[d - 1]
-        index = self.mono_index[d - 1]
         acc = {}
         for m, c in g.items():
             for k, i in enumerate(_indices(m)):
-                for j, e in cols[index[m ^ (1 << i)]]:
+                for j, e in cols[m ^ 1 << i]:
                     acc[j] = acc.get(j, 0) + (-c * e if k & 1 else c * e)
         return not any(acc.values())
 
@@ -434,7 +340,11 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     """Quotient of the exterior algebra on `ngens` generators by the ideal
     generated by `ideal_gens`, with bases and projections through degree `top`.
 
-    Ideal generators must be homogeneous of degree >= 2; with Hodge types
+    Each ideal generator is a relation {mask: coefficient}: the mask of a
+    monomial (bit i for generator i) maps to its coefficient, an int, a
+    Fraction or, over QQ(i), a GaussianRational with zero imaginary part.
+    Zero terms are dropped and an empty relation is skipped.  Ideal
+    generators must be homogeneous of degree >= 2; with Hodge types
     present they must also be pure (all monomials of equal total type).
     The quotient basis in each degree is canonical: monomials are ordered
     lexicographically and the non-pivot ones survive.
@@ -443,9 +353,8 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
     refuses a coefficient outside the field), kept as the relation
     {mask: int} of den * g, and the rows e_T wedge g are signed copies of
     it, written as sparse rows and ranked by `scalars._rref_parts`.
-    `field` is QQ or
-    QQ(i), only the field of the coordinates: the generators must be
-    rational.
+    `field` is QQ or QQ(i), only the field of the coordinates: the
+    generators must be rational.
     Over F_p, reduce a built algebra with `aomoto.reduce_algebra_mod`.
     The package's models are straightened instead (`_straighten`).
     """
@@ -453,6 +362,8 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
         raise PreconditionError(
             f"quotient algebras are built over QQ or QQ(i), not {field}; "
             "reduce a built one mod p with aomoto.reduce_algebra_mod")
+    if ngens < 0:
+        raise PreconditionError("generator count must be nonnegative")
     if top < 0:
         raise PreconditionError("top degree must be nonnegative")
     top = min(top, ngens)
@@ -462,66 +373,74 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
             raise PreconditionError("one Hodge type per generator required")
     gens = []
     for k, g in enumerate(ideal_gens):
-        if not isinstance(g, Multivector) or g.ngens != ngens:
+        if not isinstance(g, dict):
             raise PreconditionError(
-                f"ideal generator {k} is not a multivector on {ngens} generators")
-        if g.is_zero():
+                f"ideal generator {k} is not a relation {{mask: coefficient}}")
+        terms = {}
+        for m, c in g.items():
+            if not isinstance(m, int) or m < 0 or m >> ngens:
+                raise PreconditionError(
+                    f"subset mask {m!r} out of range for {ngens} generators")
+            if c:
+                terms[m] = c
+        if not terms:
             continue
-        if not g.is_homogeneous():
+        degrees = {m.bit_count() for m in terms}
+        if len(degrees) > 1:
             raise PreconditionError(f"ideal generator {k} is not homogeneous")
-        if g.degree() < 2:
+        degree, = degrees
+        if degree < 2:
             raise PreconditionError(
-                f"ideal generator {k} has degree {g.degree()}; degree-one "
+                f"ideal generator {k} has degree {degree}; degree-one "
                 "relations would change the generator space")
-        parts, _ = _integral(field, list(g.terms.values()))
+        parts, _ = _integral(field, list(terms.values()))
         if len(parts) == 2 and any(parts[1]):
             raise PreconditionError(
                 f"ideal generator {k} has a non-rational coefficient; the "
                 "relations of a quotient over QQ(i) are rational")
         if hodge_types is not None:
-            types = {_mono_type(m, hodge_types) for m in g.terms}
+            types = {_mono_type(m, hodge_types) for m in terms}
             if len(types) > 1:
                 raise PreconditionError(f"ideal generator {len(gens)} mixes "
                                         f"Hodge types {sorted(types)}")
-        gens.append(dict(zip(g.terms, parts[0])))
+        gens.append(dict(zip(terms, parts[0])))
 
-    monomials = []
     basis = []
     proj = []
     for d in range(top + 1):
-        monos = [_mask(c) for c in combinations(range(ngens), d)]
+        monos = _degree_masks(ngens, d)
         index = {m: k for k, m in enumerate(monos)}
         rows = [{index[m]: c for m, c in hits}
-                for _, hits in _ideal_rows(gens, monomials, d)]
+                for _, hits in _ideal_rows(gens, proj, d)]
         pivots, free, echelon = _rref_parts(rows, len(monos), QQ)
-        monomials.append(monos)
         basis.append([monos[k] for k in free])
-        proj.append(_projections(len(monos), pivots, free, echelon))
-    return GradedAlgebra(ngens, field, top, gens, hodge_types,
-                         monomials, basis, proj, top == ngens)
+        proj.append(_projections(monos, pivots, free, echelon))
+    return GradedAlgebra(ngens, field, top, gens, hodge_types, basis, proj,
+                         top == ngens)
 
 
-def _projections(nm, pivots, free, echelon):
+def _projections(monos, pivots, free, echelon):
     """`proj[d]` = (den, cols) from the RREF of the degree-d ideal, in the
-    form `scalars._rref_parts` returns: the basis is the free columns, a
-    free monomial projects to den / den at its place, and a pivot monomial
-    to minus its RREF row; den is the lcm of the reduced denominators."""
+    form `scalars._rref_parts` returns, on the columns `monos`: the basis
+    is the free columns, a free monomial projects to den / den at its
+    place, and a pivot monomial to minus its RREF row; den is the lcm of
+    the reduced denominators.  cols is keyed by mask, in lex order."""
     den = lcm(*(r // gcd(r, *nums) for r, (nums,) in echelon))
-    cols = [None] * nm
+    cols = [None] * len(monos)
     for j, k in enumerate(free):
         cols[k] = ((j, den),)
     for k, (r, (nums,)) in zip(pivots, echelon):
         cols[k] = tuple((j, -a * den // r) for j, a in enumerate(nums) if a)
-    return den, cols
+    return den, dict(zip(monos, cols))
 
 
-def _ideal_rows(gens, monomials, d):
+def _ideal_rows(gens, proj, d):
     """The nonzero rows g wedge e_T of the ideal in degree d, signed, as
     (k, [(mask, c), ...]) for the k-th relation g {mask: int} of `gens` and
-    each T among the `monomials` of degree d - deg g."""
+    each T of degree d - deg g, a key of `proj[d - deg g]`."""
     for k, g in enumerate(gens):
         e = next(iter(g)).bit_count()
-        for t in monomials[d - e] if e <= d else ():
+        for t in proj[d - e][1] if e <= d else ():
             prefix = _prefix_parity(t)
             row = [(m | t, -c if (m & prefix).bit_count() & 1 else c)
                    for m, c in g.items() if not m & t]
@@ -529,10 +448,10 @@ def _ideal_rows(gens, monomials, d):
                 yield k, row
 
 
-def _straighten(ngens, top, gens, rels):
-    """(monomials, basis, proj) of the quotient by the ideal of `gens`
-    through degree `top`, as `build_quotient_algebra` gives them, with no
-    elimination.  Each of `rels`, relations {mask: int} in the ideal, is
+def _straighten(ngens, field, top, gens, rels, hodge_types, complete):
+    """The `GradedAlgebra` over `field` of the quotient by the ideal of
+    `gens` through degree `top`, as `build_quotient_algebra` gives it, with
+    no elimination.  Each of `rels`, relations {mask: int} in the ideal, is
     solved for its lex-first monomial L, of coefficient c = +-1: e_L = -c sum
     c_s e_s over its later terms.  The first element with a given lead wins.
     A monomial m = L + R containing a lead (its witness: m, or the witness
@@ -540,11 +459,11 @@ def _straighten(ngens, top, gens, rels):
     is lex-later than m (0 if s meets R), since adding a disjoint set keeps
     lex order on sets of one size.  So walking a degree in reverse lex
     order, every term's normal form nf is known.  The basis is the
-    monomials with no witness, proj[d] is nf on it, den 1.  Every m - nf(m)
-    lies in the ideal with leading monomial m, and nf(g e_T) = 0 is checked
-    for every row that elimination stacks (`_ideal_rows`), so the rows
-    m - nf(m) are the RREF of the ideal.  Raises AssertionError naming the
-    generator and degree that fail."""
+    monomials with no witness, proj[d] is (1, nf), keyed by mask.  Every
+    m - nf(m) lies in the ideal with leading monomial m, and nf(g e_T) = 0
+    is checked for every row that elimination stacks (`_ideal_rows`), so
+    the rows m - nf(m) are the RREF of the ideal.  Raises AssertionError
+    naming the generator and degree that fail."""
     rules = {}
     for g in rels:
         lead = next(iter(g))
@@ -557,10 +476,10 @@ def _straighten(ngens, top, gens, rels):
             raise PreconditionError(f"lead coefficient {c} is not +-1")
         rules.setdefault(lead, [(s, -c * v) for s, v in g.items()
                                 if s != lead])
-    monomials, basis, proj = [], [], []
+    basis, proj = [], []
     witness = {}
     for d in range(top + 1):
-        monos = [_mask(c) for c in combinations(range(ngens), d)]
+        monos = _degree_masks(ngens, d)
         below, witness = witness, {}
         for m in monos:
             if m in rules:
@@ -592,7 +511,7 @@ def _straighten(ngens, top, gens, rels):
                     for j, e in nf[s | rest]:
                         acc[j] = acc.get(j, 0) + c * e
             nf[m] = tuple(sorted((j, e) for j, e in acc.items() if e))
-        for k, row in _ideal_rows(gens, monomials, d):
+        for k, row in _ideal_rows(gens, proj, d):
             acc = {}
             for m, c in row:
                 for j, e in nf[m]:
@@ -601,7 +520,7 @@ def _straighten(ngens, top, gens, rels):
                 raise AssertionError(
                     f"ideal generator {k} does not straighten to zero in "
                     f"degree {d}: the rewriting rules miss part of the ideal")
-        monomials.append(monos)
         basis.append(std)
-        proj.append((1, [nf[m] for m in monos]))
-    return monomials, basis, proj
+        proj.append((1, nf))
+    return GradedAlgebra(ngens, field, top, gens, hodge_types, basis, proj,
+                         complete)

@@ -12,8 +12,11 @@ The F_p samples take the algebra from the package's `reduce_algebra_mod`,
 which only changes its coordinate field; the oracle then reduces each
 rational projection entry mod p itself, through `field.coerce`, so it
 shares no code with the integer structure constants either, and it reduces
-the subspace rows it samples from with its own map (`_mod`).  Isotropy is
-the product path of `exterior_oracle`: lift, wedge, project.
+the subspace rows it samples from with its own map (`_mod`).
+`field_value_sample` is how the package itself once read and ranked the
+subspace of its samples: field values coerced entry by entry and ranked by
+`scalars.rank`, errors and their order included.  Isotropy is the product
+path of `exterior_oracle`: lift, wedge, project.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ import random
 from fractions import Fraction
 
 import exterior_oracle
-from jumploci.aomoto import (GenericDimsReport, IsotropyReport,
-                             LogResonanceReport, reduce_algebra_mod)
+from jumploci.aomoto import (AomotoComplex, GenericDimsReport,
+                             IsotropyReport, LogResonanceReport,
+                             reduce_algebra_mod)
 from jumploci.elliptic import E2Report, elliptic_model
 from jumploci.errors import PreconditionError
-from jumploci.scalars import (DEFAULT_PRIME, QI, GaussianRational, Matrix,
+from jumploci.scalars import (DEFAULT_PRIME, GF, QI, BadPrimeError,
+                              GaussianRational, Matrix, rank,
                               rank_and_kernel, rref)
 
 _I = GaussianRational(0, 1)
@@ -36,14 +41,13 @@ def generator_matrix(algebra, i, d):
     """Columns of (e_i wedge .): A^d -> A^{d+1} as field elements."""
     bit = 1 << i
     field = algebra.field
-    index = algebra.mono_index[d + 1]
     den, proj = algebra.proj[d + 1]
     cols = []
     for m in algebra.basis[d]:
         col = [field.zero()] * algebra.dim(d + 1)
         if not m & bit:
             sign = exterior_oracle.sign(bit, m)
-            for j, pc in proj[index[bit | m]]:
+            for j, pc in proj[bit | m]:
                 col[j] = field.coerce(Fraction(sign * pc, den))
         cols.append(col)
     return cols
@@ -195,6 +199,66 @@ def generic_dims_sample(algebra, subspace=None, trials=40,
             if any(vec):
                 break
         dims = OracleComplex(reduced, vec).cohomology_dims()
+        samples.append(dims)
+        best = list(dims) if best is None else [
+            min(a, b) for a, b in zip(best, dims)]
+    flagged = tuple(t for t, dims in enumerate(samples)
+                    if any(x > b for x, b in zip(dims, best)))
+    return GenericDimsReport(tuple(best), trials, prime, flagged)
+
+
+def _scalar_mod(x, fp, i_res):
+    if isinstance(x, GaussianRational):
+        return fp.coerce(fp.coerce(x.re) + i_res * fp.coerce(x.im))
+    return fp.coerce(x)
+
+
+def field_value_sample(algebra, subspace=None, trials=40,
+                       prime=DEFAULT_PRIME, seed=0):
+    """`generic_dims_sample` as the package once ran it: the subspace rows
+    coerced into the field, reduced mod p entry by entry, and ranked as
+    `Matrix` rows by `scalars.rank`; the samples on the package's
+    `AomotoComplex`."""
+    if trials < 1:
+        raise PreconditionError("at least one trial required")
+    n1 = algebra.dim(1)
+    for k, row in enumerate(subspace or ()):
+        if len(row) != n1:
+            raise PreconditionError(
+                f"subspace row {k} has {len(row)} entries; A^1 has "
+                f"dimension {n1}")
+    reduced, i_res = reduce_algebra_mod(algebra, prime)
+    fp = GF(prime)
+    if subspace is None:
+        rows = [[fp.one() if i == j else fp.zero() for i in range(n1)]
+                for j in range(n1)]
+    else:
+        exact = [[algebra.field.coerce(x) for x in row] for row in subspace]
+        rows = [[_scalar_mod(x, fp, i_res) for x in row] for row in exact]
+        want, got = rank(exact, algebra.field), rank(rows, fp)
+        if got < want:
+            raise BadPrimeError(
+                f"subspace rows have rank {want} over {algebra.field} but "
+                f"their images mod {prime} have rank {got}: samples would "
+                "miss part of the subspace")
+        rows = [r for r in rows if any(r)]
+    if not rows:
+        raise PreconditionError("cannot sample a zero subspace")
+    rng = random.Random(seed)
+    best = None
+    samples = []
+    for _ in range(trials):
+        while True:
+            coeffs = [rng.randrange(prime) for _ in rows]
+            vec = [fp.zero()] * n1
+            for c, row in zip(coeffs, rows):
+                if c:
+                    for i, x in enumerate(row):
+                        if x:
+                            vec[i] = (vec[i] + c * x) % prime
+            if any(vec):
+                break
+        dims = AomotoComplex(reduced, vec).cohomology_dims()
         samples.append(dims)
         best = list(dims) if best is None else [
             min(a, b) for a, b in zip(best, dims)]

@@ -13,8 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from exterior_oracle import wedge
-from jumploci.exterior import Multivector
+from exterior_oracle import add, scale, wedge
 from jumploci.scalars import GaussianRational, Matrix, solve_linear
 
 I = GaussianRational(0, 1)
@@ -36,8 +35,7 @@ def curve_duals():
     for l in masks:
         row = []
         for j in masks:
-            w = wedge(Multivector(2, [(l, 1)]), Multivector(2, [(j, 1)]))
-            row.append(w.terms.get(0b11, 0))
+            row.append(wedge({l: 1}, {j: 1}).get(0b11, 0))
         gram.append(row)
     duals = []
     for m in masks:
@@ -50,14 +48,14 @@ def curve_duals():
 
 def embed_factor(n, k, mask):
     """Image of a curve monomial (mask over a, b) in the n-point model's
-    ambient exterior algebra, written in the u, v generators of factor k."""
-    ng = 2 * n
-    u = Multivector.generator(ng, 2 * k)
-    v = Multivector.generator(ng, 2 * k + 1)
-    a = (u + v).scale(HALF)
-    b = (u - v).scale(-I * HALF)
+    ambient exterior algebra, written in the u, v generators of factor k,
+    as a term dict {mask: coefficient}."""
+    u = {1 << 2 * k: 1}
+    v = {1 << 2 * k + 1: 1}
+    a = scale(add(u, v), HALF)
+    b = scale(add(u, scale(v, -1)), -I * HALF)
     if mask == 0b00:
-        return Multivector(ng, [(0, GaussianRational(1))])
+        return {0: GaussianRational(1)}
     if mask == 0b01:
         return a
     if mask == 0b10:
@@ -68,12 +66,12 @@ def embed_factor(n, k, mask):
 def diagonal_class(n, k, l):
     """The class of the (k,l) diagonal in degree 2, via the Kunneth
     dual-basis formula sum_m (-1)^{deg m} m_k wedge (dual m)_l."""
-    total = Multivector.zero(2 * n)
+    total = {}
     for mask, deg, dual in curve_duals():
         left = embed_factor(n, k, mask)
         for dmask, coeff in dual:
             right = embed_factor(n, l, dmask)
-            term = wedge(left, right).scale(
-                GaussianRational(coeff if deg % 2 == 0 else -coeff))
-            total = total + term
+            term = scale(wedge(left, right),
+                         GaussianRational(coeff if deg % 2 == 0 else -coeff))
+            total = add(total, term)
     return total

@@ -1,21 +1,20 @@
 """Reference product of classes for the tests of `exterior` and `aomoto`.
 
 This is how the package multiplied classes before it read every product off
-its integer structure constants: a class is lifted to the multivector of
-its quotient-basis monomials, two multivectors are wedged term by term, and
-the product is projected back through the stored projections `proj`, in
-field arithmetic.  The sign of e_S wedge e_T is counted here as the pairs
-i in S, j in T with i > j, so it shares no code with
-`exterior._merge_sign`, `GradedAlgebra.structure_constants` or
-`class_mult_parts`.  `Multivector` is the package's, the input type of
-`build_quotient_algebra`.
+its integer structure constants: a class is lifted to the term dict
+{mask: coefficient} of its quotient-basis monomials, two term dicts are
+wedged term by term, and the product is projected back through the stored
+projections `proj`, keyed by mask, in field arithmetic.  The sign of
+e_S wedge e_T is counted here as the pairs i in S, j in T with i > j, so it
+shares no code with `exterior._merge_sign`,
+`GradedAlgebra.structure_constants` or `class_mult_parts`.  A term dict is
+the relation format that `build_quotient_algebra` takes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from jumploci.exterior import Multivector
+from itertools import combinations
 
 
 def sign(s, t):
@@ -25,35 +24,55 @@ def sign(s, t):
     return -1 if inversions & 1 else 1
 
 
-def wedge(u, v):
-    """The exterior product of two multivectors on the same generators."""
-    assert u.ngens == v.ngens, "generator count mismatch"
+def add(*terms):
+    """The sum of term dicts, with the terms that cancel dropped."""
     out = {}
-    for s, a in u.terms.items():
-        for t, b in v.terms.items():
+    for u in terms:
+        for m, c in u.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def scale(u, c):
+    """c times a term dict."""
+    return {m: c * a for m, a in u.items() if c * a}
+
+
+def wedge(u, v):
+    """The exterior product of two term dicts, with the terms that cancel
+    dropped."""
+    out = {}
+    for s, a in u.items():
+        for t, b in v.items():
             if not s & t:
                 out[s | t] = out.get(s | t, 0) + a * b * sign(s, t)
-    return Multivector(u.ngens, out)
+    return {m: c for m, c in out.items() if c}
+
+
+def degree(u):
+    """The degree of a homogeneous term dict (0 for the zero one)."""
+    degrees = {m.bit_count() for m in u}
+    assert len(degrees) <= 1, "not homogeneous"
+    return degrees.pop() if degrees else 0
 
 
 def lift(algebra, coords, d):
     """The canonical representative: sum of quotient-basis monomials."""
-    return Multivector(algebra.ngens, list(zip(algebra.basis[d], coords)))
+    return {m: c for m, c in zip(algebra.basis[d], coords) if c}
 
 
-def project(algebra, mv, d=None):
-    """Coordinates of a multivector's class in the degree-d basis, as
-    field values."""
+def project(algebra, u, d=None):
+    """Coordinates of a term dict's class in the degree-d basis, as field
+    values."""
     if d is None:
-        d = mv.degree() if mv.terms else 0
-    assert not mv.terms or mv.degree() == d, "degree mismatch"
+        d = degree(u)
+    assert not u or degree(u) == d, "degree mismatch"
     field = algebra.field
     out = [field.zero()] * algebra.dim(d)
-    index = algebra.mono_index[d]
     den, cols = algebra.proj[d]
-    for mask, c in mv.terms.items():
+    for mask, c in u.items():
         c = field.coerce(c)
-        for j, pc in cols[index[mask]]:
+        for j, pc in cols[mask]:
             out[j] = out[j] + c * pc
     if den != 1:
         inv = field.coerce(Fraction(1, den))
@@ -62,6 +81,17 @@ def project(algebra, mv, d=None):
 
 
 def multiply(algebra, u, v):
-    """Product of two multivector representatives, projected."""
-    deg = (u.degree() if u.terms else 0) + (v.degree() if v.terms else 0)
-    return project(algebra, wedge(u, v), deg)
+    """Product of two term dict representatives, projected."""
+    return project(algebra, wedge(u, v), degree(u) + degree(v))
+
+
+def positional(algebra):
+    """(monomials, proj) with proj per degree as (den, [column of each
+    monomial]), in the lex order of `monomials`: the layout in which the
+    algebra was once stored, which the identity pins hash."""
+    monomials = [[sum(1 << i for i in c)
+                  for c in combinations(range(algebra.ngens), d)]
+                 for d in range(algebra.top + 1)]
+    proj = [(den, [cols[m] for m in ms])
+            for (den, cols), ms in zip(algebra.proj, monomials)]
+    return monomials, proj

@@ -19,7 +19,7 @@ from jumploci.arrangement import Arrangement, os_algebra, points_arrangement
 from jumploci.elliptic import (EllipticModel, e2_page, elliptic_model,
                                tangent_pair_basis)
 from jumploci.errors import PreconditionError
-from jumploci.exterior import Multivector, build_quotient_algebra
+from jumploci.exterior import build_quotient_algebra
 from jumploci.scalars import (
     DEFAULT_PRIME, GF, BadPrimeError, GaussianRational, Matrix,
     rank_and_kernel, solve_linear)
@@ -238,8 +238,7 @@ def test_reduction_refuses_a_prime_that_moves_the_pivots():
     # (13 e0e1 + e0e2): over Q the degree-2 pivot is e0e1 and the basis
     # {e0e2, e1e2}; mod 13 the pivot is e0e2 and the basis {e0e1, e1e2}.
     # The dims agree, so only the basis comparison sees it.
-    A = build_quotient_algebra(3, [Multivector(3, [(0b011, 13), (0b101, 1)])],
-                               3)
+    A = build_quotient_algebra(3, [{0b011: 13, 0b101: 1}], 3)
     assert A.basis[2] == [0b101, 0b110]
     with pytest.raises(BadPrimeError, match="basis in degree 2 moves mod 13"):
         generic_dims_sample(A, prime=13, trials=5)
@@ -248,12 +247,12 @@ def test_reduction_refuses_a_prime_that_moves_the_pivots():
 
 @pytest.mark.parametrize("terms", [
     # (1/13) e0e1 + e0e2: its RREF row is e0e1 + 13 e0e2, so den_2 = 1
-    [(0b011, Fraction(1, 13)), (0b101, 1)],
+    {0b011: Fraction(1, 13), 0b101: 1},
     # 13 e0e1: the ideal's rank drops mod 13, but no den is divisible by it
-    [(0b011, 13)]])
+    {0b011: 13}])
 def test_reduction_accepts_a_prime_that_divides_no_denominator(terms):
     # the samples run on the rational table read mod 13, A tensor F_13
-    A = build_quotient_algebra(3, [Multivector(3, terms)], 3)
+    A = build_quotient_algebra(3, [terms], 3)
     assert all(den == 1 for den, _ in A.proj)
     for seed, subspace in product(range(3), (None, [[1, 2, 3]])):
         at13, at17 = (generic_dims_sample(A, subspace, trials=5, prime=p,
@@ -314,7 +313,7 @@ def test_non_isotropic_pair_names_witness():
 
 def test_isotropy_takes_more_than_64_generators():
     # x = 0 and the 65 lines y = k: e0 e1 != 0, and parallel e1 e2 = 0;
-    # the lift to a Multivector used to refuse more than 64 generators
+    # a product of lifted classes once refused more than 64 generators
     A = os_algebra(Arrangement(2, [[0, 1, 0]] + [[-k, 0, 1]
                                                  for k in range(65)]))
     assert A.dims() == (1, 66, 65)
@@ -653,9 +652,7 @@ def test_an_adjoined_monomial_refuses_the_boundary_routes():
     A3 = os_algebra(Arrangement(4, [[1, -1, 0, 0], [1, 0, -1, 0],
                                     [1, 0, 0, -1], [0, 1, -1, 0],
                                     [0, 1, 0, -1], [0, 0, 1, -1]]))
-    A = build_quotient_algebra(
-        6, [Multivector(6, g) for g in A3.ideal_gens]
-        + [Multivector.monomial(6, (0, 1))], 3)
+    A = build_quotient_algebra(6, [*A3.ideal_gens, {0b11: 1}], 3)
     assert A.boundary_split() == (False, None)
     for alpha in ([1, 0, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]):
         assert_oracle_ranks(A, alpha, "full")

@@ -3,11 +3,13 @@ route of `aomoto_oracle`: cohomology, kernels, matrices, E_2 pages, log
 resonance, F_p samples and isotropy must agree with ==, on OS algebras,
 quotients by rational ideal generators (denominators in the structure
 constants), the elliptic models n = 3..5, and classes with rational and
-Gaussian denominators.  Also: the once-per-algebra d o d check catches a
-corrupted projection."""
+Gaussian denominators.  The F_p samples also agree with the field-value
+route (`aomoto_oracle.field_value_sample`), errors included.  Also: the
+once-per-algebra d o d check catches a corrupted projection."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,10 @@ from jumploci.aomoto import (AomotoComplex, generic_dims_sample,
                              reduce_algebra_mod)
 from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.elliptic import e2_page, elliptic_model, tangent_pair_basis
-from jumploci.exterior import Multivector, build_quotient_algebra
-from jumploci.scalars import DEFAULT_PRIME, GF, QI, GaussianRational
+from jumploci.errors import PreconditionError
+from jumploci.exterior import build_quotient_algebra
+from jumploci.scalars import (DEFAULT_PRIME, GF, QI, BadPrimeError,
+                              FieldMismatchError, GaussianRational)
 from jumploci.verify import SIXPLANES_FORMS
 
 I = GaussianRational(0, 1)
@@ -81,11 +85,9 @@ def rational_quotients(draw):
     ngens = draw(st.integers(4, 5))
     masks = [(1 << i) | (1 << j) for i in range(ngens)
              for j in range(i + 1, ngens)]
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        terms = draw(st.lists(st.tuples(st.sampled_from(masks), rationals),
-                              min_size=1, max_size=4))
-        gens.append(Multivector(ngens, terms))
+    gens = draw(st.lists(st.dictionaries(st.sampled_from(masks), rationals,
+                                         min_size=1, max_size=4),
+                         min_size=1, max_size=3))
     algebra = build_quotient_algebra(ngens, gens, ngens)
     alpha = draw(st.lists(rationals, min_size=ngens, max_size=ngens))
     return algebra, alpha
@@ -99,9 +101,8 @@ def test_rational_quotients_match_the_fraction_route(case):
 
 def structure_denominator_algebra():
     """A quotient whose structure constants out of degree 1 have den 30."""
-    g = Multivector(4, [(0b0011, Fraction(1, 3)), (0b0101, Fraction(-2, 5)),
-                        (0b1001, 1)])
-    h = Multivector(4, [(0b0110, Fraction(3, 7)), (0b1010, Fraction(1, 2))])
+    g = {0b0011: Fraction(1, 3), 0b0101: Fraction(-2, 5), 0b1001: 1}
+    h = {0b0110: Fraction(3, 7), 0b1010: Fraction(1, 2)}
     return build_quotient_algebra(4, [g, h], 4)
 
 
@@ -172,15 +173,100 @@ def test_generic_dims_samples_match_the_fraction_route(name, data):
                                    seed=seed)
 
 
+def outcome(sample, *args, **kwargs):
+    """The report of a sample, or the type and message of its error."""
+    try:
+        return sample(*args, **kwargs)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def sampled_subspaces(draw):
+    """An OS algebra over QQ with rational subspace rows, or an elliptic
+    model over QQ(i) with Gaussian rows or rows of `class_coords`; the
+    denominators go up to 6, and the primes 5 and 13 (both 1 mod 4) can
+    divide them or drop the rank of the rows."""
+    if draw(st.booleans()):
+        algebra = os_fixture(draw(st.sampled_from(
+            ["concurrent3", "generic3", "sixplanes"])))
+        values = rationals
+    else:
+        model = elliptic_model(draw(st.integers(3, 4)))
+        algebra = model.algebra
+        values = gaussians
+    n = algebra.dim(1)
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    if algebra.field is QI and draw(st.booleans()):
+        half = n // 2
+        rows = [model.class_coords(row[:half], row[half:]) for row in rows]
+    prime = draw(st.sampled_from([DEFAULT_PRIME, 10009, 13, 5]))
+    return algebra, rows, prime, draw(st.integers(0, 5))
+
+
+@given(sampled_subspaces())
+@settings(max_examples=60, deadline=None)
+def test_generic_dims_samples_match_the_field_value_route(case):
+    # the report, flagged trials included, or the error and its message
+    algebra, rows, prime, seed = case
+    assert outcome(generic_dims_sample, algebra, rows, trials=3,
+                   prime=prime, seed=seed) == \
+        outcome(oracle.field_value_sample, algebra, rows, trials=3,
+                prime=prime, seed=seed)
+
+
+def test_a_denominator_divisible_by_the_prime_is_refused():
+    # the first entry, row by row and real part before imaginary, whose
+    # denominator 13 divides; a later row's bad entry is not reached
+    algebra = os_fixture("concurrent3")
+    rows = [[1, 0, -1], [Fraction(1, 2), Fraction(3, 26), 0],
+            [Fraction(1, 13), 0, 0]]
+    message = "denominator of 3/26 vanishes mod 13"
+    for sample in (generic_dims_sample, oracle.field_value_sample):
+        with pytest.raises(BadPrimeError, match=message):
+            sample(algebra, rows, trials=2, prime=13)
+    model = elliptic_model(3)
+    rows = [[GaussianRational(Fraction(1, 2), Fraction(5, 13))] + [0] * 5]
+    message = "denominator of 5/13 vanishes mod 13"
+    for sample in (generic_dims_sample, oracle.field_value_sample):
+        with pytest.raises(BadPrimeError, match=message):
+            sample(model.algebra, rows, trials=2, prime=13)
+
+
+def test_rows_that_lose_rank_mod_the_prime_are_refused():
+    # e0 - e2 and e0 + 12 e2 are independent over Q and equal mod 13
+    algebra = os_fixture("concurrent3")
+    rows = [[1, 0, -1], [1, 0, 12]]
+    message = ("subspace rows have rank 2 over QQ but their images mod 13 "
+               "have rank 1: samples would miss part of the subspace")
+    for sample in (generic_dims_sample, oracle.field_value_sample):
+        with pytest.raises(BadPrimeError, match=message):
+            sample(algebra, rows, trials=2, prime=13)
+    assert generic_dims_sample(algebra, rows, trials=2, prime=17) == \
+        oracle.field_value_sample(algebra, rows, trials=2, prime=17)
+
+
+def test_a_value_outside_the_field_is_refused_before_the_prime():
+    # a Gaussian entry over QQ in the second row beats the bad denominator
+    # of the first
+    algebra = os_fixture("concurrent3")
+    rows = [[Fraction(1, 13), 0, 0], [GaussianRational(1, 1), 0, 0]]
+    for sample in (generic_dims_sample, oracle.field_value_sample):
+        with pytest.raises(FieldMismatchError, match="into QQ"):
+            sample(algebra, rows, trials=2, prime=13)
+
+
 def test_corrupted_projection_fails_the_anticommutation_check():
     algebra = os_algebra(Arrangement(4, BRAID_A3, central=True))
     # a degree-2 monomial outside the basis: its projection is a relation,
     # which the products e_i (e_j e_k) of the complex go through
-    k = next(k for k, m in enumerate(algebra.monomials[2])
+    m = next(m for m in (sum(1 << i for i in c)
+                         for c in combinations(range(algebra.ngens), 2))
              if m not in algebra.basis[2])
     den, cols = algebra.proj[2]
-    (j, c), *rest = cols[k]
-    cols[k] = ((j, c + den), *rest)
+    (j, c), *rest = cols[m]
+    cols[m] = ((j, c + den), *rest)
     with pytest.raises(AssertionError, match="do not anticommute"):
         AomotoComplex(algebra, [1] * algebra.dim(1))
     with pytest.raises(AssertionError):
@@ -200,9 +286,8 @@ def isotropy_fixture(name):
     if name == "sixplanes_qi":
         # the same relations, coordinates over QQ(i)
         A = os_fixture("sixplanes")
-        return build_quotient_algebra(
-            A.ngens, [Multivector(A.ngens, g) for g in A.ideal_gens], A.top,
-            field=QI), None
+        return build_quotient_algebra(A.ngens, A.ideal_gens, A.top,
+                                      field=QI), None
     if name == "den30":
         return structure_denominator_algebra(), None
     n = int(name[-1])

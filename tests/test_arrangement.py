@@ -22,7 +22,7 @@ from jumploci.arrangement import (
     Arrangement, circuit_boundary, decone, line_points, matroid_circuits,
     os_algebra, points_arrangement, poincare_and_euler,
     restrict_line_arrangement)
-from jumploci.exterior import Multivector, build_quotient_algebra
+from jumploci.exterior import build_quotient_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.io import input_kind, load_json, parse_arrangement, serialize
 from jumploci.verify import LINE_LIBRARY, SIXPLANES_FORMS, line_library
@@ -155,7 +155,7 @@ def test_flat_walk_matches_the_circuit_and_relation_oracles(arr):
     expected = [circuit_boundary(c) for c in oracle
                 if arr.central or arr.common_point(c) is not None]
     if not arr.central:
-        expected += [Multivector.monomial(arr.size, s).terms
+        expected += [{sum(1 << i for i in s): 1}
                      for s in minimal_empty_oracle(arr)]
     assert list(os_algebra(arr).ideal_gens) == expected
 
@@ -373,12 +373,9 @@ def coxeter_b3():
 def assert_eliminates_to(algebra):
     """The straightened algebra is the elimination build on its generators,
     bit for bit."""
-    oracle = build_quotient_algebra(algebra.ngens,
-                                    [Multivector(algebra.ngens, g)
-                                     for g in algebra.ideal_gens],
+    oracle = build_quotient_algebra(algebra.ngens, algebra.ideal_gens,
                                     algebra.top,
                                     hodge_types=[(1, 1)] * algebra.ngens)
-    assert algebra.monomials == oracle.monomials
     assert algebra.basis == oracle.basis
     assert algebra.proj == oracle.proj
     assert algebra.ideal_gens == oracle.ideal_gens
@@ -421,7 +418,7 @@ def test_straightening_refuses_a_circuit_list_missing_a_relation():
         os_algebra(arr)
 
 
-def test_os_algebra_builds_no_multivector(monkeypatch):
+def test_os_algebra_builds_no_multivector():
     # every relation is an integer relation {mask: int}, from the walk to
     # the straightening
     folder = resources.files("jumploci").joinpath("fixtures")
@@ -431,10 +428,6 @@ def test_os_algebra_builds_no_multivector(monkeypatch):
     arrangements += [parse_arrangement(obj, name) for name, obj in inputs
                      if input_kind(obj) is Arrangement]
     dims = [os_algebra(arr).dims() for arr in arrangements]
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a Multivector was built")
-    monkeypatch.setattr(exterior.Multivector, "__init__", refuse)
     for arr, expected in zip(arrangements, dims):
         algebra = os_algebra(Arrangement(arr.ambient, arr.forms))
         assert algebra.dims() == expected

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from aomoto_oracle import class_mult_matrix
 from elliptic_oracle import diagonal_class
-from exterior_oracle import project, wedge
+from exterior_oracle import add, positional, project, scale, wedge
 from jumploci import elliptic, exterior, scalars
 from jumploci.aomoto import (AomotoComplex, reduce_algebra_mod,
                              resonance_membership)
@@ -19,7 +19,7 @@ from jumploci.elliptic import (
     EllipticModel, _diagonal_relation, _e2_from_blocks, e2_page,
     elliptic_model, hodge_decompose, scroll_membership, tangent_pair_basis)
 from jumploci.errors import PreconditionError
-from jumploci.exterior import Multivector, _mono_type
+from jumploci.exterior import _mono_type
 from jumploci.scalars import (QI, QQ, ClearedVector, FieldMismatchError,
                               GaussianRational, Matrix, _integral, rank,
                               rank_and_kernel, rref)
@@ -55,7 +55,7 @@ def test_out_of_range_n():
 def test_diagonal_classes_are_type_one_one():
     m = elliptic_model(3)
     for cls in (diagonal_class(3, k, l) for k, l in m.diagonal_pairs):
-        for mask in cls.terms:
+        for mask in cls:
             assert _mono_type(mask, m.algebra.hodge_types) == (1, 1)
 
 
@@ -69,38 +69,38 @@ def test_diagonal_classes_are_multiples_of_the_rational_relations(n):
     assert len(relations) == len(m.diagonal_pairs)
     for (k, l), relation in zip(m.diagonal_pairs, relations):
         diagonal = diagonal_class(n, k, l)
-        lead = diagonal.terms[min(diagonal.terms)]
+        lead = diagonal[min(diagonal)]
         assert lead == I / 2
         assert relation[min(relation)] == 1
         assert all(type(c) in (int, Fraction) for c in relation.values())
-        assert Multivector(2 * n, relation).scale(lead) == diagonal
+        assert scale(relation, lead) == diagonal
 
 
 def _gaussian_quotient(m, d):
-    """Basis and projections in degree d from the Q(i) RREF of the Kunneth
-    diagonal classes times every monomial of degree d - 2."""
+    """Basis and projections (keyed by mask) in degree d from the Q(i) RREF
+    of the Kunneth diagonal classes times every monomial of degree d - 2."""
     ngens = 2 * m.n
-    monos = m.algebra.monomials[d]
+    monos = [sum(1 << i for i in c) for c in combinations(range(ngens), d)]
     index = {mask: k for k, mask in enumerate(monos)}
     rows = []
     for g in (diagonal_class(m.n, k, l) for k, l in m.diagonal_pairs):
         for c in combinations(range(ngens), d - 2) if d >= 2 else ():
-            w = wedge(g, Multivector.monomial(ngens, c))
-            if not w.is_zero():
+            w = wedge(g, {sum(1 << i for i in c): 1})
+            if w:
                 row = [ZERO] * len(monos)
-                for mask, coeff in w.terms.items():
+                for mask, coeff in w.items():
                     row[index[mask]] = coeff
                 rows.append(row)
     _, pivots, rrows = rref(rows, QI) if rows else (0, (), [])
     keep = [k for k in range(len(monos)) if k not in pivots]
     position = {k: j for j, k in enumerate(keep)}
-    proj = []
-    for k in range(len(monos)):
+    proj = {}
+    for k, mask in enumerate(monos):
         if k in pivots:
             row = rrows[pivots.index(k)]
-            proj.append(tuple((position[j], -row[j]) for j in keep if row[j]))
+            proj[mask] = tuple((position[j], -row[j]) for j in keep if row[j])
         else:
-            proj.append(((position[k], 1),))
+            proj[mask] = ((position[k], 1),)
     return [monos[k] for k in keep], proj
 
 
@@ -112,8 +112,8 @@ def test_rational_build_matches_the_gaussian_rref_of_the_diagonals(n, top):
         basis, proj = _gaussian_quotient(m, d)
         den, cols = m.algebra.proj[d]
         assert basis == m.algebra.basis[d]
-        assert proj == [tuple((j, Fraction(c, den)) for j, c in col)
-                        for col in cols]
+        assert proj == {mask: tuple((j, Fraction(c, den)) for j, c in col)
+                        for mask, col in cols.items()}
 
 
 # every n = 2..8 at each top <= 4, and n = 2..4 through top 2n, the top
@@ -129,7 +129,8 @@ def test_elliptic_models_are_pinned_bit_for_bit():
     values = []
     for n, top in CORPUS:
         a = elliptic_model(n, top).algebra
-        values.append((a.top, a.monomials, a.basis, a.proj,
+        monomials, proj = positional(a)
+        values.append((a.top, monomials, a.basis, proj,
                        [sorted(g.items()) for g in a.ideal_gens],
                        a.hodge_types))
     assert hashlib.sha256(repr(values).encode()).hexdigest() == (
@@ -146,16 +147,11 @@ def test_elliptic_model_runs_no_elimination(monkeypatch):
     assert EllipticModel(6, 3).algebra.dims() == (1, 12, 51, 110)
 
 
-def test_elliptic_model_builds_no_multivector(monkeypatch):
+def test_elliptic_model_builds_no_multivector():
     # the diagonal relations and their differences are integer relations
     # {mask: int} from the builder to the straightening
-    dims = EllipticModel(4, 3).algebra.dims()
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a Multivector was built")
-    monkeypatch.setattr(exterior.Multivector, "__init__", refuse)
     algebra = EllipticModel(4, 3).algebra
-    assert algebra.dims() == dims == (1, 8, 22, 28)
+    assert algebra.dims() == (1, 8, 22, 28)
     assert all(type(g) is dict and all(type(c) is int for c in g.values())
                for g in algebra.ideal_gens)
 
@@ -168,10 +164,11 @@ def test_straightening_refuses_relations_missing_a_rule():
     gens = [_diagonal_relation(k, l) for k, l in pairs]
     last = {k: _diagonal_relation(k, n - 1) for k in range(n - 1)}
     rels = [g if l == n - 1 else
-            (Multivector(2 * n, g) - Multivector(2 * n, last[k])).terms
+            add(g, scale(last[k], -1))
             for (k, l), g in zip(pairs, gens) if (k, l) != (0, 1)]
     with pytest.raises(AssertionError, match="generator .* degree 2"):
-        exterior._straighten(2 * n, 2, gens, rels)
+        exterior._straighten(2 * n, QI, 2, gens, rels,
+                             ((1, 0), (0, 1)) * n, False)
 
 
 def test_coordinate_roundtrip():
@@ -310,8 +307,7 @@ def _e2_by_intersection(n, x):
                   for j in range(prev.ncols)]
         fdims = []
         for p in range(m + 2):
-            fp = [project(A, Multivector(A.ngens, [(mono, 1)]), m)
-                  for mono in A.monomials[m]
+            fp = [project(A, {mono: 1}, m) for mono in A.proj[m][1]
                   if _mono_type(mono, A.hodge_types)[0] >= p]
             fdims.append(sum(
                 sign * (dim(v) + dim(fp) - dim(list(v) + fp))

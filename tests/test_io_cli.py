@@ -464,8 +464,7 @@ def test_os_algebra_report_and_truncation():
 
 def test_os_algebra_takes_more_than_64_hyperplanes(tmp_path):
     # 66 parallel lines: rank 1, no common point of any two, so the algebra
-    # is the 66 generators over 1; no relation is a Multivector, whose
-    # generator count is bounded by 64
+    # is the 66 generators over 1, more than a 64-bit mask holds
     path = tmp_path / "parallel66.json"
     path.write_text(json.dumps(
         {"ambient": 2, "forms": [[c, 1, 0] for c in range(66)]}))

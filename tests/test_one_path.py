@@ -1,5 +1,5 @@
 """One way to multiply and one way to rank: the package's own paths build
-no `Matrix` of field objects and no `Multivector`.
+no `Matrix` of field objects.
 
 Classes are multiplied through the integer structure constants, and ranks
 are taken on integer rows.  `Matrix` is constructed only in `scalars.py`
@@ -7,20 +7,21 @@ and in the two readers that the benchmark's tracer wraps,
 `GradedAlgebra.class_mult_matrix` and `Arrangement.common_point`."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jumploci import exterior, scalars
-from jumploci.aomoto import isotropic_check
-from jumploci.arrangement import Arrangement
+from jumploci import scalars
+from jumploci.aomoto import generic_dims_sample, isotropic_check
+from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.elliptic import elliptic_model, tangent_pair_basis
 from jumploci.errors import PreconditionError
 from jumploci.foxcalc import (Character, Presentation, fox_jacobian,
                               twisted_cohomology)
 from jumploci.scalars import GaussianRational, rank
-from jumploci.verify import check_structural_invariants
+from jumploci.verify import SIXPLANES_FORMS, check_structural_invariants
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "jumploci"
 MATRIX_READERS = {("exterior.py", "GradedAlgebra.class_mult_matrix"),
@@ -67,7 +68,6 @@ def no_detour(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"a {type(self).__name__} was built")
     monkeypatch.setattr(scalars.Matrix, "__init__", refuse)
-    monkeypatch.setattr(exterior.Multivector, "__init__", refuse)
 
 
 def test_products_and_ranks_build_no_matrix_and_no_multivector(no_detour):
@@ -83,6 +83,18 @@ def test_products_and_ranks_build_no_matrix_and_no_multivector(no_detour):
     assert Arrangement(2, []).rank() == 0
     torus = Presentation(2, [[1, 2, -1, -2]])
     assert twisted_cohomology(torus, Character(torus, [2, 1])).h1 == 0
+
+
+def test_samples_rank_their_subspace_with_no_matrix(no_detour):
+    # the subspace rows are cleared once and ranked as integer rows, over
+    # the field and mod p; six planes over QQ, an elliptic model over QQ(i)
+    sixplanes = os_algebra(Arrangement(4, SIXPLANES_FORMS, central=True))
+    rows = [[1, -1, 0, 0, 0, 0], [0, Fraction(1, 2), Fraction(-1, 2), 0, 0, 0]]
+    assert generic_dims_sample(sixplanes, rows, trials=3).dims == (
+        0, 0, 1, 4, 3)
+    m = elliptic_model(3)
+    pair = [m.class_coords(x, y) for x, y in tangent_pair_basis(3, 0, 1)]
+    assert generic_dims_sample(m.algebra, pair, trials=3).dims == (0, 1, 8)
 
 
 units = st.one_of(

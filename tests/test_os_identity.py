@@ -20,6 +20,7 @@ from itertools import combinations
 
 import pytest
 
+from exterior_oracle import positional
 from jumploci.arrangement import Arrangement, matroid_circuits, os_algebra
 from jumploci.errors import PreconditionError
 from jumploci.io import input_kind, load_json, parse_arrangement
@@ -30,8 +31,9 @@ def digest(arrangements):
     values = []
     for arr in arrangements:
         algebra = os_algebra(arr)
-        values.append((matroid_circuits(arr), algebra.top, algebra.monomials,
-                       algebra.basis, algebra.proj,
+        monomials, proj = positional(algebra)
+        values.append((matroid_circuits(arr), algebra.top, monomials,
+                       algebra.basis, proj,
                        [sorted(g.items()) for g in algebra.ideal_gens]))
     return hashlib.sha256(repr(values).encode()).hexdigest()
 

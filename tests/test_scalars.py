@@ -13,7 +13,7 @@ from jumploci.aomoto import (AomotoComplex, isotropic_check,
                              log_resonance_membership, reduce_algebra_mod)
 from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.errors import PreconditionError
-from jumploci.exterior import Multivector, build_quotient_algebra
+from jumploci.exterior import build_quotient_algebra
 from jumploci.scalars import (
     DEFAULT_PRIME, GF, BadPrimeError, FieldMismatchError, GaussianRational,
     Matrix, QI, QQ, rank, rank_and_kernel, rref, solve_linear)
@@ -125,7 +125,7 @@ def test_prime_field_values_are_residues(p):
     for vectors in (rows, kernel, [x], product.entries):
         assert all(_is_residue(v, p) for vec in vectors for v in vec)
     # three concurrent lines: the ideal is generated by e01 - e02 + e12
-    ideal = Multivector(3, [(0b011, 1), (0b101, -1), (0b110, 1)])
+    ideal = {0b011: 1, 0b101: -1, 0b110: 1}
     A, _ = reduce_algebra_mod(build_quotient_algebra(3, [ideal], 2), p)
     alpha = [F.coerce(c) for c in (1, -1, Fraction(2, 3))]
     d1 = A.class_mult_matrix(alpha, 1)
