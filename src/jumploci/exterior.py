@@ -401,7 +401,7 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
         if hodge_types is not None:
             types = {_mono_type(m, hodge_types) for m in terms}
             if len(types) > 1:
-                raise PreconditionError(f"ideal generator {len(gens)} mixes "
+                raise PreconditionError(f"ideal generator {k} mixes "
                                         f"Hodge types {sorted(types)}")
         gens.append(dict(zip(terms, parts[0])))
 

@@ -5,8 +5,9 @@ Univariate: for punctured lines M = C minus {c_1..c_d}, the form
 alpha = sum lambda_j dz/(z - c_j) has numerator N(z) = sum_j lambda_j
 prod_{k != j} (z - c_k); its zeros on P^1 are tracked against the log
 divisor D = {c_j} and the point at infinity, where the order is measured
-against the local generator dw/w of Omega^1(log D).  The total zero degree
-is |D| - 2 for every nonzero weight vector.
+against the local generator dw/w of Omega^1(log D), on the numerator
+N~(w) = w^(d-1) N(1/w), which is N's coefficient list read backwards.  The
+total zero degree is |D| - 2 for every nonzero weight vector.
 
 Bivariate: critical points of line-arrangement master functions are counted
 by a sheared Sylvester resultant with the arrangement's multiple points
@@ -32,7 +33,9 @@ Which steps are proofs and which call sympy:
   irreducible factors of f mod p bound the degree of any factor over ZZ to
   their subset sums; when those sums, intersected over a fixed list of
   small primes, are {0, deg f} alone, f is irreducible (Musser, J. ACM 25,
-  1978).  A square-free polynomial this test does not certify, whose roots
+  1978).  The degrees come from distinct-degree factorization on residue
+  classes mod f, each power x^(p^(i+1)) a Frobenius step: the Frobenius
+  rows x^(jp) mod f combined with the coefficients of x^(p^i).  A square-free polynomial this test does not certify, whose roots
   are all real, is split on its isolated roots: a set of roots is a
   factor's only if interval enclosures of its scaled elementary symmetric
   functions hold integers, and the candidate they give is a factor only if
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd, log
+from math import factorial, gcd, lcm, log
 
 from .arrangement import Arrangement, line_points
 from .errors import DegeneracyError, PreconditionError
@@ -130,29 +133,27 @@ def _weighted_products(weights, factors):
 
 
 def _punctures(points, lam):
-    """The validated points and weights as tuples of Fractions."""
-    points = tuple(_rational(v, f"point {j}") for j, v in enumerate(points))
+    """The validated points and weights as tuples of integer ratios (a, b),
+    in lowest terms with b > 0: ints, which the distinctness test and the
+    cache of `_log_divisor` hash faster than Fractions."""
+    points = tuple(_rational(v, f"point {j}").as_integer_ratio()
+                   for j, v in enumerate(points))
     if len(set(points)) != len(points):
         raise PreconditionError("puncture points must be distinct")
-    lam = tuple(_rational_weights(lam, len(points)))
-    if not any(lam):
+    lam = tuple(w.as_integer_ratio()
+                for w in _rational_weights(lam, len(points)))
+    if not any(a for a, _b in lam):
         raise PreconditionError("all-zero weight vector: the form vanishes")
     return points, lam
 
 
-def _cleared_numerator(points, lam, at_infinity=False):
-    """An integer multiple of N(z), or with at_infinity of
-    N~(w) = sum_j lambda_j prod_{k != j} (1 - c_k w).  With c_k = a_k / b_k
-    and L the common denominator of the weights, it is L b_1 ... b_d times
-    the polynomial: sum_j L lambda_j b_j prod_{k != j} (b_k z - a_k), resp.
-    (b_k - a_k w)."""
-    weights = [w * c.denominator
-               for w, c in zip(_cleared_weights(lam), points)]
-    if at_infinity:
-        factors = [(-c.numerator, c.denominator) for c in points]
-    else:
-        factors = [(c.denominator, -c.numerator) for c in points]
-    return _weighted_products(weights, factors)
+def _cleared_numerator(points, lam):
+    """An integer multiple of N(z), for the integer ratios of `_punctures`:
+    with c_k = a_k / b_k and L the common denominator of the weights,
+    L b_1 ... b_d N(z) = sum_j L lambda_j b_j prod_{k != j} (b_k z - a_k)."""
+    den = lcm(*(b for _a, b in lam))
+    weights = [a * (den // b) * bk for (a, b), (_ak, bk) in zip(lam, points)]
+    return _weighted_products(weights, [(b, -a) for a, b in points])
 
 
 def _divide_out(coeffs, divisor):
@@ -215,6 +216,7 @@ def _zz_poly(coeffs):
 _PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
            67, 71, 73, 79, 83, 89, 97)
 _SIEVE = 8
+_INVERSES = {p: [0] + [pow(c, -1, p) for c in range(1, p)] for p in _PRIMES}
 
 
 def _strip(a):
@@ -226,7 +228,7 @@ def _strip(a):
 
 
 def _gf_monic(a, p):
-    inv = pow(a[0], -1, p)
+    inv = _INVERSES[p][a[0]]
     return [c * inv % p for c in a]
 
 
@@ -244,45 +246,87 @@ def _gf_divmod(a, b, p):
 
 
 def _gf_gcd(a, b, p):
-    """The monic gcd of a != 0 and b over F_p."""
-    while b:
-        b = _gf_monic(b, p)
-        a, b = b, _gf_divmod(a, b, p)[1]
-    return _gf_monic(a, p)
-
-
-def _gf_mulmod(a, b, f, p):
-    """a b mod f over F_p, f monic."""
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _gf_divmod([c % p for c in prod], f, p)[1]
+    """The monic gcd of a != 0 and b over F_p: Euclid's algorithm, each
+    quotient digit scaled by the inverse of the divisor's lead, and the
+    remainder reduced mod p once it is complete."""
+    inverses = _INVERSES[p]
+    while len(b) > 1:
+        k, inv = len(b) - 1, inverses[b[0]]
+        r = list(a)
+        for i in range(len(a) - k):
+            c = r[i] * inv % p
+            if c:
+                for j in range(1, k + 1):
+                    r[i + j] -= c * b[j]
+        a, b = b, _strip([c % p for c in r[max(len(a) - k, 0):]])
+    return [1] if b else _gf_monic(a, p)
 
 
 def _gf_degrees(f, p):
     """The degrees of the irreducible factors of a monic square-free f over
     F_p, by distinct-degree factorization: the factors of degree i divide
-    x^(p^i) - x, and those of lower degree are already divided out."""
-    degrees, h, i = [], [1, 0], 0  # h = x^(p^i) mod f
-    while len(f) - 1 >= 2 * (i + 1):
-        i += 1
-        frob = [1]  # h^p mod f, by squaring and multiplying
-        for bit in bin(p)[2:]:
-            frob = _gf_mulmod(frob, frob, f, p)
-            if bit == "1":
-                frob = _gf_mulmod(frob, h, f, p)
-        h = frob
-        shifted = [0] * (2 - len(h)) + h  # h - x
-        shifted[-2] = (shifted[-2] - 1) % p
-        g = _gf_gcd(f, _strip(shifted), p)
+    x^(p^i) - x, and those of lower degree are already divided out.
+
+    h = x^(p^i) is kept as a class mod the f given, which every f left
+    divides, as its n coefficients, lowest degree first.  x^p comes from
+    squaring, with products reduced by the table of x^(n+k) mod f and the
+    steps that multiply by x done as shifts; each later power is
+    h^p = sum_j h_j x^(jp) over F_p, a combination of the Frobenius rows
+    x^(jp) mod f, built on first use (von zur Gathen and Shoup, Comput.
+    Complexity 2, 1992)."""
+    n = len(f) - 1
+    if n < 2:
+        return [1] * n
+    top = [-c % p for c in reversed(f[1:])]  # x^n mod f
+
+    def times_x(a):
+        c = a[-1]
+        return [(u + c * v) % p for u, v in zip([0] + a[:-1], top)]
+
+    table = [top]  # x^(n+k) mod f, k = 0..n-2
+    for _ in range(n - 2):
+        table.append(times_x(table[-1]))
+
+    def mul(a, b):
+        prod = [0] * (2 * n - 1)
+        for i, c in enumerate(a):
+            if c:
+                prod[i:i + n] = [u + c * v for u, v in zip(prod[i:i + n], b)]
+        low = prod[:n]
+        for c, row in zip(prod[n:], table):
+            c %= p
+            if c:
+                low = [u + c * v for u, v in zip(low, row)]
+        return [u % p for u in low]
+
+    shift = 0  # x^p from its leading bits' monomial, below x^n
+    while p >> shift >= n:
+        shift += 1
+    h = [0] * n
+    h[p >> shift] = 1
+    for t in range(shift - 1, -1, -1):
+        h = mul(h, h)
+        if p >> t & 1:
+            h = times_x(h)
+    rows = [h]  # x^(jp) mod f, j = 1..n-1
+    degrees, i = [], 1
+    while True:
+        hx = h[::-1]  # h - x, highest degree first
+        hx[-2] = (hx[-2] - 1) % p
+        g = _gf_gcd(f, _strip(hx), p)
         if len(g) > 1:
             degrees += [i] * ((len(g) - 1) // i)
             f = _gf_divmod(f, g, p)[0]
-            h = _gf_divmod(h, f, p)[1]
+        if len(f) - 1 < 2 * (i + 1):
+            break
+        i += 1
+        while len(rows) < n - 1:
+            rows.append(mul(rows[-1], rows[0]))
+        acc = h[:1] + [0] * (n - 1)
+        for c, row in zip(h[1:], rows):
+            if c:
+                acc = [u + c * v for u, v in zip(acc, row)]
+        h = [u % p for u in acc]
     if len(f) > 1:
         degrees.append(len(f) - 1)
     return degrees
@@ -761,15 +805,6 @@ def critical_points_univariate(points, lam):
     return DivisorReport(zeros, total, chi, total == abs(chi))
 
 
-def _infinity_valuation(points, lam):
-    """Order of alpha at infinity against dw/w: the trailing valuation of
-    N~(w), returned with the coefficients of a multiple of N~."""
-    tilde = _cleared_numerator(points, lam, at_infinity=True)
-    if not tilde:
-        raise PreconditionError("form is identically zero")
-    return min(i for i, c in enumerate(reversed(tilde)) if c), tilde
-
-
 def log_zero_divisor_p1(points, lam):
     """Full zero divisor of alpha as a section of Omega^1_{P^1}(log D),
     D = {c_1..c_d, infinity}: interior zeros plus boundary orders at each
@@ -787,34 +822,39 @@ def log_zero_divisor_p1(points, lam):
 # from: each is built and factored once.
 @lru_cache(maxsize=1)
 def _log_divisor(points, lam):
-    """(log_zero_divisor_p1, N, N~) for validated tuples of Fractions, with
-    N and N~ the coefficient tuples of `_cleared_numerator` at z and at
-    w = 1/z."""
+    """(log_zero_divisor_p1, N, N~) for the integer ratios of `_punctures`,
+    with N the coefficient tuple of `_cleared_numerator` and N~ that of the
+    same multiple of N~(w) = sum_j lambda_j prod_{k != j} (1 - c_k w), the
+    numerator at w = 1/z.  As w^(d-1) N(1/w) = N~(w), N~ is N read
+    backwards, once N is padded to its formal degree d - 1, and the order
+    at infinity, the trailing valuation of N~, is the number of zeros that
+    padding adds.  The padded lead is L b_1 ... b_d sum_j lambda_j, so
+    infinity is a zero exactly when sum lambda = 0."""
     zeros = []
     numerator = tuple(_cleared_numerator(points, lam))
     interior = numerator
-    for c in points:
-        m, interior = _divide_out(interior, _linear(c))
+    for a, b in points:
+        m, interior = _divide_out(interior, (b, -a))
         if m:
-            zeros.append(Zero("puncture", m, value=c))
-    vinf, tilde = _infinity_valuation(points, lam)
+            zeros.append(Zero("puncture", m, value=Fraction(a, b)))
+    d = len(points)
+    vinf = d - len(numerator)
+    tilde = _strip(((0,) * vinf + numerator)[::-1])
     if vinf:
         zeros.append(Zero("infinity", vinf))
     if len(interior) > 1:
         zeros.extend(_zeros_of_poly(interior, "interior"))
     total = sum(z.multiplicity for z in zeros)
-    d = len(points)
     if total != d - 1:
         raise AssertionError(
             f"zero degree {total} != |D| - 2 = {d - 1}: bookkeeping broken")
     notes = ()
-    if sum(lam) == 0:
+    if vinf:
         notes = ("residue at infinity is 0: infinity stays in D as part of "
                  "the boundary of M, with the order measured against dw/w",)
     chi = 1 - d
     return DivisorReport(tuple(zeros), total, chi, total == abs(chi),
-                         divisor_size=d + 1, notes=notes), numerator, \
-        tuple(tilde)
+                         divisor_size=d + 1, notes=notes), numerator, tilde
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,14 @@ def test_mixed_hodge_type_generator_is_rejected():
                                hodge_types=[(1, 0), (0, 1), (1, 0), (0, 1)])
 
 
+def test_mixed_hodge_type_names_the_input_index():
+    # an empty relation before it is skipped, but still counts as input 0
+    with pytest.raises(PreconditionError,
+                       match=r"^ideal generator 1 mixes Hodge types"):
+        build_quotient_algebra(4, [{}, {0b0011: 1, 0b0101: 1}], 2,
+                               hodge_types=[(1, 0), (0, 1)] * 2)
+
+
 def test_straightening_needs_a_unit_lead():
     # e_0 e_1 + 2 e_0 e_2 solves for e_0 e_1; twice it does not, over Z
     g = {0b011: 1, 0b101: 2}

@@ -30,7 +30,7 @@ from jumploci.master import (
     local_koszul_univariate, log_zero_divisor_p1, residues_line_arrangement)
 from jumploci.verify import BIVARIATE_CASES
 from master_oracle import (
-    oracle_critical_points_bivariate, oracle_critical_points_univariate,
+    _infinity_valuation, oracle_critical_points_bivariate, oracle_critical_points_univariate,
     oracle_local_koszul_univariate, oracle_log_zero_divisor_p1)
 
 FLAGSHIP = Arrangement(2, [[0, 1, 0], [0, 0, 1], [-1, 1, 1]])
@@ -341,6 +341,25 @@ def test_univariate_reports_match_the_expression_route(case):
     points, lam = case
     for fn, oracle in UNIVARIATE_ROUTES:
         assert outcome(fn, points, lam) == outcome(oracle, points, lam)
+
+
+@given(punctured_lines())
+@settings(max_examples=100, deadline=None)
+@example(([0, 1, 2], [1, 1, -2]))                     # sum 0: N loses its lead
+@example(([0, 1, 2, 3], [1, -1, 1, -1]))              # and more
+@example(([0, 1, 3], [0, 1, 2]))                      # N(0) = 0
+@example(([0, Fraction(1, 2), -3], [0, 3, -3]))       # both
+@example(([Fraction(2, 3)], [Fraction(-5, 7)]))       # d = 1: N constant
+def test_n_tilde_is_n_read_backwards(case):
+    # w^(d-1) N(1/w) = N~(w); the oracle builds N~ from its definition
+    points, lam = case
+    assume(any(lam))
+    _report, n, tilde = master._log_divisor(*_punctures(points, lam))
+    vinf, want = _infinity_valuation([Fraction(c) for c in points],
+                                     [Fraction(v) for v in lam])
+    assert sp.Poly(tilde, want.gen, domain="QQ").monic() == want.monic()
+    assert next(i for i, c in enumerate(reversed(tilde)) if c) == vinf
+    assert len(n) + vinf == len(points)  # N's leading zeros, N~'s trailing
 
 
 # N(z) is a multiple of (z^2 - 2)^2: one irreducible factor, twice
@@ -773,6 +792,54 @@ def test_factor_matches_factor_list(coeffs):
         # no prime of the sieve can prove a square-free reduction
         assert next(master._sieve(coeffs), None) is None
         assert not master._squarefree(coeffs)
+
+
+@st.composite
+def squarefree_mod_p(draw):
+    """(f, p): p from _PRIMES and f monic of degree 1..12 over F_p, as
+    residues 0..p-1 highest degree first, square-free mod p."""
+    p = draw(st.sampled_from(_PRIMES))
+    n = draw(st.integers(1, 12))
+    f = [1] + draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    assume(sp.Poly(f, sp.Symbol("x"), modulus=p).is_sqf)
+    return f, p
+
+
+@given(squarefree_mod_p())
+@settings(max_examples=200, deadline=None)
+@example(([1, 0, 0, 0, 1], 3))                 # (x^2 + x - 1)(x^2 - x - 1)
+@example(([1, 0, 0, 0, 0, 0, 0, 0, 1, 2], 3))  # degrees 1, 4, 4
+@example(([1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1], 3))  # degrees 2, 8
+def test_distinct_degrees_are_sympys_factor_degrees(case):
+    # sympy's factorization over GF(p) is the oracle for the Frobenius rows
+    f, p = case
+    g = sp.Poly(f, sp.Symbol("x"), modulus=p)
+    assert g.is_sqf
+    want = [h.degree() for h, _m in g.factor_list()[1]]
+    assert sorted(master._gf_degrees(f, p)) == sorted(want)
+
+
+# numerators that `_factor` met in the master benchmark plans (bivariate
+# eliminants and univariate N, at seeds 0-2), with the degree sums and
+# fewest factors mod p that the sieve gave before its residue classes
+# were held mod f; the split budget n 2^r depends on both
+@pytest.mark.parametrize("f, sums, r", [
+    ((3000, 14540, 15135, 2124), 0b1001, 1),
+    ((27000, 141900, -491790, -2620007, -1955972, 1670749, 1445481),
+     0b1000001, 2),
+    ((1400263200, 3492878760, -13904103780, -29869450170, 43979280580,
+      67723363859, -57090877588, -45438655633, 24641722712, 3474762254,
+      -737974694), 0b10000000001, 1),
+    ((23337720, 64678824, -3294372900, 17086399099, -15095736774,
+      -83980386116, 162127283990, 75381391557, -264513994492, 56804933532,
+      55411933752), 0b10000000001, 2),
+    ((7, 71, 175, -66, -240), 0b10001, 1),
+    ((14, -93, 112, 156, -144), 0b10001, 2),
+    ((18, -203, 747, -952, 180), 0b11011, 2),
+    ((8, 6, -63, -19, 24), 0b11111, 3),
+])
+def test_degree_sums_of_benchmark_numerators(f, sums, r):
+    assert master._degree_sums(f) == (sums, r)
 
 
 @st.composite
