@@ -35,7 +35,8 @@ Which steps are proofs and which call sympy:
   small primes, are {0, deg f} alone, f is irreducible (Musser, J. ACM 25,
   1978).  The degrees come from distinct-degree factorization on residue
   classes mod f, each power x^(p^(i+1)) a Frobenius step: the Frobenius
-  rows x^(jp) mod f combined with the coefficients of x^(p^i).  A square-free polynomial this test does not certify, whose roots
+  rows x^(jp) mod f combined with the coefficients of x^(p^i).  A
+  square-free polynomial this test does not certify, whose roots
   are all real, is split on its isolated roots: a set of roots is a
   factor's only if interval enclosures of its scaled elementary symmetric
   functions hold integers, and the candidate they give is a factor only if

@@ -30,8 +30,9 @@ from jumploci.master import (
     local_koszul_univariate, log_zero_divisor_p1, residues_line_arrangement)
 from jumploci.verify import BIVARIATE_CASES
 from master_oracle import (
-    _infinity_valuation, oracle_critical_points_bivariate, oracle_critical_points_univariate,
-    oracle_local_koszul_univariate, oracle_log_zero_divisor_p1)
+    _infinity_valuation, oracle_critical_points_bivariate,
+    oracle_critical_points_univariate, oracle_local_koszul_univariate,
+    oracle_log_zero_divisor_p1)
 
 FLAGSHIP = Arrangement(2, [[0, 1, 0], [0, 0, 1], [-1, 1, 1]])
 FOURLINES = Arrangement(2, [[0, 1, 0], [0, 0, 1], [0, 1, -1], [-1, 1, 1]])
@@ -801,7 +802,9 @@ def squarefree_mod_p(draw):
     p = draw(st.sampled_from(_PRIMES))
     n = draw(st.integers(1, 12))
     f = [1] + draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
-    assume(sp.Poly(f, sp.Symbol("x"), modulus=p).is_sqf)
+    # not Poly.is_sqf, which holds x^3 square-free mod 3 (f' = 0 there)
+    factors = sp.Poly(f, sp.Symbol("x"), modulus=p).factor_list()[1]
+    assume(all(m == 1 for _g, m in factors))
     return f, p
 
 
@@ -813,10 +816,10 @@ def squarefree_mod_p(draw):
 def test_distinct_degrees_are_sympys_factor_degrees(case):
     # sympy's factorization over GF(p) is the oracle for the Frobenius rows
     f, p = case
-    g = sp.Poly(f, sp.Symbol("x"), modulus=p)
-    assert g.is_sqf
-    want = [h.degree() for h, _m in g.factor_list()[1]]
-    assert sorted(master._gf_degrees(f, p)) == sorted(want)
+    factors = sp.Poly(f, sp.Symbol("x"), modulus=p).factor_list()[1]
+    assert all(m == 1 for _g, m in factors)
+    assert sorted(master._gf_degrees(f, p)) == sorted(
+        g.degree() for g, _m in factors)
 
 
 # numerators that `_factor` met in the master benchmark plans (bivariate
