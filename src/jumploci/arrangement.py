@@ -40,8 +40,11 @@ class Arrangement:
             raise PreconditionError("ambient dimension must be at least 1")
         ints = []
         for k, form in enumerate(forms):
-            vec = [_rational(c, f"form {k} coefficient {i}")
-                   for i, c in enumerate(form)]
+            vec = list(form)
+            # an all-int row (no bool: type is int) is its own clearing
+            if not all(type(c) is int for c in vec):
+                vec = _clear_row([_rational(c, f"form {k} coefficient {i}")
+                                  for i, c in enumerate(vec)], False)[1][0]
             if len(vec) == ambient:
                 vec = [0] + vec
             if len(vec) != ambient + 1:
@@ -51,7 +54,7 @@ class Arrangement:
             if not any(vec[1:]):
                 raise PreconditionError(
                     f"form {k} has zero linear part; not a hyperplane")
-            ints.append(_primitive(_clear_row(vec, False)[1][0]))
+            ints.append(_primitive(vec))
         if len(set(ints)) < len(ints):
             a, b = next((a, b) for a, b in combinations(range(len(ints)), 2)
                         if ints[a] == ints[b])
@@ -122,7 +125,10 @@ def _contract(flat, res, c, d, residues):
     of a flat it covers, to c[p] a - a[p] c, made primitive, with c its
     class's residue and p the entry of c of least size: zero on c's line."""
     if c:
-        p = min(range(len(c)), key=lambda q: abs(c[q]) or inf)
+        p, least = 0, inf
+        for q, x in enumerate(c):
+            if x and abs(x) < least:
+                p, least = q, abs(x)
         res = {k: _primitive([c[p] * x - a[p] * y for x, y in zip(a, c)])
                if a[p] else a for k, a in res.items() if not flat >> k & 1}
     classes, out = {}, [0] * d
@@ -150,15 +156,16 @@ def _lattice_walk(vecs):
     found, below, level, size = [], {}, {0: 0}, 0
     while level:
         size, larger, known = size + 1, {}, {}
+        # past rank r - 1 every cover is all the vectors: one list a level
+        spanning = [(1 << d) - 1] * d if size >= r else None
         for s, flat in level.items():
-            if flat not in known:
-                known[flat] = (
-                    [0 if flat >> i & 1 else (1 << d) - 1 for i in range(d)]
-                    if size >= r else
-                    _contract(flat, *residues.pop(flat), d, residues))
-            covers, facets, t = known[flat], None, None
+            covers = spanning if size >= r else known.get(flat)
+            if covers is None:
+                covers = known[flat] = _contract(flat, *residues.pop(flat),
+                                                 d, residues)
+            facets = t = None
             for j in range(s.bit_length(), d):
-                if covers[j]:
+                if not flat >> j & 1:
                     larger[s | 1 << j] = covers[j]
                     continue
                 if facets is None:
@@ -180,7 +187,8 @@ def matroid_circuits(arr):
     minimal dependent sets of the augmented forms, none of them zero, read
     off the arrangement's one walk (`Arrangement.dependencies`) as those
     that avoid e0."""
-    return [t for t, _ in arr.dependencies if t[-1] < arr.size]
+    d = arr.size
+    return [t for t, _ in arr.dependencies if t[-1] < d]
 
 
 def walk_rank(arr):
@@ -192,11 +200,13 @@ def walk_rank(arr):
 def circuit_boundary(circuit):
     """The relation sum_k (-1)^k e_{S minus s_k} of a sorted circuit S, as
     {mask: coefficient}."""
-    mask = sum(1 << i for i in circuit)
+    mask = 0
+    for i in circuit:
+        mask |= 1 << i
     return {mask ^ 1 << i: -1 if k & 1 else 1 for k, i in enumerate(circuit)}
 
 
-def os_algebra(arr, top=None):
+def os_algebra(arr, top=None, rank=None):
     """The Orlik-Solomon algebra of an arrangement, built through degree
     `top` (default: the full rank).  Generator j is the class of dlog f_j,
     with Hodge type (1,1).
@@ -213,20 +223,27 @@ def os_algebra(arr, top=None):
     each is a rule, a boundary solved for its broken circuit.  The algebra
     is straightened with no elimination (`exterior._straighten`): bit for
     bit the one that `build_quotient_algebra` gives for these generators,
-    or AssertionError.  The rank is read off the walk too; A is `complete`
-    when top >= rank.
+    or AssertionError.  The rank is read off the walk too (`walk_rank`, or
+    `rank` when the caller has read it); A is `complete` when top >= rank.
     """
     d = arr.size
-    rank = walk_rank(arr)
+    if rank is None:
+        rank = walk_rank(arr)
     if top is None:
         top = rank
     if top < 0:
         raise PreconditionError("top degree must be nonnegative")
-    meeting = [t for t, flat in arr.dependencies
-               if t[-1] < d and not flat >> d & 1]
-    empty = [t[:-1] for t, _ in arr.dependencies if t[-1] == d]
-    gens = [circuit_boundary(s) for s in meeting]
-    gens += [{sum(1 << i for i in s): 1} for s in empty]
+    gens, empty = [], []
+    for t, flat in arr.dependencies:
+        if t[-1] < d:
+            if not flat >> d & 1:
+                gens.append(circuit_boundary(t))
+        else:
+            mask = 0
+            for i in t[:-1]:
+                mask |= 1 << i
+            empty.append({mask: 1})
+    gens += empty
     complete = top >= rank  # A^k = 0 above the rank
     top = min(top, d)
     return _straighten(d, QQ, top, gens, gens, ((1, 1),) * d, complete)

@@ -288,7 +288,7 @@ def _cmd_os_algebra(args):
     circuits = matroid_circuits(arr)
     rank = walk_rank(arr)  # off the walk that found the circuits
     algebra = os_algebra(arr, rank if args.top is None
-                         else min(args.top, rank))
+                         else min(args.top, rank), rank)
     result = {
         "dims": algebra.dims(),
         "euler": algebra.euler() if algebra.complete else None,

@@ -31,8 +31,8 @@ from .scalars import (QI, QQ, Matrix, _integral, _read,  # noqa: F401
 
 def _degree_masks(ngens, d):
     """The masks of the degree-d monomials on `ngens` generators, in lex
-    order."""
-    return [sum(1 << i for i in c) for c in combinations(range(ngens), d)]
+    order.  Distinct bits add as they OR, and `sum` of a tuple runs in C."""
+    return [sum(c) for c in combinations([1 << i for i in range(ngens)], d)]
 
 
 def _indices(mask):
@@ -407,11 +407,12 @@ def build_quotient_algebra(ngens, ideal_gens, top, field=QQ, hodge_types=None):
 
     basis = []
     proj = []
+    graded = _graded(gens, top)
     for d in range(top + 1):
         monos = _degree_masks(ngens, d)
         index = {m: k for k, m in enumerate(monos)}
         rows = [{index[m]: c for m, c in hits}
-                for _, hits in _ideal_rows(gens, proj, d)]
+                for _, hits in _ideal_rows(graded, proj, d)]
         pivots, free, echelon = _rref_parts(rows, len(monos), QQ)
         basis.append([monos[k] for k in free])
         proj.append(_projections(monos, pivots, free, echelon))
@@ -434,13 +435,26 @@ def _projections(monos, pivots, free, echelon):
     return den, dict(zip(monos, cols))
 
 
-def _ideal_rows(gens, proj, d):
-    """The nonzero rows g wedge e_T of the ideal in degree d, signed, as
-    (k, [(mask, c), ...]) for the k-th relation g {mask: int} of `gens` and
-    each T of degree d - deg g, a key of `proj[d - deg g]`."""
+def _graded(gens, top):
+    """(k, deg g, g) for the k-th relation g {mask: int} of `gens`, for
+    each g of degree <= top: the degrees that `_ideal_rows` reads."""
+    out = []
     for k, g in enumerate(gens):
         e = next(iter(g)).bit_count()
-        for t in proj[d - e][1] if e <= d else ():
+        if e <= top:
+            out.append((k, e, g))
+    return out
+
+
+def _ideal_rows(graded, proj, d):
+    """The nonzero rows g wedge e_T of the ideal in degree d, signed, as
+    (k, [(mask, c), ...]) for each (k, deg g, g) of `graded` (`_graded`)
+    with deg g <= d and each T of degree d - deg g, a key of
+    `proj[d - deg g]`."""
+    for k, e, g in graded:
+        if e > d:
+            continue
+        for t in proj[d - e][1]:
             prefix = _prefix_parity(t)
             row = [(m | t, -c if (m & prefix).bit_count() & 1 else c)
                    for m, c in g.items() if not m & t]
@@ -453,7 +467,8 @@ def _straighten(ngens, field, top, gens, rels, hodge_types, complete):
     `gens` through degree `top`, as `build_quotient_algebra` gives it, with
     no elimination.  Each of `rels`, relations {mask: int} in the ideal, is
     solved for its lex-first monomial L, of coefficient c = +-1: e_L = -c sum
-    c_s e_s over its later terms.  The first element with a given lead wins.
+    c_s e_s over its later terms (only those of degree <= top are read).
+    The first element with a given lead wins.
     A monomial m = L + R containing a lead (its witness: m, or the witness
     of a one-smaller subset) is e_m = sign(L, R) e_L e_R; each term e_s e_R
     is lex-later than m (0 if s meets R), since adding a disjoint set keeps
@@ -467,6 +482,8 @@ def _straighten(ngens, field, top, gens, rels, hodge_types, complete):
     rules = {}
     for g in rels:
         lead = next(iter(g))
+        if lead.bit_count() > top:
+            continue  # no monomial of its degree is built: no rule read
         for m in g:
             x = m ^ lead
             if m & x & -x:  # the lowest index where they differ is in m
@@ -478,6 +495,7 @@ def _straighten(ngens, field, top, gens, rels, hodge_types, complete):
                                 if s != lead])
     basis, proj = [], []
     witness = {}
+    graded = _graded(gens, top)
     for d in range(top + 1):
         monos = _degree_masks(ngens, d)
         below, witness = witness, {}
@@ -511,7 +529,7 @@ def _straighten(ngens, field, top, gens, rels, hodge_types, complete):
                     for j, e in nf[s | rest]:
                         acc[j] = acc.get(j, 0) + c * e
             nf[m] = tuple(sorted((j, e) for j, e in acc.items() if e))
-        for k, row in _ideal_rows(gens, proj, d):
+        for k, row in _ideal_rows(graded, proj, d):
             acc = {}
             for m, c in row:
                 for j, e in nf[m]:

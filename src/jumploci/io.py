@@ -16,6 +16,7 @@ import json
 import re
 from fractions import Fraction
 from io import BytesIO, TextIOWrapper
+from math import gcd
 
 from .arrangement import Arrangement
 from .errors import ParseError
@@ -25,6 +26,10 @@ from .errors import ParseError
 # bounded by Python's default int-string digit limit.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+# an arrangement entry that int() reads as Fraction() does: ASCII digits
+# with an optional sign, short enough for any int-string digit limit;
+# every other text goes through `rational_from_text`
+_PLAIN_INT = re.compile(r"[-+]?[0-9]{1,18}").fullmatch
 
 
 def rational_from_text(text, where):
@@ -88,8 +93,16 @@ def parse_arrangement(obj, where="arrangement"):
             want = " or ".join(str(w) for w in sorted(widths))
             raise ParseError(
                 f"form must be a list of {want} rationals", f"{where}.forms[{i}]")
-        forms.append([parse_rational(c, f"{where}.forms[{i}][{k}]")
-                      for k, c in enumerate(row)])
+        form = []
+        for c in row:
+            # a plain integer, as text or as a JSON int (not a bool), is
+            # read as an int; the field path is built only for the rest
+            if type(c) is str and _PLAIN_INT(c):
+                c = int(c)
+            elif type(c) is not int:
+                c = parse_rational(c, f"{where}.forms[{i}][{len(form)}]")
+            form.append(c)
+        forms.append(form)
     return Arrangement(ambient, forms, central=central)
 
 
@@ -228,16 +241,25 @@ def rational_str(x):
     return str(Fraction(x))
 
 
+def _ratio_text(c, lead):
+    """str(Fraction(c, lead)) for ints c and lead != 0, with no Fraction."""
+    g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
+    return str(c // g) if g == lead else f"{c // g}/{lead // g}"
+
+
 def serialize(value):
     """Canonical JSON-ready form of a parsed input object."""
     if isinstance(value, Arrangement):
         # each form scaled so that its first nonzero coefficient is 1
-        forms = [[str(Fraction(c, next(filter(None, f)))) for c in f]
-                 for f in value.forms]
+        skip = 1 if value.central else 0
+        forms = []
+        for f in value.forms:
+            lead = next(filter(None, f))
+            forms.append([_ratio_text(c, lead) for c in f[skip:]])
         return {
             "ambient": value.ambient,
             "central": value.central,
-            "forms": [f[1:] if value.central else f for f in forms],
+            "forms": forms,
         }
     # a torus system exists only once its module is loaded, and so does a
     # presentation: an arrangement reaches neither import

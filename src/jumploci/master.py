@@ -120,14 +120,14 @@ class DivisorReport:
 
 def _weighted_products(weights, factors):
     """sum_j weights_j prod_{k != j} (a_k z + b_k) for factors (a_k, b_k),
-    with leading zeros dropped."""
-    total = [0] * len(factors)
-    for j, w in enumerate(weights):
-        term = [w]
-        for k, (a, b) in enumerate(factors):
-            if k != j:
-                term = [a * c + b * p for c, p in zip(term + [0], [0] + term)]
-        total = [s + c for s, c in zip(total, term)]
+    with leading zeros dropped.  Over the first j factors, the sum T_j and
+    the product P_j step as T_{j+1} = T_j f_j + w_j P_j and P_{j+1} =
+    P_j f_j: one linear factor a step, O(d^2) for d factors."""
+    total, prefix = [], [1]
+    for w, (a, b) in zip(weights, factors):
+        total = [a * c + b * p + w * q
+                 for c, p, q in zip(total + [0], [0] + total, prefix)]
+        prefix = [a * c + b * p for c, p in zip(prefix + [0], [0] + prefix)]
     while total and not total[0]:
         total.pop(0)
     return total

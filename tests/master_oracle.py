@@ -45,6 +45,22 @@ def oracle_numerator(points, lam):
     return sp.Poly(expr, _X, domain="QQ")
 
 
+def oracle_weighted_products(weights, factors):
+    """sum_j weights_j prod_{k != j} (a_k z + b_k), coefficients highest
+    degree first with leading zeros dropped: each product built from
+    scratch, the O(d^3) form that `master._weighted_products` replaced."""
+    total = [0] * len(factors)
+    for j, w in enumerate(weights):
+        term = [w]
+        for k, (a, b) in enumerate(factors):
+            if k != j:
+                term = [a * c + b * p for c, p in zip(term + [0], [0] + term)]
+        total = [s + c for s, c in zip(total, term)]
+    while total and not total[0]:
+        total.pop(0)
+    return total
+
+
 def _ord_at(poly, root):
     lin = sp.Poly(_X - sp.Rational(root), _X, domain="QQ")
     n = 0

@@ -24,9 +24,11 @@ from hypothesis import example, given, settings, strategies as st
 import jumploci
 from jumploci import __version__, cli, master
 from jumploci.errors import ParseError, PreconditionError
+from jumploci.arrangement import Arrangement
 from jumploci.io import (
-    load_json, parse_arrangement, parse_input, parse_laurent_system,
-    parse_presentation, parse_rational, read_bytes, serialize)
+    _ratio_text, load_json, parse_arrangement, parse_input,
+    parse_laurent_system, parse_presentation, parse_rational, read_bytes,
+    serialize)
 from jumploci.verify import check_elliptic_suite
 
 FIXTURES = resources.files("jumploci").joinpath("fixtures")
@@ -300,6 +302,81 @@ def test_serialization_normalizes_leading_coefficients():
     assert out["forms"] == [["1", "2"]]
 
 
+# digit sets that Fraction() reads as well as the ASCII ones
+_DIGITS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"]
+
+
+@st.composite
+def _integer_texts(draw):
+    """An integer written as Fraction() reads it: a sign, leading zeros,
+    underscores between digits, non-ASCII digits, surrounding whitespace."""
+    n = draw(st.integers(-10 ** 30, 10 ** 30))
+    digits = "0" * draw(st.integers(0, 3)) + str(abs(n))
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    table = draw(st.sampled_from(_DIGITS))
+    digits = digits.translate(str.maketrans("0123456789", table))
+    sign = "-" if n < 0 else draw(st.sampled_from(["", "+"]))
+    pad = st.sampled_from(["", " ", "\t", "\n", "\u00a0"])
+    return draw(pad) + sign + digits + draw(pad)
+
+
+@given(st.one_of(_integer_texts(), st.integers(-10 ** 30, 10 ** 30)))
+@example("007")
+@example("+5")
+@example(" 12 ")
+@example("1_000")
+@example("\u0663")
+@example("-0")
+@example("123456789012345678")
+@example("1234567890123456789")
+@example("-98765432109876543210987")
+@settings(max_examples=300, deadline=None)
+def test_integer_entries_read_as_fraction_reads_them(entry):
+    # the entry is the last coefficient of x + c = 0 at every place, so the
+    # primitive forms hold its value as it is
+    value = Fraction(entry)
+    for k in range(3):
+        row = ["0", "1", "0"]
+        row[k] = entry
+        if k == 1 and not value:
+            continue  # a zero linear part is no line
+        arr = parse_arrangement({"ambient": 2, "forms": [row, ["1", "0", "1"]]})
+        fractions = [Fraction(c) for c in row]
+        want = Arrangement(2, [fractions, [1, 0, 1]])
+        assert arr.forms == want.forms
+        assert all(type(c) is int for f in arr.forms for c in f)
+        assert serialize(arr) == serialize(want)
+    arr = parse_arrangement({"ambient": 2, "forms": [["1", "1", entry]]})
+    assert arr.forms[0][2] == value
+    assert serialize(arr)["forms"] == [["1", "1", str(value)]]
+
+
+@pytest.mark.parametrize("node", [
+    "1/0", "x", "", "--1", "1__0", "_1", "\u0663/0", "1e9999", "1" * 5000,
+    1.5, True, None, [1]])
+def test_refused_entries_keep_their_message_and_field_path(node):
+    obj = {"ambient": 2, "forms": [["0", "1", "0"], ["1", "0", node]]}
+    with pytest.raises(ParseError) as want:
+        parse_rational(node, "arrangement.forms[1][2]")
+    with pytest.raises(ParseError) as got:
+        parse_arrangement(obj)
+    assert str(got.value) == str(want.value)
+    assert got.value.location == "arrangement.forms[1][2]"
+
+
+@given(st.integers(-10 ** 40, 10 ** 40),
+       st.integers(-10 ** 40, 10 ** 40).filter(bool))
+@example(0, -3)
+@example(6, -4)
+@example(-6, -3)
+@settings(max_examples=500, deadline=None)
+def test_ratio_text_is_the_fractions_text(c, lead):
+    assert _ratio_text(c, lead) == str(Fraction(c, lead))
+
+
 # Hypothesis fuzzing of the three parsers: arbitrary JSON with the keys the
 # parsers read, and near-valid inputs of each shape.  Only rejected-input
 # errors may escape, and whatever parses serializes canonically.
@@ -471,6 +548,38 @@ def test_os_algebra_takes_more_than_64_hyperplanes(tmp_path):
     res = report(["os-algebra", "--arrangement", str(path)])["result"]
     assert res["dims"] == [1, 66] and res["euler"] == -65
     assert res["rank"] == 1 and res["central"] is False
+
+
+@pytest.mark.parametrize("ambient, forms, dims", [
+    # seven generic affine lines: no parallel pair and no triple point
+    (2, [[-9, -1, -1], [3, -2, -1], [5, 3, -1], [0, 8, -1], [7, -3, -1],
+         [-8, -9, -1], [1, 4, -1]], [1, 7, 21]),
+    # braid A3, x_i - x_j in C^4
+    (4, [[1 if k == i else -1 if k == j else 0 for k in range(4)]
+         for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]],
+     [1, 6, 11, 6])], ids=["generic7", "braid3"])
+@pytest.mark.parametrize("text", [True, False], ids=["strings", "ints"])
+def test_os_algebra_on_integer_forms_makes_no_fraction(monkeypatch, tmp_path,
+                                                       ambient, forms, dims,
+                                                       text):
+    # integer entries go from the file's text to the printed report with
+    # no Fraction: not at the parse, the walk, the build or the print
+    path = tmp_path / "integer.json"
+    path.write_text(json.dumps({"ambient": ambient, "forms": [
+        [str(c) if text else c for c in f] for f in forms]}))
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    res = report(["os-algebra", "--arrangement", str(path)])["result"]
+    assert made == []
+    assert res["dims"] == dims
+    Fraction(1, 2)
+    assert made == [(1, 2)]  # the patch does count
 
 
 def test_fox_h1_on_the_free_group():

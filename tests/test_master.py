@@ -26,13 +26,14 @@ from jumploci.arrangement import Arrangement, os_algebra
 from jumploci.errors import DegeneracyError, PreconditionError
 from jumploci.master import (
     _PRIMES, _cleared_numerator, _divide_out, _factor, _punctures,
-    _root_intervals, critical_points_bivariate, critical_points_univariate,
-    local_koszul_univariate, log_zero_divisor_p1, residues_line_arrangement)
+    _root_intervals, _weighted_products, critical_points_bivariate,
+    critical_points_univariate, local_koszul_univariate, log_zero_divisor_p1,
+    residues_line_arrangement)
 from jumploci.verify import BIVARIATE_CASES
 from master_oracle import (
     _infinity_valuation, oracle_critical_points_bivariate,
     oracle_critical_points_univariate, oracle_local_koszul_univariate,
-    oracle_log_zero_divisor_p1)
+    oracle_log_zero_divisor_p1, oracle_weighted_products)
 
 FLAGSHIP = Arrangement(2, [[0, 1, 0], [0, 0, 1], [-1, 1, 1]])
 FOURLINES = Arrangement(2, [[0, 1, 0], [0, 0, 1], [0, 1, -1], [-1, 1, 1]])
@@ -98,6 +99,20 @@ def test_numerator_degree():
     # with nonzero weight sum the numerator has degree d - 1
     n = _cleared_numerator(*_punctures([0, 1, 2, 5], [1, 2, 3, 4]))
     assert len(n) == 4  # leading zeros are dropped
+
+
+@given(st.integers(0, 9).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d),
+    st.lists(st.tuples(st.integers(-50, 50), st.integers(-10 ** 12, 10 ** 12)),
+             min_size=d, max_size=d))))
+@settings(max_examples=300, deadline=None)
+@example(([], []))
+@example(([0, 0, 0], [(1, 0), (2, -1), (3, 5)]))
+@example(([1, -1], [(1, 0), (1, 0)]))  # z - z: every term cancels
+def test_weighted_products_equal_the_direct_products(case):
+    weights, factors = case
+    assert _weighted_products(weights, factors) == \
+        oracle_weighted_products(weights, factors)
 
 
 def test_univariate_input_validation():
