@@ -87,6 +87,13 @@ class Arrangement:
             vecs.append((1,) + (0,) * self.ambient)
         return _lattice_walk(vecs)
 
+    @cached_property
+    def walk_rank(self):
+        """The rank of the linear parts, read off the walk: a vector of the
+        walk is in the span of those before it iff a circuit ends there; e0
+        adds one to both.  Kept with the walk it is read from."""
+        return self.size - len({t[-1] for t, _ in self.dependencies})
+
     def rank(self):
         """Rank of the linear parts (integer rows); the top OS degree."""
         rows = [_sparse([v[1:]]) for v in self.forms]
@@ -191,12 +198,6 @@ def matroid_circuits(arr):
     return [t for t, _ in arr.dependencies if t[-1] < d]
 
 
-def walk_rank(arr):
-    """The rank of the linear parts: a vector of the walk is in the span of
-    those before it iff a circuit ends there; e0 adds one to both."""
-    return arr.size - len({t[-1] for t, _ in arr.dependencies})
-
-
 def circuit_boundary(circuit):
     """The relation sum_k (-1)^k e_{S minus s_k} of a sorted circuit S, as
     {mask: coefficient}."""
@@ -206,7 +207,7 @@ def circuit_boundary(circuit):
     return {mask ^ 1 << i: -1 if k & 1 else 1 for k, i in enumerate(circuit)}
 
 
-def os_algebra(arr, top=None, rank=None):
+def os_algebra(arr, top=None):
     """The Orlik-Solomon algebra of an arrangement, built through degree
     `top` (default: the full rank).  Generator j is the class of dlog f_j,
     with Hodge type (1,1).
@@ -223,12 +224,11 @@ def os_algebra(arr, top=None, rank=None):
     each is a rule, a boundary solved for its broken circuit.  The algebra
     is straightened with no elimination (`exterior._straighten`): bit for
     bit the one that `build_quotient_algebra` gives for these generators,
-    or AssertionError.  The rank is read off the walk too (`walk_rank`, or
-    `rank` when the caller has read it); A is `complete` when top >= rank.
+    or AssertionError.  The rank is read off the walk too
+    (`Arrangement.walk_rank`); A is `complete` when top >= rank.
     """
     d = arr.size
-    if rank is None:
-        rank = walk_rank(arr)
+    rank = arr.walk_rank
     if top is None:
         top = rank
     if top < 0:

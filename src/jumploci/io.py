@@ -242,8 +242,9 @@ def rational_str(x):
 
 
 def _ratio_text(c, lead):
-    """str(Fraction(c, lead)) for ints c and lead != 0, with no Fraction."""
-    g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
+    """str(Fraction(c, lead)) for ints c and lead > 0, with no Fraction;
+    `serialize` passes the lead of a primitive form, which is positive."""
+    g = gcd(c, lead)
     return str(c // g) if g == lead else f"{c // g}/{lead // g}"
 
 
