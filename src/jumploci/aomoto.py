@@ -47,7 +47,10 @@ class AomotoComplex:
     refuse a degree that reads it otherwise.  A rank is the pivot count of
     the forward pass of the exact elimination (`restricted_rank`), which
     assembles only the block it ranks, so no route builds a reduced echelon
-    form or a differential in full.
+    form or a differential in full.  On the full and quotient routes each
+    pass is bounded by dim C^d - r(d-1), C = A or Q: the pivots found prove
+    rank >= bound, and d^2 = 0 (checked once per algebra) proves rank <=
+    bound, so the pass stops there.
     `kernels` come from the reduced echelon forms of the full differentials
     (`parts`, `_echelons`), built only when kernels are asked for.
 
@@ -116,7 +119,11 @@ class AomotoComplex:
         if self._ranks is None:
             top = self.algebra.top
             if self._route == "full":
-                r = [self.restricted_rank(d) for d in range(top + 1)]
+                r = []
+                for d in range(top + 1):
+                    below = r[-1] if r else 0
+                    r.append(self.restricted_rank(
+                        d, bound=self.algebra.dim(d) - below))
             elif self._route == "homotopy":
                 r = []
                 for d in range(top):
@@ -124,8 +131,10 @@ class AomotoComplex:
                 r.append(0)
             else:
                 kept = self._kept  # q[d + 1] = r_Q(d)
-                q = [0] + [self.restricted_rank(d, kept[d + 1], kept[d])
-                           for d in range(top)]
+                q = [0]
+                for d in range(top):
+                    q.append(self.restricted_rank(d, kept[d + 1], kept[d],
+                                                  len(kept[d]) - q[-1]))
                 r = [q[d + 1] + q[d] for d in range(top)] + [0]
             self._ranks = tuple(r)
         return self._ranks
@@ -140,20 +149,26 @@ class AomotoComplex:
                 for d, echelon in enumerate(self._echelons))
         return self._kernels
 
-    def restricted_rank(self, d, rows=None, cols=None):
+    def restricted_rank(self, d, rows=None, cols=None, bound=None):
         """Rank of the differential out of degree d restricted to the target
         coordinates `rows` and the source coordinates `cols` (all of them
         when None), from the forward pass of its elimination alone.  Only
-        that block is assembled (`GradedAlgebra.class_mult_parts`); a block
-        with no rows or no columns has rank 0 and is not assembled."""
+        that block is assembled (`GradedAlgebra.class_mult_parts`), with its
+        columns in the algebra's fill-reducing order
+        (`GradedAlgebra.fill_order`), which changes no rank; a block with
+        no rows or no columns has rank 0 and is not assembled.
+
+        `bound`, an upper bound on the rank known to the caller, stops the
+        pass at that many pivots."""
         algebra = self.algebra
         nrows = algebra.dim(d + 1) if rows is None else len(rows)
         ncols = algebra.dim(d) if cols is None else len(cols)
         if not nrows or not ncols:
             return 0
         alpha, field = self._blocks
+        cols = algebra.fill_order(d, rows, cols)
         block = algebra.class_mult_parts(alpha, d, rows, cols)
-        return len(_rref_parts(block, ncols, field, read=False)[0])
+        return len(_rref_parts(block, ncols, field, False, bound)[0])
 
     def cohomology_dims(self):
         """h^d = dim ker(d_d) - rank(d_{d-1}) for each degree through top."""

@@ -107,6 +107,7 @@ class GradedAlgebra:
         self.basis = basis
         self.proj = proj
         self._structure = {}
+        self._fill = {}
         self._anticommutes = False
         self._boundary = None
 
@@ -223,6 +224,27 @@ class GradedAlgebra:
                 return None
         return [[k for k, m in enumerate(ms) if not m & bit]
                 for ms in self.basis]
+
+    def fill_order(self, d, rows=None, cols=None):
+        """The source positions `cols` of degree d (all of them when None)
+        sorted by how many of the target positions `rows` (all of them when
+        None) any generator reaches from them, fewest first, ties by
+        position: a column order that limits the fill-in when a block of
+        (alpha wedge .) out of degree d is eliminated row by row.  It reads
+        only where the structure constants are nonzero, so it serves every
+        alpha; built on first use and kept per block."""
+        key = (d, None if rows is None else tuple(rows),
+               None if cols is None else tuple(cols))
+        if key not in self._fill:
+            _, gens = self.structure_constants(d)
+            inside = None if rows is None else set(rows)
+
+            def reach(s):
+                hit = {r for gen in gens for r, _ in gen[s]}
+                return len(hit if inside is None else hit & inside)
+            src = range(self.dim(d)) if cols is None else cols
+            self._fill[key] = sorted(src, key=lambda s: (reach(s), s))
+        return self._fill[key]
 
     def class_mult_parts(self, alpha, d, rows=None, cols=None):
         """The matrix of (alpha wedge .): A^d -> A^{d+1} as the sparse

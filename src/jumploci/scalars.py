@@ -5,18 +5,20 @@ every elimination that rows are read from gives the unique reduced echelon
 form, and kernel bases come out in reduced echelon form, so two runs of the
 same input produce identical output.  Elements of F_p are plain ints in
 [0, p); the field object `GF(p)` is the one place that knows the modulus.
-There is one elimination loop for all three fields, `_rref_exact`:
-fraction-free elimination on integers over QQ, on Gaussian integers over
-QQ(i) and on residues over F_p, where each pivot row is made monic and the
-update is plain row reduction mod p.  It is exact by construction.  Its
-rows are sparse, maps from the columns of their nonzero entries to
-integers ((re, im) pairs over QQ(i)), so a row costs its nonzeros and not
-the width of the matrix; the Aomoto blocks are written straight into that
-form (`exterior.GradedAlgebra.class_mult_parts`), as the same integers
-for every field; over F_p the core reduces them mod p as it copies them.
-A rank is the pivot count of the forward pass alone, over QQ and QQ(i) its
-final pivot the nonzero minor that proves it; back-substitution above the
-pivots and the read of each row run only where rows are read.  Values
+There is one elimination loop for all three fields, `_rref_exact`, one
+pass over the rows: fraction-free elimination on integers over QQ, on
+Gaussian integers over QQ(i) and on residues over F_p, where each pivot
+row is made monic and the update is plain row reduction mod p.  It is
+exact by construction.  Its rows are sparse, maps from the columns of
+their nonzero entries to integers ((re, im) pairs over QQ(i)), so a row
+costs its nonzeros and not the width of the matrix; the Aomoto blocks are
+written straight into that form (`exterior.GradedAlgebra.class_mult_parts`),
+as the same integers for every field; over F_p the core reduces them mod p
+as it copies them.  A rank is the pivot count of the forward pass alone,
+over QQ and QQ(i) its final pivot the nonzero minor that proves it; a
+caller that knows an upper bound on the rank stops the pass there
+(`_rref_parts`' `bound`).  Back-substitution of the pivot rows and the read
+of each row run only where rows are read.  Values
 become integers in one place, `_clear_row` (`_integral` for a vector),
 with no coerce pass, and integers become values in one place, `_read`: the
 rows of `rref`, the kernels of `rank_and_kernel`, the solutions of
@@ -525,47 +527,55 @@ def _combine(a, x, f, y, s):
     return {j: (zr // sr, zi // sr) for j, (zr, zi) in z.items()}
 
 
-def _rref_exact(rows, ncols, read, field):
+def _rref_exact(rows, ncols, read, field, bound=None):
     """The RREF of sparse integer rows over `field`, in the form
     `_rref_parts` returns, by fraction-free elimination (Bareiss, Math.
     Comp. 22, 1968); without `read`, only its forward pass: the pivot
-    columns, the final pivot and the pivot rows in the order they were
-    chosen.  A row maps each column of a nonzero entry to an integer over
-    QQ, to an (re, im) pair of a Gaussian integer over QQ(i) and to any
-    integer over F_p; it holds no zeros.
+    columns in increasing order, the final pivot and the pivot rows in the
+    order they were taken.  A row maps each column of a nonzero entry to an
+    integer over QQ, to an (re, im) pair of a Gaussian integer over QQ(i)
+    and to any integer over F_p; it holds no zeros.
 
-    Let d_0 = 1 and d_k be the k-th pivot.  Step k replaces every row R
-    that is not yet a pivot row by (d_k R - R[c] P) / d_{k-1}, where P is
-    the pivot row and c its column.  By Sylvester's identity every entry
-    then stored is a minor of the input, so every division is exact
-    (`_combine`) and no entry exceeds the Hadamard bound of the input, the
-    product of its row norms.  Rows are lazy: a row with R[c] = 0 would
-    only be scaled by d_k / d_{k-1}, so it keeps what was written at its
-    last step s, and when it is next touched at step k the updates combine
-    into (d_k R - R[c] P) / d_s, with P first brought to step k - 1 as
-    P d_{k-1} / d_s when d_s differs from d_{k-1}.  A row costs its own
-    nonzeros and those of P, not the width of the matrix.  The candidates
-    of a column are the rows still below the pivots that hold it; the pivot
-    row is the one with the fewest nonzero entries (over QQ(i), parts), the
-    first such in row order.  A row below the pivots is zero left of c, so
-    that count is its length over QQ and F_p.
+    The forward pass walks the rows in order.  Let d_0 = 1 and d_k be the
+    k-th pivot, P_k its row and c_k its column.  Each row R in turn is
+    brought through the pivots found so far, in the order they were found:
+    step k replaces R by (d_k R - R[c_k] P_k) / d_{k-1}.  If R is still
+    nonzero it becomes the next pivot row, at its first remaining column.
+    Permuting the columns so that c_1, c_2, ... come first makes this
+    Bareiss's elimination, so by Sylvester's identity every entry then
+    stored is a minor of the input, every division is exact (`_combine`)
+    and no entry exceeds the Hadamard bound of the input, the product of
+    its row norms.  The update is lazy: a step with R[c_k] = 0 would only
+    scale R by d_k / d_{k-1}, so R keeps what was written at its last step
+    s, and the next step that touches it combines the updates into
+    (d_k R - R[c_k] P_k) / d_s; a row that becomes a pivot is brought up as
+    R d_{k-1} / d_s first.  A row costs its own nonzeros and those of the
+    pivot rows that reach it, not the width of the matrix.
 
     Over F_p the rows are copied first, to be updated in place, and the
     copy reduces each entry mod p and drops those that vanish: the one
     place where assembled integer rows meet the prime.  Each pivot row is
-    made monic when it is chosen, by one inverse mod p.  Every d_k is then
+    made monic when it is taken, by one inverse mod p.  Every d_k is then
     1, so no lazy row needs bringing up, and the update, picked once per
-    call in place of `_combine`, is R - R[c] P reduced mod p, made in place
-    on the support of P alone: Gauss-Jordan elimination mod p, with the
-    pivot rule and read above.
+    call in place of `_combine`, is R - R[c_k] P_k reduced mod p, made in
+    place on the support of P_k alone.
 
     The rank is the pivot count of this forward pass; its final pivot is
-    the nonzero minor that proves it: the minor on the pivot rows, in the
-    order they were chosen, and the pivot columns (`_det` reads it).  With
-    `read`, step k also eliminates the earlier pivot rows above P, by the
-    same update (Gauss-Jordan), and row k of the RREF is the stored row
-    over its own pivot, reduced by one gcd; the RREF is unique, so any
-    choice of pivot rows gives the same bits.
+    the nonzero minor that proves it, on the pivot rows in the order they
+    were taken and the pivot columns in increasing order (the sign of the
+    sort is applied over QQ and QQ(i); over F_p it is 1; `_det` reads it).
+    `bound`, an upper bound on the rank that the caller knows, ends the
+    pass at that many pivots: the rows left are then in the span of the
+    pivot rows (`AomotoComplex.ranks` passes dim C^d - r(d-1), which
+    d^2 = 0 makes one).  With `read`, the pivot rows are then
+    back-substituted, from the last one up, with r the rank: P_k is
+    d_k E_k plus P_k[c_l] E_l summed over the later pivots l, for E the
+    RREF, so X_k = d_r E_k is (d_r P_k - sum P_k[c_l] X_l) / d_k.  X = d_r
+    E is the adjugate of the pivot minor times the pivot rows, so every
+    entry of X is an r x r minor of the input (Cramer) and every division
+    is exact.  Row k of the RREF is X_k over its own pivot d_r, reduced by
+    one gcd; the RREF is unique, so any choice of pivot rows gives the
+    same bits.
 
     Every operation is exact integer arithmetic, so the answer over QQ and
     QQ(i) is exact, with no prime, reconstruction or certificate.  The
@@ -576,7 +586,7 @@ def _rref_exact(rows, ncols, read, field):
     """
     gaussian, prime = field is QI, getattr(field, "p", None)
     if prime is None:
-        combine, rows = _combine, list(rows)
+        combine = _combine
     else:
         def combine(a, x, f, y, s):  # a = s = 1: pivots are monic
             for j, v in y.items():
@@ -586,55 +596,56 @@ def _rref_exact(rows, ncols, read, field):
                 else:
                     del x[j]
             return x
-        rows = [{j: w for j, v in row.items() if (w := v % prime)}
-                for row in rows]
-    if gaussian:
-        def count(row):  # nonzero parts
-            return sum((re != 0) + (im != 0) for re, im in row.values())
-    else:
-        count = len
     zero, one = ((0, 0), (1, 0)) if gaussian else (0, 1)
-    step = [0] * len(rows)  # the step at which each row was last written
-    d = [one]               # d_0 = 1, then the pivots
-    rest = list(range(len(rows)))
-    order, pivots = [], []
-    for c in range(ncols):
-        # (count, row) of each candidate: min takes the sparsest, the
-        # first such in row order
-        cand = [(count(rows[i]), i) for i in rest if c in rows[i]]
-        if not cand:
-            continue
-        p = min(cand)[1]
-        rest.remove(p)
-        k = len(d)
-        y = rows[p]
-        if d[step[p]] != d[k - 1]:
-            y = combine(d[k - 1], y, zero, {}, d[step[p]])
-        if prime is not None:
-            inv = pow(y[c], -1, prime)
-            y = {j: v * inv % prime for j, v in y.items()}
-        rows[p], step[p] = y, k
-        dk = y[c]
-        d.append(dk)
-        # the rows still below that hold c, and, only when rows are read,
-        # the pivot rows above that do
-        below = [i for _, i in cand if i != p]
-        for i in below + [i for i in order if c in rows[i]] if read else below:
-            x = rows[i]
-            rows[i] = combine(dk, x, x[c], y, d[step[i]])
-            step[i] = k
-        order.append(p)
-        pivots.append(c)
-        if not rest:
+    d = [one]    # d_0 = 1, then the pivots
+    taken = []   # (column, row) of each pivot, in the order taken
+    order = []   # the input row of each pivot
+    for i, x in enumerate(rows):
+        if len(taken) == bound:
             break
+        if prime is not None:
+            x = {j: w for j, v in x.items() if (w := v % prime)}
+        s = 0    # the step at which x was last written
+        for k, (c, y) in enumerate(taken, 1):
+            f = x.get(c)
+            if f is not None:
+                x = combine(d[k], x, f, y, d[s])
+                s = k
+        if not x:
+            continue
+        k = len(d)
+        if d[s] != d[k - 1]:
+            x = combine(d[k - 1], x, zero, {}, d[s])
+        c = min(x)
+        if prime is not None:
+            inv = pow(x[c], -1, prime)
+            x = {j: v * inv % prime for j, v in x.items()}
+        d.append(x[c])
+        taken.append((c, x))
+        order.append(i)
+    pivots = sorted(c for c, _ in taken)
     if not read:
-        return tuple(pivots), d[-1], order
+        minor = d[-1]
+        if prime is None and _odd([c for c, _ in taken], pivots):
+            minor = (-minor[0], -minor[1]) if gaussian else -minor
+        return tuple(pivots), minor, order
+    # back-substitution, from the last pivot row up: X_k = (d_r P_k - sum
+    # over later pivots l of P_k[c_l] X_l) / d_k is d_r times row k of the
+    # RREF, so every X_k holds r x r minors (Cramer) and d_k divides
+    last = d[-1]
+    for k in range(len(taken) - 1, -1, -1):
+        c, p = taken[k]
+        x, a = p, last
+        for b, y in taken[k + 1:]:
+            f = p.get(b)
+            if f is not None:
+                x, a = combine(a, x, f, y, one), one
+        taken[k] = c, combine(a, x, zero, {}, d[k + 1])
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     echelon = []
-    for i, c in zip(order, pivots):
+    for c, row in sorted(taken, key=lambda t: t[0]):
         # the row over its pivot a + bi is the row times a - bi over a^2 + b^2
-        row = rows[i]
         if gaussian:
             (a, b), pairs = row[c], [row.get(j, zero) for j in free]
             nums = [[a * u + b * ui for u, ui in pairs],
@@ -648,7 +659,21 @@ def _rref_exact(rows, ncols, read, field):
     return tuple(pivots), free, echelon
 
 
-def _rref_parts(rows, ncols, field, read=True):
+def _odd(cols, pivots):
+    """Is the permutation that sorts the distinct `cols` into `pivots`
+    odd?  The parity of its length minus its cycle count."""
+    place = {c: r for r, c in enumerate(pivots)}
+    seen, cycles = [False] * len(cols), 0
+    for r in range(len(cols)):
+        if not seen[r]:
+            cycles += 1
+            while not seen[r]:
+                seen[r] = True
+                r = place[cols[r]]
+    return (len(cols) - cycles) & 1
+
+
+def _rref_parts(rows, ncols, field, read=True, bound=None):
     """The stage of `_echelon` after clearing: the RREF of a matrix given as
     sparse integer rows ({column: integer} over QQ and F_p, {column: (re,
     im)} over QQ(i); see `_rref_exact`, which reduces them mod p); the rows
@@ -661,11 +686,13 @@ def _rref_parts(rows, ncols, field, read=True):
     the free columns, and per RREF row (den, numerators per part on the
     free columns): row k is 1 at pivots[k] and nums[j] / den at free[j].
     A caller that reads only the pivot columns passes `read` False; the
-    elimination then stops after its forward pass and reads no rows.
+    elimination then stops after its forward pass and reads no rows.  A
+    caller that knows an upper bound on the rank passes it as `bound`, and
+    the forward pass stops once it has that many pivots.
     """
     if not rows or not ncols:
         return (), list(range(ncols)), []
-    return _rref_exact(rows, ncols, read, field)
+    return _rref_exact(rows, ncols, read, field, bound)
 
 
 def _det(rows, n):

@@ -23,8 +23,8 @@ from jumploci.exterior import build_quotient_algebra
 from jumploci.scalars import (
     DEFAULT_PRIME, GF, BadPrimeError, GaussianRational, Matrix,
     rank_and_kernel, solve_linear)
-from jumploci.verify import (SIXPLANES_FORMS, _composes_to_zero,
-                             check_structural_invariants)
+from jumploci.verify import (COMPONENT_E1, COMPONENT_E2, SIXPLANES_FORMS,
+                             _composes_to_zero, check_structural_invariants)
 
 I = GaussianRational(0, 1)
 
@@ -683,3 +683,135 @@ def test_the_empty_arrangement_takes_the_full_route():
     assert A.boundary_split() == (True, None)
     assert_oracle_ranks(A, [], "full")
     assert AomotoComplex(A, []).cohomology_dims() == (1,)
+
+
+# ------------------------------------ the rank bound that d^2 = 0 gives
+
+def unbounded_ranks(cx):
+    """The ranks that `AomotoComplex.ranks` gives on the full and quotient
+    routes, with every block assembled with its columns in their natural
+    order and eliminated to its last row, with no bound."""
+    algebra, top = cx.algebra, cx.algebra.top
+    alpha, field = cx._blocks
+
+    def rank(d, rows=None, cols=None):
+        block = algebra.class_mult_parts(alpha, d, rows, cols)
+        ncols = algebra.dim(d) if cols is None else len(cols)
+        return len(scalars._rref_parts(block, ncols, field, False)[0])
+    if cx.route == "full":
+        return tuple(rank(d) for d in range(top + 1))
+    kept = algebra.boundary_split()[1]
+    q = [0] + [rank(d, kept[d + 1], kept[d]) for d in range(top)]
+    return tuple(q[d + 1] + q[d] for d in range(top)) + (0,)
+
+
+def _braid(points):
+    return os_algebra(Arrangement(points, [
+        [1 if k == i else -1 if k == j else 0 for k in range(points)]
+        for i, j in combinations(range(points), 2)], central=True))
+
+
+def _sum_zero(rng, n):
+    v = [rng.randint(-6, 6) for _ in range(n - 1)]
+    return v + [-sum(v)]
+
+
+def _on(rng, n, rows):
+    """A seeded integer combination of `rows`, classes of length n given
+    as {position: coefficient}."""
+    alpha = [0] * n
+    for row in rows:
+        c = rng.randint(-6, 6)
+        for k, v in row.items():
+            alpha[k] += c * v
+    return alpha
+
+
+def _braid_case(points):
+    # the triple point {01, 02, 12}: edges 0, 1 and points - 1
+    def draw(rng, resonant):
+        n = points * (points - 1) // 2
+        if resonant:
+            return _on(rng, n, [{0: 1, points - 1: -1},
+                                {1: 1, points - 1: -1}])
+        return _sum_zero(rng, n)
+    return _braid(points), draw
+
+
+def _six_case():
+    # the degree-2 jump components of the six planes
+    def draw(rng, resonant):
+        if resonant:
+            rows = rng.choice([COMPONENT_E1, COMPONENT_E2])
+            return _on(rng, 6, [dict(enumerate(r)) for r in rows])
+        return _sum_zero(rng, 6)
+    return six_planes(), draw
+
+
+def _affine_case():
+    # x = 0, 1, 2, y = 0, 1 and x = y: the parallel lines refuse both
+    # boundary routes; x = 0, y = 0 and x = y meet at the origin
+    def draw(rng, resonant):
+        if resonant:
+            return _on(rng, 6, [{0: 1, 5: -1}, {3: 1, 5: -1}])
+        return [rng.randint(-6, 6) for _ in range(6)]
+    return os_algebra(Arrangement(2, [
+        [0, 1, 0], [-1, 1, 0], [-2, 1, 0], [0, 0, 1], [-1, 0, 1],
+        [0, 1, -1]])), draw
+
+
+def _elliptic_case(n):
+    # Gaussian classes with sum x = sum y = 0, on the scroll y = t x or not
+    model = elliptic_model(n, 3)
+
+    def gaussians(rng):
+        v = [GaussianRational(rng.randint(-4, 4), rng.randint(-2, 2))
+             for _ in range(n - 1)]
+        return v + [-sum(v, GaussianRational(0))]
+
+    def draw(rng, resonant):
+        x = gaussians(rng)
+        t = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+        return model.class_coords(x, [t * v for v in x] if resonant
+                                  else gaussians(rng))
+    return model.algebra, draw
+
+
+_BOUND_CASES = {"A3": lambda: _braid_case(4), "A4": lambda: _braid_case(5),
+                "A5": lambda: _braid_case(6), "six": _six_case,
+                "affine": _affine_case, "elliptic4": lambda: _elliptic_case(4),
+                "elliptic5": lambda: _elliptic_case(5)}
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_case(name):
+    return _BOUND_CASES[name]()
+
+
+@given(st.sampled_from(sorted(_BOUND_CASES)), st.booleans(),
+       st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_bounded_ranks_equal_the_unbounded_pass(name, resonant, seed):
+    # d^2 = 0 bounds each rank by dim C^d - r(d - 1), and a generic class
+    # reaches that bound: a pass stopped one pivot early reads a lower rank
+    algebra, draw = _bound_case(name)
+    alpha = draw(random.Random(seed), resonant)
+    cx = AomotoComplex(algebra, alpha)
+    assert cx.route == ("full" if name == "affine" else "quotient")
+    assert cx.ranks() == unbounded_ranks(AomotoComplex(algebra, alpha))
+
+
+def test_generic_classes_reach_the_bound():
+    # the bound is met, so the pass stops before its last row: at braid A4
+    # a generic sum-zero class has Q = A/e_9A exact below its top, so each
+    # quotient block out of degree d < 3 has the rank dim Q^d - r_Q(d - 1)
+    algebra = _braid(5)
+    alpha = [3, -1, 2, 0, -5, 1, 0, 0, 4, -4]
+    cx = AomotoComplex(algebra, alpha)
+    kept = algebra.boundary_split()[1]
+    ranks = cx.ranks()
+    assert ranks == unbounded_ranks(cx) == (1, 9, 26, 18, 0)
+    q = [0]
+    for d in range(3):
+        q.append(ranks[d] - q[-1])
+        assert q[-1] == len(kept[d]) - q[-2]

@@ -488,12 +488,13 @@ def test_scroll_minor_message_is_unchanged():
 def eliminations(monkeypatch):
     """(field, read) of every elimination of `scalars._rref_exact`: QQ
     for rows of one integer part, QI for rows of (re, im) pairs; read is
-    False for the rank-only calls, which stop after the forward pass."""
+    False for the rank-only calls, which stop after the forward pass.  The
+    rank bound, when a caller passes one, is handed on as it is."""
     calls, eliminate = [], scalars._rref_exact
 
-    def counted(rows, ncols, read, field):
+    def counted(rows, ncols, read, field, bound=None):
         calls.append((field, read))
-        return eliminate(rows, ncols, read, field)
+        return eliminate(rows, ncols, read, field, bound)
     monkeypatch.setattr(scalars, "_rref_exact", counted)
     return calls
 

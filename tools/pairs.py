@@ -2,6 +2,8 @@
 
     python3 tools/pairs.py --label NAME [--base REV] [--head REV]
                            [--workload W ...] [--seed S ...] [--pairs N]
+    python3 tools/pairs.py --label NAME [--base REV] [--head REV]
+                           --ladder RUNG [--ladder RUNG ...] [--pairs N]
 
 Each rev (default: HEAD^ against HEAD) is exported with `git archive` into
 a temporary directory, so only committed files are measured and the
@@ -29,6 +31,17 @@ fraction of the base median:
 - unresolved: neither, and the base's interquartile range is wider than
   the bound;
 - same: otherwise.
+
+With `--ladder`, each pair runs a rung of the scale ladder instead,
+
+    PYTHONPATH=src python3 HEAD_TREE/tools/ladder.py RUNG
+
+in a fresh process in each tree, both with the head's ladder file, so both
+sides time the same call; bytecode is cleared as above.  The verdicts cover
+the end-to-end metrics of BENCHMARK.json that a rung reports (`setup_s`,
+`run_s` and `peak_rss_mb`), with their bounds; the rung's name stands where
+a workload's would, and the record is BENCH_ladder-<NAME>.json.  A rung that calls a name one rev lacks stops the
+pairs with the ladder's message.  `bench/` may differ between the revs.
 
 BENCH_<NAME>.json, at the root of the checkout that holds this script,
 records both revs, the Python version, the CPU count, every run's metrics
@@ -95,6 +108,24 @@ def run_bench(tree, workload, seed, seconds):
             "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
 
 
+def run_rung(tree, ladder, rung):
+    """One run of a ladder rung on the package of `tree`, by the ladder
+    file `ladder`: its metrics, in the form of `run_bench`."""
+    clear_bytecode(tree)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, ladder, rung], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise SystemExit(f"ladder rung {rung} in {tree} exited "
+                         f"{proc.returncode}:\n{proc.stderr}")
+    r = json.loads(lines[-1])
+    return {"correct": r["correct"], "attempted": 1,
+            "failed": 0 if r["correct"] else 1, "answer": r["answer"],
+            "metrics": {k: r[k] for k in ("setup_s", "run_s",
+                                          "peak_rss_mb")}}
+
+
 def verdict(base, head, bound, better, failed=(0.0, 0.0)):
     """The 10-pair rule on paired values of one metric; `failed` is the
     share of operations that failed on the base and on the head."""
@@ -128,11 +159,15 @@ def main(argv=None):
     ap.add_argument("--workload", action="append")
     ap.add_argument("--seed", type=int, action="append")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--ladder", action="append", metavar="RUNG")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
-    if subprocess.run(["git", "diff", "--quiet", args.base, args.head, "--",
-                       "bench", "BENCHMARK.json"], cwd=ROOT).returncode:
+    if args.ladder and (args.workload or args.seed):
+        ap.error("--ladder takes no --workload or --seed")
+    if not args.ladder and subprocess.run(
+            ["git", "diff", "--quiet", args.base, args.head, "--", "bench",
+             "BENCHMARK.json"], cwd=ROOT).returncode:
         ap.error(f"{args.base} and {args.head} differ under bench/ or in "
                  "BENCHMARK.json: the pairs need one benchmark")
     seeds = args.seed or [0]
@@ -143,28 +178,39 @@ def main(argv=None):
                 for side in trees}
         with open(os.path.join(trees["base"], "BENCHMARK.json")) as fh:
             bench = json.load(fh)
-        workloads = args.workload or [w["name"] for w in bench["workloads"]]
         seconds = bench["run_seconds"]
+        if args.ladder:
+            ladder = os.path.join(trees["head"], "tools", "ladder.py")
+            if not os.path.exists(ladder):
+                ap.error(f"{args.head} has no tools/ladder.py")
+            jobs = [(rung, None, lambda tree, rung=rung:
+                     run_rung(tree, ladder, rung)) for rung in args.ladder]
+        else:
+            workloads = args.workload or [w["name"]
+                                          for w in bench["workloads"]]
+            jobs = [(workload, seed, lambda tree, w=workload, s=seed:
+                     run_bench(tree, w, s, seconds))
+                    for workload in workloads for seed in seeds]
         runs, verdicts = [], []
-        for workload in workloads:
-            for seed in seeds:
-                got = {"base": [], "head": []}
-                for pair in range(args.pairs):
-                    order = ("base", "head") if pair % 2 == 0 \
-                        else ("head", "base")
-                    for side in order:
-                        r = run_bench(trees[side], workload, seed, seconds)
-                        r.update(workload=workload, seed=seed, pair=pair,
-                                 side=side, first=order[0])
-                        runs.append(r)
-                        got[side].append(r)
-                        print(f"{workload} seed {seed} pair {pair} {side}: "
-                              f"{r['metrics']}", file=sys.stderr)
-                failed = tuple(
-                    sum(r["failed"] for r in got[side])
-                    / max(1, sum(r["attempted"] for r in got[side]))
-                    for side in ("base", "head"))
-                for m in bench["end_to_end"]:
+        for workload, seed, measure in jobs:
+            got = {"base": [], "head": []}
+            for pair in range(args.pairs):
+                order = ("base", "head") if pair % 2 == 0 \
+                    else ("head", "base")
+                for side in order:
+                    r = measure(trees[side])
+                    r.update(workload=workload, seed=seed, pair=pair,
+                             side=side, first=order[0])
+                    runs.append(r)
+                    got[side].append(r)
+                    print(f"{workload} seed {seed} pair {pair} {side}: "
+                          f"{r['metrics']}", file=sys.stderr)
+            failed = tuple(
+                sum(r["failed"] for r in got[side])
+                / max(1, sum(r["attempted"] for r in got[side]))
+                for side in ("base", "head"))
+            for m in bench["end_to_end"]:
+                if m["name"] in got["base"][0]["metrics"]:
                     verdicts.append({
                         "workload": workload, "seed": seed,
                         "metric": m["name"], "unit": m["unit"],
@@ -179,13 +225,14 @@ def main(argv=None):
         "head": {"rev": args.head, "commit": revs["head"]},
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "seconds": seconds, "pairs": args.pairs,
+        "seconds": None if args.ladder else seconds, "pairs": args.pairs,
         "bytecode": "cleared before every run; PYTHONDONTWRITEBYTECODE="
                     f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '')}",
         "verdicts": verdicts,
         "runs": runs,
     }
-    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    name = f"ladder-{args.label}" if args.ladder else args.label
+    path = os.path.join(ROOT, f"BENCH_{name}.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
