@@ -40,8 +40,9 @@ in a fresh process in each tree, both with the head's ladder file, so both
 sides time the same call; bytecode is cleared as above.  The verdicts cover
 the end-to-end metrics of BENCHMARK.json that a rung reports (`setup_s`,
 `run_s` and `peak_rss_mb`), with their bounds; the rung's name stands where
-a workload's would, and the record is BENCH_ladder-<NAME>.json.  A rung that calls a name one rev lacks stops the
-pairs with the ladder's message.  `bench/` may differ between the revs.
+a workload's would, and the record is BENCH_ladder-<NAME>.json.  A rung
+that calls a name one rev lacks stops the pairs with the ladder's message.
+`bench/` may differ between the revs.
 
 BENCH_<NAME>.json, at the root of the checkout that holds this script,
 records both revs, the Python version, the CPU count, every run's metrics
